@@ -9,16 +9,33 @@
      the compiler eliminates, and misses are reported as [nan] instead
      of an [option].
 
+   - Hashing multiplies each key word into an accumulator, which only
+     carries entropy upward: the words of round-valued floats (integer
+     currents, durations, tails) end in long runs of zero bits, so a
+     table indexed by the low bits needs a finalizer that folds the
+     high bits back down.  Two xor-shift-multiply rounds on native
+     ints do that; [Splitmix.mix64] would too, but its [Int64] argument
+     and result stay boxed across the module boundary: 6 more minor
+     words per lookup.
+
    - Linear probing, at most [max_probe] slots.  Slots are never
      emptied (generation stamps only ever advance), so probe chains
      stay valid without tombstones: a lookup stops at a never-used slot
      (stamp 0), skips over expired slots, and otherwise compares keys
      bit-for-bit.
 
-   - Generations: a slot is live while its stamp is the current or the
-     previous generation.  Every [capacity / 2] insertions the current
-     stamp advances, expiring the older half-table in place — the
-     replacement for the old [Hashtbl.reset] cliff.  Stamps cycle
+   - Sizing: a table starts at [min cap start_slots] slots and grows
+     [growth]-fold, rehashing its live slots with their stamps, when an
+     insert brings it to half full or finds its probe window full of
+     live entries.  A cold solve stores under a thousand keys per
+     table, so it never pays for zero-filling the cap.
+
+   - Generations, at the cap only: a slot is live while its stamp is
+     the current or the previous generation.  Every [cap / 2]
+     insertions the current stamp advances, expiring the older
+     half-table in place — the replacement for the old [Hashtbl.reset]
+     cliff.  The insertion count runs across growth, so the first flip
+     still comes after exactly [cap / 2] insertions.  Stamps cycle
      through 1..255; a stamp that wraps around onto a live value can at
      worst resurrect a stale entry of the *same key*, which for a memo
      of a pure function is still the correct value. *)
@@ -26,10 +43,11 @@
 type t = {
   label : string;
   arity : int;
-  mask : int;               (* capacity - 1; capacity is a power of two *)
-  keys : float array;       (* capacity * arity *)
-  values : float array;     (* capacity *)
-  stamps : Bytes.t;         (* 0 = never used, else generation stamp *)
+  cap : int;                (* slot count growth stops at; a power of two *)
+  mutable mask : int;       (* capacity - 1; capacity is a power of two *)
+  mutable keys : float array;   (* capacity * arity *)
+  mutable values : float array; (* capacity *)
+  mutable stamps : Bytes.t; (* 0 = never used, else generation stamp *)
   scratch : float array;    (* arity; the key being looked up / added *)
   mutable current : int;    (* live generation stamp, cycles in 1..255 *)
   mutable previous : int;   (* the other live stamp (0 before first flip) *)
@@ -40,6 +58,12 @@ type t = {
 let max_probe = 8
 
 let default_capacity = 1 lsl 16
+
+let start_slots = 1024
+
+(* x8, not x2: a table filling towards the cap rehashes twice instead
+   of six times, and the page faults of the discarded sizes stay small *)
+let growth = 8
 
 (* Registry of every live table, for the occupancy lines of the --stats
    report.  Domain-local caches register one instance per domain that
@@ -57,13 +81,15 @@ let create ?(label = "anon") ?(capacity = default_capacity) ~arity () =
     cap := !cap * 2
   done;
   let cap = !cap in
+  let size = min cap start_slots in
   let t =
     { label;
       arity;
-      mask = cap - 1;
-      keys = Array.make (cap * arity) 0.0;
-      values = Array.make cap 0.0;
-      stamps = Bytes.make cap '\000';
+      cap;
+      mask = size - 1;
+      keys = Array.make (size * arity) 0.0;
+      values = Array.make size 0.0;
+      stamps = Bytes.make size '\000';
       scratch = Array.make arity 0.0;
       current = 1;
       previous = 0;
@@ -82,24 +108,28 @@ let arity t = t.arity
 let generation t = t.flips + 1
 
 let clear t =
-  Bytes.fill t.stamps 0 (capacity t) '\000';
+  Bytes.fill t.stamps 0 (Bytes.length t.stamps) '\000';
   t.current <- 1;
   t.previous <- 0;
   t.fresh <- 0;
   t.flips <- 0
 
-(* SplitMix64-flavoured mixing over the raw float words.  [to_int]
-   drops the top bit — irrelevant for a hash — and the final xor-shift
-   spreads entropy into the low bits the mask keeps. *)
-let[@inline] hash t =
+(* SplitMix64-flavoured mixing over the raw float words ([to_int]
+   drops the top bit — irrelevant for a hash), then two xor-shift-
+   multiply rounds that fold the high bits into the slot bits the mask
+   keeps (see the header for why this is not [Splitmix.mix64]). *)
+let[@inline] hash_words keys base arity =
   let h = ref 0x27d4eb2f165667c5 in
-  for i = 0 to t.arity - 1 do
-    let w = Int64.to_int (Int64.bits_of_float t.scratch.(i)) in
+  for i = 0 to arity - 1 do
+    let w = Int64.to_int (Int64.bits_of_float keys.(base + i)) in
     h := (!h lxor w) * 0x2545F4914F6CDD1D
   done;
   let h = !h in
-  let h = h lxor (h lsr 29) in
-  (h * 0x2545F4914F6CDD1D) lsr 8
+  let h = (h lxor (h lsr 32)) * 0x2545F4914F6CDD1D in
+  let h = (h lxor (h lsr 29)) * 0x14D049BB133111EB in
+  h lxor (h lsr 32)
+
+let[@inline] hash t = hash_words t.scratch 0 t.arity
 
 let[@inline] live t stamp = stamp = t.current || stamp = t.previous
 
@@ -150,13 +180,53 @@ let advance_generation t =
   let probe = Probe.local () in
   probe.Probe.fcache_evictions <- probe.Probe.fcache_evictions + 1
 
+(* Rehash every live slot, stamp and all, into a table [growth] times
+   larger (at most [cap]).  The new table is at most a sixteenth full
+   (a quarter when the cap cuts the step short), so a full probe
+   window is rare; an entry that meets one is dropped, as the memo
+   contract allows.  Introspection on other domains reads only
+   [stamps], so it sees the old table or the new one, never a mix. *)
+let grow t =
+  let arity = t.arity and old_stamps = t.stamps in
+  let size = min t.cap (growth * Bytes.length old_stamps) in
+  let mask = size - 1 in
+  let keys = Array.make (size * arity) 0.0 in
+  let values = Array.make size 0.0 in
+  let stamps = Bytes.make size '\000' in
+  for old = 0 to Bytes.length old_stamps - 1 do
+    let stamp = Bytes.unsafe_get old_stamps old in
+    if stamp <> '\000' && live t (Char.code stamp) then begin
+      let base = old * arity in
+      let h = hash_words t.keys base arity in
+      let rec place i =
+        if i < max_probe then begin
+          let slot = (h + i) land mask in
+          if Bytes.unsafe_get stamps slot = '\000' then begin
+            Array.blit t.keys base keys (slot * arity) arity;
+            values.(slot) <- t.values.(old);
+            Bytes.unsafe_set stamps slot stamp
+          end
+          else place (i + 1)
+        end
+      in
+      place 0
+    end
+  done;
+  t.keys <- keys;
+  t.values <- values;
+  t.mask <- mask;
+  t.stamps <- stamps
+
 let store t slot value =
   let base = slot * t.arity in
   Array.blit t.scratch 0 t.keys base t.arity;
   t.values.(slot) <- value;
   Bytes.unsafe_set t.stamps slot (Char.unsafe_chr t.current);
   t.fresh <- t.fresh + 1;
-  if 2 * t.fresh >= capacity t then advance_generation t
+  (* below the cap no generation has flipped, so [fresh] counts the
+     stored entries and this is the half-full trigger *)
+  if 2 * t.fresh >= capacity t then
+    if capacity t < t.cap then grow t else advance_generation t
 
 (* Probe-length distribution, recorded on the insert path only.  The
    lookup path is far too hot to instrument (it runs per contribution
@@ -166,15 +236,21 @@ let[@inline] observe_probe_len i =
   if !Probe.observing then
     Probe.observe "fcache/probe_len" (float_of_int i)
 
-let add_scratch t value =
+let rec add_scratch t value =
   let h = hash t in
   let rec probe i victim =
-    if i >= max_probe then begin
-      (* window full of live strangers: overwrite the last slot *)
-      observe_probe_len max_probe;
-      store t (if victim >= 0 then victim else (h + max_probe - 1) land t.mask)
-        value
-    end
+    if i >= max_probe then
+      if victim < 0 && capacity t < t.cap then begin
+        (* window full of live strangers below the cap: make room *)
+        grow t;
+        add_scratch t value
+      end
+      else begin
+        (* reuse an expired slot or, at the cap, overwrite the last *)
+        observe_probe_len max_probe;
+        let last = (h + max_probe - 1) land t.mask in
+        store t (if victim >= 0 then victim else last) value
+      end
     else begin
       let slot = (h + i) land t.mask in
       let stamp = Char.code (Bytes.unsafe_get t.stamps slot) in
@@ -258,13 +334,18 @@ let add6 t k0 k1 k2 k3 k4 k5 ~value =
   s.(5) <- k5;
   add_scratch t value
 
-let live_count t =
+(* Introspection may run on another domain while the owner grows the
+   table, so it reads [stamps] once and sizes everything from that
+   array, never from [mask]. *)
+let live_in t stamps =
   let n = ref 0 in
-  for slot = 0 to t.mask do
-    let stamp = Char.code (Bytes.get t.stamps slot) in
+  for slot = 0 to Bytes.length stamps - 1 do
+    let stamp = Char.code (Bytes.get stamps slot) in
     if stamp <> 0 && live t stamp then incr n
   done;
   !n
+
+let live_count t = live_in t t.stamps
 
 let label t = t.label
 
@@ -278,7 +359,8 @@ let occupancy () =
   let rows = ref [] in
   List.iter
     (fun t ->
-      let live = live_count t and cap = capacity t in
+      let stamps = t.stamps in
+      let live = live_in t stamps and cap = Bytes.length stamps in
       match List.assoc_opt t.label !rows with
       | Some (l, c, f) ->
           rows :=

@@ -18,15 +18,26 @@
     property correctness needs.  Keys are compared bit-for-bit on their
     float words ([nan] keys never match anything; do not use them).
 
+    {2 Sizing}
+
+    A table starts at [min cap 1024] slots, where [cap] is the
+    [?capacity] given to {!create}, and grows eightfold (never past
+    [cap]) when an insert brings it to half full or finds its probe
+    window full of live entries.  Growth rehashes the live entries and
+    drops none of them in practice, so below its cap a table behaves
+    like a map; a short run never allocates, or zero-fills, the full
+    cap.
+
     {2 Eviction}
 
-    Entries are stamped with a generation.  Every [capacity / 2]
-    insertions the generation advances and the {e older} half of the
-    live entries becomes reclaimable in place — newly inserted entries
-    overwrite expired slots as they are probed.  Unlike the previous
-    [Hashtbl.reset], a full table therefore never drops its warm recent
-    half, and no O(capacity) sweep ever runs.  A hit refreshes its
-    entry's stamp, so hot keys survive indefinitely.
+    Once a table has reached its cap, entries are stamped with a
+    generation.  Every [cap / 2] insertions (counted from creation,
+    across growth) the generation advances and the {e older} half of
+    the live entries becomes reclaimable in place — newly inserted
+    entries overwrite expired slots as they are probed.  Unlike the
+    previous [Hashtbl.reset], a full table therefore never drops its
+    warm recent half, and no O(capacity) sweep ever runs.  A hit
+    refreshes its entry's stamp, so hot keys survive indefinitely.
 
     Stored values must not be [nan]: [nan] is the miss sentinel
     returned by [find]. *)
@@ -36,11 +47,12 @@ type t
 val create : ?label:string -> ?capacity:int -> arity:int -> unit -> t
 (** [create ~arity ()] is an empty table whose keys are [arity] floats
     ([1 <= arity <= 8]).  [capacity] (default [65536]) is rounded up to
-    a power of two and is the total slot count; the live working set is
-    bounded by it and generations turn over every [capacity / 2]
-    insertions.  [label] (default ["anon"]) names the table in the
-    {!occupancy} report; per-domain instances of a domain-local cache
-    share a label and are aggregated.
+    a power of two (at least 16) and is the cap: the slot count growth
+    stops at.  The table starts at [min cap 1024] slots; the live
+    working set is bounded by the cap and generations turn over every
+    [cap / 2] insertions.  [label] (default ["anon"]) names the table
+    in the {!occupancy} report; per-domain instances of a domain-local
+    cache share a label and are aggregated.
     @raise Invalid_argument on a non-positive capacity or an arity
     outside [1..8]. *)
 
@@ -49,6 +61,9 @@ val max_probe : int
     O(1) in a table that never tombstones. *)
 
 val capacity : t -> int
+(** The current slot count: a power of two, from [min cap 1024] up to
+    the cap. *)
+
 val arity : t -> int
 
 val find3 : t -> float -> float -> float -> float
@@ -79,11 +94,12 @@ val clear : t -> unit
 
 val live_count : t -> int
 (** Number of slots holding a non-expired entry.  O(capacity); always
-    [<= capacity t].  Test/introspection helper. *)
+    [<= capacity t].  Safe to call from a domain other than the
+    table's owner.  Test/introspection helper. *)
 
 val generation : t -> int
 (** The current generation stamp (starts at 1, advances every
-    [capacity / 2] insertions).  Test/introspection helper. *)
+    [cap / 2] insertions).  Test/introspection helper. *)
 
 val label : t -> string
 (** The name the table registered under. *)
@@ -91,7 +107,7 @@ val label : t -> string
 val occupancy : unit -> (string * int * int * int) list
 (** One [(label, live, capacity, flips)] row per distinct cache label,
     aggregated over every table instance created so far (per-domain
-    copies of a domain-local cache merge into one row).  O(total
-    capacity); report/introspection path, not for hot loops.  Flips
-    count generation advances — each one expired half a table in
-    place. *)
+    copies of a domain-local cache merge into one row); [capacity] sums
+    the current slot counts.  O(total capacity); report/introspection
+    path, not for hot loops.  Flips count generation advances — each
+    one expired half a table in place. *)

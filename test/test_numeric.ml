@@ -157,6 +157,69 @@ let test_fcache_eviction_bounded () =
   done;
   Alcotest.(check bool) "recent keys survive" true (!hits > 0)
 
+(* Round-valued keys (integer currents, durations and tails, as in the
+   paper's instances) differ only in the top bits of their float words;
+   a hash that never folds those bits into the slot index loses most of
+   these keys to probe-window overflow in a 1024-slot table. *)
+let test_fcache_round_keys_disperse () =
+  let survivors add find =
+    for k = 0 to 255 do
+      add k ~value:(float_of_int k)
+    done;
+    let n = ref 0 in
+    for k = 0 to 255 do
+      if Float.equal (find k) (float_of_int k) then incr n
+    done;
+    !n
+  in
+  let t3 = Fcache.create ~capacity:1024 ~arity:3 () in
+  Alcotest.(check int) "arity 3: (0.273, 10, k/2)" 256
+    (survivors
+       (fun k -> Fcache.add3 t3 0.273 10.0 (float_of_int k /. 2.0))
+       (fun k -> Fcache.find3 t3 0.273 10.0 (float_of_int k /. 2.0)));
+  let t5 = Fcache.create ~capacity:1024 ~arity:5 () in
+  let current k = float_of_int (100 * (1 + (k mod 8)))
+  and duration k = float_of_int (1 + (k / 8 mod 8))
+  and tail k = float_of_int (k / 64) in
+  Alcotest.(check int) "arity 5: integer current, duration, tail" 256
+    (survivors
+       (fun k ->
+         Fcache.add5 t5 0.273 10.0 (current k) (duration k) (tail k))
+       (fun k ->
+         Fcache.find5 t5 0.273 10.0 (current k) (duration k) (tail k)))
+
+let test_fcache_grows_to_cap () =
+  let t = Fcache.create ~arity:3 () in
+  let cap = 65536 in
+  Alcotest.(check bool) "starts below its cap" true (Fcache.capacity t < cap);
+  let sizes_ok = ref true in
+  let add k =
+    Fcache.add3 t (float_of_int k) 0.5 (-2.0) ~value:(float_of_int (2 * k));
+    let c = Fcache.capacity t in
+    if c > cap || c land (c - 1) <> 0 then sizes_ok := false
+  in
+  for k = 0 to 4095 do
+    add k
+  done;
+  let found = ref 0 in
+  for k = 0 to 4095 do
+    if Float.equal (Fcache.find3 t (float_of_int k) 0.5 (-2.0))
+         (float_of_int (2 * k))
+    then incr found
+  done;
+  Alcotest.(check int) "all 4096 keys found" 4096 !found;
+  (* the insertion count runs across growth: the first flip comes
+     after exactly cap/2 insertions, as in a table born full-size *)
+  for k = 4096 to (cap / 2) - 2 do
+    add k
+  done;
+  Alcotest.(check int) "no flip before cap/2 insertions" 1
+    (Fcache.generation t);
+  add ((cap / 2) - 1);
+  Alcotest.(check int) "flip at cap/2 insertions" 2 (Fcache.generation t);
+  Alcotest.(check int) "grown to the cap" cap (Fcache.capacity t);
+  Alcotest.(check bool) "power-of-two sizes up to the cap" true !sizes_ok
+
 (* --- Rootfind --- *)
 
 let test_bisect_linear () =
@@ -551,17 +614,13 @@ let prop_exp_sum_cached_bit_identical =
       let t = Float.abs t in
       Series.exp_sum_cached ~beta:0.273 t = Series.exp_sum ~beta:0.273 t)
 
-let prop_fcache_matches_hashtbl_model =
-  (* behavioural equivalence with a Hashtbl that never evicts: the
-     Fcache may miss at any time, but every hit must return the value
-     of the most recent add for that key, and a find immediately after
-     an add must hit.  Capacity 64 so the op stream crosses several
-     generation flips. *)
-  QCheck.Test.make ~count:100
-    ~name:"fcache hits agree with a hashtbl model across eviction"
-    QCheck.(list_of_size Gen.(int_range 1 400) (int_bound 40))
-    (fun keys ->
-      let t = Fcache.create ~capacity:64 ~arity:3 () in
+(* Behavioural equivalence with a Hashtbl that never evicts: the
+   Fcache may miss at any time, but every hit must return the value of
+   the most recent add for that key, and a find immediately after an
+   add must hit. *)
+let fcache_model_prop ~name ~count ?capacity keys_arb =
+  QCheck.Test.make ~count ~name keys_arb (fun keys ->
+      let t = Fcache.create ?capacity ~arity:3 () in
       let model = Hashtbl.create 64 in
       let step = ref 0 in
       List.for_all
@@ -580,6 +639,21 @@ let prop_fcache_matches_hashtbl_model =
           Hashtbl.replace model k v;
           hit_ok && Float.equal v (Fcache.find3 t k0 1.5 (-2.0)))
         keys)
+
+(* Capacity 64 so the op stream crosses several generation flips. *)
+let prop_fcache_matches_hashtbl_model =
+  fcache_model_prop ~count:100
+    ~name:"fcache hits agree with a hashtbl model across eviction"
+    ~capacity:64
+    QCheck.(list_of_size Gen.(int_range 1 400) (int_bound 40))
+
+(* The default cap starts the table at 1024 slots; ~4.6k distinct keys
+   (9000+ draws from 6001) cross both growth steps, 1024 -> 8192 ->
+   65536. *)
+let prop_fcache_growth_matches_hashtbl_model =
+  fcache_model_prop ~count:20
+    ~name:"fcache hits agree with a hashtbl model across growth"
+    QCheck.(list_of_size Gen.(int_range 9000 12000) (int_bound 6000))
 
 (* One long-lived pool per size, shared across qcheck cases: pools are
    cheap to create but their worker domains persist, and creating one
@@ -645,6 +719,7 @@ let qcheck_tests =
       prop_kernel_zero_a_matches_direct;
       prop_exp_sum_cached_bit_identical;
       prop_fcache_matches_hashtbl_model;
+      prop_fcache_growth_matches_hashtbl_model;
       prop_pool_map_matches_sequential;
       prop_pool_steal_matches_oracles;
       prop_pool_first_exception_identity ]
@@ -672,7 +747,10 @@ let () =
       ( "fcache",
         [ Alcotest.test_case "roundtrip" `Quick test_fcache_roundtrip;
           Alcotest.test_case "arity checked" `Quick test_fcache_arity_checked;
-          Alcotest.test_case "eviction bounded" `Quick test_fcache_eviction_bounded ] );
+          Alcotest.test_case "eviction bounded" `Quick test_fcache_eviction_bounded;
+          Alcotest.test_case "round keys disperse" `Quick
+            test_fcache_round_keys_disperse;
+          Alcotest.test_case "grows to its cap" `Quick test_fcache_grows_to_cap ] );
       ( "rootfind",
         [ Alcotest.test_case "bisect linear" `Quick test_bisect_linear;
           Alcotest.test_case "brent polynomial" `Quick test_brent_polynomial;
