@@ -113,7 +113,7 @@ module Batch = struct
     starts : float array;
     durations : float array;
     currents : float array;
-    mutable clock : float;
+    clock : float array;  (* one slot, so moving the clock boxes nothing *)
   }
 
   type compiled =
@@ -192,50 +192,59 @@ module Batch = struct
         rho;
         g = Array.make (Stdlib.max 1 t) 0.0 }
 
-  (* One cycle of one device: probe every interval end, return the
-     first fatal sigma, advance the state only on survival (a dead
-     device is never stepped again, so leaving its state mid-cycle is
-     fine). *)
-  let step_channels d ~alpha ~k =
+  (* One cycle of device [i]: probe every interval end, and on the
+     first fatal sigma store it in [fatal.(i)] and return [true];
+     advance the state only on survival (a dead device is never stepped
+     again, so leaving its state mid-cycle is fine).  Plain loops over
+     the run's float arrays: the per-cycle sweep allocates no closure,
+     option or boxed float of its own. *)
+  let step_channels d ~alphas ~fatal ~k i =
     let kf = float_of_int k in
-    let rec probe j =
-      if j >= d.nprobe then None
-      else begin
-        let s = ref ((kf *. d.q) +. d.base.(j)) in
-        for tt = 0 to d.nterm - 1 do
-          s := !s +. (d.b.((j * d.nterm) + tt) *. d.g.(tt))
-        done;
-        if !s >= alpha then Some !s else probe (j + 1)
-      end
-    in
-    match probe 0 with
-    | Some _ as fatal -> fatal
-    | None ->
-        for tt = 0 to d.nterm - 1 do
-          d.g.(tt) <- 1.0 +. (d.rho.(tt) *. d.g.(tt))
-        done;
-        None
+    let dies = ref false in
+    let j = ref 0 in
+    while (not !dies) && !j < d.nprobe do
+      let s = ref ((kf *. d.q) +. d.base.(!j)) in
+      for tt = 0 to d.nterm - 1 do
+        s := !s +. (d.b.((!j * d.nterm) + tt) *. d.g.(tt))
+      done;
+      if !s >= alphas.(i) then begin
+        fatal.(i) <- !s;
+        dies := true
+      end;
+      incr j
+    done;
+    if not !dies then
+      for tt = 0 to d.nterm - 1 do
+        d.g.(tt) <- 1.0 +. (d.rho.(tt) *. d.g.(tt))
+      done;
+    !dies
 
-  let step_carried c ~alpha ~k ~period =
-    let offset = float_of_int k *. period in
-    let run_to t ~current =
-      if t > c.clock then begin
-        c.ops.Model.advance c.u ~current ~duration:(t -. c.clock);
-        c.clock <- t
-      end
-    in
-    let e = Array.length c.starts in
-    let rec probe j =
-      if j >= e then None
-      else begin
-        let s_abs = c.starts.(j) +. offset in
-        run_to s_abs ~current:0.0;
-        run_to (s_abs +. c.durations.(j)) ~current:c.currents.(j);
-        let sg = c.ops.Model.observe c.u in
-        if sg >= alpha then Some sg else probe (j + 1)
-      end
-    in
-    probe 0
+  let step_carried c ~alphas ~periods ~fatal ~k i =
+    let offset = float_of_int k *. periods.(i) in
+    let clock = c.clock in
+    let dies = ref false in
+    let j = ref 0 in
+    while (not !dies) && !j < Array.length c.starts do
+      (* rest up to the interval's start, then run it *)
+      let s_abs = c.starts.(!j) +. offset in
+      if s_abs > clock.(0) then begin
+        c.ops.Model.advance c.u ~current:0.0 ~duration:(s_abs -. clock.(0));
+        clock.(0) <- s_abs
+      end;
+      let e_abs = s_abs +. c.durations.(!j) in
+      if e_abs > clock.(0) then begin
+        c.ops.Model.advance c.u ~current:c.currents.(!j)
+          ~duration:(e_abs -. clock.(0));
+        clock.(0) <- e_abs
+      end;
+      let sg = c.ops.Model.observe c.u in
+      if sg >= alphas.(i) then begin
+        fatal.(i) <- sg;
+        dies := true
+      end;
+      incr j
+    done;
+    !dies
 
   let run ?(max_cycles = default_max_cycles) ~n ~device () =
     if n < 0 then invalid_arg "Periodic.Batch.run: negative device count";
@@ -248,6 +257,7 @@ module Batch = struct
       let compiled = Array.make n Resolved in
       let alphas = Array.make n 0.0 in
       let periods = Array.make n 0.0 in
+      let fatal = Array.make n Float.nan in
       let alive = Array.make n 0 in
       let nalive = ref 0 in
       for i = 0 to n - 1 do
@@ -270,7 +280,9 @@ module Batch = struct
             ops.Model.start u;
             let starts, durations, currents = collect_intervals dv.cycle in
             compiled.(i) <-
-              Carried { ops; u; starts; durations; currents; clock = 0.0 };
+              Carried
+                { ops; u; starts; durations; currents;
+                  clock = Array.make 1 0.0 };
             alive.(!nalive) <- i;
             incr nalive;
             Probe.bump_named probe "periodic/carried_devices" 1
@@ -284,24 +296,29 @@ module Batch = struct
       done;
       (* One sweep per cycle over the still-alive devices, compacting
          the index array in place as devices die, so total work is
-         sum over devices of (cycles lived), not n * max_cycles. *)
+         sum over devices of (cycles lived), not n * max_cycles.  The
+         sweep allocates only when a device dies (its result record):
+         the step functions read alpha and period from the float arrays
+         above and write a fatal sigma into [fatal], so nothing is
+         boxed per cycle, and a carried stepper's own cost is the few
+         floats boxed across the [Model.stepper_ops] closures. *)
       let k = ref 0 in
       while !nalive > 0 && !k < max_cycles do
         let kept = ref 0 in
         for a = 0 to !nalive - 1 do
           let i = alive.(a) in
-          let fatal =
+          let dies =
             match compiled.(i) with
-            | Channels d -> step_channels d ~alpha:alphas.(i) ~k:!k
-            | Carried c ->
-                step_carried c ~alpha:alphas.(i) ~k:!k ~period:periods.(i)
-            | Resolved -> None (* never enters the alive set *)
+            | Channels d -> step_channels d ~alphas ~fatal ~k:!k i
+            | Carried c -> step_carried c ~alphas ~periods ~fatal ~k:!k i
+            | Resolved -> false (* never enters the alive set *)
           in
-          match fatal with
-          | Some sg -> results.(i) <- { outcome = Dies !k; fatal_sigma = sg }
-          | None ->
-              alive.(!kept) <- i;
-              incr kept
+          if dies then
+            results.(i) <- { outcome = Dies !k; fatal_sigma = fatal.(i) }
+          else begin
+            alive.(!kept) <- i;
+            incr kept
+          end
         done;
         nalive := !kept;
         incr k

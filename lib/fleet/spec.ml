@@ -38,13 +38,34 @@ exception Bad of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
+(* Largest PDE grid a spec may ask for: 16x the finest grid the
+   library itself uses (64 nodes), far beyond any useful fleet
+   fidelity, and small enough that a device's grid and solver scratch
+   stay within 32 KiB. *)
+let max_pde_nodes = 1024
+
+(* Every number read from a spec must be finite: the JSON parser turns
+   an overflowing literal such as 1e999 into infinity, which would
+   otherwise reach int_of_float or the sampler's lo + (hi - lo) * u. *)
+let finite ~name v =
+  if Float.is_finite v then v else fail "%s: must be finite" name
+
+(* Optional number field [key] of [j], reported as [name] (default
+   [key]). *)
+let num_field ?name key j =
+  let name = Option.value name ~default:key in
+  Option.map (finite ~name) (Json.num_field key j)
+
 (* A range is either a bare number (constant) or {"min": a, "max": b}. *)
 let range_of ~name j =
   match j with
-  | Json.Num v -> { lo = v; hi = v }
+  | Json.Num v ->
+      let v = finite ~name v in
+      { lo = v; hi = v }
   | Json.Obj _ -> begin
       match (Json.num_field "min" j, Json.num_field "max" j) with
       | Some lo, Some hi ->
+          let lo = finite ~name lo and hi = finite ~name hi in
           if hi < lo then fail "%s: max < min" name else { lo; hi }
       | _ -> fail "%s: expected min and max" name
     end
@@ -59,6 +80,15 @@ let range_field ~name ?default j =
 let positive ~name r =
   if r.lo <= 0.0 then fail "%s: must be positive" name else r
 
+(* Optional range field [key] of a model or cycle object, reported as
+   [scope.key], with a positive lower bound. *)
+let positive_range ~scope ~default key j =
+  let name = scope ^ "." ^ key in
+  let r =
+    match Json.field key j with Some r -> range_of ~name r | None -> default
+  in
+  positive ~name r
+
 let model_of_json j =
   let label =
     match Json.str_field "model" j with
@@ -66,62 +96,52 @@ let model_of_json j =
     | None -> fail "models[]: missing model name"
   in
   let weight =
-    match Json.num_field "weight" j with
+    match num_field ~name:(label ^ ".weight") "weight" j with
     | Some w when w > 0.0 -> w
     | Some _ -> fail "%s: weight must be positive" label
     | None -> 1.0
   in
+  let constant v = { lo = v; hi = v } in
   let model =
     match label with
     | "ideal" -> Ideal
     | "peukert" ->
+        let sub = positive_range ~scope:"peukert" in
         Peukert
-          { exponent =
-              positive ~name:"peukert.exponent"
-                (range_field ~name:"exponent"
-                   ~default:{ lo = 1.2; hi = 1.2 } j);
+          { exponent = sub ~default:(constant 1.2) "exponent" j;
             reference_current =
-              positive ~name:"peukert.reference_current"
-                (range_field ~name:"reference_current"
-                   ~default:{ lo = 100.0; hi = 100.0 } j) }
+              sub ~default:(constant 100.0) "reference_current" j }
     | "rakhmatov" ->
         Rakhmatov
           { beta =
-              positive ~name:"rakhmatov.beta"
-                (range_field ~name:"beta"
-                   ~default:
-                     { lo = Batsched_battery.Rakhmatov.default_beta;
-                       hi = Batsched_battery.Rakhmatov.default_beta }
-                   j);
+              positive_range ~scope:"rakhmatov"
+                ~default:(constant Batsched_battery.Rakhmatov.default_beta)
+                "beta" j;
             terms =
-              (match Json.num_field "terms" j with
+              (match num_field ~name:"rakhmatov.terms" "terms" j with
               | Some t when t >= 1.0 -> int_of_float t
               | Some _ -> fail "rakhmatov.terms: must be >= 1"
               | None -> Batsched_numeric.Series.default_terms) }
     | "kibam" ->
-        let sub name default =
-          positive ~name:("kibam." ^ name)
-            (range_field ~name ~default j)
-        in
-        let c = sub "c" { lo = 0.5; hi = 0.5 } in
+        let sub = positive_range ~scope:"kibam" in
+        let c = sub ~default:(constant 0.5) "c" j in
         if c.hi >= 1.0 then fail "kibam.c: must stay below 1";
-        Kibam { c; k_prime = sub "k_prime" { lo = 0.05; hi = 0.05 } }
+        Kibam { c; k_prime = sub ~default:(constant 0.05) "k_prime" j }
     | "pde" ->
         Pde
           { beta =
-              positive ~name:"pde.beta"
-                (range_field ~name:"beta"
-                   ~default:
-                     { lo = Batsched_battery.Rakhmatov.default_beta;
-                       hi = Batsched_battery.Rakhmatov.default_beta }
-                   j);
+              positive_range ~scope:"pde"
+                ~default:(constant Batsched_battery.Rakhmatov.default_beta)
+                "beta" j;
             nodes =
-              (match Json.num_field "nodes" j with
+              (match num_field ~name:"pde.nodes" "nodes" j with
+              | Some n when n > float_of_int max_pde_nodes ->
+                  fail "pde.nodes: must be <= %d" max_pde_nodes
               | Some n when n >= 8.0 -> int_of_float n
               | Some _ -> fail "pde.nodes: must be >= 8"
               | None -> 16);
             dt =
-              (match Json.num_field "dt" j with
+              (match num_field ~name:"pde.dt" "dt" j with
               | Some d when d > 0.0 -> d
               | Some _ -> fail "pde.dt: must be positive"
               | None -> 0.25) }
@@ -152,18 +172,10 @@ let cycle_of_json j =
       in
       Graph { name; graph; law }
   | Some "bursts" ->
-      let count =
-        positive ~name:"cycle.count"
-          (range_field ~name:"count" ~default:{ lo = 1.0; hi = 3.0 } j)
-      in
-      let current =
-        positive ~name:"cycle.current"
-          (range_field ~name:"current" ~default:{ lo = 100.0; hi = 800.0 } j)
-      in
-      let duration =
-        positive ~name:"cycle.duration"
-          (range_field ~name:"duration" ~default:{ lo = 1.0; hi = 20.0 } j)
-      in
+      let sub = positive_range ~scope:"cycle" in
+      let count = sub ~default:{ lo = 1.0; hi = 3.0 } "count" j in
+      let current = sub ~default:{ lo = 100.0; hi = 800.0 } "current" j in
+      let duration = sub ~default:{ lo = 1.0; hi = 20.0 } "duration" j in
       Bursts { count; current; duration }
   | Some other -> fail "cycle.kind: expected graph or bursts, got %S" other
   | None -> fail "cycle: missing kind"
@@ -171,7 +183,7 @@ let cycle_of_json j =
 let of_json j =
   try
     let horizon =
-      match Json.num_field "horizon" j with
+      match num_field "horizon" j with
       | Some h when h >= 1.0 -> int_of_float h
       | Some _ -> fail "horizon: must be >= 1"
       | None -> 200

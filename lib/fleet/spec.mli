@@ -59,9 +59,11 @@ type t = {
 
 val of_json : Batsched_obs.Json.t -> (t, string) result
 (** Validate and compile a parsed JSON spec.  Unknown model names,
-    empty model lists, non-positive weights, inverted ranges and a
-    [period_factor] allowing [< 1] are all rejected with a message
-    naming the offending field. *)
+    empty model lists, non-positive weights, inverted ranges, a
+    [period_factor] allowing [< 1], any non-finite number (an
+    overflowing literal such as [1e999] parses as infinity) and a PDE
+    grid above 1024 nodes are all rejected with a message naming the
+    offending field. *)
 
 val of_file : string -> (t, string) result
 (** [of_json] on a file's contents; I/O and parse errors are returned

@@ -1,7 +1,10 @@
 (** Tridiagonal linear systems (Thomas algorithm).
 
-    Used by the Crank–Nicolson diffusion solver that serves as the
-    physical reference for the analytical battery model. *)
+    The general solver.  The Crank–Nicolson diffusion stepper
+    ([Batsched_battery.Diffusion]) does not call it: it factors its
+    constant matrix once per span and fuses each step into one pass.
+    This module is the reference that fused step is tested against,
+    bit for bit. *)
 
 val solve :
   lower:float array -> diag:float array -> upper:float array ->
@@ -22,6 +25,7 @@ val solve_into :
     scratch ([cw] length >= [max 1 (n-1)], [dw] length >= [n]) and the
     solution is written to [out] (length >= [n]).  [out] may not alias
     the inputs.  Identical operation order to {!solve} — the two return
-    bit-identical solutions — so the Crank–Nicolson inner loop can go
-    through this without perturbing results.
+    bit-identical solutions.  The diffusion test suite builds the
+    textbook Crank–Nicolson step on this function and requires the
+    fused stepper to match it bit for bit.
     @raise Invalid_argument as {!solve}, or on short scratch. *)

@@ -529,6 +529,47 @@ let test_periodic_batch_matches_scalar () =
             sigma r.Periodic.Batch.fatal_sigma)
     results
 
+(* The per-cycle sweep must not allocate: over a censored mission the
+   extra 1000 cycles of a 1010-cycle horizon cost nothing for the
+   closed-form models, and only the boxed floats crossing the
+   [Model.stepper_ops] closures for the PDE — a bound independent of
+   the 40 Crank–Nicolson steps each cycle takes. *)
+let test_periodic_sweep_allocation () =
+  let cycle = Profile.constant ~current:800.0 ~duration:20.0 in
+  let words_per_cycle model =
+    let words max_cycles =
+      let w0 = Gc.minor_words () in
+      (match
+         Periodic.cycles_to_death ~max_cycles ~model ~alpha:1e12 ~period:40.0
+           cycle
+       with
+      | Periodic.Censored _ -> ()
+      | Periodic.Dies _ -> Alcotest.fail "mission should be censored");
+      Gc.minor_words () -. w0
+    in
+    (* warm-up, so one-time set-up lands in neither measurement *)
+    ignore (words 10);
+    let short = words 10 in
+    let long = words 1010 in
+    (long -. short) /. 1000.0
+  in
+  List.iter
+    (fun (name, model) ->
+      check_float (name ^ " words per cycle") 0.0 (words_per_cycle model))
+    [ ("ideal", Ideal.model);
+      ("rakhmatov", Rakhmatov.model ());
+      ("kibam", Kibam.model ()) ];
+  let pde =
+    Diffusion.model
+      ~params:
+        (Diffusion.make_params ~nodes:8 ~dt:1.0 ~alpha:1e12 ~beta:0.273 ())
+      ()
+  in
+  let w = words_per_cycle pde in
+  Alcotest.(check bool)
+    (Printf.sprintf "pde words per cycle (%.1f) <= 32" w)
+    true (w <= 32.0)
+
 (* --- Cell --- *)
 
 let test_cell_presets () =
@@ -660,6 +701,100 @@ let prop_sigma_matches_reference_with_gaps =
       let at = Profile.length q in
       Float.abs (Rakhmatov.sigma q ~at -. Rakhmatov.sigma_reference q ~at)
       <= 1e-9 *. (1.0 +. Rakhmatov.sigma_reference q ~at))
+
+(* --- Diffusion stepper vs the textbook Crank–Nicolson step --- *)
+
+(* One constant-current span the textbook way: per step, form the
+   explicit half, fill the full tridiagonal system (I - dt/2 A), solve
+   it with [Tridiag.solve_into] and copy the solution back.  The
+   stepper factors the matrix once per span and fuses the step into one
+   pass; it must reproduce this arithmetic exactly. *)
+let textbook_advance ~dt_max ~dee ~dx ~current u span =
+  if span > 0.0 then begin
+    let n = Array.length u in
+    let steps = Stdlib.max 1 (int_of_float (Float.ceil (span /. dt_max))) in
+    let dt = span /. float_of_int steps in
+    let v = Array.make n 0.0 in
+    let diag = Array.make n 0.0 in
+    let lower = Array.make (n - 1) 0.0 in
+    let upper = Array.make (n - 1) 0.0 in
+    let cw = Array.make (n - 1) 0.0 in
+    let dw = Array.make n 0.0 in
+    let out = Array.make n 0.0 in
+    for _ = 1 to steps do
+      let r = dee /. (dx *. dx) in
+      let half = 0.5 *. dt in
+      v.(0) <-
+        u.(0) +. (half *. ((2.0 *. r *. u.(1)) -. (2.0 *. r *. u.(0))))
+        -. (dt *. 2.0 *. current /. dx);
+      for i = 1 to n - 2 do
+        v.(i) <-
+          u.(i)
+          +. (half *. r *. (u.(i - 1) -. (2.0 *. u.(i)) +. u.(i + 1)))
+      done;
+      v.(n - 1) <-
+        u.(n - 1)
+        +. (half *. ((2.0 *. r *. u.(n - 2)) -. (2.0 *. r *. u.(n - 1))));
+      Array.fill diag 0 n (1.0 +. (dt *. r));
+      Array.fill lower 0 (n - 1) (-.half *. r);
+      Array.fill upper 0 (n - 1) (-.half *. r);
+      upper.(0) <- -.dt *. r;
+      lower.(n - 2) <- -.dt *. r;
+      Batsched_numeric.Tridiag.solve_into ~lower ~diag ~upper ~rhs:v ~cw ~dw
+        ~out;
+      Array.blit out 0 u 0 n
+    done
+  end
+
+(* Random grids (8-64 nodes, dt 0.01-2, random beta and alpha) driven
+   through 1-8 spans each: currents include 0, and spans are 0, shorter
+   than dt, exact multiples of dt, or arbitrary.  Every node must match
+   bit for bit after every span. *)
+let prop_diffusion_stepper_matches_textbook =
+  QCheck.Test.make ~count:300
+    ~name:"diffusion stepper is bit-identical to the textbook CN step"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Batsched_numeric.Rng.create seed in
+      let uniform lo hi = lo +. Batsched_numeric.Rng.float rng (hi -. lo) in
+      let nodes = 8 + Batsched_numeric.Rng.int rng 57 in
+      let dt = uniform 0.01 2.0 in
+      let params =
+        Diffusion.make_params ~nodes ~dt ~alpha:(uniform 100.0 50_000.0)
+          ~beta:(uniform 0.05 1.5) ()
+      in
+      let dx = 1.0 /. float_of_int (nodes - 1) in
+      let dee =
+        params.Diffusion.beta *. params.Diffusion.beta
+        /. (Float.pi *. Float.pi)
+      in
+      let ops = (Diffusion.stepper params).Model.fresh () in
+      let u = Array.make nodes 0.0 in
+      let want = Array.make nodes params.Diffusion.alpha in
+      ops.Model.start u;
+      let same () =
+        Array.for_all2
+          (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+          u want
+      in
+      let spans = 1 + Batsched_numeric.Rng.int rng 8 in
+      let ok = ref (same ()) in
+      for _ = 1 to spans do
+        let current =
+          if Batsched_numeric.Rng.int rng 3 = 0 then 0.0 else uniform 0.0 900.0
+        in
+        let span =
+          match Batsched_numeric.Rng.int rng 4 with
+          | 0 -> 0.0
+          | 1 -> uniform 0.0 dt
+          | 2 -> float_of_int (1 + Batsched_numeric.Rng.int rng 5) *. dt
+          | _ -> uniform 0.0 (10.0 *. dt)
+        in
+        ops.Model.advance u ~current ~duration:span;
+        textbook_advance ~dt_max:dt ~dee ~dx ~current want span;
+        ok := !ok && same ()
+      done;
+      !ok)
 
 (* --- Periodic fast kernel vs quadratic oracle --- *)
 
@@ -1289,7 +1424,8 @@ let qcheck_tests =
       prop_periodic_oracle_peukert;
       prop_periodic_oracle_rakhmatov;
       prop_periodic_oracle_kibam;
-      prop_periodic_oracle_diffusion_exact ]
+      prop_periodic_oracle_diffusion_exact;
+      prop_diffusion_stepper_matches_textbook ]
 
 let () =
   Alcotest.run "battery"
@@ -1369,7 +1505,8 @@ let () =
           Alcotest.test_case "min period impossible" `Quick test_periodic_min_period_impossible;
           Alcotest.test_case "interp curve" `Quick test_periodic_interp_curve;
           Alcotest.test_case "fast path engages" `Quick test_periodic_fast_path_engages;
-          Alcotest.test_case "batch matches scalar" `Quick test_periodic_batch_matches_scalar ] );
+          Alcotest.test_case "batch matches scalar" `Quick test_periodic_batch_matches_scalar;
+          Alcotest.test_case "sweep allocation" `Quick test_periodic_sweep_allocation ] );
       ( "cell",
         [ Alcotest.test_case "presets" `Quick test_cell_presets;
           Alcotest.test_case "validation" `Quick test_cell_validation ] );

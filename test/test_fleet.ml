@@ -83,6 +83,67 @@ let test_spec_rejects () =
     {|{"cycle": {"kind": "graph", "graph": "g9"},
        "models": [{"model": "ideal"}]}|}
 
+(* Hostile numbers: the JSON parser reads an overflowing literal as
+   infinity, and every such value must be rejected by name before it
+   reaches the sampler or a kernel. *)
+let hostile_specs =
+  let spec ?(top = "") ?(models = {|{"model": "ideal"}|})
+      ?(cycle = {|{"kind": "bursts"}|}) () =
+    Printf.sprintf {|{%s "models": [%s], "cycle": %s}|} top models cycle
+  in
+  [ ("infinite horizon", spec ~top:{|"horizon": 1e999,|} (),
+     "horizon: must be finite");
+    ( "infinite weight",
+      spec ~models:{|{"model": "ideal", "weight": 1e999}, {"model": "kibam"}|} (),
+      "ideal.weight: must be finite" );
+    ("infinite alpha", spec ~top:{|"alpha": 1e999,|} (), "alpha: must be finite");
+    ( "infinite range bound",
+      spec ~top:{|"soh": {"min": 0.5, "max": 1e999},|} (),
+      "soh: must be finite" );
+    ( "infinite period factor",
+      spec ~top:{|"period_factor": 1e999,|} (),
+      "period_factor: must be finite" );
+    ( "infinite model range",
+      spec ~models:{|{"model": "pde", "beta": {"min": 0.2, "max": 1e999}}|} (),
+      "pde.beta: must be finite" );
+    ( "infinite cycle range",
+      spec ~cycle:{|{"kind": "bursts", "duration": 1e999}|} (),
+      "cycle.duration: must be finite" );
+    ( "infinite terms",
+      spec ~models:{|{"model": "rakhmatov", "terms": 1e999}|} (),
+      "rakhmatov.terms: must be finite" );
+    ( "infinite pde nodes",
+      spec ~models:{|{"model": "pde", "nodes": 1e999}|} (),
+      "pde.nodes: must be finite" );
+    ( "huge pde nodes",
+      spec ~models:{|{"model": "pde", "nodes": 1e12}|} (),
+      "pde.nodes: must be <= 1024" );
+    ( "infinite pde dt",
+      spec ~models:{|{"model": "pde", "dt": 1e999}|} (),
+      "pde.dt: must be finite" ) ]
+
+let hostile_spec_tests =
+  List.map
+    (fun (label, json, want) ->
+      Alcotest.test_case label `Quick (fun () ->
+          match Spec.of_json (Batsched_obs.Json.parse json) with
+          | Ok _ -> Alcotest.failf "%s: should be rejected" label
+          | Error msg ->
+              Alcotest.(check string) "message" ("fleet spec: " ^ want) msg))
+    hostile_specs
+
+let test_spec_pde_nodes_cap_inclusive () =
+  match
+    Spec.of_json
+      (Batsched_obs.Json.parse
+         {|{"models": [{"model": "pde", "nodes": 1024}],
+            "cycle": {"kind": "bursts"}}|})
+  with
+  | Ok { Spec.models = [ { Spec.model = Spec.Pde { nodes; _ }; _ } ]; _ } ->
+      Alcotest.(check int) "nodes" 1024 nodes
+  | Ok _ -> Alcotest.fail "expected one pde model"
+  | Error msg -> Alcotest.failf "1024 nodes should parse: %s" msg
+
 (* --- Sampler --- *)
 
 let profiles_equal a b =
@@ -303,7 +364,10 @@ let () =
     [ ( "spec",
         [ Alcotest.test_case "parses" `Quick test_spec_parses;
           Alcotest.test_case "graph cycle" `Quick test_spec_graph_cycle;
-          Alcotest.test_case "rejects bad input" `Quick test_spec_rejects ] );
+          Alcotest.test_case "rejects bad input" `Quick test_spec_rejects;
+          Alcotest.test_case "pde nodes cap is inclusive" `Quick
+            test_spec_pde_nodes_cap_inclusive ] );
+      ("hostile spec", hostile_spec_tests);
       ( "sampler",
         [ Alcotest.test_case "pure per index" `Quick test_sampler_pure;
           Alcotest.test_case "covers all models" `Quick
