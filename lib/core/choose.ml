@@ -23,8 +23,10 @@ let eps = 1e-9
    serial-time / energy totals and the current-increase count are
    maintained as O(1) deltas between consecutive column trials, and the
    scratch column array is patched and un-patched instead of re-blitted
-   per trial.  [calculate_dpf_reference_ctx] keeps the seed's per-trial
-   O(n) rescans verbatim as the oracle the property tests (and the
+   per trial; only the first trial at a position applies its upgrade
+   steps in bulk and recounts the increases.
+   [calculate_dpf_reference_ctx] keeps the seed's per-trial O(n)
+   rescans as the oracle the property tests (and the
    [choose-n64] bench pair) compare against. *)
 type ctx = {
   n : int;
@@ -59,6 +61,7 @@ type ctx = {
   acc2 : float array;         (* second accumulator (paired sums) *)
   mutable nsteps : int;
   mutable applied : int;      (* steps currently applied to scratch_cols *)
+  mutable entered : bool;     (* a trial has run since [begin_pos] *)
   mutable inc_count : int;    (* live current-increase count of scratch *)
   mutable base_te : float;    (* serial time, all tasks but the tagged *)
   mutable base_energy : float;(* energy total, all tasks but the tagged *)
@@ -131,6 +134,7 @@ let make_ctx (cfg : Config.t) g ~seq ~window_start =
     acc2 = Array.make 2 0.0;
     nsteps = 0;
     applied = 0;
+    entered = false;
     inc_count = 0;
     base_te = 0.0;
     base_energy = 0.0;
@@ -150,20 +154,19 @@ let energy_ratio ctx cols =
     (Kahan.sum_fn ctx.n (fun i -> ctx.energy.(i).(cols.(i))) -. ctx.emin)
     /. (ctx.emax -. ctx.emin)
 
+(* Number of adjacent current increases along the full sequence. *)
+let increase_count ctx cols =
+  let count = ref 0 in
+  for pos = 1 to ctx.n - 1 do
+    let v = ctx.seq.(pos) and u = ctx.seq.(pos - 1) in
+    if ctx.cur.(v).(cols.(v)) > ctx.cur.(u).(cols.(u)) then incr count
+  done;
+  !count
+
 (* Metrics.current_increase_fraction over the full sequence. *)
 let increase_fraction ctx cols =
   if ctx.n <= 1 then 0.0
-  else begin
-    let current v = ctx.cur.(v).(cols.(v)) in
-    let count = ref 0 in
-    let prev = ref (current ctx.seq.(0)) in
-    for pos = 1 to ctx.n - 1 do
-      let c = current ctx.seq.(pos) in
-      if c > !prev then incr count;
-      prev := c
-    done;
-    float_of_int !count /. float_of_int (ctx.n - 1)
-  end
+  else float_of_int (increase_count ctx cols) /. float_of_int (ctx.n - 1)
 
 (* Metrics.dpf_static over the free prefix (positions < tagged_pos),
    whose task order is exactly the seed's [free] list. *)
@@ -252,17 +255,19 @@ let calculate_dpf_reference_ctx ctx ~tagged_pos =
    schedule itself — which free task moves, from which column — is
    fixed by the energy order and does not depend on the trial column,
    so [begin_pos] materializes it once (with compensated prefix sums of
-   its duration/energy deltas) and [trial] only moves the tagged column
-   (one O(1) patch) and slides the applied-step count to the smallest
-   feasible value.  Total time and energy then read off the prefix
-   sums; the current-increase count is maintained exactly under each
-   single-column patch; the DPF numerator *is* the applied-step count,
-   because every step raises one free task's slowdown weight by exactly
-   1/span.
+   its duration/energy deltas) and [trial] sets the applied-step count
+   to the smallest feasible value.  The first trial at a position finds
+   that count with one scan of the prefix sums, applies the steps as
+   plain column decrements and recounts the current increases once,
+   O(n); later trials move the tagged column (one O(1) patch) and slide
+   the count, keeping the increase count exact under each
+   single-column patch.  Total time and energy read off the prefix
+   sums; the DPF numerator *is* the applied-step count, because every
+   step raises one free task's slowdown weight by exactly 1/span.
 
    The column sweep visits slower-to-faster trial columns, so with
    monotone durations the required step count only ever decreases
-   within a position: the walk below is amortized O(1) per trial. *)
+   within a position: the slide is amortized O(1) per trial. *)
 
 (* Patch one task's column in the live scratch state, keeping the
    current-increase count of the sequence exact.  Only the two pairs
@@ -286,8 +291,10 @@ let set_col ctx v c =
 (* Stage the tagged position: blit the committed columns once (the
    only O(n) copy this position will make), compute the base aggregates
    excluding the tagged task, and materialize the upgrade schedule.
-   [cols] must hold the committed suffix, with every free task and the
-   tagged task parked at the lowest-power column. *)
+   The current-increase count is left to the position's first [trial],
+   which recounts it after its bulk upgrade.  [cols] must hold the
+   committed suffix, with every free task and the tagged task parked at
+   the lowest-power column. *)
 let begin_pos ctx ~cols ~pos =
   let n = ctx.n in
   let t = ctx.seq.(pos) in
@@ -306,17 +313,6 @@ let begin_pos ctx ~cols ~pos =
   done;
   ctx.base_te <- kacc_sum te;
   ctx.base_energy <- kacc_sum en;
-  (* exact increase count of the entry state *)
-  let count = ref 0 in
-  if n > 1 then begin
-    let prev = ref (cur_at ctx 0) in
-    for p = 1 to n - 1 do
-      let c = cur_at ctx p in
-      if c > !prev then incr count;
-      prev := c
-    done
-  end;
-  ctx.inc_count <- !count;
   (* upgrade schedule: free tasks in increasing-average-energy order,
      each from the lowest-power column down to the window edge — the
      exact visit order of the reference upgrade loop, flattened *)
@@ -339,30 +335,55 @@ let begin_pos ctx ~cols ~pos =
       done
   done;
   ctx.nsteps <- !s;
-  ctx.applied <- 0
+  ctx.applied <- 0;
+  ctx.entered <- false
 
-(* Evaluate the tagged task at column [j] against the staged position:
-   O(1) plus the (amortized O(1)) slide of the applied-step count.
-   Returns (enr, cif, dpf) for the hypothetical completion. *)
+(* Evaluate the tagged task at column [j] against the staged position.
+   Returns (enr, cif, dpf) for the hypothetical completion.
+
+   The first trial after [begin_pos] enters the position in bulk: it
+   scans [cum_dt] for the first feasible step count k, applying steps
+   0..k-1 as plain decrements on the way, and recounts the increases
+   once, O(n).  This is exactly the state the one-step walk up from 0
+   reaches: the walk stops at the same first feasible k, applies the
+   same decrements, and its exactly maintained integer count equals the
+   recount.
+   [dpf_steps] grows by the same k.  Later trials cost O(1) plus the
+   (amortized O(1)) slide of the applied-step count. *)
 let trial ctx ~j =
   let t = ctx.tagged_task in
-  if ctx.scratch_cols.(t) <> j then set_col ctx t j;
   let te_entry = ctx.base_te +. ctx.dur.(t).(j) in
   let d = ctx.deadline in
   let feasible k = te_entry +. ctx.cum_dt.(k) <= d +. eps in
-  while ctx.applied > 0 && feasible (ctx.applied - 1) do
-    let s = ctx.applied - 1 in
-    let q = ctx.step_task.(s) in
-    set_col ctx q (ctx.scratch_cols.(q) + 1);
-    ctx.applied <- s
-  done;
   let probe = Probe.local () in
-  while ctx.applied < ctx.nsteps && not (feasible ctx.applied) do
-    let q = ctx.step_task.(ctx.applied) in
-    probe.Probe.dpf_steps <- probe.Probe.dpf_steps + 1;
-    set_col ctx q (ctx.scratch_cols.(q) - 1);
-    ctx.applied <- ctx.applied + 1
-  done;
+  if not ctx.entered then begin
+    ctx.entered <- true;
+    ctx.scratch_cols.(t) <- j;
+    let k = ref 0 in
+    while !k < ctx.nsteps && not (feasible !k) do
+      let q = ctx.step_task.(!k) in
+      ctx.scratch_cols.(q) <- ctx.scratch_cols.(q) - 1;
+      incr k
+    done;
+    probe.Probe.dpf_steps <- probe.Probe.dpf_steps + !k;
+    ctx.applied <- !k;
+    ctx.inc_count <- increase_count ctx ctx.scratch_cols
+  end
+  else begin
+    if ctx.scratch_cols.(t) <> j then set_col ctx t j;
+    while ctx.applied > 0 && feasible (ctx.applied - 1) do
+      let s = ctx.applied - 1 in
+      let q = ctx.step_task.(s) in
+      set_col ctx q (ctx.scratch_cols.(q) + 1);
+      ctx.applied <- s
+    done;
+    while ctx.applied < ctx.nsteps && not (feasible ctx.applied) do
+      let q = ctx.step_task.(ctx.applied) in
+      probe.Probe.dpf_steps <- probe.Probe.dpf_steps + 1;
+      set_col ctx q (ctx.scratch_cols.(q) - 1);
+      ctx.applied <- ctx.applied + 1
+    done
+  end;
   let infeasible = not (feasible ctx.applied) in
   let enr =
     if ctx.emax -. ctx.emin <= 0.0 then 0.0
@@ -394,19 +415,44 @@ let mk_result ctx (enr, cif, dpf) g =
     dpf;
     hypothetical = Assignment.of_list g (Array.to_list ctx.scratch_cols) }
 
+(* Boundary checks shared by both entry points; returns the
+   assignment's columns in task-id order. *)
+let dpf_columns fn g ~sequence ~assignment ~tagged_pos ~window_start =
+  let n = Graph.num_tasks g and m = Graph.num_points g in
+  let fail reason = invalid_arg (Printf.sprintf "Choose.%s: %s" fn reason) in
+  let seen = Array.make n false in
+  let first_sight v =
+    let ok = v >= 0 && v < n && not seen.(v) in
+    if ok then seen.(v) <- true;
+    ok
+  in
+  if Array.length sequence <> n || not (Array.for_all first_sight sequence)
+  then fail "sequence is not a permutation of the task ids";
+  let cols = Array.of_list (Assignment.to_list assignment) in
+  if Array.length cols <> n || Array.exists (fun c -> c >= m) cols then
+    fail "assignment does not cover the graph's tasks";
+  if tagged_pos < 0 || tagged_pos >= n then fail "tagged_pos out of range";
+  if window_start < 0 || window_start >= m then
+    fail "window_start out of range";
+  cols
+
 let calculate_dpf_reference (cfg : Config.t) g ~sequence ~assignment
     ~tagged_pos ~window_start =
+  let cols =
+    dpf_columns "calculate_dpf_reference" g ~sequence ~assignment ~tagged_pos
+      ~window_start
+  in
   let ctx = make_ctx cfg g ~seq:sequence ~window_start in
-  List.iteri
-    (fun i col -> ctx.scratch_cols.(i) <- col)
-    (Assignment.to_list assignment);
+  Array.blit cols 0 ctx.scratch_cols 0 ctx.n;
   mk_result ctx (calculate_dpf_reference_ctx ctx ~tagged_pos) g
 
 let calculate_dpf (cfg : Config.t) g ~sequence ~assignment ~tagged_pos
     ~window_start =
+  let cols =
+    dpf_columns "calculate_dpf" g ~sequence ~assignment ~tagged_pos
+      ~window_start
+  in
   let ctx = make_ctx cfg g ~seq:sequence ~window_start in
-  let cols = Array.make ctx.n 0 in
-  List.iteri (fun i col -> cols.(i) <- col) (Assignment.to_list assignment);
   let parked_free =
     let ok = ref true in
     for pos = 0 to tagged_pos - 1 do
@@ -416,7 +462,7 @@ let calculate_dpf (cfg : Config.t) g ~sequence ~assignment ~tagged_pos
   in
   if ctx.mono_dur && parked_free then begin
     (* [begin_pos] expects the tagged task parked at lowest power;
-       [trial] then patches it to the actual tagged column. *)
+       the first [trial] then sets the actual tagged column. *)
     let t = ctx.seq.(tagged_pos) in
     let j = cols.(t) in
     cols.(t) <- ctx.m - 1;

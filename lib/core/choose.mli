@@ -13,8 +13,10 @@
     The default entry points evaluate consecutive trials at one tagged
     position incrementally: per-position prefix/suffix aggregates plus
     a precomputed upgrade schedule turn each trial into O(1) patches of
-    a live scratch state instead of O(n) rescans (derivation in
-    DESIGN.md §9).  The seed per-trial implementation is retained as
+    a live scratch state instead of O(n) rescans.  Only the first trial
+    at a position is O(n): it applies the forced upgrades in bulk and
+    counts the current increases once (derivation in DESIGN.md §9).
+    The seed per-trial implementation is retained as
     {!calculate_dpf_reference} / {!choose_design_points_reference}; the
     property tests pin selection identity on the published instances
     and on random DAGs, and metric agreement to within 1e-9 (the only
@@ -45,7 +47,17 @@ val calculate_dpf :
     average-energy order, until the serial time meets the deadline;
     running out of upgrades yields [dpf = infinity].  When
     [tagged_pos = 0] (no free task remains) [dpf] is the slack ratio of
-    the complete assignment, per the pseudocode's last-task rule. *)
+    the complete assignment, per the pseudocode's last-task rule.
+    @raise Invalid_argument
+    ["Choose.calculate_dpf: sequence is not a permutation of the task ids"]
+    if [sequence] is not a permutation of [0 .. n-1].
+    @raise Invalid_argument
+    ["Choose.calculate_dpf: assignment does not cover the graph's tasks"]
+    if [assignment] does not hold one in-range column per task of [g].
+    @raise Invalid_argument ["Choose.calculate_dpf: tagged_pos out of range"]
+    unless [0 <= tagged_pos < n].
+    @raise Invalid_argument ["Choose.calculate_dpf: window_start out of range"]
+    unless [0 <= window_start < m]. *)
 
 val calculate_dpf_reference :
   Config.t -> Graph.t -> sequence:int array -> assignment:Assignment.t ->
@@ -54,7 +66,9 @@ val calculate_dpf_reference :
     oracle: per trial it rescans the whole sequence (O(n) sums) and
     runs the upgrade loop from scratch.  Same contract as
     {!calculate_dpf}; the hypothetical assignments are identical and
-    the metrics agree to within 1e-9 (compensated-rounding ulps). *)
+    the metrics agree to within 1e-9 (compensated-rounding ulps).
+    @raise Invalid_argument on the same inputs as {!calculate_dpf}, with
+    the same reasons after the prefix ["Choose.calculate_dpf_reference: "]. *)
 
 val choose_design_points :
   Config.t -> Graph.t -> sequence:int list -> window_start:int ->

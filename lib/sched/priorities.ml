@@ -5,21 +5,55 @@ let sequence_dec_energy g =
   let weight v = Task.average_energy (Graph.task g v) in
   Analysis.list_schedule ~weight g
 
-let chosen_current g a v = (Assignment.chosen_point g a v).Task.current
+(* For every vertex v, the compensated sum of [value] over the subgraph
+   rooted at v (v included) and the size of that subgraph.  One DFS per
+   v stamps the shared [mark] array with v; the ascending-id scan then
+   adds the marked values in the order [Analysis.descendants] lists
+   them, and [Kahan.Acc] performs the same operations as the
+   [Kahan.add] fold of [Kahan.sum_list], so every sum is bit-identical
+   to [Kahan.sum_list] over the descendant list. *)
+let descendant_sums g value =
+  let n = Graph.num_tasks g in
+  let mark = Array.make n (-1) in
+  let rec visit v u =
+    if mark.(u) <> v then begin
+      mark.(u) <- v;
+      visit_all v (Graph.succs g u)
+    end
+  and visit_all v = function
+    | [] -> ()
+    | u :: rest ->
+        visit v u;
+        visit_all v rest
+  in
+  let sums = Array.make n 0.0 and sizes = Array.make n 0 in
+  let acc = Kahan.Acc.create () in
+  for v = 0 to n - 1 do
+    visit v v;
+    Kahan.Acc.reset acc;
+    for u = 0 to n - 1 do
+      if mark.(u) = v then begin
+        Kahan.Acc.add acc value.(u);
+        sizes.(v) <- sizes.(v) + 1
+      end
+    done;
+    sums.(v) <- Kahan.Acc.sum acc
+  done;
+  (sums, sizes)
+
+let chosen_currents g a =
+  Array.init (Graph.num_tasks g) (fun v ->
+      (Assignment.chosen_point g a v).Task.current)
 
 let weighted_sequence g a =
-  let weight v =
-    Kahan.sum_list (List.map (chosen_current g a) (Analysis.descendants g v))
-  in
-  Analysis.list_schedule ~weight g
+  let sums, _ = descendant_sums g (chosen_currents g a) in
+  Analysis.list_schedule ~weight:(Array.get sums) g
 
 let greedy_mean_current g a =
-  let weight v =
-    let subtree = Analysis.descendants g v in
-    let mean =
-      Kahan.sum_list (List.map (chosen_current g a) subtree)
-      /. float_of_int (List.length subtree)
-    in
-    Float.max (chosen_current g a v) mean
+  let current = chosen_currents g a in
+  let sums, sizes = descendant_sums g current in
+  let weight =
+    Array.init (Graph.num_tasks g) (fun v ->
+        Float.max current.(v) (sums.(v) /. float_of_int sizes.(v)))
   in
-  Analysis.list_schedule ~weight g
+  Analysis.list_schedule ~weight:(Array.get weight) g

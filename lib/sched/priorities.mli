@@ -2,7 +2,14 @@
 
     All are instances of the list-scheduling skeleton
     {!Batsched_taskgraph.Analysis.list_schedule}: among ready tasks the
-    largest weight goes first. *)
+    largest weight goes first.
+
+    The two subgraph rules ({!weighted_sequence}, {!greedy_mean_current})
+    compute every task's weight once per call: one DFS per task plus
+    one ascending-id scan, O(n * (n + e)) time for [n] tasks and [e]
+    edges, and O(n) words of allocation.  The sums are the same
+    compensated sums, in the same order, as [Kahan.sum_list] over
+    {!Batsched_taskgraph.Analysis.descendants}. *)
 
 open Batsched_taskgraph
 

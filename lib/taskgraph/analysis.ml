@@ -11,23 +11,34 @@ let is_topological g seq =
         if v < 0 || v >= n || position.(v) >= 0 then ok := false
         else position.(v) <- pos)
       seq;
-    !ok
-    && List.for_all
-         (fun (a, b) -> position.(a) < position.(b))
-         (Graph.edges g)
+    let rec after a = function
+      | [] -> true
+      | b :: rest -> position.(a) < position.(b) && after a rest
+    in
+    let rec edges_ordered a =
+      a >= n || (after a (Graph.succs g a) && edges_ordered (a + 1))
+    in
+    !ok && edges_ordered 0
   end
 
 let list_schedule ~weight g =
   let n = Graph.num_tasks g in
   let remaining_preds = Array.init n (fun i -> List.length (Graph.preds g i)) in
   let scheduled = Array.make n false in
+  (* [weight] is pure, so one evaluation per vertex serves every step
+     at which the vertex is ready *)
+  let memo = Array.make n 0.0 and known = Array.make n false in
   let rec step acc count =
     if count = n then List.rev acc
     else begin
       let best = ref None in
       for v = 0 to n - 1 do
         if (not scheduled.(v)) && remaining_preds.(v) = 0 then begin
-          let w = weight v in
+          if not known.(v) then begin
+            memo.(v) <- weight v;
+            known.(v) <- true
+          end;
+          let w = memo.(v) in
           match !best with
           | Some (_, bw) when bw >= w -> ()
           | _ -> best := Some (v, w)

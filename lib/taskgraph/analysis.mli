@@ -5,13 +5,18 @@
 val is_topological : Graph.t -> int list -> bool
 (** [is_topological g seq] checks that [seq] is a permutation of
     [0 .. n-1] in which every task appears after all its
-    predecessors. *)
+    predecessors.  O(n + e): one pass over [seq], then each edge is
+    read from the successor lists; no edge list is built. *)
 
 val list_schedule : weight:(int -> float) -> Graph.t -> int list
 (** [list_schedule ~weight g] is the paper's list-scheduling skeleton:
     repeatedly pick, among the ready tasks (all predecessors already
     scheduled), the one with the largest [weight]; ties break on the
-    smaller task id.  Returns a valid linearization of [g]. *)
+    smaller task id.  Returns a valid linearization of [g].
+
+    [weight] must be pure: it is evaluated at most once per task, when
+    the task first becomes ready, and that value serves every later
+    step. *)
 
 val any_topological_order : Graph.t -> int list
 (** A canonical linearization (list schedule with all-equal weights,

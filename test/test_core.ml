@@ -215,6 +215,57 @@ let test_calculate_dpf_last_task_slack_rule () =
   let te = Assignment.total_time g a in
   check_close 1e-9 "slack rule" ((d -. te) /. d) r.Batsched.Choose.dpf
 
+(* Inputs outside the documented contract are rejected at the boundary
+   with a named reason, on G3, instead of an out-of-bounds access or a
+   silent result. *)
+let dpf_boundary_cases =
+  let g = Instances.g3 in
+  let n = Graph.num_tasks g and m = Graph.num_points g in
+  let cfg = Batsched.Config.make ~deadline:Instances.g3_deadline () in
+  let seq = Array.of_list (Priorities.sequence_dec_energy g) in
+  let call ?(f = Batsched.Choose.calculate_dpf) ?(sequence = seq)
+      ?(assignment = Assignment.all_lowest_power g) ?(tagged_pos = 1)
+      ?(window_start = 0) () =
+    ignore (f cfg g ~sequence ~assignment ~tagged_pos ~window_start)
+  in
+  let wider =
+    Generators.chain ~rng:(Batsched_numeric.Rng.create 1)
+      ~spec:{ Generators.default_spec with Generators.num_points = m + 1 }
+      ~n
+  in
+  let dpf reason = "Choose.calculate_dpf: " ^ reason in
+  let not_permutation = dpf "sequence is not a permutation of the task ids" in
+  let not_covering = dpf "assignment does not cover the graph's tasks" in
+  [ ("dpf rejects tagged_pos n", dpf "tagged_pos out of range",
+     fun () -> call ~tagged_pos:n ());
+    ("dpf rejects tagged_pos -1", dpf "tagged_pos out of range",
+     fun () -> call ~tagged_pos:(-1) ());
+    ("dpf rejects window_start -1", dpf "window_start out of range",
+     fun () -> call ~window_start:(-1) ());
+    ("dpf rejects window_start m", dpf "window_start out of range",
+     fun () -> call ~window_start:m ());
+    ("dpf rejects short sequence", not_permutation,
+     fun () -> call ~sequence:[| 0; 1 |] ());
+    ("dpf rejects duplicate ids", not_permutation,
+     fun () -> call ~sequence:(Array.make n 0) ());
+    ("dpf rejects out-of-range id", not_permutation,
+     fun () ->
+       call ~sequence:(Array.map (fun v -> if v = 0 then n else v) seq) ());
+    ("dpf rejects short assignment", not_covering,
+     fun () -> call ~assignment:(Assignment.all_lowest_power (diamond ())) ());
+    ("dpf rejects foreign columns", not_covering,
+     fun () -> call ~assignment:(Assignment.all_lowest_power wider) ());
+    ("dpf reference rejects tagged_pos n",
+     "Choose.calculate_dpf_reference: tagged_pos out of range",
+     fun () -> call ~f:Batsched.Choose.calculate_dpf_reference ~tagged_pos:n ()) ]
+
+let dpf_boundary_tests =
+  List.map
+    (fun (name, msg, f) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.check_raises name (Invalid_argument msg) f))
+    dpf_boundary_cases
+
 (* --- Iterate on the published instances --- *)
 
 let test_iterate_g3_shape () =
@@ -718,6 +769,15 @@ let random_dpf_state rng g ~window_start ~tagged_pos seq =
   done;
   Assignment.of_list g (Array.to_list cols)
 
+(* [f ()] with the number of upgrade steps it counted in [dpf_steps] *)
+let counting_dpf_steps f =
+  let probe = Batsched_numeric.Probe.local () in
+  let before = probe.Batsched_numeric.Probe.dpf_steps in
+  let r = f () in
+  (r, probe.Batsched_numeric.Probe.dpf_steps - before)
+
+(* Besides the metrics and the hypothetical assignment, both paths must
+   count the same number of upgrade steps in [dpf_steps]. *)
 let prop_calculate_dpf_metrics_match =
   QCheck.Test.make ~count:200
     ~name:"calculate_dpf agrees with the reference within 1e-9"
@@ -734,20 +794,47 @@ let prop_calculate_dpf_metrics_match =
       List.for_all
         (fun tagged_pos ->
           let a = random_dpf_state rng g ~window_start:ws ~tagged_pos seq in
-          let r =
-            Batsched.Choose.calculate_dpf cfg g ~sequence:seq ~assignment:a
-              ~tagged_pos ~window_start:ws
+          let r, steps =
+            counting_dpf_steps (fun () ->
+                Batsched.Choose.calculate_dpf cfg g ~sequence:seq
+                  ~assignment:a ~tagged_pos ~window_start:ws)
           in
-          let r' =
-            Batsched.Choose.calculate_dpf_reference cfg g ~sequence:seq
-              ~assignment:a ~tagged_pos ~window_start:ws
+          let r', steps' =
+            counting_dpf_steps (fun () ->
+                Batsched.Choose.calculate_dpf_reference cfg g ~sequence:seq
+                  ~assignment:a ~tagged_pos ~window_start:ws)
           in
-          close r.Batsched.Choose.dpf r'.Batsched.Choose.dpf
+          steps = steps'
+          && close r.Batsched.Choose.dpf r'.Batsched.Choose.dpf
           && close r.Batsched.Choose.enr r'.Batsched.Choose.enr
           && close r.Batsched.Choose.cif r'.Batsched.Choose.cif
           && Assignment.equal r.Batsched.Choose.hypothetical
                r'.Batsched.Choose.hypothetical)
         (List.init n Fun.id))
+
+(* Allocation guard on a 154-task fork-join graph: the per-iteration
+   bookkeeping (Eq. 4 weights, precedence checks, position entry)
+   allocates O(n) words per call; the seed loop took ~1.58M words. *)
+let test_iterate_allocation () =
+  let g =
+    Generators.fork_join ~rng:(Batsched_numeric.Rng.create 3)
+      ~spec:Generators.default_spec
+      ~widths:(List.init 31 (fun i -> 2 + (i mod 5)))
+  in
+  let cfg =
+    Batsched.Config.make ~deadline:(Generators.feasible_deadline g ~slack:0.3) ()
+  in
+  let words () =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Batsched.Iterate.run cfg g));
+    Gc.minor_words () -. w0
+  in
+  (* warm-up, so one-time set-up is not measured *)
+  ignore (words ());
+  let w = words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words <= 800k" w)
+    true (w <= 800_000.0)
 
 (* --- parallel paths vs the sequential reference --- *)
 
@@ -849,7 +936,8 @@ let () =
           Alcotest.test_case "dpf feasible state" `Quick test_calculate_dpf_feasible_state;
           Alcotest.test_case "dpf upgrades low energy first" `Quick test_calculate_dpf_upgrades_low_energy_first;
           Alcotest.test_case "dpf infeasible infinite" `Quick test_calculate_dpf_infeasible_is_infinite;
-          Alcotest.test_case "dpf last-task slack rule" `Quick test_calculate_dpf_last_task_slack_rule ] );
+          Alcotest.test_case "dpf last-task slack rule" `Quick test_calculate_dpf_last_task_slack_rule ]
+        @ dpf_boundary_tests );
       ( "iterate",
         [ Alcotest.test_case "G3 shape" `Quick test_iterate_g3_shape;
           Alcotest.test_case "G3 beats first iteration" `Quick test_iterate_g3_beats_first_iteration;
@@ -860,7 +948,8 @@ let () =
           Alcotest.test_case "unmeetable deadline" `Quick test_iterate_unmeetable_deadline;
           Alcotest.test_case "single task" `Quick test_iterate_single_task_graph;
           Alcotest.test_case "max iterations" `Quick test_iterate_respects_max_iterations;
-          Alcotest.test_case "ideal model minimal charge" `Quick test_iterate_ideal_model_prefers_low_energy ] );
+          Alcotest.test_case "ideal model minimal charge" `Quick test_iterate_ideal_model_prefers_low_energy;
+          Alcotest.test_case "allocation guard" `Quick test_iterate_allocation ] );
       ( "regression",
         [ Alcotest.test_case "published points pinned" `Quick test_published_points_pinned;
           Alcotest.test_case "incremental matches reference on instances" `Quick

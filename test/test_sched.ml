@@ -575,6 +575,102 @@ let prop_priorities_always_topological =
       && Analysis.is_topological g (Priorities.weighted_sequence g a)
       && Analysis.is_topological g (Priorities.greedy_mean_current g a))
 
+(* The seed formulations of Eqs. 4 and 5, kept verbatim as oracles: a
+   fresh descendant list and [Kahan.sum_list] per weight call. *)
+let chosen_current g a v = (Assignment.chosen_point g a v).Task.current
+
+let weighted_sequence_oracle g a =
+  let weight v =
+    Batsched_numeric.Kahan.sum_list
+      (List.map (chosen_current g a) (Analysis.descendants g v))
+  in
+  Analysis.list_schedule ~weight g
+
+let greedy_mean_current_oracle g a =
+  let weight v =
+    let subtree = Analysis.descendants g v in
+    let mean =
+      Batsched_numeric.Kahan.sum_list (List.map (chosen_current g a) subtree)
+      /. float_of_int (List.length subtree)
+    in
+    Float.max (chosen_current g a v) mean
+  in
+  Analysis.list_schedule ~weight g
+
+(* Every task's currents replaced by 100 mA steps per column, the same
+   for all tasks: subgraph sums and means tie often. *)
+let tie_heavy g =
+  let m = Graph.num_points g in
+  Graph.map_tasks
+    (fun t ->
+      Task.make ~id:t.Task.id ~name:t.Task.name
+        (List.mapi
+           (fun j p -> { p with Task.current = 100.0 *. float_of_int (m - j) })
+           (Array.to_list t.Task.points)))
+    g
+
+(* Random DAGs of all five generator families plus G2 and G3, with a
+   random assignment and, half the time, tie-heavy currents. *)
+let gen_priority_case =
+  QCheck.(map
+            (fun (seed, kind, ties) ->
+              let rng = Batsched_numeric.Rng.create seed in
+              let spec = { Generators.default_spec with Generators.num_points = 4 } in
+              let size lo hi = lo + Batsched_numeric.Rng.int rng (hi - lo + 1) in
+              let g =
+                match kind with
+                | 0 -> Generators.chain ~rng ~spec ~n:(size 1 20)
+                | 1 ->
+                    Generators.fork_join ~rng ~spec
+                      ~widths:(List.init (size 1 6) (fun _ -> size 1 5))
+                | 2 ->
+                    Generators.layered ~rng ~spec ~layers:(size 1 5)
+                      ~width:(size 1 5) ~edge_prob:0.4
+                | 3 -> Generators.series_parallel ~rng ~spec ~size:(size 1 30)
+                | 4 ->
+                    Generators.random_dag ~rng ~spec ~n:(size 1 30)
+                      ~edge_prob:(Batsched_numeric.Rng.float rng 0.5)
+                | 5 -> Instances.g2
+                | _ -> Instances.g3
+              in
+              let g = if ties then tie_heavy g else g in
+              (g, gen_assignment g (Batsched_numeric.Rng.int rng 1000)))
+            (triple (int_bound 100_000) (int_bound 6) bool))
+
+let prop_priorities_match_oracles =
+  QCheck.Test.make ~count:300
+    ~name:"Eq. 4/5 priorities equal the per-call descendant-list oracles"
+    gen_priority_case (fun (g, a) ->
+      Priorities.weighted_sequence g a = weighted_sequence_oracle g a
+      && Priorities.greedy_mean_current g a = greedy_mean_current_oracle g a)
+
+(* Allocation guards on a 154-task fork-join graph: both priority rules
+   compute their weights once per call (O(n) words), where the seed
+   rebuilt a descendant list at every list-scheduling step (~534k
+   words each). *)
+let test_priorities_allocation () =
+  let g =
+    Generators.fork_join ~rng:(Batsched_numeric.Rng.create 3)
+      ~spec:Generators.default_spec
+      ~widths:(List.init 31 (fun i -> 2 + (i mod 5)))
+  in
+  Alcotest.(check int) "tasks" 154 (Graph.num_tasks g);
+  let a = Assignment.all_lowest_power g in
+  List.iter
+    (fun (name, rule) ->
+      let words () =
+        let w0 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (rule g a));
+        Gc.minor_words () -. w0
+      in
+      ignore (words ());
+      let w = words () in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words <= 64k" name w)
+        true (w <= 64_000.0))
+    [ ("weighted_sequence", Priorities.weighted_sequence);
+      ("greedy_mean_current", Priorities.greedy_mean_current) ]
+
 (* Random DAGs driven through random precedence-respecting move traces:
    the incremental evaluator's committed sigma/finish track the full
    [Schedule] path throughout, and its sequence stays topological (the
@@ -626,6 +722,7 @@ let qcheck_tests =
       prop_dpf_in_unit_interval;
       prop_schedule_profile_charge_consistent;
       prop_priorities_always_topological;
+      prop_priorities_match_oracles;
       prop_eval_traces_match_oracle ]
 
 let () =
@@ -653,7 +750,8 @@ let () =
       ( "priorities",
         [ Alcotest.test_case "dec energy" `Quick test_sequence_dec_energy_orders_by_avg_energy;
           Alcotest.test_case "weighted uses chosen currents" `Quick test_weighted_sequence_uses_chosen_currents;
-          Alcotest.test_case "greedy valid" `Quick test_greedy_mean_current_valid ] );
+          Alcotest.test_case "greedy valid" `Quick test_greedy_mean_current_valid;
+          Alcotest.test_case "allocation guard" `Quick test_priorities_allocation ] );
       ( "metrics",
         [ Alcotest.test_case "slack ratio" `Quick test_slack_ratio;
           Alcotest.test_case "current ratio" `Quick test_current_ratio_bounds;

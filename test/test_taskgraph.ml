@@ -616,6 +616,108 @@ let prop_list_schedule_topological =
       Analysis.is_topological g
         (Analysis.list_schedule ~weight:(fun v -> weights.(v)) g))
 
+(* The seed formulations of [is_topological] and [list_schedule], kept
+   verbatim as oracles: the edge list rebuilt per check, and [weight]
+   re-evaluated at every step a vertex is ready. *)
+let is_topological_oracle g seq =
+  let n = Graph.num_tasks g in
+  if List.length seq <> n then false
+  else begin
+    let position = Array.make n (-1) in
+    let ok = ref true in
+    List.iteri
+      (fun pos v ->
+        if v < 0 || v >= n || position.(v) >= 0 then ok := false
+        else position.(v) <- pos)
+      seq;
+    !ok
+    && List.for_all
+         (fun (a, b) -> position.(a) < position.(b))
+         (Graph.edges g)
+  end
+
+let list_schedule_oracle ~weight g =
+  let n = Graph.num_tasks g in
+  let remaining_preds = Array.init n (fun i -> List.length (Graph.preds g i)) in
+  let scheduled = Array.make n false in
+  let rec step acc count =
+    if count = n then List.rev acc
+    else begin
+      let best = ref None in
+      for v = 0 to n - 1 do
+        if (not scheduled.(v)) && remaining_preds.(v) = 0 then begin
+          let w = weight v in
+          match !best with
+          | Some (_, bw) when bw >= w -> ()
+          | _ -> best := Some (v, w)
+        end
+      done;
+      match !best with
+      | None -> invalid_arg "Analysis.list_schedule: graph not acyclic?"
+      | Some (v, _) ->
+          scheduled.(v) <- true;
+          List.iter
+            (fun w -> remaining_preds.(w) <- remaining_preds.(w) - 1)
+            (Graph.succs g v);
+          step (v :: acc) (count + 1)
+    end
+  in
+  step [] 0
+
+(* Candidate sequences of every shape [is_topological] must judge:
+   valid orders, random permutations, a duplicated id, an out-of-range
+   id, and sequences one too short or one too long. *)
+let candidate_sequence rng g kind =
+  let n = Graph.num_tasks g in
+  let pick () = Batsched_numeric.Rng.int rng n in
+  let valid () =
+    let w = Array.init n (fun _ -> Batsched_numeric.Rng.float rng 1.0) in
+    Analysis.list_schedule ~weight:(Array.get w) g
+  in
+  let patch seq pos v = List.mapi (fun i u -> if i = pos then v else u) seq in
+  match kind with
+  | 0 -> valid ()
+  | 1 ->
+      let a = Array.init n Fun.id in
+      Batsched_numeric.Rng.shuffle rng a;
+      Array.to_list a
+  | 2 -> patch (valid ()) (pick ()) (pick ())
+  | 3 ->
+      patch (valid ()) (pick ())
+        (if Batsched_numeric.Rng.bool rng then n else -1)
+  | 4 -> List.filteri (fun i _ -> i < n - 1) (valid ())
+  | _ -> valid () @ [ pick () ]
+
+let prop_is_topological_matches_oracle =
+  QCheck.Test.make ~count:500
+    ~name:"is_topological agrees with the edge-list oracle"
+    QCheck.(triple gen_graph (int_bound 10_000) (int_bound 5))
+    (fun (g, seed, kind) ->
+      let rng = Batsched_numeric.Rng.create seed in
+      let seq = candidate_sequence rng g kind in
+      Analysis.is_topological g seq = is_topological_oracle g seq)
+
+(* Pure weights drawn from a small pool (ties, and a NaN that never
+   compares >=): the memoized scheduler evaluates each vertex at most
+   once and returns the seed scheduler's order. *)
+let prop_list_schedule_matches_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"list_schedule weighs each task once, seed order"
+    QCheck.(pair gen_graph (int_bound 10_000))
+    (fun (g, seed) ->
+      let rng = Batsched_numeric.Rng.create seed in
+      let pool = [ 0.0; 1.0; 1.0; 2.0; Float.nan ] in
+      let n = Graph.num_tasks g in
+      let w = Array.init n (fun _ -> Batsched_numeric.Rng.pick rng pool) in
+      let calls = Array.make n 0 in
+      let counting v =
+        calls.(v) <- calls.(v) + 1;
+        w.(v)
+      in
+      let seq = Analysis.list_schedule ~weight:counting g in
+      Array.for_all (fun c -> c <= 1) calls
+      && seq = list_schedule_oracle ~weight:(Array.get w) g)
+
 let prop_textio_roundtrip =
   QCheck.Test.make ~count:50 ~name:"textio roundtrips generated graphs"
     gen_graph (fun g ->
@@ -697,6 +799,8 @@ let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_generated_graphs_linearizable;
       prop_list_schedule_topological;
+      prop_is_topological_matches_oracle;
+      prop_list_schedule_matches_oracle;
       prop_textio_roundtrip;
       prop_descendants_contains_self;
       prop_column_times_monotone;
