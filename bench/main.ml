@@ -304,18 +304,15 @@ let scenario_choose =
     ("anneal-n64-diffusion-reference/short-walk", anneal diffusion `Reference)
   ]
 
-(* Work-stealing vs fork-join on a deliberately imbalanced multistart:
-   16 short anneal trials whose budgets spread 10x, every heavy trial
-   sitting at a stride-4 position — the placement that hands a strided
-   fork-join split all the heavy trials on one worker.  Both rows run
-   identical trials on the same 4-slot pool; [steal] goes through the
-   persistent executor's chunked deques, [forkjoin] through the old
-   spawn-per-call strided split kept as [Pool.map_array_strided].  The
-   row ratio is the executor's win: idle-worker rebalancing plus
-   amortized domain spawn (on a single-core host the spawn amortization
-   is most of it).  The serve-soak row drives the whole daemon path —
-   parse, admission, pool jobs, histograms — over the generator mix the
-   CI smoke fixture uses. *)
+(* The pool on a deliberately imbalanced multistart: 16 short anneal
+   trials whose budgets spread 10x, every heavy trial sitting at a
+   stride-4 position — the placement that would hand a static strided
+   split all the heavy trials on one worker.  The persistent 4-slot
+   pool deals the trials from its cursor in small chunks, so a slot
+   that drew light trials claims more while a heavy one runs.  The
+   serve-soak row drives the whole daemon path — parse, admission,
+   pool jobs, histograms — over the generator mix the CI smoke fixture
+   uses. *)
 let scenario_serve =
   let pool4 = Batsched_numeric.Pool.create 4 in
   let g8 = fork_join [ 3; 2 ] in
@@ -338,9 +335,6 @@ let scenario_serve =
   let ixs = Array.init 16 (fun i -> i) in
   [ ("multistart-imbalanced/steal",
      fun () -> ignore (Batsched_numeric.Pool.map_array pool4 trial ixs));
-    ("multistart-imbalanced/forkjoin",
-     fun () ->
-       ignore (Batsched_numeric.Pool.map_array_strided pool4 trial ixs));
     ("serve-soak/mixed-200",
      fun () -> ignore (Batsched_serve.Soak.run ~pool:pool4 ~n:200 ())) ]
 

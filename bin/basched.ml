@@ -185,10 +185,7 @@ let run_file path deadline algo beta seed pool_n iterations chart polish
       Fun.protect ~finally:(fun () -> Obs.Events.close events)
       @@ fun () ->
       try
-        let pool =
-          if pool_n > 1 then Batsched_numeric.Pool.create pool_n
-          else Batsched_numeric.Pool.sequential
-        in
+        Batsched_numeric.Pool.with_pool (Stdlib.max 1 pool_n) @@ fun pool ->
         let sol =
           match algo with
           | "iterative" | "iterative-ms" ->
@@ -284,8 +281,9 @@ let seed_arg =
 let pool_arg =
   Arg.(value & opt int 1
        & info [ "pool" ] ~docv:"N"
-           ~doc:"Worker domains for the multistart fan-out (results are \
-                 bit-identical across pool sizes).")
+           ~doc:"Worker domains for the multistart fan-out and each \
+                 iteration's window sweep (results are bit-identical \
+                 across pool sizes).")
 
 let iterations_arg =
   Arg.(value & flag
@@ -692,12 +690,12 @@ let print_occupancy oc pool ~wall_s =
   let st = Batsched_numeric.Pool.worker_stats pool in
   if Array.length st > 0 then begin
     Printf.fprintf oc "\nworker occupancy (wall %.2f s):\n" wall_s;
-    Printf.fprintf oc "  slot   items  chunks  steals   jobs   busy_s  busy%%\n";
+    Printf.fprintf oc "  slot   items  chunks   jobs   busy_s  busy%%\n";
     Array.iteri
       (fun i (s : Batsched_numeric.Pool.worker_stat) ->
         let pct = if wall_s > 0.0 then 100.0 *. s.busy_s /. wall_s else 0.0 in
-        Printf.fprintf oc "  %4d  %6d  %6d  %6d  %5d  %8.3f  %5.1f\n" i
-          s.items s.chunks s.steals s.jobs s.busy_s pct)
+        Printf.fprintf oc "  %4d  %6d  %6d  %5d  %8.3f  %5.1f\n" i
+          s.items s.chunks s.jobs s.busy_s pct)
       st
   end
 
@@ -948,7 +946,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Batch scheduling daemon: read newline-framed JSON requests, \
-             run each search on a shared work-stealing pool, stream \
+             run each search as a job on a shared domain pool, stream \
              responses as JSONL")
     Term.(
       ret

@@ -110,10 +110,11 @@ let eval t ~pop ~n ~current ~duration =
   let workers = Stdlib.min (Pool.size t.pool) pop in
   if workers <= 1 then run_range t 0 pop
   else
-    (* adaptive candidate spans; disjoint [sigmas] indices make the
-       cross-domain writes race-free.  [for_range] lets the pool split
-       and steal spans instead of committing to pre-strided shards, so
-       skewed per-candidate costs rebalance. *)
+    (* candidate spans claimed from the pool's cursor; disjoint
+       [sigmas] indices make the cross-domain writes race-free, and a
+       domain that finishes its span early claims the next one instead
+       of idling behind a pre-strided shard, so skewed per-candidate
+       costs rebalance. *)
     Pool.for_range t.pool ~n:pop (fun lo hi -> run_range t lo hi)
 
 let sigma t p =

@@ -1,15 +1,15 @@
 (** Sharded fleet endurance runs.
 
     Drives {!Sampler} and {!Batsched_battery.Periodic.Batch} across a
-    work-stealing pool: the device index range is dealt to workers in
-    adaptive spans, each span materializes its devices in fixed-size
-    blocks, estimates their lifetimes with the O(cycles) batch kernel,
-    and folds outcomes into a span-local {!Survival} accumulator merged
-    into the run total under a mutex at span end.  Nothing per-device
-    is ever retained — peak memory is O(pool * (horizon + block)) —
-    and because device samples are index-pure and the accumulators are
-    integer-exact, the returned {!Survival.t} is bit-identical at
-    every pool size. *)
+    domain pool: the device index range is dealt to workers in spans
+    claimed from the pool's cursor, each span materializes its devices
+    in fixed-size blocks, estimates their lifetimes with the O(cycles)
+    batch kernel, and folds outcomes into a span-local {!Survival}
+    accumulator merged into the run total under a mutex at span end.
+    Nothing per-device is ever retained — peak memory is
+    O(pool * (horizon + block)) — and because device samples are
+    index-pure and the accumulators are integer-exact, the returned
+    {!Survival.t} is bit-identical at every pool size. *)
 
 val run :
   ?pool:Batsched_numeric.Pool.t ->

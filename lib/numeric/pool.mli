@@ -1,13 +1,13 @@
-(** Persistent work-stealing executor over OCaml 5 domains.
+(** Persistent executor over OCaml 5 domains.
 
-    A pool owns a set of long-lived worker domains (spawned lazily on
-    first parallel use, so a never-used pool costs nothing) and deals
-    parallel regions through per-worker Chase–Lev deques: whoever picks
-    up an index range splits it in half while it is above the region's
-    grain, pushing the upper half for thieves, so chunk sizes adapt to
-    the actual cost skew instead of a static stride.  Idle workers
-    steal from victims chosen by a deterministic per-worker RNG, then
-    park; between regions the pool consumes no CPU.
+    A pool owns a set of long-lived helper domains (spawned lazily on
+    first parallel use, so a never-used pool costs nothing).  A
+    parallel region is dealt from one atomic cursor: the calling domain
+    and every helper claim small index chunks, in index order, until
+    the range is exhausted, so a slot that draws cheap items just
+    claims again and a cost skew evens out without a static stride.
+    One region runs at a time per pool; idle helpers sleep on a
+    condition variable, and between regions the pool consumes no CPU.
 
     {2 Determinism}
 
@@ -55,7 +55,7 @@ val size : t -> int
 (** The requested degree of parallelism. *)
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Order-preserving parallel map with work-stealing load balancing. *)
+(** Order-preserving parallel map, dealt in chunks from one cursor. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** As {!map_array}, on lists.  Sequential and nested calls take a
@@ -64,16 +64,10 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 
 val for_range : t -> n:int -> (int -> int -> unit) -> unit
 (** [for_range pool ~n f] covers [0, n)] with disjoint half-open spans
-    [f lo hi], adaptively sized and possibly concurrent.  [f] must
+    [f lo hi], sized by the pool and possibly concurrent.  [f] must
     only write state disjoint per index (e.g. structure-of-arrays
     columns).  Sequential and nested calls run [f 0 n] inline.  If
     spans raise, the exception of the smallest [lo] is re-raised. *)
-
-val map_array_strided : t -> ('a -> 'b) -> 'a array -> 'b array
-(** The legacy fork-join path: fresh domains spawned per region, work
-    dealt by static striding (worker [w] takes indices [w],
-    [w + workers], ...).  Same results contract as {!map_array}; kept
-    as a benchmark baseline and test oracle. *)
 
 val submit : t -> (unit -> unit) -> unit
 (** [submit pool job] hands [job] to an idle worker and returns
@@ -97,8 +91,8 @@ val with_pool : int -> (t -> 'a) -> 'a
 
     [map_array]/[map_list]/[for_range] count every item into
     {!Probe.pool_tasks} and every region that actually fans out into
-    {!Probe.pool_regions}; successful steals count into
-    {!Probe.pool_steals}.  Each participating worker
+    {!Probe.pool_regions}; chunks claimed by helper domains (not the
+    calling domain) count into {!Probe.pool_steals}.  Each participating worker
     {!Probe.drain_local}s its counters before the region join (and
     after each job), so per-domain work counts are always visible in
     {!Probe.totals} when a region or job has completed.  When
@@ -107,8 +101,7 @@ val with_pool : int -> (t -> 'a) -> 'a
 
 type worker_stat = {
   items : int;  (** region items executed by this slot *)
-  chunks : int;  (** chunks (split ranges) executed *)
-  steals : int;  (** successful steals from other deques *)
+  chunks : int;  (** chunks claimed from region cursors *)
   jobs : int;  (** {!submit}ted jobs executed *)
   busy_s : float;  (** wall-clock seconds spent executing *)
 }
@@ -135,8 +128,8 @@ val set_worker_hooks :
     a parallel region or job: [on_start w] before it first executes,
     [on_finish w] when it runs out of region work (also on exception),
     where [w] is the worker slot ([0] = the calling domain).  A
-    persistent worker may start and finish several times within one
-    region if it goes idle and then steals back in.  One global hook
+    helper joins a region at most once, and only while it still has
+    unclaimed chunks.  One global hook
     pair; installing replaces the previous one.  Used by
     [Batsched_obs.Sink] to tag trace tracks and flush span buffers —
     library users normally never call this. *)
@@ -144,6 +137,6 @@ val set_worker_hooks :
 val set_task_delay : (unit -> unit) option -> unit
 (** Test-only: run the given thunk before every chunk execution, on
     whichever domain executes it.  Dilating chunks this way forces
-    steal interleavings that are hard to hit on few cores; the tests
-    use it to check determinism under stealing.  [None] removes the
-    hook. *)
+    interleavings between the calling domain and the helpers that are
+    hard to hit on few cores; the tests use it to check determinism
+    and exception order under them.  [None] removes the hook. *)

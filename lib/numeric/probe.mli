@@ -50,7 +50,7 @@ type t = {
   mutable fcache_evictions : int; (** Fcache generation flips (half-table expiries) *)
   mutable pool_regions : int;     (** parallel regions actually fanned out *)
   mutable pool_tasks : int;       (** items mapped through [Pool.map_array] *)
-  mutable pool_steals : int;      (** chunks stolen between pool workers *)
+  mutable pool_steals : int;      (** region chunks claimed by helper domains *)
   mutable named : (string * int) list;
   (** Open-keyed counters for populations too dynamic for a fixed
       field — e.g. ["delta_full_evals/<model>"] attributing fallbacks

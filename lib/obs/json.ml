@@ -18,6 +18,12 @@ type t =
 
 exception Bad_json of string
 
+(* The repo's own documents nest at most 5 deep.  The cap keeps the
+   recursive descent's stack bounded, and it lets a hostile line (a
+   serve request opening millions of brackets) be rejected after a few
+   hundred bytes instead of after the whole line. *)
+let max_depth = 256
+
 let parse text =
   let pos = ref 0 in
   let len = String.length text in
@@ -47,8 +53,11 @@ let parse text =
           | Some 'u' ->
               advance ();
               if !pos + 4 > len then fail "short \\u escape";
-              let hex = String.sub text !pos 4 in
-              ignore (int_of_string ("0x" ^ hex));
+              String.iter
+                (function
+                  | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> ()
+                  | _ -> fail "bad \\u escape")
+                (String.sub text !pos 4);
               pos := !pos + 4;
               Buffer.add_char buf '?';
               go ()
@@ -95,11 +104,17 @@ let parse text =
     end
     else fail ("expected " ^ word)
   in
-  let rec parse_value () =
+  (* consume the bracket opening a container at nesting [depth] *)
+  let open_nested depth =
+    if depth >= max_depth then
+      fail (Printf.sprintf "nesting deeper than %d" max_depth);
+    advance ()
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | Some '{' ->
-        advance ();
+        open_nested depth;
         skip_ws ();
         if peek () = Some '}' then begin advance (); Obj [] end
         else begin
@@ -108,7 +123,7 @@ let parse text =
             let key = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' -> advance (); members ((key, v) :: acc)
@@ -118,12 +133,12 @@ let parse text =
           members []
         end
     | Some '[' ->
-        advance ();
+        open_nested depth;
         skip_ws ();
         if peek () = Some ']' then begin advance (); Arr [] end
         else begin
           let rec elements acc =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' -> advance (); elements (v :: acc)
@@ -139,7 +154,7 @@ let parse text =
     | Some _ -> Num (parse_number ())
     | None -> fail "unexpected end"
   in
-  let v = parse_value () in
+  let v = parse_value 0 in
   skip_ws ();
   if !pos <> len then fail "trailing garbage";
   v

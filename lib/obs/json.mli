@@ -19,8 +19,12 @@ type t =
 exception Bad_json of string
 (** Raised with a byte offset on malformed input. *)
 
+val max_depth : int
+(** Deepest nesting of arrays and objects {!parse} accepts (256). *)
+
 val parse : string -> t
-(** Parse one complete JSON value; trailing garbage is an error.
+(** Parse one complete JSON value; trailing garbage is an error, and
+    so is nesting deeper than {!max_depth}.
     @raise Bad_json on malformed input. *)
 
 val field : string -> t -> t option

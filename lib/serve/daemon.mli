@@ -1,7 +1,7 @@
 (** The [basched serve] scheduling daemon.
 
     A daemon batches independent scheduling requests onto one
-    work-stealing {!Batsched_numeric.Pool}: each accepted request
+    {!Batsched_numeric.Pool}: each accepted request
     becomes a pool job, runs its search to completion (or
     cancellation) on a worker domain, and streams its responses as
     tagged {!Batsched_obs.Events} records on a shared output stream —

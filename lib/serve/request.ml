@@ -28,6 +28,20 @@ let model s =
   | "kibam" -> Kibam.model ()
   | "rakhmatov" | _ -> Rakhmatov.model ~beta:s.beta ()
 
+exception Reject of string
+
+let reject fmt = Printf.ksprintf (fun s -> raise (Reject s)) fmt
+
+(* Field [name] of [j] through [conv]: [None] when absent, a rejection
+   when present with the wrong type. *)
+let typed ~kind conv j name =
+  Option.map
+    (fun v ->
+      match conv v with
+      | Some x -> x
+      | None -> reject "mistyped field: %s (expected %s)" name kind)
+    (Json.field name j)
+
 (* One request per line:
      {"id":"r1","graph":"graph g\ntask A 600:2 350:3\n...","deadline":9,
       "algo":"annealing","model":"rakhmatov","seed":7,"steps":8}
@@ -38,55 +52,51 @@ let of_json line =
   match Json.parse line with
   | exception Json.Bad_json msg -> Error ("bad json: " ^ msg)
   | j -> (
-      match Json.str_field "cancel" j with
-      | Some id -> Ok (Cancel id)
-      | None -> (
-          let str name = Json.str_field name j in
-          let num name = Json.num_field name j in
-          match (str "id", str "graph", num "deadline") with
-          | None, _, _ -> Error "missing field: id"
-          | _, None, _ -> Error "missing field: graph"
-          | _, _, None -> Error "missing field: deadline"
-          | Some id, Some graph_src, Some deadline -> (
-              if deadline <= 0.0 then Error "deadline must be positive"
-              else
-                match Textio.of_string graph_src with
-                | exception Textio.Parse_error { line; message } ->
-                    Error (Printf.sprintf "graph line %d: %s" line message)
-                | graph ->
-                    let algo =
-                      Option.value (str "algo") ~default:"annealing"
-                    in
-                    let model_name =
-                      Option.value (str "model") ~default:"rakhmatov"
-                    in
-                    if not (List.mem algo algos) then
-                      Error ("unknown algo: " ^ algo)
-                    else if not (List.mem model_name models) then
-                      Error ("unknown model: " ^ model_name)
-                    else
-                      let search =
-                        { algo;
-                          model_name;
-                          beta =
-                            Option.value (num "beta")
-                              ~default:Rakhmatov.default_beta;
-                          seed =
-                            int_of_float (Option.value (num "seed") ~default:0.0);
-                          starts =
-                            int_of_float
-                              (Option.value (num "starts") ~default:4.0);
-                          steps = Option.map int_of_float (num "steps");
-                          t0 = num "t0";
-                          samples = Option.map int_of_float (num "samples") }
-                      in
-                      if search.starts < 1 then Error "starts must be >= 1"
-                      else if
-                        match search.steps with Some s -> s < 1 | None -> false
-                      then Error "steps must be >= 1"
-                      else if
-                        match search.samples with
-                        | Some s -> s < 1
-                        | None -> false
-                      then Error "samples must be >= 1"
-                      else Ok (Submit { id; graph; deadline; search }))))
+      let str = typed ~kind:"a string" Json.to_str j in
+      let num = typed ~kind:"a number" Json.to_num j in
+      let required get name =
+        match get name with
+        | Some v -> v
+        | None -> reject "missing field: %s" name
+      in
+      (* optional count knob, at least 1 when given *)
+      let count name =
+        Option.map
+          (fun v ->
+            let k = int_of_float v in
+            if k < 1 then reject "%s must be >= 1" name;
+            k)
+          (num name)
+      in
+      try
+        match str "cancel" with
+        | Some id -> Ok (Cancel id)
+        | None ->
+            let id = required str "id" in
+            let graph_src = required str "graph" in
+            let deadline = required num "deadline" in
+            if deadline <= 0.0 then reject "deadline must be positive";
+            let graph =
+              match Textio.of_string graph_src with
+              | exception Textio.Parse_error { line; message } ->
+                  reject "graph line %d: %s" line message
+              | graph -> graph
+            in
+            let algo = Option.value (str "algo") ~default:"annealing" in
+            let model_name = Option.value (str "model") ~default:"rakhmatov" in
+            if not (List.mem algo algos) then reject "unknown algo: %s" algo;
+            if not (List.mem model_name models) then
+              reject "unknown model: %s" model_name;
+            let beta =
+              Option.value (num "beta") ~default:Rakhmatov.default_beta
+            in
+            let seed = int_of_float (Option.value (num "seed") ~default:0.0) in
+            let starts = Option.value (count "starts") ~default:4 in
+            let steps = count "steps" in
+            let t0 = num "t0" in
+            let samples = count "samples" in
+            let search =
+              { algo; model_name; beta; seed; starts; steps; t0; samples }
+            in
+            Ok (Submit { id; graph; deadline; search })
+      with Reject msg -> Error msg)

@@ -62,8 +62,8 @@ let request_json ~id ~graph_src ~deadline ~algo ~model ~seed ~knobs =
 
 (* The i-th request of the mix.  Budgets spread 10x within each
    algorithm family (annealing temperature ladders, random-search
-   sample counts), which is exactly the skew that leaves fork-join
-   workers idle and that work stealing rebalances. *)
+   sample counts), which is exactly the skew that leaves the workers of
+   a static split idle and that dealing jobs on demand absorbs. *)
 let mixed_request ~rng i =
   let _, graph_src, deadline = graphs.(i mod Array.length graphs) in
   let model = models.(i mod Array.length models) in

@@ -2,8 +2,9 @@
 
     The mix cycles graph shapes (chain, diamond, fork-join), battery
     models, and algorithms, with 10x budget spread inside each
-    algorithm family — the skew that distinguishes a work-stealing
-    executor from a fork-join one.  The same generator feeds the
+    algorithm family — the skew that idles the workers of a static
+    split and that an executor dealing work on demand absorbs.  The
+    same generator feeds the
     [serve-soak] bench scenario, the CI smoke fixture
     ([basched serve --gen]), and the unit tests. *)
 

@@ -359,6 +359,27 @@ let test_engine_empty_fleet () =
   let r = Engine.run ~spec ~devices:0 ~seed:0 () in
   Alcotest.(check int) "no devices" 0 (Survival.n r)
 
+(* fuzz: a single-byte corruption of a valid spec either parses, is
+   rejected as bad JSON, or is rejected by [Spec.of_json] with an error
+   — never an exception *)
+let prop_spec_fuzz_no_crash =
+  let specs =
+    [| spec_json;
+       {|{"models": [{"model": "ideal"}],
+          "cycle": {"kind": "graph", "graph": "g2", "law": "fastest"}}|} |]
+  in
+  QCheck.Test.make ~count:500 ~name:"specs survive corrupted input"
+    QCheck.(pair (int_bound (Array.length specs - 1)) (int_bound 100_000))
+    (fun (i, seed) ->
+      let rng = Batsched_numeric.Rng.create seed in
+      match Batsched_obs.Json.parse (Fuzz.mutate ~rng specs.(i)) with
+      | exception Batsched_obs.Json.Bad_json _ -> true
+      | j -> (
+          match Spec.of_json j with
+          | Ok _ | Error _ -> true
+          | exception _ -> false)
+      | exception _ -> false)
+
 let () =
   Alcotest.run "fleet"
     [ ( "spec",
@@ -387,5 +408,6 @@ let () =
             test_engine_seed_sensitivity;
           Alcotest.test_case "events and counters" `Quick
             test_engine_events_and_counters;
-          Alcotest.test_case "empty fleet" `Quick test_engine_empty_fleet ] )
-    ]
+          Alcotest.test_case "empty fleet" `Quick test_engine_empty_fleet ] );
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest [ prop_spec_fuzz_no_crash ] ) ]

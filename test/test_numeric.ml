@@ -533,11 +533,11 @@ let test_pool_submit_and_shutdown () =
   Pool.submit pool (fun () -> Atomic.incr hits);
   Alcotest.(check int) "inline job" 9 (Atomic.get hits)
 
-(* Determinism under forced steals: a per-chunk delay dilates execution
-   enough that idle workers steal (single-core hosts otherwise rarely
-   interleave), and the output must still be bit-identical to the
-   sequential map, run after run. *)
-let test_pool_determinism_under_steals () =
+(* Determinism under forced interleavings: a per-chunk delay dilates
+   execution enough that helpers claim chunks alongside the caller
+   (single-core hosts otherwise rarely interleave), and the output must
+   still be bit-identical to the sequential map, run after run. *)
+let test_pool_determinism_under_delays () =
   Pool.with_pool 4 @@ fun pool ->
   let xs = Array.init 96 (fun i -> float_of_int (i + 1)) in
   let f x = Series.exp_sum ~beta:0.273 x in
@@ -551,8 +551,94 @@ let test_pool_determinism_under_steals () =
       (Pool.map_array pool f xs = expected)
   done;
   let stats = Pool.worker_stats pool in
-  let steals = Array.fold_left (fun a s -> a + s.Pool.steals) 0 stats in
-  Alcotest.(check bool) "steals actually happened" true (steals > 0)
+  let chunks = Array.fold_left (fun a s -> a + s.Pool.chunks) 0 stats in
+  Alcotest.(check bool) "helper slots ran chunks" true
+    (chunks - stats.(0).Pool.chunks > 0)
+
+(* Poll [cond] until it holds or [timeout] seconds pass. *)
+let wait_until ~timeout cond =
+  let deadline = Unix.gettimeofday () +. timeout in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  cond ()
+
+(* Run [f] under a watchdog that fails the whole process if [f] has not
+   returned within [timeout] seconds: a lost wakeup in the executor
+   shows up as a hang, which an in-process check could never report. *)
+let with_watchdog ~timeout name f =
+  let finished = Atomic.make false in
+  let dog =
+    Domain.spawn (fun () ->
+        if not (wait_until ~timeout (fun () -> Atomic.get finished)) then begin
+          Printf.eprintf "%s: no progress after %.0f s\n%!" name timeout;
+          exit 1
+        end)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join dog)
+    f
+
+(* A region opened while submitted jobs are still queued on the same
+   pool must neither wait for them nor lose them. *)
+let test_pool_region_with_queued_jobs () =
+  Pool.with_pool 4 @@ fun pool ->
+  let hits = Atomic.make 0 in
+  for _ = 1 to 12 do
+    Pool.submit pool (fun () ->
+        Unix.sleepf 0.002;
+        Atomic.incr hits)
+  done;
+  let xs = Array.init 200 (fun i -> float_of_int (i + 1)) in
+  let f x = Series.exp_sum ~beta:0.273 x in
+  Alcotest.(check bool) "region result" true
+    (Pool.map_array pool f xs = Array.map f xs);
+  Alcotest.(check bool) "every job ran" true
+    (wait_until ~timeout:10.0 (fun () -> Atomic.get hits = 12))
+
+(* [for_range] under forced interleavings: spans raise iff they hold a
+   bad index, naming the first one they hold, so whatever the span
+   boundaries the smallest-[lo] failure names index 37. *)
+let test_pool_for_range_exception_under_delays () =
+  let bad = [ 37; 90; 151 ] in
+  Fun.protect ~finally:(fun () -> Pool.set_task_delay None) @@ fun () ->
+  Pool.set_task_delay (Some (fun () -> Unix.sleepf 0.0002));
+  List.iter
+    (fun size ->
+      Pool.with_pool size @@ fun pool ->
+      for run = 1 to 5 do
+        Alcotest.check_raises
+          (Printf.sprintf "pool %d run %d" size run)
+          (Failure "37")
+          (fun () ->
+            Pool.for_range pool ~n:200 (fun lo hi ->
+                match List.find_opt (fun i -> lo <= i && i < hi) bad with
+                | Some i -> failwith (string_of_int i)
+                | None -> ()))
+      done)
+    [ 2; 4 ]
+
+(* Lost-wakeup guard: many tiny regions interleaved with job
+   submissions, each region's result checked against the sequential
+   map, all under a deadline. *)
+let test_pool_tiny_regions_with_jobs () =
+  with_watchdog ~timeout:60.0 "tiny regions with jobs" @@ fun () ->
+  Pool.with_pool 4 @@ fun pool ->
+  let hits = Atomic.make 0 and jobs = ref 0 and mismatches = ref 0 in
+  for i = 0 to 1999 do
+    if i mod 3 = 0 then begin
+      incr jobs;
+      Pool.submit pool (fun () -> Atomic.incr hits)
+    end;
+    let xs = Array.init (2 + (i mod 8)) (fun k -> (i * 16) + k) in
+    let f x = (x * 7) mod 13 in
+    if Pool.map_array pool f xs <> Array.map f xs then incr mismatches
+  done;
+  Alcotest.(check int) "regions match the sequential map" 0 !mismatches;
+  Alcotest.(check bool) "every job ran" true
+    (wait_until ~timeout:10.0 (fun () -> Atomic.get hits = !jobs))
 
 (* --- qcheck properties --- *)
 
@@ -672,24 +758,20 @@ let prop_pool_map_matches_sequential =
       Pool.map_list (prop_pool_of_size size) (fun x -> x * 3) xs
       = List.map (fun x -> x * 3) xs)
 
-(* The three execution strategies — inline, persistent work-stealing,
-   legacy fork-join striding — must be indistinguishable from results
-   alone, at every pool size. *)
-let prop_pool_steal_matches_oracles =
-  QCheck.Test.make ~count:30
-    ~name:"work-stealing map = sequential map = strided map"
+(* The inline and the pooled execution paths must be indistinguishable
+   from results alone, at every pool size. *)
+let prop_pool_matches_sequential_floats =
+  QCheck.Test.make ~count:30 ~name:"pooled map = sequential map"
     QCheck.(pair pool_size_gen (list_of_size Gen.(int_range 0 80) small_int))
     (fun (size, xs) ->
       let pool = prop_pool_of_size size in
       let f x = Series.exp_sum ~beta:0.273 (float_of_int (abs x mod 50)) in
       let xs = Array.of_list xs in
       let seq = Array.map f xs in
-      Pool.map_array pool f xs = seq
-      && Pool.map_array_strided pool f xs = seq)
+      Pool.map_array pool f xs = seq)
 
 (* If several items raise, the re-raised exception must be the one a
-   sequential left-to-right scan would surface first — for the
-   work-stealing path and the strided oracle alike. *)
+   sequential left-to-right scan would surface first. *)
 let prop_pool_first_exception_identity =
   QCheck.Test.make ~count:30 ~name:"first-exception identity under parallelism"
     QCheck.(
@@ -706,8 +788,7 @@ let prop_pool_first_exception_identity =
         | exception Failure msg -> Some msg
       in
       let seq = outcome (fun () -> Array.map f xs) in
-      outcome (fun () -> Pool.map_array pool f xs) = seq
-      && outcome (fun () -> Pool.map_array_strided pool f xs) = seq)
+      outcome (fun () -> Pool.map_array pool f xs) = seq)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -721,7 +802,7 @@ let qcheck_tests =
       prop_fcache_matches_hashtbl_model;
       prop_fcache_growth_matches_hashtbl_model;
       prop_pool_map_matches_sequential;
-      prop_pool_steal_matches_oracles;
+      prop_pool_matches_sequential_floats;
       prop_pool_first_exception_identity ]
 
 let () =
@@ -800,8 +881,14 @@ let () =
           Alcotest.test_case "map_list direct path" `Quick test_pool_map_list_direct;
           Alcotest.test_case "for_range" `Quick test_pool_for_range;
           Alcotest.test_case "submit and shutdown" `Quick test_pool_submit_and_shutdown;
-          Alcotest.test_case "determinism under steals" `Quick
-            test_pool_determinism_under_steals ] );
+          Alcotest.test_case "determinism under delays" `Quick
+            test_pool_determinism_under_delays;
+          Alcotest.test_case "region with queued jobs" `Quick
+            test_pool_region_with_queued_jobs;
+          Alcotest.test_case "for_range exception under delays" `Quick
+            test_pool_for_range_exception_under_delays;
+          Alcotest.test_case "tiny regions with jobs" `Quick
+            test_pool_tiny_regions_with_jobs ] );
       ( "tridiag",
         [ Alcotest.test_case "identity" `Quick test_tridiag_identity;
           Alcotest.test_case "known system" `Quick test_tridiag_known_system;

@@ -1216,9 +1216,83 @@ let test_report_renders_histograms () =
   Alcotest.(check bool) "histogram table present" true
     (contains_substring report "test/latency")
 
+(* --- Json reader boundaries --- *)
+
+let nested depth = String.make depth '[' ^ String.make depth ']'
+
+let test_json_nesting_cap () =
+  let rec depth_of = function Arr [ v ] -> 1 + depth_of v | _ -> 1 in
+  Alcotest.(check int) "max_depth levels parse" max_depth
+    (depth_of (parse (nested max_depth)));
+  let msg =
+    Printf.sprintf "nesting deeper than %d at byte %d" max_depth max_depth
+  in
+  Alcotest.check_raises "one level more" (Bad_json msg) (fun () ->
+      ignore (parse (nested (max_depth + 1))));
+  (* a hostile line is rejected at the cap, not after reading it all *)
+  Alcotest.check_raises "two million levels" (Bad_json msg) (fun () ->
+      ignore (parse (nested 2_000_000)))
+
+let test_json_bad_unicode_escape () =
+  Alcotest.(check bool) "valid escape" true (parse {|"\u00e9"|} = Str "?");
+  List.iter
+    (fun text ->
+      match parse text with
+      | _ -> Alcotest.failf "%s: should be rejected" text
+      | exception Bad_json _ -> ())
+    [ {|"\uZZZZ"|}; {|"\u-123"|}; {|"\u12"|} ]
+
+let rec json_to_string = function
+  | Obj members ->
+      "{"
+      ^ String.concat ","
+          (List.map
+             (fun (k, v) ->
+               Printf.sprintf "\"%s\":%s" (escape_string k) (json_to_string v))
+             members)
+      ^ "}"
+  | Arr vs -> "[" ^ String.concat "," (List.map json_to_string vs) ^ "]"
+  | Str s -> "\"" ^ escape_string s ^ "\""
+  | Num f -> Printf.sprintf "%.17g" f
+  | Bool b -> string_of_bool b
+  | Null -> "null"
+
+let gen_json =
+  QCheck.Gen.(
+    let str = string_size ~gen:printable (int_bound 8) in
+    let leaf =
+      oneof
+        [ map (fun s -> Str s) str;
+          map (fun f -> Num f) (float_range (-1e6) 1e6);
+          map (fun b -> Bool b) bool;
+          return Null ]
+    in
+    sized
+    @@ fix (fun self n ->
+           if n <= 0 then leaf
+           else
+             let few g = list_size (int_bound 4) g and sub = self (n / 4) in
+             frequency
+               [ (2, leaf);
+                 (1, map (fun l -> Arr l) (few sub));
+                 (1, map (fun l -> Obj l) (few (pair str sub))) ]))
+
+(* fuzz: a single-byte corruption of a serialized document either
+   parses or raises the documented Bad_json — never another exception *)
+let prop_json_fuzz_no_crash =
+  QCheck.Test.make ~count:500 ~name:"json survives corrupted input"
+    QCheck.(pair (make ~print:json_to_string gen_json) (int_bound 100_000))
+    (fun (j, seed) ->
+      let rng = Batsched_numeric.Rng.create seed in
+      match parse (Fuzz.mutate ~rng (json_to_string j)) with
+      | (_ : t) -> true
+      | exception Bad_json _ -> true
+      | exception _ -> false)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_instrumented_matches_uninstrumented;
+    [ prop_json_fuzz_no_crash;
+      prop_instrumented_matches_uninstrumented;
       prop_histogram_merge_deterministic;
       prop_tail_chunking_invariant;
       prop_dash_live_equals_replay ]
@@ -1304,6 +1378,10 @@ let () =
           Alcotest.test_case "normalization" `Quick test_compare_normalize;
           Alcotest.test_case "committed snapshots" `Quick
             test_compare_committed_snapshots ] );
+      ( "json",
+        [ Alcotest.test_case "nesting cap" `Quick test_json_nesting_cap;
+          Alcotest.test_case "bad unicode escape" `Quick
+            test_json_bad_unicode_escape ] );
       ( "report",
         [ Alcotest.test_case "superseded sink safe" `Quick
             test_report_superseded_sink;

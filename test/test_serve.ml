@@ -1,5 +1,5 @@
 (* The serve daemon: request parsing, end-to-end batching on the
-   work-stealing pool, bit-identity with single-shot runs, in-flight
+   domain pool, bit-identity with single-shot runs, in-flight
    cancellation, and bounded admission. *)
 
 module Pool = Batsched_numeric.Pool
@@ -66,6 +66,38 @@ let test_parse_rejects () =
   expect_error "non-positive deadline"
     (Printf.sprintf "{\"id\":\"r1\",\"deadline\":0.0,\"graph\":\"%s\"}"
        (Batsched_obs.Json.escape_string graph_src))
+
+(* A field that is present with the wrong type is reported as mistyped,
+   not as missing. *)
+let test_parse_mistyped () =
+  let check label expected line =
+    match Request.of_json line with
+    | Error msg -> Alcotest.(check string) label expected msg
+    | Ok _ -> Alcotest.failf "%s: should be rejected" label
+  in
+  check "numeric graph" "mistyped field: graph (expected a string)"
+    "{\"id\":\"r1\",\"deadline\":9.0,\"graph\":5}";
+  check "string deadline" "mistyped field: deadline (expected a number)"
+    (Printf.sprintf "{\"id\":\"r1\",\"deadline\":\"9\",\"graph\":\"%s\"}"
+       (Batsched_obs.Json.escape_string graph_src));
+  check "numeric id" "mistyped field: id (expected a string)"
+    "{\"id\":1,\"deadline\":9.0,\"graph\":\"g\"}";
+  check "string starts" "mistyped field: starts (expected a number)"
+    (request_line ~extra:",\"starts\":\"4\"" ());
+  check "numeric cancel" "mistyped field: cancel (expected a string)"
+    "{\"cancel\":9}"
+
+(* fuzz: a single-byte corruption of a valid request line is either
+   accepted or answered with an error — never an exception *)
+let prop_request_fuzz_no_crash =
+  let lines = Array.of_list (Soak.fixture_lines ~n:12 ~seed:4) in
+  QCheck.Test.make ~count:500 ~name:"requests survive corrupted input"
+    QCheck.(pair (int_bound (Array.length lines - 1)) (int_bound 100_000))
+    (fun (i, seed) ->
+      let rng = Rng.create seed in
+      match Request.of_json (Fuzz.mutate ~rng lines.(i)) with
+      | Ok _ | Error _ -> true
+      | exception _ -> false)
 
 (* --- daemon end-to-end --- *)
 
@@ -204,7 +236,8 @@ let () =
     [ ( "request",
         [ Alcotest.test_case "parse submit" `Quick test_parse_submit;
           Alcotest.test_case "parse cancel" `Quick test_parse_cancel;
-          Alcotest.test_case "rejects" `Quick test_parse_rejects ] );
+          Alcotest.test_case "rejects" `Quick test_parse_rejects;
+          Alcotest.test_case "mistyped fields" `Quick test_parse_mistyped ] );
       ( "daemon",
         [ Alcotest.test_case "mixed batch" `Quick test_daemon_mixed_batch;
           Alcotest.test_case "bit-identical to single-shot" `Quick
@@ -218,4 +251,7 @@ let () =
             test_daemon_malformed_line ] );
       ( "soak",
         [ Alcotest.test_case "run" `Quick test_soak_run;
-          Alcotest.test_case "fixture shape" `Quick test_fixture_shape ] ) ]
+          Alcotest.test_case "fixture shape" `Quick test_fixture_shape ] );
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest [ prop_request_fuzz_no_crash ] )
+    ]

@@ -745,25 +745,12 @@ let prop_column_times_monotone =
 (* fuzz: random single-character corruption of a valid file must either
    parse (the mutation may be harmless, e.g. inside a name) or raise the
    documented Parse_error — never crash or loop *)
-let mutate ~rng text =
-  let n = String.length text in
-  if n = 0 then text
-  else begin
-    let b = Bytes.of_string text in
-    let pos = Batsched_numeric.Rng.int rng n in
-    (match Batsched_numeric.Rng.int rng 3 with
-    | 0 -> Bytes.set b pos (Char.chr (32 + Batsched_numeric.Rng.int rng 95))
-    | 1 -> Bytes.set b pos ' '
-    | _ -> Bytes.set b pos '\n');
-    Bytes.to_string b
-  end
-
 let prop_textio_fuzz_no_crash =
   QCheck.Test.make ~count:300 ~name:"textio survives corrupted input"
     QCheck.(pair gen_graph (int_bound 100_000))
     (fun (g, seed) ->
       let rng = Batsched_numeric.Rng.create seed in
-      let corrupted = mutate ~rng (Textio.to_string g) in
+      let corrupted = Fuzz.mutate ~rng (Textio.to_string g) in
       match Textio.of_string corrupted with
       | (_ : Graph.t) -> true
       | exception Textio.Parse_error _ -> true
@@ -774,7 +761,7 @@ let prop_tgff_fuzz_no_crash =
     QCheck.(pair gen_graph (int_bound 100_000))
     (fun (g, seed) ->
       let rng = Batsched_numeric.Rng.create seed in
-      let corrupted = mutate ~rng (Tgff.to_string ~deadline:50.0 g) in
+      let corrupted = Fuzz.mutate ~rng (Tgff.to_string ~deadline:50.0 g) in
       match Tgff.of_string corrupted with
       | (_ : Tgff.document) -> true
       | exception Tgff.Parse_error _ -> true
