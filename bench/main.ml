@@ -11,7 +11,11 @@
       artifact (how long regenerating each costs) plus kernel benches
       (RV sigma evaluation, window sweep, DP knapsack) across sizes,
       scaling instances up to n64, and a parallel-vs-sequential
-      multistart pair.
+      multistart pair.  The `*-reference` and `rv-kernel-direct` rows
+      time the seed implementations the shipped paths are checked
+      against; apart from `choose-n64-reference` (Choose's shipped
+      fallback), those live in the test-only `batsched_oracles`
+      library (test/oracles/), which this harness links.
 
    Run everything:        dune exec bench/main.exe
    Reproductions only:    dune exec bench/main.exe -- tables
@@ -76,7 +80,7 @@ let scenario_kernels =
     ("rv-sigma-reference/g3-schedule",
      (let at = Batsched_battery.Profile.length g3_profile in
       fun () ->
-        ignore (Batsched_battery.Rakhmatov.sigma_reference g3_profile ~at)));
+        ignore (Batsched_oracles.Rakhmatov.sigma_reference g3_profile ~at)));
     ("kibam-sigma/g3-schedule",
      fun () ->
        ignore
@@ -103,7 +107,7 @@ let scenario_kernels =
      fun () -> ignore (Batsched_numeric.Series.kernel ~beta:0.273 5.0 25.0));
     ("rv-kernel-direct/10-terms",
      fun () ->
-       ignore (Batsched_numeric.Series.kernel_direct ~beta:0.273 5.0 25.0));
+       ignore (Batsched_oracles.Series.kernel_direct ~beta:0.273 5.0 25.0));
     (let g = Batsched_taskgraph.Instances.g3 in
      ("dp-knapsack/g3-d230",
       fun () ->
@@ -269,11 +273,16 @@ let scenario_choose =
      path differs — the per-model delta/reference ratio is the speedup
      the matching evaluation strategy buys (KiBaM: closed-form
      suffix-coordinate terms; diffusion: checkpointed PDE restarts) *)
-  let anneal m eval () =
+  let anneal m path () =
     let rng = Batsched_numeric.Rng.create 11 in
     ignore
-      (Batsched_baselines.Annealing.run ~params:anneal_params ~eval ~rng
-         ~model:m g ~deadline)
+      (match path with
+       | `Delta ->
+           Batsched_baselines.Annealing.run ~params:anneal_params ~rng
+             ~model:m g ~deadline
+       | `Reference ->
+           Batsched_oracles.Annealing.run ~params:anneal_params ~rng
+             ~model:m g ~deadline)
   in
   let kibam = Batsched_battery.Kibam.model () in
   let diffusion =
@@ -358,7 +367,7 @@ let scenario_fleet =
   in
   let reference cycles () =
     ignore
-      (Batsched_battery.Periodic.cycles_to_death_reference ~max_cycles:cycles
+      (Batsched_oracles.Periodic.cycles_to_death_reference ~max_cycles:cycles
          ~model ~alpha:1e9 ~period:40.0 mission)
   in
   let pool4 = Batsched_numeric.Pool.create 4 in

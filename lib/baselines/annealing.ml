@@ -56,51 +56,16 @@ let draw_move ~rng ~n ~m ~swap_ok =
 
 (* A repoint onto the task's current column is a no-op: the candidate
    equals the current state, its (deterministic) energy equals the
-   current energy bit-for-bit, so the original loop always accepted it
-   without consuming a Metropolis draw and never improved the best.
-   Both evaluation modes therefore skip the evaluation entirely and
-   book it as an accepted step — observably identical, minus the
-   wasted sigma evaluation. *)
+   current energy bit-for-bit, so the seed's full-evaluation walk always
+   accepted it without consuming a Metropolis draw and never improved
+   the best.  The walk therefore skips the evaluation entirely and books
+   it as an accepted step — observably identical, minus the wasted
+   sigma evaluation. *)
 
 let start_solution ~model g ~deadline =
   match Chowdhury.run ~model g ~deadline with
   | sol -> sol
   | exception Chowdhury.Infeasible -> raise No_feasible_state
-
-(* Reference mode: the original implementation — every candidate is
-   costed through a freshly validated schedule and the model's full
-   sigma path.  This is the benchmark baseline and the equivalence-test
-   oracle for the delta mode below.  Both modes draw one Metropolis
-   uniform per evaluated candidate whether or not the move is downhill,
-   so the RNG stream position never depends on which evaluation
-   strategy produced the energies: the walks stay move-for-move aligned
-   even when the two paths disagree by an ulp at an exact tie (which
-   happens routinely on graphs with identical parallel tasks, where a
-   swap leaves sigma unchanged bit-for-bit on one path and one ulp off
-   on the other). *)
-
-type state = { sequence : int array; assignment : Assignment.t }
-
-let energy_of ~model g ~deadline st =
-  let sequence = Array.to_list st.sequence in
-  let sched = Schedule.make g ~sequence ~assignment:st.assignment in
-  let sigma = Schedule.battery_cost ~model g sched in
-  let overrun = Float.max 0.0 (Schedule.finish_time g sched -. deadline) in
-  (sigma +. (penalty_rate *. overrun), sigma, overrun <= 1e-9, sched)
-
-let swap_ok g st k =
-  (* positions k and k+1 may swap iff no edge between the two tasks *)
-  let a = st.sequence.(k) and b = st.sequence.(k + 1) in
-  not (List.mem b (Graph.succs g a))
-
-let apply_move st = function
-  | Move_swap k ->
-      let seq = Array.copy st.sequence in
-      let tmp = seq.(k) in
-      seq.(k) <- seq.(k + 1);
-      seq.(k + 1) <- tmp;
-      { st with sequence = seq }
-  | Move_repoint (i, j) -> { st with assignment = Assignment.set st.assignment i j }
 
 (* Convergence records.  Emission reads only the walk's outputs (probe
    counter deltas, energies, the best sigma) and never touches the RNG,
@@ -137,76 +102,24 @@ let emit_done events ~mode ~evals ~best_sigma =
       [ ("mode", Events.S mode); ("evals", Events.I evals);
         ("best_sigma", Events.F best_sigma) ]
 
-let run_reference ~params ~rng ~model ~events ~should_stop g ~deadline sol =
-  let n = Graph.num_tasks g and m = Graph.num_points g in
-  let st =
-    ref
-      { sequence = Array.of_list sol.Solution.schedule.Schedule.sequence;
-        assignment = sol.Solution.schedule.Schedule.assignment }
-  in
-  let cur_energy = ref (let e, _, _, _ = energy_of ~model g ~deadline !st in e) in
-  let best = ref sol in
-  let temperature = ref params.initial_temperature in
-  let probe = Probe.local () in
-  let ev_on = Events.is_active events in
-  emit_start events ~mode:"reference" ~n ~m ~params;
-  let acc0 = probe.Probe.anneal_accepted
-  and rej0 = probe.Probe.anneal_rejected in
-  let level = ref 0 in
-  while !temperature > params.temperature_floor && not (should_stop ()) do
-    let lacc = if ev_on then probe.Probe.anneal_accepted else 0
-    and lrej = if ev_on then probe.Probe.anneal_rejected else 0 in
-    for _ = 1 to params.steps_per_temperature do
-      let mv = draw_move ~rng ~n ~m ~swap_ok:(fun k -> swap_ok g !st k) in
-      match mv with
-      | Move_repoint (i, j) when Assignment.column (!st).assignment i = j ->
-          probe.Probe.anneal_noops <- probe.Probe.anneal_noops + 1;
-          probe.Probe.anneal_accepted <- probe.Probe.anneal_accepted + 1
-      | _ ->
-          let cand = apply_move !st mv in
-          let e, sigma, feasible, sched = energy_of ~model g ~deadline cand in
-          (* the Metropolis uniform is drawn even for downhill moves:
-             RNG consumption must not depend on the energy comparison,
-             or an ulp-level tie evaluated differently by the delta
-             path would silently desynchronize the two walks *)
-          let u = Rng.float rng 1.0 in
-          let accept =
-            e <= !cur_energy || u < exp ((!cur_energy -. e) /. !temperature)
-          in
-          if accept then begin
-            probe.Probe.anneal_accepted <- probe.Probe.anneal_accepted + 1;
-            st := cand;
-            cur_energy := e;
-            if feasible && sigma < !best.Solution.sigma then
-              best := Solution.of_schedule ~model g sched
-          end
-          else probe.Probe.anneal_rejected <- probe.Probe.anneal_rejected + 1
-    done;
-    if ev_on then
-      emit_level events ~mode:"reference" ~level:!level
-        ~temperature:!temperature
-        ~evals:
-          (probe.Probe.anneal_accepted + probe.Probe.anneal_rejected - acc0
-         - rej0)
-        ~lvl_acc:(probe.Probe.anneal_accepted - lacc)
-        ~lvl_rej:(probe.Probe.anneal_rejected - lrej)
-        ~cur_energy:!cur_energy ~best_sigma:(!best).Solution.sigma;
-    incr level;
-    temperature := !temperature *. params.cooling
-  done;
-  emit_done events ~mode:"reference"
-    ~evals:
-      (probe.Probe.anneal_accepted + probe.Probe.anneal_rejected - acc0 - rej0)
-    ~best_sigma:(!best).Solution.sigma;
-  !best
-
-(* Delta mode: the same walk costed through the incremental evaluator —
-   O(1) per swap candidate, O(position) per repoint, no schedule or
-   profile allocation.  Only the best feasible states (a handful per
-   run) are materialized as schedules, through the full-model
+(* The walk runs on the incremental evaluator: O(1) per swap
+   candidate, O(position) per repoint, no schedule or profile
+   allocation.  Only the best feasible states (a handful per run) are
+   materialized as schedules, through the full-model
    [Solution.of_schedule], so the reported sigma always comes from the
-   oracle path. *)
-let run_delta ~params ~rng ~model ~events ~should_stop g ~deadline sol =
+   full path.  The seed's walk, which costs every candidate through a
+   fresh schedule and the full model, survives as the test oracle.  The
+   two draw one Metropolis uniform per evaluated candidate whether or
+   not the move is downhill, so the RNG stream position never depends
+   on how the energies were computed: the walks stay move-for-move
+   aligned even when the two paths disagree by an ulp at an exact tie
+   (routine on graphs with identical parallel tasks, where a swap
+   leaves sigma unchanged bit-for-bit on one path and one ulp off on
+   the other). *)
+let run ?(params = default_params) ?(events = Events.noop)
+    ?(should_stop = fun () -> false) ~rng ~model g ~deadline =
+  check_params params;
+  let sol = start_solution ~model g ~deadline in
   let n = Graph.num_tasks g and m = Graph.num_points g in
   let ev = Eval.make ~model g sol.Solution.schedule in
   let energy sigma finish =
@@ -238,7 +151,7 @@ let run_delta ~params ~rng ~model ~events ~should_stop g ~deadline sol =
           in
           let overrun = Float.max 0.0 (finish -. deadline) in
           let e = sigma +. (penalty_rate *. overrun) in
-          (* unconditional draw: see [run_reference] *)
+          (* unconditional draw: see [run] *)
           let u = Rng.float rng 1.0 in
           let accept =
             e <= !cur_energy || u < exp ((!cur_energy -. e) /. !temperature)
@@ -251,7 +164,7 @@ let run_delta ~params ~rng ~model ~events ~should_stop g ~deadline sol =
               (* confirm through the full path before adopting: the
                  delta sigma can sit an ulp below the full value, and
                  on graphs with identical tasks an exact tie must stay
-                 a tie (the reference walk keeps the earlier best) *)
+                 a tie (the full-evaluation walk keeps the earlier best) *)
               let sol = Solution.of_schedule ~model g (Eval.to_schedule ev) in
               if sol.Solution.sigma < !best.Solution.sigma then best := sol
             end
@@ -277,16 +190,6 @@ let run_delta ~params ~rng ~model ~events ~should_stop g ~deadline sol =
       (probe.Probe.anneal_accepted + probe.Probe.anneal_rejected - acc0 - rej0)
     ~best_sigma:(!best).Solution.sigma;
   !best
-
-let run ?(params = default_params) ?(eval = `Delta)
-    ?(events = Events.noop) ?(should_stop = fun () -> false) ~rng ~model g
-    ~deadline =
-  check_params params;
-  let sol = start_solution ~model g ~deadline in
-  match eval with
-  | `Delta -> run_delta ~params ~rng ~model ~events ~should_stop g ~deadline sol
-  | `Reference ->
-      run_reference ~params ~rng ~model ~events ~should_stop g ~deadline sol
 
 (* Population mode: [pop] delta-evaluated walkers advance through the
    same cooling ladder, stepped round-robin off one shared RNG (walker
@@ -348,7 +251,7 @@ let run_population ?(params = default_params) ?(pop = 8)
               | Move_repoint (i, j) -> Eval.try_repoint ev ~task:i ~col:j
             in
             let e = energy sigma finish in
-            (* unconditional draw: see [run_reference] *)
+            (* unconditional draw: see [run] *)
             let u = Rng.float rng 1.0 in
             let accept = e <= !ce || u < exp ((!ce -. e) /. !temperature) in
             if accept then begin

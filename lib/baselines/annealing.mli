@@ -27,11 +27,20 @@ val default_params : params
 (** T0 = 2000 mA*min, cooling 0.9, 60 steps per level, floor 1.0. *)
 
 val run :
-  ?params:params -> ?eval:[ `Delta | `Reference ] ->
-  ?events:Batsched_obs.Events.t -> ?should_stop:(unit -> bool) ->
-  rng:Batsched_numeric.Rng.t -> model:Model.t ->
-  Graph.t -> deadline:float -> Solution.t
+  ?params:params -> ?events:Batsched_obs.Events.t ->
+  ?should_stop:(unit -> bool) -> rng:Batsched_numeric.Rng.t ->
+  model:Model.t -> Graph.t -> deadline:float -> Solution.t
 (** Anneal from the Chowdhury starting point.
+
+    Candidates are costed on the incremental evaluator
+    ({!Batsched_sched.Eval}): O(1) per swap candidate instead of a full
+    schedule + sigma evaluation.  Repoints onto the current column are
+    booked as accepted without evaluation (counted in
+    [Probe.anneal_noops]), and the returned solution is always
+    re-materialized through the full model.  The walk draws the same
+    RNG stream as the seed's full-evaluation walk, so under the same
+    seed the two agree up to sigma round-off (see
+    {!Batsched_sched.Eval}).
 
     [should_stop] (default [fun () -> false]) is polled once per
     temperature level; when it turns true the walk stops and the best
@@ -45,18 +54,6 @@ val run :
     far), and one [anneal_done].  Emission reads only probe-counter
     deltas and never the RNG, so the walk is bit-identical with any
     stream.
-
-    [eval] selects the candidate-costing path: [`Delta] (default) runs
-    the walk on the incremental evaluator ({!Batsched_sched.Eval}) —
-    O(1) per swap candidate instead of a full schedule + sigma
-    evaluation; [`Reference] keeps the original full path, as oracle
-    and benchmark baseline.  Both modes draw the same RNG stream (the
-    neighbourhood control flow is shared), repoints onto the current
-    column are booked as accepted without evaluation (the original
-    always accepted them — counted in [Probe.anneal_noops]), and the
-    returned solution is always re-materialized through the full
-    model, so results agree with pre-delta runs under the same seed up
-    to sigma round-off (see {!Batsched_sched.Eval}).
     @raise No_feasible_state; @raise Invalid_argument on bad params. *)
 
 val run_population :
@@ -73,7 +70,7 @@ val run_population :
     bit-identical at any pool size) — which resynchronizes the
     walkers' running energies, tracks the population best (confirmed
     through the full model path), and reseeds the worst walker from
-    the best one's state, consuming no RNG draws.  [pop = 1] is {!run}
-    with [`Delta] up to the per-level best-tracking granularity.
+    the best one's state, consuming no RNG draws.  [pop = 1] is {!run} up
+    to the per-level best-tracking granularity.
     @raise No_feasible_state; @raise Invalid_argument on bad params or
     [pop < 1]. *)

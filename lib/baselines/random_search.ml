@@ -8,10 +8,10 @@ exception No_feasible_sample
 (* Convergence records mirror the annealing ones: emission reads the
    draw index and the best sigma, never the RNG, so an instrumented
    run draws exactly the same stream as a bare one. *)
-let emit_start events ~mode ~samples =
+let emit_start events ~samples =
   if Events.is_active events then
     Events.emit events "random_start"
-      [ ("mode", Events.S mode); ("samples", Events.I samples) ]
+      [ ("mode", Events.S "delta"); ("samples", Events.I samples) ]
 
 let emit_best events ~sample ~best_sigma =
   if Events.is_active events then
@@ -65,32 +65,15 @@ let random_feasible_assignment ~rng g ~deadline =
   | Some cols -> Some (Assignment.of_list g cols)
   | None -> None
 
-let run_reference ~samples ~rng ~model ~events g ~deadline =
-  emit_start events ~mode:"reference" ~samples;
-  let best = ref None in
-  for sample = 1 to samples do
-    match random_feasible_assignment ~rng g ~deadline with
-    | None -> ()
-    | Some assignment ->
-        let sequence = random_sequence ~rng g in
-        let sol =
-          Solution.of_schedule ~model g (Schedule.make g ~sequence ~assignment)
-        in
-        (match !best with
-        | Some b when b.Solution.sigma <= sol.Solution.sigma -> ()
-        | _ ->
-            best := Some sol;
-            emit_best events ~sample ~best_sigma:sol.Solution.sigma)
-  done;
-  match !best with Some s -> s | None -> raise No_feasible_sample
-
-(* Delta mode: same draws, but each sample is costed by re-seating one
-   reused evaluator — no per-sample schedule validation (the ready-list
-   sampler yields topological orders by construction, so [unsafe_make]
-   applies), profile allocation, or solution record.  Only the winner
-   is materialized, through the full model path. *)
-let run_delta ~samples ~rng ~model ~events g ~deadline =
-  emit_start events ~mode:"delta" ~samples;
+(* Each sample is costed by re-seating one reused evaluator: no
+   per-sample schedule validation (the ready-list sampler yields
+   topological orders by construction, so [unsafe_make] applies),
+   profile allocation, or solution record.  Only the winner is
+   materialized, through the full model path.  It draws exactly what
+   the seed's schedule-per-sample sampler drew; that sampler survives
+   as the test oracle. *)
+let run ?(samples = 200) ?(events = Events.noop) ~rng ~model g ~deadline =
+  emit_start events ~samples;
   let ev = ref None in
   let best = ref None in
   for sample = 1 to samples do
@@ -119,9 +102,3 @@ let run_delta ~samples ~rng ~model ~events g ~deadline =
   match !best with
   | Some (_, sched) -> Solution.of_schedule ~model g sched
   | None -> raise No_feasible_sample
-
-let run ?(samples = 200) ?(eval = `Delta) ?(events = Events.noop) ~rng ~model
-    g ~deadline =
-  match eval with
-  | `Delta -> run_delta ~samples ~rng ~model ~events g ~deadline
-  | `Reference -> run_reference ~samples ~rng ~model ~events g ~deadline

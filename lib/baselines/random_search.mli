@@ -14,8 +14,7 @@ val random_sequence : rng:Batsched_numeric.Rng.t -> Graph.t -> int list
     among ready tasks at each step). *)
 
 val run :
-  ?samples:int -> ?eval:[ `Delta | `Reference ] ->
-  ?events:Batsched_obs.Events.t ->
+  ?samples:int -> ?events:Batsched_obs.Events.t ->
   rng:Batsched_numeric.Rng.t -> model:Model.t -> Graph.t ->
   deadline:float -> Solution.t
 (** [run ~rng ~model g ~deadline] draws [samples] (default 200)
@@ -23,11 +22,10 @@ val run :
     repaired to feasibility by speeding random tasks up while over the
     deadline.
 
-    [eval] picks the per-sample costing path: [`Delta] (default)
-    re-seats one reused {!Batsched_sched.Eval} per sample and
-    materializes only the winner through the full model; [`Reference]
-    keeps the original schedule-per-sample path.  Both consume the
-    same RNG stream and agree up to sigma round-off.
+    Each sample is costed by re-seating one reused
+    {!Batsched_sched.Eval}; only the winner is materialized through the
+    full model.  The draws are those of the seed's schedule-per-sample
+    path, so under the same seed the two agree up to sigma round-off.
 
     [events] receives one [random_start] record plus a [sample] record
     per best-so-far improvement; emission never touches the RNG, so an

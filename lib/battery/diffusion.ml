@@ -35,8 +35,9 @@ let make_scratch n =
    du/dt = D u_xx with flux I at x = 0 and a sealed wall at x = 1.
 
    Each step solves (I - dt/2 A) u' = (I + dt/2 A) u + dt s with the
-   Thomas algorithm, in exactly the textbook operation order that
-   [Tridiag.solve_into] uses (the test suite pins the two bit for bit).
+   Thomas algorithm, in exactly the textbook operation order (the test
+   suite pins this step bit for bit against a textbook step built on
+   the general solver in its oracle library).
    The matrix depends only on dt, so its pivots and multipliers are
    computed once here, not per step.  Each step is then one fused pass:
    the explicit half is formed node by node inside the forward sweep,

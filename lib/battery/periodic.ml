@@ -26,10 +26,11 @@ type device = {
    detected by probing those ends against the history built so far. *)
 
 (* Reference path: materialize the growing full history and probe it
-   with the model's own [sigma].  O(cycles^2) interval work — kept
-   verbatim from the original implementation as the oracle the property
-   tests compare the fast kernels against, and as the fallback for
-   models exposing neither [decay] nor [stepper]. *)
+   with the model's own [sigma].  O(cycles^2) interval work, kept
+   verbatim from the original implementation as the fallback for models
+   exposing neither [decay] nor [stepper].  Stripping both fields from a
+   model routes it here, which is how the property tests reach it as
+   the oracle for the fast kernels. *)
 let reference_run ~max_cycles ~model ~alpha ~period cycle =
   let base =
     List.map
@@ -56,13 +57,6 @@ let reference_run ~max_cycles ~model ~alpha ~period cycle =
     end
   in
   go 0 []
-
-let cycles_to_death_reference ?(max_cycles = default_max_cycles) ~model ~alpha
-    ~period cycle =
-  check_inputs ~alpha ~period cycle;
-  match reference_run ~max_cycles ~model ~alpha ~period cycle with
-  | Dies 0, sg -> raise (Unsustainable sg)
-  | outcome, _ -> outcome
 
 module Batch = struct
   type result = { outcome : outcome; fatal_sigma : float }

@@ -15,9 +15,11 @@
     advanced in O(1) per cycle with no [exp] on the per-cycle path;
     stepper-only models (the diffusion PDE) carry one integration state
     across the whole mission instead of re-integrating the history per
-    probe.  The original quadratic full-history path is retained as
-    {!cycles_to_death_reference} — the oracle the property tests check
-    the fast kernels against.  See DESIGN.md §15 for the derivations. *)
+    probe.  Models exposing neither fall back to the original quadratic
+    path, which replays the full history and probes it with the model's
+    own [sigma]; the property tests check the fast kernels against it by
+    stripping [decay] and [stepper] from a model.  See DESIGN.md §15 for
+    the derivations. *)
 
 open Batsched_numeric
 
@@ -68,17 +70,6 @@ val cycles_to_death :
     @raise Unsustainable if the first cycle already kills the battery.
     @raise Invalid_argument on a non-positive period, a cycle longer
     than the period, or non-positive [alpha]. *)
-
-val cycles_to_death_reference :
-  ?max_cycles:int -> model:Model.t -> alpha:float -> period:float ->
-  Profile.t -> outcome
-(** The original quadratic-cost estimator: materializes the growing
-    full history and probes it with the model's own [sigma].  Same
-    contract as {!cycles_to_death}; for decay-channel models the two
-    agree up to float accumulation noise, for stepper-only models they
-    are bit-identical (the carried state replays exactly the reference
-    integration's arithmetic).  Kept as the property-test oracle and
-    for models exposing neither [decay] nor [stepper]. *)
 
 (** Population endurance: many devices advanced one cycle per sweep. *)
 module Batch : sig

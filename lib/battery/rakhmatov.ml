@@ -2,22 +2,6 @@ open Batsched_numeric
 
 let default_beta = 0.273
 
-(* Reference implementation: truncated profile copy, term-by-term
-   kernel.  Kept verbatim as the oracle the property tests compare the
-   fast path against. *)
-let sigma_reference ?(terms = Series.default_terms) ?(beta = default_beta) p
-    ~at =
-  if at < 0.0 then invalid_arg "Rakhmatov.sigma: negative time";
-  let clipped = Profile.truncate p ~at in
-  let contribution (iv : Profile.interval) =
-    let a = at -. iv.start -. iv.duration in
-    let b = at -. iv.start in
-    (* truncate guarantees a >= 0 up to float noise *)
-    let a = Float.max 0.0 a in
-    iv.current *. (iv.duration +. Series.kernel_direct ~terms ~beta a b)
-  in
-  Kahan.sum_list (List.map contribution (Profile.intervals clipped))
-
 (* Fast path: the truncation is evaluated lazily during the interval
    fold (no profile copy), the kernel comes from the memoized
    [Series.exp_sum_cached] tails, and whole per-interval contributions

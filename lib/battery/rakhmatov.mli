@@ -36,8 +36,8 @@ val sigma :
     Because the key carries no absolute time, candidate schedules of
     different total length share entries for every suffix-aligned
     interval; re-costing a candidate only pays for intervals whose
-    distance from the end moved.  Agrees with {!sigma_reference} to
-    well under 1e-9 (relative).
+    distance from the end moved.  Agrees with the seed's
+    truncate-and-sum evaluation to well under 1e-9 (relative).
     @raise Invalid_argument on negative [at]. *)
 
 val contribution :
@@ -49,12 +49,6 @@ val contribution :
     observation instant.  This is the term behind both {!sigma} and the
     model's {!Model.incremental} interface; exposed so the delta
     evaluator and the full path share one cache. *)
-
-val sigma_reference :
-  ?terms:int -> ?beta:float -> Profile.t -> at:float -> float
-(** The seed implementation, kept as the property-test oracle:
-    truncated profile copy, uncached term-by-term kernel.  Same
-    contract as {!sigma}. *)
 
 val batch : terms:int -> beta:float -> Model.batch
 (** Structure-of-arrays population kernel.  The suffix points of a

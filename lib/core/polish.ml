@@ -4,81 +4,25 @@ module Events = Batsched_obs.Events
 
 (* One convergence record per improvement round; reads only the
    round's outcome, never feeds back into the sweep. *)
-let emit_round events ~mode ~round ~cost ~improved =
+let emit_round events ~round ~cost ~improved =
   if Events.is_active events then
     Events.emit events "polish_round"
-      [ ("mode", Events.S mode); ("round", Events.I round);
+      [ ("mode", Events.S "delta"); ("round", Events.I round);
         ("cost", Events.F cost); ("improved", Events.B improved) ]
-
-let swap_at sequence k =
-  (* swap positions k and k+1; None if out of range *)
-  let arr = Array.of_list sequence in
-  if k < 0 || k + 1 >= Array.length arr then None
-  else begin
-    let tmp = arr.(k) in
-    arr.(k) <- arr.(k + 1);
-    arr.(k + 1) <- tmp;
-    Some (Array.to_list arr)
-  end
 
 let cost (cfg : Config.t) g sched =
   Schedule.battery_cost ~model:cfg.Config.model g sched
 
-(* Reference mode: the original pass, kept verbatim as the equivalence
-   oracle — every candidate swap pays an O(n+e) topological check, a
-   schedule construction and a full sigma evaluation. *)
-let two_swap_reference ~max_rounds (cfg : Config.t) g sched =
-  let n = Graph.num_tasks g in
-  let best = ref sched in
-  let best_cost = ref (cost cfg g sched) in
-  let continue = ref true in
-  let rounds = ref 0 in
-  while !continue && !rounds < max_rounds do
-    incr rounds;
-    continue := false;
-    (* adjacent transpositions on the sequence, assignment fixed *)
-    for k = 0 to n - 2 do
-      match swap_at !best.Schedule.sequence k with
-      | None -> ()
-      | Some sequence ->
-          if Analysis.is_topological g sequence then begin
-            let trial =
-              Schedule.make g ~sequence
-                ~assignment:!best.Schedule.assignment
-            in
-            let c = cost cfg g trial in
-            if c < !best_cost -. 1e-9 then begin
-              best := trial;
-              best_cost := c;
-              continue := true
-            end
-          end
-    done;
-    (* re-fit the design points to the improved sequence *)
-    if !continue then begin
-      let windows =
-        Window.evaluate cfg g ~sequence:!best.Schedule.sequence
-      in
-      let w = windows.Window.best in
-      if w.Window.sigma < !best_cost -. 1e-9 then begin
-        best :=
-          Schedule.make g ~sequence:!best.Schedule.sequence
-            ~assignment:w.Window.assignment;
-        best_cost := w.Window.sigma
-      end
-    end;
-    emit_round cfg.Config.events ~mode:"reference" ~round:!rounds
-      ~cost:!best_cost ~improved:!continue
-  done;
-  !best
-
-(* Delta mode: same first-improvement sweep on the incremental
-   evaluator — the precedence check is O(out-degree), a candidate swap
-   is O(1) model terms, and nothing is allocated until the final
-   schedule is materialized.  The window re-fit stays on the full path
-   (it costs whole assignments, not moves); its result re-seats the
-   evaluator. *)
-let two_swap_delta ~max_rounds (cfg : Config.t) g sched =
+(* A first-improvement sweep on the incremental evaluator: the
+   precedence check is O(out-degree), a candidate swap is O(1) model
+   terms, and nothing is allocated until the final schedule is
+   materialized.  The window re-fit stays on the full path (it costs
+   whole assignments, not moves); its result re-seats the evaluator.
+   The seed's pass, which builds and fully costs a schedule per
+   candidate, survives as the test oracle. *)
+let two_swap ?(max_rounds = 10) (cfg : Config.t) g sched =
+  if max_rounds < 1 then invalid_arg "Polish.two_swap: max_rounds < 1";
+  Batsched_obs.Sink.with_span cfg.Config.obs "polish" @@ fun () ->
   let n = Graph.num_tasks g in
   let ev = Eval.make ~model:cfg.Config.model g sched in
   let best_cost = ref (Eval.sigma ev) in
@@ -108,20 +52,13 @@ let two_swap_delta ~max_rounds (cfg : Config.t) g sched =
         best_cost := Eval.sigma ev
       end
     end;
-    emit_round cfg.Config.events ~mode:"delta" ~round:!rounds
+    emit_round cfg.Config.events ~round:!rounds
       ~cost:!best_cost ~improved:!continue
   done;
   Eval.to_schedule ev
 
-let two_swap ?(max_rounds = 10) ?(eval = `Delta) (cfg : Config.t) g sched =
-  if max_rounds < 1 then invalid_arg "Polish.two_swap: max_rounds < 1";
-  Batsched_obs.Sink.with_span cfg.Config.obs "polish" @@ fun () ->
-  match eval with
-  | `Delta -> two_swap_delta ~max_rounds cfg g sched
-  | `Reference -> two_swap_reference ~max_rounds cfg g sched
-
-let polish ?max_rounds ?eval (cfg : Config.t) g (result : Iterate.result) =
-  let sched = two_swap ?max_rounds ?eval cfg g result.Iterate.schedule in
+let polish ?max_rounds (cfg : Config.t) g (result : Iterate.result) =
+  let sched = two_swap ?max_rounds cfg g result.Iterate.schedule in
   let sigma = cost cfg g sched in
   if sigma < result.Iterate.sigma then
     { result with

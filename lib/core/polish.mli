@@ -17,22 +17,18 @@ open Batsched_taskgraph
 open Batsched_sched
 
 val two_swap :
-  ?max_rounds:int -> ?eval:[ `Delta | `Reference ] ->
-  Config.t -> Graph.t -> Schedule.t -> Schedule.t
+  ?max_rounds:int -> Config.t -> Graph.t -> Schedule.t -> Schedule.t
 (** [two_swap cfg g sched] with at most [max_rounds] (default 10)
     improvement rounds.
 
-    [eval] picks the per-candidate costing path: [`Delta] (default)
-    sweeps on the incremental evaluator ({!Batsched_sched.Eval}) —
-    O(1) per candidate swap; [`Reference] keeps the original full
-    path (topological check + schedule + full sigma per candidate) as
-    oracle and baseline.  Results agree up to sigma round-off; the
-    1e-9 improvement margin makes the accepted moves identical in
-    practice.
+    Candidate swaps are costed on the incremental evaluator
+    ({!Batsched_sched.Eval}): O(1) per candidate instead of the seed's
+    topological check + schedule + full sigma.  The two agree up to
+    sigma round-off, and the 1e-9 improvement margin makes the accepted
+    moves identical in practice.
     @raise Invalid_argument if [max_rounds < 1]. *)
 
 val polish :
-  ?max_rounds:int -> ?eval:[ `Delta | `Reference ] ->
-  Config.t -> Graph.t -> Iterate.result -> Iterate.result
+  ?max_rounds:int -> Config.t -> Graph.t -> Iterate.result -> Iterate.result
 (** Convenience: polish an {!Iterate} result, updating its schedule,
     sigma and finish when the local search improves them. *)

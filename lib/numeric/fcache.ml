@@ -3,8 +3,8 @@
 
    - Keys live in one flat [float array] ([capacity * arity] cells) so
      a probe reads adjacent unboxed floats; values in a second flat
-     array; per-slot generation stamps in a [Bytes.t].  Nothing is
-     allocated per lookup: hashing goes through
+     array; per-slot generation stamps in a [Bytes.t].  A lookup
+     allocates only the boxed float a hit returns: hashing goes through
      [Int64.to_int (Int64.bits_of_float x)], whose intermediate boxing
      the compiler eliminates, and misses are reported as [nan] instead
      of an [option].
@@ -142,33 +142,33 @@ let[@inline] live t stamp = stamp = t.current || stamp = t.previous
 let[@inline] fbits_equal a b =
   a = b && (a <> 0.0 || Int64.bits_of_float a = Int64.bits_of_float b)
 
-let[@inline] keys_match t slot =
-  let base = slot * t.arity in
-  let rec eq i =
-    i >= t.arity
-    || (fbits_equal (t.keys.(base + i) : float) t.scratch.(i) && eq (i + 1))
-  in
-  eq 0
+(* The lookup loops are top-level functions, not local closures:
+   without flambda a local recursive function that captures [t] is
+   allocated on every call. *)
+let rec keys_eq t base i =
+  i >= t.arity
+  || (fbits_equal (t.keys.(base + i) : float) t.scratch.(i)
+     && keys_eq t base (i + 1))
+
+let[@inline] keys_match t slot = keys_eq t (slot * t.arity) 0
 
 (* Find the scratch key: value on a live bit-exact match, nan else. *)
-let find_scratch t =
-  let h = hash t in
-  let rec probe i =
-    if i >= max_probe then Float.nan
-    else begin
-      let slot = (h + i) land t.mask in
-      let stamp = Char.code (Bytes.unsafe_get t.stamps slot) in
-      if stamp = 0 then Float.nan
-      else if live t stamp && keys_match t slot then begin
-        (* refresh: a hot key survives generation turnover *)
-        if stamp <> t.current then
-          Bytes.unsafe_set t.stamps slot (Char.unsafe_chr t.current);
-        t.values.(slot)
-      end
-      else probe (i + 1)
+let rec find_from t h i =
+  if i >= max_probe then Float.nan
+  else begin
+    let slot = (h + i) land t.mask in
+    let stamp = Char.code (Bytes.unsafe_get t.stamps slot) in
+    if stamp = 0 then Float.nan
+    else if live t stamp && keys_match t slot then begin
+      (* refresh: a hot key survives generation turnover *)
+      if stamp <> t.current then
+        Bytes.unsafe_set t.stamps slot (Char.unsafe_chr t.current);
+      t.values.(slot)
     end
-  in
-  probe 0
+    else find_from t h (i + 1)
+  end
+
+let find_scratch t = find_from t (hash t) 0
 
 let advance_generation t =
   t.previous <- t.current;

@@ -5,8 +5,9 @@
     [find_opt] option — plus a wholesale [Hashtbl.reset] cliff when the
     table filled.  An [Fcache] key is a fixed number of floats hashed on
     their [Int64.bits_of_float] words directly into a flat open-addressed
-    table: a lookup allocates nothing and touches at most {!max_probe}
-    adjacent slots.
+    table: a lookup touches at most {!max_probe} adjacent slots and
+    allocates only the boxed float a hit returns (2 words; a miss
+    allocates nothing).
 
     {2 Semantics}
 

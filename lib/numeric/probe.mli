@@ -8,16 +8,17 @@
 
     {2 Merging and determinism}
 
-    Worker domains are short-lived ({!Pool} spawns them per region), so
-    each worker {!drain_local}s its record into a global accumulator
-    just before it exits.  Integer addition commutes: the merged totals
-    are independent of worker scheduling and join order.  The pure work
-    counters ([sigma_evals], [dpf_steps], [window_evals], ...) and the
-    top-level contribution {e lookup} count (hits + misses) are
-    invariant across pool sizes; the hit/miss splits vary with cache
-    warmth and worker placement because the memo tables are per-domain,
-    and the F-memo counts vary entirely (the Series kernel only runs on
-    a contribution-cache miss).
+    {!Pool}'s helper domains are persistent, so every domain that takes
+    part in a parallel region or runs a job {!drain_local}s its record
+    into a global accumulator when its share ends.  Integer addition
+    commutes: the merged totals are independent of worker scheduling
+    and join order.  The pure work counters ([sigma_evals],
+    [dpf_steps], [window_evals], ...) and the top-level contribution
+    {e lookup} count (hits + misses) are invariant across pool sizes;
+    the hit/miss splits vary with cache warmth and worker placement
+    because the memo tables are per-domain, and the F-memo counts vary
+    entirely (the Series kernel only runs on a contribution-cache
+    miss).
 
     Counters are process-global, not per-run: call {!reset} before a
     run you want to attribute counts to.  [Batsched_obs.Report] renders
@@ -72,8 +73,8 @@ val clear : t -> unit
 
 val drain_local : unit -> unit
 (** Merge the calling domain's accumulator into the global totals and
-    zero it.  Called by [Pool] workers before they exit; harmless to
-    call at any other time. *)
+    zero it.  Called by [Pool] workers after each region share or job;
+    harmless to call at any other time. *)
 
 val totals : unit -> t
 (** Global totals: everything drained so far plus the calling domain's

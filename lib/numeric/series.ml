@@ -29,18 +29,6 @@ let exp_sum ?(terms = default_terms) ~beta t =
   in
   2.0 *. Kahan.sum_fn terms term
 
-let kernel_direct ?(terms = default_terms) ~beta a b =
-  check_beta beta;
-  check_terms terms;
-  if a < 0.0 || b < a then invalid_arg "Series.kernel: need 0 <= a <= b";
-  let b2 = beta *. beta in
-  let term i =
-    let m = float_of_int (i + 1) in
-    let m2 = m *. m in
-    (exp (-.b2 *. m2 *. a) -. exp (-.b2 *. m2 *. b)) /. (b2 *. m2)
-  in
-  2.0 *. Kahan.sum_fn terms term
-
 (* Memoized one-sided tails.  [kernel ~beta a b] telescopes as
    [F(a) - F(b)] over [F = exp_sum], so one memo table over F values
    shares endpoint evaluations: back-to-back profile intervals reuse

@@ -21,12 +21,10 @@
     The two-sided kernel telescopes as [F(a, b) = F(a) - F(b)] over the
     one-sided tail {!exp_sum}, so {!kernel} is served from a memoized,
     domain-local {!Fcache} of tail values keyed on [(beta, terms, t)]
-    (raw float words, no per-lookup allocation, generational eviction):
+    (raw float words, no key allocation per lookup, generational eviction):
     adjacent intervals of a back-to-back profile share their boundary
     evaluations, and repeated sigma evaluations over the same candidate
-    schedules hit the table outright.  {!kernel_direct} bypasses the
-    cache and sums the differences term by term — it is the reference
-    the property tests compare against.
+    schedules hit the table outright.
 
     {2 Negative-time noise}
 
@@ -56,15 +54,9 @@ val exp_sum_cached : ?terms:int -> beta:float -> float -> float
 val kernel : ?terms:int -> beta:float -> float -> float -> float
 (** [kernel ~beta a b] is [F(beta, a, b)] above, computed as the
     difference of two memoized {!exp_sum_cached} tails and clamped at
-    [0].  Requires [0 <= a <= b].  Agrees with {!kernel_direct} to a
-    few ulps (well within 1e-9).
+    [0].  Requires [0 <= a <= b].  Agrees with the term-by-term sum of
+    the differences to a few ulps (well within 1e-9).
     @raise Invalid_argument if the ordering constraint is violated. *)
-
-val kernel_direct : ?terms:int -> beta:float -> float -> float -> float
-(** The uncached reference: sums [(exp(-b2 m2 a) - exp(-b2 m2 b))
-    / (b2 m2)] term by term with compensated summation, two [exp]
-    calls per term, no memoization.
-    @raise Invalid_argument as {!kernel}. *)
 
 val kernel_limit : beta:float -> float
 (** [kernel_limit ~beta] is [lim_{b -> infinity} F(beta, 0, b)

@@ -4,8 +4,9 @@
     form (complete ["X"] events plus thread-name metadata), which
     [chrome://tracing] and {{:https://ui.perfetto.dev}Perfetto} load
     directly.  One track ([tid]) per pool worker slot: [tid 0] is the
-    main domain, [tid w] the worker that took stride [w] of a parallel
-    region.  Timestamps are microseconds from the sink's creation. *)
+    calling domain, [tid w] the pool's helper in slot [w], which claims
+    chunks of a parallel region or runs jobs.  Timestamps are
+    microseconds from the sink's creation. *)
 
 val to_string : Sink.t -> string
 (** The complete JSON document.  A {!Sink.noop} sink yields a valid

@@ -1,10 +1,10 @@
 (** Tridiagonal linear systems (Thomas algorithm).
 
-    The general solver.  The Crank–Nicolson diffusion stepper
-    ([Batsched_battery.Diffusion]) does not call it: it factors its
-    constant matrix once per span and fuses each step into one pass.
-    This module is the reference that fused step is tested against,
-    bit for bit. *)
+    The general solver, kept as a test reference.  The Crank–Nicolson
+    diffusion stepper ([Batsched_battery.Diffusion]) does not call it:
+    it factors its constant matrix once per span and fuses each step
+    into one pass.  The textbook step the tests build on {!solve_into}
+    must match that fused step bit for bit. *)
 
 val solve :
   lower:float array -> diag:float array -> upper:float array ->
@@ -25,7 +25,5 @@ val solve_into :
     scratch ([cw] length >= [max 1 (n-1)], [dw] length >= [n]) and the
     solution is written to [out] (length >= [n]).  [out] may not alias
     the inputs.  Identical operation order to {!solve} — the two return
-    bit-identical solutions.  The diffusion test suite builds the
-    textbook Crank–Nicolson step on this function and requires the
-    fused stepper to match it bit for bit.
+    bit-identical solutions.
     @raise Invalid_argument as {!solve}, or on short scratch. *)

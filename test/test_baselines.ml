@@ -178,12 +178,13 @@ let test_annealing_infeasible_raises () =
 
 (* --- Annealing / random search: delta vs reference evaluation ---
 
-   Both modes share the move-draw control flow, so a fixed seed drives
-   the identical walk; the solutions must agree exactly (both are
-   re-materialized through the full model, so equal schedules give
-   bit-equal sigmas). *)
+   The shipped searchers and their full-evaluation oracles share the
+   move-draw control flow, so a fixed seed drives the identical walk;
+   the solutions must agree exactly (both are re-materialized through
+   the full model, so equal schedules give bit-equal sigmas). *)
 
 module Probe = Batsched_numeric.Probe
+module Oracles = Batsched_oracles
 
 let solutions_agree name (a : Solution.t) (b : Solution.t) =
   Alcotest.(check (list int))
@@ -198,14 +199,11 @@ let solutions_agree name (a : Solution.t) (b : Solution.t) =
 
 let test_annealing_delta_matches_reference () =
   let check name g ~deadline seed =
-    let run eval =
-      Annealing.run ~eval
-        ~rng:(Batsched_numeric.Rng.create seed)
-        ~model g ~deadline
-    in
+    let rng () = Batsched_numeric.Rng.create seed in
     solutions_agree
       (Printf.sprintf "%s seed %d" name seed)
-      (run `Delta) (run `Reference)
+      (Annealing.run ~rng:(rng ()) ~model g ~deadline)
+      (Oracles.Annealing.run ~rng:(rng ()) ~model g ~deadline)
   in
   let g = diamond () in
   List.iter (fun seed -> check "diamond" g ~deadline:20.0 seed) [ 7; 99; 2024 ];
@@ -230,12 +228,10 @@ let test_annealing_noop_skip () =
         t 2 [ (500.0, 1.5) ] ]
   in
   let c0 = (Probe.totals ()).Probe.anneal_noops in
-  let run eval =
-    Annealing.run ~eval
-      ~rng:(Batsched_numeric.Rng.create 7)
-      ~model g ~deadline:10.0
-  in
-  solutions_agree "mono" (run `Delta) (run `Reference);
+  let rng () = Batsched_numeric.Rng.create 7 in
+  solutions_agree "mono"
+    (Annealing.run ~rng:(rng ()) ~model g ~deadline:10.0)
+    (Oracles.Annealing.run ~rng:(rng ()) ~model g ~deadline:10.0);
   Alcotest.(check bool) "noop repoints skipped and counted" true
     ((Probe.totals ()).Probe.anneal_noops - c0 > 0)
 
@@ -261,14 +257,11 @@ let test_annealing_delta_matches_reference_other_models () =
   List.iter
     (fun (mname, model) ->
       let check name g ~deadline seed =
-        let run eval =
-          Annealing.run ~eval
-            ~rng:(Batsched_numeric.Rng.create seed)
-            ~model g ~deadline
-        in
+        let rng () = Batsched_numeric.Rng.create seed in
         solutions_agree
           (Printf.sprintf "%s %s seed %d" mname name seed)
-          (run `Delta) (run `Reference)
+          (Annealing.run ~rng:(rng ()) ~model g ~deadline)
+          (Oracles.Annealing.run ~rng:(rng ()) ~model g ~deadline)
       in
       let g = diamond () in
       List.iter
@@ -320,20 +313,15 @@ let test_population_validation () =
            ~model (diamond ()) ~deadline:20.0))
 
 let test_random_search_delta_matches_reference () =
-  let g = diamond () in
-  let run eval =
-    Random_search.run ~samples:100 ~eval
-      ~rng:(Batsched_numeric.Rng.create 5)
-      ~model g ~deadline:20.0
+  let check name ~samples ~seed g ~deadline =
+    let rng () = Batsched_numeric.Rng.create seed in
+    solutions_agree name
+      (Random_search.run ~samples ~rng:(rng ()) ~model g ~deadline)
+      (Oracles.Random_search.run ~samples ~rng:(rng ()) ~model g ~deadline)
   in
-  solutions_agree "diamond" (run `Delta) (run `Reference);
-  let run2 eval =
-    Random_search.run ~samples:60 ~eval
-      ~rng:(Batsched_numeric.Rng.create 8)
-      ~model Instances.g2
-      ~deadline:(List.hd Instances.g2_deadlines)
-  in
-  solutions_agree "g2" (run2 `Delta) (run2 `Reference)
+  check "diamond" ~samples:100 ~seed:5 (diamond ()) ~deadline:20.0;
+  check "g2" ~samples:60 ~seed:8 Instances.g2
+    ~deadline:(List.hd Instances.g2_deadlines)
 
 (* --- Exhaustive --- *)
 

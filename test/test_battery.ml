@@ -2,6 +2,7 @@
    lifetime estimation and the demonstration curves. *)
 
 open Batsched_battery
+module Oracles = Batsched_oracles
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close eps = Alcotest.(check (float eps))
@@ -686,7 +687,7 @@ let prop_sigma_matches_reference =
       List.for_all
         (fun at ->
           let fast = Rakhmatov.sigma p ~at in
-          let slow = Rakhmatov.sigma_reference p ~at in
+          let slow = Oracles.Rakhmatov.sigma_reference p ~at in
           Float.abs (fast -. slow) <= 1e-9 *. (1.0 +. Float.abs slow))
         ats)
 
@@ -699,8 +700,59 @@ let prop_sigma_matches_reference_with_gaps =
       let p = Profile.sequential loads in
       let q = Profile.with_idle p ~after:(frac *. Profile.length p) ~idle in
       let at = Profile.length q in
-      Float.abs (Rakhmatov.sigma q ~at -. Rakhmatov.sigma_reference q ~at)
-      <= 1e-9 *. (1.0 +. Rakhmatov.sigma_reference q ~at))
+      Float.abs (Rakhmatov.sigma q ~at -. Oracles.Rakhmatov.sigma_reference q ~at)
+      <= 1e-9 *. (1.0 +. Oracles.Rakhmatov.sigma_reference q ~at))
+
+(* --- Metamorphic: sigma is linear in the currents (DESIGN.md §6) --- *)
+
+let sigma_doubled model loads =
+  let double = List.map (fun (c, d) -> (2.0 *. c, d)) loads in
+  ( Model.sigma_end model (Profile.sequential loads),
+    Model.sigma_end model (Profile.sequential double) )
+
+(* Ideal and RV form sigma from currents by sums and products with
+   current-independent factors only, and doubling commutes with
+   rounding: exact. *)
+let prop_sigma_linear_exact name model =
+  QCheck.Test.make ~count:300
+    ~name:(Printf.sprintf "%s: doubling currents doubles sigma bit for bit" name)
+    gen_loads
+    (fun loads ->
+      let s, s2 = sigma_doubled model loads in
+      Int64.equal (Int64.bits_of_float s2) (Int64.bits_of_float (2.0 *. s)))
+
+(* KiBaM and the PDE subtract a state that starts at alpha, so every
+   step rounds quantities of size alpha: allow 8 eps * alpha per step
+   ([steps loads] counts KiBaM intervals or Crank–Nicolson steps). *)
+let prop_sigma_linear_within ?(count = 300) name model ~alpha ~steps =
+  QCheck.Test.make ~count
+    ~name:
+      (Printf.sprintf "%s: doubling currents doubles sigma within ulps of alpha"
+         name)
+    gen_loads
+    (fun loads ->
+      let s, s2 = sigma_doubled model loads in
+      Float.abs (s2 -. (2.0 *. s))
+      <= 8.0 *. float_of_int (steps loads) *. epsilon_float *. alpha)
+
+let prop_sigma_linear_ideal = prop_sigma_linear_exact "ideal" Ideal.model
+
+let prop_sigma_linear_rakhmatov =
+  prop_sigma_linear_exact "rakhmatov" (Rakhmatov.model ())
+
+let prop_sigma_linear_kibam =
+  prop_sigma_linear_within "kibam" (Kibam.model ())
+    ~alpha:Kibam.default_params.Kibam.capacity
+    ~steps:(fun loads -> List.length loads + 1)
+
+let prop_sigma_linear_diffusion =
+  let p = Diffusion.default_params in
+  prop_sigma_linear_within ~count:100 "diffusion" (Diffusion.model ())
+    ~alpha:p.Diffusion.alpha
+    ~steps:(fun loads ->
+      List.fold_left
+        (fun acc (_, d) -> acc + Stdlib.max 1 (int_of_float (Float.ceil (d /. p.Diffusion.dt))))
+        0 loads)
 
 (* --- Diffusion stepper vs the textbook Crank–Nicolson step --- *)
 
@@ -740,7 +792,7 @@ let textbook_advance ~dt_max ~dee ~dx ~current u span =
       Array.fill upper 0 (n - 1) (-.half *. r);
       upper.(0) <- -.dt *. r;
       lower.(n - 2) <- -.dt *. r;
-      Batsched_numeric.Tridiag.solve_into ~lower ~diag ~upper ~rhs:v ~cw ~dw
+      Oracles.Tridiag.solve_into ~lower ~diag ~upper ~rhs:v ~cw ~dw
         ~out;
       Array.blit out 0 u 0 n
     done
@@ -848,12 +900,12 @@ let prop_periodic_matches_oracle ?(count = 40) ?(max_cycles = 25) name model =
           cycle
       in
       let lo =
-        endured Periodic.cycles_to_death_reference ~max_cycles ~model
+        endured Oracles.Periodic.cycles_to_death_reference ~max_cycles ~model
           ~alpha:(alpha *. (1.0 -. 1e-6))
           ~period cycle
       in
       let hi =
-        endured Periodic.cycles_to_death_reference ~max_cycles ~model
+        endured Oracles.Periodic.cycles_to_death_reference ~max_cycles ~model
           ~alpha:(alpha *. (1.0 +. 1e-6))
           ~period cycle
       in
@@ -889,7 +941,7 @@ let prop_periodic_oracle_diffusion_exact =
         | exception Periodic.Unsustainable s -> (0, s)
       in
       let fast, fs = run Periodic.cycles_to_death in
-      let slow, ss = run Periodic.cycles_to_death_reference in
+      let slow, ss = run Oracles.Periodic.cycles_to_death_reference in
       fast = slow
       && Int64.equal (Int64.bits_of_float fs) (Int64.bits_of_float ss))
 
@@ -897,10 +949,10 @@ let test_sigma_reference_single_interval () =
   let p = Profile.constant ~current:500.0 ~duration:10.0 in
   (* a = 0 edge: observation instant coincides with the interval end *)
   check_float "at end"
-    (Rakhmatov.sigma_reference p ~at:10.0)
+    (Oracles.Rakhmatov.sigma_reference p ~at:10.0)
     (Rakhmatov.sigma p ~at:10.0);
   check_float "mid-interval clip"
-    (Rakhmatov.sigma_reference p ~at:4.0)
+    (Oracles.Rakhmatov.sigma_reference p ~at:4.0)
     (Rakhmatov.sigma p ~at:4.0);
   check_float "empty prefix" 0.0 (Rakhmatov.sigma p ~at:0.0)
 
@@ -1425,7 +1477,11 @@ let qcheck_tests =
       prop_periodic_oracle_rakhmatov;
       prop_periodic_oracle_kibam;
       prop_periodic_oracle_diffusion_exact;
-      prop_diffusion_stepper_matches_textbook ]
+      prop_diffusion_stepper_matches_textbook;
+      prop_sigma_linear_ideal;
+      prop_sigma_linear_rakhmatov;
+      prop_sigma_linear_kibam;
+      prop_sigma_linear_diffusion ]
 
 let () =
   Alcotest.run "battery"

@@ -479,8 +479,8 @@ let test_polish_delta_matches_reference () =
         (fun (g, deadline) ->
           let cfg = Batsched.Config.make ?pool ~deadline () in
           let r = Batsched.Iterate.run cfg g in
-          let run eval = Batsched.Polish.polish ~eval cfg g r in
-          let a = run `Delta and b = run `Reference in
+          let a = Batsched.Polish.polish cfg g r
+          and b = Batsched_oracles.Polish.polish cfg g r in
           Alcotest.(check (list int)) "sequence"
             b.Batsched.Iterate.schedule.Schedule.sequence
             a.Batsched.Iterate.schedule.Schedule.sequence;
@@ -836,6 +836,53 @@ let test_iterate_allocation () =
     (Printf.sprintf "%.0f minor words <= 800k" w)
     true (w <= 800_000.0)
 
+(* Metamorphic, no oracle: under RV, doubling every current doubles
+   every sigma bit for bit and leaves every ratio, order and time the
+   search compares unchanged (argument in DESIGN.md §6), so the run
+   returns the same schedule at exactly twice the sigma. *)
+let test_iterate_doubled_currents () =
+  let double g =
+    Graph.map_tasks
+      (fun (t : Task.t) ->
+        Task.make ~id:t.Task.id ~name:t.Task.name
+          (List.map
+             (fun (p : Task.design_point) ->
+               { p with Task.current = 2.0 *. p.Task.current })
+             (Array.to_list t.Task.points)))
+      g
+  in
+  let check label g ~deadline =
+    let cfg = Batsched.Config.make ~deadline () in
+    let a = Batsched.Iterate.run cfg g
+    and b = Batsched.Iterate.run cfg (double g) in
+    Alcotest.(check (list int)) (label ^ " sequence")
+      a.Batsched.Iterate.schedule.Schedule.sequence
+      b.Batsched.Iterate.schedule.Schedule.sequence;
+    Alcotest.(check (list int)) (label ^ " assignment")
+      (Assignment.to_list a.Batsched.Iterate.schedule.Schedule.assignment)
+      (Assignment.to_list b.Batsched.Iterate.schedule.Schedule.assignment);
+    Alcotest.(check bool) (label ^ " sigma exactly doubled") true
+      (Int64.equal
+         (Int64.bits_of_float b.Batsched.Iterate.sigma)
+         (Int64.bits_of_float (2.0 *. a.Batsched.Iterate.sigma)))
+  in
+  List.iter
+    (fun deadline -> check (Printf.sprintf "g2/%g" deadline) Instances.g2 ~deadline)
+    Instances.g2_deadlines;
+  check "g3/230" Instances.g3 ~deadline:230.0;
+  for seed = 1 to 40 do
+    let g =
+      Generators.fork_join ~rng:(Batsched_numeric.Rng.create seed)
+        ~spec:Generators.default_spec ~widths:[ 15; 15; 15; 14 ]
+    in
+    List.iter
+      (fun slack ->
+        check
+          (Printf.sprintf "n64 seed %d slack %g" seed slack)
+          g ~deadline:(Generators.feasible_deadline g ~slack))
+      [ 0.3; 0.6 ]
+  done
+
 (* --- parallel paths vs the sequential reference --- *)
 
 let parallel_pool = Batsched_numeric.Pool.create 4
@@ -949,7 +996,8 @@ let () =
           Alcotest.test_case "single task" `Quick test_iterate_single_task_graph;
           Alcotest.test_case "max iterations" `Quick test_iterate_respects_max_iterations;
           Alcotest.test_case "ideal model minimal charge" `Quick test_iterate_ideal_model_prefers_low_energy;
-          Alcotest.test_case "allocation guard" `Quick test_iterate_allocation ] );
+          Alcotest.test_case "allocation guard" `Quick test_iterate_allocation;
+          Alcotest.test_case "doubled currents" `Quick test_iterate_doubled_currents ] );
       ( "regression",
         [ Alcotest.test_case "published points pinned" `Quick test_published_points_pinned;
           Alcotest.test_case "incremental matches reference on instances" `Quick

@@ -188,6 +188,34 @@ let test_fcache_round_keys_disperse () =
        (fun k ->
          Fcache.find5 t5 0.273 10.0 (current k) (duration k) (tail k)))
 
+(* A lookup allocates at most the boxed float it returns: 2 words on a
+   hit, nothing on a miss.  The probe loop and the key comparison are
+   top-level functions, so no closure is built per call (without
+   flambda a local recursive closure costs 5 words each). *)
+let test_fcache_lookup_allocation () =
+  let n = 100_000 in
+  let words_per_call f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let t3 = Fcache.create ~arity:3 () and t5 = Fcache.create ~arity:5 () in
+  Fcache.add3 t3 0.273 10.0 4.5 ~value:1.25;
+  Fcache.add5 t5 0.273 10.0 800.0 2.0 3.5 ~value:2.5;
+  let check name bound f =
+    ignore (words_per_call f);
+    let w = words_per_call f in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.3f words per call <= %g" name w bound)
+      true (w <= bound +. 0.01)
+  in
+  check "find3 hit" 2.0 (fun () -> Fcache.find3 t3 0.273 10.0 4.5);
+  check "find5 hit" 2.0 (fun () -> Fcache.find5 t5 0.273 10.0 800.0 2.0 3.5);
+  check "find3 miss" 0.0 (fun () -> Fcache.find3 t3 0.273 10.0 9.5);
+  check "find5 miss" 0.0 (fun () -> Fcache.find5 t5 0.273 10.0 800.0 2.0 9.5)
+
 let test_fcache_grows_to_cap () =
   let t = Fcache.create ~arity:3 () in
   let cap = 65536 in
@@ -385,7 +413,9 @@ let test_ticks_negative () =
     (Invalid_argument "Ticks.of_minutes: negative or non-finite") (fun () ->
       ignore (Ticks.of_minutes (-1.0)))
 
-(* --- Tridiag --- *)
+(* --- Tridiag (the test-only general solver) --- *)
+
+module Tridiag = Batsched_oracles.Tridiag
 
 let test_tridiag_identity () =
   let x =
@@ -681,7 +711,7 @@ let prop_kernel_matches_direct =
       let a = Float.abs a and d = Float.abs d in
       let beta = 0.05 +. Float.abs beta_off in
       let cached = Series.kernel ~beta a (a +. d) in
-      let direct = Series.kernel_direct ~beta a (a +. d) in
+      let direct = Batsched_oracles.Series.kernel_direct ~beta a (a +. d) in
       Float.abs (cached -. direct) <= 1e-9)
 
 let prop_kernel_zero_a_matches_direct =
@@ -690,7 +720,7 @@ let prop_kernel_zero_a_matches_direct =
     (fun b ->
       let b = Float.abs b in
       Float.abs (Series.kernel ~beta:0.273 0.0 b
-                 -. Series.kernel_direct ~beta:0.273 0.0 b)
+                 -. Batsched_oracles.Series.kernel_direct ~beta:0.273 0.0 b)
       <= 1e-9)
 
 let prop_exp_sum_cached_bit_identical =
@@ -831,7 +861,9 @@ let () =
           Alcotest.test_case "eviction bounded" `Quick test_fcache_eviction_bounded;
           Alcotest.test_case "round keys disperse" `Quick
             test_fcache_round_keys_disperse;
-          Alcotest.test_case "grows to its cap" `Quick test_fcache_grows_to_cap ] );
+          Alcotest.test_case "grows to its cap" `Quick test_fcache_grows_to_cap;
+          Alcotest.test_case "lookup allocation" `Quick
+            test_fcache_lookup_allocation ] );
       ( "rootfind",
         [ Alcotest.test_case "bisect linear" `Quick test_bisect_linear;
           Alcotest.test_case "brent polynomial" `Quick test_brent_polynomial;
