@@ -16,29 +16,31 @@ let eps = 1e-9
    energy order (a sort), the energy bounds and the current range — and
    rebuilt list/assignment copies — inside every one of those calls;
    here each is computed once per [choose_design_points] and every
-   design-point lookup is a flat array read.
+   design-point lookup is a read of a flat [n * m] table.
 
    On top of the hoisted tables sits the *incremental* trial path (see
-   [begin_pos]/[trial] below and DESIGN.md §9): per tagged position the
-   serial-time / energy totals and the current-increase count are
-   maintained as O(1) deltas between consecutive column trials, and the
-   scratch column array is patched and un-patched instead of re-blitted
-   per trial; only the first trial at a position applies its upgrade
-   steps in bulk and recounts the increases.
+   [enter]/[trial]/[advance] below and DESIGN.md §9): one hypothetical
+   completion is carried across every tagged position of a call.  Each
+   column change patches the serial time, the energy and the
+   current-increase count in O(1), and each trial only moves the
+   upgrade boundary as far as the deadline demands.
    [calculate_dpf_reference_ctx] keeps the seed's per-trial O(n)
-   rescans as the oracle the property tests (and the
-   [choose-n64] bench pair) compare against. *)
+   rescans as the oracle the property tests (and the [choose-n64] bench
+   pair) compare against. *)
 type ctx = {
   n : int;
   m : int;
   deadline : float;
   window_start : int;
+  span : int;                 (* m - 1 - window_start: steps per free task *)
   seq : int array;
   pos_of : int array;         (* task -> position in [seq] *)
-  dur : float array array;    (* dur.(task).(col), from [Task.point] *)
-  cur : float array array;
-  energy : float array array; (* current *. voltage *. duration *)
-  energy_order : int array;   (* increasing average energy, ties by id *)
+  dur : float array;          (* dur.(task * m + col), from [Task.point] *)
+  cur : float array;
+  energy : float array;       (* current *. voltage *. duration *)
+  energy_order : int array;   (* rank -> task: increasing average energy,
+                                 ties by id *)
+  rank_of : int array;        (* task -> rank *)
   emin : float;
   emax : float;
   imin : float;
@@ -49,100 +51,159 @@ type ctx = {
      and generated instance satisfies it; when violated the choose
      loop falls back to the reference trial path. *)
   mono_dur : bool;
-  (* scratch reused across the thousands of CalculateDPF calls *)
-  scratch_cols : int array;
-  fixed_e : bool array;
-  (* --- incremental per-position state (valid between [begin_pos] and
-     the next [begin_pos]; one position in flight at a time) --- *)
-  step_task : int array;      (* task upgraded at step s, s < nsteps *)
-  cum_dt : float array;       (* cum_dt.(k): duration delta of steps < k *)
-  cum_de : float array;       (* cum_de.(k): energy delta of steps < k *)
-  acc : float array;          (* 2-cell compensated accumulator *)
-  acc2 : float array;         (* second accumulator (paired sums) *)
-  mutable nsteps : int;
-  mutable applied : int;      (* steps currently applied to scratch_cols *)
-  mutable entered : bool;     (* a trial has run since [begin_pos] *)
-  mutable inc_count : int;    (* live current-increase count of scratch *)
-  mutable base_te : float;    (* serial time, all tasks but the tagged *)
-  mutable base_energy : float;(* energy total, all tasks but the tagged *)
+  cols : int array;           (* the evaluated state, one column per task *)
+  fixed_e : bool array;       (* reference-trial scratch *)
+  res : float array;          (* [| enr; cif; dpf |] of the last evaluation *)
+  (* --- carried hypothetical state (incremental path) ---
+     Free tasks sit in a doubly linked list in energy order: node r + 1
+     holds rank r, node 0 and node n + 1 are the sentinels, and node
+     order is rank order.  Free tasks before the boundary node are at
+     the window edge, those after it at the lowest-power column, and the
+     boundary task has [part] of its [span] steps applied. *)
+  sums : float array;         (* Neumaier pairs: serial time (0, 1) and
+                                 energy (2, 3) of [cols] *)
+  trial_sum : float array;    (* scratch pair for a tentative time *)
+  next : int array;
+  prev : int array;
+  mutable bnd : int;          (* boundary node; n + 1 once every free
+                                 task is at the edge *)
+  mutable part : int;
+  mutable applied : int;      (* upgrade steps applied: the DPF numerator *)
+  mutable inc_count : int;    (* current increases along [seq] in [cols] *)
+  mutable entered : bool;     (* a trial has run at this tagged position *)
   mutable tagged_pos : int;
   mutable tagged_task : int;
 }
 
-(* Compensated (Neumaier) accumulation into a 2-cell float array —
-   [acc.(0)] running total, [acc.(1)] compensation.  Unlike folding
-   [Kahan.add] this allocates nothing: the cells live in a preallocated
-   unboxed float array and the compiler keeps the arithmetic in
-   registers. *)
-let[@inline] kacc_clear acc =
-  acc.(0) <- 0.0;
-  acc.(1) <- 0.0
-
-let[@inline] kacc_add acc x =
-  let total = acc.(0) in
+(* Neumaier's compensated sum over the pair of cells [s.(i)] (running
+   total) and [s.(i + 1)] (compensation): the formula of [Kahan.add],
+   kept in a preallocated unboxed float array so that it allocates
+   nothing and the arithmetic stays in registers. *)
+let[@inline] kadd s i x =
+  let total = s.(i) in
   let t = total +. x in
-  acc.(1) <-
-    acc.(1)
+  s.(i + 1) <-
+    s.(i + 1)
     +.
     (if Float.abs total >= Float.abs x then (total -. t) +. x
      else (x -. t) +. total);
-  acc.(0) <- t
+  s.(i) <- t
 
-let[@inline] kacc_sum acc = acc.(0) +. acc.(1)
+let[@inline] ksum s i = s.(i) +. s.(i + 1)
+
+(* Replace the term [old_v] of the running sum at [i] by [new_v].  An
+   unchanged term leaves the pair untouched, so two columns whose terms
+   tie exactly still tie exactly after the patch. *)
+let[@inline] kswap s i (old_v : float) new_v =
+  if old_v <> new_v then begin
+    kadd s i (-.old_v);
+    kadd s i new_v
+  end
+
+(* [Kahan.sum_fn len (fun k -> a.(first + k * stride))], bit for bit,
+   over the pair [s.(0)], [s.(1)]. *)
+let kahan_strided s a ~first ~stride ~len =
+  s.(0) <- 0.0;
+  s.(1) <- 0.0;
+  for k = 0 to len - 1 do
+    kadd s 0 a.(first + (k * stride))
+  done;
+  ksum s 0
 
 let make_ctx (cfg : Config.t) g ~seq ~window_start =
   let n = Graph.num_tasks g in
   let m = Graph.num_points g in
-  let point i j = Task.point (Graph.task g i) j in
-  let table f = Array.init n (fun i -> Array.init m (fun j -> f (point i j))) in
-  let emin, emax = Analysis.energy_bounds g in
-  let imin, imax = Analysis.current_range g in
-  let dur = table (fun p -> p.Task.duration) in
+  let dur = Array.make (n * m) 0.0 in
+  let cur = Array.make (n * m) 0.0 in
+  let energy = Array.make (n * m) 0.0 in
+  let imin = ref Float.infinity and imax = ref Float.neg_infinity in
+  for i = 0 to n - 1 do
+    let points = (Graph.task g i).Task.points in
+    for j = 0 to m - 1 do
+      let p = points.(j) in
+      dur.((i * m) + j) <- p.Task.duration;
+      cur.((i * m) + j) <- p.Task.current;
+      energy.((i * m) + j) <-
+        p.Task.current *. p.Task.voltage *. p.Task.duration
+    done;
+    (* Analysis.current_range: slowest and fastest currents *)
+    imin := Float.min !imin cur.((i * m) + m - 1);
+    imax := Float.max !imax cur.(i * m)
+  done;
   let mono_dur =
     let ok = ref true in
     for i = 0 to n - 1 do
       for j = 1 to m - 1 do
-        if dur.(i).(j) < dur.(i).(j - 1) then ok := false
+        if dur.((i * m) + j) < dur.((i * m) + j - 1) then ok := false
       done
     done;
     !ok
   in
   let pos_of = Array.make n 0 in
   Array.iteri (fun pos t -> pos_of.(t) <- pos) seq;
-  let max_steps = (n * (m - 1)) + 1 in
+  (* Analysis.energy_bounds and Task.average_energy: the same Kahan sums
+     in the same order.  The energy order sorts (average, id) as
+     Analysis.energy_vector does, without boxing a tuple per task. *)
+  let sums = Array.make 4 0.0 in
+  let emin = kahan_strided sums energy ~first:(m - 1) ~stride:m ~len:n in
+  let emax = kahan_strided sums energy ~first:0 ~stride:m ~len:n in
+  let avg = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    avg.(i) <-
+      kahan_strided sums energy ~first:(i * m) ~stride:1 ~len:m
+      /. float_of_int m
+  done;
+  let energy_order = Array.init n Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      let c = Float.compare avg.(a) avg.(b) in
+      if c <> 0 then c else Int.compare a b)
+    energy_order;
+  let rank_of = Array.make n 0 in
+  Array.iteri (fun r t -> rank_of.(t) <- r) energy_order;
   { n;
     m;
     deadline = cfg.Config.deadline;
     window_start;
+    span = m - 1 - window_start;
     seq;
     pos_of;
     dur;
-    cur = table (fun p -> p.Task.current);
-    energy = table (fun p -> p.Task.current *. p.Task.voltage *. p.Task.duration);
-    energy_order = Array.of_list (Analysis.energy_vector g);
+    cur;
+    energy;
+    energy_order;
+    rank_of;
     emin;
     emax;
-    imin;
-    imax;
+    imin = !imin;
+    imax = !imax;
     mono_dur;
-    scratch_cols = Array.make n 0;
+    cols = Array.make n 0;
     fixed_e = Array.make n false;
-    step_task = Array.make max_steps 0;
-    cum_dt = Array.make max_steps 0.0;
-    cum_de = Array.make max_steps 0.0;
-    acc = Array.make 2 0.0;
-    acc2 = Array.make 2 0.0;
-    nsteps = 0;
+    res = Array.make 3 0.0;
+    sums;
+    trial_sum = Array.make 2 0.0;
+    next = Array.make (n + 2) 0;
+    prev = Array.make (n + 2) 0;
+    bnd = n + 1;
+    part = 0;
     applied = 0;
-    entered = false;
     inc_count = 0;
-    base_te = 0.0;
-    base_energy = 0.0;
+    entered = false;
     tagged_pos = 0;
     tagged_task = 0 }
 
+let[@inline] dur_at ctx i j = ctx.dur.((i * ctx.m) + j)
+
+(* Metrics.slack_ratio, bit for bit, without the cross-module call that
+   boxes its argument and its result on every trial.  Its guard is moot
+   here: [Config.make] rejects a deadline <= 0, and every column misses
+   such a deadline, so the choose loop raises [Deadline_unmeetable]
+   before its first trial. *)
+let[@inline] slack_ratio ctx time = (ctx.deadline -. time) /. ctx.deadline
+
 (* Metrics.current_ratio over the precomputed range. *)
-let current_ratio ctx i =
+let[@inline] current_ratio ctx i =
   if ctx.imax -. ctx.imin <= 0.0 then 0.0
   else (i -. ctx.imin) /. (ctx.imax -. ctx.imin)
 
@@ -151,22 +212,26 @@ let current_ratio ctx i =
 let energy_ratio ctx cols =
   if ctx.emax -. ctx.emin <= 0.0 then 0.0
   else
-    (Kahan.sum_fn ctx.n (fun i -> ctx.energy.(i).(cols.(i))) -. ctx.emin)
+    (Kahan.sum_fn ctx.n (fun i -> ctx.energy.((i * ctx.m) + cols.(i)))
+    -. ctx.emin)
     /. (ctx.emax -. ctx.emin)
 
+let[@inline] cur_at ctx p =
+  let v = ctx.seq.(p) in
+  ctx.cur.((v * ctx.m) + ctx.cols.(v))
+
 (* Number of adjacent current increases along the full sequence. *)
-let increase_count ctx cols =
+let increase_count ctx =
   let count = ref 0 in
   for pos = 1 to ctx.n - 1 do
-    let v = ctx.seq.(pos) and u = ctx.seq.(pos - 1) in
-    if ctx.cur.(v).(cols.(v)) > ctx.cur.(u).(cols.(u)) then incr count
+    if cur_at ctx pos > cur_at ctx (pos - 1) then incr count
   done;
   !count
 
 (* Metrics.current_increase_fraction over the full sequence. *)
-let increase_fraction ctx cols =
+let increase_fraction ctx =
   if ctx.n <= 1 then 0.0
-  else float_of_int (increase_count ctx cols) /. float_of_int (ctx.n - 1)
+  else float_of_int (increase_count ctx) /. float_of_int (ctx.n - 1)
 
 (* Metrics.dpf_static over the free prefix (positions < tagged_pos),
    whose task order is exactly the seed's [free] list. *)
@@ -186,30 +251,28 @@ let dpf_static ctx cols ~tagged_pos =
   end
 
 (* The paper's CalculateDPF, seed implementation: O(n) rescans per
-   trial.  [ctx.scratch_cols] must hold the tagged state on entry (free
-   prefix at lowest power, tagged task at its trial column, suffix
-   committed); it is mutated into the hypothetical completion.  Kept
-   verbatim as the oracle for the incremental path below.  Returns
-   (enr, cif, dpf). *)
+   trial.  [ctx.cols] must hold the tagged state on entry (free prefix
+   at lowest power, tagged task at its trial column, suffix committed);
+   it is mutated into the hypothetical completion.  Kept verbatim as the
+   oracle for the incremental path below.  Writes (enr, cif, dpf) to
+   [ctx.res]. *)
 let calculate_dpf_reference_ctx ctx ~tagged_pos =
   let d = ctx.deadline in
-  let cols = ctx.scratch_cols in
+  let cols = ctx.cols in
   let fixed_e = ctx.fixed_e in
   let probe = Probe.local () in
   Array.fill fixed_e 0 ctx.n true;
   for pos = 0 to tagged_pos - 1 do
     fixed_e.(ctx.seq.(pos)) <- false
   done;
-  let te = ref (Kahan.sum_fn ctx.n (fun i -> ctx.dur.(i).(cols.(i)))) in
+  let te = ref (Kahan.sum_fn ctx.n (fun i -> dur_at ctx i cols.(i))) in
   let finish infeasible =
-    let enr = energy_ratio ctx cols in
-    let cif = increase_fraction ctx cols in
-    let dpf =
-      if infeasible then Float.infinity
-      else if tagged_pos = 0 then Metrics.slack_ratio ~deadline:d ~time:!te
-      else dpf_static ctx cols ~tagged_pos
-    in
-    (enr, cif, dpf)
+    ctx.res.(0) <- energy_ratio ctx cols;
+    ctx.res.(1) <- increase_fraction ctx;
+    ctx.res.(2) <-
+      (if infeasible then Float.infinity
+       else if tagged_pos = 0 then Metrics.slack_ratio ~deadline:d ~time:!te
+       else dpf_static ctx cols ~tagged_pos)
   in
   (* First upgradable free task in increasing-average-energy order.
      Tasks only ever get fixed, and columns only ever decrease, so the
@@ -240,7 +303,7 @@ let calculate_dpf_reference_ctx ctx ~tagged_pos =
           probe.Probe.dpf_steps <- probe.Probe.dpf_steps + 1;
           let col = cols.(q) in
           let col' = col - 1 in
-          te := !te -. ctx.dur.(q).(col) +. ctx.dur.(q).(col');
+          te := !te -. dur_at ctx q col +. dur_at ctx q col';
           cols.(q) <- col';
           if col' = ctx.window_start then fixed_e.(q) <- true;
           upgrade ()
@@ -249,171 +312,179 @@ let calculate_dpf_reference_ctx ctx ~tagged_pos =
 
 (* --- incremental CalculateDPF ---
 
-   For a fixed tagged position the trial loop sweeps the tagged task's
-   column; everything else about the hypothetical state is a function
-   of *how many* upgrade steps the deadline forces.  The upgrade
-   schedule itself — which free task moves, from which column — is
-   fixed by the energy order and does not depend on the trial column,
-   so [begin_pos] materializes it once (with compensated prefix sums of
-   its duration/energy deltas) and [trial] sets the applied-step count
-   to the smallest feasible value.  The first trial at a position finds
-   that count with one scan of the prefix sums, applies the steps as
-   plain column decrements and recounts the current increases once,
-   O(n); later trials move the tagged column (one O(1) patch) and slide
-   the count, keeping the increase count exact under each
-   single-column patch.  Total time and energy read off the prefix
-   sums; the DPF numerator *is* the applied-step count, because every
-   step raises one free task's slowdown weight by exactly 1/span.
+   Everything about the hypothetical completion is a function of *how
+   many* upgrade steps the deadline forces: the steps run through the
+   free tasks in energy order, each from the lowest-power column down
+   to the window edge.  So one call carries a single state across all
+   its tagged positions: [enter] builds it once, O(n); each [trial]
+   moves the tagged column and walks the boundary to the smallest
+   feasible step count; [advance] commits the tagged task and tags the
+   next one, O(1).  The serial time and the energy are compensated
+   running sums, the current-increase count is exact under every
+   column patch, and the DPF numerator *is* the applied-step count,
+   because every step raises one free task's slowdown weight by exactly
+   1/span. *)
 
-   The column sweep visits slower-to-faster trial columns, so with
-   monotone durations the required step count only ever decreases
-   within a position: the slide is amortized O(1) per trial. *)
-
-(* Patch one task's column in the live scratch state, keeping the
-   current-increase count of the sequence exact.  Only the two pairs
-   adjacent to the task's position can change. *)
-let[@inline] cur_at ctx p =
-  let v = ctx.seq.(p) in
-  ctx.cur.(v).(ctx.scratch_cols.(v))
-
+(* Move one task's column in the carried state, patching the serial
+   time, the energy and the current-increase count.  Only the two
+   pairs adjacent to the task's position can change their increase. *)
 let set_col ctx v c =
-  let p = ctx.pos_of.(v) in
-  if p > 0 && cur_at ctx p > cur_at ctx (p - 1) then
-    ctx.inc_count <- ctx.inc_count - 1;
-  if p < ctx.n - 1 && cur_at ctx (p + 1) > cur_at ctx p then
-    ctx.inc_count <- ctx.inc_count - 1;
-  ctx.scratch_cols.(v) <- c;
-  if p > 0 && cur_at ctx p > cur_at ctx (p - 1) then
-    ctx.inc_count <- ctx.inc_count + 1;
-  if p < ctx.n - 1 && cur_at ctx (p + 1) > cur_at ctx p then
-    ctx.inc_count <- ctx.inc_count + 1
+  let old = ctx.cols.(v) in
+  if c <> old then begin
+    let p = ctx.pos_of.(v) in
+    if p > 0 && cur_at ctx p > cur_at ctx (p - 1) then
+      ctx.inc_count <- ctx.inc_count - 1;
+    if p < ctx.n - 1 && cur_at ctx (p + 1) > cur_at ctx p then
+      ctx.inc_count <- ctx.inc_count - 1;
+    ctx.cols.(v) <- c;
+    if p > 0 && cur_at ctx p > cur_at ctx (p - 1) then
+      ctx.inc_count <- ctx.inc_count + 1;
+    if p < ctx.n - 1 && cur_at ctx (p + 1) > cur_at ctx p then
+      ctx.inc_count <- ctx.inc_count + 1;
+    let base = v * ctx.m in
+    kswap ctx.sums 0 ctx.dur.(base + old) ctx.dur.(base + c);
+    kswap ctx.sums 2 ctx.energy.(base + old) ctx.energy.(base + c)
+  end
 
-(* Stage the tagged position: blit the committed columns once (the
-   only O(n) copy this position will make), compute the base aggregates
-   excluding the tagged task, and materialize the upgrade schedule.
-   The current-increase count is left to the position's first [trial],
-   which recounts it after its bulk upgrade.  [cols] must hold the
-   committed suffix, with every free task and the tagged task parked at
-   the lowest-power column. *)
-let begin_pos ctx ~cols ~pos =
-  let n = ctx.n in
-  let t = ctx.seq.(pos) in
-  ctx.tagged_pos <- pos;
-  ctx.tagged_task <- t;
-  Array.blit cols 0 ctx.scratch_cols 0 n;
-  let te = ctx.acc and en = ctx.acc2 in
-  kacc_clear te;
-  kacc_clear en;
+let[@inline] meets_deadline ctx time = time <= ctx.deadline +. eps
+
+(* Apply the next upgrade step: the boundary task moves one column
+   faster, and the boundary passes it once it reaches the edge. *)
+let step_up ctx =
+  let q = ctx.energy_order.(ctx.bnd - 1) in
+  set_col ctx q (ctx.cols.(q) - 1);
+  ctx.applied <- ctx.applied + 1;
+  ctx.part <- ctx.part + 1;
+  if ctx.part = ctx.span then begin
+    ctx.bnd <- ctx.next.(ctx.bnd);
+    ctx.part <- 0
+  end
+
+(* The node of the task the last applied step moved ([applied > 0]). *)
+let[@inline] last_step_node ctx =
+  if ctx.part = 0 then ctx.prev.(ctx.bnd) else ctx.bnd
+
+(* Undo the last applied step. *)
+let step_down ctx =
+  let node = last_step_node ctx in
+  if node <> ctx.bnd then begin
+    ctx.bnd <- node;
+    ctx.part <- ctx.span
+  end;
+  let q = ctx.energy_order.(node - 1) in
+  set_col ctx q (ctx.cols.(q) + 1);
+  ctx.applied <- ctx.applied - 1;
+  ctx.part <- ctx.part - 1
+
+(* Whether the state would still meet the deadline with its last step
+   undone.  The tentative time runs the very additions [step_down]
+   would, on a copy of the pair, so the test and the state it admits
+   agree bit for bit. *)
+let undo_meets_deadline ctx =
+  let q = ctx.energy_order.(last_step_node ctx - 1) in
+  let i = (q * ctx.m) + ctx.cols.(q) in
+  let s = ctx.trial_sum in
+  s.(0) <- ctx.sums.(0);
+  s.(1) <- ctx.sums.(1);
+  kswap s 0 ctx.dur.(i) ctx.dur.(i + 1);
+  meets_deadline ctx (ksum s 0)
+
+(* Enter tagged position [pos] from scratch, O(n): [ctx.cols] must hold
+   the committed suffix, with the tagged task and every free task parked
+   at the lowest-power column.  Used for a call's first position and by
+   the public [calculate_dpf]. *)
+let enter ctx ~pos =
+  let n = ctx.n and m = ctx.m in
+  let s = ctx.sums in
+  Array.fill s 0 4 0.0;
   for i = 0 to n - 1 do
-    if i <> t then begin
-      let c = ctx.scratch_cols.(i) in
-      kacc_add te ctx.dur.(i).(c);
-      kacc_add en ctx.energy.(i).(c)
+    let c = (i * m) + ctx.cols.(i) in
+    kadd s 0 ctx.dur.(c);
+    kadd s 2 ctx.energy.(c)
+  done;
+  ctx.inc_count <- increase_count ctx;
+  let last = ref 0 in
+  for r = 0 to n - 1 do
+    if ctx.pos_of.(ctx.energy_order.(r)) < pos then begin
+      ctx.next.(!last) <- r + 1;
+      ctx.prev.(r + 1) <- !last;
+      last := r + 1
     end
   done;
-  ctx.base_te <- kacc_sum te;
-  ctx.base_energy <- kacc_sum en;
-  (* upgrade schedule: free tasks in increasing-average-energy order,
-     each from the lowest-power column down to the window edge — the
-     exact visit order of the reference upgrade loop, flattened *)
-  let dt = ctx.acc and de = ctx.acc2 in
-  kacc_clear dt;
-  kacc_clear de;
-  ctx.cum_dt.(0) <- 0.0;
-  ctx.cum_de.(0) <- 0.0;
-  let s = ref 0 in
-  for k = 0 to n - 1 do
-    let q = ctx.energy_order.(k) in
-    if ctx.pos_of.(q) < pos then
-      for c = ctx.m - 1 downto ctx.window_start + 1 do
-        ctx.step_task.(!s) <- q;
-        kacc_add dt (ctx.dur.(q).(c - 1) -. ctx.dur.(q).(c));
-        kacc_add de (ctx.energy.(q).(c - 1) -. ctx.energy.(q).(c));
-        incr s;
-        ctx.cum_dt.(!s) <- kacc_sum dt;
-        ctx.cum_de.(!s) <- kacc_sum de
-      done
-  done;
-  ctx.nsteps <- !s;
+  ctx.next.(!last) <- n + 1;
+  ctx.prev.(n + 1) <- !last;
+  ctx.bnd <- (if ctx.span = 0 then n + 1 else ctx.next.(0));
+  ctx.part <- 0;
   ctx.applied <- 0;
-  ctx.entered <- false
+  ctx.entered <- false;
+  ctx.tagged_pos <- pos;
+  ctx.tagged_task <- ctx.seq.(pos)
 
-(* Evaluate the tagged task at column [j] against the staged position.
-   Returns (enr, cif, dpf) for the hypothetical completion.
-
-   The first trial after [begin_pos] enters the position in bulk: it
-   scans [cum_dt] for the first feasible step count k, applying steps
-   0..k-1 as plain decrements on the way, and recounts the increases
-   once, O(n).  This is exactly the state the one-step walk up from 0
-   reaches: the walk stops at the same first feasible k, applies the
-   same decrements, and its exactly maintained integer count equals the
-   recount.
-   [dpf_steps] grows by the same k.  Later trials cost O(1) plus the
-   (amortized O(1)) slide of the applied-step count. *)
-let trial ctx ~j =
-  let t = ctx.tagged_task in
-  let te_entry = ctx.base_te +. ctx.dur.(t).(j) in
-  let d = ctx.deadline in
-  let feasible k = te_entry +. ctx.cum_dt.(k) <= d +. eps in
-  let probe = Probe.local () in
-  if not ctx.entered then begin
-    ctx.entered <- true;
-    ctx.scratch_cols.(t) <- j;
-    let k = ref 0 in
-    while !k < ctx.nsteps && not (feasible !k) do
-      let q = ctx.step_task.(!k) in
-      ctx.scratch_cols.(q) <- ctx.scratch_cols.(q) - 1;
-      incr k
-    done;
-    probe.Probe.dpf_steps <- probe.Probe.dpf_steps + !k;
-    ctx.applied <- !k;
-    ctx.inc_count <- increase_count ctx ctx.scratch_cols
-  end
-  else begin
-    if ctx.scratch_cols.(t) <> j then set_col ctx t j;
-    while ctx.applied > 0 && feasible (ctx.applied - 1) do
-      let s = ctx.applied - 1 in
-      let q = ctx.step_task.(s) in
-      set_col ctx q (ctx.scratch_cols.(q) + 1);
-      ctx.applied <- s
-    done;
-    while ctx.applied < ctx.nsteps && not (feasible ctx.applied) do
-      let q = ctx.step_task.(ctx.applied) in
-      probe.Probe.dpf_steps <- probe.Probe.dpf_steps + 1;
-      set_col ctx q (ctx.scratch_cols.(q) - 1);
-      ctx.applied <- ctx.applied + 1
-    done
+(* Commit the tagged task at [col] and tag the task one position
+   earlier, O(1): unlink it from the free list, dropping whatever steps
+   it carried, and park it at the lowest-power column. *)
+let advance ctx ~col =
+  set_col ctx ctx.tagged_task col;
+  let pos = ctx.tagged_pos - 1 in
+  let q = ctx.seq.(pos) in
+  let node = ctx.rank_of.(q) + 1 in
+  if node < ctx.bnd then ctx.applied <- ctx.applied - ctx.span
+  else if node = ctx.bnd then begin
+    ctx.applied <- ctx.applied - ctx.part;
+    ctx.bnd <- ctx.next.(node);
+    ctx.part <- 0
   end;
-  let infeasible = not (feasible ctx.applied) in
-  let enr =
-    if ctx.emax -. ctx.emin <= 0.0 then 0.0
-    else
-      (ctx.base_energy +. ctx.energy.(t).(j) +. ctx.cum_de.(ctx.applied)
-      -. ctx.emin)
-      /. (ctx.emax -. ctx.emin)
-  in
-  let cif =
-    if ctx.n <= 1 then 0.0
-    else float_of_int ctx.inc_count /. float_of_int (ctx.n - 1)
-  in
-  let dpf =
-    if infeasible then Float.infinity
-    else if ctx.tagged_pos = 0 then
-      Metrics.slack_ratio ~deadline:d
-        ~time:(te_entry +. ctx.cum_dt.(ctx.applied))
-    else if ctx.window_start = ctx.m - 1 then 0.0
-    else
-      float_of_int ctx.applied
-      /. float_of_int (ctx.m - 1 - ctx.window_start)
-      /. float_of_int ctx.tagged_pos
-  in
-  (enr, cif, dpf)
+  ctx.next.(ctx.prev.(node)) <- ctx.next.(node);
+  ctx.prev.(ctx.next.(node)) <- ctx.prev.(node);
+  set_col ctx q (ctx.m - 1);
+  ctx.entered <- false;
+  ctx.tagged_pos <- pos;
+  ctx.tagged_task <- q
 
-let mk_result ctx (enr, cif, dpf) g =
-  { enr;
-    cif;
-    dpf;
-    hypothetical = Assignment.of_list g (Array.to_list ctx.scratch_cols) }
+(* Evaluate the tagged task at column [j] against the carried state and
+   write (enr, cif, dpf) to [ctx.res].
+
+   The applied-step count walks down while one step fewer still meets
+   the deadline, then up while it does not.  With monotone durations
+   feasibility is monotone in the count, so the walk stops at the
+   smallest feasible count, the one the reference's walk up from zero
+   finds, whatever count it starts from.  The first trial at a position
+   adds that count to [dpf_steps], as the reference does; later trials
+   add one per step up. *)
+let trial ctx probe ~j =
+  set_col ctx ctx.tagged_task j;
+  while ctx.applied > 0 && undo_meets_deadline ctx do
+    step_down ctx
+  done;
+  let ups = ref 0 in
+  while ctx.bnd <= ctx.n && not (meets_deadline ctx (ksum ctx.sums 0)) do
+    step_up ctx;
+    incr ups
+  done;
+  probe.Probe.dpf_steps <-
+    probe.Probe.dpf_steps + (if ctx.entered then !ups else ctx.applied);
+  ctx.entered <- true;
+  let time = ksum ctx.sums 0 in
+  let res = ctx.res in
+  res.(0) <-
+    (if ctx.emax -. ctx.emin <= 0.0 then 0.0
+     else (ksum ctx.sums 2 -. ctx.emin) /. (ctx.emax -. ctx.emin));
+  res.(1) <-
+    (if ctx.n <= 1 then 0.0
+     else float_of_int ctx.inc_count /. float_of_int (ctx.n - 1));
+  res.(2) <-
+    (if not (meets_deadline ctx time) then Float.infinity
+     else if ctx.tagged_pos = 0 then slack_ratio ctx time
+     else if ctx.span = 0 then 0.0
+     else
+       float_of_int ctx.applied /. float_of_int ctx.span
+       /. float_of_int ctx.tagged_pos)
+
+let mk_result ctx g =
+  { enr = ctx.res.(0);
+    cif = ctx.res.(1);
+    dpf = ctx.res.(2);
+    hypothetical = Assignment.of_list g (Array.to_list ctx.cols) }
 
 (* Boundary checks shared by both entry points; returns the
    assignment's columns in task-id order. *)
@@ -443,8 +514,9 @@ let calculate_dpf_reference (cfg : Config.t) g ~sequence ~assignment
       ~window_start
   in
   let ctx = make_ctx cfg g ~seq:sequence ~window_start in
-  Array.blit cols 0 ctx.scratch_cols 0 ctx.n;
-  mk_result ctx (calculate_dpf_reference_ctx ctx ~tagged_pos) g
+  Array.blit cols 0 ctx.cols 0 ctx.n;
+  calculate_dpf_reference_ctx ctx ~tagged_pos;
+  mk_result ctx g
 
 let calculate_dpf (cfg : Config.t) g ~sequence ~assignment ~tagged_pos
     ~window_start =
@@ -461,20 +533,22 @@ let calculate_dpf (cfg : Config.t) g ~sequence ~assignment ~tagged_pos
     !ok
   in
   if ctx.mono_dur && parked_free then begin
-    (* [begin_pos] expects the tagged task parked at lowest power;
-       the first [trial] then sets the actual tagged column. *)
+    (* [enter] expects the tagged task parked at lowest power; the
+       trial then sets the actual tagged column. *)
     let t = ctx.seq.(tagged_pos) in
     let j = cols.(t) in
     cols.(t) <- ctx.m - 1;
-    begin_pos ctx ~cols ~pos:tagged_pos;
-    mk_result ctx (trial ctx ~j) g
+    Array.blit cols 0 ctx.cols 0 ctx.n;
+    enter ctx ~pos:tagged_pos;
+    trial ctx (Probe.local ()) ~j
   end
   else begin
-    Array.blit cols 0 ctx.scratch_cols 0 ctx.n;
-    mk_result ctx (calculate_dpf_reference_ctx ctx ~tagged_pos) g
-  end
+    Array.blit cols 0 ctx.cols 0 ctx.n;
+    calculate_dpf_reference_ctx ctx ~tagged_pos
+  end;
+  mk_result ctx g
 
-let suitability (cfg : Config.t) ~sr ~cr ~enr ~cif ~dpf =
+let[@inline] suitability (cfg : Config.t) ~sr ~cr ~enr ~cif ~dpf =
   if dpf = Float.infinity then Float.infinity
   else begin
     let w = cfg.Config.weights in
@@ -517,7 +591,7 @@ let choose_impl ~incremental (cfg : Config.t) g ~sequence ~window_start =
   let use_incremental = incremental && ctx.mono_dur in
   (* Committed columns of the fixed suffix; free tasks read as lowest
      power, which is also their hypothetical parking column. *)
-  let cols = Array.make n lowest in
+  let committed = Array.make n lowest in
   (* The paper fixes the last task at the lowest-power column outright
      ("S(n,m) = 1"), which can bust a tight deadline before selection
      even starts.  We take the slowest column that leaves the rest of
@@ -525,48 +599,54 @@ let choose_impl ~incremental (cfg : Config.t) g ~sequence ~window_start =
      to the paper whenever its own examples apply (see DESIGN.md). *)
   let last = seq.(n - 1) in
   let rest_fastest =
-    Kahan.sum_fn (n - 1) (fun pos -> ctx.dur.(seq.(pos)).(window_start))
+    Kahan.sum_fn (n - 1) (fun pos -> dur_at ctx seq.(pos) window_start)
   in
   let last_col =
     let rec pick j =
       if j <= window_start then window_start
-      else if ctx.dur.(last).(j) +. rest_fastest <= d +. 1e-9 then j
+      else if dur_at ctx last j +. rest_fastest <= d +. 1e-9 then j
       else pick (j - 1)
     in
     pick lowest
   in
-  if ctx.dur.(last).(last_col) +. rest_fastest > d +. 1e-9 then
+  if dur_at ctx last last_col +. rest_fastest > d +. 1e-9 then
     raise Config.Deadline_unmeetable;
-  cols.(last) <- last_col;
-  let tsum = ref ctx.dur.(last).(last_col) in
+  committed.(last) <- last_col;
+  if use_incremental && n > 1 then begin
+    Array.blit committed 0 ctx.cols 0 n;
+    enter ctx ~pos:(n - 2)
+  end;
+  let tsum = ref (dur_at ctx last last_col) in
   for pos = n - 2 downto 0 do
     let t = seq.(pos) in
-    let best = ref None in
-    if use_incremental then begin_pos ctx ~cols ~pos;
+    let best_col = ref (-1) and best_b = ref Float.infinity in
     for j = lowest downto window_start do
-      let ttemp = !tsum +. ctx.dur.(t).(j) in
-      let sr = Metrics.slack_ratio ~deadline:d ~time:ttemp in
-      let cr = current_ratio ctx ctx.cur.(t).(j) in
-      let enr, cif, dpf =
-        if use_incremental then trial ctx ~j
-        else begin
-          Array.blit cols 0 ctx.scratch_cols 0 n;
-          ctx.scratch_cols.(t) <- j;
-          calculate_dpf_reference_ctx ctx ~tagged_pos:pos
-        end
+      let ttemp = !tsum +. dur_at ctx t j in
+      let sr = slack_ratio ctx ttemp in
+      let cr = current_ratio ctx ctx.cur.((t * m) + j) in
+      if use_incremental then trial ctx probe ~j
+      else begin
+        Array.blit committed 0 ctx.cols 0 n;
+        ctx.cols.(t) <- j;
+        calculate_dpf_reference_ctx ctx ~tagged_pos:pos
+      end;
+      let b =
+        suitability cfg ~sr ~cr ~enr:ctx.res.(0) ~cif:ctx.res.(1)
+          ~dpf:ctx.res.(2)
       in
-      let b = suitability cfg ~sr ~cr ~enr ~cif ~dpf in
-      match !best with
-      | Some (_, best_b) when best_b <= b -> ()
-      | _ -> if b < Float.infinity then best := Some (j, b)
+      (* ties keep the lower-power column, visited first *)
+      if b < !best_b then begin
+        best_b := b;
+        best_col := j
+      end
     done;
-    match !best with
-    | None -> raise Config.Deadline_unmeetable
-    | Some (col, _) ->
-        cols.(t) <- col;
-        tsum := !tsum +. ctx.dur.(t).(col)
+    let col = !best_col in
+    if col < 0 then raise Config.Deadline_unmeetable;
+    committed.(t) <- col;
+    tsum := !tsum +. dur_at ctx t col;
+    if use_incremental && pos > 0 then advance ctx ~col
   done;
-  Assignment.of_list g (Array.to_list cols)
+  Assignment.of_list g (Array.to_list committed)
 
 let choose_design_points cfg g ~sequence ~window_start =
   choose_impl ~incremental:true cfg g ~sequence ~window_start

@@ -312,28 +312,6 @@ let add5 t k0 k1 k2 k3 k4 ~value =
   s.(4) <- k4;
   add_scratch t value
 
-let find6 t k0 k1 k2 k3 k4 k5 =
-  check_arity t 6 "find6";
-  let s = t.scratch in
-  s.(0) <- k0;
-  s.(1) <- k1;
-  s.(2) <- k2;
-  s.(3) <- k3;
-  s.(4) <- k4;
-  s.(5) <- k5;
-  find_scratch t
-
-let add6 t k0 k1 k2 k3 k4 k5 ~value =
-  check_arity t 6 "add6";
-  let s = t.scratch in
-  s.(0) <- k0;
-  s.(1) <- k1;
-  s.(2) <- k2;
-  s.(3) <- k3;
-  s.(4) <- k4;
-  s.(5) <- k5;
-  add_scratch t value
-
 (* Introspection may run on another domain while the owner grows the
    table, so it reads [stamps] once and sizes everything from that
    array, never from [mask]. *)

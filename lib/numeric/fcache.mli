@@ -82,14 +82,6 @@ val add5 :
   t -> float -> float -> float -> float -> float -> value:float -> unit
 (** As {!add3} for 5-float keys. *)
 
-val find6 : t -> float -> float -> float -> float -> float -> float -> float
-(** As {!find3} for 6-float keys. *)
-
-val add6 :
-  t -> float -> float -> float -> float -> float -> float -> value:float ->
-  unit
-(** As {!add3} for 6-float keys. *)
-
 val clear : t -> unit
 (** Forget every entry (O(capacity); test/bench helper, not hot path). *)
 

@@ -14,20 +14,23 @@ let parse_point ~line s =
       with Failure _ -> fail line ("bad design point: " ^ s))
   | _ -> fail line ("bad design point: " ^ s)
 
+(* Whitespace is blanks, tabs and carriage returns, so CRLF files read
+   as their LF originals. *)
 let tokens line_text =
   let without_comment =
     match String.index_opt line_text '#' with
     | Some i -> String.sub line_text 0 i
     | None -> line_text
   in
-  String.split_on_char ' ' without_comment
-  |> List.concat_map (String.split_on_char '\t')
+  String.map (function '\t' | '\r' -> ' ' | c -> c) without_comment
+  |> String.split_on_char ' '
   |> List.filter (fun s -> s <> "")
 
 let of_string text =
   let lines = String.split_on_char '\n' text in
   let label = ref "" in
   let tasks = ref [] (* (name, points) in reverse order *) in
+  let ids = Hashtbl.create 64 (* name -> id, the task's line order *) in
   let edges = ref [] (* (name, name, line) *) in
   List.iteri
     (fun idx line_text ->
@@ -37,8 +40,9 @@ let of_string text =
       | "graph" :: rest -> label := String.concat " " rest
       | "task" :: name :: points ->
           if points = [] then fail line "task without design points";
-          if List.exists (fun (n, _) -> n = name) !tasks then
+          if Hashtbl.mem ids name then
             fail line ("duplicate task name: " ^ name);
+          Hashtbl.add ids name (Hashtbl.length ids);
           tasks := (name, List.map (parse_point ~line) points) :: !tasks
       | [ "edge"; a; b ] -> edges := (a, b, line) :: !edges
       | "edge" :: _ -> fail line "edge needs exactly two endpoints"
@@ -47,11 +51,9 @@ let of_string text =
   let named = List.rev !tasks in
   if named = [] then fail 0 "no tasks";
   let index_of name line =
-    let rec go i = function
-      | [] -> fail line ("unknown task in edge: " ^ name)
-      | (n, _) :: rest -> if n = name then i else go (i + 1) rest
-    in
-    go 0 named
+    match Hashtbl.find_opt ids name with
+    | Some id -> id
+    | None -> fail line ("unknown task in edge: " ^ name)
   in
   let task_list =
     List.mapi

@@ -8,14 +8,16 @@ type document = {
 
 let fail line message = raise (Parse_error { line; message })
 
+(* Whitespace is blanks, tabs and carriage returns, so CRLF files read
+   as their LF originals. *)
 let tokens line_text =
   let without_comment =
     match String.index_opt line_text '#' with
     | Some i -> String.sub line_text 0 i
     | None -> line_text
   in
-  String.split_on_char ' ' without_comment
-  |> List.concat_map (String.split_on_char '\t')
+  String.map (function '\t' | '\r' -> ' ' | c -> c) without_comment
+  |> String.split_on_char ' '
   |> List.filter (fun s -> s <> "")
 
 type block =

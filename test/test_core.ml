@@ -677,6 +677,50 @@ let gen_case =
               (g, Generators.feasible_deadline g ~slack))
             (pair (int_bound 10_000) (int_bound 10)))
 
+(* Give about a quarter of the tasks a zero-length upgrade step: two
+   adjacent design points that share duration and current.  Half of
+   those also share the voltage, so the two columns tie exactly on every
+   metric, and the tie must go to the higher column, which the trials
+   visit first. *)
+let with_zero_steps rng g =
+  let module Rng = Batsched_numeric.Rng in
+  Graph.map_tasks
+    (fun (t : Task.t) ->
+      let pts = Array.copy t.Task.points in
+      let m = Array.length pts in
+      if m < 2 || Rng.int rng 4 <> 0 then t
+      else begin
+        let j = Rng.int rng (m - 1) in
+        let voltage =
+          if Rng.bool rng then pts.(j).Task.voltage else pts.(j + 1).Task.voltage
+        in
+        pts.(j + 1) <- { (pts.(j)) with Task.voltage };
+        Task.make ~id:t.Task.id ~name:t.Task.name (Array.to_list pts)
+      end)
+    g
+
+(* Cases at the benchmark's scale for the incremental-vs-reference
+   properties: fork-joins of 8-132 tasks with 4 or 5 design points, at
+   slacks 0.05-0.95, half of them with zero-length upgrade steps. *)
+let gen_choose_case =
+  QCheck.(map
+            (fun (seed, size, slack10, zero_steps) ->
+              let rng = Batsched_numeric.Rng.create seed in
+              let m = 4 + (size mod 2) in
+              let spec = { Generators.default_spec with Generators.num_points = m } in
+              (* stages of 2-6 tasks until the graph has [size] tasks *)
+              let rec widths tasks acc =
+                if tasks >= size then List.rev acc
+                else
+                  let w = 2 + Batsched_numeric.Rng.int rng 5 in
+                  widths (tasks + w + 1) (w :: acc)
+              in
+              let g = Generators.fork_join ~rng ~spec ~widths:(widths 1 []) in
+              let g = if zero_steps then with_zero_steps rng g else g in
+              let slack = 0.05 +. (0.9 *. float_of_int slack10 /. 10.0) in
+              (g, Generators.feasible_deadline g ~slack))
+            (quad (int_bound 10_000) (int_range 8 126) (int_bound 10) bool))
+
 let prop_iterate_always_feasible =
   QCheck.Test.make ~count:40
     ~name:"iterate returns a feasible schedule on random instances" gen_case
@@ -739,8 +783,8 @@ let test_choose_incremental_matches_reference_instances () =
       (Instances.g3, Instances.g3_deadlines) ]
 
 let prop_choose_incremental_matches_reference =
-  QCheck.Test.make ~count:500
-    ~name:"incremental choose selects the reference schedule" gen_case
+  QCheck.Test.make ~count:300
+    ~name:"incremental choose selects the reference schedule" gen_choose_case
     (fun (g, deadline) ->
       let cfg = Batsched.Config.make ~deadline () in
       let seq = Priorities.sequence_dec_energy g in
@@ -779,9 +823,9 @@ let counting_dpf_steps f =
 (* Besides the metrics and the hypothetical assignment, both paths must
    count the same number of upgrade steps in [dpf_steps]. *)
 let prop_calculate_dpf_metrics_match =
-  QCheck.Test.make ~count:200
+  QCheck.Test.make ~count:120
     ~name:"calculate_dpf agrees with the reference within 1e-9"
-    QCheck.(pair gen_case (int_bound 10_000))
+    QCheck.(pair gen_choose_case (int_bound 10_000))
     (fun ((g, deadline), seed) ->
       let cfg = Batsched.Config.make ~deadline () in
       let rng = Batsched_numeric.Rng.create (seed + 1) in
@@ -812,18 +856,20 @@ let prop_calculate_dpf_metrics_match =
                r'.Batsched.Choose.hypothetical)
         (List.init n Fun.id))
 
-(* Allocation guard on a 154-task fork-join graph: the per-iteration
-   bookkeeping (Eq. 4 weights, precedence checks, position entry)
-   allocates O(n) words per call; the seed loop took ~1.58M words. *)
-let test_iterate_allocation () =
+(* The 154-task fork-join graph of the allocation guards below. *)
+let allocation_case () =
   let g =
     Generators.fork_join ~rng:(Batsched_numeric.Rng.create 3)
       ~spec:Generators.default_spec
       ~widths:(List.init 31 (fun i -> 2 + (i mod 5)))
   in
-  let cfg =
-    Batsched.Config.make ~deadline:(Generators.feasible_deadline g ~slack:0.3) ()
-  in
+  (g, Batsched.Config.make ~deadline:(Generators.feasible_deadline g ~slack:0.3) ())
+
+(* Allocation guard on a 154-task fork-join graph: the per-iteration
+   bookkeeping (Eq. 4 weights, precedence checks, position entry)
+   allocates O(n) words per call; the seed loop took ~1.58M words. *)
+let test_iterate_allocation () =
+  let g, cfg = allocation_case () in
   let words () =
     let w0 = Gc.minor_words () in
     ignore (Sys.opaque_identity (Batsched.Iterate.run cfg g));
@@ -835,6 +881,32 @@ let test_iterate_allocation () =
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words <= 800k" w)
     true (w <= 800_000.0)
+
+(* Allocation guard for one choose call on the same graph, at every
+   window start: the carried state patches preallocated flat tables, so
+   a call allocates its context and the returned assignment, O(n·m)
+   words.  Per-trial tuples, boxed metrics and incumbents took ~52k
+   words per call here. *)
+let test_choose_allocation () =
+  let g, cfg = allocation_case () in
+  let seq = Priorities.sequence_dec_energy g in
+  let n = Graph.num_tasks g and m = Graph.num_points g in
+  let bound = float_of_int (8 * n * m) in
+  for ws = 0 to Batsched.Window.initial_window_start cfg g do
+    let words () =
+      let w0 = Gc.minor_words () in
+      ignore
+        (Sys.opaque_identity
+           (Batsched.Choose.choose_design_points cfg g ~sequence:seq
+              ~window_start:ws));
+      Gc.minor_words () -. w0
+    in
+    ignore (words ());
+    let w = words () in
+    Alcotest.(check bool)
+      (Printf.sprintf "ws=%d: %.0f minor words <= %.0f" ws w bound)
+      true (w <= bound)
+  done
 
 (* Metamorphic, no oracle: under RV, doubling every current doubles
    every sigma bit for bit and leaves every ratio, order and time the
@@ -997,6 +1069,7 @@ let () =
           Alcotest.test_case "max iterations" `Quick test_iterate_respects_max_iterations;
           Alcotest.test_case "ideal model minimal charge" `Quick test_iterate_ideal_model_prefers_low_energy;
           Alcotest.test_case "allocation guard" `Quick test_iterate_allocation;
+          Alcotest.test_case "choose allocation guard" `Quick test_choose_allocation;
           Alcotest.test_case "doubled currents" `Quick test_iterate_doubled_currents ] );
       ( "regression",
         [ Alcotest.test_case "published points pinned" `Quick test_published_points_pinned;

@@ -129,9 +129,9 @@ let test_fcache_roundtrip () =
 
 let test_fcache_arity_checked () =
   let t = Fcache.create ~capacity:64 ~arity:3 () in
-  Alcotest.check_raises "find6 on arity 3"
-    (Invalid_argument "Fcache.find6: table has arity 3") (fun () ->
-      ignore (Fcache.find6 t 1.0 2.0 3.0 4.0 5.0 6.0));
+  Alcotest.check_raises "find5 on arity 3"
+    (Invalid_argument "Fcache.find5: table has arity 3") (fun () ->
+      ignore (Fcache.find5 t 1.0 2.0 3.0 4.0 5.0));
   Alcotest.check_raises "bad arity"
     (Invalid_argument "Fcache.create: arity not in 1..8") (fun () ->
       ignore (Fcache.create ~arity:0 ()))

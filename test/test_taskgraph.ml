@@ -407,6 +407,19 @@ let test_textio_rejects_duplicate_task () =
       Alcotest.(check int) "line" 2 line
   | _ -> Alcotest.fail "expected parse error")
 
+(* A file with CRLF line ends, as saved by Windows editors. *)
+let read_crlf path =
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  (text, String.concat "\r\n" (String.split_on_char '\n' text))
+
+let test_textio_crlf () =
+  let lf, crlf = read_crlf "../examples/data/g2.btg" in
+  Alcotest.(check string) "same graph"
+    (Textio.to_string (Textio.of_string lf))
+    (Textio.to_string (Textio.of_string crlf))
+
 let test_textio_dot_mentions_all_tasks () =
   let dot = Textio.to_dot (diamond ()) in
   List.iter
@@ -554,6 +567,16 @@ let test_tgff_roundtrip_instances () =
           done)
         (Graph.tasks g) (Graph.tasks doc.Tgff.graph))
     [ Instances.g2; Instances.g3 ]
+
+let test_tgff_crlf () =
+  let lf, crlf = read_crlf "../examples/data/g2.tgff" in
+  let a = Tgff.of_string lf and b = Tgff.of_string crlf in
+  Alcotest.(check string) "same graph" (Textio.to_string a.Tgff.graph)
+    (Textio.to_string b.Tgff.graph);
+  Alcotest.(check (option (float 0.0))) "same deadline" a.Tgff.deadline
+    b.Tgff.deadline;
+  Alcotest.(check (option (float 0.0))) "same period" a.Tgff.period
+    b.Tgff.period
 
 let test_tgff_missing_type_errors () =
   let broken =
@@ -853,6 +876,7 @@ let () =
           Alcotest.test_case "line numbers" `Quick test_textio_reports_line_numbers;
           Alcotest.test_case "rejects bad point" `Quick test_textio_rejects_bad_point;
           Alcotest.test_case "rejects duplicate task" `Quick test_textio_rejects_duplicate_task;
+          Alcotest.test_case "CRLF file parses as LF" `Quick test_textio_crlf;
           Alcotest.test_case "dot output" `Quick test_textio_dot_mentions_all_tasks ] );
       ( "transform",
         [ Alcotest.test_case "reduction removes shortcut" `Quick test_reduction_removes_shortcut;
@@ -869,5 +893,6 @@ let () =
           Alcotest.test_case "missing type errors" `Quick test_tgff_missing_type_errors;
           Alcotest.test_case "bad row line number" `Quick test_tgff_bad_row_line_number;
           Alcotest.test_case "no blocks errors" `Quick test_tgff_no_blocks_errors;
-          Alcotest.test_case "second graph ignored" `Quick test_tgff_second_graph_ignored ] );
+          Alcotest.test_case "second graph ignored" `Quick test_tgff_second_graph_ignored;
+          Alcotest.test_case "CRLF file parses as LF" `Quick test_tgff_crlf ] );
       ("properties", qcheck_tests) ]
