@@ -44,20 +44,29 @@ let trace_iterations g (result : Batsched.Iterate.result) =
         it.windows.Batsched.Window.per_window)
     result.iterations
 
-(* Auto-detect the on-disk format: TGFF-dialect files start their first
-   significant line with '@'; otherwise the native textio format. *)
+(* Auto-detect the on-disk format: a file is TGFF if any line starts
+   with '@' once its leading whitespace (as [String.trim] strips it) is
+   skipped; otherwise it is the native textio format.  One scan that
+   stops at the first such line, without splitting the text. *)
+let is_tgff text =
+  let len = String.length text in
+  let rec scan i line_start =
+    i < len
+    &&
+    match text.[i] with
+    | '@' when line_start -> true
+    | '\n' -> scan (i + 1) true
+    | ' ' | '\t' | '\r' | '\012' -> scan (i + 1) line_start
+    | _ -> scan (i + 1) false
+  in
+  scan 0 true
+
 let load_graph path =
   let ic = open_in path in
   let len = in_channel_length ic in
   let text = really_input_string ic len in
   close_in ic;
-  let is_tgff =
-    String.split_on_char '\n' text
-    |> List.exists (fun l ->
-           let l = String.trim l in
-           l <> "" && l.[0] <> '#' && l.[0] = '@')
-  in
-  if is_tgff then
+  if is_tgff text then
     let doc = Tgff.of_string text in
     (doc.Tgff.graph, doc.Tgff.deadline)
   else (Textio.of_string text, None)
@@ -163,6 +172,11 @@ let run_file path deadline algo beta seed pool_n iterations chart polish
       match
         match (deadline, embedded_deadline) with
         | Some d, _ -> Ok d
+        | None, Some d when not (d > 0.0 && Float.is_finite d) ->
+            Error
+              (Printf.sprintf
+                 "%s: the file's deadline %g is not a positive finite number"
+                 path d)
         | None, Some d ->
             Printf.printf "deadline %.2f min (from the file)\n" d;
             Ok d
@@ -260,8 +274,25 @@ let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
          ~doc:"Task-graph file (see lib/taskgraph/textio.mli for the format).")
 
+(* [conv] restricted to the values [ok] accepts: cmdliner reports any
+   other value as a usage error that names the option. *)
+let checked conv ok ~expected =
+  Arg.conv'
+    ( (fun s ->
+        match Arg.conv_parser conv s with
+        | Ok v when ok v -> Ok v
+        | Ok _ ->
+            Error (Printf.sprintf "invalid value '%s', expected %s" s expected)
+        | Error (`Msg msg) -> Error msg),
+      Arg.conv_printer conv )
+
 let deadline_arg =
-  Arg.(value & opt (some float) None
+  let minutes =
+    checked Arg.float
+      (fun d -> d > 0.0 && Float.is_finite d)
+      ~expected:"a positive finite number of minutes"
+  in
+  Arg.(value & opt (some minutes) None
        & info [ "d"; "deadline" ] ~docv:"MIN"
            ~doc:"Deadline in minutes (defaults to a TGFF HARD_DEADLINE).")
 
@@ -272,7 +303,11 @@ let algo_arg =
                  annealing, branch-bound, random.")
 
 let beta_arg =
-  Arg.(value & opt float Batsched_battery.Rakhmatov.default_beta
+  let beta =
+    checked Arg.float Batsched_battery.Rakhmatov.valid_beta
+      ~expected:"a positive finite number whose square does not underflow"
+  in
+  Arg.(value & opt beta Batsched_battery.Rakhmatov.default_beta
        & info [ "beta" ] ~docv:"B" ~doc:"Battery diffusion parameter.")
 
 let seed_arg =

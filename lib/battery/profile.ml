@@ -14,12 +14,15 @@ let empty = { starts = [||]; durations = [||]; currents = [||] }
 
 let num_intervals t = Array.length t.starts
 
-let check_interval (start, duration, current) =
+let[@inline] check_fields start duration current =
   if not (Float.is_finite start && Float.is_finite duration && Float.is_finite current)
   then invalid_arg "Profile: non-finite interval field";
   if start < 0.0 then invalid_arg "Profile: negative start time";
   if duration < 0.0 then invalid_arg "Profile: negative duration";
   if current < 0.0 then invalid_arg "Profile: negative current"
+
+let check_interval (start, duration, current) =
+  check_fields start duration current
 
 (* [triples] must already be sorted by start and free of zero-duration
    entries; packs without further checks. *)
@@ -50,29 +53,45 @@ let of_intervals triples =
   check_overlap sorted;
   pack_sorted sorted
 
-let sequential_fn ~n f =
-  if n < 0 then invalid_arg "Profile.sequential_fn: negative count";
-  let starts = Array.make (Stdlib.max n 1) 0.0 in
-  let durations = Array.make (Stdlib.max n 1) 0.0 in
-  let currents = Array.make (Stdlib.max n 1) 0.0 in
+(* Every float stays in this function or in an array, so a caller in
+   another module allocates only the profile itself. *)
+let sequential_arrays ~currents ~durations =
+  let n = Array.length currents in
+  if Array.length durations <> n then
+    invalid_arg "Profile.sequential_arrays: length mismatch";
+  let starts = Array.create_float n in
+  let kept_d = Array.create_float n in
+  let kept_c = Array.create_float n in
   let kept = ref 0 in
   let clock = ref 0.0 in
   for i = 0 to n - 1 do
-    let current, duration = f i in
+    let current = currents.(i) and duration = durations.(i) in
     if duration < 0.0 then invalid_arg "Profile.sequential: negative duration";
     if current < 0.0 then invalid_arg "Profile.sequential: negative current";
-    check_interval (!clock, duration, current);
+    check_fields !clock duration current;
     if duration > 0.0 then begin
       starts.(!kept) <- !clock;
-      durations.(!kept) <- duration;
-      currents.(!kept) <- current;
+      kept_d.(!kept) <- duration;
+      kept_c.(!kept) <- current;
       incr kept
     end;
     clock := !clock +. duration
   done;
-  { starts = Array.sub starts 0 !kept;
-    durations = Array.sub durations 0 !kept;
-    currents = Array.sub currents 0 !kept }
+  if !kept = n then { starts; durations = kept_d; currents = kept_c }
+  else
+    { starts = Array.sub starts 0 !kept;
+      durations = Array.sub kept_d 0 !kept;
+      currents = Array.sub kept_c 0 !kept }
+
+let sequential_fn ~n f =
+  if n < 0 then invalid_arg "Profile.sequential_fn: negative count";
+  let currents = Array.create_float n and durations = Array.create_float n in
+  for i = 0 to n - 1 do
+    let current, duration = f i in
+    currents.(i) <- current;
+    durations.(i) <- duration
+  done;
+  sequential_arrays ~currents ~durations
 
 let sequential pairs =
   let arr = Array.of_list pairs in
@@ -115,13 +134,41 @@ let fold_until t ~at ~init ~f =
   in
   go 0 init
 
-let length t =
-  fold t ~init:0.0 ~f:(fun acc ~start ~duration ~current:_ ->
-      Float.max acc (start +. duration))
+(* [fold_until]'s walk with the interval handed over in [buf] instead
+   of as float arguments, which a call boxes. *)
+let iter_until t ~at buf f =
+  let n = num_intervals t in
+  let i = ref 0 in
+  while !i < n && not (t.starts.(!i) >= at) do
+    let s = t.starts.(!i) in
+    let d = t.durations.(!i) in
+    buf.(0) <- s;
+    buf.(1) <- (if s +. d <= at then d else at -. s);
+    buf.(2) <- t.currents.(!i);
+    f ();
+    incr i
+  done
 
+let length t =
+  let last = ref 0.0 in
+  for i = 0 to num_intervals t - 1 do
+    last := Float.max !last (t.starts.(i) +. t.durations.(i))
+  done;
+  !last
+
+(* [Kahan.sum_fn] over the charges, step for step. *)
 let total_charge t =
-  Batsched_numeric.Kahan.sum_fn (num_intervals t) (fun i ->
-      t.currents.(i) *. t.durations.(i))
+  let total = ref 0.0 and comp = ref 0.0 in
+  for i = 0 to num_intervals t - 1 do
+    let x = t.currents.(i) *. t.durations.(i) in
+    let s = !total +. x in
+    comp :=
+      !comp
+      +. (if Float.abs !total >= Float.abs x then (!total -. s) +. x
+          else (x -. s) +. !total);
+    total := s
+  done;
+  !total +. !comp
 
 let truncate t ~at =
   of_intervals

@@ -42,6 +42,14 @@ val sequential_fn : n:int -> (int -> float * float) -> t
     the search hot path uses this.
     @raise Invalid_argument as {!sequential}, or on negative [n]. *)
 
+val sequential_arrays : currents:float array -> durations:float array -> t
+(** [sequential_arrays ~currents ~durations] is {!sequential} of the
+    pairs [(currents.(i), durations.(i))].  It reads the arrays without
+    keeping them and boxes no float, so building a schedule's profile
+    allocates only the profile.
+    @raise Invalid_argument as {!sequential}, or when the lengths
+    differ. *)
+
 val constant : current:float -> duration:float -> t
 (** A single-interval profile starting at 0. *)
 
@@ -74,6 +82,14 @@ val fold_until :
     exactly as {!truncate} would expose it — intervals starting at or
     after [at] are skipped, a straddling interval is clipped to
     [at - start] — but lazily, with no profile copy. *)
+
+val iter_until : t -> at:float -> float array -> (unit -> unit) -> unit
+(** [iter_until t ~at buf f] walks the intervals {!fold_until} folds
+    over.  Before each call of [f] it writes the interval's start,
+    (clipped) duration and current to [buf.(0)], [buf.(1)] and
+    [buf.(2)].  A float passed between modules is boxed; this walk
+    passes none, so a sigma evaluator that keeps its sums in arrays
+    allocates nothing per interval. *)
 
 val length : t -> float
 (** End time of the last interval (0 for {!empty}). *)

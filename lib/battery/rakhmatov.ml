@@ -2,6 +2,13 @@ open Batsched_numeric
 
 let default_beta = 0.273
 
+(* The series divides by beta^2 m^2: a square that underflows below
+   the normal range, or overflows, turns a term into x/0 or inf/inf and
+   sigma into nan. *)
+let valid_beta beta =
+  let b2 = beta *. beta in
+  beta > 0.0 && Float.is_finite b2 && b2 >= Float.min_float
+
 (* Fast path: the truncation is evaluated lazily during the interval
    fold (no profile copy), the kernel comes from the memoized
    [Series.exp_sum_cached] tails, and whole per-interval contributions
@@ -20,33 +27,74 @@ let default_beta = 0.273
 let contribution_cache : Fcache.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Fcache.create ~label:"rv-contrib" ~arity:5 ())
 
-let contribution ~terms ~beta ~current ~duration ~tail =
+(* The contribution of the interval with current [buf.(j)], duration
+   [buf.(j + 1)] and tail [buf.(j + 2)], written to [buf.(j)] (the two
+   cells after it are clobbered).  Floats travel through [buf] and the
+   memo's own key buffer, never as arguments or results of another
+   module's functions, which would box them: a lookup allocates
+   nothing, hit or miss. *)
+let contribution_at ~terms ~beta buf j =
   let tbl = Domain.DLS.get contribution_cache in
-  let terms_f = float_of_int terms in
+  let current = buf.(j) and duration = buf.(j + 1) and tail = buf.(j + 2) in
+  let key = Fcache.key tbl in
+  key.(0) <- beta;
+  key.(1) <- float_of_int terms;
+  key.(2) <- current;
+  key.(3) <- duration;
+  key.(4) <- tail;
   let probe = Probe.local () in
-  let v = Fcache.find5 tbl beta terms_f current duration tail in
-  if Float.is_nan v then begin
-    probe.Probe.contrib_misses <- probe.Probe.contrib_misses + 1;
-    let v =
-      current *. (duration +. Series.kernel ~terms ~beta tail (tail +. duration))
-    in
-    Fcache.add5 tbl beta terms_f current duration tail ~value:v;
-    v
-  end
+  if Fcache.find_into tbl buf j then
+    probe.Probe.contrib_hits <- probe.Probe.contrib_hits + 1
   else begin
-    probe.Probe.contrib_hits <- probe.Probe.contrib_hits + 1;
-    v
+    probe.Probe.contrib_misses <- probe.Probe.contrib_misses + 1;
+    buf.(j + 1) <- tail;
+    buf.(j + 2) <- tail +. duration;
+    Series.kernel_at ~terms ~beta buf (j + 1);
+    buf.(j) <- current *. (duration +. buf.(j + 1));
+    Fcache.add_from tbl buf j
   end
+
+(* Domain-local cells for [contribution], whose float arguments arrive
+   boxed anyway. *)
+let scratch : float array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Array.make 3 0.0)
+
+let contribution ~terms ~beta ~current ~duration ~tail =
+  let buf = Domain.DLS.get scratch in
+  buf.(0) <- current;
+  buf.(1) <- duration;
+  buf.(2) <- tail;
+  contribution_at ~terms ~beta buf 0;
+  buf.(0)
+
+(* Neumaier's step on the pair [s.(i)] (total), [s.(i + 1)]
+   (compensation): [Kahan.add]'s formula, kept in this module so the
+   term is not boxed on its way in. *)
+let[@inline] kadd s i x =
+  let total = s.(i) in
+  let t = total +. x in
+  s.(i + 1) <-
+    s.(i + 1)
+    +.
+    (if Float.abs total >= Float.abs x then (total -. t) +. x
+     else (x -. t) +. total);
+  s.(i) <- t
 
 let sigma ?(terms = Series.default_terms) ?(beta = default_beta) p ~at =
   if at < 0.0 then invalid_arg "Rakhmatov.sigma: negative time";
   let probe = Probe.local () in
   probe.Probe.sigma_evals <- probe.Probe.sigma_evals + 1;
-  Kahan.sum
-    (Profile.fold_until p ~at ~init:Kahan.zero
-       ~f:(fun acc ~start ~duration ~current ->
-         let tail = Float.max 0.0 (at -. start -. duration) in
-         Kahan.add acc (contribution ~terms ~beta ~current ~duration ~tail)))
+  (* 0-2: the interval [iter_until] hands over; 3-5: [contribution_at]'s
+     cells; 6, 7: the running compensated sum *)
+  let buf = Array.make 8 0.0 in
+  Profile.iter_until p ~at buf (fun () ->
+      let duration = buf.(1) in
+      buf.(3) <- buf.(2);
+      buf.(4) <- duration;
+      buf.(5) <- Float.max 0.0 (at -. buf.(0) -. duration);
+      contribution_at ~terms ~beta buf 3;
+      kadd buf 6 buf.(3));
+  buf.(6) +. buf.(7)
 
 (* The suffix-time decomposition packaged for the delta evaluator: at
    the makespan of a gapless profile, [tail] in the cache key above is

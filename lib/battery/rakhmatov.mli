@@ -19,6 +19,11 @@
 val default_beta : float
 (** The paper's value, 0.273 (minutes^(-1/2)). *)
 
+val valid_beta : float -> bool
+(** Whether [beta] is a usable diffusion parameter: positive, with a
+    square that is a finite normal double.  Anything else makes sigma
+    [nan] or raises ([beta <= 0]); the entry points reject it. *)
+
 val sigma :
   ?terms:int -> ?beta:float -> Profile.t -> at:float -> float
 (** [sigma p ~at] evaluates Eq. 1 at time [at].  Load after [at] is

@@ -15,7 +15,8 @@ let eps = 1e-9
    the O(n * m) tagging loop.  The seed implementation recomputed the
    energy order (a sort), the energy bounds and the current range — and
    rebuilt list/assignment copies — inside every one of those calls;
-   here each is computed once per [choose_design_points] and every
+   here the graph-only ones are built once per graph ([graph_tables]
+   below), the rest once per [choose_design_points], and every
    design-point lookup is a read of a flat [n * m] table.
 
    On top of the hoisted tables sits the *incremental* trial path (see
@@ -110,7 +111,25 @@ let kahan_strided s a ~first ~stride ~len =
   done;
   ksum s 0
 
-let make_ctx (cfg : Config.t) g ~seq ~window_start =
+(* What a call reads of the graph alone: the n * m tables, the energy
+   and current bounds and the energy order.  A solve makes 4-12 calls
+   on one graph, so these are built once per graph ([graph_tables]),
+   not once per call; above 256 words each n * m table would otherwise
+   land fresh in the major heap on every call. *)
+type tables = {
+  t_dur : float array;
+  t_cur : float array;
+  t_energy : float array;
+  t_energy_order : int array;
+  t_rank_of : int array;
+  t_emin : float;
+  t_emax : float;
+  t_imin : float;
+  t_imax : float;
+  t_mono_dur : bool;
+}
+
+let build_tables g =
   let n = Graph.num_tasks g in
   let m = Graph.num_points g in
   let dur = Array.make (n * m) 0.0 in
@@ -139,12 +158,10 @@ let make_ctx (cfg : Config.t) g ~seq ~window_start =
     done;
     !ok
   in
-  let pos_of = Array.make n 0 in
-  Array.iteri (fun pos t -> pos_of.(t) <- pos) seq;
   (* Analysis.energy_bounds and Task.average_energy: the same Kahan sums
      in the same order.  The energy order sorts (average, id) as
      Analysis.energy_vector does, without boxing a tuple per task. *)
-  let sums = Array.make 4 0.0 in
+  let sums = Array.make 2 0.0 in
   let emin = kahan_strided sums energy ~first:(m - 1) ~stride:m ~len:n in
   let emax = kahan_strided sums energy ~first:0 ~stride:m ~len:n in
   let avg = Array.make n 0.0 in
@@ -161,6 +178,40 @@ let make_ctx (cfg : Config.t) g ~seq ~window_start =
     energy_order;
   let rank_of = Array.make n 0 in
   Array.iteri (fun r t -> rank_of.(t) <- r) energy_order;
+  { t_dur = dur;
+    t_cur = cur;
+    t_energy = energy;
+    t_energy_order = energy_order;
+    t_rank_of = rank_of;
+    t_emin = emin;
+    t_emax = emax;
+    t_imin = !imin;
+    t_imax = !imax;
+    t_mono_dur = mono_dur }
+
+(* The tables of the last graph this domain chose on.  A graph is
+   immutable, so physical equality identifies it; calls on another
+   graph rebuild.  Domain-local, like the memo tables, so a pool
+   fan-out needs no lock and each domain builds at most once per
+   graph. *)
+let last_tables : (Graph.t * tables) option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let graph_tables g =
+  let last = Domain.DLS.get last_tables in
+  match !last with
+  | Some (g', tab) when g' == g -> tab
+  | _ ->
+      let tab = build_tables g in
+      last := Some (g, tab);
+      tab
+
+let make_ctx (cfg : Config.t) g ~seq ~window_start =
+  let n = Graph.num_tasks g in
+  let m = Graph.num_points g in
+  let tab = graph_tables g in
+  let pos_of = Array.make n 0 in
+  Array.iteri (fun pos t -> pos_of.(t) <- pos) seq;
   { n;
     m;
     deadline = cfg.Config.deadline;
@@ -168,20 +219,20 @@ let make_ctx (cfg : Config.t) g ~seq ~window_start =
     span = m - 1 - window_start;
     seq;
     pos_of;
-    dur;
-    cur;
-    energy;
-    energy_order;
-    rank_of;
-    emin;
-    emax;
-    imin = !imin;
-    imax = !imax;
-    mono_dur;
+    dur = tab.t_dur;
+    cur = tab.t_cur;
+    energy = tab.t_energy;
+    energy_order = tab.t_energy_order;
+    rank_of = tab.t_rank_of;
+    emin = tab.t_emin;
+    emax = tab.t_emax;
+    imin = tab.t_imin;
+    imax = tab.t_imax;
+    mono_dur = tab.t_mono_dur;
     cols = Array.make n 0;
     fixed_e = Array.make n false;
     res = Array.make 3 0.0;
-    sums;
+    sums = Array.make 4 0.0;
     trial_sum = Array.make 2 0.0;
     next = Array.make (n + 2) 0;
     prev = Array.make (n + 2) 0;
@@ -599,7 +650,15 @@ let choose_impl ~incremental (cfg : Config.t) g ~sequence ~window_start =
      to the paper whenever its own examples apply (see DESIGN.md). *)
   let last = seq.(n - 1) in
   let rest_fastest =
-    Kahan.sum_fn (n - 1) (fun pos -> dur_at ctx seq.(pos) window_start)
+    (* [Kahan.sum_fn (n - 1)] over the window-edge durations, bit for
+       bit, on a scratch pair: a closure would box every term *)
+    let s = ctx.trial_sum in
+    s.(0) <- 0.0;
+    s.(1) <- 0.0;
+    for pos = 0 to n - 2 do
+      kadd s 0 (dur_at ctx seq.(pos) window_start)
+    done;
+    ksum s 0
   in
   let last_col =
     let rec pick j =

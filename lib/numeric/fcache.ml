@@ -4,10 +4,11 @@
    - Keys live in one flat [float array] ([capacity * arity] cells) so
      a probe reads adjacent unboxed floats; values in a second flat
      array; per-slot generation stamps in a [Bytes.t].  A lookup
-     allocates only the boxed float a hit returns: hashing goes through
+     allocates nothing: hashing goes through
      [Int64.to_int (Int64.bits_of_float x)], whose intermediate boxing
-     the compiler eliminates, and misses are reported as [nan] instead
-     of an [option].
+     the compiler eliminates, and keys and values travel through float
+     arrays ([key], [find_into], [add_from]), never as float arguments
+     or results, which a call to another module boxes.
 
    - Hashing multiplies each key word into an accumulator, which only
      carries entropy upward: the words of round-valued floats (integer
@@ -27,8 +28,20 @@
    - Sizing: a table starts at [min cap start_slots] slots and grows
      [growth]-fold, rehashing its live slots with their stamps, when an
      insert brings it to half full or finds its probe window full of
-     live entries.  A cold solve stores under a thousand keys per
-     table, so it never pays for zero-filling the cap.
+     live entries.  The window-full trigger is what fires first in
+     practice, well below half load: that is linear probing's primary
+     clustering (runs of occupied slots merge and grow faster than the
+     load), not a weak hash — with an ideal random hash an 8-slot
+     window in a 1,024-slot table fills at a median of ~440 keys.  A
+     cold solve stores up to ~1,000 keys per table, so tables start at
+     2,048 slots, where most solves never fill a window.
+
+   - Nothing is written before it is used: the key and value arrays are
+     created uninitialized ([Array.create_float]), and only the stamps
+     are zeroed, since a zero stamp is what marks a slot empty.  A large
+     table is therefore nearly free until it fills: its untouched pages
+     are never faulted in, so small solves do not pay for the larger
+     start size.
 
    - Generations, at the cap only: a slot is live while its stamp is
      the current or the previous generation.  Every [cap / 2]
@@ -59,7 +72,7 @@ let max_probe = 8
 
 let default_capacity = 1 lsl 16
 
-let start_slots = 1024
+let start_slots = 2048
 
 (* x8, not x2: a table filling towards the cap rehashes twice instead
    of six times, and the page faults of the discarded sizes stay small *)
@@ -87,8 +100,8 @@ let create ?(label = "anon") ?(capacity = default_capacity) ~arity () =
       arity;
       cap;
       mask = size - 1;
-      keys = Array.make (size * arity) 0.0;
-      values = Array.make size 0.0;
+      keys = Array.create_float (size * arity);
+      values = Array.create_float size;
       stamps = Bytes.make size '\000';
       scratch = Array.make arity 0.0;
       current = 1;
@@ -152,23 +165,31 @@ let rec keys_eq t base i =
 
 let[@inline] keys_match t slot = keys_eq t (slot * t.arity) 0
 
-(* Find the scratch key: value on a live bit-exact match, nan else. *)
-let rec find_from t h i =
-  if i >= max_probe then Float.nan
+(* Find the scratch key: its slot on a live bit-exact match, -1 else. *)
+let rec find_slot t h i =
+  if i >= max_probe then -1
   else begin
     let slot = (h + i) land t.mask in
     let stamp = Char.code (Bytes.unsafe_get t.stamps slot) in
-    if stamp = 0 then Float.nan
+    if stamp = 0 then -1
     else if live t stamp && keys_match t slot then begin
       (* refresh: a hot key survives generation turnover *)
       if stamp <> t.current then
         Bytes.unsafe_set t.stamps slot (Char.unsafe_chr t.current);
-      t.values.(slot)
+      slot
     end
-    else find_from t h (i + 1)
+    else find_slot t h (i + 1)
   end
 
-let find_scratch t = find_from t (hash t) 0
+let key t = t.scratch
+
+let find_into t dst i =
+  let slot = find_slot t (hash t) 0 in
+  if slot < 0 then false
+  else begin
+    dst.(i) <- t.values.(slot);
+    true
+  end
 
 let advance_generation t =
   t.previous <- t.current;
@@ -190,26 +211,27 @@ let grow t =
   let arity = t.arity and old_stamps = t.stamps in
   let size = min t.cap (growth * Bytes.length old_stamps) in
   let mask = size - 1 in
-  let keys = Array.make (size * arity) 0.0 in
-  let values = Array.make size 0.0 in
+  let keys = Array.create_float (size * arity) in
+  let values = Array.create_float size in
   let stamps = Bytes.make size '\000' in
   for old = 0 to Bytes.length old_stamps - 1 do
     let stamp = Bytes.unsafe_get old_stamps old in
     if stamp <> '\000' && live t (Char.code stamp) then begin
       let base = old * arity in
       let h = hash_words t.keys base arity in
-      let rec place i =
-        if i < max_probe then begin
-          let slot = (h + i) land mask in
-          if Bytes.unsafe_get stamps slot = '\000' then begin
-            Array.blit t.keys base keys (slot * arity) arity;
-            values.(slot) <- t.values.(old);
-            Bytes.unsafe_set stamps slot stamp
-          end
-          else place (i + 1)
+      (* a loop, not a local recursive function: that would build a
+         closure per live slot *)
+      let i = ref 0 in
+      while !i < max_probe do
+        let slot = (h + !i) land mask in
+        if Bytes.unsafe_get stamps slot = '\000' then begin
+          Array.blit t.keys base keys (slot * arity) arity;
+          values.(slot) <- t.values.(old);
+          Bytes.unsafe_set stamps slot stamp;
+          i := max_probe
         end
-      in
-      place 0
+        else incr i
+      done
     end
   done;
   t.keys <- keys;
@@ -217,10 +239,12 @@ let grow t =
   t.mask <- mask;
   t.stamps <- stamps
 
-let store t slot value =
+(* The value comes from [src.(j)] rather than a float argument, which
+   would be boxed at every call. *)
+let store t slot src j =
   let base = slot * t.arity in
   Array.blit t.scratch 0 t.keys base t.arity;
-  t.values.(slot) <- value;
+  t.values.(slot) <- src.(j);
   Bytes.unsafe_set t.stamps slot (Char.unsafe_chr t.current);
   t.fresh <- t.fresh + 1;
   (* below the cap no generation has flipped, so [fresh] counts the
@@ -236,81 +260,41 @@ let[@inline] observe_probe_len i =
   if !Probe.observing then
     Probe.observe "fcache/probe_len" (float_of_int i)
 
-let rec add_scratch t value =
-  let h = hash t in
-  let rec probe i victim =
-    if i >= max_probe then
-      if victim < 0 && capacity t < t.cap then begin
-        (* window full of live strangers below the cap: make room *)
-        grow t;
-        add_scratch t value
-      end
-      else begin
-        (* reuse an expired slot or, at the cap, overwrite the last *)
-        observe_probe_len max_probe;
-        let last = (h + max_probe - 1) land t.mask in
-        store t (if victim >= 0 then victim else last) value
-      end
-    else begin
-      let slot = (h + i) land t.mask in
-      let stamp = Char.code (Bytes.unsafe_get t.stamps slot) in
-      if stamp = 0 then begin
-        (* never-used slot: no live duplicate can sit beyond it *)
-        observe_probe_len (i + 1);
-        store t (if victim >= 0 then victim else slot) value
-      end
-      else if live t stamp then
-        if keys_match t slot then begin
-          t.values.(slot) <- value;
-          if stamp <> t.current then
-            Bytes.unsafe_set t.stamps slot (Char.unsafe_chr t.current)
-        end
-        else probe (i + 1) victim
-      else probe (i + 1) (if victim >= 0 then victim else slot)
+(* Insert the scratch key with value [src.(j)].  [add_probe] is a
+   top-level function, like the lookup loop, so an insert builds no
+   closure. *)
+let rec add_probe t h src j i victim =
+  if i >= max_probe then
+    if victim < 0 && capacity t < t.cap then begin
+      (* window full of live strangers below the cap: make room *)
+      grow t;
+      add_from t src j
     end
-  in
-  probe 0 (-1)
+    else begin
+      (* reuse an expired slot or, at the cap, overwrite the last *)
+      observe_probe_len max_probe;
+      let last = (h + max_probe - 1) land t.mask in
+      store t (if victim >= 0 then victim else last) src j
+    end
+  else begin
+    let slot = (h + i) land t.mask in
+    let stamp = Char.code (Bytes.unsafe_get t.stamps slot) in
+    if stamp = 0 then begin
+      (* never-used slot: no live duplicate can sit beyond it *)
+      observe_probe_len (i + 1);
+      store t (if victim >= 0 then victim else slot) src j
+    end
+    else if live t stamp then
+      if keys_match t slot then begin
+        t.values.(slot) <- src.(j);
+        if stamp <> t.current then
+          Bytes.unsafe_set t.stamps slot (Char.unsafe_chr t.current)
+      end
+      else add_probe t h src j (i + 1) victim
+    else add_probe t h src j (i + 1) (if victim >= 0 then victim else slot)
+  end
 
-let check_arity t expected name =
-  if t.arity <> expected then
-    invalid_arg
-      (Printf.sprintf "Fcache.%s: table has arity %d" name t.arity)
-
-let find3 t k0 k1 k2 =
-  check_arity t 3 "find3";
-  let s = t.scratch in
-  s.(0) <- k0;
-  s.(1) <- k1;
-  s.(2) <- k2;
-  find_scratch t
-
-let add3 t k0 k1 k2 ~value =
-  check_arity t 3 "add3";
-  let s = t.scratch in
-  s.(0) <- k0;
-  s.(1) <- k1;
-  s.(2) <- k2;
-  add_scratch t value
-
-let find5 t k0 k1 k2 k3 k4 =
-  check_arity t 5 "find5";
-  let s = t.scratch in
-  s.(0) <- k0;
-  s.(1) <- k1;
-  s.(2) <- k2;
-  s.(3) <- k3;
-  s.(4) <- k4;
-  find_scratch t
-
-let add5 t k0 k1 k2 k3 k4 ~value =
-  check_arity t 5 "add5";
-  let s = t.scratch in
-  s.(0) <- k0;
-  s.(1) <- k1;
-  s.(2) <- k2;
-  s.(3) <- k3;
-  s.(4) <- k4;
-  add_scratch t value
+and add_from t src j = add_probe t (hash t) src j 0 (-1)
 
 (* Introspection may run on another domain while the owner grows the
    table, so it reads [stamps] once and sizes everything from that

@@ -6,28 +6,32 @@
     table filled.  An [Fcache] key is a fixed number of floats hashed on
     their [Int64.bits_of_float] words directly into a flat open-addressed
     table: a lookup touches at most {!max_probe} adjacent slots and
-    allocates only the boxed float a hit returns (2 words; a miss
-    allocates nothing).
+    allocates nothing.
 
     {2 Semantics}
 
-    The table is a {e lossy} memo, not a map: [add] may silently evict
+    The table is a {e lossy} memo, not a map: an add may silently evict
     other entries (bounded probing) and entries expire generationally,
-    so a [find] after an [add] is allowed to miss.  What is guaranteed
-    is that a hit returns exactly the value stored by the most recent
-    [add] for that key — for a cache of a pure function that is the only
+    so a find after an add is allowed to miss.  What is guaranteed is
+    that a hit returns exactly the value stored by the most recent add
+    for that key — for a cache of a pure function that is the only
     property correctness needs.  Keys are compared bit-for-bit on their
     float words ([nan] keys never match anything; do not use them).
 
     {2 Sizing}
 
-    A table starts at [min cap 1024] slots, where [cap] is the
+    A table starts at [min cap 2048] slots, where [cap] is the
     [?capacity] given to {!create}, and grows eightfold (never past
     [cap]) when an insert brings it to half full or finds its probe
     window full of live entries.  Growth rehashes the live entries and
     drops none of them in practice, so below its cap a table behaves
-    like a map; a short run never allocates, or zero-fills, the full
-    cap.
+    like a map.  The window-full trigger comes first, at 30-45% load:
+    linear probing's primary clustering, not the hash.  A cold solve
+    stores up to ~1,000 keys per table, which the start size holds without
+    growing in most solves.  Only the one-byte stamps are zeroed when a
+    table is created or grown; key and value slots stay unwritten until
+    an entry lands in them, so a short run touches only the pages its
+    entries use.
 
     {2 Eviction}
 
@@ -38,10 +42,7 @@
     entries overwrite expired slots as they are probed.  Unlike the
     previous [Hashtbl.reset], a full table therefore never drops its
     warm recent half, and no O(capacity) sweep ever runs.  A hit
-    refreshes its entry's stamp, so hot keys survive indefinitely.
-
-    Stored values must not be [nan]: [nan] is the miss sentinel
-    returned by [find]. *)
+    refreshes its entry's stamp, so hot keys survive indefinitely. *)
 
 type t
 
@@ -49,7 +50,7 @@ val create : ?label:string -> ?capacity:int -> arity:int -> unit -> t
 (** [create ~arity ()] is an empty table whose keys are [arity] floats
     ([1 <= arity <= 8]).  [capacity] (default [65536]) is rounded up to
     a power of two (at least 16) and is the cap: the slot count growth
-    stops at.  The table starts at [min cap 1024] slots; the live
+    stops at.  The table starts at [min cap 2048] slots; the live
     working set is bounded by the cap and generations turn over every
     [cap / 2] insertions.  [label] (default ["anon"]) names the table
     in the {!occupancy} report; per-domain instances of a domain-local
@@ -62,25 +63,31 @@ val max_probe : int
     O(1) in a table that never tombstones. *)
 
 val capacity : t -> int
-(** The current slot count: a power of two, from [min cap 1024] up to
+(** The current slot count: a power of two, from [min cap 2048] up to
     the cap. *)
 
 val arity : t -> int
 
-val find3 : t -> float -> float -> float -> float
-(** [find3 t k0 k1 k2] is the cached value for the key [(k0, k1, k2)],
-    or [nan] when absent (test with [Float.is_nan]).  The table must
-    have arity 3. @raise Invalid_argument on an arity mismatch. *)
+(** {2 Lookups}
 
-val add3 : t -> float -> float -> float -> value:float -> unit
-(** Insert or overwrite.  @raise Invalid_argument on arity mismatch. *)
+    A float passed to or returned from a function of another module is
+    boxed (2 minor words each).  Keys and values therefore travel
+    through float arrays, and a lookup allocates nothing, hit or
+    miss. *)
 
-val find5 : t -> float -> float -> float -> float -> float -> float
-(** As {!find3} for 5-float keys. *)
+val key : t -> float array
+(** The table's key buffer, [arity] cells: write a key here, then call
+    {!find_into} and, on a miss, {!add_from}.  Any other call on the
+    table may overwrite it. *)
 
-val add5 :
-  t -> float -> float -> float -> float -> float -> value:float -> unit
-(** As {!add3} for 5-float keys. *)
+val find_into : t -> float array -> int -> bool
+(** [find_into t dst i] looks up the key held in [key t].  On a live
+    bit-exact match it writes the value to [dst.(i)] and returns
+    [true]; otherwise it returns [false] and leaves [dst] alone. *)
+
+val add_from : t -> float array -> int -> unit
+(** [add_from t src i] stores [src.(i)] under the key held in [key t],
+    inserting or overwriting. *)
 
 val clear : t -> unit
 (** Forget every entry (O(capacity); test/bench helper, not hot path). *)

@@ -16,14 +16,36 @@ let add { total; compensation } x =
 
 let sum { total; compensation } = total +. compensation
 
-let sum_list xs = sum (List.fold_left add zero xs)
+(* The folds below run [add]'s arithmetic on a two-cell float array,
+   total then compensation, instead of building a record per term. *)
+let[@inline] add_to s x =
+  let total = s.(0) in
+  let t = total +. x in
+  s.(1) <-
+    s.(1)
+    +. (if Float.abs total >= Float.abs x then (total -. t) +. x
+        else (x -. t) +. total);
+  s.(0) <- t
 
-let sum_array xs = sum (Array.fold_left add zero xs)
+let sum_list xs =
+  let s = Array.make 2 0.0 in
+  List.iter (fun x -> add_to s x) xs;
+  s.(0) +. s.(1)
+
+let sum_array xs =
+  let s = Array.make 2 0.0 in
+  for i = 0 to Array.length xs - 1 do
+    add_to s xs.(i)
+  done;
+  s.(0) +. s.(1)
 
 let sum_fn n f =
   if n < 0 then invalid_arg "Kahan.sum_fn: negative count";
-  let rec loop i acc = if i >= n then acc else loop (i + 1) (add acc (f i)) in
-  sum (loop 0 zero)
+  let s = Array.make 2 0.0 in
+  for i = 0 to n - 1 do
+    add_to s (f i)
+  done;
+  s.(0) +. s.(1)
 
 (* Mutable variant for hot loops: both fields are floats, so the record
    is flat and [add] allocates nothing — unlike the immutable [t],

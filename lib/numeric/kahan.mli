@@ -28,6 +28,9 @@ val sum_array : float array -> float
 
 val sum_fn : int -> (int -> float) -> float
 (** [sum_fn n f] is the compensated sum of [f 0 + ... + f (n-1)].
+    Each [f i] returns its term boxed (2 minor words), as any float
+    returned by a closure or by another module's function is; hot
+    loops keep the Neumaier step in their own module instead.
     @raise Invalid_argument if [n < 0]. *)
 
 (** Mutable accumulator for allocation-sensitive inner loops.  The

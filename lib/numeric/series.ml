@@ -17,17 +17,34 @@ let[@inline] clamp_time t =
   else if t >= -.negative_tolerance then 0.0
   else invalid_arg "Series.exp_sum: negative time"
 
+(* [buf.(i) <- F(buf.(i))] for the truncated series F.  The sum is
+   [Kahan.sum_fn]'s, operation for operation, with its running pair in
+   local variables and no closure per term, and the argument and
+   result travel through [buf]: a float passed to or returned by a
+   function that is not inlined is boxed.  Nothing is allocated. *)
+let exp_sum_at ~terms ~beta buf i =
+  let t = buf.(i) in
+  let b2 = beta *. beta in
+  let total = ref 0.0 and comp = ref 0.0 in
+  for k = 0 to terms - 1 do
+    let m = float_of_int (k + 1) in
+    let m2 = m *. m in
+    let x = exp (-.b2 *. m2 *. t) /. (b2 *. m2) in
+    let s = !total +. x in
+    comp :=
+      !comp
+      +. (if Float.abs !total >= Float.abs x then (!total -. s) +. x
+          else (x -. s) +. !total);
+    total := s
+  done;
+  buf.(i) <- 2.0 *. (!total +. !comp)
+
 let exp_sum ?(terms = default_terms) ~beta t =
   check_beta beta;
   check_terms terms;
-  let t = clamp_time t in
-  let b2 = beta *. beta in
-  let term i =
-    let m = float_of_int (i + 1) in
-    let m2 = m *. m in
-    exp (-.b2 *. m2 *. t) /. (b2 *. m2)
-  in
-  2.0 *. Kahan.sum_fn terms term
+  let buf = [| clamp_time t |] in
+  exp_sum_at ~terms ~beta buf 0;
+  buf.(0)
 
 (* Memoized one-sided tails.  [kernel ~beta a b] telescopes as
    [F(a) - F(b)] over [F = exp_sum], so one memo table over F values
@@ -41,35 +58,52 @@ let exp_sum ?(terms = default_terms) ~beta t =
 let cache : Fcache.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Fcache.create ~label:"series-f" ~arity:3 ())
 
+(* [buf.(i) <- F(buf.(i))] through the memo, allocating nothing. *)
+let cached_at ~terms ~beta buf i =
+  let t = clamp_time buf.(i) in
+  let tbl = Domain.DLS.get cache in
+  let key = Fcache.key tbl in
+  key.(0) <- beta;
+  key.(1) <- float_of_int terms;
+  key.(2) <- t;
+  let probe = Probe.local () in
+  if Fcache.find_into tbl buf i then
+    probe.Probe.fmemo_hits <- probe.Probe.fmemo_hits + 1
+  else begin
+    probe.Probe.fmemo_misses <- probe.Probe.fmemo_misses + 1;
+    buf.(i) <- t;
+    exp_sum_at ~terms ~beta buf i;
+    Fcache.add_from tbl buf i
+  end
+
 let exp_sum_cached ?(terms = default_terms) ~beta t =
   check_beta beta;
   check_terms terms;
-  let t = clamp_time t in
-  let tbl = Domain.DLS.get cache in
-  let terms_f = float_of_int terms in
-  let probe = Probe.local () in
-  let v = Fcache.find3 tbl beta terms_f t in
-  if Float.is_nan v then begin
-    probe.Probe.fmemo_misses <- probe.Probe.fmemo_misses + 1;
-    let v = exp_sum ~terms ~beta t in
-    Fcache.add3 tbl beta terms_f t ~value:v;
-    v
-  end
+  let buf = [| t |] in
+  cached_at ~terms ~beta buf 0;
+  buf.(0)
+
+(* The tail at [b] is looked up before the one at [a].  The order
+   fixes where each entry lands in the memo, and so the probe lengths
+   that [--stats] reports. *)
+let kernel_at ~terms ~beta buf i =
+  check_beta beta;
+  check_terms terms;
+  let a = buf.(i) and b = buf.(i + 1) in
+  if a < 0.0 || b < a then invalid_arg "Series.kernel: need 0 <= a <= b";
+  if a = b then buf.(i) <- 0.0
   else begin
-    probe.Probe.fmemo_hits <- probe.Probe.fmemo_hits + 1;
-    v
+    cached_at ~terms ~beta buf (i + 1);
+    cached_at ~terms ~beta buf i;
+    (* F is strictly decreasing, so the difference is >= 0 up to
+       rounding; clamp the few-ulp negatives away. *)
+    buf.(i) <- Float.max 0.0 (buf.(i) -. buf.(i + 1))
   end
 
 let kernel ?(terms = default_terms) ~beta a b =
-  check_beta beta;
-  check_terms terms;
-  if a < 0.0 || b < a then invalid_arg "Series.kernel: need 0 <= a <= b";
-  if a = b then 0.0
-  else
-    (* F is strictly decreasing, so the difference is >= 0 up to
-       rounding; clamp the few-ulp negatives away. *)
-    Float.max 0.0
-      (exp_sum_cached ~terms ~beta a -. exp_sum_cached ~terms ~beta b)
+  let buf = [| a; b |] in
+  kernel_at ~terms ~beta buf 0;
+  buf.(0)
 
 let kernel_limit ~beta =
   check_beta beta;

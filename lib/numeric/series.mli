@@ -58,6 +58,14 @@ val kernel : ?terms:int -> beta:float -> float -> float -> float
     the differences to a few ulps (well within 1e-9).
     @raise Invalid_argument if the ordering constraint is violated. *)
 
+val kernel_at : terms:int -> beta:float -> float array -> int -> unit
+(** [kernel_at ~terms ~beta buf i] is {!kernel} on [a = buf.(i)] and
+    [b = buf.(i + 1)]: it writes the kernel to [buf.(i)] and clobbers
+    [buf.(i + 1)].  Bit-identical to {!kernel}, with the same memo
+    traffic, but it allocates nothing: a float passed to or returned
+    from a function of another module is boxed.
+    @raise Invalid_argument as {!kernel}. *)
+
 val kernel_limit : beta:float -> float
 (** [kernel_limit ~beta] is [lim_{b -> infinity} F(beta, 0, b)
     = 2 * sum 1/(beta^2 m^2) = pi^2 / (3 beta^2)], the total

@@ -1,4 +1,3 @@
-open Batsched_numeric
 open Batsched_taskgraph
 
 type t = { num_points : int; columns : int array }
@@ -41,15 +40,35 @@ let to_list t = Array.to_list t.columns
 
 let chosen_point g t i = Task.point (Graph.task g i) (column t i)
 
-let sum_over g t f =
-  Kahan.sum_fn (Array.length t.columns) (fun i ->
-      f (Graph.task g i) t.columns.(i))
+(* [Kahan.sum_fn] over the tasks in id order, step for step, with the
+   term read from each chosen point inside this function: a term
+   returned by a closure would be boxed. *)
+type term = Duration | Energy | Charge
 
-let total_time g t = sum_over g t (fun task j -> (Task.point task j).Task.duration)
+let sum_over g t term =
+  let total = ref 0.0 and comp = ref 0.0 in
+  for i = 0 to Array.length t.columns - 1 do
+    let p = Task.point (Graph.task g i) t.columns.(i) in
+    let x =
+      match term with
+      | Duration -> p.Task.duration
+      | Energy -> p.Task.current *. p.Task.voltage *. p.Task.duration
+      | Charge -> p.Task.current *. p.Task.duration
+    in
+    let s = !total +. x in
+    comp :=
+      !comp
+      +. (if Float.abs !total >= Float.abs x then (!total -. s) +. x
+          else (x -. s) +. !total);
+    total := s
+  done;
+  !total +. !comp
 
-let total_energy g t = sum_over g t Task.energy
+let total_time g t = sum_over g t Duration
 
-let total_charge g t = sum_over g t Task.charge
+let total_energy g t = sum_over g t Energy
+
+let total_charge g t = sum_over g t Charge
 
 let equal a b = a.num_points = b.num_points && a.columns = b.columns
 

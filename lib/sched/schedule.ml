@@ -14,10 +14,15 @@ let unsafe_make g ~sequence ~assignment =
   { sequence; assignment }
 
 let to_profile g t =
-  let seq = Array.of_list t.sequence in
-  Profile.sequential_fn ~n:(Array.length seq) (fun k ->
-      let p = Assignment.chosen_point g t.assignment seq.(k) in
-      (p.Task.current, p.Task.duration))
+  let n = List.length t.sequence in
+  let currents = Array.create_float n and durations = Array.create_float n in
+  List.iteri
+    (fun k v ->
+      let p = Assignment.chosen_point g t.assignment v in
+      currents.(k) <- p.Task.current;
+      durations.(k) <- p.Task.duration)
+    t.sequence;
+  Profile.sequential_arrays ~currents ~durations
 
 let finish_time g t = Assignment.total_time g t.assignment
 
@@ -39,7 +44,7 @@ let pp g fmt t =
   Format.pp_print_string fmt " / ";
   let parts =
     List.map
-      (fun i -> Printf.sprintf "P%d" (Assignment.column t.assignment i + 1))
+      (fun i -> "P" ^ string_of_int (Assignment.column t.assignment i + 1))
       t.sequence
   in
   Format.pp_print_string fmt (String.concat "," parts)

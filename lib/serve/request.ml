@@ -76,6 +76,8 @@ let of_json line =
             let graph_src = required str "graph" in
             let deadline = required num "deadline" in
             if deadline <= 0.0 then reject "deadline must be positive";
+            if not (Float.is_finite deadline) then
+              reject "deadline must be finite";
             let graph =
               match Textio.of_string graph_src with
               | exception Textio.Parse_error { line; message } ->
@@ -90,7 +92,20 @@ let of_json line =
             let beta =
               Option.value (num "beta") ~default:Rakhmatov.default_beta
             in
-            let seed = int_of_float (Option.value (num "seed") ~default:0.0) in
+            if not (Rakhmatov.valid_beta beta) then
+              reject
+                "beta must be positive and finite, with a square that does \
+                 not underflow";
+            let seed =
+              match num "seed" with
+              | None -> 0
+              | Some v ->
+                  (* every integer up to 2^53 is exact; past 2^62,
+                     int_of_float overflows *)
+                  if not (Float.is_integer v && Float.abs v <= 0x1p53) then
+                    reject "seed must be an integer of magnitude at most 2^53";
+                  int_of_float v
+            in
             let starts = Option.value (count "starts") ~default:4 in
             let steps = count "steps" in
             let t0 = num "t0" in

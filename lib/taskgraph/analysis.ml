@@ -1,5 +1,3 @@
-open Batsched_numeric
-
 let is_topological g seq =
   let n = Graph.num_tasks g in
   if List.length seq <> n then false
@@ -21,40 +19,42 @@ let is_topological g seq =
     !ok && edges_ordered 0
   end
 
-let list_schedule ~weight g =
+(* The incumbent of each scan is an index and a float local, not an
+   option of a tuple, so a scan allocates nothing. *)
+let list_schedule_weights g weight =
   let n = Graph.num_tasks g in
+  if Array.length weight <> n then
+    invalid_arg "Analysis.list_schedule_weights: length mismatch";
   let remaining_preds = Array.init n (fun i -> List.length (Graph.preds g i)) in
   let scheduled = Array.make n false in
-  (* [weight] is pure, so one evaluation per vertex serves every step
-     at which the vertex is ready *)
-  let memo = Array.make n 0.0 and known = Array.make n false in
-  let rec step acc count =
-    if count = n then List.rev acc
-    else begin
-      let best = ref None in
-      for v = 0 to n - 1 do
-        if (not scheduled.(v)) && remaining_preds.(v) = 0 then begin
-          if not known.(v) then begin
-            memo.(v) <- weight v;
-            known.(v) <- true
-          end;
-          let w = memo.(v) in
-          match !best with
-          | Some (_, bw) when bw >= w -> ()
-          | _ -> best := Some (v, w)
-        end
-      done;
-      match !best with
-      | None -> invalid_arg "Analysis.list_schedule: graph not acyclic?"
-      | Some (v, _) ->
-          scheduled.(v) <- true;
-          List.iter
-            (fun w -> remaining_preds.(w) <- remaining_preds.(w) - 1)
-            (Graph.succs g v);
-          step (v :: acc) (count + 1)
-    end
+  let rec release = function
+    | [] -> ()
+    | w :: rest ->
+        remaining_preds.(w) <- remaining_preds.(w) - 1;
+        release rest
   in
-  step [] 0
+  let order = ref [] in
+  for _ = 1 to n do
+    let best = ref (-1) and best_w = ref 0.0 in
+    for v = 0 to n - 1 do
+      if (not scheduled.(v)) && remaining_preds.(v) = 0 then begin
+        let w = weight.(v) in
+        if !best < 0 || not (!best_w >= w) then begin
+          best := v;
+          best_w := w
+        end
+      end
+    done;
+    if !best < 0 then invalid_arg "Analysis.list_schedule: graph not acyclic?";
+    let v = !best in
+    scheduled.(v) <- true;
+    release (Graph.succs g v);
+    order := v :: !order
+  done;
+  List.rev !order
+
+let list_schedule ~weight g =
+  list_schedule_weights g (Array.init (Graph.num_tasks g) weight)
 
 (* Tie-break note: the scan goes v = 0 .. n-1 and only a strictly larger
    weight displaces the incumbent, so equal weights resolve to the
@@ -108,11 +108,30 @@ let descendants g v =
   visit v;
   List.filter (fun i -> seen.(i)) (List.init n Fun.id)
 
+(* [Kahan.sum_list] over the tasks in id order, step for step, with
+   each term read inside this function: a term returned by a closure
+   or by another module would be boxed. *)
+let column_sum g j ~energy =
+  let total = ref 0.0 and comp = ref 0.0 in
+  for i = 0 to Graph.num_tasks g - 1 do
+    let p = Task.point (Graph.task g i) j in
+    let x =
+      if energy then p.Task.current *. p.Task.voltage *. p.Task.duration
+      else p.Task.duration
+    in
+    let s = !total +. x in
+    comp :=
+      !comp
+      +. (if Float.abs !total >= Float.abs x then (!total -. s) +. x
+          else (x -. s) +. !total);
+    total := s
+  done;
+  !total +. !comp
+
 let column_time g j =
   let m = Graph.num_points g in
   if j < 0 || j >= m then invalid_arg "Analysis.column_time: column out of range";
-  Kahan.sum_list
-    (List.map (fun t -> (Task.point t j).Task.duration) (Graph.tasks g))
+  column_sum g j ~energy:false
 
 let serial_time_bounds g =
   let m = Graph.num_points g in
@@ -126,10 +145,7 @@ let current_range g =
 
 let energy_bounds g =
   let m = Graph.num_points g in
-  let total j =
-    Kahan.sum_list (List.map (fun t -> Task.energy t j) (Graph.tasks g))
-  in
-  (total (m - 1), total 0)
+  (column_sum g (m - 1) ~energy:true, column_sum g 0 ~energy:true)
 
 let energy_vector g =
   let keyed =

@@ -14,9 +14,13 @@ val list_schedule : weight:(int -> float) -> Graph.t -> int list
     scheduled), the one with the largest [weight]; ties break on the
     smaller task id.  Returns a valid linearization of [g].
 
-    [weight] must be pure: it is evaluated at most once per task, when
-    the task first becomes ready, and that value serves every later
-    step. *)
+    [weight] must be pure: it is evaluated once per task, in id order,
+    before the first pick. *)
+
+val list_schedule_weights : Graph.t -> float array -> int list
+(** [list_schedule_weights g w] is [list_schedule ~weight:(Array.get w)
+    g] without a closure call per task, which would box each weight.
+    @raise Invalid_argument unless [w] has one weight per task. *)
 
 val any_topological_order : Graph.t -> int list
 (** A canonical linearization (list schedule with all-equal weights,

@@ -5,20 +5,33 @@ type t = {
   succs : int list array;
 }
 
-(* Kahn's algorithm; returns true iff all vertices are drained. *)
+(* Kahn's algorithm; returns true iff all vertices are drained.  The
+   ready vertices sit on an int-array stack: only the count matters. *)
 let acyclic ~n ~succs ~indegree =
   let indeg = Array.copy indegree in
-  let queue = Queue.create () in
-  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
+  let stack = Array.make n 0 and top = ref 0 in
+  Array.iteri
+    (fun i d ->
+      if d = 0 then begin
+        stack.(!top) <- i;
+        incr top
+      end)
+    indeg;
   let drained = ref 0 in
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    incr drained;
-    List.iter
-      (fun w ->
+  let rec release = function
+    | [] -> ()
+    | w :: rest ->
         indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then Queue.add w queue)
-      succs.(v)
+        if indeg.(w) = 0 then begin
+          stack.(!top) <- w;
+          incr top
+        end;
+        release rest
+  in
+  while !top > 0 do
+    decr top;
+    incr drained;
+    release succs.(stack.(!top))
   done;
   !drained = n
 
@@ -42,22 +55,24 @@ let make ?(label = "") ~edges tasks =
       if Task.num_points t <> m then
         invalid_arg "Graph.make: tasks disagree on design-point count")
     tasks_arr;
-  let edge_set = Hashtbl.create (List.length edges) in
+  (* Adjacency lists, then each sorted with duplicate edges collapsed:
+     no edge set or tuple per edge.  Short lists skip the sort, whose
+     local closures cost more than the list. *)
+  let sorted = function
+    | ([] | [ _ ]) as l -> l
+    | l -> List.sort_uniq Int.compare l
+  in
+  let preds = Array.make n [] and succs = Array.make n [] in
   List.iter
     (fun (a, b) ->
       if a < 0 || a >= n || b < 0 || b >= n then
         invalid_arg "Graph.make: edge endpoint out of range";
       if a = b then invalid_arg "Graph.make: self loop";
-      Hashtbl.replace edge_set (a, b) ())
-    edges;
-  let preds = Array.make n [] and succs = Array.make n [] in
-  Hashtbl.iter
-    (fun (a, b) () ->
       succs.(a) <- b :: succs.(a);
       preds.(b) <- a :: preds.(b))
-    edge_set;
-  Array.iteri (fun i l -> preds.(i) <- List.sort compare l) preds;
-  Array.iteri (fun i l -> succs.(i) <- List.sort compare l) succs;
+    edges;
+  Array.iteri (fun i l -> preds.(i) <- sorted l) preds;
+  Array.iteri (fun i l -> succs.(i) <- sorted l) succs;
   let indegree = Array.map List.length preds in
   if not (acyclic ~n ~succs ~indegree) then invalid_arg "Graph.make: cycle detected";
   { label; tasks = tasks_arr; preds; succs }

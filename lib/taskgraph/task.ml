@@ -15,7 +15,15 @@ let make ~id ~name points =
   if points = [] then invalid_arg "Task.make: no design points";
   List.iter check_point points;
   let arr = Array.of_list points in
-  Array.sort (fun a b -> compare a.duration b.duration) arr;
+  (* Points listed by strictly increasing duration are already in the
+     one order any sort gives them; skipping the sort skips its
+     closures.  With ties the sort runs, since it is not stable. *)
+  let increasing = ref true in
+  for j = 1 to Array.length arr - 1 do
+    if not (arr.(j - 1).duration < arr.(j).duration) then increasing := false
+  done;
+  if not !increasing then
+    Array.sort (fun a b -> compare a.duration b.duration) arr;
   for j = 1 to Array.length arr - 1 do
     (* Tiny tolerance: published tables sometimes show equal currents at
        adjacent points after rounding. *)
@@ -59,9 +67,22 @@ let charge t j =
   let p = point t j in
   p.current *. p.duration
 
+(* [Kahan.sum_fn m (energy t)], step for step, with each term computed
+   here rather than returned boxed by a closure. *)
 let average_energy t =
   let m = num_points t in
-  Batsched_numeric.Kahan.sum_fn m (energy t) /. float_of_int m
+  let total = ref 0.0 and comp = ref 0.0 in
+  for j = 0 to m - 1 do
+    let p = t.points.(j) in
+    let x = p.current *. p.voltage *. p.duration in
+    let s = !total +. x in
+    comp :=
+      !comp
+      +. (if Float.abs !total >= Float.abs x then (!total -. s) +. x
+          else (x -. s) +. !total);
+    total := s
+  done;
+  (!total +. !comp) /. float_of_int m
 
 let min_current t = (slowest t).current
 

@@ -31,8 +31,9 @@ type accum = {
   mutable arcs : (string * string * int) list;  (* from, to, line *)
   mutable deadline : float option;
   mutable period : float option;
-  mutable columns : (int * (int * (float * float * float)) list) list;
-      (* design-point index -> (type -> current, duration, voltage) *)
+  columns : (int, (int, Task.design_point) Hashtbl.t) Hashtbl.t;
+      (* design-point index -> type -> point; a later row of a type
+         replaces an earlier one *)
   mutable graph_seen : bool;
 }
 
@@ -44,8 +45,8 @@ let int_of ~line s =
 
 let parse_lines text =
   let acc =
-    { tasks = []; arcs = []; deadline = None; period = None; columns = [];
-      graph_seen = false }
+    { tasks = []; arcs = []; deadline = None; period = None;
+      columns = Hashtbl.create 8; graph_seen = false }
   in
   let block = ref Other in
   let in_first_graph = ref false in
@@ -62,8 +63,8 @@ let parse_lines text =
     | _, "@DESIGN_POINT" :: idx :: _ ->
         let k = int_of ~line idx in
         block := Design_point k;
-        if not (List.mem_assoc k acc.columns) then
-          acc.columns <- (k, []) :: acc.columns
+        if not (Hashtbl.mem acc.columns k) then
+          Hashtbl.add acc.columns k (Hashtbl.create 64)
     | _, first :: _ when String.length first > 0 && first.[0] = '@' ->
         block := Other
     | Task_graph, "}" :: _ ->
@@ -86,17 +87,19 @@ let parse_lines text =
         match toks with
         | [ "{" ] -> ()
         | [ ty; cur; dur ] | [ ty; cur; dur; _ ] ->
+            (* fields are read voltage, duration, current, type: a
+               row with several bad fields reports the first bad one
+               in that order *)
             let voltage =
               match toks with
               | [ _; _; _; v ] -> float_of ~line v
               | _ -> 1.0
             in
-            let row =
-              (int_of ~line ty, (float_of ~line cur, float_of ~line dur, voltage))
-            in
-            let rows = List.assoc k acc.columns in
-            acc.columns <-
-              (k, row :: rows) :: List.remove_assoc k acc.columns
+            let duration = float_of ~line dur in
+            let current = float_of ~line cur in
+            let ty = int_of ~line ty in
+            Hashtbl.replace (Hashtbl.find acc.columns k) ty
+              { Task.current; duration; voltage }
         | _ -> fail line "design-point row needs: type current duration [voltage]")
     | Other, _ -> ()
   in
@@ -109,16 +112,19 @@ let of_string text =
   let acc = parse_lines text in
   let named = List.rev acc.tasks in
   if named = [] then fail 0 "no tasks (need a @TASK_GRAPH block)";
-  let columns = List.sort compare acc.columns in
+  let columns =
+    List.sort compare (Hashtbl.fold (fun k _ ks -> k :: ks) acc.columns [])
+  in
   if columns = [] then fail 0 "no @DESIGN_POINT blocks";
   (* columns must be 0..m-1 *)
   List.iteri
-    (fun expected (k, _) ->
+    (fun expected k ->
       if k <> expected then fail 0 "design-point blocks must be numbered 0..m-1")
     columns;
-  let point_of ~line ty k =
-    match List.assoc_opt ty (List.assoc k columns) with
-    | Some (current, duration, voltage) -> { Task.current; duration; voltage }
+  let rows = List.map (Hashtbl.find acc.columns) columns in
+  let point_of ~line ty k rows =
+    match Hashtbl.find_opt rows ty with
+    | Some p -> p
     | None ->
         fail line
           (Printf.sprintf "task type %d missing from @DESIGN_POINT %d" ty k)
@@ -126,19 +132,20 @@ let of_string text =
   let task_list =
     List.mapi
       (fun id (name, ty, line) ->
-        let points =
-          List.map (fun (k, _) -> point_of ~line ty k) columns
-        in
+        let points = List.map2 (point_of ~line ty) columns rows in
         try Task.make ~id ~name points
         with Invalid_argument msg -> fail line (name ^ ": " ^ msg))
       named
   in
+  (* an arc to a repeated name means its first task *)
+  let ids = Hashtbl.create 64 in
+  List.iteri
+    (fun i (n, _, _) -> if not (Hashtbl.mem ids n) then Hashtbl.add ids n i)
+    named;
   let index_of name line =
-    let rec go i = function
-      | [] -> fail line ("unknown task in arc: " ^ name)
-      | (n, _, _) :: rest -> if n = name then i else go (i + 1) rest
-    in
-    go 0 named
+    match Hashtbl.find_opt ids name with
+    | Some i -> i
+    | None -> fail line ("unknown task in arc: " ^ name)
   in
   let edges =
     List.rev_map

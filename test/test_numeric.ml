@@ -108,30 +108,43 @@ let test_series_cached_across_eviction () =
 
 (* --- Fcache --- *)
 
+(* The slot interface, wrapped for readable tests: [fc_find t k] is the
+   value stored under the key [k] ([arity] floats) or [nan], and
+   [fc_add t k v] stores [v] under it. *)
+let fc_find t k =
+  Array.blit k 0 (Fcache.key t) 0 (Array.length k);
+  let dst = [| Float.nan |] in
+  ignore (Fcache.find_into t dst 0);
+  dst.(0)
+
+let fc_add t k v =
+  Array.blit k 0 (Fcache.key t) 0 (Array.length k);
+  Fcache.add_from t [| v |] 0
+
 let test_fcache_roundtrip () =
   let t = Fcache.create ~capacity:64 ~arity:3 () in
   Alcotest.(check bool) "fresh miss is nan" true
-    (Float.is_nan (Fcache.find3 t 1.0 2.0 3.0));
-  Fcache.add3 t 1.0 2.0 3.0 ~value:42.0;
-  check_float "hit" 42.0 (Fcache.find3 t 1.0 2.0 3.0);
-  Fcache.add3 t 1.0 2.0 3.0 ~value:7.0;
-  check_float "overwrite in place" 7.0 (Fcache.find3 t 1.0 2.0 3.0);
+    (Float.is_nan (fc_find t [| 1.0; 2.0; 3.0 |]));
+  fc_add t [| 1.0; 2.0; 3.0 |] 42.0;
+  check_float "hit" 42.0 (fc_find t [| 1.0; 2.0; 3.0 |]);
+  fc_add t [| 1.0; 2.0; 3.0 |] 7.0;
+  check_float "overwrite in place" 7.0 (fc_find t [| 1.0; 2.0; 3.0 |]);
   Alcotest.(check bool) "permuted key misses" true
-    (Float.is_nan (Fcache.find3 t 3.0 2.0 1.0));
+    (Float.is_nan (fc_find t [| 3.0; 2.0; 1.0 |]));
   (* keys compare bit-for-bit: -0.0 and 0.0 are different keys *)
-  Fcache.add3 t 0.0 0.0 0.0 ~value:1.0;
+  fc_add t [| 0.0; 0.0; 0.0 |] 1.0;
   Alcotest.(check bool) "negative zero is a distinct key" true
-    (Float.is_nan (Fcache.find3 t (-0.0) 0.0 0.0));
+    (Float.is_nan (fc_find t [| -0.0; 0.0; 0.0 |]));
   Fcache.clear t;
   Alcotest.(check bool) "cleared" true
-    (Float.is_nan (Fcache.find3 t 1.0 2.0 3.0));
+    (Float.is_nan (fc_find t [| 1.0; 2.0; 3.0 |]));
   Alcotest.(check int) "empty after clear" 0 (Fcache.live_count t)
 
 let test_fcache_arity_checked () =
   let t = Fcache.create ~capacity:64 ~arity:3 () in
-  Alcotest.check_raises "find5 on arity 3"
-    (Invalid_argument "Fcache.find5: table has arity 3") (fun () ->
-      ignore (Fcache.find5 t 1.0 2.0 3.0 4.0 5.0));
+  Alcotest.(check int) "key buffer holds arity floats" 3
+    (Array.length (Fcache.key t));
+  Alcotest.(check int) "arity" 3 (Fcache.arity t);
   Alcotest.check_raises "bad arity"
     (Invalid_argument "Fcache.create: arity not in 1..8") (fun () ->
       ignore (Fcache.create ~arity:0 ()))
@@ -141,7 +154,7 @@ let test_fcache_eviction_bounded () =
   let cap = Fcache.capacity t in
   let total = 4 * cap in
   for i = 0 to total - 1 do
-    Fcache.add3 t (float_of_int i) 0.5 (-2.0) ~value:(float_of_int (2 * i))
+    fc_add t [| float_of_int i; 0.5; -2.0 |] (float_of_int (2 * i))
   done;
   Alcotest.(check bool) "live set bounded by capacity" true
     (Fcache.live_count t <= cap);
@@ -149,7 +162,7 @@ let test_fcache_eviction_bounded () =
   (* whatever still hits must return exactly the stored value *)
   let hits = ref 0 in
   for i = 0 to total - 1 do
-    let v = Fcache.find3 t (float_of_int i) 0.5 (-2.0) in
+    let v = fc_find t [| float_of_int i; 0.5; -2.0 |] in
     if not (Float.is_nan v) then begin
       incr hits;
       check_float "hit is stored value" (float_of_int (2 * i)) v
@@ -164,7 +177,7 @@ let test_fcache_eviction_bounded () =
 let test_fcache_round_keys_disperse () =
   let survivors add find =
     for k = 0 to 255 do
-      add k ~value:(float_of_int k)
+      add k (float_of_int k)
     done;
     let n = ref 0 in
     for k = 0 to 255 do
@@ -175,8 +188,8 @@ let test_fcache_round_keys_disperse () =
   let t3 = Fcache.create ~capacity:1024 ~arity:3 () in
   Alcotest.(check int) "arity 3: (0.273, 10, k/2)" 256
     (survivors
-       (fun k -> Fcache.add3 t3 0.273 10.0 (float_of_int k /. 2.0))
-       (fun k -> Fcache.find3 t3 0.273 10.0 (float_of_int k /. 2.0)));
+       (fun k -> fc_add t3 [| 0.273; 10.0; float_of_int k /. 2.0 |])
+       (fun k -> fc_find t3 [| 0.273; 10.0; float_of_int k /. 2.0 |]));
   let t5 = Fcache.create ~capacity:1024 ~arity:5 () in
   let current k = float_of_int (100 * (1 + (k mod 8)))
   and duration k = float_of_int (1 + (k / 8 mod 8))
@@ -184,14 +197,16 @@ let test_fcache_round_keys_disperse () =
   Alcotest.(check int) "arity 5: integer current, duration, tail" 256
     (survivors
        (fun k ->
-         Fcache.add5 t5 0.273 10.0 (current k) (duration k) (tail k))
+         fc_add t5 [| 0.273; 10.0; current k; duration k; tail k |])
        (fun k ->
-         Fcache.find5 t5 0.273 10.0 (current k) (duration k) (tail k)))
+         fc_find t5 [| 0.273; 10.0; current k; duration k; tail k |]))
 
-(* A lookup allocates at most the boxed float it returns: 2 words on a
-   hit, nothing on a miss.  The probe loop and the key comparison are
-   top-level functions, so no closure is built per call (without
-   flambda a local recursive closure costs 5 words each). *)
+(* A lookup allocates nothing, hit or miss: keys and values travel
+   through float arrays, never as float arguments or results (a call
+   into another module boxes those, 2 words each), and the probe loop
+   and the key comparison are top-level functions, so no closure is
+   built per call (without flambda a local recursive closure costs 5
+   words each). *)
 let test_fcache_lookup_allocation () =
   let n = 100_000 in
   let words_per_call f =
@@ -202,19 +217,37 @@ let test_fcache_lookup_allocation () =
     (Gc.minor_words () -. w0) /. float_of_int n
   in
   let t3 = Fcache.create ~arity:3 () and t5 = Fcache.create ~arity:5 () in
-  Fcache.add3 t3 0.273 10.0 4.5 ~value:1.25;
-  Fcache.add5 t5 0.273 10.0 800.0 2.0 3.5 ~value:2.5;
-  let check name bound f =
+  fc_add t3 [| 0.273; 10.0; 4.5 |] 1.25;
+  fc_add t5 [| 0.273; 10.0; 800.0; 2.0; 3.5 |] 2.5;
+  let dst = [| 0.0 |] in
+  let find3 t k2 () =
+    let k = Fcache.key t in
+    k.(0) <- 0.273;
+    k.(1) <- 10.0;
+    k.(2) <- k2;
+    Fcache.find_into t dst 0
+  and find5 t k4 () =
+    let k = Fcache.key t in
+    k.(0) <- 0.273;
+    k.(1) <- 10.0;
+    k.(2) <- 800.0;
+    k.(3) <- 2.0;
+    k.(4) <- k4;
+    Fcache.find_into t dst 0
+  in
+  let check name f =
     ignore (words_per_call f);
     let w = words_per_call f in
     Alcotest.(check bool)
-      (Printf.sprintf "%s: %.3f words per call <= %g" name w bound)
-      true (w <= bound +. 0.01)
+      (Printf.sprintf "%s: %.3f words per call <= 0" name w)
+      true (w <= 0.01)
   in
-  check "find3 hit" 2.0 (fun () -> Fcache.find3 t3 0.273 10.0 4.5);
-  check "find5 hit" 2.0 (fun () -> Fcache.find5 t5 0.273 10.0 800.0 2.0 3.5);
-  check "find3 miss" 0.0 (fun () -> Fcache.find3 t3 0.273 10.0 9.5);
-  check "find5 miss" 0.0 (fun () -> Fcache.find5 t5 0.273 10.0 800.0 2.0 9.5)
+  check "arity-3 hit" (find3 t3 4.5);
+  check "arity-5 hit" (find5 t5 3.5);
+  check "arity-3 miss" (find3 t3 9.5);
+  check "arity-5 miss" (find5 t5 9.5);
+  Alcotest.(check (float 0.0)) "the hit wrote its value" 2.5
+    (ignore (find5 t5 3.5 ()); dst.(0))
 
 let test_fcache_grows_to_cap () =
   let t = Fcache.create ~arity:3 () in
@@ -222,7 +255,7 @@ let test_fcache_grows_to_cap () =
   Alcotest.(check bool) "starts below its cap" true (Fcache.capacity t < cap);
   let sizes_ok = ref true in
   let add k =
-    Fcache.add3 t (float_of_int k) 0.5 (-2.0) ~value:(float_of_int (2 * k));
+    fc_add t [| float_of_int k; 0.5; -2.0 |] (float_of_int (2 * k));
     let c = Fcache.capacity t in
     if c > cap || c land (c - 1) <> 0 then sizes_ok := false
   in
@@ -231,7 +264,7 @@ let test_fcache_grows_to_cap () =
   done;
   let found = ref 0 in
   for k = 0 to 4095 do
-    if Float.equal (Fcache.find3 t (float_of_int k) 0.5 (-2.0))
+    if Float.equal (fc_find t [| float_of_int k; 0.5; -2.0 |])
          (float_of_int (2 * k))
     then incr found
   done;
@@ -743,7 +776,7 @@ let fcache_model_prop ~name ~count ?capacity keys_arb =
         (fun k ->
           incr step;
           let k0 = float_of_int k in
-          let found = Fcache.find3 t k0 1.5 (-2.0) in
+          let found = fc_find t [| k0; 1.5; -2.0 |] in
           let hit_ok =
             Float.is_nan found
             || (match Hashtbl.find_opt model k with
@@ -751,9 +784,9 @@ let fcache_model_prop ~name ~count ?capacity keys_arb =
                | None -> false)
           in
           let v = float_of_int !step in
-          Fcache.add3 t k0 1.5 (-2.0) ~value:v;
+          fc_add t [| k0; 1.5; -2.0 |] v;
           Hashtbl.replace model k v;
-          hit_ok && Float.equal v (Fcache.find3 t k0 1.5 (-2.0)))
+          hit_ok && Float.equal v (fc_find t [| k0; 1.5; -2.0 |]))
         keys)
 
 (* Capacity 64 so the op stream crosses several generation flips. *)
@@ -763,13 +796,13 @@ let prop_fcache_matches_hashtbl_model =
     ~capacity:64
     QCheck.(list_of_size Gen.(int_range 1 400) (int_bound 40))
 
-(* The default cap starts the table at 1024 slots; ~4.6k distinct keys
-   (9000+ draws from 6001) cross both growth steps, 1024 -> 8192 ->
+(* The default cap starts the table at 2048 slots; ~9.3k distinct keys
+   (18000+ draws from 12001) cross both growth steps, 2048 -> 16384 ->
    65536. *)
 let prop_fcache_growth_matches_hashtbl_model =
   fcache_model_prop ~count:20
     ~name:"fcache hits agree with a hashtbl model across growth"
-    QCheck.(list_of_size Gen.(int_range 9000 12000) (int_bound 6000))
+    QCheck.(list_of_size Gen.(int_range 18000 24000) (int_bound 12000))
 
 (* One long-lived pool per size, shared across qcheck cases: pools are
    cheap to create but their worker domains persist, and creating one

@@ -87,6 +87,29 @@ let test_parse_mistyped () =
   check "numeric cancel" "mistyped field: cancel (expected a string)"
     "{\"cancel\":9}"
 
+(* Values the search cannot use are rejected at the boundary, with a
+   message naming the field, instead of running: a beta whose square
+   underflows once came back as "sigma":null, a negative beta failed in
+   the worker, an infinite deadline was accepted and a seed past 2^62
+   overflowed int_of_float. *)
+let rejects_unusable expected fields () =
+  let line =
+    Printf.sprintf "{\"id\":\"r1\",%s,\"graph\":\"%s\"}" fields
+      (Batsched_obs.Json.escape_string graph_src)
+  in
+  match Request.of_json line with
+  | Error msg -> Alcotest.(check string) fields expected msg
+  | Ok _ -> Alcotest.failf "%s: should be rejected" fields
+
+let bad_beta =
+  "beta must be positive and finite, with a square that does not underflow"
+
+let test_parse_usable_beta () =
+  match Request.of_json (request_line ~extra:",\"beta\":0.5" ()) with
+  | Ok (Request.Submit r) ->
+      Alcotest.(check (float 0.0)) "beta" 0.5 r.Request.search.Request.beta
+  | _ -> Alcotest.fail "beta 0.5 should parse"
+
 (* fuzz: a single-byte corruption of a valid request line is either
    accepted or answered with an error — never an exception *)
 let prop_request_fuzz_no_crash =
@@ -237,7 +260,17 @@ let () =
         [ Alcotest.test_case "parse submit" `Quick test_parse_submit;
           Alcotest.test_case "parse cancel" `Quick test_parse_cancel;
           Alcotest.test_case "rejects" `Quick test_parse_rejects;
-          Alcotest.test_case "mistyped fields" `Quick test_parse_mistyped ] );
+          Alcotest.test_case "mistyped fields" `Quick test_parse_mistyped;
+          Alcotest.test_case "rejects tiny beta" `Quick
+            (rejects_unusable bad_beta "\"deadline\":12,\"beta\":1e-300");
+          Alcotest.test_case "rejects negative beta" `Quick
+            (rejects_unusable bad_beta "\"deadline\":12,\"beta\":-1");
+          Alcotest.test_case "rejects infinite deadline" `Quick
+            (rejects_unusable "deadline must be finite" "\"deadline\":1e999");
+          Alcotest.test_case "rejects huge seed" `Quick
+            (rejects_unusable "seed must be an integer of magnitude at most 2^53"
+               "\"deadline\":12,\"seed\":1e300");
+          Alcotest.test_case "usable beta" `Quick test_parse_usable_beta ] );
       ( "daemon",
         [ Alcotest.test_case "mixed batch" `Quick test_daemon_mixed_batch;
           Alcotest.test_case "bit-identical to single-shot" `Quick

@@ -420,6 +420,90 @@ let test_textio_crlf () =
     (Textio.to_string (Textio.of_string lf))
     (Textio.to_string (Textio.of_string crlf))
 
+(* --- the parser's decimal fast path --- *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Whether [s] is the plain decimal the fast path takes: [+-]ddd[.ddd],
+   at least one digit, at most 15 significant digits (from the first
+   nonzero one) and at most 22 after the point. *)
+let fast_path_applies s =
+  let n = String.length s in
+  let i = if n > 0 && (s.[0] = '-' || s.[0] = '+') then 1 else 0 in
+  let digits = ref 0 and significant = ref 0 and frac = ref 0 in
+  let dot = ref false and plain = ref true in
+  for j = i to n - 1 do
+    match s.[j] with
+    | '0' .. '9' as c ->
+        incr digits;
+        if !dot then incr frac;
+        if !significant > 0 || c <> '0' then incr significant
+    | '.' when not !dot -> dot := true
+    | _ -> plain := false
+  done;
+  !plain && !digits > 0 && !significant <= 15 && !frac <= 22
+
+(* The fast value, where the fast path applies, and the parsed value
+   of a task's current always equal [float_of_string]'s, bit for bit. *)
+let check_decimal s =
+  let expected = float_of_string s in
+  let fast = Textio.fast_decimal s in
+  if fast_path_applies s then begin
+    if not (same_bits fast expected) then
+      Alcotest.failf "%S: fast path %h, float_of_string %h" s fast expected
+  end
+  else if not (Float.is_nan fast) then
+    Alcotest.failf "%S: outside the fast path, got %h" s fast;
+  if expected > 0.0 && Float.is_finite expected then begin
+    let g = Textio.of_string (Printf.sprintf "task A %s:1\n" s) in
+    let parsed = (Task.point (Graph.task g 0) 0).Task.current in
+    if not (same_bits parsed expected) then
+      Alcotest.failf "%S: parsed %h, float_of_string %h" s parsed expected
+  end
+
+let test_decimal_edge_cases () =
+  List.iter check_decimal
+    [ "0"; "-0"; "-0.0"; "+0.0"; "1."; ".5"; "-.5"; "+2.5"; "0.1"; "0.3";
+      "917"; "7.3"; "0.85"; "480.516"; "123456789012345";
+      "0.123456789012345"; "1234567890.12345"; "1234567890123456";
+      "12345678901234567"; "9007199254740993"; "0.1234567890123456";
+      "00000000000000000000001.5"; "0.0000000000000000000001";
+      "0.00000000000000000000001"; "1.0000000000000000000000";
+      "1e5"; "1E5"; "-2.5e-3"; "1_000"; "1_0.5"; "0x1p3"; "inf"; "nan";
+      "1.7976931348623157e308"; "4.9e-324" ];
+  (* rejected tokens take the fallback and fail as float_of_string does *)
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " is outside the fast path") true
+        (Float.is_nan (Textio.fast_decimal s));
+      Alcotest.check_raises (s ^ " is rejected")
+        (Textio.Parse_error { line = 1; message = "bad design point: " ^ s ^ ":1" })
+        (fun () -> ignore (Textio.of_string ("task A " ^ s ^ ":1\n"))))
+    [ ""; "."; "-"; "+"; "1.2.3"; "--1"; "1-" ]
+
+let prop_decimal_fast_path =
+  let digits n st =
+    String.init n (fun _ -> Char.chr (Char.code '0' + Random.State.int st 10))
+  in
+  let gen st =
+    let sign = [| ""; "-"; "+" |].(Random.State.int st 3) in
+    let int_part = digits (Random.State.int st 18) st in
+    let frac =
+      match Random.State.int st 3 with
+      | 0 -> ""
+      | 1 -> "."
+      | _ -> "." ^ digits (Random.State.int st 26) st
+    in
+    let s = sign ^ int_part ^ frac in
+    if int_part = "" && String.length frac <= 1 then s ^ "0" else s
+  in
+  QCheck.Test.make ~count:2000
+    ~name:"decimal fast path equals float_of_string bit for bit"
+    (QCheck.make ~print:Fun.id gen)
+    (fun s ->
+      check_decimal s;
+      true)
+
 let test_textio_dot_mentions_all_tasks () =
   let dot = Textio.to_dot (diamond ()) in
   List.iter
@@ -577,6 +661,25 @@ let test_tgff_crlf () =
     b.Tgff.deadline;
   Alcotest.(check (option (float 0.0))) "same period" a.Tgff.period
     b.Tgff.period
+
+(* A large graph comes back whole.  Each design-point row and each arc
+   endpoint is a hash lookup, so parsing is linear: 1,001 tasks parse
+   in ~14 ms, where list scans took ~34-54 ms (EXPERIMENTS.md). *)
+let test_tgff_roundtrip_large () =
+  let g =
+    Generators.fork_join ~rng:(Batsched_numeric.Rng.create 42)
+      ~spec:Generators.default_spec ~widths:(List.init 200 (fun _ -> 4))
+  in
+  Alcotest.(check int) "tasks" 1001 (Graph.num_tasks g);
+  let back = (Tgff.of_string (Tgff.to_string g)).Tgff.graph in
+  (* the textio rendering prints names, every point at 12 digits (as
+     Tgff.to_string writes them) and the edges; drop its label line *)
+  let body g =
+    let s = Textio.to_string g in
+    String.sub s (String.index s '\n' + 1)
+      (String.length s - String.index s '\n' - 1)
+  in
+  Alcotest.(check string) "same graph" (body g) (body back)
 
 let test_tgff_missing_type_errors () =
   let broken =
@@ -812,6 +915,7 @@ let qcheck_tests =
       prop_is_topological_matches_oracle;
       prop_list_schedule_matches_oracle;
       prop_textio_roundtrip;
+      prop_decimal_fast_path;
       prop_descendants_contains_self;
       prop_column_times_monotone;
       prop_textio_fuzz_no_crash;
@@ -877,7 +981,8 @@ let () =
           Alcotest.test_case "rejects bad point" `Quick test_textio_rejects_bad_point;
           Alcotest.test_case "rejects duplicate task" `Quick test_textio_rejects_duplicate_task;
           Alcotest.test_case "CRLF file parses as LF" `Quick test_textio_crlf;
-          Alcotest.test_case "dot output" `Quick test_textio_dot_mentions_all_tasks ] );
+          Alcotest.test_case "dot output" `Quick test_textio_dot_mentions_all_tasks;
+          Alcotest.test_case "decimal edge cases" `Quick test_decimal_edge_cases ] );
       ( "transform",
         [ Alcotest.test_case "reduction removes shortcut" `Quick test_reduction_removes_shortcut;
           Alcotest.test_case "reduction preserves reachability" `Quick test_reduction_preserves_reachability;
@@ -890,6 +995,7 @@ let () =
       ( "tgff",
         [ Alcotest.test_case "parses sample" `Quick test_tgff_parses_sample;
           Alcotest.test_case "roundtrips instances" `Quick test_tgff_roundtrip_instances;
+          Alcotest.test_case "roundtrips 1,001 tasks" `Quick test_tgff_roundtrip_large;
           Alcotest.test_case "missing type errors" `Quick test_tgff_missing_type_errors;
           Alcotest.test_case "bad row line number" `Quick test_tgff_bad_row_line_number;
           Alcotest.test_case "no blocks errors" `Quick test_tgff_no_blocks_errors;
