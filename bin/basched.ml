@@ -305,7 +305,7 @@ let algo_arg =
 let beta_arg =
   let beta =
     checked Arg.float Batsched_battery.Rakhmatov.valid_beta
-      ~expected:"a positive finite number whose square does not underflow"
+      ~expected:"a number from 1e-150 to 1e150"
   in
   Arg.(value & opt beta Batsched_battery.Rakhmatov.default_beta
        & info [ "beta" ] ~docv:"B" ~doc:"Battery diffusion parameter.")

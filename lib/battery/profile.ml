@@ -2,7 +2,7 @@ type interval = { start : float; duration : float; current : float }
 
 (* Struct-of-arrays representation: three unboxed float arrays indexed
    by interval, sorted by start, non-overlapping.  Hot consumers
-   (sigma evaluators) walk the arrays directly via [fold_until] /
+   (sigma evaluators) walk the arrays directly via [iter_until] /
    [fold]; [intervals] materializes the record list for cold callers. *)
 type t = {
   starts : float array;
@@ -120,22 +120,10 @@ let fold t ~init ~f =
   done;
   !acc
 
-let fold_until t ~at ~init ~f =
-  let n = num_intervals t in
-  let rec go i acc =
-    if i >= n then acc
-    else
-      let s = t.starts.(i) in
-      if s >= at then acc (* sorted by start: nothing later overlaps *)
-      else
-        let d = t.durations.(i) in
-        let d = if s +. d <= at then d else at -. s in
-        go (i + 1) (f acc ~start:s ~duration:d ~current:t.currents.(i))
-  in
-  go 0 init
-
-(* [fold_until]'s walk with the interval handed over in [buf] instead
-   of as float arguments, which a call boxes. *)
+(* The load up to [at], one interval at a time in [buf] (start,
+   duration, current) rather than as float arguments, which a call
+   boxes.  Sorted by start, so the walk stops at the first interval
+   that starts at or after [at]; the one straddling [at] is clipped. *)
 let iter_until t ~at buf f =
   let n = num_intervals t in
   let i = ref 0 in
@@ -149,6 +137,13 @@ let iter_until t ~at buf f =
     incr i
   done
 
+let fold_until t ~at ~init ~f =
+  let buf = Array.make 3 0.0 in
+  let acc = ref init in
+  iter_until t ~at buf (fun () ->
+      acc := f !acc ~start:buf.(0) ~duration:buf.(1) ~current:buf.(2));
+  !acc
+
 let length t =
   let last = ref 0.0 in
   for i = 0 to num_intervals t - 1 do
@@ -156,19 +151,9 @@ let length t =
   done;
   !last
 
-(* [Kahan.sum_fn] over the charges, step for step. *)
 let total_charge t =
-  let total = ref 0.0 and comp = ref 0.0 in
-  for i = 0 to num_intervals t - 1 do
-    let x = t.currents.(i) *. t.durations.(i) in
-    let s = !total +. x in
-    comp :=
-      !comp
-      +. (if Float.abs !total >= Float.abs x then (!total -. s) +. x
-          else (x -. s) +. !total);
-    total := s
-  done;
-  !total +. !comp
+  Batsched_numeric.Kahan.sum_fn (num_intervals t) (fun i ->
+      t.currents.(i) *. t.durations.(i))
 
 let truncate t ~at =
   of_intervals

@@ -2,12 +2,12 @@ open Batsched_numeric
 
 let default_beta = 0.273
 
-(* The series divides by beta^2 m^2: a square that underflows below
-   the normal range, or overflows, turns a term into x/0 or inf/inf and
-   sigma into nan. *)
-let valid_beta beta =
-  let b2 = beta *. beta in
-  beta > 0.0 && Float.is_finite b2 && b2 >= Float.min_float
+(* The series divides by beta^2 m^2 and evaluates e^(-beta^2 m^2 t) at
+   t = 0.  Within [1e-150, 1e150] every such denominator is a normal
+   finite double for m up to 10^4 (beta^2 m^2 <= 1e308); outside, one
+   underflows to 0 or overflows to inf, and x / 0 or inf * 0 makes
+   sigma nan. *)
+let valid_beta beta = beta >= 1e-150 && beta <= 1e150
 
 (* Fast path: the truncation is evaluated lazily during the interval
    fold (no profile copy), the kernel comes from the memoized
@@ -67,34 +67,22 @@ let contribution ~terms ~beta ~current ~duration ~tail =
   contribution_at ~terms ~beta buf 0;
   buf.(0)
 
-(* Neumaier's step on the pair [s.(i)] (total), [s.(i + 1)]
-   (compensation): [Kahan.add]'s formula, kept in this module so the
-   term is not boxed on its way in. *)
-let[@inline] kadd s i x =
-  let total = s.(i) in
-  let t = total +. x in
-  s.(i + 1) <-
-    s.(i + 1)
-    +.
-    (if Float.abs total >= Float.abs x then (total -. t) +. x
-     else (x -. t) +. total);
-  s.(i) <- t
-
 let sigma ?(terms = Series.default_terms) ?(beta = default_beta) p ~at =
   if at < 0.0 then invalid_arg "Rakhmatov.sigma: negative time";
   let probe = Probe.local () in
   probe.Probe.sigma_evals <- probe.Probe.sigma_evals + 1;
   (* 0-2: the interval [iter_until] hands over; 3-5: [contribution_at]'s
-     cells; 6, 7: the running compensated sum *)
-  let buf = Array.make 8 0.0 in
+     cells, the contribution left in cell 3 for [Kahan.Acc.add_at] *)
+  let buf = Array.make 6 0.0 in
+  let acc = Kahan.Acc.create () in
   Profile.iter_until p ~at buf (fun () ->
       let duration = buf.(1) in
       buf.(3) <- buf.(2);
       buf.(4) <- duration;
       buf.(5) <- Float.max 0.0 (at -. buf.(0) -. duration);
       contribution_at ~terms ~beta buf 3;
-      kadd buf 6 buf.(3));
-  buf.(6) +. buf.(7)
+      Kahan.Acc.add_at acc buf 3);
+  Kahan.Acc.sum acc
 
 (* The suffix-time decomposition packaged for the delta evaluator: at
    the makespan of a gapless profile, [tail] in the cache key above is

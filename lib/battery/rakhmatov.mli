@@ -20,9 +20,11 @@ val default_beta : float
 (** The paper's value, 0.273 (minutes^(-1/2)). *)
 
 val valid_beta : float -> bool
-(** Whether [beta] is a usable diffusion parameter: positive, with a
-    square that is a finite normal double.  Anything else makes sigma
-    [nan] or raises ([beta <= 0]); the entry points reject it. *)
+(** Whether [beta] is a usable diffusion parameter: a number from
+    [1e-150] to [1e150], where every denominator [beta^2 m^2] of a
+    series of up to [10^4] terms is a finite normal double.  Far enough
+    outside that range sigma comes out [nan], or [Series] raises
+    ([beta <= 0]); the entry points reject the whole outside. *)
 
 val sigma :
   ?terms:int -> ?beta:float -> Profile.t -> at:float -> float

@@ -181,7 +181,14 @@ let rec find_slot t h i =
     else find_slot t h (i + 1)
   end
 
-let key t = t.scratch
+(* Filled with nan, which no key matches: a caller that writes fewer
+   than [arity] cells misses instead of reading the last lookup's
+   trailing cells as its own. *)
+let key t =
+  for i = 0 to t.arity - 1 do
+    t.scratch.(i) <- Float.nan
+  done;
+  t.scratch
 
 let find_into t dst i =
   let slot = find_slot t (hash t) 0 in

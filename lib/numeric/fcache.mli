@@ -76,9 +76,10 @@ val arity : t -> int
     miss. *)
 
 val key : t -> float array
-(** The table's key buffer, [arity] cells: write a key here, then call
-    {!find_into} and, on a miss, {!add_from}.  Any other call on the
-    table may overwrite it. *)
+(** The table's key buffer, [arity] cells, each reset to [nan]: write a
+    key here, then call {!find_into} and, on a miss, {!add_from}.  A
+    cell left unwritten stays [nan], so the lookup misses.  Any other
+    call on the table may overwrite the buffer. *)
 
 val find_into : t -> float array -> int -> bool
 (** [find_into t dst i] looks up the key held in [key t].  On a live

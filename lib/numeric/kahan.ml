@@ -16,39 +16,8 @@ let add { total; compensation } x =
 
 let sum { total; compensation } = total +. compensation
 
-(* The folds below run [add]'s arithmetic on a two-cell float array,
-   total then compensation, instead of building a record per term. *)
-let[@inline] add_to s x =
-  let total = s.(0) in
-  let t = total +. x in
-  s.(1) <-
-    s.(1)
-    +. (if Float.abs total >= Float.abs x then (total -. t) +. x
-        else (x -. t) +. total);
-  s.(0) <- t
-
-let sum_list xs =
-  let s = Array.make 2 0.0 in
-  List.iter (fun x -> add_to s x) xs;
-  s.(0) +. s.(1)
-
-let sum_array xs =
-  let s = Array.make 2 0.0 in
-  for i = 0 to Array.length xs - 1 do
-    add_to s xs.(i)
-  done;
-  s.(0) +. s.(1)
-
-let sum_fn n f =
-  if n < 0 then invalid_arg "Kahan.sum_fn: negative count";
-  let s = Array.make 2 0.0 in
-  for i = 0 to n - 1 do
-    add_to s (f i)
-  done;
-  s.(0) +. s.(1)
-
 (* Mutable variant for hot loops: both fields are floats, so the record
-   is flat and [add] allocates nothing — unlike the immutable [t],
+   is flat and [add] builds no record — unlike the immutable [t],
    whose per-[add] record allocation would defeat the zero-allocation
    contract of the batched sigma kernels. *)
 module Acc = struct
@@ -60,7 +29,9 @@ module Acc = struct
     a.total <- 0.0;
     a.comp <- 0.0
 
-  let add a x =
+  (* Inlined into [add_at] and the folds below, so a term read from a
+     float array reaches it unboxed. *)
+  let[@inline] add a x =
     let t = a.total +. x in
     a.comp <-
       a.comp
@@ -68,5 +39,27 @@ module Acc = struct
           else (x -. t) +. a.total);
     a.total <- t
 
+  let add_at a xs i = add a xs.(i)
+
   let sum a = a.total +. a.comp
 end
+
+let sum_list xs =
+  let a = Acc.create () in
+  List.iter (fun x -> Acc.add a x) xs;
+  Acc.sum a
+
+let sum_array xs =
+  let a = Acc.create () in
+  for i = 0 to Array.length xs - 1 do
+    Acc.add a xs.(i)
+  done;
+  Acc.sum a
+
+let sum_fn n f =
+  if n < 0 then invalid_arg "Kahan.sum_fn: negative count";
+  let a = Acc.create () in
+  for i = 0 to n - 1 do
+    Acc.add a (f i)
+  done;
+  Acc.sum a

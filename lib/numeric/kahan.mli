@@ -30,13 +30,13 @@ val sum_fn : int -> (int -> float) -> float
 (** [sum_fn n f] is the compensated sum of [f 0 + ... + f (n-1)].
     Each [f i] returns its term boxed (2 minor words), as any float
     returned by a closure or by another module's function is; hot
-    loops keep the Neumaier step in their own module instead.
+    loops hand their terms to {!Acc.add_at} instead.
     @raise Invalid_argument if [n < 0]. *)
 
 (** Mutable accumulator for allocation-sensitive inner loops.  The
-    record is flat (all-float fields), so {!Acc.add} allocates nothing
-    — the immutable {!t} above boxes a fresh record per [add].  Same
-    Neumaier compensation. *)
+    record is flat (all-float fields), so an add builds no record — the
+    immutable {!t} above boxes a fresh one per [add].  Same Neumaier
+    compensation, operation for operation. *)
 module Acc : sig
   type t
 
@@ -46,6 +46,12 @@ module Acc : sig
   (** Zero the accumulator for reuse. *)
 
   val add : t -> float -> unit
+
+  val add_at : t -> float array -> int -> unit
+  (** [add_at a xs i] is [add a xs.(i)].  A float passed to a function
+      of another module is boxed (2 minor words); a loop elsewhere that
+      hands its terms over in a float array cell allocates nothing per
+      term. *)
 
   val sum : t -> float
   (** Compensated value accumulated since the last {!reset}. *)

@@ -1,3 +1,4 @@
+open Batsched_numeric
 open Batsched_taskgraph
 
 type t = { num_points : int; columns : int array }
@@ -40,29 +41,23 @@ let to_list t = Array.to_list t.columns
 
 let chosen_point g t i = Task.point (Graph.task g i) (column t i)
 
-(* [Kahan.sum_fn] over the tasks in id order, step for step, with the
-   term read from each chosen point inside this function: a term
-   returned by a closure would be boxed. *)
+(* [Kahan.sum_fn] over the chosen points in task-id order, each term
+   handed to [Kahan.Acc.add_at] in the cell [x]: a closure would box
+   it. *)
 type term = Duration | Energy | Charge
 
 let sum_over g t term =
-  let total = ref 0.0 and comp = ref 0.0 in
+  let acc = Kahan.Acc.create () and x = [| 0.0 |] in
   for i = 0 to Array.length t.columns - 1 do
     let p = Task.point (Graph.task g i) t.columns.(i) in
-    let x =
-      match term with
-      | Duration -> p.Task.duration
-      | Energy -> p.Task.current *. p.Task.voltage *. p.Task.duration
-      | Charge -> p.Task.current *. p.Task.duration
-    in
-    let s = !total +. x in
-    comp :=
-      !comp
-      +. (if Float.abs !total >= Float.abs x then (!total -. s) +. x
-          else (x -. s) +. !total);
-    total := s
+    x.(0) <-
+      (match term with
+       | Duration -> p.Task.duration
+       | Energy -> p.Task.current *. p.Task.voltage *. p.Task.duration
+       | Charge -> p.Task.current *. p.Task.duration);
+    Kahan.Acc.add_at acc x 0
   done;
-  !total +. !comp
+  Kahan.Acc.sum acc
 
 let total_time g t = sum_over g t Duration
 

@@ -1,3 +1,4 @@
+open Batsched_numeric
 open Batsched_taskgraph
 
 let sequence_dec_energy g =
@@ -12,9 +13,9 @@ let sequence_dec_energy g =
    rooted at v (v included) and the size of that subgraph.  One DFS per
    v stamps the shared [mark] array with v; the ascending-id scan then
    adds the marked values in the order [Analysis.descendants] lists
-   them, with [Kahan.add]'s Neumaier step on local variables, so every
-   sum is bit-identical to [Kahan.sum_list] over the descendant list
-   and no term is boxed. *)
+   them, so every sum is bit-identical to [Kahan.sum_list] over the
+   descendant list.  [Kahan.Acc.add_at] reads each term from [value],
+   so none is boxed. *)
 let descendant_sums g value =
   let n = Graph.num_tasks g in
   let mark = Array.make n (-1) in
@@ -30,23 +31,17 @@ let descendant_sums g value =
         visit_all v rest
   in
   let sums = Array.make n 0.0 and sizes = Array.make n 0 in
+  let acc = Kahan.Acc.create () in
   for v = 0 to n - 1 do
     visit v v;
-    let total = ref 0.0 and comp = ref 0.0 and size = ref 0 in
+    Kahan.Acc.reset acc;
     for u = 0 to n - 1 do
       if mark.(u) = v then begin
-        let x = value.(u) in
-        let s = !total +. x in
-        comp :=
-          !comp
-          +. (if Float.abs !total >= Float.abs x then (!total -. s) +. x
-              else (x -. s) +. !total);
-        total := s;
-        incr size
+        Kahan.Acc.add_at acc value u;
+        sizes.(v) <- sizes.(v) + 1
       end
     done;
-    sums.(v) <- !total +. !comp;
-    sizes.(v) <- !size
+    sums.(v) <- Kahan.Acc.sum acc
   done;
   (sums, sizes)
 

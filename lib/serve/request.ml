@@ -93,9 +93,7 @@ let of_json line =
               Option.value (num "beta") ~default:Rakhmatov.default_beta
             in
             if not (Rakhmatov.valid_beta beta) then
-              reject
-                "beta must be positive and finite, with a square that does \
-                 not underflow";
+              reject "beta must be a number from 1e-150 to 1e150";
             let seed =
               match num "seed" with
               | None -> 0

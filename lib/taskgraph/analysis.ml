@@ -1,3 +1,5 @@
+open Batsched_numeric
+
 let is_topological g seq =
   let n = Graph.num_tasks g in
   if List.length seq <> n then false
@@ -108,25 +110,19 @@ let descendants g v =
   visit v;
   List.filter (fun i -> seen.(i)) (List.init n Fun.id)
 
-(* [Kahan.sum_list] over the tasks in id order, step for step, with
-   each term read inside this function: a term returned by a closure
-   or by another module would be boxed. *)
+(* [Kahan.sum_list] over column [j]'s durations or energies in task-id
+   order, each handed to [Kahan.Acc.add_at] in the cell [x]: a closure
+   or a list would box it. *)
 let column_sum g j ~energy =
-  let total = ref 0.0 and comp = ref 0.0 in
+  let acc = Kahan.Acc.create () and x = [| 0.0 |] in
   for i = 0 to Graph.num_tasks g - 1 do
     let p = Task.point (Graph.task g i) j in
-    let x =
-      if energy then p.Task.current *. p.Task.voltage *. p.Task.duration
-      else p.Task.duration
-    in
-    let s = !total +. x in
-    comp :=
-      !comp
-      +. (if Float.abs !total >= Float.abs x then (!total -. s) +. x
-          else (x -. s) +. !total);
-    total := s
+    x.(0) <-
+      (if energy then p.Task.current *. p.Task.voltage *. p.Task.duration
+       else p.Task.duration);
+    Kahan.Acc.add_at acc x 0
   done;
-  !total +. !comp
+  Kahan.Acc.sum acc
 
 let column_time g j =
   let m = Graph.num_points g in

@@ -67,22 +67,17 @@ let charge t j =
   let p = point t j in
   p.current *. p.duration
 
-(* [Kahan.sum_fn m (energy t)], step for step, with each term computed
-   here rather than returned boxed by a closure. *)
+(* Each energy reaches [Kahan.Acc.add_at] in the cell [x]: a closure or
+   a call that returned it would box it. *)
 let average_energy t =
   let m = num_points t in
-  let total = ref 0.0 and comp = ref 0.0 in
+  let acc = Batsched_numeric.Kahan.Acc.create () and x = [| 0.0 |] in
   for j = 0 to m - 1 do
     let p = t.points.(j) in
-    let x = p.current *. p.voltage *. p.duration in
-    let s = !total +. x in
-    comp :=
-      !comp
-      +. (if Float.abs !total >= Float.abs x then (!total -. s) +. x
-          else (x -. s) +. !total);
-    total := s
+    x.(0) <- p.current *. p.voltage *. p.duration;
+    Batsched_numeric.Kahan.Acc.add_at acc x 0
   done;
-  (!total +. !comp) /. float_of_int m
+  Batsched_numeric.Kahan.Acc.sum acc /. float_of_int m
 
 let min_current t = (slowest t).current
 

@@ -40,11 +40,6 @@ let decimal_into s pos len dst k =
   end
   else false
 
-let fast_decimal s =
-  let dst = [| Float.nan |] in
-  ignore (decimal_into s 0 (String.length s) dst 0);
-  dst.(0)
-
 (* [dst.(k) <-] the number in [s.[pos] .. s.[pos + len - 1]].
    @raise Failure as [float_of_string]. *)
 let number_into s pos len dst k =

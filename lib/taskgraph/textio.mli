@@ -15,24 +15,17 @@
     file order.  [edge a b] declares a dependence of [b] on [a].
 
     The parser makes one pass over the text and copies out only the
-    strings the graph keeps; numbers go through {!fast_decimal}, with
-    [float_of_string] as the fallback. *)
+    strings the graph keeps.  A plain decimal ([[+-]ddd[.ddd]]) with at
+    most 15 significant digits and at most 22 fraction digits is read
+    as one division of two exact doubles, which rounds once and so
+    equals [float_of_string] bit for bit; every other number (an
+    exponent, an underscore, more digits) goes to [float_of_string]. *)
 
 exception Parse_error of { line : int; message : string }
 (** Raised with a 1-based line number on malformed input. *)
 
 val of_string : string -> Graph.t
 (** Parse a graph from the text format.  @raise Parse_error. *)
-
-val fast_decimal : string -> float
-(** The parser's exact fast path for numbers: [fast_decimal s] is the
-    value of a plain decimal [s] ([[+-]ddd[.ddd]], at least one digit)
-    with at most 15 significant digits and at most 22 fraction digits,
-    computed as one division of two exact doubles.  Where it is not
-    [nan] it equals [float_of_string s] bit for bit.  Anything outside
-    the fast path — an exponent, an underscore, more digits, [inf] —
-    gives [nan], and the parser hands that token to [float_of_string]
-    instead. *)
 
 val to_string : Graph.t -> string
 (** Render a graph in the text format; [of_string (to_string g)] is

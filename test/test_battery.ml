@@ -127,6 +127,26 @@ let test_rv_large_beta_is_ideal () =
   check_close 0.5 "ideal limit" (Profile.total_charge p)
     (Rakhmatov.sigma ~beta:50.0 p ~at:15.0)
 
+(* The entry points accept beta from 1e-150 to 1e150; sigma is finite
+   at both ends, and just past the top (beta^2 m^2 overflows at
+   m = 10, so F(0) is inf * 0) it is nan. *)
+let test_rv_valid_beta_range () =
+  let p = Profile.sequential [ (400.0, 5.0); (100.0, 10.0) ] in
+  List.iter
+    (fun beta ->
+      Alcotest.(check bool) (Printf.sprintf "%g valid" beta) true
+        (Rakhmatov.valid_beta beta);
+      Alcotest.(check bool) (Printf.sprintf "sigma finite at %g" beta) true
+        (Float.is_finite (Rakhmatov.sigma ~beta p ~at:15.0)))
+    [ 1e-150; Rakhmatov.default_beta; 1e150 ];
+  Alcotest.(check bool) "sigma nan at 1e154" true
+    (Float.is_nan (Rakhmatov.sigma ~beta:1e154 p ~at:15.0));
+  List.iter
+    (fun beta ->
+      Alcotest.(check bool) (Printf.sprintf "%g invalid" beta) false
+        (Rakhmatov.valid_beta beta))
+    [ 1e154; 1e-300; 0.0; -1.0; Float.infinity; Float.nan ]
+
 let test_rv_superposition_of_currents () =
   (* sigma is linear in current magnitudes: doubling currents doubles it *)
   let p1 = Profile.sequential [ (100.0, 5.0); (300.0, 5.0) ] in
@@ -1515,6 +1535,7 @@ let () =
           Alcotest.test_case "monotone in time" `Quick test_rv_monotone_in_time_during_load;
           Alcotest.test_case "zero at time zero" `Quick test_rv_zero_at_time_zero;
           Alcotest.test_case "large beta is ideal" `Quick test_rv_large_beta_is_ideal;
+          Alcotest.test_case "valid beta range" `Quick test_rv_valid_beta_range;
           Alcotest.test_case "linear in currents" `Quick test_rv_superposition_of_currents;
           Alcotest.test_case "paper magnitude" `Quick test_rv_paper_magnitude;
           Alcotest.test_case "pairwise ordering" `Quick test_rv_ordering_theorem_pairwise;

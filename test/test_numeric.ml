@@ -144,6 +144,12 @@ let test_fcache_arity_checked () =
   let t = Fcache.create ~capacity:64 ~arity:3 () in
   Alcotest.(check int) "key buffer holds arity floats" 3
     (Array.length (Fcache.key t));
+  (* a key written short of the arity misses: its last cell is not the
+     previous lookup's *)
+  fc_add t [| 1.0; 2.0; 3.0 |] 42.0;
+  check_float "full key hits" 42.0 (fc_find t [| 1.0; 2.0; 3.0 |]);
+  Alcotest.(check bool) "under-filled key misses" true
+    (Float.is_nan (fc_find t [| 1.0; 2.0 |]));
   Alcotest.(check int) "arity" 3 (Fcache.arity t);
   Alcotest.check_raises "bad arity"
     (Invalid_argument "Fcache.create: arity not in 1..8") (fun () ->

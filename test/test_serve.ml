@@ -89,7 +89,8 @@ let test_parse_mistyped () =
 
 (* Values the search cannot use are rejected at the boundary, with a
    message naming the field, instead of running: a beta whose square
-   underflows once came back as "sigma":null, a negative beta failed in
+   underflows or a beta past 1.3e153 (whose beta^2 m^2 overflows) once
+   came back as "sigma":null, a negative beta failed in
    the worker, an infinite deadline was accepted and a seed past 2^62
    overflowed int_of_float. *)
 let rejects_unusable expected fields () =
@@ -101,8 +102,7 @@ let rejects_unusable expected fields () =
   | Error msg -> Alcotest.(check string) fields expected msg
   | Ok _ -> Alcotest.failf "%s: should be rejected" fields
 
-let bad_beta =
-  "beta must be positive and finite, with a square that does not underflow"
+let bad_beta = "beta must be a number from 1e-150 to 1e150"
 
 let test_parse_usable_beta () =
   match Request.of_json (request_line ~extra:",\"beta\":0.5" ()) with
@@ -263,6 +263,8 @@ let () =
           Alcotest.test_case "mistyped fields" `Quick test_parse_mistyped;
           Alcotest.test_case "rejects tiny beta" `Quick
             (rejects_unusable bad_beta "\"deadline\":12,\"beta\":1e-300");
+          Alcotest.test_case "rejects huge beta" `Quick
+            (rejects_unusable bad_beta "\"deadline\":12,\"beta\":1e154");
           Alcotest.test_case "rejects negative beta" `Quick
             (rejects_unusable bad_beta "\"deadline\":12,\"beta\":-1");
           Alcotest.test_case "rejects infinite deadline" `Quick

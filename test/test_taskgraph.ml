@@ -424,42 +424,21 @@ let test_textio_crlf () =
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(* Whether [s] is the plain decimal the fast path takes: [+-]ddd[.ddd],
-   at least one digit, at most 15 significant digits (from the first
-   nonzero one) and at most 22 after the point. *)
-let fast_path_applies s =
-  let n = String.length s in
-  let i = if n > 0 && (s.[0] = '-' || s.[0] = '+') then 1 else 0 in
-  let digits = ref 0 and significant = ref 0 and frac = ref 0 in
-  let dot = ref false and plain = ref true in
-  for j = i to n - 1 do
-    match s.[j] with
-    | '0' .. '9' as c ->
-        incr digits;
-        if !dot then incr frac;
-        if !significant > 0 || c <> '0' then incr significant
-    | '.' when not !dot -> dot := true
-    | _ -> plain := false
-  done;
-  !plain && !digits > 0 && !significant <= 15 && !frac <= 22
-
-(* The fast value, where the fast path applies, and the parsed value
-   of a task's current always equal [float_of_string]'s, bit for bit. *)
+(* A task's current parses to [float_of_string]'s value bit for bit,
+   whether the number takes the exact decimal fast path or the
+   fallback; a value [Task.make] would refuse (zero, negative, not
+   finite) is refused by the parser too, so a sign read wrongly
+   shows. *)
 let check_decimal s =
   let expected = float_of_string s in
-  let fast = Textio.fast_decimal s in
-  if fast_path_applies s then begin
-    if not (same_bits fast expected) then
-      Alcotest.failf "%S: fast path %h, float_of_string %h" s fast expected
-  end
-  else if not (Float.is_nan fast) then
-    Alcotest.failf "%S: outside the fast path, got %h" s fast;
-  if expected > 0.0 && Float.is_finite expected then begin
-    let g = Textio.of_string (Printf.sprintf "task A %s:1\n" s) in
-    let parsed = (Task.point (Graph.task g 0) 0).Task.current in
-    if not (same_bits parsed expected) then
-      Alcotest.failf "%S: parsed %h, float_of_string %h" s parsed expected
-  end
+  match Textio.of_string (Printf.sprintf "task A %s:1\n" s) with
+  | g ->
+      let parsed = (Task.point (Graph.task g 0) 0).Task.current in
+      if not (same_bits parsed expected) then
+        Alcotest.failf "%S: parsed %h, float_of_string %h" s parsed expected
+  | exception Textio.Parse_error _ ->
+      if expected > 0.0 && Float.is_finite expected then
+        Alcotest.failf "%S: rejected, float_of_string gives %h" s expected
 
 let test_decimal_edge_cases () =
   List.iter check_decimal
@@ -471,11 +450,10 @@ let test_decimal_edge_cases () =
       "0.00000000000000000000001"; "1.0000000000000000000000";
       "1e5"; "1E5"; "-2.5e-3"; "1_000"; "1_0.5"; "0x1p3"; "inf"; "nan";
       "1.7976931348623157e308"; "4.9e-324" ];
-  (* rejected tokens take the fallback and fail as float_of_string does *)
+  (* tokens that are no number take the fallback and fail as
+     float_of_string does *)
   List.iter
     (fun s ->
-      Alcotest.(check bool) (s ^ " is outside the fast path") true
-        (Float.is_nan (Textio.fast_decimal s));
       Alcotest.check_raises (s ^ " is rejected")
         (Textio.Parse_error { line = 1; message = "bad design point: " ^ s ^ ":1" })
         (fun () -> ignore (Textio.of_string ("task A " ^ s ^ ":1\n"))))
