@@ -13,9 +13,8 @@
       scaling instances up to n64, and a parallel-vs-sequential
       multistart pair.  The `*-reference` and `rv-kernel-direct` rows
       time the seed implementations the shipped paths are checked
-      against; apart from `choose-n64-reference` (Choose's shipped
-      fallback), those live in the test-only `batsched_oracles`
-      library (test/oracles/), which this harness links.
+      against; those live in the test-only `batsched_oracles` library
+      (test/oracles/), which this harness links.
 
    Run everything:        dune exec bench/main.exe
    Reproductions only:    dune exec bench/main.exe -- tables
@@ -23,6 +22,7 @@
    Timing + JSON dump:    dune exec bench/main.exe -- timing --json BENCH_2026-08-06.json
    One-shot sanity pass:  dune exec bench/main.exe -- --smoke   (or: dune build @bench-smoke)
    One experiment:        dune exec bench/main.exe -- table3
+                          (an unknown name exits 2 and lists the known ones)
    Compare snapshots:     dune exec bench/main.exe -- --compare OLD.json NEW.json
                           (--normalize divides out overall machine speed;
                            exits 1 on a confident regression)
@@ -232,30 +232,18 @@ let scenario_scaling =
   @ List.map multistart
       [ ("sequential", Batsched_numeric.Pool.sequential);
         ("parallel", Batsched_numeric.Pool.create_recommended ()) ]
-  @ [ (* screened multistart: 16 random seeds costed in one
-         structure-of-arrays [Sigma_batch] sweep, only the best 3 (plus
-         the deterministic seed) run the full window-sweep loop *)
-      (let g = fork_join [ 5; 4; 4 ] in
-       let deadline =
-         Batsched_taskgraph.Generators.feasible_deadline g ~slack:0.6
-       in
-       let cfg = Batsched.Config.make ~deadline () in
-       ("multistart-batch/n16-screen16",
-        fun () ->
-          let rng = Batsched_numeric.Rng.create 7 in
-          ignore
-            (Batsched.Iterate.run_multistart ~rng ~starts:4 ~screen:16 cfg g)))
-    ]
 
 (* The incremental-vs-reference choose pair on one n64 instance: same
    graph, same sequence, same window, only the CalculateDPF evaluation
    strategy differs — the ratio of the two rows is the speedup the
-   incremental path buys, machine-independently.  The annealing pair
-   plays the same role for the delta schedule evaluator: the same short
-   walk (same params, same seed, same RNG stream) costed through
-   [Eval]'s O(1) moves versus the full schedule + sigma path — their
-   ratio is the delta-evaluation speedup on a workload that, unlike
-   [Iterate], revisits near-identical profiles thousands of times. *)
+   incremental path buys, machine-independently.  The reference row
+   times the test oracle, which costs every trial through the public
+   [Metrics] functions.  The annealing pair plays the same role for
+   the delta schedule evaluator: the same short walk (same params,
+   same seed, same RNG stream) costed through [Eval]'s O(1) moves
+   versus the full schedule + sigma path — their ratio is the
+   delta-evaluation speedup on a workload that, unlike [Iterate],
+   revisits near-identical profiles thousands of times. *)
 let scenario_choose =
   let g = fork_join [ 15; 15; 15; 14 ] in
   let deadline =
@@ -303,7 +291,7 @@ let scenario_choose =
     ("choose-n64-reference/window0",
      fun () ->
        ignore
-         (Batsched.Choose.choose_design_points_reference cfg g ~sequence:seq
+         (Batsched_oracles.Choose.choose_design_points cfg g ~sequence:seq
             ~window_start:0));
     ("anneal-n64-delta/short-walk", anneal model `Delta);
     ("anneal-n64-reference/short-walk", anneal model `Reference);
@@ -467,74 +455,13 @@ let delta_cross_check () =
   check_instance ~model:diffusion "diffusion-g2" Batsched_taskgraph.Instances.g2
     ~deadline:(List.hd Batsched_taskgraph.Instances.g2_deadlines)
 
-(* Sigma_batch-vs-sequential cross-check, smoke only: one random
-   candidate block evaluated through the structure-of-arrays sweep must
-   match per-row [Model.sigma_end] on the materialized profiles — for
-   every model (kernel or fallback path) and at pool sizes 1 and 4. *)
-let sigma_batch_cross_check () =
-  let pop = 4 and n = 12 in
-  let rng = Batsched_numeric.Rng.create 2024 in
-  let currents =
-    Array.init (pop * n) (fun _ ->
-        100.0 +. (700.0 *. Batsched_numeric.Rng.float rng 1.0))
-  in
-  let durations =
-    Array.init (pop * n) (fun _ ->
-        (* one zero-duration interval in ~5 to exercise the skip path *)
-        if Batsched_numeric.Rng.int rng 5 = 0 then 0.0
-        else 0.5 +. (7.5 *. Batsched_numeric.Rng.float rng 1.0))
-  in
-  let models =
-    [ Batsched_battery.Ideal.model;
-      Batsched_battery.Peukert.model ();
-      Batsched_battery.Rakhmatov.model ();
-      Batsched_battery.Kibam.model ();
-      (let params =
-         Batsched_battery.Diffusion.make_params ~nodes:8 ~dt:1.0 ~alpha:40375.0
-           ~beta:0.273 ()
-       in
-       Batsched_battery.Diffusion.model ~params ()) ]
-  in
-  let pool4 = Batsched_numeric.Pool.create 4 in
-  List.iter
-    (fun (m : Batsched_battery.Model.t) ->
-      let oracle =
-        Array.init pop (fun p ->
-            let profile =
-              Batsched_battery.Profile.sequential_fn ~n (fun k ->
-                  (currents.((p * n) + k), durations.((p * n) + k)))
-            in
-            Batsched_battery.Model.sigma_end m profile)
-      in
-      List.iter
-        (fun (plabel, pool) ->
-          let batch = Batsched_battery.Sigma_batch.create ~pool m in
-          Batsched_battery.Sigma_batch.eval batch ~pop ~n
-            ~current:(fun p k -> currents.((p * n) + k))
-            ~duration:(fun p k -> durations.((p * n) + k));
-          for p = 0 to pop - 1 do
-            let got = Batsched_battery.Sigma_batch.sigma batch p in
-            let want = oracle.(p) in
-            if Float.abs (got -. want) > 1e-9 *. (1.0 +. Float.abs want) then
-              failwith
-                (Printf.sprintf
-                   "sigma-batch cross-check: %s/%s row %d: batch=%.17g \
-                    sequential=%.17g"
-                   m.Batsched_battery.Model.name plabel p got want)
-          done)
-        [ ("pool1", Batsched_numeric.Pool.sequential); ("pool4", pool4) ];
-      Printf.printf "smoke %-40s ok\n%!"
-        ("sigma-batch-cross-check/" ^ m.Batsched_battery.Model.name))
-    models
-
 let run_smoke () =
   List.iter
     (fun (name, fn) ->
       Batsched_obs.Sink.with_span !obs name fn;
       Printf.printf "smoke %-40s ok\n%!" name)
     scenarios;
-  delta_cross_check ();
-  sigma_batch_cross_check ()
+  delta_cross_check ()
 
 (* --- work profile: counters from one instrumented run per scenario ---
 
@@ -848,6 +775,24 @@ let () =
   let ledger_out, args = extract_opt "--ledger" args in
   let stats, args = extract_flag "--stats" args in
   let stats = stats || Batsched_obs.Log.env_stats () in
+  (* a misspelt name must not pass for a run that did nothing *)
+  (match args with
+  | [] | [ "--smoke" ] | [ "tables" ] | [ "timing" ] -> ()
+  | names -> (
+      match
+        List.filter
+          (fun n -> Batsched_experiments.Registry.find n = None)
+          names
+      with
+      | [] -> ()
+      | unknown ->
+          Printf.eprintf
+            "bench: unknown argument %s\n\
+             known: --smoke, tables or timing alone, or experiment names: \
+             %s\n%!"
+            (String.concat " " unknown)
+            (String.concat " " Batsched_experiments.Registry.names);
+          exit 2));
   let metrics_out =
     match metrics_out with
     | Some _ -> metrics_out

@@ -73,16 +73,16 @@ let start_solution ~model g ~deadline =
    bit-identity property tests.  With events off the hot loop carries
    no extra bookkeeping: the per-level snapshots below are guarded. *)
 
-let emit_start events ~mode ~n ~m ~params =
+let emit_start events ~n ~m ~params =
   if Events.is_active events then
     Events.emit events "anneal_start"
-      [ ("mode", Events.S mode); ("n", Events.I n); ("m", Events.I m);
+      [ ("mode", Events.S "delta"); ("n", Events.I n); ("m", Events.I m);
         ("t0", Events.F params.initial_temperature);
         ("cooling", Events.F params.cooling);
         ("floor", Events.F params.temperature_floor);
         ("steps_per_temp", Events.I params.steps_per_temperature) ]
 
-let emit_level events ~mode ~level ~temperature ~evals ~lvl_acc ~lvl_rej
+let emit_level events ~level ~temperature ~evals ~lvl_acc ~lvl_rej
     ~cur_energy ~best_sigma =
   let attempts = lvl_acc + lvl_rej in
   let rate =
@@ -90,16 +90,16 @@ let emit_level events ~mode ~level ~temperature ~evals ~lvl_acc ~lvl_rej
     else float_of_int lvl_acc /. float_of_int attempts
   in
   Events.emit events "anneal_level"
-    [ ("mode", Events.S mode); ("level", Events.I level);
+    [ ("mode", Events.S "delta"); ("level", Events.I level);
       ("temp", Events.F temperature); ("evals", Events.I evals);
       ("accepted", Events.I lvl_acc); ("rejected", Events.I lvl_rej);
       ("accept_rate", Events.F rate); ("cur_energy", Events.F cur_energy);
       ("best_sigma", Events.F best_sigma) ]
 
-let emit_done events ~mode ~evals ~best_sigma =
+let emit_done events ~evals ~best_sigma =
   if Events.is_active events then
     Events.emit events "anneal_done"
-      [ ("mode", Events.S mode); ("evals", Events.I evals);
+      [ ("mode", Events.S "delta"); ("evals", Events.I evals);
         ("best_sigma", Events.F best_sigma) ]
 
 (* The walk runs on the incremental evaluator: O(1) per swap
@@ -130,7 +130,7 @@ let run ?(params = default_params) ?(events = Events.noop)
   let temperature = ref params.initial_temperature in
   let probe = Probe.local () in
   let ev_on = Events.is_active events in
-  emit_start events ~mode:"delta" ~n ~m ~params;
+  emit_start events ~n ~m ~params;
   let acc0 = probe.Probe.anneal_accepted
   and rej0 = probe.Probe.anneal_rejected in
   let level = ref 0 in
@@ -175,7 +175,7 @@ let run ?(params = default_params) ?(events = Events.noop)
           end
     done;
     if ev_on then
-      emit_level events ~mode:"delta" ~level:!level ~temperature:!temperature
+      emit_level events ~level:!level ~temperature:!temperature
         ~evals:
           (probe.Probe.anneal_accepted + probe.Probe.anneal_rejected - acc0
          - rej0)
@@ -185,138 +185,7 @@ let run ?(params = default_params) ?(events = Events.noop)
     incr level;
     temperature := !temperature *. params.cooling
   done;
-  emit_done events ~mode:"delta"
-    ~evals:
-      (probe.Probe.anneal_accepted + probe.Probe.anneal_rejected - acc0 - rej0)
-    ~best_sigma:(!best).Solution.sigma;
-  !best
-
-(* Population mode: [pop] delta-evaluated walkers advance through the
-   same cooling ladder, stepped round-robin off one shared RNG (walker
-   [w] draws its whole per-temperature sweep before walker [w+1], so
-   the streams are deterministic and pool-independent).  After each
-   temperature level the whole population is re-costed in a single
-   {!Batsched_battery.Sigma_batch} structure-of-arrays sweep — sharded over [pool] —
-   which (a) resynchronizes every walker's running energy against a
-   fresh batched evaluation, bounding delta drift across the long walk,
-   (b) tracks the population best, confirmed through the full model
-   path before adoption, and (c) reheats the stragglers: the worst
-   walker is reseeded from the best walker's state (no RNG draws are
-   consumed, so the move streams stay aligned).  Per-temperature best
-   tracking is coarser than {!run}'s per-accept tracking — the
-   population trades that for breadth. *)
-let run_population ?(params = default_params) ?(pop = 8)
-    ?(pool = Pool.sequential) ?(events = Events.noop)
-    ?(should_stop = fun () -> false) ~rng ~model g ~deadline =
-  check_params params;
-  if pop < 1 then invalid_arg "Annealing.run_population: pop < 1";
-  let sol0 = start_solution ~model g ~deadline in
-  let n = Graph.num_tasks g and m = Graph.num_points g in
-  let energy sigma finish =
-    sigma +. (penalty_rate *. Float.max 0.0 (finish -. deadline))
-  in
-  let walkers =
-    Array.init pop (fun _ -> Eval.make ~model g sol0.Solution.schedule)
-  in
-  let cur_energy =
-    Array.map (fun ev -> energy (Eval.sigma ev) (Eval.finish ev)) walkers
-  in
-  let batch = Batsched_battery.Sigma_batch.create ~pool model in
-  let best = ref sol0 in
-  let temperature = ref params.initial_temperature in
-  let probe = Probe.local () in
-  let ev_on = Events.is_active events in
-  emit_start events ~mode:"population" ~n ~m ~params;
-  let acc0 = probe.Probe.anneal_accepted
-  and rej0 = probe.Probe.anneal_rejected in
-  let level = ref 0 in
-  while !temperature > params.temperature_floor && not (should_stop ()) do
-    let lacc = if ev_on then probe.Probe.anneal_accepted else 0
-    and lrej = if ev_on then probe.Probe.anneal_rejected else 0 in
-    for w = 0 to pop - 1 do
-      let ev = walkers.(w) in
-      let ce = ref cur_energy.(w) in
-      for _ = 1 to params.steps_per_temperature do
-        let mv =
-          draw_move ~rng ~n ~m ~swap_ok:(fun k -> Eval.swap_allowed ev k)
-        in
-        match mv with
-        | Move_repoint (i, j) when Eval.column ev i = j ->
-            probe.Probe.anneal_noops <- probe.Probe.anneal_noops + 1;
-            probe.Probe.anneal_accepted <- probe.Probe.anneal_accepted + 1
-        | _ ->
-            let sigma, finish =
-              match mv with
-              | Move_swap k -> Eval.try_swap ev k
-              | Move_repoint (i, j) -> Eval.try_repoint ev ~task:i ~col:j
-            in
-            let e = energy sigma finish in
-            (* unconditional draw: see [run] *)
-            let u = Rng.float rng 1.0 in
-            let accept = e <= !ce || u < exp ((!ce -. e) /. !temperature) in
-            if accept then begin
-              probe.Probe.anneal_accepted <- probe.Probe.anneal_accepted + 1;
-              Eval.commit ev;
-              ce := e
-            end
-            else begin
-              probe.Probe.anneal_rejected <- probe.Probe.anneal_rejected + 1;
-              Eval.discard ev
-            end
-      done;
-      cur_energy.(w) <- !ce
-    done;
-    (* population step: one batched sweep over every walker's committed
-       intervals (positional reads of the delta state — no schedule or
-       profile materialization) *)
-    Batsched_battery.Sigma_batch.eval batch ~pop ~n
-      ~current:(fun p k -> Eval.interval_current walkers.(p) k)
-      ~duration:(fun p k -> Eval.interval_duration walkers.(p) k);
-    for p = 0 to pop - 1 do
-      cur_energy.(p) <-
-        energy (Batsched_battery.Sigma_batch.sigma batch p) (Batsched_battery.Sigma_batch.finish batch p)
-    done;
-    let bi = ref 0 and wi = ref 0 in
-    for p = 1 to pop - 1 do
-      if cur_energy.(p) < cur_energy.(!bi) then bi := p;
-      if cur_energy.(p) > cur_energy.(!wi) then wi := p
-    done;
-    let bsigma = Batsched_battery.Sigma_batch.sigma batch !bi
-    and bfinish = Batsched_battery.Sigma_batch.finish batch !bi in
-    if
-      Float.max 0.0 (bfinish -. deadline) <= 1e-9
-      && bsigma < !best.Solution.sigma
-    then begin
-      (* confirm through the full path before adopting, as in {!run} *)
-      let sol =
-        Solution.of_schedule ~model g (Eval.to_schedule walkers.(!bi))
-      in
-      if sol.Solution.sigma < !best.Solution.sigma then best := sol
-    end;
-    if ev_on then begin
-      (* emitted before the reseed below so worst_energy reflects the
-         population spread this level actually produced *)
-      emit_level events ~mode:"population" ~level:!level
-        ~temperature:!temperature
-        ~evals:
-          (probe.Probe.anneal_accepted + probe.Probe.anneal_rejected - acc0
-         - rej0)
-        ~lvl_acc:(probe.Probe.anneal_accepted - lacc)
-        ~lvl_rej:(probe.Probe.anneal_rejected - lrej)
-        ~cur_energy:cur_energy.(!bi) ~best_sigma:(!best).Solution.sigma;
-      Events.emit events "anneal_pop_spread"
-        [ ("level", Events.I !level);
-          ("best_energy", Events.F cur_energy.(!bi));
-          ("worst_energy", Events.F cur_energy.(!wi)) ]
-    end;
-    if !wi <> !bi then begin
-      Eval.load walkers.(!wi) (Eval.to_schedule walkers.(!bi));
-      cur_energy.(!wi) <- cur_energy.(!bi)
-    end;
-    incr level;
-    temperature := !temperature *. params.cooling
-  done;
-  emit_done events ~mode:"population"
+  emit_done events
     ~evals:
       (probe.Probe.anneal_accepted + probe.Probe.anneal_rejected - acc0 - rej0)
     ~best_sigma:(!best).Solution.sigma;

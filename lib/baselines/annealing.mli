@@ -7,7 +7,8 @@
     sequence positions when the swap preserves precedence.  Deadline
     violations are admitted during the walk but penalized, so the
     returned solution is always feasible (the best feasible state
-    seen). *)
+    seen).  One walk, costed on the incremental evaluator; the seed's
+    full-evaluation walk is the test oracle. *)
 
 open Batsched_taskgraph
 open Batsched_battery
@@ -55,22 +56,3 @@ val run :
     deltas and never the RNG, so the walk is bit-identical with any
     stream.
     @raise No_feasible_state; @raise Invalid_argument on bad params. *)
-
-val run_population :
-  ?params:params -> ?pop:int -> ?pool:Batsched_numeric.Pool.t ->
-  ?events:Batsched_obs.Events.t -> ?should_stop:(unit -> bool) ->
-  rng:Batsched_numeric.Rng.t -> model:Model.t ->
-  Graph.t -> deadline:float -> Solution.t
-(** Population variant: [pop] (default 8) delta-evaluated walkers share
-    one cooling ladder, stepped round-robin off the single [rng] (so
-    the walk is deterministic for a fixed seed).  After every
-    temperature level the whole population is re-costed in one
-    {!Batsched_battery.Sigma_batch} structure-of-arrays sweep — sharded
-    over [pool] (default sequential; the batch results are
-    bit-identical at any pool size) — which resynchronizes the
-    walkers' running energies, tracks the population best (confirmed
-    through the full model path), and reseeds the worst walker from
-    the best one's state, consuming no RNG draws.  [pop = 1] is {!run} up
-    to the per-level best-tracking granularity.
-    @raise No_feasible_state; @raise Invalid_argument on bad params or
-    [pop < 1]. *)

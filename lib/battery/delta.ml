@@ -166,14 +166,6 @@ let ensure_capacity t n =
 
 let length t = t.n
 
-let current t i =
-  if i < 0 || i >= t.n then invalid_arg "Delta.current: position out of range";
-  t.currents.(i)
-
-let duration t i =
-  if i < 0 || i >= t.n then invalid_arg "Delta.duration: position out of range";
-  t.durations.(i)
-
 let sigma t = t.sig_t +. t.sig_c
 
 let finish t = t.fin_t +. t.fin_c

@@ -71,12 +71,6 @@ val of_profile : Model.t -> Profile.t -> t
 val length : t -> int
 (** Number of positions. *)
 
-val current : t -> int -> float
-
-val duration : t -> int -> float
-(** Committed interval fields at a position.
-    @raise Invalid_argument out of range. *)
-
 val sigma : t -> float
 (** Committed sigma at the makespan.  Pending candidates do not
     affect it. *)

@@ -144,7 +144,6 @@ let model ?(params = default_params) () =
   { Model.name = "diffusion-pde"; sigma = (fun p ~at -> sigma ~params p ~at);
     incremental = None;
     stepper = Some (stepper params);
-    batch = None;
     (* no finite channel set: sigma is the solution of a PDE, so
        Periodic advances a carried stepper state instead *)
     decay = None }

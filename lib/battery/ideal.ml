@@ -11,20 +11,6 @@ let incremental =
   { Model.term = (fun ~current ~duration ~tail:_ -> current *. duration);
     tail_sensitive = false }
 
-let batch =
-  { Model.batch_run =
-      (fun ~n ~currents ~durations ~tails:_ ~sigmas ~lo ~hi ->
-        let acc = Batsched_numeric.Kahan.Acc.create () in
-        for p = lo to hi - 1 do
-          Batsched_numeric.Kahan.Acc.reset acc;
-          let base = p * n in
-          for k = 0 to n - 1 do
-            Batsched_numeric.Kahan.Acc.add acc
-              (currents.(base + k) *. durations.(base + k))
-          done;
-          sigmas.(p) <- Batsched_numeric.Kahan.Acc.sum acc
-        done) }
-
 (* no memory at all: the decay decomposition is the bare charge term *)
 let decay =
   { Model.rates = [||];
@@ -33,4 +19,4 @@ let decay =
 
 let model =
   { Model.name = "ideal"; sigma; incremental = Some incremental;
-    stepper = None; batch = Some batch; decay = Some decay }
+    stepper = None; decay = Some decay }

@@ -1,4 +1,3 @@
-open Batsched_numeric
 
 type params = {
   capacity : float;
@@ -93,34 +92,6 @@ let incremental params =
               *. exp (-.k' *. tail)));
     tail_sensitive = true }
 
-(* Population kernel: one backward sweep per candidate with a running
-   product e^{-k' tail_k} = prod_{j>k} r_j — one [exp] per non-empty
-   interval, against the two the incremental term pays.  The carry
-   lives in a one-element float array (flat, so the inner loop
-   allocates nothing). *)
-let batch params =
-  let k' = params.k_prime in
-  let coef = (1.0 -. params.c) /. (params.c *. k') in
-  { Model.batch_run =
-      (fun ~n ~currents ~durations ~tails:_ ~sigmas ~lo ~hi ->
-        let acc = Kahan.Acc.create () in
-        let etail = Array.make 1 1.0 in
-        for p = lo to hi - 1 do
-          Kahan.Acc.reset acc;
-          etail.(0) <- 1.0;
-          let base = p * n in
-          for k = n - 1 downto 0 do
-            let i = currents.(base + k) and d = durations.(base + k) in
-            if d <> 0.0 then begin
-              let r = exp (-.k' *. d) in
-              Kahan.Acc.add acc
-                ((i *. d) +. (coef *. i *. (1.0 -. r) *. etail.(0)));
-              etail.(0) <- etail.(0) *. r
-            end
-          done;
-          sigmas.(p) <- Kahan.Acc.sum acc
-        done) }
-
 (* The eigen-split above is already a one-channel decay decomposition:
    the disequilibrium term relaxes at rate k' whatever follows the
    interval (rest included — zero current forces nothing), so the
@@ -139,5 +110,4 @@ let model ?(params = default_params) () =
   { Model.name = "kibam"; sigma = (fun p ~at -> sigma ~params p ~at);
     incremental = Some (incremental params);
     stepper = None;
-    batch = Some (batch params);
     decay = Some (decay params) }

@@ -66,12 +66,7 @@ val incremental : params -> Model.incremental
     Tail-sensitive; a [duration = 0] term is exactly [0.].  See
     DESIGN.md §11 for the derivation. *)
 
-val batch : params -> Model.batch
-(** Structure-of-arrays population kernel: one backward sweep per
-    candidate with a running [e^{-k' tail}] product — one [exp] per
-    non-empty interval. *)
-
 val model : ?params:params -> unit -> Model.t
 (** Packaged as a {!Model.t} named ["kibam"] with the incremental and
-    batched paths above.  Use [params.capacity] as the matching [alpha]
+    decay paths above.  Use [params.capacity] as the matching [alpha]
     for lifetime queries. *)

@@ -20,24 +20,11 @@ type stepper = {
   fresh : unit -> stepper_ops;
 }
 
-type batch = {
-  batch_run :
-    n:int ->
-    currents:float array ->
-    durations:float array ->
-    tails:float array ->
-    sigmas:float array ->
-    lo:int ->
-    hi:int ->
-    unit;
-}
-
 type t = {
   name : string;
   sigma : Profile.t -> at:float -> float;
   incremental : incremental option;
   stepper : stepper option;
-  batch : batch option;
   decay : decay option;
 }
 

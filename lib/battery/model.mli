@@ -5,7 +5,12 @@
     parameter alpha dies at the first instant where sigma reaches alpha.
     Five implementations ship with the library: {!Ideal}, {!Peukert},
     {!Rakhmatov} (the paper's cost function), {!Kibam} and the
-    {!Diffusion} PDE reference. *)
+    {!Diffusion} PDE reference.
+
+    Besides [sigma], a model offers up to three optional views of the
+    same function, each read by the evaluator it was built for:
+    [incremental] and [stepper] by {!Delta} (local-search moves),
+    [decay] and [stepper] by {!Periodic} (repeated missions). *)
 
 type incremental = {
   term : current:float -> duration:float -> tail:float -> float;
@@ -96,30 +101,6 @@ type stepper = {
     checkpoint — O(n/k + stride) instead of O(n) per move — while
     remaining bit-identical to a from-scratch integration. *)
 
-type batch = {
-  batch_run :
-    n:int ->
-    currents:float array ->
-    durations:float array ->
-    tails:float array ->
-    sigmas:float array ->
-    lo:int ->
-    hi:int ->
-    unit;
-  (** Structure-of-arrays population kernel.  The arrays hold one row of
-      [n] floats per candidate (row-major; candidate [p]'s interval [k]
-      lives at index [p*n + k]); [tails.(p*n + k)] is the suffix
-      duration after interval [k], computed by plain backward adds so
-      that [tails.(i) = durations.(i+1) +. tails.(i+1)] bit-exactly.
-      Writes the end-of-profile sigma of candidates [lo..hi-1] into
-      [sigmas] (one float per candidate, indexed by candidate).  Must
-      agree with [sigma] on the equivalent sequential profile to
-      float-accumulation noise, and must not allocate per candidate —
-      the point is to share series bookkeeping (one [exp] per suffix
-      point) across the population. *)
-}
-(** Batched evaluation for population searches; see {!Sigma_batch}. *)
-
 type t = {
   name : string;
   (** Short identifier used in reports. *)
@@ -140,9 +121,6 @@ type t = {
       per-interval decomposition (the diffusion PDE).  The delta
       evaluator prefers [incremental], then [stepper], then falls back
       to a counted full re-evaluation per candidate move. *)
-  batch : batch option;
-  (** Population-batched kernel, when one exists; {!Sigma_batch} falls
-      back to sequential [sigma] calls otherwise. *)
   decay : decay option;
   (** Exponential-channel structure of the per-interval term, when the
       model admits one; {!Periodic}'s linear-time endurance kernel

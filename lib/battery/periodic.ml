@@ -331,46 +331,3 @@ let cycles_to_death ?max_cycles ~model ~alpha ~period cycle =
   match r.Batch.outcome with
   | Dies 0 -> raise (Unsustainable r.Batch.fatal_sigma)
   | outcome -> outcome
-
-let max_sustainable_cycles ?max_cycles ~model ~alpha cycle ~period ~target =
-  match cycles_to_death ?max_cycles ~model ~alpha ~period cycle with
-  | outcome -> cycles outcome >= target
-  | exception Unsustainable _ -> false
-
-let min_period_for_cycles ?max_cycles ?(tolerance = 0.01) ~model ~alpha cycle
-    ~target =
-  if target < 1 then invalid_arg "Periodic.min_period_for_cycles: target < 1";
-  let len = Float.max 1e-6 (Profile.length cycle) in
-  let sustains period =
-    max_sustainable_cycles ?max_cycles ~model ~alpha cycle ~period ~target
-  in
-  (* generous recovery horizon: beyond this, more rest changes nothing
-     material for the shipped models *)
-  let hi = len +. 2000.0 in
-  if not (sustains hi) then None
-  else if sustains len then Some len
-  else begin
-    let rec bisect lo hi =
-      (* invariant: not (sustains lo) && sustains hi *)
-      if hi -. lo <= tolerance then hi
-      else begin
-        let mid = 0.5 *. (lo +. hi) in
-        if sustains mid then bisect lo mid else bisect mid hi
-      end
-    in
-    Some (bisect len hi)
-  end
-
-let interp_cycles ~model ~alpha cycle ~periods =
-  if List.length periods < 2 then
-    invalid_arg "Periodic.interp_cycles: need at least two periods";
-  Interp.of_points
-    (List.map
-       (fun period ->
-         let n =
-           match cycles_to_death ~model ~alpha ~period cycle with
-           | outcome -> cycles outcome
-           | exception Unsustainable _ -> 0
-         in
-         (period, float_of_int n))
-       periods)

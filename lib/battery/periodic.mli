@@ -21,8 +21,6 @@
     stripping [decay] and [stepper] from a model.  See DESIGN.md §15 for
     the derivations. *)
 
-open Batsched_numeric
-
 exception Unsustainable of float
 (** The battery dies within the very first cycle.  Carries sigma at the
     first fatal probe — how far past alpha the cycle lands, which is
@@ -98,28 +96,3 @@ module Batch : sig
       @raise Invalid_argument as {!cycles_to_death}, or on negative
       [n]. *)
 end
-
-val max_sustainable_cycles :
-  ?max_cycles:int -> model:Model.t -> alpha:float -> Profile.t ->
-  period:float -> target:int -> bool
-(** [max_sustainable_cycles ~model ~alpha cycle ~period ~target] is true
-    iff the battery completes at least [target] cycles (false instead of
-    raising when the first cycle is fatal). *)
-
-val min_period_for_cycles :
-  ?max_cycles:int -> ?tolerance:float -> model:Model.t -> alpha:float ->
-  Profile.t -> target:int -> float option
-(** [min_period_for_cycles ~model ~alpha cycle ~target] finds (by
-    bisection, [tolerance] minutes, default 0.01) the smallest period
-    that still sustains [target] complete cycles, or [None] if even
-    arbitrarily long rest cannot (the asymptotic budget
-    [target * charge-per-cycle] exceeds alpha).  Longer periods mean
-    more recovery, so sustainability is monotone in the period. *)
-
-val interp_cycles :
-  model:Model.t -> alpha:float -> Profile.t -> periods:float list ->
-  Interp.t
-(** Tabulate cycles-to-death against the period — the data behind a
-    period/endurance trade-off curve.  Censored points enter the table
-    at the horizon value.
-    @raise Invalid_argument on fewer than two periods. *)

@@ -26,22 +26,6 @@ let incremental ~exponent ~reference_current =
         else k *. (current ** exponent) *. duration);
     tail_sensitive = false }
 
-let batch ~exponent ~reference_current =
-  let k = reference_current ** (1.0 -. exponent) in
-  { Model.batch_run =
-      (fun ~n ~currents ~durations ~tails:_ ~sigmas ~lo ~hi ->
-        let acc = Kahan.Acc.create () in
-        for p = lo to hi - 1 do
-          Kahan.Acc.reset acc;
-          let base = p * n in
-          for j = 0 to n - 1 do
-            let i = currents.(base + j) in
-            if i <> 0.0 then
-              Kahan.Acc.add acc (k *. (i ** exponent) *. durations.(base + j))
-          done;
-          sigmas.(p) <- Kahan.Acc.sum acc
-        done) }
-
 (* rate-dependence only, no memory: channel-free like the ideal model *)
 let decay ~exponent ~reference_current =
   let k = reference_current ** (1.0 -. exponent) in
@@ -58,5 +42,4 @@ let model ?(exponent = 1.2) ?(reference_current = 100.0) () =
     sigma = (fun p ~at -> sigma ~exponent ~reference_current p ~at);
     incremental = Some (incremental ~exponent ~reference_current);
     stepper = None;
-    batch = Some (batch ~exponent ~reference_current);
     decay = Some (decay ~exponent ~reference_current) }

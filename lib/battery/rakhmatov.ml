@@ -93,75 +93,6 @@ let incremental ~terms ~beta =
         contribution ~terms ~beta ~current ~duration ~tail);
     tail_sensitive = true }
 
-(* Population kernel.  Per candidate, the RV sigma at the makespan is
-     sum_k I_k (D_k + F(tail_k) - F(tail_k + D_k))
-   over the truncated series F(t) = 2 sum_m e^{-beta^2 m^2 t}/(beta^2 m^2).
-   The suffix points telescope: with tails built by plain backward adds,
-   [tail_k +. D_k] is bit-equal to [tail_{k-1}], so a backward sweep
-   carries F at the shared endpoint and pays exactly one fresh F
-   evaluation per non-empty interval (n+1 total).  Each F evaluation
-   costs a single [exp]: with x = e^{-beta^2 t}, the squares x^{m^2}
-   follow the power recurrence x^{(m+1)^2} = x^{m^2} * x^{2m+1},
-   x^{2m+3} = x^{2m+1} * x^2, against the [terms] exps the direct form
-   pays.  The 2/(beta^2 m^2) coefficients are precomputed; loop carries
-   live in a flat scratch array so the sweep allocates nothing per
-   candidate. *)
-let batch ~terms ~beta =
-  let b2 = beta *. beta in
-  let inv =
-    Array.init terms (fun i ->
-        let m = float_of_int (i + 1) in
-        2.0 /. (b2 *. m *. m))
-  in
-  { Model.batch_run =
-      (fun ~n ~currents ~durations ~tails ~sigmas ~lo ~hi ->
-        let acc = Kahan.Acc.create () in
-        (* scratch: 0 = F at the carried suffix point, 1 = running
-           series sum, 2 = x^{m^2}, 3 = x^{2m+1} *)
-        let sc = Array.make 4 0.0 in
-        for p = lo to hi - 1 do
-          Kahan.Acc.reset acc;
-          let base = p * n in
-          if n > 0 then begin
-            (* F at the innermost suffix point (the last interval's
-               tail; 0 when observed at the makespan). *)
-            let x = exp (-.b2 *. tails.(base + n - 1)) in
-            let xsq = x *. x in
-            sc.(1) <- 0.0;
-            sc.(2) <- x;
-            sc.(3) <- xsq *. x;
-            for m = 0 to terms - 1 do
-              sc.(1) <- sc.(1) +. (inv.(m) *. sc.(2));
-              sc.(2) <- sc.(2) *. sc.(3);
-              sc.(3) <- sc.(3) *. xsq
-            done;
-            sc.(0) <- sc.(1);
-            for k = n - 1 downto 0 do
-              let i = currents.(base + k) and d = durations.(base + k) in
-              if d <> 0.0 then begin
-                (* F at the interval's start point tail_k + D_k, which
-                   is the carried point of the next (earlier) step. *)
-                let x = exp (-.b2 *. (tails.(base + k) +. d)) in
-                let xsq = x *. x in
-                sc.(1) <- 0.0;
-                sc.(2) <- x;
-                sc.(3) <- xsq *. x;
-                for m = 0 to terms - 1 do
-                  sc.(1) <- sc.(1) +. (inv.(m) *. sc.(2));
-                  sc.(2) <- sc.(2) *. sc.(3);
-                  sc.(3) <- sc.(3) *. xsq
-                done;
-                Kahan.Acc.add acc
-                  (i *. (d +. Float.max 0.0 (sc.(0) -. sc.(1))));
-                sc.(0) <- sc.(1)
-              end
-              (* d = 0: the endpoints coincide, the term is exactly 0
-                 and the carried point is unchanged. *)
-            done
-          end;
-          sigmas.(p) <- Kahan.Acc.sum acc
-        done) }
-
 (* Channel view of the same series: the contribution
      I (D + F(tail) - F(tail + D))
    with F(t) = sum_m 2 e^{-lambda_m t} / lambda_m, lambda_m = beta^2 m^2,
@@ -191,7 +122,6 @@ let model ?(terms = Series.default_terms) ?(beta = default_beta) () =
     sigma = (fun p ~at -> sigma ~terms ~beta p ~at);
     incremental = Some (incremental ~terms ~beta);
     stepper = None;
-    batch = Some (batch ~terms ~beta);
     decay = Some (decay ~terms ~beta) }
 
 let unavailable_charge ?terms ?beta p ~at =

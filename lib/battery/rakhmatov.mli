@@ -57,18 +57,9 @@ val contribution :
     model's {!Model.incremental} interface; exposed so the delta
     evaluator and the full path share one cache. *)
 
-val batch : terms:int -> beta:float -> Model.batch
-(** Structure-of-arrays population kernel.  The suffix points of a
-    gapless profile telescope ([tail_k + D_k = tail_{k-1}] bit-exactly
-    under backward-add tails), so one backward sweep per candidate pays
-    a single fresh series evaluation per non-empty interval, and each
-    evaluation costs one [exp] via the [x^{m^2}] power recurrence
-    (against [terms] exps for the direct form).  Agrees with {!sigma}
-    to float-accumulation noise. *)
-
 val model : ?terms:int -> ?beta:float -> unit -> Model.t
 (** Package {!sigma} as a {!Model.t} named ["rakhmatov"], with the
-    incremental and batched paths. *)
+    incremental and decay paths. *)
 
 val unavailable_charge :
   ?terms:int -> ?beta:float -> Profile.t -> at:float -> float

@@ -12,27 +12,23 @@ type dpf_result = {
 let eps = 1e-9
 
 (* Per-call context: everything [CalculateDPF] needs, hoisted out of
-   the O(n * m) tagging loop.  The seed implementation recomputed the
-   energy order (a sort), the energy bounds and the current range — and
-   rebuilt list/assignment copies — inside every one of those calls;
-   here the graph-only ones are built once per graph ([graph_tables]
-   below), the rest once per [choose_design_points], and every
-   design-point lookup is a read of a flat [n * m] table.
+   the O(n * m) tagging loop.  The graph-only tables are built once per
+   graph ([graph_tables] below), the rest once per
+   [choose_design_points], and every design-point lookup is a read of a
+   flat [n * m] table.
 
-   On top of the hoisted tables sits the *incremental* trial path (see
+   On top of the hoisted tables sits the incremental trial path (see
    [enter]/[trial]/[advance] below and DESIGN.md §9): one hypothetical
    completion is carried across every tagged position of a call.  Each
    column change patches the serial time, the energy and the
    current-increase count in O(1), and each trial only moves the
-   upgrade boundary as far as the deadline demands.
-   [calculate_dpf_reference_ctx] keeps the seed's per-trial O(n)
-   rescans as the oracle the property tests (and the [choose-n64] bench
-   pair) compare against. *)
+   upgrade boundary as far as the deadline demands.  The seed's
+   per-trial rescans live on as the test oracle
+   [Batsched_oracles.Choose]. *)
 type ctx = {
   n : int;
   m : int;
   deadline : float;
-  window_start : int;
   span : int;                 (* m - 1 - window_start: steps per free task *)
   seq : int array;
   pos_of : int array;         (* task -> position in [seq] *)
@@ -46,14 +42,7 @@ type ctx = {
   emax : float;
   imin : float;
   imax : float;
-  (* durations non-decreasing in column index for every task: the
-     precondition for the incremental upgrade walk (it makes the
-     feasibility predicate monotone in the step count).  Every paper
-     and generated instance satisfies it; when violated the choose
-     loop falls back to the reference trial path. *)
-  mono_dur : bool;
   cols : int array;           (* the evaluated state, one column per task *)
-  fixed_e : bool array;       (* reference-trial scratch *)
   res : float array;          (* [| enr; cif; dpf |] of the last evaluation *)
   (* --- carried hypothetical state (incremental path) ---
      Free tasks sit in a doubly linked list in energy order: node r + 1
@@ -126,7 +115,6 @@ type tables = {
   t_emax : float;
   t_imin : float;
   t_imax : float;
-  t_mono_dur : bool;
 }
 
 let build_tables g =
@@ -149,18 +137,9 @@ let build_tables g =
     imin := Float.min !imin cur.((i * m) + m - 1);
     imax := Float.max !imax cur.(i * m)
   done;
-  let mono_dur =
-    let ok = ref true in
-    for i = 0 to n - 1 do
-      for j = 1 to m - 1 do
-        if dur.((i * m) + j) < dur.((i * m) + j - 1) then ok := false
-      done
-    done;
-    !ok
-  in
   (* Analysis.energy_bounds and Task.average_energy: the same Kahan sums
-     in the same order.  The energy order sorts (average, id) as
-     Analysis.energy_vector does, without boxing a tuple per task. *)
+     in the same order.  The energy order sorts by (average, id), the
+     paper's energy vector, without boxing a tuple per task. *)
   let sums = Array.make 2 0.0 in
   let emin = kahan_strided sums energy ~first:(m - 1) ~stride:m ~len:n in
   let emax = kahan_strided sums energy ~first:0 ~stride:m ~len:n in
@@ -186,8 +165,7 @@ let build_tables g =
     t_emin = emin;
     t_emax = emax;
     t_imin = !imin;
-    t_imax = !imax;
-    t_mono_dur = mono_dur }
+    t_imax = !imax }
 
 (* The tables of the last graph this domain chose on.  A graph is
    immutable, so physical equality identifies it; calls on another
@@ -215,7 +193,6 @@ let make_ctx (cfg : Config.t) g ~seq ~window_start =
   { n;
     m;
     deadline = cfg.Config.deadline;
-    window_start;
     span = m - 1 - window_start;
     seq;
     pos_of;
@@ -228,9 +205,7 @@ let make_ctx (cfg : Config.t) g ~seq ~window_start =
     emax = tab.t_emax;
     imin = tab.t_imin;
     imax = tab.t_imax;
-    mono_dur = tab.t_mono_dur;
     cols = Array.make n 0;
-    fixed_e = Array.make n false;
     res = Array.make 3 0.0;
     sums = Array.make 4 0.0;
     trial_sum = Array.make 2 0.0;
@@ -258,15 +233,6 @@ let[@inline] current_ratio ctx i =
   if ctx.imax -. ctx.imin <= 0.0 then 0.0
   else (i -. ctx.imin) /. (ctx.imax -. ctx.imin)
 
-(* Metrics.energy_ratio over the precomputed bounds; the total is the
-   same Kahan sum in task-id order as [Assignment.total_energy]. *)
-let energy_ratio ctx cols =
-  if ctx.emax -. ctx.emin <= 0.0 then 0.0
-  else
-    (Kahan.sum_fn ctx.n (fun i -> ctx.energy.((i * ctx.m) + cols.(i)))
-    -. ctx.emin)
-    /. (ctx.emax -. ctx.emin)
-
 let[@inline] cur_at ctx p =
   let v = ctx.seq.(p) in
   ctx.cur.((v * ctx.m) + ctx.cols.(v))
@@ -278,88 +244,6 @@ let increase_count ctx =
     if cur_at ctx pos > cur_at ctx (pos - 1) then incr count
   done;
   !count
-
-(* Metrics.current_increase_fraction over the full sequence. *)
-let increase_fraction ctx =
-  if ctx.n <= 1 then 0.0
-  else float_of_int (increase_count ctx) /. float_of_int (ctx.n - 1)
-
-(* Metrics.dpf_static over the free prefix (positions < tagged_pos),
-   whose task order is exactly the seed's [free] list. *)
-let dpf_static ctx cols ~tagged_pos =
-  if ctx.window_start < 0 || ctx.window_start >= ctx.m then
-    invalid_arg "Metrics.dpf_static: window_start out of range";
-  if tagged_pos = 0 || ctx.window_start = ctx.m - 1 then 0.0
-  else begin
-    let span = float_of_int (ctx.m - 1 - ctx.window_start) in
-    let weight k =
-      if k < ctx.window_start then
-        invalid_arg "Metrics.dpf_static: free task assigned outside the window"
-      else float_of_int (ctx.m - 1 - k) /. span
-    in
-    Kahan.sum_fn tagged_pos (fun pos -> weight cols.(ctx.seq.(pos)))
-    /. float_of_int tagged_pos
-  end
-
-(* The paper's CalculateDPF, seed implementation: O(n) rescans per
-   trial.  [ctx.cols] must hold the tagged state on entry (free prefix
-   at lowest power, tagged task at its trial column, suffix committed);
-   it is mutated into the hypothetical completion.  Kept verbatim as the
-   oracle for the incremental path below.  Writes (enr, cif, dpf) to
-   [ctx.res]. *)
-let calculate_dpf_reference_ctx ctx ~tagged_pos =
-  let d = ctx.deadline in
-  let cols = ctx.cols in
-  let fixed_e = ctx.fixed_e in
-  let probe = Probe.local () in
-  Array.fill fixed_e 0 ctx.n true;
-  for pos = 0 to tagged_pos - 1 do
-    fixed_e.(ctx.seq.(pos)) <- false
-  done;
-  let te = ref (Kahan.sum_fn ctx.n (fun i -> dur_at ctx i cols.(i))) in
-  let finish infeasible =
-    ctx.res.(0) <- energy_ratio ctx cols;
-    ctx.res.(1) <- increase_fraction ctx;
-    ctx.res.(2) <-
-      (if infeasible then Float.infinity
-       else if tagged_pos = 0 then Metrics.slack_ratio ~deadline:d ~time:!te
-       else dpf_static ctx cols ~tagged_pos)
-  in
-  (* First upgradable free task in increasing-average-energy order.
-     Tasks only ever get fixed, and columns only ever decrease, so the
-     first free candidate moves monotonically through [energy_order] —
-     the pointer [k] replaces the seed's scan-from-scratch without
-     changing which task each round picks. *)
-  let k = ref 0 in
-  let rec candidate () =
-    if !k >= ctx.n then None
-    else begin
-      let q = ctx.energy_order.(!k) in
-      if fixed_e.(q) then begin incr k; candidate () end
-      else if cols.(q) <= ctx.window_start then begin
-        (* already at the fastest allowed column: cannot upgrade *)
-        fixed_e.(q) <- true;
-        incr k;
-        candidate ()
-      end
-      else Some q
-    end
-  in
-  let rec upgrade () =
-    if !te <= d +. eps then finish false
-    else
-      match candidate () with
-      | None -> finish true
-      | Some q ->
-          probe.Probe.dpf_steps <- probe.Probe.dpf_steps + 1;
-          let col = cols.(q) in
-          let col' = col - 1 in
-          te := !te -. dur_at ctx q col +. dur_at ctx q col';
-          cols.(q) <- col';
-          if col' = ctx.window_start then fixed_e.(q) <- true;
-          upgrade ()
-  in
-  upgrade ()
 
 (* --- incremental CalculateDPF ---
 
@@ -498,10 +382,10 @@ let advance ctx ~col =
    The applied-step count walks down while one step fewer still meets
    the deadline, then up while it does not.  With monotone durations
    feasibility is monotone in the count, so the walk stops at the
-   smallest feasible count, the one the reference's walk up from zero
-   finds, whatever count it starts from.  The first trial at a position
-   adds that count to [dpf_steps], as the reference does; later trials
-   add one per step up. *)
+   smallest feasible count, the one the seed evaluation's walk up from
+   zero finds, whatever count it starts from.  The first trial at a
+   position adds that count to [dpf_steps], as the seed evaluation
+   does; later trials add one per step up. *)
 let trial ctx probe ~j =
   set_col ctx ctx.tagged_task j;
   while ctx.applied > 0 && undo_meets_deadline ctx do
@@ -531,17 +415,10 @@ let trial ctx probe ~j =
        float_of_int ctx.applied /. float_of_int ctx.span
        /. float_of_int ctx.tagged_pos)
 
-let mk_result ctx g =
-  { enr = ctx.res.(0);
-    cif = ctx.res.(1);
-    dpf = ctx.res.(2);
-    hypothetical = Assignment.of_list g (Array.to_list ctx.cols) }
-
-(* Boundary checks shared by both entry points; returns the
-   assignment's columns in task-id order. *)
-let dpf_columns fn g ~sequence ~assignment ~tagged_pos ~window_start =
+let calculate_dpf (cfg : Config.t) g ~sequence ~assignment ~tagged_pos
+    ~window_start =
   let n = Graph.num_tasks g and m = Graph.num_points g in
-  let fail reason = invalid_arg (Printf.sprintf "Choose.%s: %s" fn reason) in
+  let fail reason = invalid_arg ("Choose.calculate_dpf: " ^ reason) in
   let seen = Array.make n false in
   let first_sight v =
     let ok = v >= 0 && v < n && not seen.(v) in
@@ -556,48 +433,23 @@ let dpf_columns fn g ~sequence ~assignment ~tagged_pos ~window_start =
   if tagged_pos < 0 || tagged_pos >= n then fail "tagged_pos out of range";
   if window_start < 0 || window_start >= m then
     fail "window_start out of range";
-  cols
-
-let calculate_dpf_reference (cfg : Config.t) g ~sequence ~assignment
-    ~tagged_pos ~window_start =
-  let cols =
-    dpf_columns "calculate_dpf_reference" g ~sequence ~assignment ~tagged_pos
-      ~window_start
-  in
+  for pos = 0 to tagged_pos - 1 do
+    if cols.(sequence.(pos)) <> m - 1 then
+      fail "free task not at the lowest-power column"
+  done;
   let ctx = make_ctx cfg g ~seq:sequence ~window_start in
-  Array.blit cols 0 ctx.cols 0 ctx.n;
-  calculate_dpf_reference_ctx ctx ~tagged_pos;
-  mk_result ctx g
-
-let calculate_dpf (cfg : Config.t) g ~sequence ~assignment ~tagged_pos
-    ~window_start =
-  let cols =
-    dpf_columns "calculate_dpf" g ~sequence ~assignment ~tagged_pos
-      ~window_start
-  in
-  let ctx = make_ctx cfg g ~seq:sequence ~window_start in
-  let parked_free =
-    let ok = ref true in
-    for pos = 0 to tagged_pos - 1 do
-      if cols.(ctx.seq.(pos)) <> ctx.m - 1 then ok := false
-    done;
-    !ok
-  in
-  if ctx.mono_dur && parked_free then begin
-    (* [enter] expects the tagged task parked at lowest power; the
-       trial then sets the actual tagged column. *)
-    let t = ctx.seq.(tagged_pos) in
-    let j = cols.(t) in
-    cols.(t) <- ctx.m - 1;
-    Array.blit cols 0 ctx.cols 0 ctx.n;
-    enter ctx ~pos:tagged_pos;
-    trial ctx (Probe.local ()) ~j
-  end
-  else begin
-    Array.blit cols 0 ctx.cols 0 ctx.n;
-    calculate_dpf_reference_ctx ctx ~tagged_pos
-  end;
-  mk_result ctx g
+  (* [enter] expects the tagged task parked at lowest power; the trial
+     then sets the actual tagged column. *)
+  let t = sequence.(tagged_pos) in
+  let j = cols.(t) in
+  cols.(t) <- m - 1;
+  Array.blit cols 0 ctx.cols 0 n;
+  enter ctx ~pos:tagged_pos;
+  trial ctx (Probe.local ()) ~j;
+  { enr = ctx.res.(0);
+    cif = ctx.res.(1);
+    dpf = ctx.res.(2);
+    hypothetical = Assignment.of_list g (Array.to_list ctx.cols) }
 
 let[@inline] suitability (cfg : Config.t) ~sr ~cr ~enr ~cif ~dpf =
   if dpf = Float.infinity then Float.infinity
@@ -609,7 +461,7 @@ let[@inline] suitability (cfg : Config.t) ~sr ~cr ~enr ~cif ~dpf =
     +. (w.Config.dpf *. dpf)
   end
 
-let choose_impl ~incremental (cfg : Config.t) g ~sequence ~window_start =
+let choose_design_points (cfg : Config.t) g ~sequence ~window_start =
   let m = Graph.num_points g in
   if window_start < 0 || window_start >= m then
     invalid_arg "Choose.choose_design_points: window out of range";
@@ -637,9 +489,6 @@ let choose_impl ~incremental (cfg : Config.t) g ~sequence ~window_start =
   let n = ctx.n in
   let d = cfg.Config.deadline in
   let lowest = m - 1 in
-  (* The incremental walk needs monotone durations; fall back to the
-     reference trials (still hoisted-context) on exotic instances. *)
-  let use_incremental = incremental && ctx.mono_dur in
   (* Committed columns of the fixed suffix; free tasks read as lowest
      power, which is also their hypothetical parking column. *)
   let committed = Array.make n lowest in
@@ -671,7 +520,7 @@ let choose_impl ~incremental (cfg : Config.t) g ~sequence ~window_start =
   if dur_at ctx last last_col +. rest_fastest > d +. 1e-9 then
     raise Config.Deadline_unmeetable;
   committed.(last) <- last_col;
-  if use_incremental && n > 1 then begin
+  if n > 1 then begin
     Array.blit committed 0 ctx.cols 0 n;
     enter ctx ~pos:(n - 2)
   end;
@@ -683,12 +532,7 @@ let choose_impl ~incremental (cfg : Config.t) g ~sequence ~window_start =
       let ttemp = !tsum +. dur_at ctx t j in
       let sr = slack_ratio ctx ttemp in
       let cr = current_ratio ctx ctx.cur.((t * m) + j) in
-      if use_incremental then trial ctx probe ~j
-      else begin
-        Array.blit committed 0 ctx.cols 0 n;
-        ctx.cols.(t) <- j;
-        calculate_dpf_reference_ctx ctx ~tagged_pos:pos
-      end;
+      trial ctx probe ~j;
       let b =
         suitability cfg ~sr ~cr ~enr:ctx.res.(0) ~cif:ctx.res.(1)
           ~dpf:ctx.res.(2)
@@ -703,12 +547,6 @@ let choose_impl ~incremental (cfg : Config.t) g ~sequence ~window_start =
     if col < 0 then raise Config.Deadline_unmeetable;
     committed.(t) <- col;
     tsum := !tsum +. dur_at ctx t col;
-    if use_incremental && pos > 0 then advance ctx ~col
+    if pos > 0 then advance ctx ~col
   done;
   Assignment.of_list g (Array.to_list committed)
-
-let choose_design_points cfg g ~sequence ~window_start =
-  choose_impl ~incremental:true cfg g ~sequence ~window_start
-
-let choose_design_points_reference cfg g ~sequence ~window_start =
-  choose_impl ~incremental:false cfg g ~sequence ~window_start

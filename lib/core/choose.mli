@@ -10,18 +10,20 @@
 
     {2 Incremental evaluation}
 
-    The default entry points carry one hypothetical completion across
-    every tagged position of a call.  Free tasks sit in a linked list in
+    Both entry points carry one hypothetical completion across every
+    tagged position of a call.  Free tasks sit in a linked list in
     energy order around an upgrade boundary; serial time and energy are
     compensated running sums and the current-increase count is exact,
     so each column change is an O(1) patch.  A trial moves the boundary
     only as far as the deadline demands, and moving to the next position
     unlinks one task.  A call costs O(n·m) plus the boundary moves
-    instead of O(n²·m) (derivation in DESIGN.md §9).  The seed per-trial
-    implementation is retained as {!calculate_dpf_reference} /
-    {!choose_design_points_reference}; the property tests pin selection
-    identity on the published instances and on random fork-joins of up
-    to ~130 tasks, and metric agreement to within 1e-9 (the only
+    instead of O(n²·m) (derivation in DESIGN.md §9).  The walk needs
+    each task's durations to be non-decreasing in the column index,
+    which [Task.make] guarantees by sorting every task's points by
+    duration.  The seed's per-trial evaluation is the test oracle
+    [Batsched_oracles.Choose]; the property tests pin selection identity
+    against it on the published instances and on random fork-joins of
+    up to ~130 tasks, and metric agreement to within 1e-9 (the only
     deviation is compensated-summation rounding, a few ulps). *)
 
 open Batsched_taskgraph
@@ -59,18 +61,10 @@ val calculate_dpf :
     @raise Invalid_argument ["Choose.calculate_dpf: tagged_pos out of range"]
     unless [0 <= tagged_pos < n].
     @raise Invalid_argument ["Choose.calculate_dpf: window_start out of range"]
-    unless [0 <= window_start < m]. *)
-
-val calculate_dpf_reference :
-  Config.t -> Graph.t -> sequence:int array -> assignment:Assignment.t ->
-  tagged_pos:int -> window_start:int -> dpf_result
-(** The seed implementation of {!calculate_dpf}, kept verbatim as the
-    oracle: per trial it rescans the whole sequence (O(n) sums) and
-    runs the upgrade loop from scratch.  Same contract as
-    {!calculate_dpf}; the hypothetical assignments are identical and
-    the metrics agree to within 1e-9 (compensated-rounding ulps).
-    @raise Invalid_argument on the same inputs as {!calculate_dpf}, with
-    the same reasons after the prefix ["Choose.calculate_dpf_reference: "]. *)
+    unless [0 <= window_start < m].
+    @raise Invalid_argument
+    ["Choose.calculate_dpf: free task not at the lowest-power column"]
+    if a task before [tagged_pos] is not at column [m-1]. *)
 
 val choose_design_points :
   Config.t -> Graph.t -> sequence:int list -> window_start:int ->
@@ -87,12 +81,3 @@ val choose_design_points :
     @raise Config.Deadline_unmeetable if no feasible choice exists for
     some task (cannot happen when [window_start] satisfies
     [Analysis.column_time g window_start <= deadline]). *)
-
-val choose_design_points_reference :
-  Config.t -> Graph.t -> sequence:int list -> window_start:int ->
-  Assignment.t
-(** {!choose_design_points} driven by the seed per-trial
-    {!calculate_dpf_reference} evaluation instead of the incremental
-    path.  Selects identical assignments (property-tested); exists as
-    the oracle for tests and as the before/after pair in the
-    [choose-n64] bench scenarios. *)

@@ -151,63 +151,13 @@ let random_sequence ~rng g =
   in
   step [] 0 initial_ready
 
-(* Batched seed screening: draw [s] random linearizations, cost them
-   all under the all-lowest-power assignment in one structure-of-arrays
-   sweep, and keep the [keep] most promising.  The screen is a cheap
-   filter in front of the expensive window-sweep runs: one
-   [Sigma_batch.eval] against the configured model instead of [s]
-   full profile evaluations.  Ranking ties resolve to the earlier draw
-   (index order), so the outcome is deterministic for a fixed [rng]
-   and independent of the pool size. *)
-let screen_seeds ~rng ~screen ~keep (cfg : Config.t) g =
-  let open Batsched_taskgraph in
-  let cands = Array.make screen [] in
-  (* drawn sequentially, before any fan-out *)
-  for i = 0 to screen - 1 do
-    cands.(i) <- random_sequence ~rng g
-  done;
-  let n = Graph.num_tasks g in
-  let cols =
-    Array.of_list (Assignment.to_list (Assignment.all_lowest_power g))
-  in
-  let seqs = Array.map Array.of_list cands in
-  let point p k =
-    let task = seqs.(p).(k) in
-    Task.point (Graph.task g task) cols.(task)
-  in
-  let batch =
-    Batsched_battery.Sigma_batch.create ~pool:cfg.Config.pool cfg.Config.model
-  in
-  Batsched_battery.Sigma_batch.eval batch ~pop:screen ~n
-    ~current:(fun p k -> (point p k).Task.current)
-    ~duration:(fun p k -> (point p k).Task.duration);
-  let order = Array.init screen (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      let c =
-        Float.compare
-          (Batsched_battery.Sigma_batch.sigma batch a)
-          (Batsched_battery.Sigma_batch.sigma batch b)
-      in
-      if c <> 0 then c else Int.compare a b)
-    order;
-  List.init keep (fun i -> cands.(order.(i)))
-
-let run_multistart ?(on_iteration = fun _ -> ()) ?screen ~rng ~starts
+let run_multistart ?(on_iteration = fun _ -> ()) ~rng ~starts
     (cfg : Config.t) g =
   if starts < 1 then invalid_arg "Iterate.run_multistart: starts < 1";
   (* Seeds are drawn sequentially from [rng] before any fan-out, so
      the seed list is independent of the pool size. *)
   let random_seeds =
-    match screen with
-    | None -> List.init (starts - 1) (fun _ -> random_sequence ~rng g)
-    | Some s ->
-        if s < starts - 1 then
-          invalid_arg "Iterate.run_multistart: screen < starts - 1";
-        if starts = 1 then []
-        else
-          Sink.with_span cfg.Config.obs "screen" (fun () ->
-              screen_seeds ~rng ~screen:s ~keep:(starts - 1) cfg g)
+    List.init (starts - 1) (fun _ -> random_sequence ~rng g)
   in
   let seeds = Priorities.sequence_dec_energy g :: random_seeds in
   if Events.is_active cfg.Config.events then

@@ -6,7 +6,9 @@
     and re-costs it; the loop stops as soon as an iteration fails to
     improve on the previous one (or at the configured iteration cap).
     Full traces are retained so the experiment harness can regenerate
-    the paper's Tables 2 and 3 verbatim in structure. *)
+    the paper's Tables 2 and 3 verbatim in structure.  {!run_multistart}
+    runs the same loop from extra random seeds, fanned out over the
+    configured pool. *)
 
 open Batsched_taskgraph
 open Batsched_sched
@@ -42,8 +44,7 @@ val run : ?on_iteration:(iteration -> unit) -> Config.t -> Graph.t -> result
     all. *)
 
 val run_multistart :
-  ?on_iteration:(iteration -> unit) -> ?screen:int ->
-  rng:Batsched_numeric.Rng.t ->
+  ?on_iteration:(iteration -> unit) -> rng:Batsched_numeric.Rng.t ->
   starts:int -> Config.t -> Graph.t -> result
 (** Multi-start variant: the first start is the paper's
     [SequenceDecEnergy] seed; the remaining [starts - 1] seeds are
@@ -59,16 +60,7 @@ val run_multistart :
     so the returned result is bit-identical at any pool size; with a
     parallel pool, [on_iteration] runs on worker domains (possibly
     concurrently) and must be thread-safe.
-
-    [screen] widens the random-seed draw: [screen = s] draws [s]
-    random linearizations, costs them all under the all-lowest-power
-    assignment in one {!Batsched_battery.Sigma_batch} sweep (sharded
-    over [cfg.pool], wrapped in a ["screen"] span), and keeps only the
-    [starts - 1] most promising — ties to the earlier draw, so the
-    choice is deterministic and pool-independent.  The deterministic
-    [SequenceDecEnergy] seed always runs.  With [starts = 1] the
-    screen is skipped entirely (no draws are consumed).
-    @raise Invalid_argument if [starts < 1] or [screen < starts - 1].
+    @raise Invalid_argument if [starts < 1].
     @raise Config.Deadline_unmeetable as {!run}. *)
 
 val schedule_of_iteration : Graph.t -> iteration -> Schedule.t

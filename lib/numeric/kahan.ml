@@ -18,8 +18,8 @@ let sum { total; compensation } = total +. compensation
 
 (* Mutable variant for hot loops: both fields are floats, so the record
    is flat and [add] builds no record — unlike the immutable [t],
-   whose per-[add] record allocation would defeat the zero-allocation
-   contract of the batched sigma kernels. *)
+   whose [add] allocates a fresh record for every term of the solve
+   path's sums. *)
 module Acc = struct
   type t = { mutable total : float; mutable comp : float }
 

@@ -1,11 +1,10 @@
 (* Persistent executor dealing each parallel region from one cursor.
 
    Helper domains are long-lived: spawning them per region would cost
-   ~100us each time — ruinous for window sweeps and multistart screens
-   that open many small regions.  Everything the pool runs is flat: one
-   independent evaluation per design-point window, multistart trial,
-   fleet device range or [Sigma_batch] candidate, plus [submit]ted
-   jobs.  A map issued inside a region or job runs inline, and
+   ~100us each time — ruinous for window sweeps and multistarts that
+   open many small regions.  Everything the pool runs is flat: one
+   independent evaluation per design-point window, multistart trial or
+   fleet device range, plus [submit]ted jobs.  A map issued inside a region or job runs inline, and
    [region_lock] admits one region at a time, so there is never more
    than one region to deal from and no work to migrate between
    domains:

@@ -17,9 +17,6 @@ type t = {
   mutable delta_discards : int;
   mutable delta_terms : int;
   mutable delta_full_evals : int;
-  mutable batch_evals : int;
-  mutable batch_candidates : int;
-  mutable batch_fallbacks : int;
   mutable delta_ck_advances : int;
   mutable delta_ck_restores : int;
   mutable fcache_evictions : int;
@@ -48,9 +45,6 @@ let zero () =
     delta_discards = 0;
     delta_terms = 0;
     delta_full_evals = 0;
-    batch_evals = 0;
-    batch_candidates = 0;
-    batch_fallbacks = 0;
     delta_ck_advances = 0;
     delta_ck_restores = 0;
     fcache_evictions = 0;
@@ -98,9 +92,6 @@ let add ~into c =
   into.delta_discards <- into.delta_discards + c.delta_discards;
   into.delta_terms <- into.delta_terms + c.delta_terms;
   into.delta_full_evals <- into.delta_full_evals + c.delta_full_evals;
-  into.batch_evals <- into.batch_evals + c.batch_evals;
-  into.batch_candidates <- into.batch_candidates + c.batch_candidates;
-  into.batch_fallbacks <- into.batch_fallbacks + c.batch_fallbacks;
   into.delta_ck_advances <- into.delta_ck_advances + c.delta_ck_advances;
   into.delta_ck_restores <- into.delta_ck_restores + c.delta_ck_restores;
   into.fcache_evictions <- into.fcache_evictions + c.fcache_evictions;
@@ -128,9 +119,6 @@ let clear c =
   c.delta_discards <- 0;
   c.delta_terms <- 0;
   c.delta_full_evals <- 0;
-  c.batch_evals <- 0;
-  c.batch_candidates <- 0;
-  c.batch_fallbacks <- 0;
   c.delta_ck_advances <- 0;
   c.delta_ck_restores <- 0;
   c.fcache_evictions <- 0;
@@ -158,9 +146,6 @@ let fields =
     ("delta_discards", fun c -> c.delta_discards);
     ("delta_terms", fun c -> c.delta_terms);
     ("delta_full_evals", fun c -> c.delta_full_evals);
-    ("batch_evals", fun c -> c.batch_evals);
-    ("batch_candidates", fun c -> c.batch_candidates);
-    ("batch_fallbacks", fun c -> c.batch_fallbacks);
     ("delta_ck_advances", fun c -> c.delta_ck_advances);
     ("delta_ck_restores", fun c -> c.delta_ck_restores);
     ("fcache_evictions", fun c -> c.fcache_evictions);

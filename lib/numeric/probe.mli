@@ -43,9 +43,6 @@ type t = {
   mutable delta_discards : int;   (** delta-evaluator moves discarded *)
   mutable delta_terms : int;      (** per-position contribution terms recomputed *)
   mutable delta_full_evals : int; (** delta fallbacks to a full model evaluation *)
-  mutable batch_evals : int;      (** [Sigma_batch] population sweeps *)
-  mutable batch_candidates : int; (** candidate schedules batch-evaluated *)
-  mutable batch_fallbacks : int;  (** batch candidates costed without a kernel *)
   mutable delta_ck_advances : int;(** checkpointed-stepper intervals integrated *)
   mutable delta_ck_restores : int;(** checkpoint restores in the delta evaluator *)
   mutable fcache_evictions : int; (** Fcache generation flips (half-table expiries) *)

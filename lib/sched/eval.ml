@@ -70,10 +70,6 @@ let column t task =
     invalid_arg "Eval.column: task out of range";
   t.cols.(task)
 
-let interval_current t k = Delta.current t.delta k
-
-let interval_duration t k = Delta.duration t.delta k
-
 let check_no_pending t name =
   match t.pending with
   | No_move -> ()

@@ -49,14 +49,6 @@ val position : t -> int -> int
 val column : t -> int -> int
 (** Committed design-point column of a task id. *)
 
-val interval_current : t -> int -> float
-
-val interval_duration : t -> int -> float
-(** Committed interval fields at a {e sequence position} — direct reads
-    of the underlying delta state, for population evaluators that lay
-    walkers out positionally ({!Batsched_battery.Sigma_batch}).
-    @raise Invalid_argument out of range. *)
-
 val swap_allowed : t -> int -> bool
 (** Whether exchanging positions [k] and [k+1] preserves precedence:
     true iff there is no direct edge between the two tasks (transitive

@@ -59,10 +59,15 @@ let of_json line =
         | Some v -> v
         | None -> reject "missing field: %s" name
       in
-      (* optional count knob, at least 1 when given *)
+      (* every integer up to 2^53 is exact; past 2^62, int_of_float
+         overflows *)
+      let integer v = Float.is_integer v && Float.abs v <= 0x1p53 in
+      (* optional count knob, an integer from 1 to 2^53 when given *)
       let count name =
         Option.map
           (fun v ->
+            if not (integer v) then
+              reject "%s must be an integer from 1 to 2^53" name;
             let k = int_of_float v in
             if k < 1 then reject "%s must be >= 1" name;
             k)
@@ -98,15 +103,18 @@ let of_json line =
               match num "seed" with
               | None -> 0
               | Some v ->
-                  (* every integer up to 2^53 is exact; past 2^62,
-                     int_of_float overflows *)
-                  if not (Float.is_integer v && Float.abs v <= 0x1p53) then
+                  if not (integer v) then
                     reject "seed must be an integer of magnitude at most 2^53";
                   int_of_float v
             in
             let starts = Option.value (count "starts") ~default:4 in
             let steps = count "steps" in
             let t0 = num "t0" in
+            (* an infinite T0 never cools below the floor *)
+            (match t0 with
+            | Some v when not (v > 0.0 && Float.is_finite v) ->
+                reject "t0 must be a positive finite number"
+            | _ -> ());
             let samples = count "samples" in
             let search =
               { algo; model_name; beta; seed; starts; steps; t0; samples }

@@ -41,6 +41,8 @@ val model : search -> Model.t
 
 val of_json : string -> (incoming, string) result
 (** Parse and validate one request line.  A request that parses always
-    runs: unknown algos/models, non-positive deadlines and malformed
-    graphs are rejected here with a message suitable for an error
-    response. *)
+    runs: unknown algos/models, non-positive deadlines, malformed
+    graphs and knobs out of range ([t0] must be positive and finite;
+    [starts], [steps] and [samples] integers from 1 to 2^53) are
+    rejected here with a message, naming the field, suitable for an
+    error response. *)

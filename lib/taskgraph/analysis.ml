@@ -142,9 +142,3 @@ let current_range g =
 let energy_bounds g =
   let m = Graph.num_points g in
   (column_sum g (m - 1) ~energy:true, column_sum g 0 ~energy:true)
-
-let energy_vector g =
-  let keyed =
-    List.map (fun t -> (Task.average_energy t, t.Task.id)) (Graph.tasks g)
-  in
-  List.map snd (List.sort compare keyed)

@@ -58,7 +58,3 @@ val energy_bounds : Graph.t -> float * float
 (** [(E_min, E_max)]: total energy if every task uses its
     lowest-power (slowest) resp. highest-power (fastest) design point —
     the normalization constants of the paper's Energy Ratio. *)
-
-val energy_vector : Graph.t -> int list
-(** Task ids sorted by increasing {!Task.average_energy} (ties by id) —
-    the paper's energy vector E. *)

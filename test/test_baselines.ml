@@ -270,48 +270,6 @@ let test_annealing_delta_matches_reference_other_models () =
       check "fork-join" fj ~deadline:fj_deadline 13)
     models
 
-let test_population_feasible_and_deterministic () =
-  let params =
-    { Annealing.default_params with Annealing.steps_per_temperature = 15 }
-  in
-  let g = diamond () in
-  let run () =
-    Annealing.run_population ~params ~pop:4
-      ~rng:(Batsched_numeric.Rng.create 11)
-      ~model g ~deadline:20.0
-  in
-  let a = run () and b = run () in
-  Alcotest.(check bool) "feasible" true (feasible g a ~deadline:20.0);
-  solutions_agree "repeat run" a b;
-  (* never worse than the shared starting point *)
-  let start = Chowdhury.run ~model g ~deadline:20.0 in
-  Alcotest.(check bool) "not worse than start" true
-    (a.Solution.sigma <= start.Solution.sigma +. 1e-6)
-
-let test_population_pool_invariant () =
-  (* the batched population sweep shards over the pool; the walk and
-     the result must not depend on the shard count *)
-  let rng = Batsched_numeric.Rng.create 31 in
-  let fj =
-    Generators.fork_join ~rng ~spec:Generators.default_spec ~widths:[ 4; 3 ]
-  in
-  let deadline = Generators.feasible_deadline fj ~slack:0.5 in
-  let run pool =
-    Annealing.run_population ~pop:4 ?pool
-      ~rng:(Batsched_numeric.Rng.create 5)
-      ~model fj ~deadline
-  in
-  solutions_agree "pool 1 vs 4" (run None)
-    (run (Some (Batsched_numeric.Pool.create 4)))
-
-let test_population_validation () =
-  Alcotest.check_raises "pop < 1"
-    (Invalid_argument "Annealing.run_population: pop < 1") (fun () ->
-      ignore
-        (Annealing.run_population ~pop:0
-           ~rng:(Batsched_numeric.Rng.create 1)
-           ~model (diamond ()) ~deadline:20.0))
-
 let test_random_search_delta_matches_reference () =
   let check name ~samples ~seed g ~deadline =
     let rng () = Batsched_numeric.Rng.create seed in
@@ -511,10 +469,7 @@ let () =
           Alcotest.test_case "infeasible raises" `Quick test_annealing_infeasible_raises;
           Alcotest.test_case "delta matches reference" `Quick test_annealing_delta_matches_reference;
           Alcotest.test_case "delta matches reference (kibam, diffusion)" `Quick test_annealing_delta_matches_reference_other_models;
-          Alcotest.test_case "noop repoints skipped" `Quick test_annealing_noop_skip;
-          Alcotest.test_case "population feasible, deterministic" `Quick test_population_feasible_and_deterministic;
-          Alcotest.test_case "population pool invariant" `Quick test_population_pool_invariant;
-          Alcotest.test_case "population validation" `Quick test_population_validation ] );
+          Alcotest.test_case "noop repoints skipped" `Quick test_annealing_noop_skip ] );
       ( "exhaustive",
         [ Alcotest.test_case "lower bound" `Quick test_exhaustive_beats_or_ties_everything;
           Alcotest.test_case "too-large guard" `Quick test_exhaustive_too_large_guard;

@@ -439,50 +439,6 @@ let test_periodic_max_cycles_cap () =
     (Periodic.cycles_to_death ~max_cycles:7 ~model:ideal ~alpha:1e9
        ~period:2.0 cycle)
 
-let test_periodic_min_period () =
-  let model = Rakhmatov.model () in
-  let cycle = Profile.constant ~current:800.0 ~duration:20.0 in
-  let alpha = 62500.0 in
-  let target =
-    1
-    + Periodic.cycles
-        (Periodic.cycles_to_death ~max_cycles:50 ~model ~alpha ~period:20.0
-           cycle)
-  in
-  (match
-     Periodic.min_period_for_cycles ~max_cycles:50 ~model ~alpha cycle ~target
-   with
-  | Some p ->
-      Alcotest.(check bool) "longer than the cycle" true (p >= 20.0);
-      Alcotest.(check bool) "achieves the target" true
-        (Periodic.max_sustainable_cycles ~max_cycles:50 ~model ~alpha cycle
-           ~period:p ~target);
-      Alcotest.(check bool) "tight: slightly less fails" true
-        (p <= 20.0 +. 0.02
-         || not
-              (Periodic.max_sustainable_cycles ~max_cycles:50 ~model ~alpha
-                 cycle ~period:(p -. 0.1) ~target))
-  | None -> Alcotest.fail "a finite period should suffice")
-
-let test_periodic_min_period_impossible () =
-  (* 100 cycles of 1000 mA*min against alpha 3500 can never fit *)
-  let cycle = Profile.constant ~current:100.0 ~duration:10.0 in
-  Alcotest.(check bool) "impossible" true
-    (Periodic.min_period_for_cycles ~model:ideal ~alpha:3500.0 cycle
-       ~target:100
-     = None)
-
-let test_periodic_interp_curve () =
-  let model = Rakhmatov.model () in
-  let cycle = Profile.constant ~current:800.0 ~duration:20.0 in
-  let curve =
-    Periodic.interp_cycles ~model ~alpha:60000.0 cycle
-      ~periods:[ 20.0; 60.0; 120.0 ]
-  in
-  let lo, hi = Batsched_numeric.Interp.domain curve in
-  check_float "domain lo" 20.0 lo;
-  check_float "domain hi" 120.0 hi
-
 let test_periodic_fast_path_engages () =
   (* the scalar estimator must route decay models through the channel
      kernel and stepper models through the carried state, not fall back
@@ -1154,8 +1110,8 @@ let test_delta_of_profile_rejects_gaps () =
   check_against_full rv (Delta.of_profile rv ok) base_points
 
 let test_delta_fallback_counts_full_evals () =
-  (* a deliberately opaque model — no incremental terms, no stepper, no
-     batch kernel — forces the counted full-profile fallback; the probe
+  (* a deliberately opaque model — no incremental terms, no stepper —
+     forces the counted full-profile fallback; the probe
      books each one both in the flat field and under the model's name
      in the open-keyed counters (kibam itself no longer falls back: it
      has a closed-form incremental decomposition) *)
@@ -1164,7 +1120,6 @@ let test_delta_fallback_counts_full_evals () =
       sigma = (fun p ~at -> Kibam.sigma p ~at);
       incremental = None;
       stepper = None;
-      batch = None;
       decay = None }
   in
   let named c =
@@ -1299,80 +1254,6 @@ let delta_tests =
     Alcotest.test_case "suffix cache across makespans" `Quick test_delta_suffix_cache_across_makespans;
     Alcotest.test_case "refresh after many commits" `Quick test_delta_refresh_noop ]
 
-(* --- Sigma_batch: structure-of-arrays population evaluation --- *)
-
-let test_sigma_batch_single_row_matches_full () =
-  let b = Sigma_batch.create rv in
-  let pts = Array.of_list base_points in
-  let n = Array.length pts in
-  Sigma_batch.eval b ~pop:1 ~n
-    ~current:(fun _ k -> fst pts.(k))
-    ~duration:(fun _ k -> snd pts.(k));
-  let want_sigma, want_finish = full_eval rv base_points in
-  check_rel "sigma" want_sigma (Sigma_batch.sigma b 0);
-  check_rel "finish" want_finish (Sigma_batch.finish b 0);
-  Alcotest.(check int) "pop" 1 (Sigma_batch.pop b);
-  Alcotest.(check int) "width" n (Sigma_batch.width b);
-  (* reuse with a wider block: the arrays regrow, every row agrees *)
-  Sigma_batch.eval b ~pop:5 ~n
-    ~current:(fun _ k -> fst pts.(k))
-    ~duration:(fun _ k -> snd pts.(k));
-  for p = 0 to 4 do
-    check_rel "row sigma" want_sigma (Sigma_batch.sigma b p)
-  done
-
-let test_sigma_batch_validation () =
-  let b = Sigma_batch.create rv in
-  Alcotest.check_raises "negative current"
-    (Invalid_argument "Sigma_batch.eval: negative current") (fun () ->
-      Sigma_batch.eval b ~pop:1 ~n:1
-        ~current:(fun _ _ -> -1.0)
-        ~duration:(fun _ _ -> 1.0));
-  Alcotest.check_raises "negative duration"
-    (Invalid_argument "Sigma_batch.eval: negative duration") (fun () ->
-      Sigma_batch.eval b ~pop:1 ~n:1
-        ~current:(fun _ _ -> 1.0)
-        ~duration:(fun _ _ -> -1.0));
-  Alcotest.check_raises "non-finite"
-    (Invalid_argument "Sigma_batch.eval: non-finite interval field")
-    (fun () ->
-      Sigma_batch.eval b ~pop:1 ~n:1
-        ~current:(fun _ _ -> Float.nan)
-        ~duration:(fun _ _ -> 1.0));
-  Sigma_batch.eval b ~pop:2 ~n:1
-    ~current:(fun _ _ -> 1.0)
-    ~duration:(fun _ _ -> 1.0);
-  Alcotest.check_raises "sigma out of range"
-    (Invalid_argument "Sigma_batch.sigma: out of range") (fun () ->
-      ignore (Sigma_batch.sigma b 2));
-  Alcotest.check_raises "finish out of range"
-    (Invalid_argument "Sigma_batch.finish: out of range") (fun () ->
-      ignore (Sigma_batch.finish b (-1)))
-
-let test_sigma_batch_counters () =
-  (* kernel models book candidates, kernel-less models book fallbacks *)
-  let run model =
-    let b = Sigma_batch.create model in
-    Sigma_batch.eval b ~pop:3 ~n:2
-      ~current:(fun _ _ -> 100.0)
-      ~duration:(fun _ _ -> 1.0)
-  in
-  let c0 = Probe.totals () in
-  run rv;
-  let c1 = Probe.totals () in
-  Alcotest.(check int) "eval counted" 1 (c1.Probe.batch_evals - c0.Probe.batch_evals);
-  Alcotest.(check int) "kernel candidates" 3
-    (c1.Probe.batch_candidates - c0.Probe.batch_candidates);
-  run coarse_diffusion;
-  let c2 = Probe.totals () in
-  Alcotest.(check int) "fallback candidates" 3
-    (c2.Probe.batch_fallbacks - c1.Probe.batch_fallbacks)
-
-let sigma_batch_tests =
-  [ Alcotest.test_case "single row matches full" `Quick test_sigma_batch_single_row_matches_full;
-    Alcotest.test_case "validation" `Quick test_sigma_batch_validation;
-    Alcotest.test_case "work counters" `Quick test_sigma_batch_counters ]
-
 (* Random interval lists driven through random move traces: committed
    sigma/finish track the full evaluation of the mirrored list.  One
    instance per delta strategy — incremental terms (Rakhmatov, KiBaM)
@@ -1433,59 +1314,11 @@ let prop_delta_traces_diffusion =
     ~name:"diffusion delta traces match full eval (checkpointed)"
     coarse_diffusion
 
-(* Sigma_batch agrees with per-row sequential evaluation for every
-   model — kernel (ideal/peukert/rakhmatov/kibam) and fallback
-   (diffusion) — and is invariant under pool sharding. *)
-let prop_sigma_batch_matches_sequential =
-  let pool4 = Batsched_numeric.Pool.create 4 in
-  QCheck.Test.make ~count:100
-    ~name:"sigma batch matches per-row sequential eval"
-    QCheck.(pair (int_bound 100_000) (int_range 1 4))
-    (fun (seed, pop) ->
-      let rng = Batsched_numeric.Rng.create seed in
-      let n = 1 + Batsched_numeric.Rng.int rng 10 in
-      let currents =
-        Array.init (pop * n) (fun _ ->
-            10.0 +. Batsched_numeric.Rng.float rng 800.0)
-      in
-      let durations =
-        Array.init (pop * n) (fun _ ->
-            if Batsched_numeric.Rng.int rng 5 = 0 then 0.0
-            else 0.1 +. Batsched_numeric.Rng.float rng 8.0)
-      in
-      List.for_all
-        (fun model ->
-          let want =
-            Array.init pop (fun p ->
-                let profile =
-                  Profile.sequential_fn ~n (fun k ->
-                      (currents.((p * n) + k), durations.((p * n) + k)))
-                in
-                (Model.sigma_end model profile, Profile.length profile))
-          in
-          List.for_all
-            (fun pool ->
-              let b = Sigma_batch.create ?pool model in
-              Sigma_batch.eval b ~pop ~n
-                ~current:(fun p k -> currents.((p * n) + k))
-                ~duration:(fun p k -> durations.((p * n) + k));
-              List.for_all
-                (fun p ->
-                  let ws, wf = want.(p) in
-                  Float.abs (Sigma_batch.sigma b p -. ws)
-                  <= 1e-9 *. (1.0 +. Float.abs ws)
-                  && Float.abs (Sigma_batch.finish b p -. wf)
-                     <= 1e-9 *. (1.0 +. Float.abs wf))
-                (List.init pop Fun.id))
-            [ None; Some pool4 ])
-        [ rv; Ideal.model; Peukert.model (); Kibam.model (); coarse_diffusion ])
-
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_delta_traces_match_full;
       prop_delta_traces_kibam;
       prop_delta_traces_diffusion;
-      prop_sigma_batch_matches_sequential;
       prop_sigma_monotone_in_time;
       prop_sigma_at_least_ideal_at_end;
       prop_decreasing_order_never_worse;
@@ -1555,7 +1388,6 @@ let () =
           Alcotest.test_case "step validation" `Quick test_kibam_step_validation;
           Alcotest.test_case "zero-duration step identity" `Quick test_kibam_zero_duration_step_identity ] );
       ("delta", delta_tests);
-      ("sigma_batch", sigma_batch_tests);
       ( "lifetime",
         [ Alcotest.test_case "survives light load" `Quick test_lifetime_survives_light_load;
           Alcotest.test_case "dies under heavy load" `Quick test_lifetime_dies_under_heavy_load;
@@ -1578,9 +1410,6 @@ let () =
           Alcotest.test_case "rest helps" `Quick test_periodic_rv_rest_helps;
           Alcotest.test_case "cycle longer than period" `Quick test_periodic_cycle_longer_than_period;
           Alcotest.test_case "max cycles cap" `Quick test_periodic_max_cycles_cap;
-          Alcotest.test_case "min period" `Quick test_periodic_min_period;
-          Alcotest.test_case "min period impossible" `Quick test_periodic_min_period_impossible;
-          Alcotest.test_case "interp curve" `Quick test_periodic_interp_curve;
           Alcotest.test_case "fast path engages" `Quick test_periodic_fast_path_engages;
           Alcotest.test_case "batch matches scalar" `Quick test_periodic_batch_matches_scalar;
           Alcotest.test_case "sweep allocation" `Quick test_periodic_sweep_allocation ] );

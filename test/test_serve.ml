@@ -92,7 +92,9 @@ let test_parse_mistyped () =
    underflows or a beta past 1.3e153 (whose beta^2 m^2 overflows) once
    came back as "sigma":null, a negative beta failed in
    the worker, an infinite deadline was accepted and a seed past 2^62
-   overflowed int_of_float. *)
+   overflowed int_of_float.  A T0 <= 0 failed in the worker and an
+   infinite one never cooled; a fractional count was truncated and one
+   past 2^62 wrapped to a negative int. *)
 let rejects_unusable expected fields () =
   let line =
     Printf.sprintf "{\"id\":\"r1\",%s,\"graph\":\"%s\"}" fields
@@ -103,6 +105,10 @@ let rejects_unusable expected fields () =
   | Ok _ -> Alcotest.failf "%s: should be rejected" fields
 
 let bad_beta = "beta must be a number from 1e-150 to 1e150"
+
+let bad_t0 = "t0 must be a positive finite number"
+
+let bad_count field = field ^ " must be an integer from 1 to 2^53"
 
 let test_parse_usable_beta () =
   match Request.of_json (request_line ~extra:",\"beta\":0.5" ()) with
@@ -272,6 +278,27 @@ let () =
           Alcotest.test_case "rejects huge seed" `Quick
             (rejects_unusable "seed must be an integer of magnitude at most 2^53"
                "\"deadline\":12,\"seed\":1e300");
+          Alcotest.test_case "rejects zero t0" `Quick
+            (rejects_unusable bad_t0 "\"deadline\":12,\"t0\":0");
+          Alcotest.test_case "rejects negative t0" `Quick
+            (rejects_unusable bad_t0 "\"deadline\":12,\"t0\":-1");
+          Alcotest.test_case "rejects infinite t0" `Quick
+            (rejects_unusable bad_t0 "\"deadline\":12,\"t0\":1e999");
+          Alcotest.test_case "rejects fractional samples" `Quick
+            (rejects_unusable (bad_count "samples")
+               "\"deadline\":12,\"samples\":2.5");
+          Alcotest.test_case "rejects fractional starts" `Quick
+            (rejects_unusable (bad_count "starts")
+               "\"deadline\":12,\"starts\":1.9");
+          Alcotest.test_case "rejects fractional steps" `Quick
+            (rejects_unusable (bad_count "steps")
+               "\"deadline\":12,\"steps\":3.5");
+          Alcotest.test_case "rejects huge samples" `Quick
+            (rejects_unusable (bad_count "samples")
+               "\"deadline\":12,\"samples\":1e300");
+          Alcotest.test_case "rejects zero samples" `Quick
+            (rejects_unusable "samples must be >= 1"
+               "\"deadline\":12,\"samples\":0");
           Alcotest.test_case "usable beta" `Quick test_parse_usable_beta ] );
       ( "daemon",
         [ Alcotest.test_case "mixed batch" `Quick test_daemon_mixed_batch;

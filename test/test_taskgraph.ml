@@ -185,13 +185,15 @@ let test_energy_bounds () =
   check_float "emin" 1800.0 emin;
   check_float "emax" 3000.0 emax
 
+(* The paper's energy vector E, the order in which the Choose oracle
+   upgrades free tasks. *)
 let test_energy_vector_order () =
   let a = Task.of_pairs ~id:0 ~name:"A" [ (500.0, 4.0) ] (* 2000 *) in
   let b = Task.of_pairs ~id:1 ~name:"B" [ (100.0, 2.0) ] (* 200 *) in
   let c = Task.of_pairs ~id:2 ~name:"C" [ (300.0, 2.0) ] (* 600 *) in
   let g = Graph.make ~edges:[] [ a; b; c ] in
   Alcotest.(check (list int)) "increasing energy" [ 1; 2; 0 ]
-    (Analysis.energy_vector g)
+    (Batsched_oracles.Choose.energy_vector g)
 
 (* --- Designpoints --- *)
 
@@ -495,84 +497,6 @@ let test_textio_dot_mentions_all_tasks () =
          find 0))
     [ "T1"; "T2"; "T3"; "T4"; "->" ]
 
-(* --- Transform --- *)
-
-let test_reduction_removes_shortcut () =
-  (* 0 -> 1 -> 2 plus the redundant 0 -> 2 *)
-  let t id = Task.of_pairs ~id ~name:(Printf.sprintf "T%d" id) [ (100.0, 1.0) ] in
-  let g = Graph.make ~edges:[ (0, 1); (1, 2); (0, 2) ] [ t 0; t 1; t 2 ] in
-  let r = Transform.transitive_reduction g in
-  Alcotest.(check (list (pair int int))) "shortcut gone" [ (0, 1); (1, 2) ]
-    (Graph.edges r)
-
-let test_reduction_preserves_reachability () =
-  let rng = Batsched_numeric.Rng.create 21 in
-  let g =
-    Generators.random_dag ~rng
-      ~spec:{ Generators.default_spec with Generators.num_points = 2 } ~n:9
-      ~edge_prob:0.5
-  in
-  let r = Transform.transitive_reduction g in
-  Alcotest.(check bool) "no more edges" true
-    (Graph.num_edges r <= Graph.num_edges g);
-  for v = 0 to Graph.num_tasks g - 1 do
-    Alcotest.(check (list int)) "same descendants"
-      (Analysis.descendants g v)
-      (Analysis.descendants r v)
-  done
-
-let test_reverse_flips_edges () =
-  let g = diamond () in
-  let r = Transform.reverse g in
-  Alcotest.(check (list int)) "old sink is source" [ 3 ] (Graph.sources r);
-  Alcotest.(check (list int)) "old source is sink" [ 0 ] (Graph.sinks r)
-
-let test_merge_collapses_pipeline () =
-  let g = pipeline () in
-  let info = Transform.merge_chains g in
-  Alcotest.(check int) "one task" 1 (Graph.num_tasks info.Transform.graph);
-  Alcotest.(check (list int)) "members in order" [ 0; 1; 2 ]
-    info.Transform.members.(0)
-
-let test_merge_preserves_column_charge () =
-  let g = pipeline () in
-  let info = Transform.merge_chains g in
-  let merged = Graph.task info.Transform.graph 0 in
-  for j = 0 to Graph.num_points g - 1 do
-    let original =
-      Batsched_numeric.Kahan.sum_list
-        (List.map (fun t -> Task.charge t j) (Graph.tasks g))
-    in
-    Alcotest.(check (float 1e-9)) "charge per column" original
-      (Task.charge merged j)
-  done
-
-let test_merge_keeps_parallel_structure () =
-  (* the diamond has no mergeable chain (fan-out/fan-in breaks links) *)
-  let g = diamond () in
-  let info = Transform.merge_chains g in
-  Alcotest.(check int) "untouched" 4 (Graph.num_tasks info.Transform.graph)
-
-let test_merge_expand_sequence () =
-  let g = pipeline () in
-  let info = Transform.merge_chains g in
-  Alcotest.(check (list int)) "expansion" [ 0; 1; 2 ]
-    (Transform.expand_sequence info [ 0 ]);
-  Alcotest.check_raises "bad permutation"
-    (Invalid_argument "Transform.expand_sequence: not a permutation")
-    (fun () -> ignore (Transform.expand_sequence info [ 5 ]))
-
-let test_merge_g3_structure () =
-  (* G3's only chain is T14 -> T15 at the tail (plus T8's neighbours
-     have fan-in/out); merging must keep the graph schedulable *)
-  let g = Instances.g3 in
-  let info = Transform.merge_chains g in
-  Alcotest.(check bool) "smaller or equal" true
-    (Graph.num_tasks info.Transform.graph <= Graph.num_tasks g);
-  Alcotest.(check bool) "valid" true
-    (Analysis.is_topological info.Transform.graph
-       (Analysis.any_topological_order info.Transform.graph))
-
 (* --- Tgff --- *)
 
 let tgff_sample =
@@ -871,21 +795,6 @@ let prop_tgff_fuzz_no_crash =
       | exception Tgff.Parse_error _ -> true
       | exception _ -> false)
 
-let prop_merge_preserves_charge =
-  QCheck.Test.make ~count:100 ~name:"chain merging preserves per-column charge"
-    gen_graph (fun g ->
-      let info = Transform.merge_chains g in
-      let m = Graph.num_points g in
-      let column_charge graph j =
-        Batsched_numeric.Kahan.sum_list
-          (List.map (fun t -> Task.charge t j) (Graph.tasks graph))
-      in
-      List.for_all
-        (fun j ->
-          Float.abs (column_charge g j -. column_charge info.Transform.graph j)
-          < 1e-6)
-        (List.init m Fun.id))
-
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_generated_graphs_linearizable;
@@ -897,8 +806,7 @@ let qcheck_tests =
       prop_descendants_contains_self;
       prop_column_times_monotone;
       prop_textio_fuzz_no_crash;
-      prop_tgff_fuzz_no_crash;
-      prop_merge_preserves_charge ]
+      prop_tgff_fuzz_no_crash ]
 
 let () =
   Alcotest.run "taskgraph"
@@ -961,15 +869,6 @@ let () =
           Alcotest.test_case "CRLF file parses as LF" `Quick test_textio_crlf;
           Alcotest.test_case "dot output" `Quick test_textio_dot_mentions_all_tasks;
           Alcotest.test_case "decimal edge cases" `Quick test_decimal_edge_cases ] );
-      ( "transform",
-        [ Alcotest.test_case "reduction removes shortcut" `Quick test_reduction_removes_shortcut;
-          Alcotest.test_case "reduction preserves reachability" `Quick test_reduction_preserves_reachability;
-          Alcotest.test_case "reverse flips edges" `Quick test_reverse_flips_edges;
-          Alcotest.test_case "merge collapses pipeline" `Quick test_merge_collapses_pipeline;
-          Alcotest.test_case "merge preserves charge" `Quick test_merge_preserves_column_charge;
-          Alcotest.test_case "merge keeps parallel structure" `Quick test_merge_keeps_parallel_structure;
-          Alcotest.test_case "expand sequence" `Quick test_merge_expand_sequence;
-          Alcotest.test_case "merge G3" `Quick test_merge_g3_structure ] );
       ( "tgff",
         [ Alcotest.test_case "parses sample" `Quick test_tgff_parses_sample;
           Alcotest.test_case "roundtrips instances" `Quick test_tgff_roundtrip_instances;
