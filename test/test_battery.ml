@@ -1254,6 +1254,116 @@ let delta_tests =
     Alcotest.test_case "suffix cache across makespans" `Quick test_delta_suffix_cache_across_makespans;
     Alcotest.test_case "refresh after many commits" `Quick test_delta_refresh_noop ]
 
+(* --- Model views: the optional fast views each shipped model exposes,
+   and the Model.mli contract tying each view back to [sigma] --- *)
+
+let shipped_models =
+  [ Ideal.model; Peukert.model (); rv; Kibam.model (); coarse_diffusion ]
+
+let test_model_views_shipped () =
+  (* (tail sensitivity of [incremental], has [stepper], decay channel
+     count): a model that silently lost a view would still evaluate
+     correctly through the counted fallbacks, only slower *)
+  let views m =
+    ( Option.map (fun i -> i.Model.tail_sensitive) m.Model.incremental,
+      Option.is_some m.Model.stepper,
+      Option.map (fun d -> Array.length d.Model.rates) m.Model.decay )
+  in
+  let want =
+    [ ("ideal", (Some false, false, Some 0));
+      ("peukert", (Some false, false, Some 0));
+      ("rakhmatov", (Some true, false, Some Batsched_numeric.Series.default_terms));
+      ("kibam", (Some true, false, Some 1));
+      ("diffusion-pde", (None, true, None)) ]
+  in
+  let pp = Alcotest.(triple (option bool) bool (option int)) in
+  List.iter2
+    (fun m (name, w) ->
+      Alcotest.(check string) "name" name m.Model.name;
+      Alcotest.check pp name w (views m))
+    shipped_models want
+
+let test_model_views_incremental_sums () =
+  (* sum of per-interval terms at their suffix tails = sigma at the
+     makespan; a zero-duration term is exactly zero *)
+  List.iter
+    (fun m ->
+      match m.Model.incremental with
+      | None -> ()
+      | Some inc ->
+          let rec terms acc = function
+            | [] -> (acc, 0.0)
+            | (current, duration) :: rest ->
+                let acc, tail = terms acc rest in
+                (acc +. inc.Model.term ~current ~duration ~tail, tail +. duration)
+          in
+          let got, _ = terms 0.0 base_points in
+          check_rel m.Model.name (fst (full_eval m base_points)) got;
+          Alcotest.(check (float 0.0)) (m.Model.name ^ " zero duration") 0.0
+            (inc.Model.term ~current:300.0 ~duration:0.0 ~tail:5.0))
+    shipped_models
+
+let test_model_views_decay_reassembles () =
+  (* charge + sum_t w_t exp(-rate_t tail) = term, at any tail *)
+  List.iter
+    (fun m ->
+      match (m.Model.incremental, m.Model.decay) with
+      | Some inc, Some d ->
+          Array.iter
+            (fun r ->
+              Alcotest.(check bool) (m.Model.name ^ " rate > 0") true (r > 0.0))
+            d.Model.rates;
+          let buf = Array.make (Array.length d.Model.rates) 0.0 in
+          List.iter
+            (fun (current, duration) ->
+              d.Model.weights ~current ~duration buf;
+              List.iter
+                (fun tail ->
+                  let got = ref (d.Model.charge ~current ~duration) in
+                  Array.iteri
+                    (fun t r -> got := !got +. (buf.(t) *. exp (-.r *. tail)))
+                    d.Model.rates;
+                  check_rel m.Model.name
+                    (inc.Model.term ~current ~duration ~tail)
+                    !got)
+                [ 0.0; 1.5; 10.0; 120.0 ])
+            base_points
+      | _, None -> ()
+      | None, Some _ -> Alcotest.failf "%s: decay without incremental" m.Model.name)
+    shipped_models
+
+let test_model_views_stepper_observes () =
+  (* integrating the profile through the stepper observes sigma at the
+     makespan; a zero-duration advance leaves the state bit-identical *)
+  List.iter
+    (fun m ->
+      match m.Model.stepper with
+      | None -> ()
+      | Some st ->
+          let ops = st.Model.fresh () in
+          let u = Array.make st.Model.state_dim 0.0 in
+          ops.Model.start u;
+          List.iter
+            (fun (current, duration) ->
+              ops.Model.advance u ~current ~duration;
+              let before = Array.copy u in
+              ops.Model.advance u ~current ~duration:0.0;
+              Alcotest.(check bool) (m.Model.name ^ " zero-duration identity")
+                true
+                (Array.for_all2
+                   (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+                   before u))
+            base_points;
+          check_rel m.Model.name (fst (full_eval m base_points))
+            (ops.Model.observe u))
+    shipped_models
+
+let model_views_tests =
+  [ Alcotest.test_case "shipped views" `Quick test_model_views_shipped;
+    Alcotest.test_case "incremental sums to sigma" `Quick test_model_views_incremental_sums;
+    Alcotest.test_case "decay reassembles term" `Quick test_model_views_decay_reassembles;
+    Alcotest.test_case "stepper observes sigma" `Quick test_model_views_stepper_observes ]
+
 (* Random interval lists driven through random move traces: committed
    sigma/finish track the full evaluation of the mirrored list.  One
    instance per delta strategy — incremental terms (Rakhmatov, KiBaM)
@@ -1387,6 +1497,7 @@ let () =
           Alcotest.test_case "param validation" `Quick test_kibam_param_validation;
           Alcotest.test_case "step validation" `Quick test_kibam_step_validation;
           Alcotest.test_case "zero-duration step identity" `Quick test_kibam_zero_duration_step_identity ] );
+      ("model_views", model_views_tests);
       ("delta", delta_tests);
       ( "lifetime",
         [ Alcotest.test_case "survives light load" `Quick test_lifetime_survives_light_load;
