@@ -41,7 +41,8 @@ val make_params :
 val sigma : ?params:params -> Profile.t -> at:float -> float
 (** Simulate the PDE from time 0 through [at] under the profile's load
     and return [alpha - u(0, at)].
-    @raise Invalid_argument on negative [at]. *)
+    @raise Invalid_argument on negative [at], or when [dt] is so small
+    that a span of the profile needs 2^53 steps or more. *)
 
 val surface_density : ?params:params -> Profile.t -> at:float -> float
 (** [u(0, at)] itself (the battery dies when it reaches 0). *)
@@ -52,7 +53,10 @@ val stepper : params -> Model.stepper
     independently of absolute time, restoring a snapshot and
     re-integrating a suffix is bit-identical to a from-scratch
     integration — which is what makes the delta evaluator's
-    checkpointed path exact. *)
+    checkpointed path exact.  Its lane view steps four devices of one
+    grid size in lockstep, each lane bit-identical to [advance]
+    (DESIGN.md §11.2).  Every path raises [Invalid_argument] on a span
+    of 2^53 steps or more. *)
 
 val model : ?params:params -> unit -> Model.t
 (** Packaged as a {!Model.t} named ["diffusion-pde"], with the

@@ -15,9 +15,28 @@ type stepper_ops = {
   observe : float array -> float;
 }
 
+let lane_count = 4
+
+type lane_group = {
+  state : float array;
+  current : float array;
+  duration : float array;
+  sigma : float array;
+  load : int -> float array -> unit;
+  span : int -> int;
+  run : int -> unit;
+  observe : int -> unit;
+}
+
+type lanes = {
+  params : float array;
+  group : unit -> lane_group;
+}
+
 type stepper = {
   state_dim : int;
   fresh : unit -> stepper_ops;
+  lanes : lanes option;
 }
 
 type t = {

@@ -10,7 +10,8 @@
     Besides [sigma], a model offers up to three optional views of the
     same function, each read by the evaluator it was built for:
     [incremental] and [stepper] by {!Delta} (local-search moves),
-    [decay] and [stepper] by {!Periodic} (repeated missions). *)
+    [decay] and [stepper] by {!Periodic} (repeated missions), which
+    also sweeps steppers that offer a lane view four at a time. *)
 
 type incremental = {
   term : current:float -> duration:float -> tail:float -> float;
@@ -87,12 +88,60 @@ type decay = {
     what lets {!Delta} snapshot and restore checkpoints with flat
     [Array.blit]s, no per-checkpoint allocation. *)
 
+val lane_count : int
+(** Lanes in a {!lane_group}: 4. *)
+
+type lane_group = {
+  state : float array;
+  (** [lane_count] states of [state_dim] floats, node-major: float [x]
+      of lane [l] is [state.(x * lane_count + l)], and reads as
+      float [x] of a one-device state. *)
+  current : float array;
+  (** Per lane: the current of the span [span l] starts, written by the
+      caller.  Floats pass through these arrays rather than as
+      arguments, which a closure call would box. *)
+  duration : float array;
+  (** Per lane: that span's duration, positive. *)
+  sigma : float array;
+  (** Per lane: written by [observe l]. *)
+  load : int -> float array -> unit;
+  (** [load l params] puts a fully charged device, described by its
+      lane view's [params], into lane [l] (the one-device [start]). *)
+  span : int -> int;
+  (** [span l] starts lane [l]'s next constant-current span and returns
+      its step count ([>= 1]). *)
+  run : int -> unit;
+  (** [run s] advances every lane by [s] steps.  Running a lane through
+      exactly its span's step count leaves its state bit-identical to
+      the one-device [advance] of that span; the caller keeps the
+      count, and ignores idle lanes. *)
+  observe : int -> unit;
+  (** [observe l] writes lane [l]'s sigma into [sigma.(l)],
+      bit-identical to the one-device [observe]. *)
+}
+(** Lockstep integration of {!lane_count} independent devices, so that
+    their dependent chains of float operations overlap.  Each lane
+    performs exactly its device's one-device operations, in the same
+    order; nothing is shared between lanes. *)
+
+type lanes = {
+  params : float array;
+  (** This device's parameters, in the layout [load] reads. *)
+  group : unit -> lane_group;
+  (** A fresh group.  Any device whose lane view has the same
+      [state_dim] may be loaded into it. *)
+}
+(** A device's lane view: how {!Periodic} sweeps it together with
+    others. *)
+
 type stepper = {
   state_dim : int;
   (** Number of floats in a state vector. *)
   fresh : unit -> stepper_ops;
   (** Allocate a context (scratch buffers etc.).  Contexts are not
       shared across domains; each evaluator calls [fresh] once. *)
+  lanes : lanes option;
+  (** The lane view, when the model offers one (the diffusion PDE). *)
 }
 (** Checkpointable sequential integration, for stateful models whose
     sigma does {e not} decompose per interval (the diffusion PDE).

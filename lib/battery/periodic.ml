@@ -64,7 +64,7 @@ module Batch = struct
   (* Per-device endurance state, compiled once at setup so the per-cycle
      sweep does constant work per device.
 
-     [Channels] is the closed form for models with a [Model.decay]
+     [channels_state] is the closed form for models with a [Model.decay]
      decomposition.  Write e_j for the end time of the cycle's j-th
      interval and lambda_t for the channel rates.  Sigma probed at the
      end of interval j of cycle k is
@@ -82,7 +82,7 @@ module Batch = struct
      zero [exp]s.  Every exponent evaluated at setup is <= ~0 (the
      cycle fits in the period), so nothing can overflow.
 
-     [Carried] advances a [Model.stepper] state through the mission
+     [carried_state] advances a [Model.stepper] state through the mission
      once instead of re-integrating the whole history per probe —
      O(cycles) integration work total instead of O(cycles^2).  The
      arithmetic deliberately mirrors the reference probe ([run_to]
@@ -90,7 +90,9 @@ module Batch = struct
      against the carried clock), because the reference's from-scratch
      integration for any probe performs exactly a prefix of the carried
      advance sequence: the two paths are bit-identical, not just
-     close. *)
+     close.  Devices whose stepper has a lane view run four at a time
+     through a [Model.lane_group] (see [run_lanes]), each lane playing
+     the same mission events with the same arithmetic. *)
   type channels_state = {
     nprobe : int;
     nterm : int;
@@ -102,18 +104,12 @@ module Batch = struct
   }
 
   type carried_state = {
-    ops : Model.stepper_ops;
-    u : float array;
+    index : int;  (* the device's, in the run *)
+    stepper : Model.stepper;
     starts : float array;
     durations : float array;
     currents : float array;
-    clock : float array;  (* one slot, so moving the clock boxes nothing *)
   }
-
-  type compiled =
-    | Channels of channels_state
-    | Carried of carried_state
-    | Resolved  (* outcome computed at setup via the reference path *)
 
   let collect_intervals cycle =
     let n = Profile.num_intervals cycle in
@@ -177,14 +173,13 @@ module Batch = struct
       done
     done;
     let rho = Array.map (fun r -> exp (-.r *. period)) dc.Model.rates in
-    Channels
-      { nprobe = e;
-        nterm = t;
-        q = !q;
-        base;
-        b;
-        rho;
-        g = Array.make (Stdlib.max 1 t) 0.0 }
+    { nprobe = e;
+      nterm = t;
+      q = !q;
+      base;
+      b;
+      rho;
+      g = Array.make (Stdlib.max 1 t) 0.0 }
 
   (* One cycle of device [i]: probe every interval end, and on the
      first fatal sigma store it in [fatal.(i)] and return [true];
@@ -213,25 +208,28 @@ module Batch = struct
       done;
     !dies
 
-  let step_carried c ~alphas ~periods ~fatal ~k i =
+  (* One cycle of carried device [c] on the one-device path, its state
+     in [u] and its clock in [clock] (one slot, so moving the clock
+     boxes nothing). *)
+  let step_carried c ~ops ~u ~clock ~alphas ~periods ~fatal ~k =
+    let i = c.index in
     let offset = float_of_int k *. periods.(i) in
-    let clock = c.clock in
     let dies = ref false in
     let j = ref 0 in
     while (not !dies) && !j < Array.length c.starts do
       (* rest up to the interval's start, then run it *)
       let s_abs = c.starts.(!j) +. offset in
       if s_abs > clock.(0) then begin
-        c.ops.Model.advance c.u ~current:0.0 ~duration:(s_abs -. clock.(0));
+        ops.Model.advance u ~current:0.0 ~duration:(s_abs -. clock.(0));
         clock.(0) <- s_abs
       end;
       let e_abs = s_abs +. c.durations.(!j) in
       if e_abs > clock.(0) then begin
-        c.ops.Model.advance c.u ~current:c.currents.(!j)
+        ops.Model.advance u ~current:c.currents.(!j)
           ~duration:(e_abs -. clock.(0));
         clock.(0) <- e_abs
       end;
-      let sg = c.ops.Model.observe c.u in
+      let sg = ops.Model.observe u in
       if sg >= alphas.(i) then begin
         fatal.(i) <- sg;
         dies := true
@@ -240,6 +238,189 @@ module Batch = struct
     done;
     !dies
 
+  (* The one-device path: carried device [c] from the start of cycle
+     [k], with state [u] at time [clock], until it dies or reaches the
+     horizon. *)
+  let finish_carried c ~ops ~u ~clock ~alphas ~periods ~fatal ~results
+      ~max_cycles ~k =
+    let k = ref k in
+    while
+      !k < max_cycles
+      && not (step_carried c ~ops ~u ~clock ~alphas ~periods ~fatal ~k:!k)
+    do
+      incr k
+    done;
+    if !k < max_cycles then
+      results.(c.index) <-
+        { outcome = Dies !k; fatal_sigma = fatal.(c.index) }
+
+  let lanes_of c =
+    match c.stepper.Model.lanes with Some lv -> lv | None -> assert false
+
+  (* The lane scheduler: runs carried devices [queue] (two or more, of
+     one state_dim, each with a lane view) through the lane group [g],
+     from their first cycle until each dies or reaches the horizon.
+
+     A lane plays its device's mission events as [step_carried] does,
+     with the same arithmetic: rest up to an interval's start, run the
+     interval, probe its end.  When an event needs integration the lane
+     starts that span and holds its step count in [left]; every round
+     runs all lanes for the fewest steps any busy lane has left, so the
+     lanes whose span ends then move on to their next span.  A lane
+     whose device dies or reaches the horizon takes the queue's next
+     device.  Once at most one lane is busy, that lane runs on only to
+     the end of its current cycle, and its device finishes on the
+     one-device path.  The per-lane state lives in int and float arrays
+     and floats reach the group through its arrays, so a round
+     allocates nothing. *)
+  let run_lanes (g : Model.lane_group) queue ~alphas ~periods ~fatal
+      ~results ~max_cycles =
+    let w = Model.lane_count in
+    let dev = Array.make w (-1) in  (* [queue] entry in each lane, or -1 *)
+    let cyc = Array.make w 0 and iv = Array.make w 0 in
+    let phase = Array.make w 0 in  (* 0 rest, 1 run, 2 probe *)
+    let left = Array.make w 0 in  (* steps left in the span; 0 if idle *)
+    let clock = Array.make w 0.0 in
+    let next = ref 0 in
+    let tail = ref false in
+    let rec feed l =
+      if dev.(l) < 0 then begin
+        if !next < Array.length queue then begin
+          let c = queue.(!next) in
+          (* an empty cycle never dies: such a device stays censored *)
+          if Array.length c.starts > 0 then begin
+            dev.(l) <- !next;
+            cyc.(l) <- 0;
+            iv.(l) <- 0;
+            phase.(l) <- 0;
+            clock.(l) <- 0.0;
+            g.Model.load l (lanes_of c).Model.params
+          end;
+          incr next;
+          feed l
+        end
+      end
+      else begin
+        let c = queue.(dev.(l)) in
+        let i = c.index in
+        let k = cyc.(l) and j = iv.(l) in
+        match phase.(l) with
+        | 0 ->
+            let s_abs = c.starts.(j) +. (float_of_int k *. periods.(i)) in
+            phase.(l) <- 1;
+            if s_abs > clock.(l) then begin
+              g.Model.current.(l) <- 0.0;
+              g.Model.duration.(l) <- s_abs -. clock.(l);
+              left.(l) <- g.Model.span l;
+              clock.(l) <- s_abs
+            end
+            else feed l
+        | 1 ->
+            let s_abs = c.starts.(j) +. (float_of_int k *. periods.(i)) in
+            let e_abs = s_abs +. c.durations.(j) in
+            phase.(l) <- 2;
+            if e_abs > clock.(l) then begin
+              g.Model.current.(l) <- c.currents.(j);
+              g.Model.duration.(l) <- e_abs -. clock.(l);
+              left.(l) <- g.Model.span l;
+              clock.(l) <- e_abs
+            end
+            else feed l
+        | _ ->
+            g.Model.observe l;
+            let sg = g.Model.sigma.(l) in
+            phase.(l) <- 0;
+            if sg >= alphas.(i) then begin
+              results.(i) <- { outcome = Dies k; fatal_sigma = sg };
+              dev.(l) <- -1;
+              feed l
+            end
+            else if j + 1 < Array.length c.starts then begin
+              iv.(l) <- j + 1;
+              feed l
+            end
+            else begin
+              iv.(l) <- 0;
+              cyc.(l) <- k + 1;
+              if k + 1 >= max_cycles then begin
+                dev.(l) <- -1;
+                feed l
+              end
+              else if not !tail then feed l
+              (* else parked at the cycle boundary, for the one-device
+                 path *)
+            end
+      end
+    in
+    let busy = ref 0 in
+    for l = 0 to w - 1 do
+      feed l;
+      if left.(l) > 0 then incr busy
+    done;
+    while !busy > 0 do
+      if !busy = 1 then tail := true;
+      let m = ref max_int in
+      for l = 0 to w - 1 do
+        if left.(l) > 0 && left.(l) < !m then m := left.(l)
+      done;
+      g.Model.run !m;
+      busy := 0;
+      for l = 0 to w - 1 do
+        if left.(l) > 0 then begin
+          left.(l) <- left.(l) - !m;
+          if left.(l) = 0 then feed l;
+          if left.(l) > 0 then incr busy
+        end
+      done
+    done;
+    for l = 0 to w - 1 do
+      if dev.(l) >= 0 then begin
+        let c = queue.(dev.(l)) in
+        let u =
+          Array.init c.stepper.Model.state_dim (fun x ->
+              g.Model.state.((x * w) + l))
+        in
+        finish_carried c ~ops:(c.stepper.Model.fresh ()) ~u
+          ~clock:(Array.make 1 clock.(l)) ~alphas ~periods ~fatal ~results
+          ~max_cycles ~k:cyc.(l)
+      end
+    done
+
+  let lane_key c =
+    match c.stepper with
+    | { Model.lanes = Some _; state_dim; _ } -> state_dim
+    | { Model.lanes = None; _ } -> -1
+
+  (* Carried devices run one at a time from cycle 0 to the end, or four
+     at a time through a lane group: those with a lane view are grouped
+     by state_dim, in device order, and a group of one takes the
+     one-device path. *)
+  let run_carried carried ~alphas ~periods ~fatal ~results ~max_cycles =
+    Array.stable_sort (fun a b -> compare (lane_key a) (lane_key b)) carried;
+    let a = ref 0 in
+    while !a < Array.length carried do
+      let key = lane_key carried.(!a) in
+      let b = ref (!a + 1) in
+      while !b < Array.length carried && lane_key carried.(!b) = key do
+        incr b
+      done;
+      if key >= 0 && !b - !a >= 2 then
+        run_lanes
+          ((lanes_of carried.(!a)).Model.group ())
+          (Array.sub carried !a (!b - !a))
+          ~alphas ~periods ~fatal ~results ~max_cycles
+      else
+        for x = !a to !b - 1 do
+          let c = carried.(x) in
+          let ops = c.stepper.Model.fresh () in
+          let u = Array.make c.stepper.Model.state_dim 0.0 in
+          ops.Model.start u;
+          finish_carried c ~ops ~u ~clock:(Array.make 1 0.0) ~alphas
+            ~periods ~fatal ~results ~max_cycles ~k:0
+        done;
+      a := !b
+    done
+
   let run ?(max_cycles = default_max_cycles) ~n ~device () =
     if n < 0 then invalid_arg "Periodic.Batch.run: negative device count";
     let results =
@@ -247,13 +428,14 @@ module Batch = struct
     in
     if n = 0 then results
     else begin
-      let probe = Probe.local () in
-      let compiled = Array.make n Resolved in
+      let channels = Array.make n None in
       let alphas = Array.make n 0.0 in
       let periods = Array.make n 0.0 in
       let fatal = Array.make n Float.nan in
       let alive = Array.make n 0 in
       let nalive = ref 0 in
+      let carried = ref [] in
+      let nreference = ref 0 in
       for i = 0 to n - 1 do
         let dv = device i in
         check_inputs ~alpha:dv.alpha ~period:dv.period dv.cycle;
@@ -262,50 +444,54 @@ module Batch = struct
         match (dv.model.Model.decay, dv.model.Model.stepper) with
         | Some dc, _ ->
             let starts, durations, currents = collect_intervals dv.cycle in
-            compiled.(i) <-
-              compile_channels dc ~period:dv.period ~starts ~durations
-                ~currents;
+            channels.(i) <-
+              Some
+                (compile_channels dc ~period:dv.period ~starts ~durations
+                   ~currents);
             alive.(!nalive) <- i;
-            incr nalive;
-            Probe.bump_named probe "periodic/channel_devices" 1
-        | None, Some sp ->
-            let ops = sp.Model.fresh () in
-            let u = Array.make sp.Model.state_dim 0.0 in
-            ops.Model.start u;
+            incr nalive
+        | None, Some stepper ->
             let starts, durations, currents = collect_intervals dv.cycle in
-            compiled.(i) <-
-              Carried
-                { ops; u; starts; durations; currents;
-                  clock = Array.make 1 0.0 };
-            alive.(!nalive) <- i;
-            incr nalive;
-            Probe.bump_named probe "periodic/carried_devices" 1
+            carried :=
+              { index = i; stepper; starts; durations; currents } :: !carried
         | None, None ->
             let outcome, fatal_sigma =
               reference_run ~max_cycles ~model:dv.model ~alpha:dv.alpha
                 ~period:dv.period dv.cycle
             in
             results.(i) <- { outcome; fatal_sigma };
-            Probe.bump_named probe "periodic/reference_devices" 1
+            incr nreference
       done;
-      (* One sweep per cycle over the still-alive devices, compacting
-         the index array in place as devices die, so total work is
-         sum over devices of (cycles lived), not n * max_cycles.  The
-         sweep allocates only when a device dies (its result record):
-         the step functions read alpha and period from the float arrays
-         above and write a fatal sigma into [fatal], so nothing is
-         boxed per cycle, and a carried stepper's own cost is the few
-         floats boxed across the [Model.stepper_ops] closures. *)
+      (* one bump per kind and call: [bump_named] rebuilds the whole
+         counter list *)
+      let probe = Probe.local () in
+      let ncarried = List.length !carried in
+      if !nalive > 0 then
+        Probe.bump_named probe "periodic/channel_devices" !nalive;
+      if ncarried > 0 then
+        Probe.bump_named probe "periodic/carried_devices" ncarried;
+      if !nreference > 0 then
+        Probe.bump_named probe "periodic/reference_devices" !nreference;
+      if ncarried > 0 && max_cycles > 0 then
+        run_carried
+          (Array.of_list (List.rev !carried))
+          ~alphas ~periods ~fatal ~results ~max_cycles;
+      (* One sweep per cycle over the still-alive channel devices,
+         compacting the index array in place as devices die, so total
+         work is sum over devices of (cycles lived), not
+         n * max_cycles.  The sweep allocates only when a device dies
+         (its result record): [step_channels] reads alpha from the float
+         array above and writes a fatal sigma into [fatal], so nothing
+         is boxed per cycle. *)
       let k = ref 0 in
       while !nalive > 0 && !k < max_cycles do
         let kept = ref 0 in
         for a = 0 to !nalive - 1 do
           let i = alive.(a) in
           let dies =
-            match compiled.(i) with
-            | Channels d -> step_channels d ~alphas ~fatal ~k:!k i
-            | Carried c -> step_carried c ~alphas ~periods ~fatal ~k:!k i
-            | Resolved -> false (* never enters the alive set *)
+            match channels.(i) with
+            | Some d -> step_channels d ~alphas ~fatal ~k:!k i
+            | None -> false (* never in the alive set *)
           in
           if dies then
             results.(i) <- { outcome = Dies !k; fatal_sigma = fatal.(i) }

@@ -180,6 +180,23 @@ let cycle_of_json j =
   | Some other -> fail "cycle.kind: expected graph or bursts, got %S" other
   | None -> fail "cycle: missing kind"
 
+(* Upper bound on one cycle's length: every task at the slowest design
+   point its law may draw, or the most bursts, each of the longest
+   duration. *)
+let longest_cycle = function
+  | Graph { graph; law; _ } ->
+      let point =
+        match law with
+        | Fastest -> Batsched_taskgraph.Task.fastest
+        | Slowest | Uniform -> Batsched_taskgraph.Task.slowest
+      in
+      List.fold_left
+        (fun acc t -> acc +. (point t).Batsched_taskgraph.Task.duration)
+        0.0
+        (Batsched_taskgraph.Graph.tasks graph)
+  | Bursts { count; duration; _ } ->
+      Float.max 1.0 (Float.trunc count.hi) *. duration.hi
+
 let of_json j =
   try
     let horizon =
@@ -217,6 +234,18 @@ let of_json j =
       | Some c -> cycle_of_json c
       | None -> fail "missing required field cycle"
     in
+    (* A PDE span is at most one period, so the longest is
+       period_factor.hi times the longest cycle; the solver refuses a
+       span of 2^53 steps or more. *)
+    let longest_span = period_factor.hi *. longest_cycle cycle in
+    List.iter
+      (fun m ->
+        match m.model with
+        | Pde { dt; _ } when not (longest_span /. dt < 0x1p53) ->
+            fail "pde.dt: too small for spans of up to %g min (2^53 steps)"
+              longest_span
+        | _ -> ())
+      models;
     Ok { horizon; alpha; soh; period_factor; models; cycle }
   with Bad msg -> Error ("fleet spec: " ^ msg)
 

@@ -12,3 +12,8 @@ val cycles_to_death_reference :
     [cycles_to_death].  For decay-channel models the two agree up to
     float accumulation noise; for stepper-only models (the diffusion
     PDE) they are bit-identical. *)
+
+val result_reference :
+  ?max_cycles:int -> Periodic.device -> Periodic.Batch.result
+(** The same estimator for one device as a batch result, which carries
+    the fatal sigma of every death, not only of a first-cycle one. *)

@@ -381,6 +381,38 @@ let test_diffusion_param_validation () =
   Alcotest.check_raises "nodes" (Invalid_argument "Diffusion.make_params: nodes < 8")
     (fun () -> ignore (Diffusion.make_params ~nodes:2 ~alpha:1.0 ~beta:1.0 ()))
 
+(* A span of 2^53 steps or more has no exact step count, and past 2^63
+   the cast gives min_int, which the clamp to one step would turn into
+   a single step: dt 1e-300 would integrate this load in one step
+   (sigma 5986.95 against the fine grid's 5129.16).  Every path through
+   the span prologue refuses it. *)
+let test_diffusion_dt_too_small () =
+  let params =
+    Diffusion.make_params ~nodes:8 ~dt:1e-300 ~alpha:40000.0 ~beta:0.3 ()
+  in
+  let want =
+    Invalid_argument "Diffusion: dt too small for the span (2^53 steps or more)"
+  in
+  Alcotest.check_raises "sigma" want (fun () ->
+      ignore
+        (Diffusion.sigma ~params
+           (Profile.constant ~current:200.0 ~duration:5.0)
+           ~at:5.0));
+  let st = Diffusion.stepper params in
+  let ops = st.Model.fresh () in
+  let u = Array.make st.Model.state_dim 0.0 in
+  ops.Model.start u;
+  Alcotest.check_raises "stepper" want (fun () ->
+      ops.Model.advance u ~current:200.0 ~duration:5.0);
+  match st.Model.lanes with
+  | None -> Alcotest.fail "the PDE offers a lane view"
+  | Some lv ->
+      let g = lv.Model.group () in
+      g.Model.load 2 lv.Model.params;
+      g.Model.current.(2) <- 200.0;
+      g.Model.duration.(2) <- 5.0;
+      Alcotest.check_raises "lane" want (fun () -> ignore (g.Model.span 2))
+
 (* --- Periodic --- *)
 
 let ideal = Ideal.model
@@ -546,6 +578,77 @@ let test_periodic_sweep_allocation () =
   Alcotest.(check bool)
     (Printf.sprintf "pde words per cycle (%.1f) <= 32" w)
     true (w <= 32.0)
+
+(* [Batch.run] bumps each kind's named counter once per call, so a
+   device's set-up words do not depend on how many named counters the
+   domain's probe holds ([bump_named] rebuilds that list: bumped once
+   per device, it would cost 6 words per held counter). *)
+let test_periodic_setup_words () =
+  let dv =
+    { Periodic.model = Ideal.model; alpha = 1e9; period = 20.0;
+      cycle = Profile.constant ~current:100.0 ~duration:10.0 }
+  in
+  let per_device () =
+    let words n =
+      let w0 = Gc.minor_words () in
+      ignore (Periodic.Batch.run ~max_cycles:1 ~n ~device:(fun _ -> dv) ());
+      Gc.minor_words () -. w0
+    in
+    ignore (words 64);
+    (words 128 -. words 64) /. 64.0
+  in
+  let probe = Batsched_numeric.Probe.local () in
+  let quiet = per_device () in
+  let saved = probe.Batsched_numeric.Probe.named in
+  probe.Batsched_numeric.Probe.named <-
+    List.init 16 (fun k -> (Printf.sprintf "setup-guard/%d" k, 0)) @ saved;
+  let crowded = per_device () in
+  probe.Batsched_numeric.Probe.named <-
+    List.filter
+      (fun (k, _) -> not (String.starts_with ~prefix:"setup-guard/" k))
+      probe.Batsched_numeric.Probe.named;
+  check_float
+    (Printf.sprintf "words per device with 16 more named counters (%.1f)"
+       quiet)
+    quiet crowded
+
+(* The lane path allocates nothing per cycle: two and four PDE devices
+   of one grid, dt and cycle (their own beta and alpha) keep their
+   lanes in step, so none reaches the one-device path, over a censored
+   mission of 1,010 against 10 cycles. *)
+let test_periodic_lane_sweep_allocation () =
+  let cycle = Profile.sequential [ (800.0, 20.0); (300.0, 5.0) ] in
+  List.iter
+    (fun n ->
+      let devices =
+        Array.init n (fun i ->
+            let alpha = 1e12 +. float_of_int i in
+            let beta = 0.2 +. (0.1 *. float_of_int i) in
+            { Periodic.model =
+                Diffusion.model
+                  ~params:(Diffusion.make_params ~nodes:8 ~dt:1.0 ~alpha ~beta ())
+                  ();
+              alpha; period = 40.0; cycle })
+      in
+      let words max_cycles =
+        let w0 = Gc.minor_words () in
+        let r =
+          Periodic.Batch.run ~max_cycles ~n ~device:(fun i -> devices.(i)) ()
+        in
+        let w = Gc.minor_words () -. w0 in
+        Array.iter
+          (fun (r : Periodic.Batch.result) ->
+            Alcotest.check outcome_t "censored" (Periodic.Censored max_cycles)
+              r.Periodic.Batch.outcome)
+          r;
+        w
+      in
+      ignore (words 10);
+      check_float
+        (Printf.sprintf "%d pde devices: words per cycle" n)
+        0.0
+        ((words 1010 -. words 10) /. 1000.0))
+    [ 2; 4 ]
 
 (* --- Cell --- *)
 
@@ -823,6 +926,181 @@ let prop_diffusion_stepper_matches_textbook =
         ok := !ok && same ()
       done;
       !ok)
+
+(* The lane group against the one-device [advance]: four devices on one
+   random grid (8-64 nodes), each with its own beta, alpha and dt, play
+   their own 1-8 spans (currents including 0; spans of 0, below one dt,
+   exact multiples of dt, or up to 40 dt), each lane starting its next
+   span when its previous one's steps are done, as Periodic's lane
+   scheduler does, so the lanes' step counts differ.  After every span,
+   its lane must hold the one-device state and observe its sigma, bit
+   for bit.  A zero span starts nothing on a lane and leaves the
+   one-device state alone. *)
+let prop_diffusion_lanes_match_advance =
+  QCheck.Test.make ~count:200
+    ~name:"diffusion lanes are bit-identical to the one-device advance"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Batsched_numeric.Rng.create seed in
+      let uniform lo hi = lo +. Batsched_numeric.Rng.float rng (hi -. lo) in
+      let int k = Batsched_numeric.Rng.int rng k in
+      let bits = Int64.bits_of_float in
+      let nodes = 8 + int 57 in
+      let w = Model.lane_count in
+      let lanes (st : Model.stepper) = Option.get st.Model.lanes in
+      let devices =
+        Array.init w (fun _ ->
+            let dt = uniform 0.01 2.0 in
+            let st =
+              Diffusion.stepper
+                (Diffusion.make_params ~nodes ~dt
+                   ~alpha:(uniform 100.0 50_000.0) ~beta:(uniform 0.05 1.5) ())
+            in
+            let ops = st.Model.fresh () in
+            let u = Array.make nodes 0.0 in
+            ops.Model.start u;
+            let spans =
+              List.init (1 + int 8) (fun _ ->
+                  let current = if int 3 = 0 then 0.0 else uniform 0.0 900.0 in
+                  let span =
+                    match int 4 with
+                    | 0 -> 0.0
+                    | 1 -> uniform 0.0 dt
+                    | 2 -> float_of_int (1 + int 5) *. dt
+                    | _ -> uniform 0.0 (40.0 *. dt)
+                  in
+                  (current, span))
+            in
+            (st, ops, u, ref spans))
+      in
+      let st0, _, _, _ = devices.(0) in
+      let g = (lanes st0).Model.group () in
+      Array.iteri
+        (fun l (st, _, _, _) -> g.Model.load l (lanes st).Model.params)
+        devices;
+      let ok = ref true in
+      let check l =
+        let _, ops, u, _ = devices.(l) in
+        g.Model.observe l;
+        let same = ref (bits (ops.Model.observe u) = bits g.Model.sigma.(l)) in
+        Array.iteri
+          (fun x v -> same := !same && bits v = bits g.Model.state.((x * w) + l))
+          u;
+        ok := !ok && !same
+      in
+      let left = Array.make w 0 in
+      let rec start l =
+        let _, ops, u, spans = devices.(l) in
+        match !spans with
+        | [] -> ()
+        | (current, span) :: rest ->
+            spans := rest;
+            ops.Model.advance u ~current ~duration:span;
+            if span > 0.0 then begin
+              g.Model.current.(l) <- current;
+              g.Model.duration.(l) <- span;
+              left.(l) <- g.Model.span l
+            end
+            else begin
+              check l;
+              start l
+            end
+      in
+      for l = 0 to w - 1 do
+        check l;
+        start l
+      done;
+      while Array.exists (fun s -> s > 0) left do
+        let m =
+          Array.fold_left (fun m s -> if s > 0 then min m s else m) max_int left
+        in
+        g.Model.run m;
+        for l = 0 to w - 1 do
+          if left.(l) > 0 then begin
+            left.(l) <- left.(l) - m;
+            if left.(l) = 0 then begin
+              check l;
+              start l
+            end
+          end
+        done
+      done;
+      !ok)
+
+(* The lane path of [Batch.run] against the one-device path and the
+   quadratic oracle, on populations of 0, 1, 3, 4, 5, 23 and 257
+   devices.  Each mixes ideal and RV devices with PDE devices on 8- and
+   16-node grids, each PDE device with its own beta, dt and cycle (some
+   with an idle gap inside, some empty), so lanes start and end spans
+   out of step and take new devices at different times; budgets of
+   0.4-8 cycles' charge against a 5-cycle horizon give deaths in cycle
+   0, later deaths and censored devices.
+   Every device's outcome and fatal-sigma bits must equal those of
+   [Batch.run] on that device alone (which takes the one-device path),
+   and for a PDE device those of the oracle too. *)
+let prop_periodic_lanes_match =
+  QCheck.Test.make ~count:6
+    ~name:"periodic lane path matches one-device path and oracle"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Batsched_numeric.Rng.create seed in
+      let uniform lo hi = lo +. Batsched_numeric.Rng.float rng (hi -. lo) in
+      let int k = Batsched_numeric.Rng.int rng k in
+      let max_cycles = 5 in
+      let device _ =
+        let loads =
+          Profile.sequential
+            (List.init (1 + int 3) (fun _ ->
+                 (uniform 50.0 900.0, uniform 0.5 4.0)))
+        in
+        let cycle =
+          match (int 8, Profile.intervals loads) with
+          | 0, _ -> Profile.empty
+          | (1 | 2 | 3), first :: _ :: _ ->
+              Profile.with_idle loads
+                ~after:(first.Profile.start +. first.Profile.duration)
+                ~idle:(uniform 0.1 3.0)
+          | _ -> loads
+        in
+        let period = Float.max 1.0 (Profile.length cycle *. uniform 1.0 2.0) in
+        let alpha =
+          Float.max 1.0 (Profile.total_charge cycle *. uniform 0.4 8.0)
+        in
+        let model =
+          match int 4 with
+          | 0 -> Ideal.model
+          | 1 -> Rakhmatov.model ()
+          | _ ->
+              Diffusion.model
+                ~params:
+                  (Diffusion.make_params
+                     ~nodes:(if int 2 = 0 then 8 else 16)
+                     ~dt:(uniform 0.5 2.0) ~alpha ~beta:(uniform 0.2 0.6) ())
+                ()
+        in
+        { Periodic.model; alpha; period; cycle }
+      in
+      let same (a : Periodic.Batch.result) (b : Periodic.Batch.result) =
+        a.Periodic.Batch.outcome = b.Periodic.Batch.outcome
+        && Int64.equal
+             (Int64.bits_of_float a.Periodic.Batch.fatal_sigma)
+             (Int64.bits_of_float b.Periodic.Batch.fatal_sigma)
+      in
+      List.for_all
+        (fun n ->
+          let devices = Array.init n device in
+          let got =
+            Periodic.Batch.run ~max_cycles ~n ~device:(fun i -> devices.(i)) ()
+          in
+          Array.length got = n
+          && Array.for_all2
+               (fun (d : Periodic.device) r ->
+                 same r
+                   (Periodic.Batch.run ~max_cycles ~n:1 ~device:(fun _ -> d) ()).(0)
+                 && (Option.is_none d.Periodic.model.Model.stepper
+                    || same r (Oracles.Periodic.result_reference ~max_cycles d)))
+               devices got)
+        [ 0; 1; 3; 4; 5; 23; 257 ])
 
 (* --- Periodic fast kernel vs quadratic oracle --- *)
 
@@ -1441,6 +1719,8 @@ let qcheck_tests =
       prop_periodic_oracle_kibam;
       prop_periodic_oracle_diffusion_exact;
       prop_diffusion_stepper_matches_textbook;
+      prop_diffusion_lanes_match_advance;
+      prop_periodic_lanes_match;
       prop_sigma_linear_ideal;
       prop_sigma_linear_rakhmatov;
       prop_sigma_linear_kibam;
@@ -1514,7 +1794,8 @@ let () =
           Alcotest.test_case "matches analytic with recovery" `Quick test_diffusion_matches_analytic_with_recovery;
           Alcotest.test_case "ten terms undercount" `Quick test_diffusion_ten_terms_undercounts_under_load;
           Alcotest.test_case "surface depletes" `Quick test_diffusion_surface_depletes;
-          Alcotest.test_case "param validation" `Quick test_diffusion_param_validation ] );
+          Alcotest.test_case "param validation" `Quick test_diffusion_param_validation;
+          Alcotest.test_case "dt too small for the span" `Quick test_diffusion_dt_too_small ] );
       ( "periodic",
         [ Alcotest.test_case "ideal matches budget" `Quick test_periodic_ideal_matches_budget;
           Alcotest.test_case "unsustainable" `Quick test_periodic_unsustainable_first_cycle;
@@ -1523,7 +1804,9 @@ let () =
           Alcotest.test_case "max cycles cap" `Quick test_periodic_max_cycles_cap;
           Alcotest.test_case "fast path engages" `Quick test_periodic_fast_path_engages;
           Alcotest.test_case "batch matches scalar" `Quick test_periodic_batch_matches_scalar;
-          Alcotest.test_case "sweep allocation" `Quick test_periodic_sweep_allocation ] );
+          Alcotest.test_case "sweep allocation" `Quick test_periodic_sweep_allocation;
+          Alcotest.test_case "set-up words per device" `Quick test_periodic_setup_words;
+          Alcotest.test_case "lane sweep allocation" `Quick test_periodic_lane_sweep_allocation ] );
       ( "cell",
         [ Alcotest.test_case "presets" `Quick test_cell_presets;
           Alcotest.test_case "validation" `Quick test_cell_validation ] );

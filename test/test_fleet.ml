@@ -120,7 +120,16 @@ let hostile_specs =
       "pde.nodes: must be <= 1024" );
     ( "infinite pde dt",
       spec ~models:{|{"model": "pde", "dt": 1e999}|} (),
-      "pde.dt: must be finite" ) ]
+      "pde.dt: must be finite" );
+    (* default bursts (at most 3 of 20 min) and period factor (2) *)
+    ( "tiny pde dt",
+      spec ~models:{|{"model": "pde", "dt": 1e-300}|} (),
+      "pde.dt: too small for spans of up to 120 min (2^53 steps)" );
+    ( "tiny pde dt under a graph cycle",
+      spec ~top:{|"period_factor": {"min": 1, "max": 3},|}
+        ~models:{|{"model": "pde", "dt": 1e-14}|}
+        ~cycle:{|{"kind": "graph", "graph": "g3", "law": "fastest"}|} (),
+      "pde.dt: too small for spans of up to 255.6 min (2^53 steps)" ) ]
 
 let hostile_spec_tests =
   List.map
