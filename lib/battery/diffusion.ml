@@ -269,8 +269,7 @@ let stepper params =
             (fun u ~current ~duration ->
               advance ~params ~sc ~dee ~dx ~current u duration);
           observe = (fun u -> params.alpha -. u.(0)) });
-    lanes =
-      Some { Model.params = lane_params; group = (fun () -> lane_group n) } }
+    lanes = { Model.params = lane_params; group = (fun () -> lane_group n) } }
 
 let model ?(params = default_params) () =
   { Model.name = "diffusion-pde"; sigma = (fun p ~at -> sigma ~params p ~at);

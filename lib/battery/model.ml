@@ -36,7 +36,7 @@ type lanes = {
 type stepper = {
   state_dim : int;
   fresh : unit -> stepper_ops;
-  lanes : lanes option;
+  lanes : lanes;
 }
 
 type t = {

@@ -11,7 +11,7 @@
     same function, each read by the evaluator it was built for:
     [incremental] and [stepper] by {!Delta} (local-search moves),
     [decay] and [stepper] by {!Periodic} (repeated missions), which
-    also sweeps steppers that offer a lane view four at a time. *)
+    sweeps steppers four at a time through their lane view. *)
 
 type incremental = {
   term : current:float -> duration:float -> tail:float -> float;
@@ -128,7 +128,7 @@ type lanes = {
   params : float array;
   (** This device's parameters, in the layout [load] reads. *)
   group : unit -> lane_group;
-  (** A fresh group.  Any device whose lane view has the same
+  (** A fresh group.  Any device whose stepper has the same
       [state_dim] may be loaded into it. *)
 }
 (** A device's lane view: how {!Periodic} sweeps it together with
@@ -140,8 +140,10 @@ type stepper = {
   fresh : unit -> stepper_ops;
   (** Allocate a context (scratch buffers etc.).  Contexts are not
       shared across domains; each evaluator calls [fresh] once. *)
-  lanes : lanes option;
-  (** The lane view, when the model offers one (the diffusion PDE). *)
+  lanes : lanes;
+  (** The lane view.  {!Periodic} groups devices by [state_dim] alone,
+      which holds while the diffusion PDE is the only stepper: a second
+      kind of stepper needs a group key of its own. *)
 }
 (** Checkpointable sequential integration, for stateful models whose
     sigma does {e not} decompose per interval (the diffusion PDE).

@@ -90,7 +90,7 @@ module Batch = struct
      against the carried clock), because the reference's from-scratch
      integration for any probe performs exactly a prefix of the carried
      advance sequence: the two paths are bit-identical, not just
-     close.  Devices whose stepper has a lane view run four at a time
+     close.  Carried devices of one [state_dim] run four at a time
      through a [Model.lane_group] (see [run_lanes]), each lane playing
      the same mission events with the same arithmetic. *)
   type channels_state = {
@@ -238,12 +238,14 @@ module Batch = struct
     done;
     !dies
 
-  (* The one-device path: carried device [c] from the start of cycle
-     [k], with state [u] at time [clock], until it dies or reaches the
-     horizon. *)
-  let finish_carried c ~ops ~u ~clock ~alphas ~periods ~fatal ~results
-      ~max_cycles ~k =
-    let k = ref k in
+  (* The one-device path: carried device [c] from cycle 0 until it dies
+     or reaches the horizon. *)
+  let run_one c ~alphas ~periods ~fatal ~results ~max_cycles =
+    let ops = c.stepper.Model.fresh () in
+    let u = Array.make c.stepper.Model.state_dim 0.0 in
+    ops.Model.start u;
+    let clock = Array.make 1 0.0 in
+    let k = ref 0 in
     while
       !k < max_cycles
       && not (step_carried c ~ops ~u ~clock ~alphas ~periods ~fatal ~k:!k)
@@ -254,12 +256,9 @@ module Batch = struct
       results.(c.index) <-
         { outcome = Dies !k; fatal_sigma = fatal.(c.index) }
 
-  let lanes_of c =
-    match c.stepper.Model.lanes with Some lv -> lv | None -> assert false
-
   (* The lane scheduler: runs carried devices [queue] (two or more, of
-     one state_dim, each with a lane view) through the lane group [g],
-     from their first cycle until each dies or reaches the horizon.
+     one state_dim) through the lane group [g], from their first cycle
+     until each dies or reaches the horizon.
 
      A lane plays its device's mission events as [step_carried] does,
      with the same arithmetic: rest up to an interval's start, run the
@@ -268,13 +267,11 @@ module Batch = struct
      runs all lanes for the fewest steps any busy lane has left, so the
      lanes whose span ends then move on to their next span.  A lane
      whose device dies or reaches the horizon takes the queue's next
-     device.  Once at most one lane is busy, that lane runs on only to
-     the end of its current cycle, and its device finishes on the
-     one-device path.  The per-lane state lives in int and float arrays
-     and floats reach the group through its arrays, so a round
-     allocates nothing. *)
-  let run_lanes (g : Model.lane_group) queue ~alphas ~periods ~fatal
-      ~results ~max_cycles =
+     device, and the last busy lane finishes its device in the group.
+     The per-lane state lives in int and float arrays and floats reach
+     the group through its arrays, so a round allocates nothing. *)
+  let run_lanes (g : Model.lane_group) queue ~alphas ~periods ~results
+      ~max_cycles =
     let w = Model.lane_count in
     let dev = Array.make w (-1) in  (* [queue] entry in each lane, or -1 *)
     let cyc = Array.make w 0 and iv = Array.make w 0 in
@@ -282,7 +279,6 @@ module Batch = struct
     let left = Array.make w 0 in  (* steps left in the span; 0 if idle *)
     let clock = Array.make w 0.0 in
     let next = ref 0 in
-    let tail = ref false in
     let rec feed l =
       if dev.(l) < 0 then begin
         if !next < Array.length queue then begin
@@ -294,7 +290,7 @@ module Batch = struct
             iv.(l) <- 0;
             phase.(l) <- 0;
             clock.(l) <- 0.0;
-            g.Model.load l (lanes_of c).Model.params
+            g.Model.load l c.stepper.Model.lanes.Model.params
           end;
           incr next;
           feed l
@@ -342,13 +338,8 @@ module Batch = struct
             else begin
               iv.(l) <- 0;
               cyc.(l) <- k + 1;
-              if k + 1 >= max_cycles then begin
-                dev.(l) <- -1;
-                feed l
-              end
-              else if not !tail then feed l
-              (* else parked at the cycle boundary, for the one-device
-                 path *)
+              if k + 1 >= max_cycles then dev.(l) <- -1;
+              feed l
             end
       end
     in
@@ -358,7 +349,6 @@ module Batch = struct
       if left.(l) > 0 then incr busy
     done;
     while !busy > 0 do
-      if !busy = 1 then tail := true;
       let m = ref max_int in
       for l = 0 to w - 1 do
         if left.(l) > 0 && left.(l) < !m then m := left.(l)
@@ -372,52 +362,28 @@ module Batch = struct
           if left.(l) > 0 then incr busy
         end
       done
-    done;
-    for l = 0 to w - 1 do
-      if dev.(l) >= 0 then begin
-        let c = queue.(dev.(l)) in
-        let u =
-          Array.init c.stepper.Model.state_dim (fun x ->
-              g.Model.state.((x * w) + l))
-        in
-        finish_carried c ~ops:(c.stepper.Model.fresh ()) ~u
-          ~clock:(Array.make 1 clock.(l)) ~alphas ~periods ~fatal ~results
-          ~max_cycles ~k:cyc.(l)
-      end
     done
 
-  let lane_key c =
-    match c.stepper with
-    | { Model.lanes = Some _; state_dim; _ } -> state_dim
-    | { Model.lanes = None; _ } -> -1
+  let dim c = c.stepper.Model.state_dim
 
-  (* Carried devices run one at a time from cycle 0 to the end, or four
-     at a time through a lane group: those with a lane view are grouped
-     by state_dim, in device order, and a group of one takes the
-     one-device path. *)
+  (* Carried devices run four at a time through a lane group, grouped by
+     state_dim in device order; a group of one takes the one-device
+     path. *)
   let run_carried carried ~alphas ~periods ~fatal ~results ~max_cycles =
-    Array.stable_sort (fun a b -> compare (lane_key a) (lane_key b)) carried;
+    Array.stable_sort (fun a b -> Int.compare (dim a) (dim b)) carried;
     let a = ref 0 in
     while !a < Array.length carried do
-      let key = lane_key carried.(!a) in
       let b = ref (!a + 1) in
-      while !b < Array.length carried && lane_key carried.(!b) = key do
+      while !b < Array.length carried && dim carried.(!b) = dim carried.(!a)
+      do
         incr b
       done;
-      if key >= 0 && !b - !a >= 2 then
+      if !b - !a >= 2 then
         run_lanes
-          ((lanes_of carried.(!a)).Model.group ())
+          (carried.(!a).stepper.Model.lanes.Model.group ())
           (Array.sub carried !a (!b - !a))
-          ~alphas ~periods ~fatal ~results ~max_cycles
-      else
-        for x = !a to !b - 1 do
-          let c = carried.(x) in
-          let ops = c.stepper.Model.fresh () in
-          let u = Array.make c.stepper.Model.state_dim 0.0 in
-          ops.Model.start u;
-          finish_carried c ~ops ~u ~clock:(Array.make 1 0.0) ~alphas
-            ~periods ~fatal ~results ~max_cycles ~k:0
-        done;
+          ~alphas ~periods ~results ~max_cycles
+      else run_one carried.(!a) ~alphas ~periods ~fatal ~results ~max_cycles;
       a := !b
     done
 
