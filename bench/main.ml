@@ -768,13 +768,11 @@ let () =
   (match args with
   | "--compare" :: rest -> run_compare rest; exit 0
   | _ -> ());
-  Batsched_obs.Log.init_from_env ();
   let json_out, args = extract_opt "--json" args in
-  let trace_out, args = extract_opt "--trace" args in
-  let metrics_out, args = extract_opt "--metrics" args in
-  let ledger_out, args = extract_opt "--ledger" args in
+  let trace, args = extract_opt "--trace" args in
+  let metrics, args = extract_opt "--metrics" args in
+  let ledger, args = extract_opt "--ledger" args in
   let stats, args = extract_flag "--stats" args in
-  let stats = stats || Batsched_obs.Log.env_stats () in
   (* a misspelt name must not pass for a run that did nothing *)
   (match args with
   | [] | [ "--smoke" ] | [ "tables" ] | [ "timing" ] -> ()
@@ -793,19 +791,8 @@ let () =
             (String.concat " " unknown)
             (String.concat " " Batsched_experiments.Registry.names);
           exit 2));
-  let metrics_out =
-    match metrics_out with
-    | Some _ -> metrics_out
-    | None -> Batsched_obs.Log.env_opt "BATSCHED_METRICS"
-  in
-  let ledger_out =
-    match ledger_out with
-    | Some _ -> ledger_out
-    | None -> Batsched_obs.Log.env_opt "BATSCHED_LEDGER"
-  in
-  let wall0 = Unix.gettimeofday () in
-  if stats || trace_out <> None then obs := Batsched_obs.Sink.create ();
-  if stats || metrics_out <> None then Batsched_obs.Histogram.enable ();
+  let session = Batsched_obs.Session.start { stats; trace; metrics; ledger } in
+  obs := Batsched_obs.Session.sink session;
   (* fail on an unwritable --json target now, not after minutes of timing *)
   (match json_out with
   | Some path -> (
@@ -831,49 +818,26 @@ let () =
         run_reproductions names;
         None
   in
-  (* report/trace before the work profile: work_profile resets counters *)
-  if stats then begin
-    print_newline ();
-    print_string (Batsched_obs.Report.to_string !obs)
-  end;
-  (match trace_out with
-  | Some out ->
-      Batsched_obs.Trace.write !obs out;
-      Printf.printf
-        "wrote trace to %s (load it in chrome://tracing or ui.perfetto.dev)\n%!"
-        out
-  | None -> ());
-  (match metrics_out with
-  | Some out ->
-      Batsched_obs.Openmetrics.write_file out;
-      Printf.printf "wrote OpenMetrics exposition to %s\n%!" out
-  | None -> ());
-  (match (json_out, rows) with
+  (* the session's outputs, the manifest's counter snapshot included,
+     come before the work profile, which resets the counters *)
+  let mode = match args with [] -> "all" | parts -> String.concat "+" parts in
+  Batsched_obs.Session.finish session ~manifest:(fun ~wall_s ->
+      { Batsched_obs.Ledger.tool = "bench";
+        label = mode;
+        instance = "";
+        instance_hash = "";
+        model = "";
+        seed = 0;
+        pool_size = Batsched_numeric.Pool.recommended ();
+        knobs =
+          [ ("mode", mode);
+            ("scenarios", string_of_int (List.length scenarios));
+            ("json", match json_out with Some p -> p | None -> "") ];
+        wall_s;
+        sigma = None;
+        finish = None;
+        events_path = None;
+        curve = [] });
+  match (json_out, rows) with
   | Some path, Some rows -> write_json path rows (work_profile ())
-  | _ -> ());
-  match ledger_out with
-  | None -> ()
-  | Some dir -> (
-      let mode = match args with [] -> "all" | parts -> String.concat "+" parts in
-      let spec =
-        { Batsched_obs.Ledger.tool = "bench";
-          label = mode;
-          instance = "";
-          instance_hash = "";
-          model = "";
-          seed = 0;
-          pool_size = Batsched_numeric.Pool.recommended ();
-          knobs =
-            [ ("mode", mode);
-              ("scenarios", string_of_int (List.length scenarios));
-              ("json", match json_out with Some p -> p | None -> "") ];
-          wall_s = Unix.gettimeofday () -. wall0;
-          sigma = None;
-          finish = None;
-          events_path = None;
-          curve = [] }
-      in
-      match Batsched_obs.Ledger.record ~dir spec with
-      | Ok id -> Printf.printf "ledger: recorded %s in %s\n%!" id dir
-      | Error msg ->
-          Printf.eprintf "bench: [warn] ledger write failed: %s\n%!" msg)
+  | _ -> ()

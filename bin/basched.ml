@@ -21,6 +21,7 @@ open Batsched_taskgraph
 open Batsched_sched
 open Batsched_baselines
 module Obs = Batsched_obs
+module Histogram = Batsched_numeric.Histogram
 
 let report ?(chart = false) g (sol : Solution.t) =
   Format.printf "schedule: %a@." (Schedule.pp g) sol.Solution.schedule;
@@ -77,78 +78,32 @@ let load_graph path =
    go first — a live watcher stops at run_done. *)
 let emit_terminal_records events (sol : Solution.t) =
   if Obs.Events.is_active events then begin
-    if Obs.Histogram.enabled () then
+    if !Histogram.observing then
       List.iter
         (fun (name, h) ->
-          if Obs.Histogram.count h > 0 then
+          if Histogram.count h > 0 then
             Obs.Events.emit events "hist"
               [ ("name", Obs.Events.S name);
-                ("count", Obs.Events.I (Obs.Histogram.count h));
-                ("p50", Obs.Events.F (Obs.Histogram.quantile h 50.0));
-                ("p99", Obs.Events.F (Obs.Histogram.quantile h 99.0));
-                ("max", Obs.Events.F (Obs.Histogram.max_value h)) ])
-        (Obs.Histogram.snapshot ());
+                ("count", Obs.Events.I (Histogram.count h));
+                ("p50", Obs.Events.F (Histogram.quantile h 50.0));
+                ("p99", Obs.Events.F (Histogram.quantile h 99.0));
+                ("max", Obs.Events.F (Histogram.max_value h)) ])
+        (Histogram.snapshot ());
     Obs.Events.emit events "run_done"
       [ ("sigma", Obs.Events.F sol.Solution.sigma);
         ("finish", Obs.Events.F sol.Solution.finish) ]
   end
 
-let record_ledger ~dir ~path ~algo ~beta ~seed ~pool_n ~deadline ~polish
-    ~events_out ~wall_s ~events (sol : Solution.t) =
-  let curve = Obs.Profile.curve_of_events (Obs.Events.snapshot events) in
-  let spec =
-    { Obs.Ledger.tool = "basched";
-      label = algo;
-      instance = path;
-      instance_hash =
-        (try Digest.to_hex (Digest.file path) with Sys_error _ -> "");
-      model = "rakhmatov";
-      seed;
-      pool_size = pool_n;
-      knobs =
-        [ ("algo", algo);
-          ("beta", Printf.sprintf "%g" beta);
-          ("deadline", Printf.sprintf "%g" deadline);
-          ("polish", string_of_bool polish) ];
-      wall_s;
-      sigma = Some sol.Solution.sigma;
-      finish = Some sol.Solution.finish;
-      events_path = events_out;
-      curve }
-  in
-  match Obs.Ledger.record ~dir spec with
-  | Ok id -> Printf.printf "ledger: recorded %s in %s\n" id dir
-  | Error msg -> Printf.eprintf "basched: [warn] ledger write failed: %s\n" msg
-
 let run_file path deadline algo beta seed pool_n iterations chart polish
-    verbose stats trace_out events_out metrics_out ledger_opt dot_out =
-  Obs.Log.init_from_env ();
+    verbose telemetry events_out dot_out =
+  let session = Obs.Session.start telemetry in
   if verbose then Obs.Log.set_level Obs.Log.Debug;
-  let stats = stats || Obs.Log.env_stats () in
   let events_out =
     match events_out with
     | Some _ -> events_out
-    | None -> Obs.Log.env_opt "BATSCHED_EVENTS"
+    | None -> Obs.Session.env_opt "BATSCHED_EVENTS"
   in
-  let metrics_out =
-    match metrics_out with
-    | Some _ -> metrics_out
-    | None -> Obs.Log.env_opt "BATSCHED_METRICS"
-  in
-  let ledger_dir =
-    match ledger_opt with
-    | Some _ -> ledger_opt
-    | None -> Obs.Log.env_opt "BATSCHED_LEDGER"
-  in
-  (* Work counters are always on; an active sink additionally records
-     phase span timers for --stats and --trace. *)
-  let obs =
-    if stats || trace_out <> None then Obs.Sink.create ()
-    else Obs.Sink.noop
-  in
-  (* Histograms feed the --stats quantile block and the OpenMetrics
-     exposition; off otherwise (one branch per observation site). *)
-  if stats || metrics_out <> None then Obs.Histogram.enable ();
+  let obs = Obs.Session.sink session in
   match
     (try Ok (load_graph path) with
     | Textio.Parse_error { line; message }
@@ -191,10 +146,10 @@ let run_file path deadline algo beta seed pool_n iterations chart polish
         match events_out with
         | Some out -> Obs.Events.create out
         | None ->
-            if ledger_dir <> None then Obs.Events.create_memory ()
+            if Obs.Session.ledger session <> None then
+              Obs.Events.create_memory ()
             else Obs.Events.noop
       in
-      let wall0 = Unix.gettimeofday () in
       (* closed on every path so the records reach disk *)
       Fun.protect ~finally:(fun () -> Obs.Events.close events)
       @@ fun () ->
@@ -229,36 +184,32 @@ let run_file path deadline algo beta seed pool_n iterations chart polish
         in
         emit_terminal_records events sol;
         report ~chart g sol;
-        if stats then begin
-          print_newline ();
-          print_string (Obs.Report.to_string obs)
-        end;
-        (match trace_out with
-        | Some out ->
-            Obs.Trace.write obs out;
-            Printf.printf
-              "wrote trace to %s (load it in chrome://tracing or \
-               ui.perfetto.dev)\n"
-              out
-        | None -> ());
         (match events_out with
         | Some out ->
             Printf.printf
               "wrote convergence events to %s (render with basched report)\n"
               out
         | None -> ());
-        (match metrics_out with
-        | Some out ->
-            Obs.Openmetrics.write_file out;
-            Printf.printf "wrote OpenMetrics exposition to %s\n" out
-        | None -> ());
-        (match ledger_dir with
-        | Some dir ->
-            record_ledger ~dir ~path ~algo ~beta ~seed ~pool_n ~deadline
-              ~polish ~events_out
-              ~wall_s:(Unix.gettimeofday () -. wall0)
-              ~events sol
-        | None -> ());
+        Obs.Session.finish session ~manifest:(fun ~wall_s ->
+            { Obs.Ledger.tool = "basched";
+              label = algo;
+              instance = path;
+              instance_hash =
+                (try Digest.to_hex (Digest.file path) with Sys_error _ -> "");
+              model = "rakhmatov";
+              seed;
+              pool_size = pool_n;
+              knobs =
+                [ ("algo", algo);
+                  ("beta", Printf.sprintf "%g" beta);
+                  ("deadline", Printf.sprintf "%g" deadline);
+                  ("polish", string_of_bool polish) ];
+              wall_s;
+              sigma = Some sol.Solution.sigma;
+              finish = Some sol.Solution.finish;
+              events_path = events_out;
+              curve =
+                Obs.Profile.curve_of_events (Obs.Events.snapshot events) });
         Ok ()
       with
       | Batsched.Config.Deadline_unmeetable | Dp_energy.Infeasible
@@ -324,17 +275,6 @@ let iterations_arg =
   Arg.(value & flag
        & info [ "iterations" ] ~doc:"Print per-iteration details.")
 
-let stats_arg =
-  Arg.(value & flag
-       & info [ "stats" ]
-           ~doc:"Print a work-counter table and per-phase timing report.")
-
-let trace_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write a Chrome trace-event JSON file of the run \
-                 (chrome://tracing / Perfetto).")
-
 let events_arg =
   Arg.(value & opt (some string) None
        & info [ "events" ] ~docv:"FILE"
@@ -342,19 +282,6 @@ let events_arg =
                  anneal level / iteration / trial; see EXPERIMENTS.md for \
                  the schema).  Render with basched report, or tail live \
                  with basched watch.")
-
-let metrics_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics" ] ~docv:"FILE"
-           ~doc:"Write an OpenMetrics (Prometheus text format) exposition \
-                 of all counters, histograms and GC gauges after the run.")
-
-let ledger_arg =
-  Arg.(value & opt (some string) None
-       & info [ "ledger" ] ~docv:"DIR"
-           ~doc:"Record a run manifest (provenance, outcome, counters, \
-                 convergence curve) in this ledger directory.  Inspect \
-                 with basched runs / basched profile.")
 
 let chart_arg =
   Arg.(value & flag
@@ -737,11 +664,11 @@ let print_occupancy oc pool ~wall_s =
 let print_serve_quantiles oc d =
   let q, l = Serve.Daemon.histograms d in
   let line name h =
-    if Obs.Histogram.count h > 0 then
+    if Histogram.count h > 0 then
       Printf.fprintf oc "  %-12s p50 %8.2f ms   p99 %8.2f ms   (n=%d)\n" name
-        (Obs.Histogram.quantile h 50.0)
-        (Obs.Histogram.quantile h 99.0)
-        (Obs.Histogram.count h)
+        (Histogram.quantile h 50.0)
+        (Histogram.quantile h 99.0)
+        (Histogram.count h)
   in
   Printf.fprintf oc "\nrequest latency:\n";
   line "queue delay" q;
@@ -769,7 +696,7 @@ let serve_main fixture pool_n capacity terminal_only stats metrics_out gen
   end
   else if capacity < 1 then Error "--queue needs a positive capacity"
   else begin
-    if stats || metrics_out <> None then Obs.Histogram.enable ();
+    if stats || metrics_out <> None then Histogram.enable ();
     let pool = Batsched_numeric.Pool.create (Stdlib.max 1 pool_n) in
     Fun.protect ~finally:(fun () -> Batsched_numeric.Pool.shutdown pool)
     @@ fun () ->
@@ -834,16 +761,16 @@ let run_term =
   Term.(
     const
       (fun file deadline algo beta seed pool iterations chart polish verbose
-           stats trace events metrics ledger dot ->
+           telemetry events dot ->
         match
           run_file file deadline algo beta seed pool iterations chart polish
-            verbose stats trace events metrics ledger dot
+            verbose telemetry events dot
         with
         | Ok () -> `Ok ()
         | Error msg -> `Error (false, msg))
     $ file_arg $ deadline_arg $ algo_arg $ beta_arg $ seed_arg $ pool_arg
-    $ iterations_arg $ chart_arg $ polish_arg $ verbose_arg $ stats_arg
-    $ trace_arg $ events_arg $ metrics_arg $ ledger_arg $ dot_arg)
+    $ iterations_arg $ chart_arg $ polish_arg $ verbose_arg
+    $ Obs.Session.flags $ events_arg $ dot_arg)
 
 let ret_of = function Ok () -> `Ok () | Error msg -> `Error (false, msg)
 
@@ -991,7 +918,8 @@ let serve_cmd =
                (serve_main fixture pool capacity terminal_only stats metrics
                   gen soak json seed))
         $ fixture_arg $ serve_pool_arg $ queue_arg $ terminal_only_arg
-        $ stats_arg $ metrics_arg $ gen_arg $ soak_arg $ json_arg $ seed_arg))
+        $ Obs.Session.stats_arg $ Obs.Session.metrics_arg $ gen_arg $ soak_arg
+        $ json_arg $ seed_arg))
 
 let run_cmd =
   let doc =

@@ -15,10 +15,11 @@ exception Too_large
 (** The instance exceeds the enumeration budgets. *)
 
 val run :
-  ?max_assignments:int -> ?max_orders:int -> model:Model.t -> Graph.t ->
-  deadline:float -> Solution.t
+  ?max_assignments:int -> model:Model.t -> Graph.t -> deadline:float ->
+  Solution.t
 (** [run ~model g ~deadline] returns the minimum-sigma feasible
-    schedule.  Budgets default to 200_000 assignments and 5_000 orders.
+    schedule.  Budgets: 200_000 assignments by default, and 5_000
+    orders.
     @raise Too_large before doing any work if [m^n] or the number of
     linearizations exceeds its budget; @raise Infeasible if no
     assignment fits the deadline. *)

@@ -566,8 +566,8 @@ let commit t =
   if t.commits >= resum_every t then begin
     (* batch size distribution: commits absorbed between full
        re-summations (the compensated-sum refresh cadence) *)
-    if !Probe.observing then
-      Probe.observe "delta/commit_batch" (float_of_int t.commits);
+    if !Histogram.observing then
+      Histogram.observe "delta/commit_batch" (float_of_int t.commits);
     resum t
   end
 

@@ -38,8 +38,10 @@ let gapped_profile g (sched : Schedule.t) gaps =
   in
   Profile.of_intervals (List.rev triples)
 
-let optimize ?(chunks = 16) (cfg : Config.t) g sched =
-  if chunks < 1 then invalid_arg "Idle.optimize: chunks < 1";
+(* granules the slack is split into *)
+let chunks = 16
+
+let optimize (cfg : Config.t) g sched =
   let d = cfg.Config.deadline in
   let finish = Schedule.finish_time g sched in
   if finish > d +. 1e-9 then

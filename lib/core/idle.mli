@@ -35,15 +35,13 @@ val peak_sigma : Model.t -> Profile.t -> float
 (** Largest sigma over the profile's duration (evaluated at every
     interval end, where local maxima live; 0 for the empty profile). *)
 
-val optimize :
-  ?chunks:int -> Config.t -> Graph.t -> Schedule.t -> result
+val optimize : Config.t -> Graph.t -> Schedule.t -> result
 (** [optimize cfg g sched] distributes [deadline - finish_time] as idle
-    gaps, in [chunks] granules (default 16), greedily placing each
+    gaps, in 16 granules, greedily placing each
     granule where it lowers the sigma peak most; granules that no
     longer help are left unplaced.  The gapped schedule never exceeds
     the deadline and never reorders tasks.
-    @raise Invalid_argument if the schedule misses the deadline or
-    [chunks < 1]. *)
+    @raise Invalid_argument if the schedule misses the deadline. *)
 
 val survivable_alphas : result -> float * float
 (** [(lo, hi)] = [(peak_gapped, peak_packed)]: any battery capacity

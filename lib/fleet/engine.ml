@@ -14,7 +14,7 @@ let run ?(pool = Pool.sequential) ?(events = Events.noop) ?(block = 256)
   let mutex = Mutex.create () in
   let completed = ref 0 in
   let events_on = Events.is_active events in
-  let hist_on = Histogram.enabled () in
+  let hist_on = !Histogram.observing in
   Pool.for_range pool ~n:devices (fun lo hi ->
       let acc = Survival.create ~horizon:spec.Spec.horizon ~models:labels in
       let probe = Probe.local () in

@@ -264,8 +264,8 @@ let store t slot src j =
    lookup); inserts happen once per genuine miss, where one guarded
    observe call is noise. *)
 let[@inline] observe_probe_len i =
-  if !Probe.observing then
-    Probe.observe "fcache/probe_len" (float_of_int i)
+  if !Histogram.observing then
+    Histogram.observe "fcache/probe_len" (float_of_int i)
 
 (* Insert the scratch key with value [src.(j)].  [add_probe] is a
    top-level function, like the lookup loop, so an insert builds no

@@ -8,12 +8,10 @@
    merging is element-wise addition, so merged results are independent
    of merge order and of which domain recorded what.
 
-   The registry mirrors [Sink]'s shard discipline: recordings go to a
-   per-domain shard (no locks on the record path beyond one Hashtbl
-   probe), and shards merge into the global table when a
-   [Batsched_numeric.Pool] worker finishes its slice ([Sink]'s worker
-   hooks call {!flush_local}) or when the main domain takes a
-   {!snapshot}. *)
+   The registry keeps a per-domain shard (no locks on the record path
+   beyond one Hashtbl probe); shards merge into the global table when a
+   [Pool] worker leaves its region or job, which drains its [Probe]
+   counters at the same point, or when a domain takes a {!snapshot}. *)
 
 let sub_count = 16
 
@@ -137,9 +135,13 @@ let nonzero_buckets h =
 
 (* --- named registry with per-domain shards --- *)
 
-let enabled_flag = Atomic.make false
+(* A plain ref, so a disabled observation site costs one load and a
+   branch: it only changes between runs, from the main domain. *)
+let observing = ref false
 
-let enabled () = Atomic.get enabled_flag
+let enable () = observing := true
+
+let disable () = observing := false
 
 type shard = (string, t) Hashtbl.t
 
@@ -150,7 +152,7 @@ let merged : (string, t) Hashtbl.t = Hashtbl.create 16
 
 let merged_mutex = Mutex.create ()
 
-let flush_local () =
+let drain_local () =
   let shard = Domain.DLS.get shard_key in
   if Hashtbl.length shard > 0 then begin
     Mutex.lock merged_mutex;
@@ -165,7 +167,7 @@ let flush_local () =
   end
 
 let observe name v =
-  if Atomic.get enabled_flag then begin
+  if !observing then begin
     let shard = Domain.DLS.get shard_key in
     let h =
       match Hashtbl.find_opt shard name with
@@ -178,24 +180,8 @@ let observe name v =
     record h v
   end
 
-(* [Sink] owns the [Pool] worker hooks (one global pair); it registers
-   an installer here at module-init time so {!enable} can force the
-   hooks without a dependency cycle. *)
-let pool_hook_installer = ref (fun () -> ())
-
-let set_pool_hook_installer f = pool_hook_installer := f
-
-let enable () =
-  Atomic.set enabled_flag true;
-  Batsched_numeric.Probe.set_observer observe;
-  !pool_hook_installer ()
-
-let disable () =
-  Atomic.set enabled_flag false;
-  Batsched_numeric.Probe.clear_observer ()
-
 let snapshot () =
-  flush_local ();
+  drain_local ();
   Mutex.lock merged_mutex;
   let out = Hashtbl.fold (fun name h acc -> (name, copy h) :: acc) merged [] in
   Mutex.unlock merged_mutex;

@@ -5,17 +5,16 @@
     enough for nanosecond latencies and batch counts alike without
     configuration.  Merging adds bucket counts element-wise, so totals
     are independent of merge order and of which domain observed what:
-    the same determinism argument as [Batsched_numeric.Probe].
+    the same determinism argument as {!Probe}.
 
     {2 Registry}
 
     Hot paths do not hold histogram values; they call {!observe} with a
     metric name, which records into a per-domain shard (lock-free on
-    the record path).  Shards merge into a global table when a
-    [Batsched_numeric.Pool] worker finishes ([Sink]'s worker hooks call
-    {!flush_local}) and when {!snapshot} runs.  The registry is off by
-    default; {!enable} also installs the [Probe.observe] forwarding
-    hook so numeric/battery-layer observations flow here. *)
+    the record path).  {!Pool} drains a worker's shard into a global
+    table when the worker leaves a parallel region or job, beside its
+    {!Probe} counters, and {!snapshot} drains the calling domain.  The
+    registry is off by default. *)
 
 type t
 
@@ -61,32 +60,31 @@ val nonzero_buckets : t -> (int * int) list
 
 (** {2 Named registry with per-domain shards} *)
 
+val observing : bool ref
+(** Whether the registry records.  An observation site tests it before
+    calling {!observe}, so a disabled site costs one load and a branch:
+    no call, no boxed float.  Read, never write. *)
+
 val enable : unit -> unit
-(** Turn the registry on, install the [Probe] observer hook, and force
-    [Sink]'s pool worker hooks so shards flush at joins. *)
+(** Turn the registry on. *)
 
 val disable : unit -> unit
-(** Turn the registry off and remove the [Probe] hook.  Recorded data
-    is kept until {!reset}. *)
-
-val enabled : unit -> bool
+(** Turn the registry off.  Recorded data is kept until {!reset}. *)
 
 val observe : string -> float -> unit
 (** Record [v] under [name] in the calling domain's shard.  No-op when
     the registry is disabled. *)
 
-val flush_local : unit -> unit
+val drain_local : unit -> unit
 (** Merge the calling domain's shard into the global table and clear
-    it.  Called by [Sink]'s pool worker hooks; safe to call anywhere. *)
+    it.  Called by [Pool] workers when they leave a region or job; safe
+    to call anywhere. *)
 
 val snapshot : unit -> (string * t) list
-(** Flush the calling domain, then return a deep copy of the merged
-    table sorted by name.  Worker-domain shards are already merged at
-    pool joins, so after the pool quiesces this is complete. *)
+(** Drain the calling domain, then return a deep copy of the merged
+    table sorted by name.  Worker-domain shards are already merged when
+    their region or job ends, so after the pool quiesces this is
+    complete. *)
 
 val reset : unit -> unit
 (** Drop all recorded data (calling domain's shard + merged table). *)
-
-val set_pool_hook_installer : (unit -> unit) -> unit
-(** Used by [Sink] at module-init to let {!enable} force the pool
-    worker hooks without a dependency cycle.  Not for end users. *)

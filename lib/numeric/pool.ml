@@ -30,8 +30,8 @@ type worker_stat = { items : int; chunks : int; jobs : int; busy_s : float }
    executes a half-open index range, catching item exceptions into the
    caller's result buffer; [next] is the first unclaimed index;
    [participants] counts helpers checked in (guarded by the executor's
-   [mu]), so the caller can wait for their Probe drains and obs hooks
-   before returning. *)
+   [mu]), so the caller can wait for their telemetry drains before
+   returning. *)
 type region = {
   run_span : int -> int -> unit;
   n : int;
@@ -90,18 +90,6 @@ let current_worker : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
 
 let worker_index () = Domain.DLS.get current_worker
 
-(* Observability hooks, run inside each worker domain around its share
-   of a parallel region or a submitted job.  [Batsched_obs.Sink]
-   installs hooks that tag the worker's trace track and flush its span
-   buffer at region joins; the default hooks do nothing. *)
-let worker_start : (int -> unit) ref = ref (fun _ -> ())
-
-let worker_finish : (int -> unit) ref = ref (fun _ -> ())
-
-let set_worker_hooks ~on_start ~on_finish =
-  worker_start := on_start;
-  worker_finish := on_finish
-
 (* Test-only: an injected delay run before each chunk, to dilate chunk
    execution enough that helpers reliably interleave even on few
    cores. *)
@@ -129,16 +117,15 @@ let rec take_budget want =
 
 let now () = Unix.gettimeofday ()
 
-(* Enter and leave a region or job on slot [w]; leaving banks this
-   domain's Probe counters and lets the observability layer flush. *)
+(* Enter and leave a region or job on slot [w]; leaving drains this
+   domain's Probe counters and Histogram shard. *)
 let enter w =
   Domain.DLS.set inside_region true;
-  Domain.DLS.set current_worker w;
-  !worker_start w
+  Domain.DLS.set current_worker w
 
-let leave w =
+let leave () =
   Probe.drain_local ();
-  !worker_finish w;
+  Histogram.drain_local ();
   Domain.DLS.set current_worker 0;
   Domain.DLS.set inside_region false
 
@@ -171,10 +158,10 @@ let run_chunks ex w r =
   !busy
 
 let observe_occupancy r busy =
-  if !Probe.observing then begin
+  if !Histogram.observing then begin
     let wall = now () -. r.t0 in
     if wall > 0.0 then
-      Probe.observe "pool/occupancy" (Float.min 1.0 (busy /. wall))
+      Histogram.observe "pool/occupancy" (Float.min 1.0 (busy /. wall))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -184,7 +171,7 @@ let helper_loop ex w =
   let join r =
     enter w;
     observe_occupancy r (run_chunks ex w r);
-    leave w
+    leave ()
   in
   let run_job job =
     let st = ex.stats.(w) in
@@ -195,7 +182,7 @@ let helper_loop ex w =
        dropped rather than tearing the helper down *)
     (try job () with _ -> ());
     st.st_busy_s <- st.st_busy_s +. (now () -. t1);
-    leave w
+    leave ()
   in
   (* a region with unclaimed chunks comes first: its caller is
      blocked on it, while a job's submitter is not *)
@@ -331,7 +318,7 @@ let run_region ex ~n ~run_span =
   in
   Fun.protect
     ~finally:(fun () ->
-      leave 0;
+      leave ();
       Mutex.unlock ex.region_lock)
     (fun () ->
       enter 0;

@@ -92,12 +92,13 @@ val with_pool : int -> (t -> 'a) -> 'a
     [map_array]/[map_list]/[for_range] count every item into
     {!Probe.pool_tasks} and every region that actually fans out into
     {!Probe.pool_regions}; chunks claimed by helper domains (not the
-    calling domain) count into {!Probe.pool_steals}.  Each participating worker
-    {!Probe.drain_local}s its counters before the region join (and
-    after each job), so per-domain work counts are always visible in
-    {!Probe.totals} when a region or job has completed.  When
-    {!Probe.observing} is on, every participant also observes its
-    busy-fraction for the region as ["pool/occupancy"]. *)
+    calling domain) count into {!Probe.pool_steals}.  Each participating
+    worker drains its {!Probe} counters and {!Histogram} shard before
+    the region join (and after each job), so both are complete in
+    {!Probe.totals} and {!Histogram.snapshot} once a region or job has
+    completed.  When {!Histogram.observing} is on, every participant
+    also observes its busy-fraction for the region as
+    ["pool/occupancy"]. *)
 
 type worker_stat = {
   items : int;  (** region items executed by this slot *)
@@ -121,18 +122,6 @@ val worker_index : unit -> int
 (** The calling domain's worker slot within the current parallel
     region or job ([0] = the calling domain), [0] outside any region.
     Used to tag telemetry records with which worker produced them. *)
-
-val set_worker_hooks :
-  on_start:(int -> unit) -> on_finish:(int -> unit) -> unit
-(** Install hooks run {e inside} each worker domain around its share of
-    a parallel region or job: [on_start w] before it first executes,
-    [on_finish w] when it runs out of region work (also on exception),
-    where [w] is the worker slot ([0] = the calling domain).  A
-    helper joins a region at most once, and only while it still has
-    unclaimed chunks.  One global hook
-    pair; installing replaces the previous one.  Used by
-    [Batsched_obs.Sink] to tag trace tracks and flush span buffers —
-    library users normally never call this. *)
 
 val set_task_delay : (unit -> unit) option -> unit
 (** Test-only: run the given thunk before every chunk execution, on

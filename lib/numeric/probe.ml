@@ -153,26 +153,6 @@ let fields =
     ("pool_tasks", fun c -> c.pool_tasks);
     ("pool_steals", fun c -> c.pool_steals) ]
 
-(* Distribution observer: hot paths hand scalar observations (Fcache
-   probe lengths, delta commit batch sizes, ...) to whoever installed
-   the hook — [Batsched_obs.Histogram] in practice — so this library
-   never depends on the observability layer.  Call sites guard on
-   [observing] first: disabled cost is one load and a branch, and the
-   float argument is never boxed. *)
-let observing = ref false
-
-let observer : (string -> float -> unit) ref = ref (fun _ _ -> ())
-
-let set_observer f =
-  observer := f;
-  observing := true
-
-let clear_observer () =
-  observing := false;
-  observer := (fun _ _ -> ())
-
-let observe name v = if !observing then !observer name v
-
 (* Per-domain accumulator.  Bumps are plain mutable-field increments on
    the calling domain's record: no locks, no atomics, nothing shared on
    the hot path. *)

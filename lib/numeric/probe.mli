@@ -10,7 +10,9 @@
 
     {!Pool}'s helper domains are persistent, so every domain that takes
     part in a parallel region or runs a job {!drain_local}s its record
-    into a global accumulator when its share ends.  Integer addition
+    into a global accumulator when its share ends — the one drain
+    point, where [Pool] also drains the domain's {!Histogram} shard.
+    Integer addition
     commutes: the merged totals are independent of worker scheduling
     and join order.  The pure work counters ([sigma_evals],
     [dpf_steps], [window_evals], ...) and the top-level contribution
@@ -22,7 +24,9 @@
 
     Counters are process-global, not per-run: call {!reset} before a
     run you want to attribute counts to.  [Batsched_obs.Report] renders
-    them; the bench harness snapshots them into its [--json] rows. *)
+    them; the bench harness snapshots them into its [--json] rows.
+    Value distributions (Fcache probe lengths, delta commit batch sizes)
+    go to {!Histogram}'s registry instead. *)
 
 type t = {
   mutable sigma_evals : int;      (** RV sigma evaluations *)
@@ -93,27 +97,3 @@ val named_counts : t -> (string * int) list
 (** The named counters sorted by key (the assoc list itself carries
     keys in first-bump order, which is not stable across pool
     schedules). *)
-
-(** {2 Distribution observations}
-
-    Counters summarize totals; some hot paths additionally want value
-    {e distributions} (Fcache probe lengths, delta commit batch
-    sizes).  They report through this hook, which the observability
-    layer ([Batsched_obs.Histogram]) installs — keeping this library
-    free of an obs dependency.  Sites must guard with [!observing]
-    before calling {!observe}, so the disabled cost is one load and a
-    branch (no float boxing, no call). *)
-
-val observing : bool ref
-(** Whether an observer is installed.  Read, never write. *)
-
-val observe : string -> float -> unit
-(** [observe name v] forwards [v] to the installed observer under the
-    metric [name].  A no-op (after one branch) when no observer is
-    installed. *)
-
-val set_observer : (string -> float -> unit) -> unit
-(** Install the observation consumer and raise {!observing}. *)
-
-val clear_observer : unit -> unit
-(** Remove the consumer and lower {!observing}. *)

@@ -9,19 +9,18 @@
 
    Three sinks share that protocol:
 
-   - [create path] (live): each record is additionally rendered and
+   - [create path]: each record is additionally rendered and
      flushed to [path] at emission, so an external tailer ([basched
      watch], `tail -f`) sees the stream while the run is in flight.
      Line writes happen whole under the mutex, so a reader can at worst
      observe one torn trailing line mid-[output], never an interleaved
      one.  Rendering costs ~1us per record, which the rare emission
      sites absorb.
-   - [create ~live:false path] (buffered): the PR-7 behavior — records
-     cons in memory and render once at {!close}.  For benchmarking the
-     emission path itself.
    - [create_memory ()]: no file at all; the records exist only for
      {!snapshot}.  The run ledger uses this to extract a convergence
      curve when the caller did not ask for an events file.
+   - [create_channel oc]: rendered live to a borrowed channel and not
+     retained — [basched serve]'s response stream.
 
    Memory stays bounded by the record count: tens to a few thousand
    per run, never per-evaluation.  Like [Sink], the noop value makes
@@ -38,7 +37,6 @@ type record = {
 }
 
 type mode =
-  | Buffered of out_channel
   | Live of out_channel
   | Memory
   | Stream of out_channel
@@ -71,9 +69,7 @@ let make mode =
       seq = 0;
       records = [] }
 
-let create ?(live = true) path =
-  let oc = open_out path in
-  make (if live then Live oc else Buffered oc)
+let create path = make (Live (open_out path))
 
 let create_memory () = make Memory
 
@@ -148,14 +144,14 @@ let emit_st st kind fields =
   let r = { seq; t_ns; kind; fields } in
   (match st.mode with
   | Stream _ -> () (* unbounded daemons: render only, retain nothing *)
-  | Buffered _ | Live _ | Memory -> st.records <- r :: st.records);
+  | Live _ | Memory -> st.records <- r :: st.records);
   (match st.mode with
   | Live oc | Stream oc ->
       let buf = Buffer.create 128 in
       render buf r;
       Buffer.output_buffer oc buf;
       flush oc
-  | Buffered _ | Memory -> ());
+  | Memory -> ());
   Mutex.unlock st.mutex
 
 let emit t kind fields =
@@ -178,14 +174,4 @@ let close = function
       match st.mode with
       | Memory -> ()
       | Stream oc -> flush oc (* borrowed channel: the caller closes it *)
-      | Live oc -> close_out oc
-      | Buffered oc ->
-          let records = List.rev st.records in
-          let buf = Buffer.create 256 in
-          List.iter
-            (fun r ->
-              Buffer.clear buf;
-              render buf r;
-              Buffer.output_buffer oc buf)
-            records;
-          close_out oc)
+      | Live oc -> close_out oc)

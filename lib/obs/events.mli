@@ -7,7 +7,7 @@
     EXPERIMENTS.md; [basched report] renders a stream into a summary
     table and [basched watch] tails one live.
 
-    The default stream is {e live}: every record is written (one whole
+    A file stream is {e live}: every record is written (one whole
     line, under the stream mutex, flushed) at emission, so an external
     tailer sees convergence while the run is in flight — at worst it
     observes one torn trailing line mid-write, never interleaved ones.
@@ -35,10 +35,9 @@ val now_ns : unit -> int64
 (** The stream's monotonic clock, for callers that want to attach
     duration fields consistent with [t_ns]. *)
 
-val create : ?live:bool -> string -> t
-(** [create path] opens (truncates) [path] for writing.  With
-    [~live:true] (the default) records reach the file as they are
-    emitted; with [~live:false] everything renders once at {!close}.
+val create : string -> t
+(** [create path] opens (truncates) [path] for writing; records reach
+    the file as they are emitted.
     @raise Sys_error if the file cannot be opened. *)
 
 val create_memory : unit -> t
@@ -71,5 +70,5 @@ val snapshot : t -> record list
 
 val close : t -> unit
 (** Flush and close the underlying channel (no-op for
-    {!create_memory} streams).  Required for buffered records to reach
-    disk; double-close raises like [close_out] does. *)
+    {!create_memory} streams); double-close raises like [close_out]
+    does. *)

@@ -30,19 +30,8 @@ val set_output : (string -> unit) -> unit
 
 val init_from_env : unit -> unit
 (** Apply [BATSCHED_LOG] (a level name) if set; warns on stderr for an
-    unrecognized value.  Binaries call this at startup so cram tests
-    and CI can enable telemetry without flags. *)
-
-val env_stats : unit -> bool
-(** Whether [BATSCHED_STATS] is set to [1] or [true] — binaries treat
-    it as an implicit [--stats]. *)
-
-val env_opt : string -> string option
-(** The environment variable's value, with set-but-empty normalized to
-    [None] — so [BATSCHED_EVENTS= cmd] cancels an exported value
-    rather than naming a file [""].  Binaries use this for the
-    [BATSCHED_EVENTS] / [BATSCHED_METRICS] / [BATSCHED_LEDGER]
-    equivalents of [--events] / [--metrics] / [--ledger]. *)
+    unrecognized value.  {!Session.start} calls this, so cram tests
+    and CI can raise the level without flags. *)
 
 val err : (unit -> string) -> unit
 val warn : (unit -> string) -> unit

@@ -9,6 +9,8 @@
    cumulative with increasing [le] plus a [+Inf] bucket equal to
    [_count], and the exposition ends with [# EOF]. *)
 
+module Histogram = Batsched_numeric.Histogram
+
 let sanitize name =
   String.map
     (fun c ->

@@ -234,7 +234,9 @@ let resample state arr =
   let n = Array.length arr in
   List.init n (fun _ -> arr.(rand_below state n))
 
-let dominance ?(resamples = 400) ?(seed = 0x5eed) a b =
+let resamples = 400
+
+let dominance ?(seed = 0x5eed) a b =
   let xs = grid (a @ b) in
   let state = Batsched_numeric.Splitmix.of_raw (Int64.of_int seed) in
   let a_arr = Array.of_list a and b_arr = Array.of_list b in

@@ -61,10 +61,10 @@ type verdict = {
   resamples : int;
 }
 
-val dominance : ?resamples:int -> ?seed:int -> run list -> run list -> verdict
+val dominance : ?seed:int -> run list -> run list -> verdict
 (** Bootstrap comparison of two cohorts' anytime scores (mean median
-    quality over the shared grid; lower is better).  Fixed [seed]
-    makes the verdict a pure function of the inputs. *)
+    quality over the shared grid; lower is better) over 400 resamples.
+    Fixed [seed] makes the verdict a pure function of the inputs. *)
 
 val compare_to_string :
   ?axis:axis ->

@@ -59,29 +59,21 @@ let add_phases buf spans =
         "phase" "count" "total ms" "mean" "p50" "p90" "max" "kw/call";
       List.iter
         (fun (name, (ds, ws)) ->
-          (* a phase can legitimately have zero completed spans (its
-             sink was superseded mid-run): render a stub row instead of
-             tripping Stats.percentile's nonempty precondition *)
-          if ds = [] then
-            Printf.bprintf buf "%-*s %7d %12s (no completed spans)\n" width
-              name 0 "-"
-          else begin
-            let total = List.fold_left ( +. ) 0.0 ds in
-            let _, max_d = Stats.min_max ds in
-            let share =
-              if grand_total > 0.0 then total /. grand_total else 0.0
-            in
-            let bar =
-              String.make
-                (int_of_float (Float.round (share *. 24.0)))
-                '#'
-            in
-            Printf.bprintf buf
-              "%-*s %7d %12.3f %10.3f %10.3f %10.3f %10.3f %10.1f  %s\n" width
-              name (List.length ds) total (Stats.mean ds) (Stats.median ds)
-              (Stats.percentile 90.0 ds) max_d
-              (Stats.mean ws /. 1e3) bar
-          end)
+          (* [by_phase] only lists phases with a span, so [ds] is never
+             empty *)
+          let total = List.fold_left ( +. ) 0.0 ds in
+          let _, max_d = Stats.min_max ds in
+          let share =
+            if grand_total > 0.0 then total /. grand_total else 0.0
+          in
+          let bar =
+            String.make (int_of_float (Float.round (share *. 24.0))) '#'
+          in
+          Printf.bprintf buf
+            "%-*s %7d %12.3f %10.3f %10.3f %10.3f %10.3f %10.1f  %s\n" width
+            name (List.length ds) total (Stats.mean ds) (Stats.median ds)
+            (Stats.percentile 90.0 ds) max_d
+            (Stats.mean ws /. 1e3) bar)
         phases
 
 (* Histogram quantiles, when the registry is on: latency and batch-size

@@ -9,7 +9,7 @@ type span = {
 type state = {
   mutex : Mutex.t;
   epoch_ns : int64;
-  mutable merged : span list;
+  mutable spans : span list;
 }
 
 type t = Noop | Active of state
@@ -18,65 +18,16 @@ let noop = Noop
 
 let is_active = function Noop -> false | Active _ -> true
 
-(* Per-domain span buffer: spans are recorded locally (no locks on the
-   hot path) and batch-merged under the sink mutex when the domain
-   leaves its pool region (or at export, for the main domain). *)
-type buffer = { mutable spans : span list; mutable track : int }
-
-let buffer_key : buffer Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { spans = []; track = 0 })
-
-(* The sink pool-worker hooks flush into.  [Pool] hooks are global and
-   worker domains carry no sink reference, so only one sink can collect
-   spans at a time: [create] supersedes the previous one (whose already
-   merged spans stay readable). *)
-let ambient : t Atomic.t = Atomic.make Noop
-
-let flush_local st =
-  let b = Domain.DLS.get buffer_key in
-  match b.spans with
-  | [] -> ()
-  | spans ->
-      Mutex.lock st.mutex;
-      st.merged <- List.rev_append spans st.merged;
-      Mutex.unlock st.mutex;
-      b.spans <- []
-
-let pool_hooks =
-  lazy
-    (Batsched_numeric.Pool.set_worker_hooks
-       ~on_start:(fun w -> (Domain.DLS.get buffer_key).track <- w)
-       ~on_finish:(fun _ ->
-         (match Atomic.get ambient with
-         | Noop -> (Domain.DLS.get buffer_key).spans <- []
-         | Active st -> flush_local st);
-         (* histogram shards follow the same join discipline as spans *)
-         Histogram.flush_local ();
-         (Domain.DLS.get buffer_key).track <- 0))
-
-(* Let [Histogram.enable] force these hooks without depending on this
-   module (which depends on it). *)
-let () = Histogram.set_pool_hook_installer (fun () -> Lazy.force pool_hooks)
-
 let create () =
-  Lazy.force pool_hooks;
-  let st =
-    { mutex = Mutex.create ();
-      epoch_ns = Monotonic_clock.now ();
-      merged = [] }
-  in
-  (* Drop any spans a superseded sink left unflushed in this domain so
-     they cannot leak into the new sink's merge. *)
-  (Domain.DLS.get buffer_key).spans <- [];
-  let t = Active st in
-  Atomic.set ambient t;
-  t
+  Active
+    { mutex = Mutex.create (); epoch_ns = Monotonic_clock.now (); spans = [] }
 
+(* A span goes straight to the sink it was recorded on, under its
+   mutex, tagged with the recording domain's pool slot. *)
 let with_span t name f =
   match t with
   | Noop -> f ()
-  | Active _ ->
-      let b = Domain.DLS.get buffer_key in
+  | Active st ->
       let w0 = Gc.minor_words () in
       let t0 = Monotonic_clock.now () in
       Fun.protect
@@ -84,12 +35,16 @@ let with_span t name f =
           let t1 = Monotonic_clock.now () in
           let w1 = Gc.minor_words () in
           let dur_ns = Int64.sub t1 t0 in
-          b.spans <-
-            { track = b.track; name; start_ns = t0; dur_ns;
-              alloc_words = w1 -. w0 }
-            :: b.spans;
-          if Histogram.enabled () then
-            Histogram.observe ("span/" ^ name) (Int64.to_float dur_ns))
+          let s =
+            { track = Batsched_numeric.Pool.worker_index (); name;
+              start_ns = t0; dur_ns; alloc_words = w1 -. w0 }
+          in
+          Mutex.lock st.mutex;
+          st.spans <- s :: st.spans;
+          Mutex.unlock st.mutex;
+          if !Batsched_numeric.Histogram.observing then
+            Batsched_numeric.Histogram.observe ("span/" ^ name)
+              (Int64.to_float dur_ns))
         f
 
 let compare_span (a : span) (b : span) =
@@ -108,13 +63,9 @@ let spans t =
   match t with
   | Noop -> []
   | Active st ->
-      (* Flush this domain's buffer only if [t] is still the ambient
-         sink — once superseded by a later [create], the buffer holds
-         the {e new} sink's spans and must not leak into this one. *)
-      if Atomic.get ambient == t then flush_local st;
       Mutex.lock st.mutex;
-      let merged = st.merged in
+      let spans = st.spans in
       Mutex.unlock st.mutex;
-      List.sort compare_span merged
+      List.sort compare_span spans
 
 let epoch_ns = function Noop -> 0L | Active st -> st.epoch_ns

@@ -2,19 +2,16 @@
 
     A sink is either {!noop} — every {!with_span} call reduces to one
     branch and a direct call, no clock reads, no allocation — or active,
-    in which case spans are stamped with the monotonic clock and
-    recorded in a {e per-domain} buffer (no locks on the hot path).
+    in which case spans are stamped with the monotonic clock and added
+    to the sink's own list under its mutex, tagged with the recording
+    domain's {!Batsched_numeric.Pool.worker_index}.  A span therefore
+    belongs to the sink it was recorded on, whichever domain recorded
+    it and however many sinks are alive; nothing is buffered per domain
+    and nothing needs flushing at pool joins.
 
-    Buffers merge into the sink when a {!Batsched_numeric.Pool} worker
-    finishes its slice (hooks installed on first {!create}) and when the
-    main domain calls {!spans}; the merge is batched under one mutex.
     Timing never feeds back into the computation, so instrumented runs
     return bit-identical schedules and sigma — property-tested in
-    [test/test_obs.ml].
-
-    Only one sink collects at a time: worker domains reach the sink
-    through an ambient reference, which {!create} supersedes.  Spans a
-    superseded sink already merged remain readable through it. *)
+    [test/test_obs.ml]. *)
 
 type span = {
   track : int;        (** pool worker index; [0] is the main domain *)
@@ -33,9 +30,8 @@ val noop : t
 (** The disabled sink: {!with_span} is a tail call to the thunk. *)
 
 val create : unit -> t
-(** A fresh active sink, installed as the collector for subsequent
-    spans (superseding any previous sink).  Records its creation time
-    as the trace epoch. *)
+(** A fresh active sink.  Records its creation time as the trace
+    epoch. *)
 
 val is_active : t -> bool
 (** [false] exactly for {!noop}. *)
@@ -45,9 +41,9 @@ val with_span : t -> string -> (unit -> 'a) -> 'a
     [name] span around the call (also when [f] raises). *)
 
 val spans : t -> span list
-(** All merged spans, sorted by track, then start time, then duration
-    decreasing (an enclosing span precedes children sharing its start).
-    Empty for {!noop}.  Flushes the calling domain's buffer first. *)
+(** All spans recorded on the sink so far, sorted by track, then start
+    time, then duration decreasing (an enclosing span precedes children
+    sharing its start).  Empty for {!noop}. *)
 
 val epoch_ns : t -> int64
 (** The sink's creation timestamp — the zero point of trace export.

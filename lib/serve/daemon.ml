@@ -2,10 +2,9 @@ open Batsched_taskgraph
 open Batsched_sched
 open Batsched_baselines
 module Pool = Batsched_numeric.Pool
-module Probe = Batsched_numeric.Probe
 module Rng = Batsched_numeric.Rng
 module Events = Batsched_obs.Events
-module Histogram = Batsched_obs.Histogram
+module Histogram = Batsched_numeric.Histogram
 
 exception Cancelled
 
@@ -154,7 +153,8 @@ let run_request d (req : Request.t) token ~arrival =
   Mutex.lock d.mu;
   Histogram.record d.queue_delay_ms queue_ms;
   Mutex.unlock d.mu;
-  if !Probe.observing then Probe.observe "serve/queue_delay_ms" queue_ms;
+  if !Histogram.observing then
+    Histogram.observe "serve/queue_delay_ms" queue_ms;
   let wall_ms () = (now () -. t_start) *. 1000.0 in
   let tag = ("req", Events.S req.id) in
   let bump =
@@ -182,7 +182,7 @@ let run_request d (req : Request.t) token ~arrival =
         fun d -> d.n_errors <- d.n_errors + 1
   in
   let lat = wall_ms () +. queue_ms in
-  if !Probe.observing then Probe.observe "serve/latency_ms" lat;
+  if !Histogram.observing then Histogram.observe "serve/latency_ms" lat;
   (* latency must land before [finish] broadcasts, or [drain] can
      observe inflight = 0 while the last sample is still in flight *)
   finish d req.id (fun d ->

@@ -85,6 +85,7 @@ val run_channel : t -> in_channel -> counts
 
 val counts : t -> counts
 
-val histograms : t -> Batsched_obs.Histogram.t * Batsched_obs.Histogram.t
+val histograms :
+  t -> Batsched_numeric.Histogram.t * Batsched_numeric.Histogram.t
 (** Copies of the (queueing-delay, end-to-end-latency) histograms, in
     milliseconds. *)

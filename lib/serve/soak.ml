@@ -1,7 +1,7 @@
 module Pool = Batsched_numeric.Pool
 module Rng = Batsched_numeric.Rng
 module Events = Batsched_obs.Events
-module Histogram = Batsched_obs.Histogram
+module Histogram = Batsched_numeric.Histogram
 module Json = Batsched_obs.Json
 
 (* Small feasible task graphs in the Textio format, spanning shapes

@@ -9,24 +9,21 @@ let check_factors factors =
   if factors = [] then invalid_arg "Designpoints: empty factor list";
   List.iter (check_positive "factor") factors
 
-let cube_law ~base_current ~base_duration ?(base_voltage = 1.0) ~factors () =
+let cube_law ~base_current ~base_duration ~factors () =
   check_positive "base current" base_current;
   check_positive "base duration" base_duration;
-  check_positive "base voltage" base_voltage;
   check_factors factors;
   let pairs =
     List.map
       (fun s -> (base_current *. (s ** 3.0), base_duration /. s))
       factors
   in
-  let voltages = List.map (fun s -> base_voltage *. s) factors in
-  (pairs, voltages)
+  (pairs, factors)
 
 let linear_duration_law ~base_current ~fastest_duration ~slowest_duration
-    ?(base_voltage = 1.0) ~factors () =
+    ~factors () =
   check_positive "base current" base_current;
   check_positive "fastest duration" fastest_duration;
-  check_positive "base voltage" base_voltage;
   if fastest_duration >= slowest_duration then
     invalid_arg "Designpoints.linear_duration_law: need fastest < slowest";
   check_factors factors;
@@ -46,5 +43,5 @@ let linear_duration_law ~base_current ~fastest_duration ~slowest_duration
       (fun i s -> (base_current *. ((s /. top) ** 3.0), duration i))
       sorted
   in
-  let voltages = List.map (fun s -> base_voltage *. s /. top) sorted in
+  let voltages = List.map (fun s -> s /. top) sorted in
   (pairs, voltages)

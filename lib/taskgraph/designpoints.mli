@@ -8,19 +8,19 @@
     point, for the generators and for cross-checking the paper data. *)
 
 val cube_law :
-  base_current:float -> base_duration:float -> ?base_voltage:float ->
-  factors:float list -> unit -> (float * float) list * float list
+  base_current:float -> base_duration:float -> factors:float list ->
+  unit -> (float * float) list * float list
 (** [cube_law ~base_current ~base_duration ~factors ()] returns
     [(current, duration) pairs, voltages] where factor [s] (relative to
     the base voltage) yields current [base_current * s^3], duration
-    [base_duration / s] and voltage [base_voltage * s].  This is G2's
-    exact law (factors 2.5, 1.66, 1.25, 1 relative to DP4).
+    [base_duration / s] and voltage [s], in units of the base voltage.
+    This is G2's exact law (factors 2.5, 1.66, 1.25, 1 relative to
+    DP4).
     @raise Invalid_argument on non-positive inputs or empty factors. *)
 
 val linear_duration_law :
   base_current:float -> fastest_duration:float -> slowest_duration:float ->
-  ?base_voltage:float -> factors:float list -> unit ->
-  (float * float) list * float list
+  factors:float list -> unit -> (float * float) list * float list
 (** Variant matching G3's published table: currents follow the cube law
     on [factors] (largest factor = fastest point) while durations are
     linearly interpolated between [fastest_duration] and

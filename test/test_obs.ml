@@ -11,7 +11,7 @@ module Sink = Batsched_obs.Sink
 module Trace = Batsched_obs.Trace
 module Report = Batsched_obs.Report
 module Log = Batsched_obs.Log
-module Histogram = Batsched_obs.Histogram
+module Histogram = Batsched_numeric.Histogram
 module Events = Batsched_obs.Events
 module Probe = Batsched_numeric.Probe
 
@@ -1205,6 +1205,31 @@ let test_report_superseded_sink () =
   Alcotest.(check bool) "live sink keeps its spans" true
     (contains_substring rb "beta")
 
+(* A span belongs to the sink it was recorded on, whichever sink was
+   created last and whichever domain recorded it: here the older of two
+   live sinks collects a pool-4 region's item spans, run by the helpers
+   and the main domain, plus the main domain's enclosing span. *)
+let test_two_sinks_keep_own_spans () =
+  let a = Sink.create () in
+  let b = Sink.create () in
+  (Fun.protect ~finally:(fun () -> Batsched_numeric.Pool.set_task_delay None)
+   @@ fun () ->
+   (* dilated chunks make sure the helpers join the region *)
+   Batsched_numeric.Pool.set_task_delay (Some (fun () -> Unix.sleepf 0.0005));
+   Sink.with_span a "region" (fun () ->
+       ignore
+         (Batsched_numeric.Pool.map_array parallel_pool
+            (fun i -> Sink.with_span a "item" (fun () -> i))
+            (Array.init 64 Fun.id))));
+  let spans = Sink.spans a in
+  let named n = List.filter (fun (s : Sink.span) -> s.Sink.name = n) spans in
+  Alcotest.(check int) "item spans on a" 64 (List.length (named "item"));
+  Alcotest.(check (list int)) "region span on a, main track" [ 0 ]
+    (List.map (fun (s : Sink.span) -> s.Sink.track) (named "region"));
+  Alcotest.(check bool) "helpers recorded item spans" true
+    (List.exists (fun (s : Sink.span) -> s.Sink.track > 0) (named "item"));
+  Alcotest.(check int) "nothing on b" 0 (List.length (Sink.spans b))
+
 let test_report_renders_histograms () =
   Histogram.reset ();
   Histogram.enable ();
@@ -1385,6 +1410,8 @@ let () =
       ( "report",
         [ Alcotest.test_case "superseded sink safe" `Quick
             test_report_superseded_sink;
+          Alcotest.test_case "two sinks keep their own spans" `Quick
+            test_two_sinks_keep_own_spans;
           Alcotest.test_case "renders histograms" `Quick
             test_report_renders_histograms ] );
       ("properties", qcheck_tests) ]
