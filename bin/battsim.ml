@@ -7,7 +7,6 @@
 
 open Cmdliner
 open Batsched_battery
-
 module Obs = Batsched_obs
 
 (* Every subcommand takes the telemetry flags and runs in one session:

@@ -26,7 +26,7 @@ val run :
     call within a span.  Progress is streamed to [events] (kind
     ["fleet-block"], one record per completed block, plus a final
     ["fleet-done"] with the checksum); per-model end-of-life cycle
-    counts are observed into the [Batsched_obs.Histogram] registry as
+    counts are observed into the [Batsched_numeric.Histogram] registry as
     ["fleet/eol_cycles/<model>"] when it is enabled, and device/death
     totals are counted into [Batsched_numeric.Probe]'s named counters
     (["fleet/devices"], ["fleet/deaths"], ["fleet/censored"]).

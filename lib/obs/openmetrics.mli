@@ -3,9 +3,10 @@
     Renders every [Batsched_numeric.Probe] counter (fixed fields and
     named counters) as samples of one counter family
     [batsched_counter_total{name="..."}], every registered
-    {!Histogram} as its own histogram family (cumulative [le] buckets,
-    [_sum], [_count]), and the [Gc.quick_stat] gauges.  The exposition
-    ends with [# EOF] per the OpenMetrics spec.
+    [Batsched_numeric.Histogram] as its own histogram family
+    (cumulative [le] buckets, [_sum], [_count]), and the
+    [Gc.quick_stat] gauges.  The exposition ends with [# EOF] per the
+    OpenMetrics spec.
 
     Histogram names are sanitized into metric names (characters
     outside [[a-zA-Z0-9_]] become ['_']), so ["span/choose"] exports

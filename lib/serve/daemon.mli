@@ -26,7 +26,7 @@
     Queueing delay and end-to-end latency are recorded into local
     histograms (for {!histograms} and the soak report) and observed as
     ["serve/queue_delay_ms"]/["serve/latency_ms"] when the
-    {!Batsched_obs.Histogram} registry is enabled, so [--stats] and
+    {!Batsched_numeric.Histogram} registry is enabled, so [--stats] and
     [--metrics] pick them up alongside the pool's
     ["pool/occupancy"]. *)
 

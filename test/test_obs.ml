@@ -1194,8 +1194,8 @@ let test_openmetrics_sci_notation_buckets () =
 let test_report_superseded_sink () =
   let a = Sink.create () in
   Sink.with_span a "alpha" (fun () -> ());
-  (* supersede [a] before it flushed; its report must neither raise nor
-     steal the successor's spans *)
+  (* a later sink must not take over [a]: each report shows its own
+     sink's spans only *)
   let b = Sink.create () in
   Sink.with_span b "beta" (fun () -> ());
   let ra = Report.to_string a in
