@@ -602,18 +602,6 @@ let run_timing () =
 
 (* --- JSON dump: one row per benchmark, for cross-PR tracking --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_float x =
   if Float.is_finite x then Printf.sprintf "%.1f" x else "null"
 
@@ -635,11 +623,10 @@ let json_counters row =
       (fun (name, get) -> Printf.sprintf "\"%s\": %d" name (get c))
       Batsched_numeric.Probe.fields
   in
-  (* open-keyed counters, e.g. "delta_full_evals/<model>": fallback
-     attribution per battery model *)
+  (* open-keyed counters, e.g. "periodic/carried_devices" *)
   let named =
     List.map
-      (fun (name, v) -> Printf.sprintf "\"%s\": %d" (json_escape name) v)
+      (fun (name, v) -> Printf.sprintf "\"%s\": %d" (Batsched_obs.Json.escape_string name) v)
       (Batsched_numeric.Probe.named_counts c)
   in
   let rate hits misses =
@@ -668,18 +655,9 @@ let json_counters row =
   in
   "{" ^ String.concat ", " (fields @ named @ derived) ^ "}"
 
-(* Provenance header: which commit produced the file and how wide the
-   recommended pool is on this machine.  [git_rev] degrades to
-   "unknown" outside a work tree (e.g. a distributed tarball). *)
-let git_rev () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> line
-    | _ -> "unknown"
-  with Unix.Unix_error _ | Sys_error _ -> "unknown"
-
+(* The file opens with a provenance header: which commit produced it
+   ("unknown" outside a work tree) and how wide the recommended pool is
+   on this machine. *)
 let write_json path rows profile =
   let oc =
     try open_out path
@@ -688,7 +666,7 @@ let write_json path rows profile =
       exit 2
   in
   Printf.fprintf oc "{\n  \"git_rev\": \"%s\",\n  \"pool_size\": %d,\n"
-    (json_escape (git_rev ()))
+    (Batsched_obs.Json.escape_string (Batsched_obs.Ledger.git_rev ()))
     (Batsched_numeric.Pool.recommended ());
   output_string oc "  \"rows\": [\n";
   List.iteri
@@ -709,7 +687,7 @@ let write_json path rows profile =
       in
       Printf.fprintf oc
         "    {\"name\": \"%s\", \"ns_per_run\": %s, \"r_square\": %s%s%s%s}%s\n"
-        (json_escape r.tname) (json_float r.ns_per_run)
+        (Batsched_obs.Json.escape_string r.tname) (json_float r.ns_per_run)
         (if Float.is_finite r.r_square then
            Printf.sprintf "%.4f" r.r_square
          else "null")

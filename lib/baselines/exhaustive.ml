@@ -4,9 +4,10 @@ open Batsched_sched
 exception Infeasible
 exception Too_large
 
+let max_assignments = 200_000
 let max_orders = 5_000
 
-let run ?(max_assignments = 200_000) ~model g ~deadline =
+let run ~model g ~deadline =
   let n = Graph.num_tasks g and m = Graph.num_points g in
   let total_assignments =
     let rec power acc k = if k = 0 then acc else power (acc * m) (k - 1) in

@@ -6,11 +6,11 @@ open Batsched_numeric
    Coordinates: position [k] holds an interval [(I_k, D_k)]; its
    suffix time [tail_k = sum_{j>k} D_j] is the load duration between
    the interval's end and the observation instant.  Per
-   [Model.incremental], sigma decomposes as [sum_k term (I_k, D_k,
+   [Model.channels], sigma decomposes as [sum_k term (I_k, D_k,
    tail_k)] — so an adjacent swap at [k] perturbs the two terms at
    [k, k+1] (the tails before [k] keep their exact value: the suffix
    multiset is unchanged), and a duration change at position [i]
-   perturbs the tails — hence, for a tail-sensitive model, the terms —
+   perturbs the tails — hence, for a model with channels, the terms —
    at [0..i] only.
 
    Numerics: tails and the running totals are compensated
@@ -62,8 +62,8 @@ type pending =
       fin_t : float;
       fin_c : float;
     }
-  | Full_swap of { k : int; sigma : float; finish : float }
-  | Full_set of {
+  | Ck_swap of { k : int; sigma : float; finish : float }
+  | Ck_set of {
       pos : int;
       current : float;
       duration : float;
@@ -93,10 +93,10 @@ type ck = {
   mutable valid : int;          (* snapshots 0..valid-1 match committed state *)
 }
 
+type kernel = Terms of Model.channels | Ck of ck
+
 type t = {
-  model : Model.t;
-  inc : Model.incremental option;
-  ck : ck option;
+  kernel : kernel;
   mutable n : int;
   mutable currents : float array;
   mutable durations : float array;
@@ -118,20 +118,18 @@ type t = {
 }
 
 let create (model : Model.t) =
-  { model;
-    inc = model.Model.incremental;
-    ck =
-      (match model.Model.incremental, model.Model.stepper with
-      | None, Some st ->
-          Some
+  { kernel =
+      (match model.Model.kernel with
+      | Model.Channels ch -> Terms ch
+      | Model.Stepper st ->
+          Ck
             { ops = st.Model.fresh ();
               dim = st.Model.state_dim;
               work = Array.make st.Model.state_dim 0.0;
               stride = 1;
               nsnaps = 0;
               snaps = [||];
-              valid = 0 }
-      | _ -> None);
+              valid = 0 });
     n = 0;
     currents = [||];
     durations = [||];
@@ -175,16 +173,6 @@ let check_point current duration =
     invalid_arg "Delta: non-finite interval field";
   if current < 0.0 then invalid_arg "Delta: negative current";
   if duration < 0.0 then invalid_arg "Delta: negative duration"
-
-(* Fallback for models without an incremental decomposition: cost the
-   whole candidate through the model's own sigma.  O(n) per candidate,
-   plus a profile allocation — the price of an opaque model. *)
-let full_eval t =
-  let probe = Probe.local () in
-  probe.Probe.delta_full_evals <- probe.Probe.delta_full_evals + 1;
-  Probe.bump_named probe ("delta_full_evals/" ^ t.model.Model.name) 1;
-  let p = Profile.sequential_fn ~n:t.n (fun i -> (t.currents.(i), t.durations.(i))) in
-  (Model.sigma_end t.model p, Profile.length p)
 
 (* -- checkpointed stepper path ------------------------------------- *)
 
@@ -255,9 +243,9 @@ let ck_load t ck =
   t.sig_c <- 0.0
 
 let resum t =
-  (match t.inc with
-  | None -> ()
-  | Some _ ->
+  (match t.kernel with
+  | Ck _ -> ()
+  | Terms _ ->
       let st = ref 0.0 and sc = ref 0.0 in
       for k = 0 to t.n - 1 do
         let a, b = nadd !st !sc t.terms.(k) in
@@ -291,24 +279,18 @@ let load t ~n ~point =
   done;
   t.fin_t <- !tt;
   t.fin_c <- !tc;
-  (match t.inc, t.ck with
-  | Some inc, _ ->
+  (match t.kernel with
+  | Terms ch ->
       for k = 0 to n - 1 do
         t.terms.(k) <-
-          inc.Model.term ~current:t.currents.(k) ~duration:t.durations.(k)
+          ch.Model.term ~current:t.currents.(k) ~duration:t.durations.(k)
             ~tail:(t.tail_t.(k) +. t.tail_c.(k))
       done;
       resum t
-  | None, Some ck ->
+  | Ck ck ->
       (* the compensated finish from the tail chain above stands; the
          sigma comes from a full checkpointed integration *)
-      ck_load t ck
-  | None, None ->
-      let s, f = full_eval t in
-      t.sig_t <- s;
-      t.sig_c <- 0.0;
-      t.fin_t <- f;
-      t.fin_c <- 0.0);
+      ck_load t ck);
   t.commits <- 0
 
 let init model ~n ~point =
@@ -354,31 +336,19 @@ let try_swap t k =
     (sigma t, finish t)
   end
   else
-  match t.inc with
-  | None ->
-      (match t.ck with
-      | Some ck ->
-          (* the swap leaves the makespan alone; only the integration
-             order of the two intervals changes *)
-          let sigma =
-            ck_eval t ck ~mpos:k ~point:(fun pos ->
-                let p =
-                  if pos = k then k + 1 else if pos = k + 1 then k else pos
-                in
-                (t.currents.(p), t.durations.(p)))
-          in
-          let fin = finish t in
-          t.pending <- Full_swap { k; sigma; finish = fin };
-          (sigma, fin)
-      | None ->
-          swap_entries t.currents k (k + 1);
-          swap_entries t.durations k (k + 1);
-          let sigma, finish = full_eval t in
-          swap_entries t.currents k (k + 1);
-          swap_entries t.durations k (k + 1);
-          t.pending <- Full_swap { k; sigma; finish };
-          (sigma, finish))
-  | Some inc ->
+  match t.kernel with
+  | Ck ck ->
+      (* the swap leaves the makespan alone; only the integration order
+         of the two intervals changes *)
+      let sigma =
+        ck_eval t ck ~mpos:k ~point:(fun pos ->
+            let p = if pos = k then k + 1 else if pos = k + 1 then k else pos in
+            (t.currents.(p), t.durations.(p)))
+      in
+      let fin = finish t in
+      t.pending <- Ck_swap { k; sigma; finish = fin };
+      (sigma, fin)
+  | Terms ch ->
       (* after the swap, position k holds old interval k+1 with tail
          tail_{k+1} + D_k, and position k+1 holds old interval k with
          tail tail_{k+1}; everything else — including every tail before
@@ -386,8 +356,9 @@ let try_swap t k =
          value *)
       let tl_t = t.tail_t.(k + 1) and tl_c = t.tail_c.(k + 1) in
       let ntt, ntc = nadd tl_t tl_c t.durations.(k) in
-      if not inc.Model.tail_sensitive then begin
-        (* the two terms trade places; sigma and finish are unchanged *)
+      if Array.length ch.Model.rates = 0 then begin
+        (* no channels, so the terms ignore their tails: the two terms
+           trade places; sigma and finish are unchanged *)
         t.pending <-
           Swap
             { k;
@@ -402,11 +373,11 @@ let try_swap t k =
       else begin
         probe.Probe.delta_terms <- probe.Probe.delta_terms + 2;
         let term_lo =
-          inc.Model.term ~current:t.currents.(k + 1)
+          ch.Model.term ~current:t.currents.(k + 1)
             ~duration:t.durations.(k + 1) ~tail:(ntt +. ntc)
         in
         let term_hi =
-          inc.Model.term ~current:t.currents.(k) ~duration:t.durations.(k)
+          ch.Model.term ~current:t.currents.(k) ~duration:t.durations.(k)
             ~tail:(tl_t +. tl_c)
         in
         let st, sc = nadd t.sig_t t.sig_c (-.t.terms.(k)) in
@@ -431,37 +402,26 @@ let try_set t pos ~current ~duration =
     (sigma t, finish t)
   end
   else
-  match t.inc with
-  | None ->
-      (match t.ck with
-      | Some ck ->
-          let sigma =
-            ck_eval t ck ~mpos:pos ~point:(fun p ->
-                if p = pos then (current, duration)
-                else (t.currents.(p), t.durations.(p)))
-          in
-          (* fresh compensated makespan with the replaced duration — an
-             O(n) float sum, noise next to the integration above *)
-          let ft = ref 0.0 and fc = ref 0.0 in
-          for p = 0 to t.n - 1 do
-            let d = if p = pos then duration else t.durations.(p) in
-            let a, b = nadd !ft !fc d in
-            ft := a;
-            fc := b
-          done;
-          let fin = !ft +. !fc in
-          t.pending <- Full_set { pos; current; duration; sigma; finish = fin };
-          (sigma, fin)
-      | None ->
-          let old_c = t.currents.(pos) and old_d = t.durations.(pos) in
-          t.currents.(pos) <- current;
-          t.durations.(pos) <- duration;
-          let sigma, finish = full_eval t in
-          t.currents.(pos) <- old_c;
-          t.durations.(pos) <- old_d;
-          t.pending <- Full_set { pos; current; duration; sigma; finish };
-          (sigma, finish))
-  | Some inc ->
+  match t.kernel with
+  | Ck ck ->
+      let sigma =
+        ck_eval t ck ~mpos:pos ~point:(fun p ->
+            if p = pos then (current, duration)
+            else (t.currents.(p), t.durations.(p)))
+      in
+      (* fresh compensated makespan with the replaced duration — an
+         O(n) float sum, noise next to the integration above *)
+      let ft = ref 0.0 and fc = ref 0.0 in
+      for p = 0 to t.n - 1 do
+        let d = if p = pos then duration else t.durations.(p) in
+        let a, b = nadd !ft !fc d in
+        ft := a;
+        fc := b
+      done;
+      let fin = !ft +. !fc in
+      t.pending <- Ck_set { pos; current; duration; sigma; finish = fin };
+      (sigma, fin)
+  | Terms ch ->
       (* candidate suffix sums for positions 0..pos-1: the chain from
          the unchanged tail at [pos] through the new duration *)
       let tt = ref t.tail_t.(pos) and tc = ref t.tail_c.(pos) in
@@ -476,19 +436,21 @@ let try_set t pos ~current ~duration =
         tc := b
       done;
       let fin_t = !tt and fin_c = !tc in
-      let lo = if inc.Model.tail_sensitive then 0 else pos in
+      (* only a model with channels reads the tails that moved *)
+      let tail_sensitive = Array.length ch.Model.rates > 0 in
+      let lo = if tail_sensitive then 0 else pos in
       probe.Probe.delta_terms <- probe.Probe.delta_terms + (pos + 1 - lo);
       t.cterm.(pos) <-
-        inc.Model.term ~current ~duration
+        ch.Model.term ~current ~duration
           ~tail:(t.tail_t.(pos) +. t.tail_c.(pos));
-      if inc.Model.tail_sensitive then
+      if tail_sensitive then
         for j = 0 to pos - 1 do
           t.cterm.(j) <-
-            inc.Model.term ~current:t.currents.(j) ~duration:t.durations.(j)
+            ch.Model.term ~current:t.currents.(j) ~duration:t.durations.(j)
               ~tail:(t.ctail_t.(j) +. t.ctail_c.(j))
         done;
       let sig_t, sig_c =
-        if inc.Model.tail_sensitive && 2 * (pos + 1) >= t.n then begin
+        if tail_sensitive && 2 * (pos + 1) >= t.n then begin
           (* a fresh compensated sum over the candidate terms is cheaper
              than 2(pos+1) delta updates — and resets any drift *)
           let st = ref 0.0 and sc = ref 0.0 in
@@ -516,6 +478,17 @@ let try_set t pos ~current ~duration =
 
 let resum_every t = Stdlib.max 32 t.n
 
+(* A checkpointed candidate's totals, and the snapshots after its first
+   modified position [pos] go stale. *)
+let commit_ck t ~pos ~sigma ~finish =
+  t.sig_t <- sigma;
+  t.sig_c <- 0.0;
+  t.fin_t <- finish;
+  t.fin_c <- 0.0;
+  match t.kernel with
+  | Ck ck -> ck.valid <- Stdlib.min ck.valid (ck_snap_of ck pos + 1)
+  | Terms _ -> ()
+
 let commit t =
   let probe = Probe.local () in
   (match t.pending with
@@ -540,26 +513,14 @@ let commit t =
       t.sig_c <- sig_c;
       t.fin_t <- fin_t;
       t.fin_c <- fin_c
-  | Full_swap { k; sigma; finish } ->
+  | Ck_swap { k; sigma; finish } ->
       swap_entries t.currents k (k + 1);
       swap_entries t.durations k (k + 1);
-      t.sig_t <- sigma;
-      t.sig_c <- 0.0;
-      t.fin_t <- finish;
-      t.fin_c <- 0.0;
-      (match t.ck with
-      | Some ck -> ck.valid <- Stdlib.min ck.valid (ck_snap_of ck k + 1)
-      | None -> ())
-  | Full_set { pos; current; duration; sigma; finish } ->
+      commit_ck t ~pos:k ~sigma ~finish
+  | Ck_set { pos; current; duration; sigma; finish } ->
       t.currents.(pos) <- current;
       t.durations.(pos) <- duration;
-      t.sig_t <- sigma;
-      t.sig_c <- 0.0;
-      t.fin_t <- finish;
-      t.fin_c <- 0.0;
-      (match t.ck with
-      | Some ck -> ck.valid <- Stdlib.min ck.valid (ck_snap_of ck pos + 1)
-      | None -> ()));
+      commit_ck t ~pos ~sigma ~finish);
   t.pending <- No_move;
   probe.Probe.delta_commits <- probe.Probe.delta_commits + 1;
   t.commits <- t.commits + 1;

@@ -4,7 +4,7 @@
     back-to-back discharge profile observed at its makespan: the
     per-position intervals [(I_k, D_k)], their compensated
     suffix-duration sums [tail_k = sum_{j>k} D_j], the per-position
-    contribution terms of the model's {!Model.incremental}
+    contribution terms of the model's {!Model.channels}
     decomposition, and compensated running totals for sigma and the
     finish time.
 
@@ -15,24 +15,20 @@
     with a move pending raises [Invalid_argument] — the strictness
     catches protocol bugs in search loops).
 
-    Costs per candidate, for a model with an incremental decomposition:
-    [try_swap] is O(1) — at most 2 term evaluations; [try_set] at
-    position [i] is O(i) tail updates and, for a tail-sensitive model,
-    at most [i + 1] term evaluations (with an automatic switch to a
-    fresh full sum when that is cheaper).
+    Costs per candidate, for a model whose kernel is
+    {!Model.Channels}: [try_swap] is O(1) — at most 2 term
+    evaluations; [try_set] at position [i] is O(i) tail updates and,
+    for a model with channels (whose terms read their tails), at most
+    [i + 1] term evaluations (with an automatic switch to a fresh full
+    sum when that is cheaper).
 
-    Models without a decomposition but with a {!Model.stepper} (the
-    diffusion PDE) go through checkpointed partial solutions: the
-    integration state is snapshotted every [~sqrt n] positions, a
-    candidate at position [i] restores the preceding snapshot and
-    re-integrates only the suffix (bit-identical to a from-scratch
-    integration), and a commit lazily invalidates the snapshots after
-    the move's position.  Counted in [Probe.delta_ck_restores] /
-    [delta_ck_advances].
-
-    Models with neither fall back to a full profile evaluation per
-    candidate, counted in [Probe.delta_full_evals] (and per model name
-    under the ["delta_full_evals/<name>"] named counter).
+    A {!Model.Stepper} model (the diffusion PDE) goes through
+    checkpointed partial solutions: the integration state is
+    snapshotted every [~sqrt n] positions, a candidate at position [i]
+    restores the preceding snapshot and re-integrates only the suffix
+    (bit-identical to a from-scratch integration), and a commit lazily
+    invalidates the snapshots after the move's position.  Counted in
+    [Probe.delta_ck_restores] / [delta_ck_advances].
 
     Numerics: results agree with the model's full [sigma] path within
     1e-9 {e relative}, not bit-for-bit — the full path derives each
@@ -81,7 +77,7 @@ val finish : t -> float
 val try_swap : t -> int -> float * float
 (** [try_swap t k] costs exchanging positions [k] and [k+1] and
     returns the candidate [(sigma, finish)].  The finish never changes
-    under a swap; for a tail-insensitive model sigma is unchanged too
+    under a swap; for a model without channels sigma is unchanged too
     and no terms are evaluated.  A candidate value-identical to the
     committed state (both intervals equal; likewise for {!try_set}
     onto the current values) returns the committed pair bit-for-bit —

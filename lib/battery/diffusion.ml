@@ -273,8 +273,6 @@ let stepper params =
 
 let model ?(params = default_params) () =
   { Model.name = "diffusion-pde"; sigma = (fun p ~at -> sigma ~params p ~at);
-    incremental = None;
-    stepper = Some (stepper params);
     (* no finite channel set: sigma is the solution of a PDE, so
-       Periodic advances a carried stepper state instead *)
-    decay = None }
+       Delta and Periodic advance a stepper state instead *)
+    kernel = Model.Stepper (stepper params) }

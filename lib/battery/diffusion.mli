@@ -59,6 +59,6 @@ val stepper : params -> Model.stepper
     of 2^53 steps or more. *)
 
 val model : ?params:params -> unit -> Model.t
-(** Packaged as a {!Model.t} named ["diffusion-pde"], with the
-    checkpointed {!stepper} (no per-interval decomposition exists for
+(** Packaged as a {!Model.t} named ["diffusion-pde"], whose kernel is
+    the checkpointed {!stepper} (no per-interval decomposition exists for
     the PDE). *)

@@ -5,18 +5,13 @@ let sigma p ~at =
        ~f:(fun acc ~start:_ ~duration ~current ->
          Batsched_numeric.Kahan.add acc (current *. duration)))
 
-(* sigma is the plain charge integral: the per-interval term ignores how
-   much load follows, so every local-search move is O(1) to re-cost. *)
-let incremental =
+(* sigma is the plain charge integral: no memory at all, so the
+   per-interval term ignores how much load follows (no channels) and
+   every local-search move is O(1) to re-cost. *)
+let channels =
   { Model.term = (fun ~current ~duration ~tail:_ -> current *. duration);
-    tail_sensitive = false }
-
-(* no memory at all: the decay decomposition is the bare charge term *)
-let decay =
-  { Model.rates = [||];
+    rates = [||];
     weights = (fun ~current:_ ~duration:_ _ -> ());
     charge = (fun ~current ~duration -> current *. duration) }
 
-let model =
-  { Model.name = "ideal"; sigma; incremental = Some incremental;
-    stepper = None; decay = Some decay }
+let model = { Model.name = "ideal"; sigma; kernel = Model.Channels channels }

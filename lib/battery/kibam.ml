@@ -75,11 +75,17 @@ let sigma ?(params = default_params) profile ~at =
      sigma = sum_k [ I_k D_k
                      + ((1-c)/(c k')) I_k (1 - e^{-k' D_k}) e^{-k' tail_k} ]
 
-   which is exactly the {!Model.incremental} contract: the charge
+   which is exactly the {!Model.channels} contract: the charge
    integral plus a tail-weighted disequilibrium term.  A zero-duration
    interval contributes exactly 0 (the guard short-circuits; even
-   without it, [1 -. exp 0.0] is exactly [0.]). *)
-let incremental params =
+   without it, [1 -. exp 0.0] is exactly [0.]).
+
+   The eigen-split is a one-channel decomposition: the disequilibrium
+   term relaxes at rate k' whatever follows the interval (rest
+   included — zero current forces nothing), so the suffix-time
+   identity extends verbatim to gapped profiles and to {!Periodic}'s
+   repeated-cycle telescoping. *)
+let channels params =
   let k' = params.k_prime in
   let coef = (1.0 -. params.c) /. (params.c *. k') in
   { Model.term =
@@ -90,17 +96,7 @@ let incremental params =
           +. (coef *. current
               *. (1.0 -. exp (-.k' *. duration))
               *. exp (-.k' *. tail)));
-    tail_sensitive = true }
-
-(* The eigen-split above is already a one-channel decay decomposition:
-   the disequilibrium term relaxes at rate k' whatever follows the
-   interval (rest included — zero current forces nothing), so the
-   suffix-time identity extends verbatim to gapped profiles and to
-   {!Periodic}'s repeated-cycle telescoping. *)
-let decay params =
-  let k' = params.k_prime in
-  let coef = (1.0 -. params.c) /. (params.c *. k') in
-  { Model.rates = [| k' |];
+    rates = [| k' |];
     weights =
       (fun ~current ~duration buf ->
         buf.(0) <- coef *. current *. (1.0 -. exp (-.k' *. duration)));
@@ -108,6 +104,4 @@ let decay params =
 
 let model ?(params = default_params) () =
   { Model.name = "kibam"; sigma = (fun p ~at -> sigma ~params p ~at);
-    incremental = Some (incremental params);
-    stepper = None;
-    decay = Some (decay params) }
+    kernel = Model.Channels (channels params) }

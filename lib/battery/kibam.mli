@@ -54,7 +54,7 @@ val sigma : ?params:params -> Profile.t -> at:float -> float
     under load it exceeds it (rate capacity); the battery dies when
     [sigma >= capacity]. *)
 
-val incremental : params -> Model.incremental
+val channels : params -> Model.channels
 (** The exact suffix-time decomposition of [sigma] at the makespan of a
     gapless profile: the per-interval affine maps diagonalize (total
     charge is conserved; the disequilibrium [y1 - c*y0] contracts by
@@ -63,10 +63,11 @@ val incremental : params -> Model.incremental
     {[ sigma = sum_k ( I_k D_k
                        + ((1-c)/(c k')) I_k (1 - e^{-k' D_k}) e^{-k' tail_k} ) ]}
 
-    Tail-sensitive; a [duration = 0] term is exactly [0.].  See
+    One channel, at rate [k'], so the term reads its tail; a
+    [duration = 0] term is exactly [0.].  See
     DESIGN.md §11 for the derivation. *)
 
 val model : ?params:params -> unit -> Model.t
-(** Packaged as a {!Model.t} named ["kibam"] with the incremental and
-    decay paths above.  Use [params.capacity] as the matching [alpha]
+(** Packaged as a {!Model.t} named ["kibam"] whose kernel is the
+    channels above.  Use [params.capacity] as the matching [alpha]
     for lifetime queries. *)

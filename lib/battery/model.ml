@@ -1,9 +1,5 @@
-type incremental = {
+type channels = {
   term : current:float -> duration:float -> tail:float -> float;
-  tail_sensitive : bool;
-}
-
-type decay = {
   rates : float array;
   weights : current:float -> duration:float -> float array -> unit;
   charge : current:float -> duration:float -> float;
@@ -39,12 +35,14 @@ type stepper = {
   lanes : lanes;
 }
 
+type kernel =
+  | Channels of channels
+  | Stepper of stepper
+
 type t = {
   name : string;
   sigma : Profile.t -> at:float -> float;
-  incremental : incremental option;
-  stepper : stepper option;
-  decay : decay option;
+  kernel : kernel;
 }
 
 let sigma_end m p = m.sigma p ~at:(Profile.length p)

@@ -7,13 +7,15 @@
     {!Rakhmatov} (the paper's cost function), {!Kibam} and the
     {!Diffusion} PDE reference.
 
-    Besides [sigma], a model offers up to three optional views of the
-    same function, each read by the evaluator it was built for:
-    [incremental] and [stepper] by {!Delta} (local-search moves),
-    [decay] and [stepper] by {!Periodic} (repeated missions), which
-    sweeps steppers four at a time through their lane view. *)
+    Besides [sigma], every model carries exactly one fast view of the
+    same function, its {!kernel}: a {!channels} decomposition (ideal,
+    Peukert, Rakhmatov–Vrudhula, KiBaM) or a checkpointable
+    {!stepper} (the diffusion PDE).  {!Delta} (local-search moves) and
+    {!Periodic} (repeated missions) each evaluate through it, with no
+    other path; {!Periodic} sweeps steppers four at a time through
+    their lane view. *)
 
-type incremental = {
+type channels = {
   term : current:float -> duration:float -> tail:float -> float;
   (** Per-interval contribution to sigma {e at the end of a sequential
       profile}, in suffix-time coordinates: [tail] is the total load
@@ -23,25 +25,41 @@ type incremental = {
            = sum_k (term ~current:I_k ~duration:D_k ~tail:tail_k) ]}
 
       (up to float accumulation noise), where
-      [tail_k = sum_{j>k} D_j].  The decomposition holds for the models
-      whose sigma is a sum of independent per-interval terms at the
-      observation instant — which is exactly what makes delta
-      evaluation of local-search moves possible: an adjacent swap
-      perturbs two terms, a duration change at position [i] perturbs
-      the terms at [0..i] only.  A term with [duration = 0] must be
-      exactly [0.].  Only meaningful for gapless back-to-back profiles
-      observed at their makespan. *)
-  tail_sensitive : bool;
-  (** Whether [term] actually reads [tail].  [false] (ideal, Peukert —
-      sigma is a makespan-independent sum) lets the delta evaluator
-      skip recomputing unchanged terms whose tails moved; [true]
-      (Rakhmatov–Vrudhula, KiBaM — the recovery/relaxation component
-      depends on how long the interval has to relax before the
-      observation instant) forces the [0..i] prefix walk on duration
-      changes. *)
+      [tail_k = sum_{j>k} D_j].  This is what makes delta evaluation of
+      local-search moves possible: an adjacent swap perturbs two
+      terms, a duration change at position [i] perturbs the terms at
+      [0..i] only.  A term with [duration = 0] must be exactly [0.]. *)
+  rates : float array;
+  (** The distinct relaxation rates [lambda_t] (1/minutes) of the
+      model's memory, all [> 0].  Empty for memoryless models (ideal,
+      Peukert), whose [term] ignores [tail]: {!Delta} skips
+      re-costing unchanged terms whose tails moved exactly when
+      [rates] is empty. *)
+  weights : current:float -> duration:float -> float array -> unit;
+  (** [weights ~current ~duration buf] writes the channel amplitudes
+      [w_t(I, D)] into [buf] (length [>= Array.length rates]). *)
+  charge : current:float -> duration:float -> float;
+  (** The tail-independent part of the interval's contribution. *)
 }
-(** First-class incremental evaluation interface.  See
-    {!Delta} for the mutable schedule state built on top of it. *)
+(** Exponential-channel decomposition of sigma into per-interval
+    terms: besides the [term] contract above,
+
+    {[ term ~current ~duration ~tail
+         = charge ~current ~duration
+           + sum_t (w_t (current, duration) *. exp (-. rates.(t) *. tail)) ]}
+
+    for {e any} observation instant at or after the interval's end —
+    [tail] is wall-clock time from interval end to observation, and the
+    identity holds across idle gaps too (rest only decays the channels,
+    it forces nothing).  Exposing the channel structure is what lets
+    {!Periodic} telescope identical repeated cycles into per-channel
+    geometric series and advance a whole mission in O(1) per cycle.
+    Models whose sigma is a sum of such terms from a full battery:
+    ideal and Peukert (no channels), KiBaM (one channel, the
+    diagonalized bound-well disequilibrium; see DESIGN.md §11),
+    Rakhmatov–Vrudhula (one channel per truncated series term).  The
+    diffusion PDE has no finite channel set and is a {!stepper}
+    instead. *)
 
 type stepper_ops = {
   start : float array -> unit;
@@ -52,38 +70,6 @@ type stepper_ops = {
   observe : float array -> float;
   (** Sigma at the instant the state describes. *)
 }
-type decay = {
-  rates : float array;
-  (** The distinct relaxation rates [lambda_t] (1/minutes) of the
-      model's memory, all [> 0].  Empty for memoryless models (ideal,
-      Peukert). *)
-  weights : current:float -> duration:float -> float array -> unit;
-  (** [weights ~current ~duration buf] writes the channel amplitudes
-      [w_t(I, D)] into [buf] (length [>= Array.length rates]). *)
-  charge : current:float -> duration:float -> float;
-  (** The tail-independent part of the interval's contribution. *)
-}
-(** Exponential-channel decomposition of the per-interval term: the
-    contract is
-
-    {[ term ~current ~duration ~tail
-         = charge ~current ~duration
-           + sum_t (w_t (current, duration) *. exp (-. rates.(t) *. tail)) ]}
-
-    for {e any} observation instant at or after the interval's end —
-    [tail] is wall-clock time from interval end to observation, and the
-    identity holds across idle gaps too (rest only decays the channels,
-    it forces nothing).  This is strictly stronger than {!incremental}
-    (which only speaks at the makespan of a gapless profile): exposing
-    the channel structure is what lets {!Periodic} telescope identical
-    repeated cycles into per-channel geometric series and advance a
-    whole mission in O(1) per cycle.  Models whose sigma is a sum of
-    such terms from a full battery: ideal and Peukert (no channels),
-    KiBaM (one channel, the diagonalized bound-well disequilibrium),
-    Rakhmatov–Vrudhula (one channel per truncated series term).  The
-    diffusion PDE has no finite channel set and uses {!stepper}
-    instead. *)
-
 (** One integration context.  The float-array state representation is
     what lets {!Delta} snapshot and restore checkpoints with flat
     [Array.blit]s, no per-checkpoint allocation. *)
@@ -152,6 +138,11 @@ type stepper = {
     checkpoint — O(n/k + stride) instead of O(n) per move — while
     remaining bit-identical to a from-scratch integration. *)
 
+type kernel =
+  | Channels of channels
+  | Stepper of stepper
+(** A model's one fast view. *)
+
 type t = {
   name : string;
   (** Short identifier used in reports. *)
@@ -162,21 +153,9 @@ type t = {
       unavailable-charge component recovers during rest (or light load
       after heavy load), so sigma can dip — which is why lifetime
       estimation looks for the {e first} crossing of alpha. *)
-  incremental : incremental option;
-  (** The per-interval decomposition of [sigma] at the makespan, when
-      the model admits one (ideal, Peukert, Rakhmatov–Vrudhula, KiBaM
-      — for KiBaM the two-well affine maps diagonalize in suffix-time
-      coordinates, see DESIGN.md §11). *)
-  stepper : stepper option;
-  (** Checkpointable integration for models with state but no
-      per-interval decomposition (the diffusion PDE).  The delta
-      evaluator prefers [incremental], then [stepper], then falls back
-      to a counted full re-evaluation per candidate move. *)
-  decay : decay option;
-  (** Exponential-channel structure of the per-interval term, when the
-      model admits one; {!Periodic}'s linear-time endurance kernel
-      prefers [decay], then [stepper], then falls back to the quadratic
-      full-history path. *)
+  kernel : kernel;
+  (** The same function as [sigma], in the form {!Delta} and
+      {!Periodic} evaluate. *)
 }
 
 val sigma_end : t -> Profile.t -> float

@@ -21,51 +21,18 @@ type device = {
   cycle : Profile.t;
 }
 
-(* The peak of sigma inside a cycle occurs at one of its active-interval
-   end points (sigma relaxes during idle), so death within cycle k is
-   detected by probing those ends against the history built so far. *)
-
-(* Reference path: materialize the growing full history and probe it
-   with the model's own [sigma].  O(cycles^2) interval work, kept
-   verbatim from the original implementation as the fallback for models
-   exposing neither [decay] nor [stepper].  Stripping both fields from a
-   model routes it here, which is how the property tests reach it as
-   the oracle for the fast kernels. *)
-let reference_run ~max_cycles ~model ~alpha ~period cycle =
-  let base =
-    List.map
-      (fun (iv : Profile.interval) ->
-        (iv.Profile.start, iv.Profile.duration, iv.Profile.current))
-      (Profile.intervals cycle)
-  in
-  let rec go k acc =
-    if k >= max_cycles then (Censored max_cycles, Float.nan)
-    else begin
-      let offset = float_of_int k *. period in
-      let shifted = List.map (fun (s, d, c) -> (s +. offset, d, c)) base in
-      let profile = Profile.of_intervals (List.rev_append acc shifted) in
-      let fatal =
-        List.find_map
-          (fun (s, d, _) ->
-            let sg = model.Model.sigma profile ~at:(s +. d) in
-            if sg >= alpha then Some sg else None)
-          shifted
-      in
-      match fatal with
-      | Some sg -> (Dies k, sg)
-      | None -> go (k + 1) (List.rev_append shifted acc)
-    end
-  in
-  go 0 []
-
 module Batch = struct
   type result = { outcome : outcome; fatal_sigma : float }
 
   (* Per-device endurance state, compiled once at setup so the per-cycle
      sweep does constant work per device.
 
-     [channels_state] is the closed form for models with a [Model.decay]
-     decomposition.  Write e_j for the end time of the cycle's j-th
+     The peak of sigma inside a cycle occurs at one of its
+     active-interval end points (sigma relaxes during idle), so death
+     within cycle k is detected by probing those ends.
+
+     [channels_state] is the closed form for models whose kernel is
+     [Model.Channels].  Write e_j for the end time of the cycle's j-th
      interval and lambda_t for the channel rates.  Sigma probed at the
      end of interval j of cycle k is
 
@@ -82,15 +49,15 @@ module Batch = struct
      zero [exp]s.  Every exponent evaluated at setup is <= ~0 (the
      cycle fits in the period), so nothing can overflow.
 
-     [carried_state] advances a [Model.stepper] state through the mission
-     once instead of re-integrating the whole history per probe —
-     O(cycles) integration work total instead of O(cycles^2).  The
-     arithmetic deliberately mirrors the reference probe ([run_to]
-     targets computed as [start +. offset] and spans as differences
-     against the carried clock), because the reference's from-scratch
-     integration for any probe performs exactly a prefix of the carried
-     advance sequence: the two paths are bit-identical, not just
-     close.  Carried devices of one [state_dim] run four at a time
+     [carried_state] advances a [Model.Stepper] state through the
+     mission once instead of re-integrating the whole history per probe
+     — O(cycles) integration work total instead of O(cycles^2).  The
+     arithmetic deliberately mirrors the test oracle's full-history
+     probe ([run_to] targets computed as [start +. offset] and spans as
+     differences against the carried clock), because the oracle's
+     from-scratch integration for any probe performs exactly a prefix
+     of the carried advance sequence: the two paths are bit-identical,
+     not just close.  Carried devices of one [state_dim] run four at a time
      through a [Model.lane_group] (see [run_lanes]), each lane playing
      the same mission events with the same arithmetic. *)
   type channels_state = {
@@ -124,8 +91,8 @@ module Batch = struct
         incr i);
     (starts, durations, currents)
 
-  let compile_channels (dc : Model.decay) ~period ~starts ~durations ~currents
-      =
+  let compile_channels (dc : Model.channels) ~period ~starts ~durations
+      ~currents =
     let e = Array.length starts in
     let t = Array.length dc.Model.rates in
     let ends = Array.init e (fun j -> starts.(j) +. durations.(j)) in
@@ -401,32 +368,23 @@ module Batch = struct
       let alive = Array.make n 0 in
       let nalive = ref 0 in
       let carried = ref [] in
-      let nreference = ref 0 in
       for i = 0 to n - 1 do
         let dv = device i in
         check_inputs ~alpha:dv.alpha ~period:dv.period dv.cycle;
         alphas.(i) <- dv.alpha;
         periods.(i) <- dv.period;
-        match (dv.model.Model.decay, dv.model.Model.stepper) with
-        | Some dc, _ ->
-            let starts, durations, currents = collect_intervals dv.cycle in
+        let starts, durations, currents = collect_intervals dv.cycle in
+        match dv.model.Model.kernel with
+        | Model.Channels dc ->
             channels.(i) <-
               Some
                 (compile_channels dc ~period:dv.period ~starts ~durations
                    ~currents);
             alive.(!nalive) <- i;
             incr nalive
-        | None, Some stepper ->
-            let starts, durations, currents = collect_intervals dv.cycle in
+        | Model.Stepper stepper ->
             carried :=
               { index = i; stepper; starts; durations; currents } :: !carried
-        | None, None ->
-            let outcome, fatal_sigma =
-              reference_run ~max_cycles ~model:dv.model ~alpha:dv.alpha
-                ~period:dv.period dv.cycle
-            in
-            results.(i) <- { outcome; fatal_sigma };
-            incr nreference
       done;
       (* one bump per kind and call: [bump_named] rebuilds the whole
          counter list *)
@@ -436,8 +394,6 @@ module Batch = struct
         Probe.bump_named probe "periodic/channel_devices" !nalive;
       if ncarried > 0 then
         Probe.bump_named probe "periodic/carried_devices" ncarried;
-      if !nreference > 0 then
-        Probe.bump_named probe "periodic/reference_devices" !nreference;
       if ncarried > 0 && max_cycles > 0 then
         run_carried
           (Array.of_list (List.rev !carried))

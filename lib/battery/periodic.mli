@@ -9,17 +9,16 @@
     the answers depend on the model's nonlinearity, not just on
     charge-per-cycle.
 
-    Lifetime estimation is O(cycles): models exposing a {!Model.decay}
-    channel decomposition (ideal, Peukert, KiBaM, Rakhmatov–Vrudhula)
-    telescope the repeated cycles into per-channel geometric series
-    advanced in O(1) per cycle with no [exp] on the per-cycle path;
-    stepper-only models (the diffusion PDE) carry one integration state
-    across the whole mission instead of re-integrating the history per
-    probe.  Models exposing neither fall back to the original quadratic
-    path, which replays the full history and probes it with the model's
-    own [sigma]; the property tests check the fast kernels against it by
-    stripping [decay] and [stepper] from a model.  See DESIGN.md §15 for
-    the derivations. *)
+    Lifetime estimation is O(cycles), through the model's kernel:
+    {!Model.Channels} models (ideal, Peukert, KiBaM,
+    Rakhmatov–Vrudhula) telescope the repeated cycles into per-channel
+    geometric series advanced in O(1) per cycle with no [exp] on the
+    per-cycle path; {!Model.Stepper} models (the diffusion PDE) carry
+    one integration state across the whole mission instead of
+    re-integrating the history per probe.  The original quadratic
+    path, which replays the full history and probes it with the
+    model's own [sigma], is the test oracle the property tests check
+    both kernels against.  See DESIGN.md §15 for the derivations. *)
 
 exception Unsustainable of float
 (** The battery dies within the very first cycle.  Carries sigma at the
@@ -91,8 +90,7 @@ module Batch : sig
       the compiled states — independent of the horizon.  [device] is
       called exactly once per index, in order.  Scalar
       {!cycles_to_death} is [run ~n:1], so batch and scalar results
-      agree bit-for-bit by construction.  Models with neither [decay]
-      nor [stepper] fall back to the reference path at setup.
+      agree bit-for-bit by construction.
       @raise Invalid_argument as {!cycles_to_death}, or on negative
       [n]. *)
 end

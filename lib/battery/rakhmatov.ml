@@ -86,14 +86,8 @@ let sigma ?(terms = Series.default_terms) ?(beta = default_beta) p ~at =
 
 (* The suffix-time decomposition packaged for the delta evaluator: at
    the makespan of a gapless profile, [tail] in the cache key above is
-   exactly the sum of durations after the interval. *)
-let incremental ~terms ~beta =
-  { Model.term =
-      (fun ~current ~duration ~tail ->
-        contribution ~terms ~beta ~current ~duration ~tail);
-    tail_sensitive = true }
-
-(* Channel view of the same series: the contribution
+   exactly the sum of durations after the interval.  Its channel view:
+   the contribution
      I (D + F(tail) - F(tail + D))
    with F(t) = sum_m 2 e^{-lambda_m t} / lambda_m, lambda_m = beta^2 m^2,
    regroups as
@@ -101,14 +95,17 @@ let incremental ~terms ~beta =
    — one decay channel per truncated series term, amplitudes depending
    on (I, D) only.  Exactly the structure {!Periodic} telescopes across
    repeated cycles. *)
-let decay ~terms ~beta =
+let channels ~terms ~beta =
   let b2 = beta *. beta in
   let rates =
     Array.init terms (fun i ->
         let m = float_of_int (i + 1) in
         b2 *. m *. m)
   in
-  { Model.rates;
+  { Model.term =
+      (fun ~current ~duration ~tail ->
+        contribution ~terms ~beta ~current ~duration ~tail);
+    rates;
     weights =
       (fun ~current ~duration buf ->
         for t = 0 to terms - 1 do
@@ -120,9 +117,7 @@ let decay ~terms ~beta =
 let model ?(terms = Series.default_terms) ?(beta = default_beta) () =
   { Model.name = "rakhmatov";
     sigma = (fun p ~at -> sigma ~terms ~beta p ~at);
-    incremental = Some (incremental ~terms ~beta);
-    stepper = None;
-    decay = Some (decay ~terms ~beta) }
+    kernel = Model.Channels (channels ~terms ~beta) }
 
 let unavailable_charge ?terms ?beta p ~at =
   sigma ?terms ?beta p ~at -. Profile.total_charge (Profile.truncate p ~at)

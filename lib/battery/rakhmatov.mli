@@ -54,12 +54,12 @@ val contribution :
     [current * (duration + kernel tail (tail + duration))], memoized.
     [tail >= 0] is the load duration between the interval's end and the
     observation instant.  This is the term behind both {!sigma} and the
-    model's {!Model.incremental} interface; exposed so the delta
+    [term] of the model's {!Model.channels}; exposed so the delta
     evaluator and the full path share one cache. *)
 
 val model : ?terms:int -> ?beta:float -> unit -> Model.t
-(** Package {!sigma} as a {!Model.t} named ["rakhmatov"], with the
-    incremental and decay paths. *)
+(** Package {!sigma} as a {!Model.t} named ["rakhmatov"], whose
+    kernel is one channel per series term. *)
 
 val unavailable_charge :
   ?terms:int -> ?beta:float -> Profile.t -> at:float -> float

@@ -46,7 +46,10 @@ type t = {
   mutable delta_commits : int;    (** delta-evaluator moves committed *)
   mutable delta_discards : int;   (** delta-evaluator moves discarded *)
   mutable delta_terms : int;      (** per-position contribution terms recomputed *)
-  mutable delta_full_evals : int; (** delta fallbacks to a full model evaluation *)
+  mutable delta_full_evals : int;
+  (** Always 0: the delta evaluator costs every model through its
+      kernel, so nothing bumps it.  Kept so the [--stats] table and the
+      bench and perfbench readers of this field keep their layout. *)
   mutable delta_ck_advances : int;(** checkpointed-stepper intervals integrated *)
   mutable delta_ck_restores : int;(** checkpoint restores in the delta evaluator *)
   mutable fcache_evictions : int; (** Fcache generation flips (half-table expiries) *)
@@ -55,9 +58,8 @@ type t = {
   mutable pool_steals : int;      (** region chunks claimed by helper domains *)
   mutable named : (string * int) list;
   (** Open-keyed counters for populations too dynamic for a fixed
-      field — e.g. ["delta_full_evals/<model>"] attributing fallbacks
-      per model name.  Bump via {!bump_named}; merged by key in
-      {!add}. *)
+      field — e.g. ["periodic/carried_devices"] and ["fleet/deaths"].
+      Bump via {!bump_named}; merged by key in {!add}. *)
 }
 
 val local : unit -> t

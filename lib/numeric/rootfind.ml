@@ -1,12 +1,14 @@
 exception No_bracket
 
+let max_iter = 200
+
 let sign x = if x > 0.0 then 1 else if x < 0.0 then -1 else 0
 
 let check_bracket ~name ~lo ~hi flo fhi =
   if lo > hi then invalid_arg (name ^ ": lo > hi");
   if sign flo * sign fhi > 0 then invalid_arg (name ^ ": bracket does not change sign")
 
-let bisect ?(tol = 1e-9) ?(max_iter = 200) ~f ~lo ~hi () =
+let bisect ?(tol = 1e-9) ~f ~lo ~hi () =
   let flo = f lo and fhi = f hi in
   check_bracket ~name:"Rootfind.bisect" ~lo ~hi flo fhi;
   if flo = 0.0 then lo
@@ -24,7 +26,7 @@ let bisect ?(tol = 1e-9) ?(max_iter = 200) ~f ~lo ~hi () =
     loop lo hi flo 0
 
 (* Brent's method, after Numerical Recipes' zbrent structure. *)
-let brent ?(tol = 1e-9) ?(max_iter = 200) ~f ~lo ~hi () =
+let brent ?(tol = 1e-9) ~f ~lo ~hi () =
   let fa = f lo and fb = f hi in
   check_bracket ~name:"Rootfind.brent" ~lo ~hi fa fb;
   if fa = 0.0 then lo
@@ -81,7 +83,7 @@ let brent ?(tol = 1e-9) ?(max_iter = 200) ~f ~lo ~hi () =
     match !result with Some r -> r | None -> !b
   end
 
-let invert_monotone ?(tol = 1e-9) ?(max_iter = 200) ~f ~target ~lo () =
+let invert_monotone ?(tol = 1e-9) ~f ~target ~lo () =
   let g x = f x -. target in
   if g lo >= 0.0 then lo
   else begin
@@ -91,5 +93,5 @@ let invert_monotone ?(tol = 1e-9) ?(max_iter = 200) ~f ~target ~lo () =
       else grow (2.0 *. step) (hi +. (2.0 *. step)) (attempts + 1)
     in
     let hi = grow 1.0 (lo +. 1.0) 0 in
-    brent ~tol ~max_iter ~f:g ~lo ~hi ()
+    brent ~tol ~f:g ~lo ~hi ()
   end

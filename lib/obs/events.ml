@@ -79,8 +79,8 @@ let create_channel oc = make (Stream oc)
    so the escape scan avoids [Json.escape_string]'s allocation on that
    path.  Floats must survive the file roundtrip bit-exactly — the
    ledger's in-memory curve and [basched report]'s file parse of the
-   same stream are compared in tests — so rendering tries the compact
-   [%.12g] first and falls back to [%.17g] when that loses ulps. *)
+   same stream are compared in tests — which [Json.add_number]
+   guarantees. *)
 let add_json_string buf s =
   let needs_escape = ref false in
   String.iter
@@ -90,16 +90,6 @@ let add_json_string buf s =
   if !needs_escape then Buffer.add_string buf (Json.escape_string s)
   else Buffer.add_string buf s
 
-let add_float buf f =
-  if Float.is_finite f then begin
-    let s = Printf.sprintf "%.12g" f in
-    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
-    Buffer.add_string buf s;
-    if String.for_all (function '-' | '0' .. '9' -> true | _ -> false) s then
-      Buffer.add_string buf ".0"
-  end
-  else Buffer.add_string buf "null"
-
 let add_field buf (name, v) =
   Buffer.add_char buf ',';
   Buffer.add_char buf '"';
@@ -107,7 +97,7 @@ let add_field buf (name, v) =
   Buffer.add_string buf "\":";
   match v with
   | I i -> Buffer.add_string buf (string_of_int i)
-  | F f -> add_float buf f
+  | F f -> Json.add_number buf f
   | S s ->
       Buffer.add_char buf '"';
       add_json_string buf s;

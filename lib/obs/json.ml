@@ -197,7 +197,17 @@ let of_jsonl_file path =
        with End_of_file -> ());
       List.rev !acc)
 
-(* Writer-side helper shared by every hand-rolled exporter. *)
+(* Writer-side helpers shared by every hand-rolled exporter. *)
+let add_number buf f =
+  if Float.is_finite f then begin
+    let s = Printf.sprintf "%.12g" f in
+    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+    Buffer.add_string buf s;
+    if String.for_all (function '-' | '0' .. '9' -> true | _ -> false) s then
+      Buffer.add_string buf ".0"
+  end
+  else Buffer.add_string buf "null"
+
 let escape_string s =
   let buf = Buffer.create (String.length s + 2) in
   String.iter

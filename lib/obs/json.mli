@@ -47,6 +47,12 @@ val of_file : string -> t
 val of_jsonl_file : string -> t list
 (** Read a JSON-Lines file: one value per nonempty line. *)
 
+val add_number : Buffer.t -> float -> unit
+(** Append a float that reads back bit-exactly: the compact [%.12g]
+    unless that loses ulps, then [%.17g], with [.0] added to an
+    integral rendering so it stays a float.  Non-finite values are
+    written as [null]. *)
+
 val escape_string : string -> string
 (** Escape a string's contents for embedding between double quotes in
     JSON output (quotes not included). *)

@@ -94,18 +94,6 @@ let git_rev () =
 
 (* --- manifest rendering (hand-rolled, like every exporter here) --- *)
 
-(* roundtrip-exact float rendering, same scheme as [Events]: compact
-   [%.12g] unless it loses ulps, then [%.17g] *)
-let add_num buf f =
-  if Float.is_finite f then begin
-    let s = Printf.sprintf "%.12g" f in
-    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
-    Buffer.add_string buf s;
-    if String.for_all (function '-' | '0' .. '9' -> true | _ -> false) s then
-      Buffer.add_string buf ".0"
-  end
-  else Buffer.add_string buf "null"
-
 let add_str buf s =
   Buffer.add_char buf '"';
   Buffer.add_string buf (Json.escape_string s);
@@ -125,7 +113,7 @@ let render_manifest ~id ~created spec counters =
   field "schema_version" (fun () ->
       Buffer.add_string buf (string_of_int schema_version));
   field "id" (fun () -> add_str buf id);
-  field "created" (fun () -> add_num buf created);
+  field "created" (fun () -> Json.add_number buf created);
   field "tool" (fun () -> add_str buf spec.tool);
   field "label" (fun () -> add_str buf spec.label);
   field "instance" (fun () -> add_str buf spec.instance);
@@ -135,14 +123,14 @@ let render_manifest ~id ~created spec counters =
   field "pool_size" (fun () ->
       Buffer.add_string buf (string_of_int spec.pool_size));
   field "git_rev" (fun () -> add_str buf (git_rev ()));
-  field "wall_s" (fun () -> add_num buf spec.wall_s);
+  field "wall_s" (fun () -> Json.add_number buf spec.wall_s);
   field "sigma" (fun () ->
       match spec.sigma with
-      | Some s -> add_num buf s
+      | Some s -> Json.add_number buf s
       | None -> Buffer.add_string buf "null");
   field "finish" (fun () ->
       match spec.finish with
-      | Some f -> add_num buf f
+      | Some f -> Json.add_number buf f
       | None -> Buffer.add_string buf "null");
   field "events_path" (fun () ->
       match spec.events_path with
@@ -174,11 +162,11 @@ let render_manifest ~id ~created spec counters =
         (fun i (t, e, q) ->
           if i > 0 then Buffer.add_string buf ", ";
           Buffer.add_char buf '[';
-          add_num buf t;
+          Json.add_number buf t;
           Buffer.add_string buf ", ";
-          add_num buf e;
+          Json.add_number buf e;
           Buffer.add_string buf ", ";
-          add_num buf q;
+          Json.add_number buf q;
           Buffer.add_char buf ']')
         spec.curve;
       Buffer.add_char buf ']');

@@ -24,7 +24,7 @@ let add_counters buf (c : Probe.t) =
   List.iter
     (fun (name, get) -> Printf.bprintf buf "  %-18s %12d\n" name (get c))
     Probe.fields;
-  (* open-keyed counters, e.g. per-model delta fallback attribution *)
+  (* open-keyed counters, e.g. the fleet's per-kind device counts *)
   List.iter
     (fun (name, v) -> Printf.bprintf buf "  %-28s %12d\n" name v)
     (Probe.named_counts c);

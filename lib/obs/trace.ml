@@ -1,15 +1,3 @@
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Trace-event timestamps are microseconds; emit them with nanosecond
    resolution relative to the sink epoch. *)
 let us_of epoch ns = Int64.to_float (Int64.sub ns epoch) /. 1e3
@@ -39,7 +27,7 @@ let to_buffer buf sink =
         (Printf.sprintf
            "  {\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\
             \"args\":{\"name\":\"%s\"}}"
-           w (escape (track_name w))))
+           w (Json.escape_string (track_name w))))
     tracks;
   List.iter
     (fun (s : Sink.span) ->
@@ -48,7 +36,7 @@ let to_buffer buf sink =
            "  {\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"name\":\"%s\",\
             \"cat\":\"batsched\",\"ts\":%.3f,\"dur\":%.3f,\
             \"args\":{\"minor_words\":%.0f}}"
-           s.Sink.track (escape s.Sink.name)
+           s.Sink.track (Json.escape_string s.Sink.name)
            (us_of epoch s.Sink.start_ns)
            (Int64.to_float s.Sink.dur_ns /. 1e3)
            s.Sink.alloc_words))

@@ -303,6 +303,7 @@ let test_exhaustive_beats_or_ties_everything () =
     others
 
 let test_exhaustive_too_large_guard () =
+  (* 5^12 ~ 2.4e8 assignments, past the 200_000 budget *)
   let rng = Batsched_numeric.Rng.create 1 in
   let g =
     Generators.random_dag ~rng
@@ -310,7 +311,7 @@ let test_exhaustive_too_large_guard () =
       ~edge_prob:0.2
   in
   Alcotest.check_raises "guard" Exhaustive.Too_large (fun () ->
-      ignore (Exhaustive.run ~max_assignments:1000 ~model g ~deadline:1000.0))
+      ignore (Exhaustive.run ~model g ~deadline:1000.0))
 
 let test_exhaustive_infeasible () =
   let g = diamond () in

@@ -470,9 +470,8 @@ let test_periodic_max_cycles_cap () =
        ~period:2.0 cycle)
 
 let test_periodic_fast_path_engages () =
-  (* the scalar estimator must route decay models through the channel
-     kernel and stepper models through the carried state, not fall back
-     to the quadratic reference *)
+  (* the scalar estimator must route channel models through the channel
+     kernel and stepper models through the carried state *)
   let cycle = Profile.constant ~current:100.0 ~duration:10.0 in
   let named c name =
     match List.assoc_opt name (Batsched_numeric.Probe.named_counts c) with
@@ -489,10 +488,7 @@ let test_periodic_fast_path_engages () =
   Alcotest.(check int) "channel device" 1
     (named c1 "periodic/channel_devices" - named c0 "periodic/channel_devices");
   Alcotest.(check int) "carried device" 1
-    (named c1 "periodic/carried_devices" - named c0 "periodic/carried_devices");
-  Alcotest.(check int) "no reference fallback" 0
-    (named c1 "periodic/reference_devices"
-    - named c0 "periodic/reference_devices")
+    (named c1 "periodic/carried_devices" - named c0 "periodic/carried_devices")
 
 let test_periodic_batch_matches_scalar () =
   (* heterogeneous population: every device's batch result must agree
@@ -1097,8 +1093,10 @@ let prop_periodic_lanes_match =
                (fun (d : Periodic.device) r ->
                  same r
                    (Periodic.Batch.run ~max_cycles ~n:1 ~device:(fun _ -> d) ()).(0)
-                 && (Option.is_none d.Periodic.model.Model.stepper
-                    || same r (Oracles.Periodic.result_reference ~max_cycles d)))
+                 && (match d.Periodic.model.Model.kernel with
+                    | Model.Channels _ -> true
+                    | Model.Stepper _ ->
+                        same r (Oracles.Periodic.result_reference ~max_cycles d)))
                devices got)
         [ 0; 1; 3; 4; 5; 23; 257 ])
 
@@ -1387,41 +1385,9 @@ let test_delta_of_profile_rejects_gaps () =
   let ok = Profile.sequential base_points in
   check_against_full rv (Delta.of_profile rv ok) base_points
 
-let test_delta_fallback_counts_full_evals () =
-  (* a deliberately opaque model — no incremental terms, no stepper —
-     forces the counted full-profile fallback; the probe
-     books each one both in the flat field and under the model's name
-     in the open-keyed counters (kibam itself no longer falls back: it
-     has a closed-form incremental decomposition) *)
-  let model =
-    { Model.name = "opaque";
-      sigma = (fun p ~at -> Kibam.sigma p ~at);
-      incremental = None;
-      stepper = None;
-      decay = None }
-  in
-  let named c =
-    match List.assoc_opt "delta_full_evals/opaque" (Probe.named_counts c) with
-    | Some v -> v
-    | None -> 0
-  in
-  let c0 = Probe.totals () in
-  let d = delta_of model base_points in
-  ignore (Delta.try_swap d 1);
-  Delta.discard d;
-  check_against_full model d base_points;
-  ignore (Delta.try_set d 0 ~current:50.0 ~duration:2.0);
-  Delta.commit d;
-  check_against_full model d (set_list base_points 0 (50.0, 2.0));
-  let c1 = Probe.totals () in
-  let evals = c1.Probe.delta_full_evals - c0.Probe.delta_full_evals in
-  Alcotest.(check bool) "full evals counted" true (evals >= 3);
-  Alcotest.(check int) "attributed to the model by name" evals
-    (named c1 - named c0)
-
 let test_delta_kibam_incremental_no_fallback () =
-  (* the closed-form decomposition keeps kibam off the fallback path
-     entirely: a burst of swap/set candidates costs zero full evals *)
+  (* kibam's closed-form channels cost a burst of swap/set candidates
+     that track the full evaluation, with zero full evals booked *)
   let model = Kibam.model () in
   let c0 = (Probe.totals ()).Probe.delta_full_evals in
   let d = delta_of model base_points in
@@ -1525,27 +1491,27 @@ let delta_tests =
     Alcotest.test_case "single interval" `Quick test_delta_single_interval;
     Alcotest.test_case "pending protocol" `Quick test_delta_pending_protocol;
     Alcotest.test_case "of_profile rejects gaps" `Quick test_delta_of_profile_rejects_gaps;
-    Alcotest.test_case "fallback counts full evals" `Quick test_delta_fallback_counts_full_evals;
     Alcotest.test_case "kibam incremental, no fallback" `Quick test_delta_kibam_incremental_no_fallback;
     Alcotest.test_case "checkpoint counters" `Quick test_delta_checkpoint_counters;
     Alcotest.test_case "O(1) swap term evals" `Quick test_delta_swap_term_evals_constant;
     Alcotest.test_case "suffix cache across makespans" `Quick test_delta_suffix_cache_across_makespans;
     Alcotest.test_case "refresh after many commits" `Quick test_delta_refresh_noop ]
 
-(* --- Model views: the optional fast views each shipped model exposes,
-   and the Model.mli contract tying each view back to [sigma] --- *)
+(* --- Model views: the kernel each shipped model carries, and the
+   Model.mli contract tying it back to [sigma] --- *)
 
 let shipped_models =
   [ Ideal.model; Peukert.model (); rv; Kibam.model (); coarse_diffusion ]
 
 let test_model_views_shipped () =
-  (* (tail sensitivity of [incremental], has [stepper], decay channel
-     count): a model that silently lost a view would still evaluate
-     correctly through the counted fallbacks, only slower *)
+  (* (tail sensitivity of the channel terms, derived from the channel
+     count as Delta derives it; is a stepper; channel count) *)
   let views m =
-    ( Option.map (fun i -> i.Model.tail_sensitive) m.Model.incremental,
-      Option.is_some m.Model.stepper,
-      Option.map (fun d -> Array.length d.Model.rates) m.Model.decay )
+    match m.Model.kernel with
+    | Model.Channels ch ->
+        let n = Array.length ch.Model.rates in
+        (Some (n > 0), false, Some n)
+    | Model.Stepper _ -> (None, true, None)
   in
   let want =
     [ ("ideal", (Some false, false, Some 0));
@@ -1566,27 +1532,27 @@ let test_model_views_incremental_sums () =
      makespan; a zero-duration term is exactly zero *)
   List.iter
     (fun m ->
-      match m.Model.incremental with
-      | None -> ()
-      | Some inc ->
+      match m.Model.kernel with
+      | Model.Stepper _ -> ()
+      | Model.Channels ch ->
           let rec terms acc = function
             | [] -> (acc, 0.0)
             | (current, duration) :: rest ->
                 let acc, tail = terms acc rest in
-                (acc +. inc.Model.term ~current ~duration ~tail, tail +. duration)
+                (acc +. ch.Model.term ~current ~duration ~tail, tail +. duration)
           in
           let got, _ = terms 0.0 base_points in
           check_rel m.Model.name (fst (full_eval m base_points)) got;
           Alcotest.(check (float 0.0)) (m.Model.name ^ " zero duration") 0.0
-            (inc.Model.term ~current:300.0 ~duration:0.0 ~tail:5.0))
+            (ch.Model.term ~current:300.0 ~duration:0.0 ~tail:5.0))
     shipped_models
 
 let test_model_views_decay_reassembles () =
   (* charge + sum_t w_t exp(-rate_t tail) = term, at any tail *)
   List.iter
     (fun m ->
-      match (m.Model.incremental, m.Model.decay) with
-      | Some inc, Some d ->
+      match m.Model.kernel with
+      | Model.Channels d ->
           Array.iter
             (fun r ->
               Alcotest.(check bool) (m.Model.name ^ " rate > 0") true (r > 0.0))
@@ -1602,12 +1568,11 @@ let test_model_views_decay_reassembles () =
                     (fun t r -> got := !got +. (buf.(t) *. exp (-.r *. tail)))
                     d.Model.rates;
                   check_rel m.Model.name
-                    (inc.Model.term ~current ~duration ~tail)
+                    (d.Model.term ~current ~duration ~tail)
                     !got)
                 [ 0.0; 1.5; 10.0; 120.0 ])
             base_points
-      | _, None -> ()
-      | None, Some _ -> Alcotest.failf "%s: decay without incremental" m.Model.name)
+      | Model.Stepper _ -> ())
     shipped_models
 
 let test_model_views_stepper_observes () =
@@ -1615,9 +1580,9 @@ let test_model_views_stepper_observes () =
      makespan; a zero-duration advance leaves the state bit-identical *)
   List.iter
     (fun m ->
-      match m.Model.stepper with
-      | None -> ()
-      | Some st ->
+      match m.Model.kernel with
+      | Model.Channels _ -> ()
+      | Model.Stepper st ->
           let ops = st.Model.fresh () in
           let u = Array.make st.Model.state_dim 0.0 in
           ops.Model.start u;

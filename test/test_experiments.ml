@@ -40,19 +40,6 @@ let test_tables_formatters () =
   Alcotest.(check string) "f0" "16353" (Batsched_experiments.Tables.f0 16353.2);
   Alcotest.(check string) "pct" "+15.6%" (Batsched_experiments.Tables.pct 15.6)
 
-(* --- Csv --- *)
-
-let test_csv_plain () =
-  Alcotest.(check string) "rows" "a,b\n1,2\n"
-    (Batsched_experiments.Csv.of_rows [ [ "a"; "b" ]; [ "1"; "2" ] ])
-
-let test_csv_quoting () =
-  Alcotest.(check string) "comma" "\"a,b\"" (Batsched_experiments.Csv.escape "a,b");
-  Alcotest.(check string) "quote" "\"a\"\"b\""
-    (Batsched_experiments.Csv.escape "a\"b");
-  Alcotest.(check string) "plain untouched" "ab"
-    (Batsched_experiments.Csv.escape "ab")
-
 (* --- Registry --- *)
 
 let test_registry_has_all_paper_artifacts () =
@@ -159,9 +146,6 @@ let () =
           Alcotest.test_case "pads short rows" `Quick test_tables_pads_short_rows;
           Alcotest.test_case "rejects long rows" `Quick test_tables_rejects_long_rows;
           Alcotest.test_case "formatters" `Quick test_tables_formatters ] );
-      ( "csv",
-        [ Alcotest.test_case "plain" `Quick test_csv_plain;
-          Alcotest.test_case "quoting" `Quick test_csv_quoting ] );
       ( "registry",
         [ Alcotest.test_case "all artifacts" `Quick test_registry_has_all_paper_artifacts;
           Alcotest.test_case "unknown" `Quick test_registry_find_unknown ] );
