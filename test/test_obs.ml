@@ -683,36 +683,40 @@ let test_compare_normalize () =
     normed.BC.joined
 
 (* the committed snapshots must reproduce the PR 1-6 speedups — the
-   same invariant the CI gate relies on *)
+   same invariant the CI gate relies on.  The paths are relative to the
+   test executable's directory, into which dune copies the snapshots
+   the test stanza depends on; a missing snapshot fails the test. *)
 let test_compare_committed_snapshots () =
-  let old_path = "../BENCH_2026-08-06_seed.json" in
-  let new_path = "../BENCH_2026-08-08_models.json" in
-  if not (Sys.file_exists old_path && Sys.file_exists new_path) then ()
-  else begin
-    let r = BC.compare_files old_path new_path in
-    let verdict_of scenario =
-      match
-        List.find_opt
-          (fun c -> c.BC.scenario = scenario)
-          (r.BC.joined @ r.BC.pairs)
-      with
-      | Some c -> BC.verdict_string c.BC.verdict
-      | None -> "missing"
-    in
-    Alcotest.(check string) "iterate-n26 improved" "improved"
-      (verdict_of "scaling/iterate-n26");
-    Alcotest.(check bool) "choose-n64 pair improved" true
-      (List.exists
-         (fun c ->
-           c.BC.verdict = BC.Improved
-           && c.BC.new_ns < c.BC.old_ns
-           &&
-           let s = c.BC.scenario in
-           String.length s >= 11 && String.sub s 0 11 = "choose-n64/")
-         r.BC.pairs);
-    Alcotest.(check bool) "no confident regression" false
-      (BC.has_confident_regression r)
-  end
+  let data path = Filename.concat (Filename.dirname Sys.executable_name) path in
+  let old_path = data "../BENCH_2026-08-06_seed.json" in
+  let new_path = data "../BENCH_2026-08-08_models.json" in
+  List.iter
+    (fun path ->
+      if not (Sys.file_exists path) then Alcotest.failf "missing snapshot %s" path)
+    [ old_path; new_path ];
+  let r = BC.compare_files old_path new_path in
+  let verdict_of scenario =
+    match
+      List.find_opt
+        (fun c -> c.BC.scenario = scenario)
+        (r.BC.joined @ r.BC.pairs)
+    with
+    | Some c -> BC.verdict_string c.BC.verdict
+    | None -> "missing"
+  in
+  Alcotest.(check string) "iterate-n26 improved" "improved"
+    (verdict_of "scaling/iterate-n26");
+  Alcotest.(check bool) "choose-n64 pair improved" true
+    (List.exists
+       (fun c ->
+         c.BC.verdict = BC.Improved
+         && c.BC.new_ns < c.BC.old_ns
+         &&
+         let s = c.BC.scenario in
+         String.length s >= 11 && String.sub s 0 11 = "choose-n64/")
+       r.BC.pairs);
+  Alcotest.(check bool) "no confident regression" false
+    (BC.has_confident_regression r)
 
 (* --- torn-tail tolerant tailer --- *)
 

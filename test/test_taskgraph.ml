@@ -409,8 +409,12 @@ let test_textio_rejects_duplicate_task () =
       Alcotest.(check int) "line" 2 line
   | _ -> Alcotest.fail "expected parse error")
 
-(* A file with CRLF line ends, as saved by Windows editors. *)
+(* A file with CRLF line ends, as saved by Windows editors.  [path] is
+   relative to the test executable's directory, into which dune copies
+   the data files the test stanza depends on, so the test reads the
+   same file from whatever directory it is run. *)
 let read_crlf path =
+  let path = Filename.concat (Filename.dirname Sys.executable_name) path in
   let ic = open_in_bin path in
   let text = really_input_string ic (in_channel_length ic) in
   close_in ic;
