@@ -91,11 +91,12 @@ let scenario_kernels =
        Batsched_battery.Diffusion.make_params ~nodes:32 ~dt:0.1 ~alpha:40375.0
          ~beta:0.273 ()
      in
+     let pde = Batsched_battery.Diffusion.model ~params () in
      let pulse =
        Batsched_battery.Profile.constant ~current:800.0 ~duration:20.0
      in
      ("pde-sigma/20min-pulse",
-      fun () -> ignore (Batsched_battery.Diffusion.sigma ~params pulse ~at:20.0)));
+      fun () -> ignore (Batsched_battery.Model.sigma pde pulse ~at:20.0)));
     (let g = Batsched_taskgraph.Instances.g3 in
      let pes = Batsched_multiproc.Mschedule.Pe.uniform 2 in
      ("multiproc/battery-aware-2pe",
@@ -356,7 +357,8 @@ let scenario_fleet =
   let reference cycles () =
     ignore
       (Batsched_oracles.Periodic.cycles_to_death_reference ~max_cycles:cycles
-         ~model ~alpha:1e9 ~period:40.0 mission)
+         ~sigma:(Batsched_battery.Model.sigma model) ~alpha:1e9 ~period:40.0
+         mission)
   in
   let pool4 = Batsched_numeric.Pool.create 4 in
   [ ("periodic-fast/rv-60", fast 60);

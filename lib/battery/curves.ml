@@ -3,7 +3,7 @@ open Batsched_numeric
 let sigma_curve ~model p ~n =
   let horizon = Profile.length p in
   if horizon <= 0.0 then invalid_arg "Curves.sigma_curve: empty profile";
-  Interp.tabulate ~f:(fun t -> model.Model.sigma p ~at:t) ~lo:0.0 ~hi:horizon ~n
+  Interp.tabulate ~f:(fun t -> Model.sigma model p ~at:t) ~lo:0.0 ~hi:horizon ~n
 
 type rate_capacity_point = {
   current : float;

@@ -25,13 +25,23 @@ open Batsched_numeric
    bit-identical, because the full path derives each tail as
    [at - start - duration] in forward coordinates. *)
 
-let[@inline] nadd t c x =
+(* A compensated pair (total [s], compensation [c]), updated in place.
+   Its fields are all floats, so the record is flat and [nadd] boxes
+   nothing, where returning the new pair would box both floats and the
+   tuple: 7 words per add. *)
+type pair = { mutable s : float; mutable c : float }
+
+let[@inline] nadd a x =
+  let t = a.s in
   let s = t +. x in
-  let c' =
-    if Float.abs t >= Float.abs x then c +. ((t -. s) +. x)
-    else c +. ((x -. s) +. t)
-  in
-  (s, c')
+  a.c <-
+    (if Float.abs t >= Float.abs x then a.c +. ((t -. s) +. x)
+     else a.c +. ((x -. s) +. t));
+  a.s <- s
+
+let[@inline] set a s c =
+  a.s <- s;
+  a.c <- c
 
 type pending =
   | No_move
@@ -115,6 +125,8 @@ type t = {
   mutable fin_c : float;
   mutable commits : int;            (* since the last full re-sum *)
   mutable pending : pending;
+  cell : float array;               (* a term's three cells *)
+  acc : pair;                       (* the running sum of a loop *)
 }
 
 let create (model : Model.t) =
@@ -144,7 +156,9 @@ let create (model : Model.t) =
     fin_t = 0.0;
     fin_c = 0.0;
     commits = 0;
-    pending = No_move }
+    pending = No_move;
+    cell = Array.make 3 0.0;
+    acc = { s = 0.0; c = 0.0 } }
 
 let ensure_capacity t n =
   if Array.length t.currents < n then begin
@@ -163,6 +177,16 @@ let ensure_capacity t n =
   end
 
 let length t = t.n
+
+(* One interval's channel term, its floats passed through [t.cell]:
+   inlined, so that neither the arguments nor the result is boxed. *)
+let[@inline] term t ch ~current ~duration ~tail =
+  let c = t.cell in
+  c.(0) <- current;
+  c.(1) <- duration;
+  c.(2) <- tail;
+  ch.Model.term c 0;
+  c.(0)
 
 let sigma t = t.sig_t +. t.sig_c
 
@@ -246,14 +270,13 @@ let resum t =
   (match t.kernel with
   | Ck _ -> ()
   | Terms _ ->
-      let st = ref 0.0 and sc = ref 0.0 in
+      let a = t.acc in
+      set a 0.0 0.0;
       for k = 0 to t.n - 1 do
-        let a, b = nadd !st !sc t.terms.(k) in
-        st := a;
-        sc := b
+        nadd a t.terms.(k)
       done;
-      t.sig_t <- !st;
-      t.sig_c <- !sc);
+      t.sig_t <- a.s;
+      t.sig_c <- a.c);
   t.commits <- 0
 
 let load t ~n ~point =
@@ -269,21 +292,20 @@ let load t ~n ~point =
   done;
   (* suffix sums, accumulated from the end; the final state is the
      total duration = the finish time *)
-  let tt = ref 0.0 and tc = ref 0.0 in
+  let a = t.acc in
+  set a 0.0 0.0;
   for k = n - 1 downto 0 do
-    t.tail_t.(k) <- !tt;
-    t.tail_c.(k) <- !tc;
-    let a, b = nadd !tt !tc t.durations.(k) in
-    tt := a;
-    tc := b
+    t.tail_t.(k) <- a.s;
+    t.tail_c.(k) <- a.c;
+    nadd a t.durations.(k)
   done;
-  t.fin_t <- !tt;
-  t.fin_c <- !tc;
+  t.fin_t <- a.s;
+  t.fin_c <- a.c;
   (match t.kernel with
   | Terms ch ->
       for k = 0 to n - 1 do
         t.terms.(k) <-
-          ch.Model.term ~current:t.currents.(k) ~duration:t.durations.(k)
+          term t ch ~current:t.currents.(k) ~duration:t.durations.(k)
             ~tail:(t.tail_t.(k) +. t.tail_c.(k))
       done;
       resum t
@@ -355,7 +377,10 @@ let try_swap t k =
          k, whose suffix multiset is unchanged — keeps its stored
          value *)
       let tl_t = t.tail_t.(k + 1) and tl_c = t.tail_c.(k + 1) in
-      let ntt, ntc = nadd tl_t tl_c t.durations.(k) in
+      let a = t.acc in
+      set a tl_t tl_c;
+      nadd a t.durations.(k);
+      let ntt = a.s and ntc = a.c in
       if Array.length ch.Model.rates = 0 then begin
         (* no channels, so the terms ignore their tails: the two terms
            trade places; sigma and finish are unchanged *)
@@ -373,21 +398,22 @@ let try_swap t k =
       else begin
         probe.Probe.delta_terms <- probe.Probe.delta_terms + 2;
         let term_lo =
-          ch.Model.term ~current:t.currents.(k + 1)
+          term t ch ~current:t.currents.(k + 1)
             ~duration:t.durations.(k + 1) ~tail:(ntt +. ntc)
         in
         let term_hi =
-          ch.Model.term ~current:t.currents.(k) ~duration:t.durations.(k)
+          term t ch ~current:t.currents.(k) ~duration:t.durations.(k)
             ~tail:(tl_t +. tl_c)
         in
-        let st, sc = nadd t.sig_t t.sig_c (-.t.terms.(k)) in
-        let st, sc = nadd st sc term_lo in
-        let st, sc = nadd st sc (-.t.terms.(k + 1)) in
-        let st, sc = nadd st sc term_hi in
+        set a t.sig_t t.sig_c;
+        nadd a (-.t.terms.(k));
+        nadd a term_lo;
+        nadd a (-.t.terms.(k + 1));
+        nadd a term_hi;
         t.pending <-
           Swap { k; tail_t = ntt; tail_c = ntc; term_lo; term_hi;
-                 sig_t = st; sig_c = sc };
-        (st +. sc, finish t)
+                 sig_t = a.s; sig_c = a.c };
+        (a.s +. a.c, finish t)
       end
 
 let try_set t pos ~current ~duration =
@@ -411,68 +437,55 @@ let try_set t pos ~current ~duration =
       in
       (* fresh compensated makespan with the replaced duration — an
          O(n) float sum, noise next to the integration above *)
-      let ft = ref 0.0 and fc = ref 0.0 in
+      let a = t.acc in
+      set a 0.0 0.0;
       for p = 0 to t.n - 1 do
-        let d = if p = pos then duration else t.durations.(p) in
-        let a, b = nadd !ft !fc d in
-        ft := a;
-        fc := b
+        nadd a (if p = pos then duration else t.durations.(p))
       done;
-      let fin = !ft +. !fc in
+      let fin = a.s +. a.c in
       t.pending <- Ck_set { pos; current; duration; sigma; finish = fin };
       (sigma, fin)
   | Terms ch ->
       (* candidate suffix sums for positions 0..pos-1: the chain from
          the unchanged tail at [pos] through the new duration *)
-      let tt = ref t.tail_t.(pos) and tc = ref t.tail_c.(pos) in
-      let a, b = nadd !tt !tc duration in
-      tt := a;
-      tc := b;
+      let a = t.acc in
+      set a t.tail_t.(pos) t.tail_c.(pos);
+      nadd a duration;
       for j = pos - 1 downto 0 do
-        t.ctail_t.(j) <- !tt;
-        t.ctail_c.(j) <- !tc;
-        let a, b = nadd !tt !tc t.durations.(j) in
-        tt := a;
-        tc := b
+        t.ctail_t.(j) <- a.s;
+        t.ctail_c.(j) <- a.c;
+        nadd a t.durations.(j)
       done;
-      let fin_t = !tt and fin_c = !tc in
+      let fin_t = a.s and fin_c = a.c in
       (* only a model with channels reads the tails that moved *)
       let tail_sensitive = Array.length ch.Model.rates > 0 in
       let lo = if tail_sensitive then 0 else pos in
       probe.Probe.delta_terms <- probe.Probe.delta_terms + (pos + 1 - lo);
       t.cterm.(pos) <-
-        ch.Model.term ~current ~duration
+        term t ch ~current ~duration
           ~tail:(t.tail_t.(pos) +. t.tail_c.(pos));
       if tail_sensitive then
         for j = 0 to pos - 1 do
           t.cterm.(j) <-
-            ch.Model.term ~current:t.currents.(j) ~duration:t.durations.(j)
+            term t ch ~current:t.currents.(j) ~duration:t.durations.(j)
               ~tail:(t.ctail_t.(j) +. t.ctail_c.(j))
         done;
-      let sig_t, sig_c =
-        if tail_sensitive && 2 * (pos + 1) >= t.n then begin
-          (* a fresh compensated sum over the candidate terms is cheaper
-             than 2(pos+1) delta updates — and resets any drift *)
-          let st = ref 0.0 and sc = ref 0.0 in
-          for j = 0 to t.n - 1 do
-            let v = if j <= pos then t.cterm.(j) else t.terms.(j) in
-            let a, b = nadd !st !sc v in
-            st := a;
-            sc := b
-          done;
-          (!st, !sc)
-        end
-        else begin
-          let st = ref t.sig_t and sc = ref t.sig_c in
-          for j = lo to pos do
-            let a, b = nadd !st !sc (-.t.terms.(j)) in
-            let a, b = nadd a b t.cterm.(j) in
-            st := a;
-            sc := b
-          done;
-          (!st, !sc)
-        end
-      in
+      if tail_sensitive && 2 * (pos + 1) >= t.n then begin
+        (* a fresh compensated sum over the candidate terms is cheaper
+           than 2(pos+1) delta updates — and resets any drift *)
+        set a 0.0 0.0;
+        for j = 0 to t.n - 1 do
+          nadd a (if j <= pos then t.cterm.(j) else t.terms.(j))
+        done
+      end
+      else begin
+        set a t.sig_t t.sig_c;
+        for j = lo to pos do
+          nadd a (-.t.terms.(j));
+          nadd a t.cterm.(j)
+        done
+      end;
+      let sig_t = a.s and sig_c = a.c in
       t.pending <- Set { pos; current; duration; lo; sig_t; sig_c; fin_t; fin_c };
       (sig_t +. sig_c, fin_t +. fin_c)
 

@@ -30,7 +30,7 @@
     invalidates the snapshots after the move's position.  Counted in
     [Probe.delta_ck_restores] / [delta_ck_advances].
 
-    Numerics: results agree with the model's full [sigma] path within
+    Numerics: results agree with {!Model.sigma} at the makespan within
     1e-9 {e relative}, not bit-for-bit — the full path derives each
     recovery time in forward coordinates ([at - start - duration]),
     the delta path as a suffix sum, and the two differ by ulps.  The

@@ -188,35 +188,6 @@ let run_lanes sc u n steps =
     done
   done
 
-let surface ~params profile ~at =
-  if at < 0.0 then invalid_arg "Diffusion: negative time";
-  let n = params.nodes in
-  let dx = 1.0 /. float_of_int (n - 1) in
-  let dee = params.beta *. params.beta /. (Float.pi *. Float.pi) in
-  let sc = make_scratch ~w:1 n in
-  let u = Array.make n params.alpha in
-  let clock = ref 0.0 in
-  let run_to t ~current =
-    let t = Float.min t at in
-    if t > !clock then begin
-      advance ~params ~sc ~dee ~dx ~current u (t -. !clock);
-      clock := t
-    end
-  in
-  List.iter
-    (fun (iv : Profile.interval) ->
-      run_to iv.Profile.start ~current:0.0;
-      run_to (iv.Profile.start +. iv.Profile.duration) ~current:iv.Profile.current)
-    (Profile.intervals profile);
-  run_to at ~current:0.0;
-  u.(0)
-
-let surface_density ?(params = default_params) profile ~at =
-  surface ~params profile ~at
-
-let sigma ?(params = default_params) profile ~at =
-  params.alpha -. surface ~params profile ~at
-
 (* A device's lane parameters, at [l * nparam] in a group: the prologue's
    three (dt, D, dx) and alpha for [observe]. *)
 let p_dt = 0 and p_dee = 1 and p_dx = 2 and p_alpha = 3 and nparam = 4
@@ -272,7 +243,7 @@ let stepper params =
     lanes = { Model.params = lane_params; group = (fun () -> lane_group n) } }
 
 let model ?(params = default_params) () =
-  { Model.name = "diffusion-pde"; sigma = (fun p ~at -> sigma ~params p ~at);
+  { Model.name = "diffusion-pde";
     (* no finite channel set: sigma is the solution of a PDE, so
-       Delta and Periodic advance a stepper state instead *)
+       Model.sigma, Delta and Periodic advance a stepper state *)
     kernel = Model.Stepper (stepper params) }

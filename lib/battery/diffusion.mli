@@ -38,15 +38,6 @@ val make_params :
   ?nodes:int -> ?dt:float -> alpha:float -> beta:float -> unit -> params
 (** @raise Invalid_argument outside the ranges above. *)
 
-val sigma : ?params:params -> Profile.t -> at:float -> float
-(** Simulate the PDE from time 0 through [at] under the profile's load
-    and return [alpha - u(0, at)].
-    @raise Invalid_argument on negative [at], or when [dt] is so small
-    that a span of the profile needs 2^53 steps or more. *)
-
-val surface_density : ?params:params -> Profile.t -> at:float -> float
-(** [u(0, at)] itself (the battery dies when it reaches 0). *)
-
 val stepper : params -> Model.stepper
 (** Checkpointable integration context: state is the charge-density
     grid ([nodes] floats).  Because each interval is integrated
@@ -61,4 +52,7 @@ val stepper : params -> Model.stepper
 val model : ?params:params -> unit -> Model.t
 (** Packaged as a {!Model.t} named ["diffusion-pde"], whose kernel is
     the checkpointed {!stepper} (no per-interval decomposition exists for
-    the PDE). *)
+    the PDE).  {!Model.sigma} simulates the PDE from time 0 through the
+    observation instant under the profile's load and returns
+    [alpha - u(0, at)]; it raises [Invalid_argument] when [dt] is so
+    small that a span of the profile needs 2^53 steps or more. *)

@@ -1,10 +1,10 @@
-(** Ideal (linear) battery: sigma is the plain coulomb count.
+(** Ideal (linear) battery: sigma is the plain coulomb count,
+    [Model.sigma model p ~at = Profile.total_charge (Profile.truncate p
+    ~at)].
 
     The limiting behaviour of {!Rakhmatov} as [beta -> infinity]; useful
     as a baseline cost function and in tests. *)
 
-val sigma : Profile.t -> at:float -> float
-(** [sigma p ~at = Profile.total_charge (Profile.truncate p ~at)]. *)
-
 val model : Model.t
-(** Packaged as a {!Model.t} named ["ideal"]. *)
+(** Packaged as a {!Model.t} named ["ideal"]: one term per interval,
+    [current * duration], and no channels. *)

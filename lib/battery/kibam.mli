@@ -28,46 +28,25 @@ val default_params : params
 val make_params : capacity:float -> c:float -> k_prime:float -> params
 (** @raise Invalid_argument outside the ranges above. *)
 
-type state = { available : float; bound : float }
-(** Well contents (mA*min). *)
-
-val full : params -> state
-(** The fully charged equilibrium: [available = c * capacity]. *)
-
-val step : params -> state -> current:float -> duration:float -> state
-(** Closed-form evolution over one constant-current interval.  Both
-    wells may legitimately go negative once the battery is past
-    exhaustion; callers detect death via [available <= 0].  A
-    zero-length interval is the exact identity (the input state is
-    returned unchanged), so degenerate intervals from same-column
-    repoints introduce no drift.
-    @raise Invalid_argument on negative current or duration. *)
-
-val state_at : params -> Profile.t -> at:float -> state
-(** Evolve {!full} through the profile (idle gaps included) up to time
-    [at]. *)
-
-val sigma : ?params:params -> Profile.t -> at:float -> float
-(** Apparent charge lost, mapped onto the sigma/alpha convention used
-    across this library: [sigma = capacity - available/c].  At rest
-    equilibrium this equals the charge actually drawn (full recovery);
-    under load it exceeds it (rate capacity); the battery dies when
-    [sigma >= capacity]. *)
-
 val channels : params -> Model.channels
-(** The exact suffix-time decomposition of [sigma] at the makespan of a
-    gapless profile: the per-interval affine maps diagonalize (total
-    charge is conserved; the disequilibrium [y1 - c*y0] contracts by
-    [e^{-k' D}] per interval), giving
+(** The exact suffix-time decomposition of the two-well model: the
+    per-interval affine maps diagonalize (total charge is conserved;
+    the disequilibrium [y1 - c*y0] contracts by [e^{-k' D}] per
+    interval, at rest too), giving
 
     {[ sigma = sum_k ( I_k D_k
                        + ((1-c)/(c k')) I_k (1 - e^{-k' D_k}) e^{-k' tail_k} ) ]}
 
-    One channel, at rate [k'], so the term reads its tail; a
-    [duration = 0] term is exactly [0.].  See
-    DESIGN.md §11 for the derivation. *)
+    with [tail_k] the time from interval [k]'s end to the observation
+    instant.  Sigma is mapped onto the sigma/alpha convention used
+    across this library: [sigma = capacity - available/c].  At rest
+    equilibrium it equals the charge actually drawn (full recovery);
+    under load it exceeds it (rate capacity); the battery dies when
+    [sigma >= capacity].  One channel, at rate [k'], so the term reads
+    its tail; a [duration = 0] term is exactly [0.].  See DESIGN.md §11
+    for the derivation. *)
 
 val model : ?params:params -> unit -> Model.t
 (** Packaged as a {!Model.t} named ["kibam"] whose kernel is the
-    channels above.  Use [params.capacity] as the matching [alpha]
-    for lifetime queries. *)
+    channels above, so {!Model.sigma} is their fold.  Use
+    [params.capacity] as the matching [alpha] for lifetime queries. *)

@@ -12,7 +12,7 @@ let check_alpha alpha =
    global monotone inversion could report a later crossing), then
    bisection inside it. *)
 let first_crossing ~model ~alpha p ~horizon =
-  let f t = model.Model.sigma p ~at:t in
+  let f t = Model.sigma model p ~at:t in
   let steps = 2048 in
   let dt = horizon /. float_of_int steps in
   let rec scan k prev_t =
@@ -35,7 +35,7 @@ let of_profile ~model ~alpha p =
     match first_crossing ~model ~alpha p ~horizon with
     | Some t -> Dies_at t
     | None ->
-        let sigma_at_end = model.Model.sigma p ~at:horizon in
+        let sigma_at_end = Model.sigma model p ~at:horizon in
         Survives { sigma_at_end; headroom = alpha -. sigma_at_end }
 
 let of_constant_current ~model ~alpha ~current =

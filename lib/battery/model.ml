@@ -1,5 +1,7 @@
+open Batsched_numeric
+
 type channels = {
-  term : current:float -> duration:float -> tail:float -> float;
+  term : float array -> int -> unit;
   rates : float array;
   weights : current:float -> duration:float -> float array -> unit;
   charge : current:float -> duration:float -> float;
@@ -41,8 +43,55 @@ type kernel =
 
 type t = {
   name : string;
-  sigma : Profile.t -> at:float -> float;
   kernel : kernel;
 }
 
-let sigma_end m p = m.sigma p ~at:(Profile.length p)
+(* The Kahan fold of the channel terms.  The interval [iter_until]
+   hands over sits in cells 0-2 and the term's in 3-5, the term left in
+   cell 3 for [Kahan.Acc.add_at]: no float crosses a call boxed, so the
+   fold allocates nothing per interval. *)
+let channels_sigma ch p ~at =
+  let buf = Array.make 6 0.0 in
+  let acc = Kahan.Acc.create () in
+  Profile.iter_until p ~at buf (fun () ->
+      let duration = buf.(1) in
+      buf.(3) <- buf.(2);
+      buf.(4) <- duration;
+      buf.(5) <- Float.max 0.0 (at -. buf.(0) -. duration);
+      ch.term buf 3;
+      Kahan.Acc.add_at acc buf 3);
+  Kahan.Acc.sum acc
+
+(* Integrate through each idle gap at current 0 and each interval,
+   clipping every span at [at] on the clock.  The walk takes the
+   intervals unclipped ([~at:infinity]) and lets [run_to] clip: an
+   interval straddling [at] then ends at [at] itself, where
+   [start + (at - start)] could miss it by an ulp. *)
+let stepper_sigma st p ~at =
+  let ops = st.fresh () in
+  let u = Array.make st.state_dim 0.0 in
+  ops.start u;
+  let clock = ref 0.0 in
+  let run_to t ~current =
+    let t = Float.min t at in
+    if t > !clock then begin
+      ops.advance u ~current ~duration:(t -. !clock);
+      clock := t
+    end
+  in
+  let buf = Array.make 3 0.0 in
+  Profile.iter_until p ~at:Float.infinity buf (fun () ->
+      run_to buf.(0) ~current:0.0;
+      run_to (buf.(0) +. buf.(1)) ~current:buf.(2));
+  run_to at ~current:0.0;
+  ops.observe u
+
+let sigma m p ~at =
+  if at < 0.0 then invalid_arg "Model.sigma: negative time";
+  let probe = Probe.local () in
+  probe.Probe.sigma_evals <- probe.Probe.sigma_evals + 1;
+  match m.kernel with
+  | Channels ch -> channels_sigma ch p ~at
+  | Stepper st -> stepper_sigma st p ~at
+
+let sigma_end m p = sigma m p ~at:(Profile.length p)

@@ -7,28 +7,37 @@
     {!Rakhmatov} (the paper's cost function), {!Kibam} and the
     {!Diffusion} PDE reference.
 
-    Besides [sigma], every model carries exactly one fast view of the
-    same function, its {!kernel}: a {!channels} decomposition (ideal,
-    Peukert, Rakhmatov–Vrudhula, KiBaM) or a checkpointable
-    {!stepper} (the diffusion PDE).  {!Delta} (local-search moves) and
-    {!Periodic} (repeated missions) each evaluate through it, with no
-    other path; {!Periodic} sweeps steppers four at a time through
-    their lane view. *)
+    A model is its name and exactly one {!kernel}: a {!channels}
+    decomposition (ideal, Peukert, Rakhmatov–Vrudhula, KiBaM) or a
+    checkpointable {!stepper} (the diffusion PDE).  {!sigma} is derived
+    from that kernel, and {!Delta} (local-search moves) and {!Periodic}
+    (repeated missions) evaluate through it too, so there is one
+    implementation of each model's sigma; {!Periodic} sweeps steppers
+    four at a time through their lane view.  The reference
+    implementations the kernels are checked against live with the
+    tests. *)
 
 type channels = {
-  term : current:float -> duration:float -> tail:float -> float;
-  (** Per-interval contribution to sigma {e at the end of a sequential
-      profile}, in suffix-time coordinates: [tail] is the total load
-      duration scheduled strictly after the interval.  The contract is
+  term : float array -> int -> unit;
+  (** [term buf j] is one interval's contribution to sigma, in
+      suffix-time coordinates: it reads the interval's current,
+      duration and [tail] from [buf.(j)], [buf.(j + 1)] and
+      [buf.(j + 2)], writes the contribution to [buf.(j)] and may
+      clobber the two cells after it.  [tail] is the time from the
+      interval's end to the observation instant; at the end of a
+      sequential profile it is the total load duration scheduled
+      strictly after the interval, so
 
       {[ sigma (sequential ps) ~at:(length (sequential ps))
-           = sum_k (term ~current:I_k ~duration:D_k ~tail:tail_k) ]}
+           = sum_k term (I_k, D_k, tail_k) ]}
 
-      (up to float accumulation noise), where
-      [tail_k = sum_{j>k} D_j].  This is what makes delta evaluation of
-      local-search moves possible: an adjacent swap perturbs two
-      terms, a duration change at position [i] perturbs the terms at
-      [0..i] only.  A term with [duration = 0] must be exactly [0.]. *)
+      where [tail_k = sum_{j>k} D_j].  This is what makes delta
+      evaluation of local-search moves possible: an adjacent swap
+      perturbs two terms, a duration change at position [i] perturbs
+      the terms at [0..i] only.  A term with [duration = 0] must be
+      exactly [0.].  The floats travel through [buf] because a float
+      passed to or returned from a closure is boxed: a sum of terms
+      allocates nothing per term. *)
   rates : float array;
   (** The distinct relaxation rates [lambda_t] (1/minutes) of the
       model's memory, all [> 0].  Empty for memoryless models (ideal,
@@ -44,7 +53,7 @@ type channels = {
 (** Exponential-channel decomposition of sigma into per-interval
     terms: besides the [term] contract above,
 
-    {[ term ~current ~duration ~tail
+    {[ term (current, duration, tail)
          = charge ~current ~duration
            + sum_t (w_t (current, duration) *. exp (-. rates.(t) *. tail)) ]}
 
@@ -146,17 +155,26 @@ type kernel =
 type t = {
   name : string;
   (** Short identifier used in reports. *)
-  sigma : Profile.t -> at:float -> float;
-  (** [sigma profile ~at] is the apparent charge lost by time [at]
-      (minutes).  Load beyond [at] is ignored.  Note that sigma need
-      {e not} be monotone in [at]: for the Rakhmatov–Vrudhula model the
-      unavailable-charge component recovers during rest (or light load
-      after heavy load), so sigma can dip — which is why lifetime
-      estimation looks for the {e first} crossing of alpha. *)
   kernel : kernel;
-  (** The same function as [sigma], in the form {!Delta} and
-      {!Periodic} evaluate. *)
 }
+
+val sigma : t -> Profile.t -> at:float -> float
+(** [sigma m profile ~at] is the apparent charge lost by time [at]
+    (minutes).  Load beyond [at] is ignored: an interval straddling
+    [at] counts up to [at].  For {!Channels} it is the compensated sum
+    of the terms of the intervals up to [at], each with
+    [tail = max 0 (at - start - duration)] ({!Profile.iter_until}
+    order); for a {!Stepper} it integrates from the full state through
+    every idle gap (at current 0) and every interval, clipped at [at],
+    and observes.  Each call counts one [sigma_evals] in the domain's
+    {!Batsched_numeric.Probe}.
+
+    Sigma need {e not} be monotone in [at]: for the
+    Rakhmatov–Vrudhula model the unavailable-charge component recovers
+    during rest (or light load after heavy load), so sigma can dip —
+    which is why lifetime estimation looks for the {e first} crossing
+    of alpha.
+    @raise Invalid_argument on negative [at]. *)
 
 val sigma_end : t -> Profile.t -> float
 (** [sigma_end m p] evaluates sigma at the end of the profile — the

@@ -17,8 +17,9 @@
     one integration state across the whole mission instead of
     re-integrating the history per probe.  The original quadratic
     path, which replays the full history and probes it with the
-    model's own [sigma], is the test oracle the property tests check
-    both kernels against.  See DESIGN.md §15 for the derivations. *)
+    model's reference sigma, is the test oracle the property tests
+    check both kernels against.  See DESIGN.md §15 for the
+    derivations. *)
 
 exception Unsustainable of float
 (** The battery dies within the very first cycle.  Carries sigma at the

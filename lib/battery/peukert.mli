@@ -8,13 +8,10 @@
     captures rate capacity but — unlike Rakhmatov–Vrudhula — no
     recovery; included as a comparison model and for ablations. *)
 
-val sigma :
-  ?exponent:float -> ?reference_current:float -> Profile.t -> at:float -> float
-(** [sigma p ~at] with Peukert exponent [exponent] (default 1.2) and
-    [reference_current] (default 100 mA) at which the model agrees with
-    the ideal one.
+val model : ?exponent:float -> ?reference_current:float -> unit -> Model.t
+(** Packaged as a {!Model.t} named ["peukert"], with Peukert exponent
+    [exponent] (default 1.2) and the [reference_current] (default
+    100 mA) at which the model agrees with the ideal one: one term per
+    interval, [k * I^p * Delta], and no channels.
     @raise Invalid_argument if [exponent < 1] or
     [reference_current <= 0]. *)
-
-val model : ?exponent:float -> ?reference_current:float -> unit -> Model.t
-(** Packaged as a {!Model.t} named ["peukert"]. *)

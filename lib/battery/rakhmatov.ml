@@ -9,13 +9,12 @@ let default_beta = 0.273
    sigma nan. *)
 let valid_beta beta = beta >= 1e-150 && beta <= 1e150
 
-(* Fast path: the truncation is evaluated lazily during the interval
-   fold (no profile copy), the kernel comes from the memoized
-   [Series.exp_sum_cached] tails, and whole per-interval contributions
-   are memoized in {e suffix-time coordinates}: the RV contribution of
-   an interval depends only on its current [I], its duration [D] and the
-   time [tail] between its end and the observation instant — not on
-   where in absolute time it sits.  Keying the memo on
+(* The kernel comes from the memoized [Series.exp_sum_cached] tails,
+   and whole per-interval contributions are memoized in {e suffix-time
+   coordinates}: the RV contribution of an interval depends only on its
+   current [I], its duration [D] and the time [tail] between its end
+   and the observation instant — not on where in absolute time it
+   sits.  Keying the memo on
    [(beta, terms, I, D, tail)] instead of the former
    [(start, duration, current, at)] therefore lets candidate schedules
    of {e different total length} share entries: a local-search move that
@@ -54,40 +53,11 @@ let contribution_at ~terms ~beta buf j =
     Fcache.add_from tbl buf j
   end
 
-(* Domain-local cells for [contribution], whose float arguments arrive
-   boxed anyway. *)
-let scratch : float array Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Array.make 3 0.0)
-
-let contribution ~terms ~beta ~current ~duration ~tail =
-  let buf = Domain.DLS.get scratch in
-  buf.(0) <- current;
-  buf.(1) <- duration;
-  buf.(2) <- tail;
-  contribution_at ~terms ~beta buf 0;
-  buf.(0)
-
-let sigma ?(terms = Series.default_terms) ?(beta = default_beta) p ~at =
-  if at < 0.0 then invalid_arg "Rakhmatov.sigma: negative time";
-  let probe = Probe.local () in
-  probe.Probe.sigma_evals <- probe.Probe.sigma_evals + 1;
-  (* 0-2: the interval [iter_until] hands over; 3-5: [contribution_at]'s
-     cells, the contribution left in cell 3 for [Kahan.Acc.add_at] *)
-  let buf = Array.make 6 0.0 in
-  let acc = Kahan.Acc.create () in
-  Profile.iter_until p ~at buf (fun () ->
-      let duration = buf.(1) in
-      buf.(3) <- buf.(2);
-      buf.(4) <- duration;
-      buf.(5) <- Float.max 0.0 (at -. buf.(0) -. duration);
-      contribution_at ~terms ~beta buf 3;
-      Kahan.Acc.add_at acc buf 3);
-  Kahan.Acc.sum acc
-
-(* The suffix-time decomposition packaged for the delta evaluator: at
-   the makespan of a gapless profile, [tail] in the cache key above is
-   exactly the sum of durations after the interval.  Its channel view:
-   the contribution
+(* The suffix-time decomposition is the model's one kernel:
+   [Model.sigma] folds its terms with tail = max 0 (at - start - D),
+   and the delta evaluator keeps, at the makespan of a gapless profile,
+   the sum of durations after each interval as its tail.  Its channel
+   view: the contribution
      I (D + F(tail) - F(tail + D))
    with F(t) = sum_m 2 e^{-lambda_m t} / lambda_m, lambda_m = beta^2 m^2,
    regroups as
@@ -102,9 +72,7 @@ let channels ~terms ~beta =
         let m = float_of_int (i + 1) in
         b2 *. m *. m)
   in
-  { Model.term =
-      (fun ~current ~duration ~tail ->
-        contribution ~terms ~beta ~current ~duration ~tail);
+  { Model.term = contribution_at ~terms ~beta;
     rates;
     weights =
       (fun ~current ~duration buf ->
@@ -115,9 +83,4 @@ let channels ~terms ~beta =
     charge = (fun ~current ~duration -> current *. duration) }
 
 let model ?(terms = Series.default_terms) ?(beta = default_beta) () =
-  { Model.name = "rakhmatov";
-    sigma = (fun p ~at -> sigma ~terms ~beta p ~at);
-    kernel = Model.Channels (channels ~terms ~beta) }
-
-let unavailable_charge ?terms ?beta p ~at =
-  sigma ?terms ?beta p ~at -. Profile.total_charge (Profile.truncate p ~at)
+  { Model.name = "rakhmatov"; kernel = Model.Channels (channels ~terms ~beta) }

@@ -15,11 +15,11 @@ type result = {
   improvement : float;
 }
 
-let peak_sigma (model : Model.t) profile =
+let peak_sigma model profile =
   List.fold_left
     (fun acc (iv : Profile.interval) ->
       Float.max acc
-        (model.Model.sigma profile ~at:(iv.Profile.start +. iv.Profile.duration)))
+        (Model.sigma model profile ~at:(iv.Profile.start +. iv.Profile.duration)))
     0.0
     (Profile.intervals profile)
 

@@ -14,10 +14,10 @@ let loads =
 
 let convergence_rows () =
   let p = Profile.constant ~current:800.0 ~duration:20.0 in
-  let pde = Diffusion.sigma p ~at:20.0 in
+  let pde = Model.sigma (Diffusion.model ()) p ~at:20.0 in
   List.map
     (fun terms ->
-      let a = Rakhmatov.sigma ~terms p ~at:20.0 in
+      let a = Model.sigma (Rakhmatov.model ~terms ()) p ~at:20.0 in
       [ string_of_int terms;
         Tables.f1 a;
         Tables.pct (100.0 *. (a -. pde) /. pde) ])
@@ -25,11 +25,14 @@ let convergence_rows () =
   @ [ [ "PDE"; Tables.f1 pde; "-" ] ]
 
 let agreement_rows () =
+  let rv10 = Rakhmatov.model () in
+  let rv5000 = Rakhmatov.model ~terms:5000 () in
+  let pde = Diffusion.model () in
   List.map
     (fun (label, p, at) ->
-      let a10 = Rakhmatov.sigma p ~at in
-      let a5000 = Rakhmatov.sigma ~terms:5000 p ~at in
-      let pde = Diffusion.sigma p ~at in
+      let a10 = Model.sigma rv10 p ~at in
+      let a5000 = Model.sigma rv5000 p ~at in
+      let pde = Model.sigma pde p ~at in
       [ label;
         Tables.f1 a10;
         Tables.f1 a5000;

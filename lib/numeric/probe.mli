@@ -29,7 +29,7 @@
     go to {!Histogram}'s registry instead. *)
 
 type t = {
-  mutable sigma_evals : int;      (** RV sigma evaluations *)
+  mutable sigma_evals : int;      (** [Model.sigma] calls, any model *)
   mutable fmemo_hits : int;       (** Series F-memo table hits *)
   mutable fmemo_misses : int;     (** Series F-memo table misses *)
   mutable contrib_hits : int;     (** per-interval contribution cache hits *)

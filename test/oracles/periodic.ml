@@ -12,10 +12,10 @@ let check_inputs ~alpha ~period cycle =
    end points (sigma relaxes during idle), so death within cycle k is
    detected by probing those ends against the history built so far.
 
-   Materialize the growing full history and probe it with the model's
-   own [sigma].  O(cycles^2) interval work, kept verbatim from the
-   original implementation of [Periodic]. *)
-let reference_run ~max_cycles ~model ~alpha ~period cycle =
+   Materialize the growing full history and probe it with [sigma].
+   O(cycles^2) interval work, kept verbatim from the original
+   implementation of [Periodic]. *)
+let reference_run ~max_cycles ~sigma ~alpha ~period cycle =
   let base =
     List.map
       (fun (iv : Profile.interval) ->
@@ -31,7 +31,7 @@ let reference_run ~max_cycles ~model ~alpha ~period cycle =
       let fatal =
         List.find_map
           (fun (s, d, _) ->
-            let sg = model.Model.sigma profile ~at:(s +. d) in
+            let sg = sigma profile ~at:(s +. d) in
             if sg >= alpha then Some sg else None)
           shifted
       in
@@ -42,16 +42,17 @@ let reference_run ~max_cycles ~model ~alpha ~period cycle =
   in
   go 0 []
 
-let result_reference ?(max_cycles = default_max_cycles)
+let result_reference ?(max_cycles = default_max_cycles) ~sigma
     (d : Periodic.device) =
   check_inputs ~alpha:d.alpha ~period:d.period d.cycle;
   let outcome, fatal_sigma =
-    reference_run ~max_cycles ~model:d.model ~alpha:d.alpha ~period:d.period
-      d.cycle
+    reference_run ~max_cycles ~sigma ~alpha:d.alpha ~period:d.period d.cycle
   in
   { Batch.outcome; fatal_sigma }
 
-let cycles_to_death_reference ?max_cycles ~model ~alpha ~period cycle =
-  match (result_reference ?max_cycles { model; alpha; period; cycle }) with
-  | { Batch.outcome = Dies 0; fatal_sigma } -> raise (Unsustainable fatal_sigma)
-  | { Batch.outcome; _ } -> outcome
+let cycles_to_death_reference ?(max_cycles = default_max_cycles) ~sigma
+    ~alpha ~period cycle =
+  check_inputs ~alpha ~period cycle;
+  match reference_run ~max_cycles ~sigma ~alpha ~period cycle with
+  | Dies 0, fatal_sigma -> raise (Unsustainable fatal_sigma)
+  | outcome, _ -> outcome

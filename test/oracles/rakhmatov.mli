@@ -1,4 +1,4 @@
-(** Reference for [Batsched_battery.Rakhmatov.sigma]. *)
+(** Reference for [Model.sigma] on [Batsched_battery.Rakhmatov.model]. *)
 
 val sigma_reference :
   ?terms:int -> ?beta:float -> Batsched_battery.Profile.t -> at:float ->

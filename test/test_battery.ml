@@ -1,4 +1,4 @@
-(* Tests for the battery substrate: profiles, the three models,
+(* Tests for the battery substrate: profiles, the five models,
    lifetime estimation and the demonstration curves. *)
 
 open Batsched_battery
@@ -6,6 +6,9 @@ module Oracles = Batsched_oracles
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close eps = Alcotest.(check (float eps))
+
+let rv = Rakhmatov.model ()
+let kibam = Kibam.model ()
 
 (* --- Profile --- *)
 
@@ -72,60 +75,62 @@ let test_ideal_equals_charge () =
 
 let test_ideal_truncation () =
   let p = Profile.sequential [ (100.0, 10.0) ] in
-  check_float "half" 500.0 (Ideal.sigma p ~at:5.0)
+  check_float "half" 500.0 (Model.sigma Ideal.model p ~at:5.0)
 
 (* --- Peukert model --- *)
+
+let peukert = Peukert.model ()
 
 let test_peukert_reference_current_ideal () =
   let p = Profile.constant ~current:100.0 ~duration:10.0 in
   check_close 1e-6 "reference" 1000.0
-    (Peukert.sigma ~reference_current:100.0 p ~at:10.0)
+    (Model.sigma (Peukert.model ~reference_current:100.0 ()) p ~at:10.0)
 
 let test_peukert_penalizes_high_current () =
   let hi = Profile.constant ~current:400.0 ~duration:10.0 in
   Alcotest.(check bool) "superlinear" true
-    (Peukert.sigma hi ~at:10.0 > Profile.total_charge hi)
+    (Model.sigma peukert hi ~at:10.0 > Profile.total_charge hi)
 
 let test_peukert_rewards_low_current () =
   let lo = Profile.constant ~current:25.0 ~duration:10.0 in
   Alcotest.(check bool) "sublinear" true
-    (Peukert.sigma lo ~at:10.0 < Profile.total_charge lo)
+    (Model.sigma peukert lo ~at:10.0 < Profile.total_charge lo)
 
 let test_peukert_exponent_one_is_ideal () =
   let p = Profile.sequential [ (300.0, 5.0); (80.0, 3.0) ] in
   check_close 1e-9 "p=1" (Profile.total_charge p)
-    (Peukert.sigma ~exponent:1.0 p ~at:8.0)
+    (Model.sigma (Peukert.model ~exponent:1.0 ()) p ~at:8.0)
 
 let test_peukert_invalid () =
   Alcotest.check_raises "exponent < 1"
-    (Invalid_argument "Peukert.sigma: exponent must be >= 1") (fun () ->
-      ignore (Peukert.sigma ~exponent:0.5 Profile.empty ~at:0.0))
+    (Invalid_argument "Peukert.model: exponent must be >= 1") (fun () ->
+      ignore (Peukert.model ~exponent:0.5 ()))
 
 (* --- Rakhmatov model --- *)
 
 let test_rv_exceeds_ideal_during_load () =
   let p = Profile.constant ~current:500.0 ~duration:30.0 in
-  let sigma = Rakhmatov.sigma p ~at:30.0 in
+  let sigma = Model.sigma rv p ~at:30.0 in
   Alcotest.(check bool) "above coulombs" true (sigma > Profile.total_charge p)
 
 let test_rv_recovers_at_rest () =
   let p = Profile.constant ~current:500.0 ~duration:30.0 in
-  let long_after = Rakhmatov.sigma p ~at:100000.0 in
+  let long_after = Model.sigma rv p ~at:100000.0 in
   check_close 1.0 "full recovery" (Profile.total_charge p) long_after
 
 let test_rv_monotone_in_time_during_load () =
   let p = Profile.constant ~current:500.0 ~duration:60.0 in
-  let s t = Rakhmatov.sigma p ~at:t in
+  let s t = Model.sigma rv p ~at:t in
   Alcotest.(check bool) "monotone" true (s 10.0 < s 30.0 && s 30.0 < s 60.0)
 
 let test_rv_zero_at_time_zero () =
   let p = Profile.constant ~current:500.0 ~duration:60.0 in
-  check_float "zero" 0.0 (Rakhmatov.sigma p ~at:0.0)
+  check_float "zero" 0.0 (Model.sigma rv p ~at:0.0)
 
 let test_rv_large_beta_is_ideal () =
   let p = Profile.sequential [ (400.0, 5.0); (100.0, 10.0) ] in
   check_close 0.5 "ideal limit" (Profile.total_charge p)
-    (Rakhmatov.sigma ~beta:50.0 p ~at:15.0)
+    (Model.sigma (Rakhmatov.model ~beta:50.0 ()) p ~at:15.0)
 
 (* The entry points accept beta from 1e-150 to 1e150; sigma is finite
    at both ends, and just past the top (beta^2 m^2 overflows at
@@ -137,10 +142,10 @@ let test_rv_valid_beta_range () =
       Alcotest.(check bool) (Printf.sprintf "%g valid" beta) true
         (Rakhmatov.valid_beta beta);
       Alcotest.(check bool) (Printf.sprintf "sigma finite at %g" beta) true
-        (Float.is_finite (Rakhmatov.sigma ~beta p ~at:15.0)))
+        (Float.is_finite (Model.sigma (Rakhmatov.model ~beta ()) p ~at:15.0)))
     [ 1e-150; Rakhmatov.default_beta; 1e150 ];
   Alcotest.(check bool) "sigma nan at 1e154" true
-    (Float.is_nan (Rakhmatov.sigma ~beta:1e154 p ~at:15.0));
+    (Float.is_nan (Model.sigma (Rakhmatov.model ~beta:1e154 ()) p ~at:15.0));
   List.iter
     (fun beta ->
       Alcotest.(check bool) (Printf.sprintf "%g invalid" beta) false
@@ -152,28 +157,28 @@ let test_rv_superposition_of_currents () =
   let p1 = Profile.sequential [ (100.0, 5.0); (300.0, 5.0) ] in
   let p2 = Profile.sequential [ (200.0, 5.0); (600.0, 5.0) ] in
   check_close 1e-6 "linear"
-    (2.0 *. Rakhmatov.sigma p1 ~at:10.0)
-    (Rakhmatov.sigma p2 ~at:10.0)
+    (2.0 *. Model.sigma rv p1 ~at:10.0)
+    (Model.sigma rv p2 ~at:10.0)
 
 let test_rv_paper_magnitude () =
   (* the G3 example's best profiles cost ~13-17k mA*min over ~230 min; a
      constant-current surrogate of the same average load must land in
      the same decade *)
   let p = Profile.constant ~current:60.0 ~duration:229.8 in
-  let sigma = Rakhmatov.sigma ~beta:0.273 p ~at:229.8 in
+  let sigma = Model.sigma (Rakhmatov.model ~beta:0.273 ()) p ~at:229.8 in
   Alcotest.(check bool) "same decade" true (sigma > 13000.0 && sigma < 20000.0)
 
 let test_rv_ordering_theorem_pairwise () =
   let heavy_first = Profile.sequential [ (800.0, 10.0); (100.0, 10.0) ] in
   let light_first = Profile.sequential [ (100.0, 10.0); (800.0, 10.0) ] in
   Alcotest.(check bool) "decreasing wins" true
-    (Model.sigma_end (Rakhmatov.model ()) heavy_first
-     < Model.sigma_end (Rakhmatov.model ()) light_first)
+    (Model.sigma_end rv heavy_first < Model.sigma_end rv light_first)
 
 let test_rv_unavailable_nonnegative () =
+  (* the series part of Eq. 1: sigma minus the charge drawn *)
   let p = Profile.sequential [ (500.0, 10.0); (200.0, 20.0) ] in
   Alcotest.(check bool) "nonneg" true
-    (Rakhmatov.unavailable_charge p ~at:30.0 >= 0.0)
+    (Model.sigma rv p ~at:30.0 -. Profile.total_charge p >= 0.0)
 
 let test_rv_sigma_can_dip_after_heavy_load () =
   (* a documented non-monotonicity: once a heavy interval ends, its
@@ -181,8 +186,8 @@ let test_rv_sigma_can_dip_after_heavy_load () =
      successor accrues, so sigma dips — exactly the recovery phenomenon
      the scheduler exploits by putting heavy tasks early *)
   let p = Profile.sequential [ (550.0, 25.0); (50.0, 20.0) ] in
-  let during = Rakhmatov.sigma p ~at:25.0 in
-  let later = Rakhmatov.sigma p ~at:35.0 in
+  let during = Model.sigma rv p ~at:25.0 in
+  let later = Model.sigma rv p ~at:35.0 in
   Alcotest.(check bool) "dips" true (later < during)
 
 let test_lifetime_first_crossing_on_dip () =
@@ -190,7 +195,7 @@ let test_lifetime_first_crossing_on_dip () =
      sigma later falls back under alpha *)
   let model = Rakhmatov.model () in
   let p = Profile.sequential [ (550.0, 25.0); (50.0, 20.0) ] in
-  let peak = Rakhmatov.sigma p ~at:25.0 in
+  let peak = Model.sigma rv p ~at:25.0 in
   let at_end = Model.sigma_end model p in
   let alpha = (peak +. at_end) /. 2.0 in
   (* alpha sits between the dip and the peak: death must be reported *)
@@ -202,42 +207,51 @@ let test_lifetime_first_crossing_on_dip () =
 
 let test_rv_negative_time_rejected () =
   Alcotest.check_raises "negative"
-    (Invalid_argument "Rakhmatov.sigma: negative time") (fun () ->
-      ignore (Rakhmatov.sigma Profile.empty ~at:(-1.0)))
+    (Invalid_argument "Model.sigma: negative time") (fun () ->
+      ignore (Model.sigma rv Profile.empty ~at:(-1.0)))
 
 (* --- KiBaM --- *)
+
+(* The two-well integration the channel decomposition is checked
+   against lives with the oracles; its own tests (full state,
+   conservation, step validation, zero-duration identity) test it
+   there. *)
+module Two_well = Oracles.Kibam
 
 let kp = Kibam.default_params
 
 let test_kibam_full_state () =
-  let st = Kibam.full kp in
-  check_float "available" (kp.Kibam.c *. kp.Kibam.capacity) st.Kibam.available;
-  check_float "total" kp.Kibam.capacity (st.Kibam.available +. st.Kibam.bound)
+  let st = Two_well.full kp in
+  check_float "available" (kp.Kibam.c *. kp.Kibam.capacity) st.Two_well.available;
+  check_float "total" kp.Kibam.capacity
+    (st.Two_well.available +. st.Two_well.bound)
 
 let test_kibam_conservation () =
   (* wells only exchange charge internally: y1 + y2 = y0 - I*t *)
-  let st = Kibam.step kp (Kibam.full kp) ~current:400.0 ~duration:30.0 in
+  let st =
+    Two_well.step kp (Two_well.full kp) ~current:400.0 ~duration:30.0
+  in
   check_close 1e-6 "conservation"
     (kp.Kibam.capacity -. (400.0 *. 30.0))
-    (st.Kibam.available +. st.Kibam.bound)
+    (st.Two_well.available +. st.Two_well.bound)
 
 let test_kibam_sigma_zero_at_start () =
   let p = Profile.constant ~current:400.0 ~duration:30.0 in
-  check_close 1e-9 "zero" 0.0 (Kibam.sigma p ~at:0.0)
+  check_close 1e-9 "zero" 0.0 (Model.sigma kibam p ~at:0.0)
 
 let test_kibam_sigma_equals_drawn_at_equilibrium () =
   (* after a long rest the wells re-equilibrate and sigma -> drawn *)
   let p = Profile.of_intervals [ (0.0, 10.0, 300.0) ] in
   let q = Profile.with_idle p ~after:10.0 ~idle:0.0 in
   ignore q;
-  let sigma_late = Kibam.sigma p ~at:100000.0 in
+  let sigma_late = Model.sigma kibam p ~at:100000.0 in
   check_close 1.0 "full recovery" 3000.0 sigma_late
 
 let test_kibam_rate_capacity () =
   (* under load sigma exceeds the coulomb count *)
   let p = Profile.constant ~current:800.0 ~duration:20.0 in
   Alcotest.(check bool) "apparent > drawn" true
-    (Kibam.sigma p ~at:20.0 > Profile.total_charge p)
+    (Model.sigma kibam p ~at:20.0 > Profile.total_charge p)
 
 let test_kibam_recovery_between_bursts () =
   (* idle between bursts leaves more available charge at the end *)
@@ -245,18 +259,18 @@ let test_kibam_recovery_between_bursts () =
   let gapped =
     Profile.of_intervals [ (0.0, 20.0, 800.0); (50.0, 20.0, 800.0) ]
   in
-  let s_packed = Kibam.sigma packed ~at:40.0 in
-  let s_gapped = Kibam.sigma gapped ~at:70.0 in
+  let s_packed = Model.sigma kibam packed ~at:40.0 in
+  let s_gapped = Model.sigma kibam gapped ~at:70.0 in
   Alcotest.(check bool) "recovery" true (s_gapped < s_packed)
 
 let test_kibam_lifetime_decreases_with_load () =
-  let model = Kibam.model () in
+  let model = kibam in
   let alpha = kp.Kibam.capacity in
   let l c = Lifetime.of_constant_current ~model ~alpha ~current:c in
   Alcotest.(check bool) "monotone" true (l 200.0 > l 400.0 && l 400.0 > l 800.0)
 
 let test_kibam_delivers_less_at_high_rate () =
-  let model = Kibam.model () in
+  let model = kibam in
   let alpha = kp.Kibam.capacity in
   let delivered c = c *. Lifetime.of_constant_current ~model ~alpha ~current:c in
   Alcotest.(check bool) "rate capacity on delivery" true
@@ -269,29 +283,32 @@ let test_kibam_param_validation () =
 let test_kibam_step_validation () =
   Alcotest.check_raises "negative current"
     (Invalid_argument "Kibam.step: negative current") (fun () ->
-      ignore (Kibam.step kp (Kibam.full kp) ~current:(-1.0) ~duration:1.0))
+      ignore
+        (Two_well.step kp (Two_well.full kp) ~current:(-1.0) ~duration:1.0))
 
 let test_kibam_zero_duration_step_identity () =
   (* a zero-length interval returns the input state unchanged —
      bit-for-bit, not merely to round-off — so degenerate intervals
      (same-column repoints, zero-duration design points) accumulate no
      drift no matter how many times they are stepped *)
-  let st = Kibam.step kp (Kibam.full kp) ~current:650.0 ~duration:7.3 in
+  let st = Two_well.step kp (Two_well.full kp) ~current:650.0 ~duration:7.3 in
   let st' = ref st in
   for _ = 1 to 1000 do
-    st' := Kibam.step kp !st' ~current:800.0 ~duration:0.0
+    st' := Two_well.step kp !st' ~current:800.0 ~duration:0.0
   done;
   Alcotest.(check bool) "available bit-identical" true
-    (Float.equal (!st').Kibam.available st.Kibam.available);
+    (Float.equal (!st').Two_well.available st.Two_well.available);
   Alcotest.(check bool) "bound bit-identical" true
-    (Float.equal (!st').Kibam.bound st.Kibam.bound);
+    (Float.equal (!st').Two_well.bound st.Two_well.bound);
   (* state_at through a profile with the same load reaches the same
      place whether or not degenerate intervals are present, because
      the profile layer drops them and step ignores them *)
-  let a = Kibam.state_at kp (Profile.sequential [ (650.0, 7.3) ]) ~at:7.3 in
+  let a =
+    Two_well.state_at kp (Profile.sequential [ (650.0, 7.3) ]) ~at:7.3
+  in
   Alcotest.(check bool) "state_at agrees" true
-    (Float.equal a.Kibam.available st.Kibam.available
-    && Float.equal a.Kibam.bound st.Kibam.bound)
+    (Float.equal a.Two_well.available st.Two_well.available
+    && Float.equal a.Two_well.bound st.Two_well.bound)
 
 (* --- Lifetime --- *)
 
@@ -316,7 +333,7 @@ let test_lifetime_constant_current_consistent () =
   let current = 500.0 in
   let t = Lifetime.of_constant_current ~model ~alpha ~current in
   let p = Profile.constant ~current ~duration:(2.0 *. t) in
-  check_close 1.0 "sigma(T*) = alpha" alpha (model.Model.sigma p ~at:t)
+  check_close 1.0 "sigma(T*) = alpha" alpha (Model.sigma model p ~at:t)
 
 let test_lifetime_decreases_with_load () =
   let model = Rakhmatov.model () in
@@ -341,39 +358,43 @@ let test_lifetime_bad_alpha () =
 let pde_params =
   Diffusion.make_params ~nodes:48 ~dt:0.05 ~alpha:40375.0 ~beta:0.273 ()
 
+let pde = Diffusion.model ~params:pde_params ()
+
 let test_diffusion_zero_load () =
   let p = Profile.empty in
-  check_close 1e-6 "undisturbed" 0.0 (Diffusion.sigma ~params:pde_params p ~at:10.0)
+  check_close 1e-6 "undisturbed" 0.0 (Model.sigma pde p ~at:10.0)
 
 let test_diffusion_conservation_at_rest () =
   (* long after the load, sigma -> drawn charge *)
   let p = Profile.constant ~current:500.0 ~duration:20.0 in
   check_close 30.0 "recovers to coulombs" 10000.0
-    (Diffusion.sigma ~params:pde_params p ~at:500.0)
+    (Model.sigma pde p ~at:500.0)
 
 let test_diffusion_matches_analytic_under_load () =
   (* with a long series the analytic model must agree with the PDE *)
   let p = Profile.constant ~current:800.0 ~duration:20.0 in
-  let analytic = Rakhmatov.sigma ~terms:5000 p ~at:20.0 in
-  let pde = Diffusion.sigma ~params:pde_params p ~at:20.0 in
+  let analytic = Model.sigma (Rakhmatov.model ~terms:5000 ()) p ~at:20.0 in
+  let pde = Model.sigma pde p ~at:20.0 in
   check_close (0.005 *. analytic) "first principles" analytic pde
 
 let test_diffusion_matches_analytic_with_recovery () =
   let p = Profile.of_intervals [ (0.0, 20.0, 800.0); (50.0, 20.0, 800.0) ] in
-  let analytic = Rakhmatov.sigma ~terms:5000 p ~at:70.0 in
-  let pde = Diffusion.sigma ~params:pde_params p ~at:70.0 in
+  let analytic = Model.sigma (Rakhmatov.model ~terms:5000 ()) p ~at:70.0 in
+  let pde = Model.sigma pde p ~at:70.0 in
   check_close (0.005 *. analytic) "with recovery" analytic pde
 
 let test_diffusion_ten_terms_undercounts_under_load () =
   (* the documented truncation bias: 10 terms < PDE during discharge *)
   let p = Profile.constant ~current:800.0 ~duration:20.0 in
   Alcotest.(check bool) "undercounts" true
-    (Rakhmatov.sigma p ~at:20.0 < Diffusion.sigma ~params:pde_params p ~at:20.0)
+    (Model.sigma rv p ~at:20.0 < Model.sigma pde p ~at:20.0)
 
 let test_diffusion_surface_depletes () =
   let p = Profile.constant ~current:800.0 ~duration:20.0 in
-  let s0 = Diffusion.surface_density ~params:pde_params p ~at:0.0 in
-  let s20 = Diffusion.surface_density ~params:pde_params p ~at:20.0 in
+  (* the surface density u(0, t) = alpha - sigma(t) *)
+  let surface at = pde_params.Diffusion.alpha -. Model.sigma pde p ~at in
+  let s0 = surface 0.0 in
+  let s20 = surface 20.0 in
   check_close 1e-6 "starts full" 40375.0 s0;
   Alcotest.(check bool) "depletes" true (s20 < s0)
 
@@ -395,7 +416,7 @@ let test_diffusion_dt_too_small () =
   in
   Alcotest.check_raises "sigma" want (fun () ->
       ignore
-        (Diffusion.sigma ~params
+        (Model.sigma (Diffusion.model ~params ())
            (Profile.constant ~current:200.0 ~duration:5.0)
            ~at:5.0));
   let st = Diffusion.stepper params in
@@ -718,8 +739,8 @@ let prop_sigma_monotone_in_time =
     QCheck.(pair (float_range 10.0 1000.0) (float_range 1.0 100.0))
     (fun (current, duration) ->
       let p = Profile.constant ~current ~duration in
-      let s1 = Rakhmatov.sigma p ~at:(duration /. 2.0) in
-      let s2 = Rakhmatov.sigma p ~at:duration in
+      let s1 = Model.sigma rv p ~at:(duration /. 2.0) in
+      let s2 = Model.sigma rv p ~at:duration in
       s1 <= s2 +. 1e-6)
 
 let prop_sigma_at_least_ideal_at_end =
@@ -762,7 +783,7 @@ let prop_sigma_matches_reference =
       let ats = [ frac *. ends; ends; ends +. 10.0 ] in
       List.for_all
         (fun at ->
-          let fast = Rakhmatov.sigma p ~at in
+          let fast = Model.sigma rv p ~at in
           let slow = Oracles.Rakhmatov.sigma_reference p ~at in
           Float.abs (fast -. slow) <= 1e-9 *. (1.0 +. Float.abs slow))
         ats)
@@ -776,8 +797,84 @@ let prop_sigma_matches_reference_with_gaps =
       let p = Profile.sequential loads in
       let q = Profile.with_idle p ~after:(frac *. Profile.length p) ~idle in
       let at = Profile.length q in
-      Float.abs (Rakhmatov.sigma q ~at -. Oracles.Rakhmatov.sigma_reference q ~at)
+      Float.abs (Model.sigma rv q ~at -. Oracles.Rakhmatov.sigma_reference q ~at)
       <= 1e-9 *. (1.0 +. Oracles.Rakhmatov.sigma_reference q ~at))
+
+(* --- Model.sigma against each model's reference (DESIGN.md §6) --- *)
+
+(* Random parameters and profiles of 1-10 intervals with idle gaps and
+   zero-current intervals, observed before the load, inside an
+   interval, anywhere, at the end and after it.  Ideal, Peukert and the
+   PDE match their references bit for bit: the same float operations in
+   the same order.  RV matches the seed's uncached evaluation within
+   1e-9 (relative), and KiBaM's channel fold the two-well integration
+   within 8 ulps per step of the larger of the capacity and the charge
+   drawn (each interval and each gap is one two-well step, rounding at
+   that magnitude). *)
+let prop_sigma_matches_references =
+  QCheck.Test.make ~count:200 ~name:"Model.sigma matches every model's reference"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Batsched_numeric.Rng.create seed in
+      let uniform lo hi = lo +. Batsched_numeric.Rng.float rng (hi -. lo) in
+      let int k = Batsched_numeric.Rng.int rng k in
+      let clock = ref 0.0 in
+      let ivs =
+        List.init (1 + int 10) (fun _ ->
+            let start = !clock +. if int 3 = 0 then uniform 0.0 10.0 else 0.0 in
+            let duration = uniform 0.05 20.0 in
+            let current = if int 5 = 0 then 0.0 else uniform 0.0 1000.0 in
+            clock := start +. duration;
+            (start, duration, current))
+      in
+      let p = Profile.of_intervals ivs in
+      let len = Profile.length p in
+      let s, d, _ = List.nth ivs (int (List.length ivs)) in
+      let first, _, _ = List.hd ivs in
+      let ats =
+        [ (if first > 0.0 then uniform 0.0 first else 0.0);
+          s +. uniform 0.0 d;
+          uniform 0.0 len;
+          len;
+          len +. uniform 0.0 50.0 ]
+      in
+      let exponent = uniform 1.0 1.6 and reference_current = uniform 50.0 500.0 in
+      let terms = 1 + int 30 and beta = uniform 0.1 1.0 in
+      let kparams =
+        Kibam.make_params ~capacity:(uniform 1e3 1e5) ~c:(uniform 0.2 0.8)
+          ~k_prime:(uniform 0.01 0.5)
+      in
+      let dparams =
+        Diffusion.make_params ~nodes:(8 + int 9) ~dt:(uniform 0.5 2.0)
+          ~alpha:(uniform 1e3 1e5) ~beta:(uniform 0.2 0.6) ()
+      in
+      let exact m reference at =
+        Int64.equal
+          (Int64.bits_of_float (Model.sigma m p ~at))
+          (Int64.bits_of_float (reference p ~at))
+      in
+      let peukert = Peukert.model ~exponent ~reference_current () in
+      let rv = Rakhmatov.model ~terms ~beta () in
+      let kibam = Kibam.model ~params:kparams () in
+      let pde = Diffusion.model ~params:dparams () in
+      let scale =
+        Float.max kparams.Kibam.capacity (Profile.total_charge p)
+      in
+      let steps = (2 * List.length ivs) + 1 in
+      List.for_all
+        (fun at ->
+          exact Ideal.model Oracles.Ideal.sigma_reference at
+          && exact peukert
+               (Oracles.Peukert.sigma_reference ~exponent ~reference_current)
+               at
+          && exact pde (Oracles.Diffusion.sigma_reference ~params:dparams) at
+          && (let r = Oracles.Rakhmatov.sigma_reference ~terms ~beta p ~at in
+              Float.abs (Model.sigma rv p ~at -. r) <= 1e-9 *. (1.0 +. Float.abs r))
+          && Float.abs
+               (Model.sigma kibam p ~at
+               -. Oracles.Kibam.sigma_reference ~params:kparams p ~at)
+             <= 8.0 *. float_of_int steps *. epsilon_float *. scale)
+        ats)
 
 (* --- Metamorphic: sigma is linear in the currents (DESIGN.md §6) --- *)
 
@@ -786,9 +883,9 @@ let sigma_doubled model loads =
   ( Model.sigma_end model (Profile.sequential loads),
     Model.sigma_end model (Profile.sequential double) )
 
-(* Ideal and RV form sigma from currents by sums and products with
-   current-independent factors only, and doubling commutes with
-   rounding: exact. *)
+(* Ideal, RV and KiBaM sum channel terms that are the current times
+   current-independent factors, and doubling commutes with rounding:
+   exact. *)
 let prop_sigma_linear_exact name model =
   QCheck.Test.make ~count:300
     ~name:(Printf.sprintf "%s: doubling currents doubles sigma bit for bit" name)
@@ -797,9 +894,9 @@ let prop_sigma_linear_exact name model =
       let s, s2 = sigma_doubled model loads in
       Int64.equal (Int64.bits_of_float s2) (Int64.bits_of_float (2.0 *. s)))
 
-(* KiBaM and the PDE subtract a state that starts at alpha, so every
-   step rounds quantities of size alpha: allow 8 eps * alpha per step
-   ([steps loads] counts KiBaM intervals or Crank–Nicolson steps). *)
+(* The PDE subtracts a state that starts at alpha, so every step
+   rounds quantities of size alpha: allow 8 eps * alpha per step
+   ([steps loads] counts Crank–Nicolson steps). *)
 let prop_sigma_linear_within ?(count = 300) name model ~alpha ~steps =
   QCheck.Test.make ~count
     ~name:
@@ -814,12 +911,9 @@ let prop_sigma_linear_within ?(count = 300) name model ~alpha ~steps =
 let prop_sigma_linear_ideal = prop_sigma_linear_exact "ideal" Ideal.model
 
 let prop_sigma_linear_rakhmatov =
-  prop_sigma_linear_exact "rakhmatov" (Rakhmatov.model ())
+  prop_sigma_linear_exact "rakhmatov" rv
 
-let prop_sigma_linear_kibam =
-  prop_sigma_linear_within "kibam" (Kibam.model ())
-    ~alpha:Kibam.default_params.Kibam.capacity
-    ~steps:(fun loads -> List.length loads + 1)
+let prop_sigma_linear_kibam = prop_sigma_linear_exact "kibam" kibam
 
 let prop_sigma_linear_diffusion =
   let p = Diffusion.default_params in
@@ -831,48 +925,6 @@ let prop_sigma_linear_diffusion =
         0 loads)
 
 (* --- Diffusion stepper vs the textbook Crank–Nicolson step --- *)
-
-(* One constant-current span the textbook way: per step, form the
-   explicit half, fill the full tridiagonal system (I - dt/2 A), solve
-   it with [Tridiag.solve_into] and copy the solution back.  The
-   stepper factors the matrix once per span and fuses the step into one
-   pass; it must reproduce this arithmetic exactly. *)
-let textbook_advance ~dt_max ~dee ~dx ~current u span =
-  if span > 0.0 then begin
-    let n = Array.length u in
-    let steps = Stdlib.max 1 (int_of_float (Float.ceil (span /. dt_max))) in
-    let dt = span /. float_of_int steps in
-    let v = Array.make n 0.0 in
-    let diag = Array.make n 0.0 in
-    let lower = Array.make (n - 1) 0.0 in
-    let upper = Array.make (n - 1) 0.0 in
-    let cw = Array.make (n - 1) 0.0 in
-    let dw = Array.make n 0.0 in
-    let out = Array.make n 0.0 in
-    for _ = 1 to steps do
-      let r = dee /. (dx *. dx) in
-      let half = 0.5 *. dt in
-      v.(0) <-
-        u.(0) +. (half *. ((2.0 *. r *. u.(1)) -. (2.0 *. r *. u.(0))))
-        -. (dt *. 2.0 *. current /. dx);
-      for i = 1 to n - 2 do
-        v.(i) <-
-          u.(i)
-          +. (half *. r *. (u.(i - 1) -. (2.0 *. u.(i)) +. u.(i + 1)))
-      done;
-      v.(n - 1) <-
-        u.(n - 1)
-        +. (half *. ((2.0 *. r *. u.(n - 2)) -. (2.0 *. r *. u.(n - 1))));
-      Array.fill diag 0 n (1.0 +. (dt *. r));
-      Array.fill lower 0 (n - 1) (-.half *. r);
-      Array.fill upper 0 (n - 1) (-.half *. r);
-      upper.(0) <- -.dt *. r;
-      lower.(n - 2) <- -.dt *. r;
-      Oracles.Tridiag.solve_into ~lower ~diag ~upper ~rhs:v ~cw ~dw
-        ~out;
-      Array.blit out 0 u 0 n
-    done
-  end
 
 (* Random grids (8-64 nodes, dt 0.01-2, random beta and alpha) driven
    through 1-8 spans each: currents include 0, and spans are 0, shorter
@@ -919,7 +971,8 @@ let prop_diffusion_stepper_matches_textbook =
           | _ -> uniform 0.0 (10.0 *. dt)
         in
         ops.Model.advance u ~current ~duration:span;
-        textbook_advance ~dt_max:dt ~dee ~dx ~current want span;
+        Oracles.Diffusion.advance_reference ~dt_max:dt ~dee ~dx ~current want
+          span;
         ok := !ok && same ()
       done;
       !ok)
@@ -1062,19 +1115,21 @@ let prop_periodic_lanes_match =
         let alpha =
           Float.max 1.0 (Profile.total_charge cycle *. uniform 0.4 8.0)
         in
-        let model =
+        (* a PDE device comes with its reference sigma *)
+        let model, reference =
           match int 4 with
-          | 0 -> Ideal.model
-          | 1 -> Rakhmatov.model ()
+          | 0 -> (Ideal.model, None)
+          | 1 -> (rv, None)
           | _ ->
-              Diffusion.model
-                ~params:
-                  (Diffusion.make_params
-                     ~nodes:(if int 2 = 0 then 8 else 16)
-                     ~dt:(uniform 0.5 2.0) ~alpha ~beta:(uniform 0.2 0.6) ())
-                ()
+              let params =
+                Diffusion.make_params
+                  ~nodes:(if int 2 = 0 then 8 else 16)
+                  ~dt:(uniform 0.5 2.0) ~alpha ~beta:(uniform 0.2 0.6) ()
+              in
+              ( Diffusion.model ~params (),
+                Some (Oracles.Diffusion.sigma_reference ~params) )
         in
-        { Periodic.model; alpha; period; cycle }
+        ({ Periodic.model; alpha; period; cycle }, reference)
       in
       let same (a : Periodic.Batch.result) (b : Periodic.Batch.result) =
         a.Periodic.Batch.outcome = b.Periodic.Batch.outcome
@@ -1086,17 +1141,19 @@ let prop_periodic_lanes_match =
         (fun n ->
           let devices = Array.init n device in
           let got =
-            Periodic.Batch.run ~max_cycles ~n ~device:(fun i -> devices.(i)) ()
+            Periodic.Batch.run ~max_cycles ~n
+              ~device:(fun i -> fst devices.(i)) ()
           in
           Array.length got = n
           && Array.for_all2
-               (fun (d : Periodic.device) r ->
+               (fun (d, reference) r ->
                  same r
                    (Periodic.Batch.run ~max_cycles ~n:1 ~device:(fun _ -> d) ()).(0)
-                 && (match d.Periodic.model.Model.kernel with
-                    | Model.Channels _ -> true
-                    | Model.Stepper _ ->
-                        same r (Oracles.Periodic.result_reference ~max_cycles d)))
+                 &&
+                 match reference with
+                 | None -> true
+                 | Some sigma ->
+                     same r (Oracles.Periodic.result_reference ~max_cycles ~sigma d))
                devices got)
         [ 0; 1; 3; 4; 5; 23; 257 ])
 
@@ -1128,55 +1185,61 @@ let mission_of (loads, idle, factor, worth) =
   let alpha = Profile.total_charge cycle *. worth in
   (cycle, period, alpha)
 
-let endured f ~max_cycles ~model ~alpha ~period cycle =
-  match f ?max_cycles:(Some max_cycles) ~model ~alpha ~period cycle with
+let endured f ~max_cycles ~alpha ~period cycle =
+  match f ?max_cycles:(Some max_cycles) ~alpha ~period cycle with
   | o -> Periodic.cycles o
   | exception Periodic.Unsustainable _ -> 0
 
-(* The fast kernel and the oracle compute the same mathematical sigma
-   with different float accumulation, so at probes landing within a few
-   ulps of alpha the death cycle may legitimately differ.  Instead of a
-   point comparison, bracket: lifetime is monotone in alpha, so the
-   fast result must sit between the oracle's answers at alpha shrunk
-   and grown by a 1e-6 relative margin — and on the (overwhelmingly
-   common) draws where no probe is that close, the bracket is tight and
-   the comparison exact. *)
-let prop_periodic_matches_oracle ?(count = 40) ?(max_cycles = 25) name model =
+(* The fast kernel and the oracle, which replays the model's reference
+   sigma, compute the same mathematical sigma with different float
+   accumulation, so at probes landing within a few ulps of alpha the
+   death cycle may legitimately differ.  Instead of a point comparison,
+   bracket: lifetime is monotone in alpha, so the fast result must sit
+   between the oracle's answers at alpha shrunk and grown by a 1e-6
+   relative margin — and on the (overwhelmingly common) draws where no
+   probe is that close, the bracket is tight and the comparison
+   exact. *)
+let prop_periodic_matches_oracle ?(count = 40) ?(max_cycles = 25) name model
+    ~sigma =
   QCheck.Test.make ~count
     ~name:(Printf.sprintf "periodic fast kernel matches oracle (%s)" name)
     gen_mission
     (fun draw ->
       let cycle, period, alpha = mission_of draw in
       let fast =
-        endured Periodic.cycles_to_death ~max_cycles ~model ~alpha ~period
+        endured (Periodic.cycles_to_death ~model) ~max_cycles ~alpha ~period
           cycle
       in
+      let reference = Oracles.Periodic.cycles_to_death_reference ~sigma in
       let lo =
-        endured Oracles.Periodic.cycles_to_death_reference ~max_cycles ~model
-          ~alpha:(alpha *. (1.0 -. 1e-6))
-          ~period cycle
+        endured reference ~max_cycles ~alpha:(alpha *. (1.0 -. 1e-6)) ~period
+          cycle
       in
       let hi =
-        endured Oracles.Periodic.cycles_to_death_reference ~max_cycles ~model
-          ~alpha:(alpha *. (1.0 +. 1e-6))
-          ~period cycle
+        endured reference ~max_cycles ~alpha:(alpha *. (1.0 +. 1e-6)) ~period
+          cycle
       in
       lo <= fast && fast <= hi)
 
 let prop_periodic_oracle_ideal =
   prop_periodic_matches_oracle ~count:60 "ideal" Ideal.model
+    ~sigma:Oracles.Ideal.sigma_reference
 
 let prop_periodic_oracle_peukert =
-  prop_periodic_matches_oracle ~count:60 "peukert" (Peukert.model ())
+  prop_periodic_matches_oracle ~count:60 "peukert" peukert
+    ~sigma:(fun p ~at -> Oracles.Peukert.sigma_reference p ~at)
 
 let prop_periodic_oracle_rakhmatov =
-  prop_periodic_matches_oracle ~count:30 "rakhmatov" (Rakhmatov.model ())
+  prop_periodic_matches_oracle ~count:30 "rakhmatov" rv
+    ~sigma:(fun p ~at -> Oracles.Rakhmatov.sigma_reference p ~at)
 
 let prop_periodic_oracle_kibam =
-  prop_periodic_matches_oracle ~count:40 "kibam" (Kibam.model ())
+  prop_periodic_matches_oracle ~count:40 "kibam" kibam
+    ~sigma:(fun p ~at -> Oracles.Kibam.sigma_reference p ~at)
 
-(* The carried-stepper path replays the oracle's arithmetic exactly
-   (same run_to targets, same spans), so for the PDE the two paths are
+(* The carried-stepper path replays the oracle's run_to targets and
+   spans, and the stepper's fused step is bit-identical to the
+   oracle's textbook step, so for the PDE the two paths are
    bit-identical — no bracket needed. *)
 let prop_periodic_oracle_diffusion_exact =
   let params = Diffusion.make_params ~nodes:8 ~dt:1.0 ~alpha:1.0 ~beta:0.273 () in
@@ -1188,12 +1251,16 @@ let prop_periodic_oracle_diffusion_exact =
       let params = { params with Diffusion.alpha } in
       let model = Diffusion.model ~params () in
       let run f =
-        match f ?max_cycles:(Some 10) ~model ~alpha ~period cycle with
+        match f ?max_cycles:(Some 10) ~alpha ~period cycle with
         | o -> (Periodic.cycles o, Float.nan)
         | exception Periodic.Unsustainable s -> (0, s)
       in
-      let fast, fs = run Periodic.cycles_to_death in
-      let slow, ss = run Oracles.Periodic.cycles_to_death_reference in
+      let fast, fs = run (Periodic.cycles_to_death ~model) in
+      let slow, ss =
+        run
+          (Oracles.Periodic.cycles_to_death_reference
+             ~sigma:(Oracles.Diffusion.sigma_reference ~params))
+      in
       fast = slow
       && Int64.equal (Int64.bits_of_float fs) (Int64.bits_of_float ss))
 
@@ -1202,11 +1269,11 @@ let test_sigma_reference_single_interval () =
   (* a = 0 edge: observation instant coincides with the interval end *)
   check_float "at end"
     (Oracles.Rakhmatov.sigma_reference p ~at:10.0)
-    (Rakhmatov.sigma p ~at:10.0);
+    (Model.sigma rv p ~at:10.0);
   check_float "mid-interval clip"
     (Oracles.Rakhmatov.sigma_reference p ~at:4.0)
-    (Rakhmatov.sigma p ~at:4.0);
-  check_float "empty prefix" 0.0 (Rakhmatov.sigma p ~at:0.0)
+    (Model.sigma rv p ~at:4.0);
+  check_float "empty prefix" 0.0 (Model.sigma rv p ~at:0.0)
 
 let test_profile_fold_until_matches_truncate () =
   let p = Profile.sequential [ (100.0, 2.0); (200.0, 3.0); (50.0, 4.0) ] in
@@ -1249,8 +1316,6 @@ let check_rel name want got =
   if not ok then
     Alcotest.failf "%s: got %.17g, want %.17g (rel %.3g)" name got want
       (Float.abs (got -. want) /. (1.0 +. Float.abs want))
-
-let rv = Rakhmatov.model ()
 
 let full_eval model points =
   let p = Profile.sequential points in
@@ -1402,12 +1467,12 @@ let test_delta_kibam_incremental_no_fallback () =
   Alcotest.(check int) "no full evals" c0
     (Probe.totals ()).Probe.delta_full_evals
 
-let coarse_diffusion =
-  (* 8 nodes, 1-minute steps: the checkpointing logic under test is
-     grid-independent, and the default grid would dominate test time *)
-  Diffusion.model
-    ~params:(Diffusion.make_params ~nodes:8 ~dt:1.0 ~alpha:40375.0 ~beta:0.273 ())
-    ()
+(* 8 nodes, 1-minute steps: the checkpointing logic under test is
+   grid-independent, and the default grid would dominate test time *)
+let coarse_params =
+  Diffusion.make_params ~nodes:8 ~dt:1.0 ~alpha:40375.0 ~beta:0.273 ()
+
+let coarse_diffusion = Diffusion.model ~params:coarse_params ()
 
 let test_delta_checkpoint_counters () =
   (* a stepper-only model goes through the checkpoint path: candidates
@@ -1481,6 +1546,37 @@ let test_delta_refresh_noop () =
   check_float "refresh stable" s (Delta.sigma d);
   check_against_full rv d base_points
 
+(* A re-costed term allocates nothing: its floats pass through array
+   cells.  Setting the last position of a 64-interval schedule re-costs
+   all 64 terms under RV and KiBaM but one under the ideal model, and
+   may allocate no more than that. *)
+let test_delta_set_words () =
+  let points =
+    List.init 64 (fun i ->
+        (100.0 +. (7.0 *. float_of_int i), 0.5 +. (0.25 *. float_of_int (i mod 5))))
+  in
+  let words model =
+    let d = delta_of model points in
+    let once () =
+      let w0 = Gc.minor_words () in
+      ignore (Delta.try_set d 63 ~current:333.0 ~duration:1.75);
+      let w = Gc.minor_words () -. w0 in
+      Delta.discard d;
+      w
+    in
+    (* warm-up, so that RV's memo holds the candidate's terms *)
+    ignore (once ());
+    once ()
+  in
+  let ideal = words Ideal.model in
+  List.iter
+    (fun (name, model) ->
+      let w = words model in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: try_set words (%.0f) <= ideal's (%.0f)" name w ideal)
+        true (w <= ideal))
+    [ ("rakhmatov", rv); ("kibam", kibam) ]
+
 let delta_tests =
   [ Alcotest.test_case "load matches full (all models)" `Quick test_delta_load_matches_full;
     Alcotest.test_case "swap matches full" `Quick test_delta_swap_matches_full;
@@ -1495,13 +1591,25 @@ let delta_tests =
     Alcotest.test_case "checkpoint counters" `Quick test_delta_checkpoint_counters;
     Alcotest.test_case "O(1) swap term evals" `Quick test_delta_swap_term_evals_constant;
     Alcotest.test_case "suffix cache across makespans" `Quick test_delta_suffix_cache_across_makespans;
-    Alcotest.test_case "refresh after many commits" `Quick test_delta_refresh_noop ]
+    Alcotest.test_case "refresh after many commits" `Quick test_delta_refresh_noop;
+    Alcotest.test_case "try_set words" `Quick test_delta_set_words ]
 
-(* --- Model views: the kernel each shipped model carries, and the
-   Model.mli contract tying it back to [sigma] --- *)
+(* --- Model views: the kernel each shipped model carries, checked
+   against the model's reference implementation in the oracles --- *)
 
+(* Each shipped model with the reference its kernel must reproduce. *)
 let shipped_models =
-  [ Ideal.model; Peukert.model (); rv; Kibam.model (); coarse_diffusion ]
+  [ (Ideal.model, Oracles.Ideal.sigma_reference);
+    (peukert, fun p ~at -> Oracles.Peukert.sigma_reference p ~at);
+    (rv, fun p ~at -> Oracles.Rakhmatov.sigma_reference p ~at);
+    (kibam, fun p ~at -> Oracles.Kibam.sigma_reference p ~at);
+    (coarse_diffusion, Oracles.Diffusion.sigma_reference ~params:coarse_params) ]
+
+(* A channel term through its three cells. *)
+let term ch ~current ~duration ~tail =
+  let c = [| current; duration; tail |] in
+  ch.Model.term c 0;
+  c.(0)
 
 let test_model_views_shipped () =
   (* (tail sensitivity of the channel terms, derived from the channel
@@ -1522,16 +1630,16 @@ let test_model_views_shipped () =
   in
   let pp = Alcotest.(triple (option bool) bool (option int)) in
   List.iter2
-    (fun m (name, w) ->
+    (fun (m, _) (name, w) ->
       Alcotest.(check string) "name" name m.Model.name;
       Alcotest.check pp name w (views m))
     shipped_models want
 
 let test_model_views_incremental_sums () =
-  (* sum of per-interval terms at their suffix tails = sigma at the
-     makespan; a zero-duration term is exactly zero *)
+  (* sum of per-interval terms at their suffix tails = the reference
+     sigma at the makespan; a zero-duration term is exactly zero *)
   List.iter
-    (fun m ->
+    (fun (m, reference) ->
       match m.Model.kernel with
       | Model.Stepper _ -> ()
       | Model.Channels ch ->
@@ -1539,18 +1647,19 @@ let test_model_views_incremental_sums () =
             | [] -> (acc, 0.0)
             | (current, duration) :: rest ->
                 let acc, tail = terms acc rest in
-                (acc +. ch.Model.term ~current ~duration ~tail, tail +. duration)
+                (acc +. term ch ~current ~duration ~tail, tail +. duration)
           in
           let got, _ = terms 0.0 base_points in
-          check_rel m.Model.name (fst (full_eval m base_points)) got;
+          let p = Profile.sequential base_points in
+          check_rel m.Model.name (reference p ~at:(Profile.length p)) got;
           Alcotest.(check (float 0.0)) (m.Model.name ^ " zero duration") 0.0
-            (ch.Model.term ~current:300.0 ~duration:0.0 ~tail:5.0))
+            (term ch ~current:300.0 ~duration:0.0 ~tail:5.0))
     shipped_models
 
 let test_model_views_decay_reassembles () =
   (* charge + sum_t w_t exp(-rate_t tail) = term, at any tail *)
   List.iter
-    (fun m ->
+    (fun (m, _) ->
       match m.Model.kernel with
       | Model.Channels d ->
           Array.iter
@@ -1567,19 +1676,19 @@ let test_model_views_decay_reassembles () =
                   Array.iteri
                     (fun t r -> got := !got +. (buf.(t) *. exp (-.r *. tail)))
                     d.Model.rates;
-                  check_rel m.Model.name
-                    (d.Model.term ~current ~duration ~tail)
-                    !got)
+                  check_rel m.Model.name (term d ~current ~duration ~tail) !got)
                 [ 0.0; 1.5; 10.0; 120.0 ])
             base_points
       | Model.Stepper _ -> ())
     shipped_models
 
 let test_model_views_stepper_observes () =
-  (* integrating the profile through the stepper observes sigma at the
-     makespan; a zero-duration advance leaves the state bit-identical *)
+  (* integrating the profile through the stepper observes the reference
+     sigma at the makespan, bit for bit (the base points' clock
+     arithmetic is exact); a zero-duration advance leaves the state
+     bit-identical *)
   List.iter
-    (fun m ->
+    (fun (m, reference) ->
       match m.Model.kernel with
       | Model.Channels _ -> ()
       | Model.Stepper st ->
@@ -1597,15 +1706,49 @@ let test_model_views_stepper_observes () =
                    (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
                    before u))
             base_points;
-          check_rel m.Model.name (fst (full_eval m base_points))
-            (ops.Model.observe u))
+          let p = Profile.sequential base_points in
+          Alcotest.(check bool) (m.Model.name ^ " observes the reference") true
+            (Int64.equal
+               (Int64.bits_of_float (reference p ~at:(Profile.length p)))
+               (Int64.bits_of_float (ops.Model.observe u))))
+    shipped_models
+
+(* [Model.sigma] allocates nothing per interval for a channel model:
+   the terms pass through array cells, so a 64-interval call allocates
+   what a 1-interval call does.  The solve path costs every candidate
+   schedule through it. *)
+let test_model_views_sigma_words () =
+  let profile n =
+    Profile.sequential
+      (List.init n (fun i ->
+           (100.0 +. (7.0 *. float_of_int i), 0.5 +. (0.25 *. float_of_int (i mod 5)))))
+  in
+  let p1 = profile 1 and p64 = profile 64 in
+  List.iter
+    (fun (m, _) ->
+      match m.Model.kernel with
+      | Model.Stepper _ -> ()
+      | Model.Channels _ ->
+          let words p =
+            (* warm-up, so that RV's memo holds every term *)
+            ignore (Model.sigma_end m p);
+            let w0 = Gc.minor_words () in
+            ignore (Model.sigma_end m p);
+            Gc.minor_words () -. w0
+          in
+          let w1 = words p1 in
+          check_float
+            (Printf.sprintf "%s: words of a 64-interval sigma (1 interval: %.0f)"
+               m.Model.name w1)
+            w1 (words p64))
     shipped_models
 
 let model_views_tests =
   [ Alcotest.test_case "shipped views" `Quick test_model_views_shipped;
     Alcotest.test_case "incremental sums to sigma" `Quick test_model_views_incremental_sums;
     Alcotest.test_case "decay reassembles term" `Quick test_model_views_decay_reassembles;
-    Alcotest.test_case "stepper observes sigma" `Quick test_model_views_stepper_observes ]
+    Alcotest.test_case "stepper observes sigma" `Quick test_model_views_stepper_observes;
+    Alcotest.test_case "sigma words per interval" `Quick test_model_views_sigma_words ]
 
 (* Random interval lists driven through random move traces: committed
    sigma/finish track the full evaluation of the mirrored list.  One
@@ -1678,6 +1821,7 @@ let qcheck_tests =
       prop_idle_never_hurts;
       prop_sigma_matches_reference;
       prop_sigma_matches_reference_with_gaps;
+      prop_sigma_matches_references;
       prop_periodic_oracle_ideal;
       prop_periodic_oracle_peukert;
       prop_periodic_oracle_rakhmatov;

@@ -537,7 +537,7 @@ let test_idle_peak_sigma_constant_load () =
   let model = Batsched_battery.Rakhmatov.model () in
   let p = Batsched_battery.Profile.constant ~current:400.0 ~duration:30.0 in
   check_close 1e-9 "peak at end"
-    (Batsched_battery.Rakhmatov.sigma p ~at:30.0)
+    (Batsched_battery.Model.sigma model p ~at:30.0)
     (Batsched.Idle.peak_sigma model p)
 
 let test_idle_never_raises_peak () =
