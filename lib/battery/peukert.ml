@@ -3,23 +3,19 @@ let check_params exponent reference_current =
   if reference_current <= 0.0 then
     invalid_arg "Peukert.model: reference current must be positive"
 
+(* k I^p D.  Inlined into the term, so that no float is boxed. *)
+let[@inline] cost ~k ~exponent current duration =
+  if current = 0.0 then 0.0 else k *. (current ** exponent) *. duration
+
 (* Rate-dependence only, no memory of the rest of the schedule: the
    term ignores its tail and there are no channels, like the ideal
    model. *)
 let channels ~exponent ~reference_current =
   let k = reference_current ** (1.0 -. exponent) in
-  let charge ~current ~duration =
-    if current = 0.0 then 0.0 else k *. (current ** exponent) *. duration
-  in
-  { Model.term =
-      (fun buf j ->
-        let current = buf.(j) in
-        buf.(j) <-
-          (if current = 0.0 then 0.0
-           else k *. (current ** exponent) *. buf.(j + 1)));
+  { Model.term = (fun buf j -> buf.(j) <- cost ~k ~exponent buf.(j) buf.(j + 1));
     rates = [||];
     weights = (fun ~current:_ ~duration:_ _ -> ());
-    charge }
+    charge = (fun ~current ~duration -> cost ~k ~exponent current duration) }
 
 let model ?(exponent = 1.2) ?(reference_current = 100.0) () =
   check_params exponent reference_current;

@@ -27,12 +27,12 @@ let convergence_rows () =
 let agreement_rows () =
   let rv10 = Rakhmatov.model () in
   let rv5000 = Rakhmatov.model ~terms:5000 () in
-  let pde = Diffusion.model () in
+  let diffusion = Diffusion.model () in
   List.map
     (fun (label, p, at) ->
       let a10 = Model.sigma rv10 p ~at in
       let a5000 = Model.sigma rv5000 p ~at in
-      let pde = Model.sigma pde p ~at in
+      let pde = Model.sigma diffusion p ~at in
       [ label;
         Tables.f1 a10;
         Tables.f1 a5000;

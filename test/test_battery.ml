@@ -195,7 +195,7 @@ let test_lifetime_first_crossing_on_dip () =
      sigma later falls back under alpha *)
   let model = Rakhmatov.model () in
   let p = Profile.sequential [ (550.0, 25.0); (50.0, 20.0) ] in
-  let peak = Model.sigma rv p ~at:25.0 in
+  let peak = Model.sigma model p ~at:25.0 in
   let at_end = Model.sigma_end model p in
   let alpha = (peak +. at_end) /. 2.0 in
   (* alpha sits between the dip and the peak: death must be reported *)
@@ -264,15 +264,15 @@ let test_kibam_recovery_between_bursts () =
   Alcotest.(check bool) "recovery" true (s_gapped < s_packed)
 
 let test_kibam_lifetime_decreases_with_load () =
-  let model = kibam in
   let alpha = kp.Kibam.capacity in
-  let l c = Lifetime.of_constant_current ~model ~alpha ~current:c in
+  let l c = Lifetime.of_constant_current ~model:kibam ~alpha ~current:c in
   Alcotest.(check bool) "monotone" true (l 200.0 > l 400.0 && l 400.0 > l 800.0)
 
 let test_kibam_delivers_less_at_high_rate () =
-  let model = kibam in
   let alpha = kp.Kibam.capacity in
-  let delivered c = c *. Lifetime.of_constant_current ~model ~alpha ~current:c in
+  let delivered c =
+    c *. Lifetime.of_constant_current ~model:kibam ~alpha ~current:c
+  in
   Alcotest.(check bool) "rate capacity on delivery" true
     (delivered 100.0 > delivered 1000.0)
 
@@ -374,14 +374,14 @@ let test_diffusion_matches_analytic_under_load () =
   (* with a long series the analytic model must agree with the PDE *)
   let p = Profile.constant ~current:800.0 ~duration:20.0 in
   let analytic = Model.sigma (Rakhmatov.model ~terms:5000 ()) p ~at:20.0 in
-  let pde = Model.sigma pde p ~at:20.0 in
-  check_close (0.005 *. analytic) "first principles" analytic pde
+  check_close (0.005 *. analytic) "first principles" analytic
+    (Model.sigma pde p ~at:20.0)
 
 let test_diffusion_matches_analytic_with_recovery () =
   let p = Profile.of_intervals [ (0.0, 20.0, 800.0); (50.0, 20.0, 800.0) ] in
   let analytic = Model.sigma (Rakhmatov.model ~terms:5000 ()) p ~at:70.0 in
-  let pde = Model.sigma pde p ~at:70.0 in
-  check_close (0.005 *. analytic) "with recovery" analytic pde
+  check_close (0.005 *. analytic) "with recovery" analytic
+    (Model.sigma pde p ~at:70.0)
 
 let test_diffusion_ten_terms_undercounts_under_load () =
   (* the documented truncation bias: 10 terms < PDE during discharge *)
