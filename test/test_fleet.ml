@@ -368,6 +368,66 @@ let test_engine_empty_fleet () =
   let r = Engine.run ~spec ~devices:0 ~seed:0 () in
   Alcotest.(check int) "no devices" 0 (Survival.n r)
 
+(* The CI spec, which dune copies next to the test executable. *)
+let ci_spec () =
+  let path =
+    Filename.concat (Filename.dirname Sys.executable_name) "fleet_spec.json"
+  in
+  match Spec.of_file path with
+  | Ok s -> s
+  | Error msg -> Alcotest.failf "%s: %s" path msg
+
+(* FNV-1a 64 over each device's outcome (tag, then cycles) and
+   fatal-sigma bits, in device order: unlike the [sv1-] checksum, which
+   hashes integer tallies only, it pins every fatal sigma. *)
+let device_digest results =
+  let h = ref 0xCBF29CE484222325L in
+  let feed v =
+    let x = ref v in
+    for _ = 0 to 7 do
+      let byte = Int64.logand !x 0xFFL in
+      h := Int64.mul (Int64.logxor !h byte) 0x100000001B3L;
+      x := Int64.shift_right_logical !x 8
+    done
+  in
+  Array.iter
+    (fun (r : Batsched_battery.Periodic.Batch.result) ->
+      (match r.Batsched_battery.Periodic.Batch.outcome with
+      | Batsched_battery.Periodic.Dies n -> feed 0L; feed (Int64.of_int n)
+      | Batsched_battery.Periodic.Censored n -> feed 1L; feed (Int64.of_int n));
+      feed (Int64.bits_of_float r.Batsched_battery.Periodic.Batch.fatal_sigma))
+    results;
+  Printf.sprintf "%016Lx" !h
+
+(* 2,000 devices of the CI spec at seed 2026, through [Sampler] and
+   [Periodic.Batch.run] in blocks of 1, 23, 256 and 2,000 devices.  The
+   digest was recorded before the kernel ran each device start to
+   finish, so it pins every device's outcome and fatal sigma, bit for
+   bit, at every block size (and so at every lane-group make-up). *)
+let test_engine_device_digest () =
+  let spec = ci_spec () in
+  let devices = 2_000 in
+  let base = Sampler.base ~seed:2026 in
+  let sampled = Array.init devices (Sampler.device spec ~base) in
+  List.iter
+    (fun block ->
+      let results =
+        Array.concat
+          (List.init
+             ((devices + block - 1) / block)
+             (fun k ->
+               let lo = k * block in
+               Batsched_battery.Periodic.Batch.run
+                 ~max_cycles:spec.Spec.horizon
+                 ~n:(Int.min block (devices - lo))
+                 ~device:(fun j -> sampled.(lo + j).Sampler.periodic)
+                 ()))
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "digest at blocks of %d" block)
+        "23a1e5114e7f45a1" (device_digest results))
+    [ 1; 23; 256; 2_000 ]
+
 (* fuzz: a single-byte corruption of a valid spec either parses, is
    rejected as bad JSON, or is rejected by [Spec.of_json] with an error
    — never an exception *)
@@ -417,6 +477,8 @@ let () =
             test_engine_seed_sensitivity;
           Alcotest.test_case "events and counters" `Quick
             test_engine_events_and_counters;
-          Alcotest.test_case "empty fleet" `Quick test_engine_empty_fleet ] );
+          Alcotest.test_case "empty fleet" `Quick test_engine_empty_fleet;
+          Alcotest.test_case "per-device digest" `Quick
+            test_engine_device_digest ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_spec_fuzz_no_crash ] ) ]
