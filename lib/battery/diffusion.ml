@@ -17,9 +17,9 @@ let default_params =
 
 (* Work arrays for the Crank–Nicolson spans, sized once per
    integration context so the stepping loop allocates nothing.  [piv]
-   and [cw] hold the Thomas factorization of (I - dt/2 A), rebuilt once
-   per constant-current span; [dw] is each step's forward sweep; [co]
-   holds the span's coefficients (slots below). *)
+   and [cw] hold the Thomas factorization of (I - dt/2 A), rebuilt by
+   each constant-current span's first step; [dw] is each step's forward
+   sweep; [co] holds the span's coefficients (slots below). *)
 type scratch = {
   piv : float array;  (* pivots m_i of the interior nodes 1 .. n-2 *)
   cw : float array;   (* super-diagonal multipliers upper_i / m_i *)
@@ -34,18 +34,24 @@ and c_half = 5 and c_src = 6 and c_last = 7 and ncoef = 8
    [x * w + l]. *)
 let make_scratch ~w n =
   { piv = Array.make (n * w) 0.0;
-    cw = Array.make (Stdlib.max 1 (n - 1) * w) 0.0;
+    cw = Array.make (Int.max 1 (n - 1) * w) 0.0;
     dw = Array.make (n * w) 0.0;
     co = Array.make (ncoef * w) 0.0 }
 
-(* The span prologue both integrators call: split a span of constant
-   current I into equal Crank–Nicolson steps no longer than [dt_max],
-   write the step's coefficients into [co] and the Thomas factorization
-   of (I - dt/2 A) into [piv] and [cw], at lane [l] of [w], and return
-   the step count.  The matrix depends only on dt, so its pivots and
-   multipliers are computed once per span, not per step.  Inlined, so
-   that the lanes' float parameters are not boxed to cross a call. *)
-let[@inline] prologue sc ~w ~l ~n ~dt_max ~dee ~dx ~current span =
+(* The first step of a span, which both integrators call: split a span
+   of constant current I into equal Crank–Nicolson steps no longer than
+   [dt_max], write the step's coefficients into [co], run the first
+   step on lane [l] of [w] and return the steps left (>= 0).  The
+   matrix (I - dt/2 A) depends only on dt, so its Thomas factorization
+   is computed once per span, inside this step's forward sweep: node
+   i's pivot m_i and multiplier cw_i are computed where the sweep
+   needs them, and stay in [piv] and [cw] for the span's other steps.
+   The pivot division and the sweep's division of a node then run side
+   by side rather than in two chains one after the other.  Every
+   operation is the one a separate factorization and step perform, on
+   the same operands.  Inlined, so that the lanes' float parameters are
+   not boxed to cross a call. *)
+let[@inline] first_step sc u ~w ~l ~n ~dt_max ~dee ~dx ~current span =
   let q = span /. dt_max in
   (* From 2^53 on (and at infinity or nan) the step count is no integer
      a float holds exactly, and from 2^63 on [int_of_float] returns
@@ -54,7 +60,8 @@ let[@inline] prologue sc ~w ~l ~n ~dt_max ~dee ~dx ~current span =
     invalid_arg "Diffusion: dt too small for the span (2^53 steps or more)";
   (* ceil q, exact below 2^53, without [Float.ceil]'s C call *)
   let t = int_of_float q in
-  let steps = Stdlib.max 1 (if float_of_int t < q then t + 1 else t) in
+  let t = if float_of_int t < q then t + 1 else t in
+  let steps = if t < 1 then 1 else t in
   let dt = span /. float_of_int steps in
   let r = dee /. (dx *. dx) in
   let half = 0.5 *. dt in
@@ -63,28 +70,44 @@ let[@inline] prologue sc ~w ~l ~n ~dt_max ~dee ~dx ~current span =
   let d = 1.0 +. (dt *. r) in
   let off = -.half *. r in
   let edge = -.dt *. r in
-  let piv = sc.piv and cw = sc.cw and co = sc.co in
   (* hoisting is exact: [half *. r *. x] and [2.0 *. r *. x] associate
      left, so they already compute [hr] and [r2] first *)
+  let hr = half *. r and r2 = 2.0 *. r in
+  let src = dt *. 2.0 *. current /. dx in
+  let piv = sc.piv and cw = sc.cw and dw = sc.dw and co = sc.co in
   co.((c_d * w) + l) <- d;
   co.((c_off * w) + l) <- off;
   co.((c_edge * w) + l) <- edge;
-  co.((c_hr * w) + l) <- half *. r;
-  co.((c_r2 * w) + l) <- 2.0 *. r;
+  co.((c_hr * w) + l) <- hr;
+  co.((c_r2 * w) + l) <- r2;
   co.((c_half * w) + l) <- half;
-  co.((c_src * w) + l) <- dt *. 2.0 *. current /. dx;
+  co.((c_src * w) + l) <- src;
   if d = 0.0 then invalid_arg "Diffusion: zero pivot";
   cw.(l) <- edge /. d;
+  let v0 = u.(l) +. (half *. ((r2 *. u.(w + l)) -. (r2 *. u.(l)))) -. src in
+  dw.(l) <- v0 /. d;
+  (* [u] is written only after the last pivot is checked, so a zero
+     pivot leaves the state as it was *)
   for i = 1 to n - 2 do
-    let m = d -. (off *. cw.(((i - 1) * w) + l)) in
+    let b = (i * w) + l in
+    let m = d -. (off *. cw.(b - w)) in
     if m = 0.0 then invalid_arg "Diffusion: zero pivot";
-    piv.((i * w) + l) <- m;
-    cw.((i * w) + l) <- off /. m
+    piv.(b) <- m;
+    cw.(b) <- off /. m;
+    let v = u.(b) +. (hr *. (u.(b - w) -. (2.0 *. u.(b)) +. u.(b + w))) in
+    dw.(b) <- (v -. (off *. dw.(b - w))) /. m
   done;
-  let m_last = d -. (edge *. cw.(((n - 2) * w) + l)) in
+  let z = ((n - 1) * w) + l in
+  let m_last = d -. (edge *. cw.(z - w)) in
   if m_last = 0.0 then invalid_arg "Diffusion: zero pivot";
   co.((c_last * w) + l) <- m_last;
-  steps
+  let v_last = u.(z) +. (half *. ((r2 *. u.(z - w)) -. (r2 *. u.(z)))) in
+  u.(z) <- (v_last -. (edge *. dw.(z - w))) /. m_last;
+  for i = n - 2 downto 0 do
+    let b = (i * w) + l in
+    u.(b) <- dw.(b) -. (cw.(b) *. u.(b + w))
+  done;
+  steps - 1
 
 (* Advance [u] across a span of constant current I, for du/dt = D u_xx
    with flux I at x = 0 and a sealed wall at x = 1.
@@ -100,14 +123,14 @@ let[@inline] prologue sc ~w ~l ~n ~dt_max ~dee ~dx ~current span =
 let advance ~params ~sc ~dee ~dx ~current u span =
   if span > 0.0 then begin
     let n = Array.length u in
-    let steps =
-      prologue sc ~w:1 ~l:0 ~n ~dt_max:params.dt ~dee ~dx ~current span
+    let left =
+      first_step sc u ~w:1 ~l:0 ~n ~dt_max:params.dt ~dee ~dx ~current span
     in
     let co = sc.co and piv = sc.piv and cw = sc.cw and dw = sc.dw in
     let d = co.(c_d) and off = co.(c_off) and edge = co.(c_edge) in
     let hr = co.(c_hr) and r2 = co.(c_r2) and half = co.(c_half) in
     let src = co.(c_src) and m_last = co.(c_last) in
-    for _ = 1 to steps do
+    for _ = 1 to left do
       let v0 =
         u.(0) +. (half *. ((r2 *. u.(1)) -. (r2 *. u.(0)))) -. src
       in
@@ -188,8 +211,8 @@ let run_lanes sc u n steps =
     done
   done
 
-(* A device's lane parameters, at [l * nparam] in a group: the prologue's
-   three (dt, D, dx) and alpha for [observe]. *)
+(* A device's lane parameters, at [l * nparam] in a group: the first
+   step's three (dt, D, dx) and alpha for [observe]. *)
 let p_dt = 0 and p_dee = 1 and p_dx = 2 and p_alpha = 3 and nparam = 4
 
 let lane_group n =
@@ -210,7 +233,7 @@ let lane_group n =
     span =
       (fun l ->
         let p = l * nparam in
-        prologue sc ~w ~l ~n ~dt_max:prm.(p + p_dt) ~dee:prm.(p + p_dee)
+        first_step sc u ~w ~l ~n ~dt_max:prm.(p + p_dt) ~dee:prm.(p + p_dee)
           ~dx:prm.(p + p_dx) ~current:current.(l) duration.(l));
     run = (fun steps -> run_lanes sc u n steps);
     observe =

@@ -18,17 +18,18 @@ let run ?(pool = Pool.sequential) ?(events = Events.noop) ?(block = 256)
   Pool.for_range pool ~n:devices (fun lo hi ->
       let acc = Survival.create ~horizon:spec.Spec.horizon ~models:labels in
       let probe = Probe.local () in
+      let models = Array.make (Int.min block (hi - lo)) 0 in
       let b = ref lo in
       while !b < hi do
-        let e = Stdlib.min hi (!b + block) in
+        let e = Int.min hi (!b + block) in
         let count = e - !b in
-        (* materialize the block once: Batch.run pulls each device a
-           single time, and the histogram observation below reuses the
-           same sample *)
-        let sampled = Array.make count None in
+        (* Batch.run pulls each device a single time and runs it to its
+           end before it pulls the next; only the model index is kept,
+           for the tally below, so nothing else of a device outlives
+           its run *)
         let device j =
           let d = Sampler.device spec ~base (!b + j) in
-          sampled.(j) <- Some d;
+          models.(j) <- d.Sampler.model_index;
           d.Sampler.periodic
         in
         let results =
@@ -38,17 +39,14 @@ let run ?(pool = Pool.sequential) ?(events = Events.noop) ?(block = 256)
         let deaths = ref 0 in
         Array.iteri
           (fun j (r : Batsched_battery.Periodic.Batch.result) ->
-            let d =
-              match sampled.(j) with Some d -> d | None -> assert false
-            in
-            Survival.observe acc ~model_index:d.Sampler.model_index
+            Survival.observe acc ~model_index:models.(j)
               r.Batsched_battery.Periodic.Batch.outcome;
             (match r.Batsched_battery.Periodic.Batch.outcome with
             | Batsched_battery.Periodic.Dies _ -> incr deaths
             | Batsched_battery.Periodic.Censored _ -> ());
             if hist_on then
               Histogram.observe
-                ("fleet/eol_cycles/" ^ labels.(d.Sampler.model_index))
+                ("fleet/eol_cycles/" ^ labels.(models.(j)))
                 (float_of_int
                    (Batsched_battery.Periodic.cycles
                       r.Batsched_battery.Periodic.Batch.outcome)))

@@ -42,7 +42,7 @@ let cycle_profile g (spec : Spec.cycle_spec) =
           ( dp.Batsched_taskgraph.Task.current,
             dp.Batsched_taskgraph.Task.duration ))
   | Spec.Bursts { count; current; duration } ->
-      let n = Stdlib.max 1 (int_of_float (uniform g count)) in
+      let n = Int.max 1 (int_of_float (uniform g count)) in
       (* explicit loop: the per-burst draw order is part of the format *)
       let draws = Array.make n (0.0, 0.0) in
       for i = 0 to n - 1 do

@@ -668,6 +668,67 @@ let test_periodic_lane_sweep_allocation () =
         ((words 1010 -. words 10) /. 1000.0))
     [ 2; 3; 4; 5 ]
 
+(* Spans of one step: with dt at least the longest span (the 13-min
+   rest of a 20-min period), every span a lane starts is done by its
+   first step and the lane moves straight on, without a round of the
+   group.  Two to five devices, censored over 100,000 cycles: the run
+   must finish (each lane plays its whole mission without returning to
+   the rounds) and allocate nothing per cycle.  With budgets of 20-48
+   cycles' charge instead, every device must get the outcome and
+   fatal-sigma bits of [Batch.run] on it alone. *)
+let test_periodic_lane_one_step_spans () =
+  let cycle = Profile.sequential [ (800.0, 5.0); (300.0, 2.0) ] in
+  let device alpha i =
+    { Periodic.model =
+        Diffusion.model
+          ~params:
+            (Diffusion.make_params ~nodes:8 ~dt:(13.0 +. float_of_int i)
+               ~alpha ~beta:(0.2 +. (0.1 *. float_of_int i)) ())
+          ();
+      alpha; period = 20.0; cycle }
+  in
+  let run max_cycles devices =
+    Periodic.Batch.run ~max_cycles ~n:(Array.length devices)
+      ~device:(fun i -> devices.(i)) ()
+  in
+  List.iter
+    (fun n ->
+      let immortal =
+        Array.init n (fun i -> device (1e12 +. float_of_int i) i)
+      in
+      let words max_cycles =
+        let w0 = Gc.minor_words () in
+        let r = run max_cycles immortal in
+        let w = Gc.minor_words () -. w0 in
+        Array.iter
+          (fun (r : Periodic.Batch.result) ->
+            Alcotest.check outcome_t "censored" (Periodic.Censored max_cycles)
+              r.Periodic.Batch.outcome)
+          r;
+        w
+      in
+      ignore (words 10);
+      check_float
+        (Printf.sprintf "%d pde devices: words per cycle" n)
+        0.0
+        ((words 100_010 -. words 10) /. 100_000.0);
+      let mortal =
+        Array.init n (fun i -> device (4600.0 *. float_of_int (20 + (7 * i))) i)
+      in
+      Array.iteri
+        (fun i (r : Periodic.Batch.result) ->
+          let alone = (run 100 [| mortal.(i) |]).(0) in
+          (match r.Periodic.Batch.outcome with
+          | Periodic.Dies _ -> ()
+          | Periodic.Censored _ -> Alcotest.fail "mission should end");
+          Alcotest.check outcome_t "outcome as alone"
+            alone.Periodic.Batch.outcome r.Periodic.Batch.outcome;
+          Alcotest.(check int64) "fatal sigma bits as alone"
+            (Int64.bits_of_float alone.Periodic.Batch.fatal_sigma)
+            (Int64.bits_of_float r.Periodic.Batch.fatal_sigma))
+        (run 100 mortal))
+    [ 2; 3; 4; 5 ]
+
 (* --- Cell --- *)
 
 let test_cell_presets () =
@@ -984,8 +1045,9 @@ let prop_diffusion_stepper_matches_textbook =
    span when its previous one's steps are done, as Periodic's lane
    scheduler does, so the lanes' step counts differ.  After every span,
    its lane must hold the one-device state and observe its sigma, bit
-   for bit.  A zero span starts nothing on a lane and leaves the
-   one-device state alone. *)
+   for bit: a span whose first step is its only one ([span] returns 0)
+   is checked and its lane restarted at once.  A zero span starts
+   nothing on a lane and leaves the one-device state alone. *)
 let prop_diffusion_lanes_match_advance =
   QCheck.Test.make ~count:200
     ~name:"diffusion lanes are bit-identical to the one-device advance"
@@ -1049,8 +1111,8 @@ let prop_diffusion_lanes_match_advance =
               g.Model.current.(l) <- current;
               g.Model.duration.(l) <- span;
               left.(l) <- g.Model.span l
-            end
-            else begin
+            end;
+            if left.(l) = 0 then begin
               check l;
               start l
             end
@@ -1074,7 +1136,8 @@ let prop_diffusion_lanes_match_advance =
           end
         done
       done;
-      !ok)
+      (* every span of every lane was played *)
+      !ok && Array.for_all (fun (_, _, _, spans) -> !spans = []) devices)
 
 (* The lane path of [Batch.run] against the one-device path and the
    quadratic oracle, on populations of 0, 1, 3, 4, 5, 23 and 257
@@ -1915,7 +1978,10 @@ let () =
           Alcotest.test_case "batch matches scalar" `Quick test_periodic_batch_matches_scalar;
           Alcotest.test_case "sweep allocation" `Quick test_periodic_sweep_allocation;
           Alcotest.test_case "set-up words per device" `Quick test_periodic_setup_words;
-          Alcotest.test_case "lane sweep allocation" `Quick test_periodic_lane_sweep_allocation ] );
+          Alcotest.test_case "lane sweep allocation" `Quick
+            test_periodic_lane_sweep_allocation;
+          Alcotest.test_case "lane spans of one step" `Quick
+            test_periodic_lane_one_step_spans ] );
       ( "cell",
         [ Alcotest.test_case "presets" `Quick test_cell_presets;
           Alcotest.test_case "validation" `Quick test_cell_validation ] );

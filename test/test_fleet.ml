@@ -428,6 +428,23 @@ let test_engine_device_digest () =
         "23a1e5114e7f45a1" (device_digest results))
     [ 1; 23; 256; 2_000 ]
 
+(* Nothing per device outlives its run: a job's devices, compiled
+   tables and results die young, so [Engine.run] promotes few words
+   per device to the major heap. *)
+let test_engine_promotion () =
+  let spec = ci_spec () in
+  let devices = 4_096 in
+  ignore (Engine.run ~spec ~devices:256 ~seed:2026 ());
+  let s0 = Gc.quick_stat () in
+  ignore (Engine.run ~spec ~devices ~seed:2026 ());
+  let s1 = Gc.quick_stat () in
+  let per_device =
+    (s1.Gc.promoted_words -. s0.Gc.promoted_words) /. float_of_int devices
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "promoted words per device (%.1f) < 10" per_device)
+    true (per_device < 10.0)
+
 (* fuzz: a single-byte corruption of a valid spec either parses, is
    rejected as bad JSON, or is rejected by [Spec.of_json] with an error
    — never an exception *)
@@ -479,6 +496,8 @@ let () =
             test_engine_events_and_counters;
           Alcotest.test_case "empty fleet" `Quick test_engine_empty_fleet;
           Alcotest.test_case "per-device digest" `Quick
-            test_engine_device_digest ] );
+            test_engine_device_digest;
+          Alcotest.test_case "promoted words per device" `Quick
+            test_engine_promotion ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_spec_fuzz_no_crash ] ) ]
