@@ -15,43 +15,33 @@ let make_params ?(nodes = 64) ?(dt = 0.02) ~alpha ~beta () =
 let default_params =
   make_params ~alpha:40375.0 ~beta:Rakhmatov.default_beta ()
 
-(* Work arrays for the Crank–Nicolson spans, sized once per
-   integration context so the stepping loop allocates nothing.  [piv]
-   and [cw] hold the Thomas factorization of (I - dt/2 A), rebuilt by
-   each constant-current span's first step; [dw] is each step's forward
-   sweep; [co] holds the span's coefficients (slots below). *)
+(* Work arrays for the Crank–Nicolson steps, sized once per
+   integration context so the stepping loop allocates nothing.  Each
+   step rewrites [cw], the multipliers of its Thomas factorization of
+   (I - dt/2 A), and [dw], its forward sweep; [co] holds the span's
+   coefficients (slots below). *)
 type scratch = {
-  piv : float array;  (* pivots m_i of the interior nodes 1 .. n-2 *)
   cw : float array;   (* super-diagonal multipliers upper_i / m_i *)
   dw : float array;   (* forward-swept right-hand side *)
   co : float array;
 }
 
 let c_d = 0 and c_off = 1 and c_edge = 2 and c_hr = 3 and c_r2 = 4
-and c_half = 5 and c_src = 6 and c_last = 7 and ncoef = 8
+and c_half = 5 and c_src = 6 and ncoef = 7
 
 (* [w] interleaved lanes of [n] nodes: float [x] of lane [l] sits at
    [x * w + l]. *)
 let make_scratch ~w n =
-  { piv = Array.make (n * w) 0.0;
-    cw = Array.make (Int.max 1 (n - 1) * w) 0.0;
+  { cw = Array.make (Int.max 1 (n - 1) * w) 0.0;
     dw = Array.make (n * w) 0.0;
     co = Array.make (ncoef * w) 0.0 }
 
-(* The first step of a span, which both integrators call: split a span
-   of constant current I into equal Crank–Nicolson steps no longer than
-   [dt_max], write the step's coefficients into [co], run the first
-   step on lane [l] of [w] and return the steps left (>= 0).  The
-   matrix (I - dt/2 A) depends only on dt, so its Thomas factorization
-   is computed once per span, inside this step's forward sweep: node
-   i's pivot m_i and multiplier cw_i are computed where the sweep
-   needs them, and stay in [piv] and [cw] for the span's other steps.
-   The pivot division and the sweep's division of a node then run side
-   by side rather than in two chains one after the other.  Every
-   operation is the one a separate factorization and step perform, on
-   the same operands.  Inlined, so that the lanes' float parameters are
-   not boxed to cross a call. *)
-let[@inline] first_step sc u ~w ~l ~n ~dt_max ~dee ~dx ~current span =
+(* The span prologue both integrators call: split a span of constant
+   current I into equal Crank–Nicolson steps no longer than [dt_max],
+   write the step's coefficients into [co] at lane [l] of [w], and
+   return the step count.  Inlined, so that the lanes' float parameters
+   are not boxed to cross a call. *)
+let[@inline] prologue sc ~w ~l ~dt_max ~dee ~dx ~current span =
   let q = span /. dt_max in
   (* From 2^53 on (and at infinity or nan) the step count is no integer
      a float holds exactly, and from 2^63 on [int_of_float] returns
@@ -68,46 +58,17 @@ let[@inline] first_step sc u ~w ~l ~n ~dt_max ~dee ~dx ~current span =
   (* (I - dt/2 A): diagonal [d]; off-diagonals [off], except the
      doubled flux-boundary entries upper_0 = lower_{n-2} = [edge] *)
   let d = 1.0 +. (dt *. r) in
-  let off = -.half *. r in
-  let edge = -.dt *. r in
+  let co = sc.co in
+  co.((c_d * w) + l) <- d;
+  co.((c_off * w) + l) <- -.half *. r;
+  co.((c_edge * w) + l) <- -.dt *. r;
   (* hoisting is exact: [half *. r *. x] and [2.0 *. r *. x] associate
      left, so they already compute [hr] and [r2] first *)
-  let hr = half *. r and r2 = 2.0 *. r in
-  let src = dt *. 2.0 *. current /. dx in
-  let piv = sc.piv and cw = sc.cw and dw = sc.dw and co = sc.co in
-  co.((c_d * w) + l) <- d;
-  co.((c_off * w) + l) <- off;
-  co.((c_edge * w) + l) <- edge;
-  co.((c_hr * w) + l) <- hr;
-  co.((c_r2 * w) + l) <- r2;
+  co.((c_hr * w) + l) <- half *. r;
+  co.((c_r2 * w) + l) <- 2.0 *. r;
   co.((c_half * w) + l) <- half;
-  co.((c_src * w) + l) <- src;
-  if d = 0.0 then invalid_arg "Diffusion: zero pivot";
-  cw.(l) <- edge /. d;
-  let v0 = u.(l) +. (half *. ((r2 *. u.(w + l)) -. (r2 *. u.(l)))) -. src in
-  dw.(l) <- v0 /. d;
-  (* [u] is written only after the last pivot is checked, so a zero
-     pivot leaves the state as it was *)
-  for i = 1 to n - 2 do
-    let b = (i * w) + l in
-    let m = d -. (off *. cw.(b - w)) in
-    if m = 0.0 then invalid_arg "Diffusion: zero pivot";
-    piv.(b) <- m;
-    cw.(b) <- off /. m;
-    let v = u.(b) +. (hr *. (u.(b - w) -. (2.0 *. u.(b)) +. u.(b + w))) in
-    dw.(b) <- (v -. (off *. dw.(b - w))) /. m
-  done;
-  let z = ((n - 1) * w) + l in
-  let m_last = d -. (edge *. cw.(z - w)) in
-  if m_last = 0.0 then invalid_arg "Diffusion: zero pivot";
-  co.((c_last * w) + l) <- m_last;
-  let v_last = u.(z) +. (half *. ((r2 *. u.(z - w)) -. (r2 *. u.(z)))) in
-  u.(z) <- (v_last -. (edge *. dw.(z - w))) /. m_last;
-  for i = n - 2 downto 0 do
-    let b = (i * w) + l in
-    u.(b) <- dw.(b) -. (cw.(b) *. u.(b + w))
-  done;
-  steps - 1
+  co.((c_src * w) + l) <- dt *. 2.0 *. current /. dx;
+  steps
 
 (* Advance [u] across a span of constant current I, for du/dt = D u_xx
    with flux I at x = 0 and a sealed wall at x = 1.
@@ -116,29 +77,44 @@ let[@inline] first_step sc u ~w ~l ~n ~dt_max ~dee ~dx ~current span =
    Thomas algorithm, in exactly the textbook operation order (the test
    suite pins this step bit for bit against a textbook step built on
    the general solver in its oracle library).  Each step is one fused
-   pass: the explicit half is formed node by node inside the forward
-   sweep, and back substitution writes straight into [u] (the sweep
-   reads only the old [u]; back substitution reads only [dw], [cw] and
-   the new [u]). *)
+   pass: the forward sweep factors the matrix node by node (pivot m_i,
+   multiplier cw_i) and forms the explicit half, and back substitution
+   writes straight into [u] (the sweep reads only the old [u]; back
+   substitution reads only [dw], [cw] and the new [u]).  Every step of
+   a span factors the same matrix to the same bits; the pivot chain
+   runs beside the sweep's own division chain, so refactoring costs a
+   step about nothing, where factoring once per span ran that chain
+   alone.
+
+   Pivots: d = 1 + dt r >= 1, and the matrix is strictly diagonally
+   dominant, so every interior pivot is at least d/2.  Only the last,
+   d - edge cw_{n-2}, can round to zero: when dt r passes ~1e16 and
+   1 + dt r rounds to dt r.  It is checked before [u] is written, so
+   the span's first step raises with the state as it was. *)
 let advance ~params ~sc ~dee ~dx ~current u span =
   if span > 0.0 then begin
     let n = Array.length u in
-    let left =
-      first_step sc u ~w:1 ~l:0 ~n ~dt_max:params.dt ~dee ~dx ~current span
+    let steps =
+      prologue sc ~w:1 ~l:0 ~dt_max:params.dt ~dee ~dx ~current span
     in
-    let co = sc.co and piv = sc.piv and cw = sc.cw and dw = sc.dw in
+    let co = sc.co and cw = sc.cw and dw = sc.dw in
     let d = co.(c_d) and off = co.(c_off) and edge = co.(c_edge) in
     let hr = co.(c_hr) and r2 = co.(c_r2) and half = co.(c_half) in
-    let src = co.(c_src) and m_last = co.(c_last) in
-    for _ = 1 to left do
+    let src = co.(c_src) in
+    for _ = 1 to steps do
+      cw.(0) <- edge /. d;
       let v0 =
         u.(0) +. (half *. ((r2 *. u.(1)) -. (r2 *. u.(0)))) -. src
       in
       dw.(0) <- v0 /. d;
       for i = 1 to n - 2 do
+        let m = d -. (off *. cw.(i - 1)) in
+        cw.(i) <- off /. m;
         let v = u.(i) +. (hr *. (u.(i - 1) -. (2.0 *. u.(i)) +. u.(i + 1))) in
-        dw.(i) <- (v -. (off *. dw.(i - 1))) /. piv.(i)
+        dw.(i) <- (v -. (off *. dw.(i - 1))) /. m
       done;
+      let m_last = d -. (edge *. cw.(n - 2)) in
+      if m_last = 0.0 then invalid_arg "Diffusion: zero pivot";
       let v_last =
         u.(n - 1) +. (half *. ((r2 *. u.(n - 2)) -. (r2 *. u.(n - 1))))
       in
@@ -152,16 +128,16 @@ let advance ~params ~sc ~dee ~dx ~current u span =
 (* [advance] on four devices at once.  The state and the scratch are
    node-major ([x * 4 + l]), and every loop over nodes does the four
    lanes' work for that node one after the other, with each lane's
-   coefficients hoisted: the four dependent division chains of the
-   forward sweep (and the four multiply-subtract chains of back
-   substitution) then overlap instead of each running at the
-   division's latency.  Each lane performs exactly [advance]'s float
-   operations on its own operands, in the same order, so a lane run
-   through its span's step count ends bit-identical to [advance]. *)
+   coefficients hoisted: the four lanes' dependent chains of the
+   forward sweep (pivots and divisions) and of back substitution then
+   overlap instead of each running at the division's latency.  Each
+   lane performs exactly [advance]'s float operations on its own
+   operands, in the same order, so a lane run through its span's step
+   count ends bit-identical to [advance]. *)
 let run_lanes sc u n steps =
-  let co = sc.co and piv = sc.piv and cw = sc.cw and dw = sc.dw in
+  let co = sc.co and cw = sc.cw and dw = sc.dw in
   (* slot * 4 + lane: d 0-3, off 4-7, edge 8-11, hr 12-15, r2 16-19,
-     half 20-23, src 24-27, m_last 28-31 *)
+     half 20-23, src 24-27 *)
   let d0 = co.(0) and d1 = co.(1) and d2 = co.(2) and d3 = co.(3) in
   let o0 = co.(4) and o1 = co.(5) and o2 = co.(6) and o3 = co.(7) in
   let e0 = co.(8) and e1 = co.(9) and e2 = co.(10) and e3 = co.(11) in
@@ -169,27 +145,45 @@ let run_lanes sc u n steps =
   let t0 = co.(16) and t1 = co.(17) and t2 = co.(18) and t3 = co.(19) in
   let f0 = co.(20) and f1 = co.(21) and f2 = co.(22) and f3 = co.(23) in
   let s0 = co.(24) and s1 = co.(25) and s2 = co.(26) and s3 = co.(27) in
-  let m0 = co.(28) and m1 = co.(29) and m2 = co.(30) and m3 = co.(31) in
   let z = (n - 1) * 4 in
   for _ = 1 to steps do
+    cw.(0) <- e0 /. d0;
+    cw.(1) <- e1 /. d1;
+    cw.(2) <- e2 /. d2;
+    cw.(3) <- e3 /. d3;
     dw.(0) <- (u.(0) +. (f0 *. ((t0 *. u.(4)) -. (t0 *. u.(0)))) -. s0) /. d0;
     dw.(1) <- (u.(1) +. (f1 *. ((t1 *. u.(5)) -. (t1 *. u.(1)))) -. s1) /. d1;
     dw.(2) <- (u.(2) +. (f2 *. ((t2 *. u.(6)) -. (t2 *. u.(2)))) -. s2) /. d2;
     dw.(3) <- (u.(3) +. (f3 *. ((t3 *. u.(7)) -. (t3 *. u.(3)))) -. s3) /. d3;
     for i = 1 to n - 2 do
       let b = i * 4 in
+      let m = d0 -. (o0 *. cw.(b - 4)) in
+      cw.(b) <- o0 /. m;
       let v = u.(b) +. (h0 *. (u.(b - 4) -. (2.0 *. u.(b)) +. u.(b + 4))) in
-      dw.(b) <- (v -. (o0 *. dw.(b - 4))) /. piv.(b);
+      dw.(b) <- (v -. (o0 *. dw.(b - 4))) /. m;
       let b = b + 1 in
+      let m = d1 -. (o1 *. cw.(b - 4)) in
+      cw.(b) <- o1 /. m;
       let v = u.(b) +. (h1 *. (u.(b - 4) -. (2.0 *. u.(b)) +. u.(b + 4))) in
-      dw.(b) <- (v -. (o1 *. dw.(b - 4))) /. piv.(b);
+      dw.(b) <- (v -. (o1 *. dw.(b - 4))) /. m;
       let b = b + 1 in
+      let m = d2 -. (o2 *. cw.(b - 4)) in
+      cw.(b) <- o2 /. m;
       let v = u.(b) +. (h2 *. (u.(b - 4) -. (2.0 *. u.(b)) +. u.(b + 4))) in
-      dw.(b) <- (v -. (o2 *. dw.(b - 4))) /. piv.(b);
+      dw.(b) <- (v -. (o2 *. dw.(b - 4))) /. m;
       let b = b + 1 in
+      let m = d3 -. (o3 *. cw.(b - 4)) in
+      cw.(b) <- o3 /. m;
       let v = u.(b) +. (h3 *. (u.(b - 4) -. (2.0 *. u.(b)) +. u.(b + 4))) in
-      dw.(b) <- (v -. (o3 *. dw.(b - 4))) /. piv.(b)
+      dw.(b) <- (v -. (o3 *. dw.(b - 4))) /. m
     done;
+    (* the last pivots, checked as [advance] checks them (an idle lane
+       holds its last span's coefficients, or zeros, whose pivots are
+       nan: it never raises) *)
+    let m0 = d0 -. (e0 *. cw.(z - 4)) and m1 = d1 -. (e1 *. cw.(z - 3)) in
+    let m2 = d2 -. (e2 *. cw.(z - 2)) and m3 = d3 -. (e3 *. cw.(z - 1)) in
+    if m0 = 0.0 || m1 = 0.0 || m2 = 0.0 || m3 = 0.0 then
+      invalid_arg "Diffusion: zero pivot";
     let b = z in
     let v = u.(b) +. (f0 *. ((t0 *. u.(b - 4)) -. (t0 *. u.(b)))) in
     u.(b) <- (v -. (e0 *. dw.(b - 4))) /. m0;
@@ -211,8 +205,8 @@ let run_lanes sc u n steps =
     done
   done
 
-(* A device's lane parameters, at [l * nparam] in a group: the first
-   step's three (dt, D, dx) and alpha for [observe]. *)
+(* A device's lane parameters, at [l * nparam] in a group: the
+   prologue's three (dt, D, dx) and alpha for [observe]. *)
 let p_dt = 0 and p_dee = 1 and p_dx = 2 and p_alpha = 3 and nparam = 4
 
 let lane_group n =
@@ -233,7 +227,7 @@ let lane_group n =
     span =
       (fun l ->
         let p = l * nparam in
-        first_step sc u ~w ~l ~n ~dt_max:prm.(p + p_dt) ~dee:prm.(p + p_dee)
+        prologue sc ~w ~l ~dt_max:prm.(p + p_dt) ~dee:prm.(p + p_dee)
           ~dx:prm.(p + p_dx) ~current:current.(l) duration.(l));
     run = (fun steps -> run_lanes sc u n steps);
     observe =

@@ -104,7 +104,9 @@ type lane_group = {
       lane view's [params], into lane [l] (the one-device [start]). *)
   span : int -> int;
   (** [span l] starts lane [l]'s next constant-current span and returns
-      its step count ([>= 1]). *)
+      its step count ([>= 1]).  It only sets the span's coefficients:
+      the integration, the matrix's factorization included, runs in
+      [run], where the lanes' work overlaps. *)
   run : int -> unit;
   (** [run s] advances every lane by [s] steps.  Running a lane through
       exactly its span's step count leaves its state bit-identical to

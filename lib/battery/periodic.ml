@@ -213,17 +213,15 @@ module Batch = struct
      A lane plays its device's mission events as [run_one] does, with
      the same arithmetic: rest up to an interval's start, run the
      interval, probe its end.  When an event needs integration the lane
-     starts that span, which runs its first step, and holds the steps
-     left in [left]; a span of one step leaves none, and the lane moves
-     straight on.  Every round runs all lanes for the fewest steps any
-     busy lane has left, so the lanes whose span ends then move on to
-     their next span.  A lane whose device dies or reaches the horizon
-     takes the queue's next device, and the last busy lane finishes its
-     device in the group.  [feed] is called only on a lane with no
-     steps left, and calls itself in tail position only, so a device
-     whose every span is one step runs in constant stack.  The per-lane
-     state lives in int and float arrays and floats reach the group
-     through its arrays, so a round allocates nothing. *)
+     starts that span and holds its step count in [left]; every round
+     runs all lanes for the fewest steps any busy lane has left, so the
+     lanes whose span ends then move on to their next span.  A lane
+     whose device dies or reaches the horizon takes the queue's next
+     device, and the last busy lane finishes its device in the group.
+     [feed] calls itself in tail position only, so a run of events that
+     need no integration takes constant stack.  The per-lane state
+     lives in int and float arrays and floats reach the group through
+     its arrays, so a round allocates nothing. *)
   let run_lanes (g : Model.lane_group) queue ~results ~max_cycles =
     let w = Model.lane_count in
     let dev = Array.make w (-1) in  (* [queue] entry in each lane, or -1 *)
@@ -259,10 +257,10 @@ module Batch = struct
             if s_abs > clock.(l) then begin
               g.Model.current.(l) <- 0.0;
               g.Model.duration.(l) <- s_abs -. clock.(l);
-              clock.(l) <- s_abs;
-              left.(l) <- g.Model.span l
-            end;
-            if left.(l) = 0 then feed l
+              left.(l) <- g.Model.span l;
+              clock.(l) <- s_abs
+            end
+            else feed l
         | 1 ->
             let s_abs = c.starts.(j) +. (float_of_int k *. c.period) in
             let e_abs = s_abs +. c.durations.(j) in
@@ -270,10 +268,10 @@ module Batch = struct
             if e_abs > clock.(l) then begin
               g.Model.current.(l) <- c.currents.(j);
               g.Model.duration.(l) <- e_abs -. clock.(l);
-              clock.(l) <- e_abs;
-              left.(l) <- g.Model.span l
-            end;
-            if left.(l) = 0 then feed l
+              left.(l) <- g.Model.span l;
+              clock.(l) <- e_abs
+            end
+            else feed l
         | _ ->
             g.Model.observe l;
             let sg = g.Model.sigma.(l) in

@@ -69,7 +69,8 @@ val cycles_to_death :
     @raise Invalid_argument on a non-positive period, a cycle longer
     than the period, or non-positive [alpha]. *)
 
-(** Population endurance: many devices advanced one cycle per sweep. *)
+(** Population endurance: many devices, each run from its first cycle
+    to its end. *)
 module Batch : sig
   type result = {
     outcome : outcome;
@@ -84,14 +85,19 @@ module Batch : sig
   (** [run ~n ~device] estimates the lifetime of devices
       [device 0 .. device (n-1)] — each with its own model, capacity,
       period and cycle — and returns one {!result} per device, in
-      device order.  Devices are compiled once (channel tables or a
-      carried stepper state), then the whole population advances one
-      cycle per sweep with dead devices compacted out, so total work is
-      the sum of lifetimes, not [n * max_cycles], and peak memory is
-      the compiled states — independent of the horizon.  [device] is
-      called exactly once per index, in order.  Scalar
+      device order.  [device] is called exactly once per index, in
+      order.  A {!Model.Channels} device is compiled into channel
+      tables and run from cycle 0 until it dies or reaches the horizon
+      before the next device is pulled, so nothing of it outlives its
+      run but its result.  A {!Model.Stepper} device keeps a carried
+      stepper state, and once all [n] are pulled, the carried devices
+      run four at a time through their lane view ({!Model.lanes}), each
+      to its end.  Total work is the sum of lifetimes, not
+      [n * max_cycles], and peak memory is one device's tables plus the
+      carried states — independent of the horizon.  A device's result
+      does not depend on the others in the call: scalar
       {!cycles_to_death} is [run ~n:1], so batch and scalar results
-      agree bit-for-bit by construction.
+      agree bit-for-bit.
       @raise Invalid_argument as {!cycles_to_death}, or on negative
       [n]. *)
 end

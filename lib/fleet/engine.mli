@@ -6,7 +6,8 @@
     in fixed-size blocks, estimates their lifetimes with the O(cycles)
     batch kernel, and folds outcomes into a span-local {!Survival}
     accumulator merged into the run total under a mutex at span end.
-    Nothing per-device is ever retained — peak memory is
+    A block keeps only its devices' model indices and results, and
+    nothing per device outlives its block — peak memory is
     O(pool * (horizon + block)) — and because device samples are
     index-pure and the accumulators are integer-exact, the returned
     {!Survival.t} is bit-identical at every pool size. *)

@@ -432,6 +432,35 @@ let test_diffusion_dt_too_small () =
   g.Model.duration.(2) <- 5.0;
   Alcotest.check_raises "lane" want (fun () -> ignore (g.Model.span 2))
 
+(* Past dt * D / dx^2 ~ 1e16, 1 + dt r rounds to dt r and the last
+   Thomas pivot to zero (here every multiplier is -1): each path raises
+   rather than divide by it, the one-device advance with its state as
+   it was. *)
+let test_diffusion_zero_pivot () =
+  let params =
+    Diffusion.make_params ~nodes:8 ~dt:1.0 ~alpha:40000.0 ~beta:1.5e8 ()
+  in
+  let want = Invalid_argument "Diffusion: zero pivot" in
+  Alcotest.check_raises "sigma" want (fun () ->
+      ignore
+        (Model.sigma (Diffusion.model ~params ())
+           (Profile.constant ~current:200.0 ~duration:5.0)
+           ~at:5.0));
+  let st = Diffusion.stepper params in
+  let ops = st.Model.fresh () in
+  let u = Array.make st.Model.state_dim 0.0 in
+  ops.Model.start u;
+  Alcotest.check_raises "stepper" want (fun () ->
+      ops.Model.advance u ~current:200.0 ~duration:5.0);
+  Alcotest.(check bool) "state as it was" true
+    (Array.for_all (fun x -> x = 40000.0) u);
+  let lv = st.Model.lanes in
+  let g = lv.Model.group () in
+  g.Model.load 2 lv.Model.params;
+  g.Model.current.(2) <- 200.0;
+  g.Model.duration.(2) <- 5.0;
+  Alcotest.check_raises "lane" want (fun () -> g.Model.run (g.Model.span 2))
+
 (* --- Periodic --- *)
 
 let ideal = Ideal.model
@@ -669,13 +698,12 @@ let test_periodic_lane_sweep_allocation () =
     [ 2; 3; 4; 5 ]
 
 (* Spans of one step: with dt at least the longest span (the 13-min
-   rest of a 20-min period), every span a lane starts is done by its
-   first step and the lane moves straight on, without a round of the
-   group.  Two to five devices, censored over 100,000 cycles: the run
-   must finish (each lane plays its whole mission without returning to
-   the rounds) and allocate nothing per cycle.  With budgets of 20-48
-   cycles' charge instead, every device must get the outcome and
-   fatal-sigma bits of [Batch.run] on it alone. *)
+   rest of a 20-min period), every span a lane starts takes one step,
+   so every round runs one step and each lane starts its next span
+   after each.  Two to five devices, censored over 100,000 cycles: the
+   run must finish and allocate nothing per cycle.
+   With budgets of 20-48 cycles' charge instead, every device must get
+   the outcome and fatal-sigma bits of [Batch.run] on it alone. *)
 let test_periodic_lane_one_step_spans () =
   let cycle = Profile.sequential [ (800.0, 5.0); (300.0, 2.0) ] in
   let device alpha i =
@@ -1045,9 +1073,8 @@ let prop_diffusion_stepper_matches_textbook =
    span when its previous one's steps are done, as Periodic's lane
    scheduler does, so the lanes' step counts differ.  After every span,
    its lane must hold the one-device state and observe its sigma, bit
-   for bit: a span whose first step is its only one ([span] returns 0)
-   is checked and its lane restarted at once.  A zero span starts
-   nothing on a lane and leaves the one-device state alone. *)
+   for bit, and every lane must play all of its spans.  A zero span
+   starts nothing on a lane and leaves the one-device state alone. *)
 let prop_diffusion_lanes_match_advance =
   QCheck.Test.make ~count:200
     ~name:"diffusion lanes are bit-identical to the one-device advance"
@@ -1967,7 +1994,8 @@ let () =
           Alcotest.test_case "ten terms undercount" `Quick test_diffusion_ten_terms_undercounts_under_load;
           Alcotest.test_case "surface depletes" `Quick test_diffusion_surface_depletes;
           Alcotest.test_case "param validation" `Quick test_diffusion_param_validation;
-          Alcotest.test_case "dt too small for the span" `Quick test_diffusion_dt_too_small ] );
+          Alcotest.test_case "dt too small for the span" `Quick test_diffusion_dt_too_small;
+          Alcotest.test_case "zero pivot" `Quick test_diffusion_zero_pivot ] );
       ( "periodic",
         [ Alcotest.test_case "ideal matches budget" `Quick test_periodic_ideal_matches_budget;
           Alcotest.test_case "unsustainable" `Quick test_periodic_unsustainable_first_cycle;
