@@ -50,20 +50,21 @@ let[@inline] prologue sc ~w ~l ~dt_max ~dee ~dx ~current span =
     invalid_arg "Diffusion: dt too small for the span (2^53 steps or more)";
   (* ceil q, exact below 2^53, without [Float.ceil]'s C call *)
   let t = int_of_float q in
-  let t = if float_of_int t < q then t + 1 else t in
-  let steps = if t < 1 then 1 else t in
+  let steps = Int.max 1 (if float_of_int t < q then t + 1 else t) in
   let dt = span /. float_of_int steps in
   let r = dee /. (dx *. dx) in
   let half = 0.5 *. dt in
   (* (I - dt/2 A): diagonal [d]; off-diagonals [off], except the
      doubled flux-boundary entries upper_0 = lower_{n-2} = [edge] *)
   let d = 1.0 +. (dt *. r) in
+  let off = -.half *. r in
+  let edge = -.dt *. r in
   let co = sc.co in
-  co.((c_d * w) + l) <- d;
-  co.((c_off * w) + l) <- -.half *. r;
-  co.((c_edge * w) + l) <- -.dt *. r;
   (* hoisting is exact: [half *. r *. x] and [2.0 *. r *. x] associate
      left, so they already compute [hr] and [r2] first *)
+  co.((c_d * w) + l) <- d;
+  co.((c_off * w) + l) <- off;
+  co.((c_edge * w) + l) <- edge;
   co.((c_hr * w) + l) <- half *. r;
   co.((c_r2 * w) + l) <- 2.0 *. r;
   co.((c_half * w) + l) <- half;
@@ -83,8 +84,7 @@ let[@inline] prologue sc ~w ~l ~dt_max ~dee ~dx ~current span =
    substitution reads only [dw], [cw] and the new [u]).  Every step of
    a span factors the same matrix to the same bits; the pivot chain
    runs beside the sweep's own division chain, so refactoring costs a
-   step about nothing, where factoring once per span ran that chain
-   alone.
+   step about nothing, and no span runs that chain on its own.
 
    Pivots: d = 1 + dt r >= 1, and the matrix is strictly diagonally
    dominant, so every interior pivot is at least d/2.  Only the last,
