@@ -47,7 +47,8 @@ val stepper : params -> Model.stepper
     checkpointed path exact.  Its lane view steps four devices of one
     grid size in lockstep, each lane bit-identical to [advance]
     (DESIGN.md §11.2).  Every path raises [Invalid_argument] on a span
-    of 2^53 steps or more. *)
+    of 2^53 steps or more, and on a zero pivot, which needs
+    dt * beta^2 / (pi^2 dx^2) past ~1e16. *)
 
 val model : ?params:params -> unit -> Model.t
 (** Packaged as a {!Model.t} named ["diffusion-pde"], whose kernel is

@@ -741,7 +741,8 @@ let test_periodic_lane_one_step_spans () =
         0.0
         ((words 100_010 -. words 10) /. 100_000.0);
       let mortal =
-        Array.init n (fun i -> device (4600.0 *. float_of_int (20 + (7 * i))) i)
+        Array.init n (fun i ->
+            device (4600.0 *. float_of_int (20 + (7 * i))) i)
       in
       Array.iteri
         (fun i (r : Periodic.Batch.result) ->
@@ -1138,8 +1139,8 @@ let prop_diffusion_lanes_match_advance =
               g.Model.current.(l) <- current;
               g.Model.duration.(l) <- span;
               left.(l) <- g.Model.span l
-            end;
-            if left.(l) = 0 then begin
+            end
+            else begin
               check l;
               start l
             end
