@@ -16,9 +16,10 @@ let default_params =
   make_params ~alpha:40375.0 ~beta:Rakhmatov.default_beta ()
 
 (* Work arrays for the Crank–Nicolson steps, sized once per
-   integration context so the stepping loop allocates nothing.  Each
-   step rewrites [cw], the multipliers of its Thomas factorization of
-   (I - dt/2 A), and [dw], its forward sweep; [co] holds the span's
+   integration context so the stepping loop allocates nothing.  [cw]
+   holds the multipliers of the Thomas factorization of (I - dt/2 A),
+   which the first step of a run of steps writes and the later ones
+   reuse; [dw] is each step's forward sweep; [co] holds the span's
    coefficients (slots below). *)
 type scratch = {
   cw : float array;   (* super-diagonal multipliers upper_i / m_i *)
@@ -78,13 +79,15 @@ let[@inline] prologue sc ~w ~l ~dt_max ~dee ~dx ~current span =
    Thomas algorithm, in exactly the textbook operation order (the test
    suite pins this step bit for bit against a textbook step built on
    the general solver in its oracle library).  Each step is one fused
-   pass: the forward sweep factors the matrix node by node (pivot m_i,
-   multiplier cw_i) and forms the explicit half, and back substitution
-   writes straight into [u] (the sweep reads only the old [u]; back
-   substitution reads only [dw], [cw] and the new [u]).  Every step of
-   a span factors the same matrix to the same bits; the pivot chain
-   runs beside the sweep's own division chain, so refactoring costs a
-   step about nothing, and no span runs that chain on its own.
+   pass: the forward sweep computes each pivot m_i from the multiplier
+   cw_{i-1}, forms the explicit half and divides by m_i, and back
+   substitution writes straight into [u] (the sweep reads only the old
+   [u]; back substitution reads only [dw], [cw] and the new [u]).  The
+   span's first step also computes the multipliers, cw_i = off / m_i,
+   as it sweeps: that pivot chain runs beside the sweep's own division
+   chain, and no span runs it on its own.  The later steps reuse the
+   multipliers, so their pivots depend on nothing of the step and each
+   node costs one division.
 
    Pivots: d = 1 + dt r >= 1, and the matrix is strictly diagonally
    dominant, so every interior pivot is at least d/2.  Only the last,
@@ -101,18 +104,30 @@ let advance ~params ~sc ~dee ~dx ~current u span =
     let d = co.(c_d) and off = co.(c_off) and edge = co.(c_edge) in
     let hr = co.(c_hr) and r2 = co.(c_r2) and half = co.(c_half) in
     let src = co.(c_src) in
-    for _ = 1 to steps do
-      cw.(0) <- edge /. d;
+    for s = 1 to steps do
       let v0 =
         u.(0) +. (half *. ((r2 *. u.(1)) -. (r2 *. u.(0)))) -. src
       in
       dw.(0) <- v0 /. d;
-      for i = 1 to n - 2 do
-        let m = d -. (off *. cw.(i - 1)) in
-        cw.(i) <- off /. m;
-        let v = u.(i) +. (hr *. (u.(i - 1) -. (2.0 *. u.(i)) +. u.(i + 1))) in
-        dw.(i) <- (v -. (off *. dw.(i - 1))) /. m
-      done;
+      if s = 1 then begin
+        cw.(0) <- edge /. d;
+        for i = 1 to n - 2 do
+          let m = d -. (off *. cw.(i - 1)) in
+          cw.(i) <- off /. m;
+          let v =
+            u.(i) +. (hr *. (u.(i - 1) -. (2.0 *. u.(i)) +. u.(i + 1)))
+          in
+          dw.(i) <- (v -. (off *. dw.(i - 1))) /. m
+        done
+      end
+      else
+        for i = 1 to n - 2 do
+          let m = d -. (off *. cw.(i - 1)) in
+          let v =
+            u.(i) +. (hr *. (u.(i - 1) -. (2.0 *. u.(i)) +. u.(i + 1)))
+          in
+          dw.(i) <- (v -. (off *. dw.(i - 1))) /. m
+        done;
       let m_last = d -. (edge *. cw.(n - 2)) in
       if m_last = 0.0 then invalid_arg "Diffusion: zero pivot";
       let v_last =
@@ -133,7 +148,11 @@ let advance ~params ~sc ~dee ~dx ~current u span =
    overlap instead of each running at the division's latency.  Each
    lane performs exactly [advance]'s float operations on its own
    operands, in the same order, so a lane run through its span's step
-   count ends bit-identical to [advance]. *)
+   count ends bit-identical to [advance].  A run never crosses the end
+   of a lane's span, so its first step computes every lane's
+   multipliers, as [advance]'s first step does, and its later steps
+   reuse them: a lane's multipliers are the same bits in every run of
+   its span. *)
 let run_lanes sc u n steps =
   let co = sc.co and cw = sc.cw and dw = sc.dw in
   (* slot * 4 + lane: d 0-3, off 4-7, edge 8-11, hr 12-15, r2 16-19,
@@ -146,37 +165,58 @@ let run_lanes sc u n steps =
   let f0 = co.(20) and f1 = co.(21) and f2 = co.(22) and f3 = co.(23) in
   let s0 = co.(24) and s1 = co.(25) and s2 = co.(26) and s3 = co.(27) in
   let z = (n - 1) * 4 in
-  for _ = 1 to steps do
-    cw.(0) <- e0 /. d0;
-    cw.(1) <- e1 /. d1;
-    cw.(2) <- e2 /. d2;
-    cw.(3) <- e3 /. d3;
+  for s = 1 to steps do
     dw.(0) <- (u.(0) +. (f0 *. ((t0 *. u.(4)) -. (t0 *. u.(0)))) -. s0) /. d0;
     dw.(1) <- (u.(1) +. (f1 *. ((t1 *. u.(5)) -. (t1 *. u.(1)))) -. s1) /. d1;
     dw.(2) <- (u.(2) +. (f2 *. ((t2 *. u.(6)) -. (t2 *. u.(2)))) -. s2) /. d2;
     dw.(3) <- (u.(3) +. (f3 *. ((t3 *. u.(7)) -. (t3 *. u.(3)))) -. s3) /. d3;
-    for i = 1 to n - 2 do
-      let b = i * 4 in
-      let m = d0 -. (o0 *. cw.(b - 4)) in
-      cw.(b) <- o0 /. m;
-      let v = u.(b) +. (h0 *. (u.(b - 4) -. (2.0 *. u.(b)) +. u.(b + 4))) in
-      dw.(b) <- (v -. (o0 *. dw.(b - 4))) /. m;
-      let b = b + 1 in
-      let m = d1 -. (o1 *. cw.(b - 4)) in
-      cw.(b) <- o1 /. m;
-      let v = u.(b) +. (h1 *. (u.(b - 4) -. (2.0 *. u.(b)) +. u.(b + 4))) in
-      dw.(b) <- (v -. (o1 *. dw.(b - 4))) /. m;
-      let b = b + 1 in
-      let m = d2 -. (o2 *. cw.(b - 4)) in
-      cw.(b) <- o2 /. m;
-      let v = u.(b) +. (h2 *. (u.(b - 4) -. (2.0 *. u.(b)) +. u.(b + 4))) in
-      dw.(b) <- (v -. (o2 *. dw.(b - 4))) /. m;
-      let b = b + 1 in
-      let m = d3 -. (o3 *. cw.(b - 4)) in
-      cw.(b) <- o3 /. m;
-      let v = u.(b) +. (h3 *. (u.(b - 4) -. (2.0 *. u.(b)) +. u.(b + 4))) in
-      dw.(b) <- (v -. (o3 *. dw.(b - 4))) /. m
-    done;
+    if s = 1 then begin
+      cw.(0) <- e0 /. d0;
+      cw.(1) <- e1 /. d1;
+      cw.(2) <- e2 /. d2;
+      cw.(3) <- e3 /. d3;
+      for i = 1 to n - 2 do
+        let b = i * 4 in
+        let m = d0 -. (o0 *. cw.(b - 4)) in
+        cw.(b) <- o0 /. m;
+        let v = u.(b) +. (h0 *. (u.(b - 4) -. (2.0 *. u.(b)) +. u.(b + 4))) in
+        dw.(b) <- (v -. (o0 *. dw.(b - 4))) /. m;
+        let b = b + 1 in
+        let m = d1 -. (o1 *. cw.(b - 4)) in
+        cw.(b) <- o1 /. m;
+        let v = u.(b) +. (h1 *. (u.(b - 4) -. (2.0 *. u.(b)) +. u.(b + 4))) in
+        dw.(b) <- (v -. (o1 *. dw.(b - 4))) /. m;
+        let b = b + 1 in
+        let m = d2 -. (o2 *. cw.(b - 4)) in
+        cw.(b) <- o2 /. m;
+        let v = u.(b) +. (h2 *. (u.(b - 4) -. (2.0 *. u.(b)) +. u.(b + 4))) in
+        dw.(b) <- (v -. (o2 *. dw.(b - 4))) /. m;
+        let b = b + 1 in
+        let m = d3 -. (o3 *. cw.(b - 4)) in
+        cw.(b) <- o3 /. m;
+        let v = u.(b) +. (h3 *. (u.(b - 4) -. (2.0 *. u.(b)) +. u.(b + 4))) in
+        dw.(b) <- (v -. (o3 *. dw.(b - 4))) /. m
+      done
+    end
+    else
+      for i = 1 to n - 2 do
+        let b = i * 4 in
+        let m = d0 -. (o0 *. cw.(b - 4)) in
+        let v = u.(b) +. (h0 *. (u.(b - 4) -. (2.0 *. u.(b)) +. u.(b + 4))) in
+        dw.(b) <- (v -. (o0 *. dw.(b - 4))) /. m;
+        let b = b + 1 in
+        let m = d1 -. (o1 *. cw.(b - 4)) in
+        let v = u.(b) +. (h1 *. (u.(b - 4) -. (2.0 *. u.(b)) +. u.(b + 4))) in
+        dw.(b) <- (v -. (o1 *. dw.(b - 4))) /. m;
+        let b = b + 1 in
+        let m = d2 -. (o2 *. cw.(b - 4)) in
+        let v = u.(b) +. (h2 *. (u.(b - 4) -. (2.0 *. u.(b)) +. u.(b + 4))) in
+        dw.(b) <- (v -. (o2 *. dw.(b - 4))) /. m;
+        let b = b + 1 in
+        let m = d3 -. (o3 *. cw.(b - 4)) in
+        let v = u.(b) +. (h3 *. (u.(b - 4) -. (2.0 *. u.(b)) +. u.(b + 4))) in
+        dw.(b) <- (v -. (o3 *. dw.(b - 4))) /. m
+      done;
     (* the last pivots, checked as [advance] checks them (an idle lane
        holds its last span's coefficients, or zeros, whose pivots are
        nan: it never raises) *)
