@@ -659,104 +659,55 @@ let test_periodic_setup_words () =
 (* The lane path allocates nothing per cycle: two to five PDE devices
    of one grid and cycle, each with its own beta, alpha and dt (so the
    lanes' spans end out of step, and a fifth device waits for a free
-   lane), over a censored mission of 1,010 against 10 cycles. *)
+   lane), over a censored mission of 1,010 against 10 cycles.  In the
+   second set dt is at least the longest span (the 13-min rest of a
+   20-min period), so every span takes one step and every run of the
+   lanes is one step long. *)
 let test_periodic_lane_sweep_allocation () =
-  let cycle = Profile.sequential [ (800.0, 20.0); (300.0, 5.0) ] in
   List.iter
-    (fun n ->
-      let devices =
-        Array.init n (fun i ->
-            let alpha = 1e12 +. float_of_int i in
-            let beta = 0.2 +. (0.1 *. float_of_int i) in
-            { Periodic.model =
-                Diffusion.model
-                  ~params:
-                    (Diffusion.make_params ~nodes:8
-                       ~dt:(1.0 +. (0.3 *. float_of_int i))
-                       ~alpha ~beta ())
-                  ();
-              alpha; period = 40.0; cycle })
-      in
-      let words max_cycles =
-        let w0 = Gc.minor_words () in
-        let r =
-          Periodic.Batch.run ~max_cycles ~n ~device:(fun i -> devices.(i)) ()
-        in
-        let w = Gc.minor_words () -. w0 in
-        Array.iter
-          (fun (r : Periodic.Batch.result) ->
-            Alcotest.check outcome_t "censored" (Periodic.Censored max_cycles)
-              r.Periodic.Batch.outcome)
-          r;
-        w
-      in
-      ignore (words 10);
-      check_float
-        (Printf.sprintf "%d pde devices: words per cycle" n)
-        0.0
-        ((words 1010 -. words 10) /. 1000.0))
-    [ 2; 3; 4; 5 ]
-
-(* Spans of one step: with dt at least the longest span (the 13-min
-   rest of a 20-min period), every span a lane starts takes one step,
-   so every round runs one step and each lane starts its next span
-   after each.  Two to five devices, censored over 100,000 cycles: the
-   run must finish and allocate nothing per cycle.
-   With budgets of 20-48 cycles' charge instead, every device must get
-   the outcome and fatal-sigma bits of [Batch.run] on it alone. *)
-let test_periodic_lane_one_step_spans () =
-  let cycle = Profile.sequential [ (800.0, 5.0); (300.0, 2.0) ] in
-  let device alpha i =
-    { Periodic.model =
-        Diffusion.model
-          ~params:
-            (Diffusion.make_params ~nodes:8 ~dt:(13.0 +. float_of_int i)
-               ~alpha ~beta:(0.2 +. (0.1 *. float_of_int i)) ())
-          ();
-      alpha; period = 20.0; cycle }
-  in
-  let run max_cycles devices =
-    Periodic.Batch.run ~max_cycles ~n:(Array.length devices)
-      ~device:(fun i -> devices.(i)) ()
-  in
-  List.iter
-    (fun n ->
-      let immortal =
-        Array.init n (fun i -> device (1e12 +. float_of_int i) i)
-      in
-      let words max_cycles =
-        let w0 = Gc.minor_words () in
-        let r = run max_cycles immortal in
-        let w = Gc.minor_words () -. w0 in
-        Array.iter
-          (fun (r : Periodic.Batch.result) ->
-            Alcotest.check outcome_t "censored" (Periodic.Censored max_cycles)
-              r.Periodic.Batch.outcome)
-          r;
-        w
-      in
-      ignore (words 10);
-      check_float
-        (Printf.sprintf "%d pde devices: words per cycle" n)
-        0.0
-        ((words 100_010 -. words 10) /. 100_000.0);
-      let mortal =
-        Array.init n (fun i ->
-            device (4600.0 *. float_of_int (20 + (7 * i))) i)
-      in
-      Array.iteri
-        (fun i (r : Periodic.Batch.result) ->
-          let alone = (run 100 [| mortal.(i) |]).(0) in
-          (match r.Periodic.Batch.outcome with
-          | Periodic.Dies _ -> ()
-          | Periodic.Censored _ -> Alcotest.fail "mission should end");
-          Alcotest.check outcome_t "outcome as alone"
-            alone.Periodic.Batch.outcome r.Periodic.Batch.outcome;
-          Alcotest.(check int64) "fatal sigma bits as alone"
-            (Int64.bits_of_float alone.Periodic.Batch.fatal_sigma)
-            (Int64.bits_of_float r.Periodic.Batch.fatal_sigma))
-        (run 100 mortal))
-    [ 2; 3; 4; 5 ]
+    (fun (set, cycle, period, dt) ->
+      List.iter
+        (fun n ->
+          let devices =
+            Array.init n (fun i ->
+                let alpha = 1e12 +. float_of_int i in
+                let beta = 0.2 +. (0.1 *. float_of_int i) in
+                { Periodic.model =
+                    Diffusion.model
+                      ~params:
+                        (Diffusion.make_params ~nodes:8 ~dt:(dt i) ~alpha
+                           ~beta ())
+                      ();
+                  alpha; period; cycle })
+          in
+          let words max_cycles =
+            let w0 = Gc.minor_words () in
+            let r =
+              Periodic.Batch.run ~max_cycles ~n
+                ~device:(fun i -> devices.(i)) ()
+            in
+            let w = Gc.minor_words () -. w0 in
+            Array.iter
+              (fun (r : Periodic.Batch.result) ->
+                Alcotest.check outcome_t "censored"
+                  (Periodic.Censored max_cycles) r.Periodic.Batch.outcome)
+              r;
+            w
+          in
+          ignore (words 10);
+          check_float
+            (Printf.sprintf "%s, %d pde devices: words per cycle" set n)
+            0.0
+            ((words 1010 -. words 10) /. 1000.0))
+        [ 2; 3; 4; 5 ])
+    [ ( "spans of several steps",
+        Profile.sequential [ (800.0, 20.0); (300.0, 5.0) ],
+        40.0,
+        fun i -> 1.0 +. (0.3 *. float_of_int i) );
+      ( "spans of one step",
+        Profile.sequential [ (800.0, 5.0); (300.0, 2.0) ],
+        20.0,
+        fun i -> 13.0 +. float_of_int i ) ]
 
 (* --- Cell --- *)
 
@@ -2008,9 +1959,7 @@ let () =
           Alcotest.test_case "sweep allocation" `Quick test_periodic_sweep_allocation;
           Alcotest.test_case "set-up words per device" `Quick test_periodic_setup_words;
           Alcotest.test_case "lane sweep allocation" `Quick
-            test_periodic_lane_sweep_allocation;
-          Alcotest.test_case "lane spans of one step" `Quick
-            test_periodic_lane_one_step_spans ] );
+            test_periodic_lane_sweep_allocation ] );
       ( "cell",
         [ Alcotest.test_case "presets" `Quick test_cell_presets;
           Alcotest.test_case "validation" `Quick test_cell_validation ] );
