@@ -148,11 +148,11 @@ let advance ~params ~sc ~dee ~dx ~current u span =
    overlap instead of each running at the division's latency.  Each
    lane performs exactly [advance]'s float operations on its own
    operands, in the same order, so a lane run through its span's step
-   count ends bit-identical to [advance].  A run never crosses the end
-   of a lane's span, so its first step computes every lane's
-   multipliers, as [advance]'s first step does, and its later steps
-   reuse them: a lane's multipliers are the same bits in every run of
-   its span. *)
+   count ends bit-identical to [advance].  A lane's coefficients change
+   only between runs (in [span]), so a run's first step computes every
+   lane's multipliers, as [advance]'s first step does, and its later
+   steps reuse them: a lane's multipliers are the same bits in every
+   run of its span. *)
 let run_lanes sc u n steps =
   let co = sc.co and cw = sc.cw and dw = sc.dw in
   (* slot * 4 + lane: d 0-3, off 4-7, edge 8-11, hr 12-15, r2 16-19,
