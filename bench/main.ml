@@ -261,7 +261,7 @@ let scenario_choose =
   (* same walk, same seed, same RNG stream; only the candidate-costing
      path differs — the per-model delta/reference ratio is the speedup
      the matching evaluation strategy buys (KiBaM: closed-form
-     suffix-coordinate terms; diffusion: checkpointed PDE restarts) *)
+     suffix-coordinate terms) *)
   let anneal m path () =
     let rng = Batsched_numeric.Rng.create 11 in
     ignore
@@ -274,16 +274,6 @@ let scenario_choose =
              ~model:m g ~deadline)
   in
   let kibam = Batsched_battery.Kibam.model () in
-  let diffusion =
-    (* coarse grid: the pair measures the checkpointing strategy, not
-       the grid resolution, and the default 64-node grid is far too
-       slow for a 0.5 s Bechamel quota *)
-    let params =
-      Batsched_battery.Diffusion.make_params ~nodes:16 ~dt:0.5 ~alpha:40375.0
-        ~beta:0.273 ()
-    in
-    Batsched_battery.Diffusion.model ~params ()
-  in
   [ ("choose-n64/window0",
      fun () ->
        ignore
@@ -297,10 +287,7 @@ let scenario_choose =
     ("anneal-n64-delta/short-walk", anneal model `Delta);
     ("anneal-n64-reference/short-walk", anneal model `Reference);
     ("anneal-n64-kibam-delta/short-walk", anneal kibam `Delta);
-    ("anneal-n64-kibam-reference/short-walk", anneal kibam `Reference);
-    ("anneal-n64-diffusion-delta/short-walk", anneal diffusion `Delta);
-    ("anneal-n64-diffusion-reference/short-walk", anneal diffusion `Reference)
-  ]
+    ("anneal-n64-kibam-reference/short-walk", anneal kibam `Reference) ]
 
 (* The pool on a deliberately imbalanced multistart: 16 short anneal
    trials whose budgets spread 10x, every heavy trial sitting at a
@@ -440,22 +427,12 @@ let delta_cross_check () =
     Batsched_taskgraph.Generators.feasible_deadline g ~slack:0.6
   in
   check_instance ~model "fork-join-n16" g ~deadline:n16_deadline;
-  (* the other delta strategies: KiBaM goes through the closed-form
-     suffix-coordinate incremental terms, diffusion through the
-     checkpointed PDE stepper — same oracle, same tolerance *)
+  (* KiBaM's closed-form suffix-coordinate terms: same oracle, same
+     tolerance *)
   let kibam = Batsched_battery.Kibam.model () in
   check_instance ~model:kibam "kibam-g2" Batsched_taskgraph.Instances.g2
     ~deadline:(List.hd Batsched_taskgraph.Instances.g2_deadlines);
-  check_instance ~model:kibam "kibam-fork-join-n16" g ~deadline:n16_deadline;
-  let diffusion =
-    let params =
-      Batsched_battery.Diffusion.make_params ~nodes:8 ~dt:1.0 ~alpha:40375.0
-        ~beta:0.273 ()
-    in
-    Batsched_battery.Diffusion.model ~params ()
-  in
-  check_instance ~model:diffusion "diffusion-g2" Batsched_taskgraph.Instances.g2
-    ~deadline:(List.hd Batsched_taskgraph.Instances.g2_deadlines)
+  check_instance ~model:kibam "kibam-fork-join-n16" g ~deadline:n16_deadline
 
 let run_smoke () =
   List.iter

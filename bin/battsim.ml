@@ -40,16 +40,41 @@ let model_of name beta =
   | "peukert" -> Ok (Peukert.model ())
   | "kibam" -> Ok (Kibam.model ())
   | "pde" ->
-      Ok
-        (Diffusion.model
-           ~params:
-             (Diffusion.make_params ~alpha:Cell.itsy.Cell.alpha ~beta ())
-           ())
+      let { Diffusion.nodes; dt; _ } = Diffusion.default_params in
+      if Rakhmatov.valid_pde_grid ~beta ~nodes ~dt then
+        Ok
+          (Diffusion.model
+             ~params:
+               (Diffusion.make_params ~nodes ~dt ~alpha:Cell.itsy.Cell.alpha
+                  ~beta ())
+             ())
+      else
+        Error
+          (Printf.sprintf
+             "option '--beta': %g is too large for the PDE grid (%d nodes \
+              at dt %g: dt beta^2 / (pi^2 dx^2) >= 2^53)"
+             beta nodes dt)
   | "ideal" -> Ok Ideal.model
   | m -> Error ("unknown model: " ^ m)
 
+(* The check [basched --beta] makes: every model's beta must be usable
+   by the RV series. *)
 let beta_arg =
-  Arg.(value & opt float Rakhmatov.default_beta
+  let beta =
+    Arg.conv'
+      ( (fun s ->
+          match Arg.conv_parser Arg.float s with
+          | Ok b when Rakhmatov.valid_beta b -> Ok b
+          | Ok _ ->
+              Error
+                (Printf.sprintf
+                   "invalid value '%s', expected a number from 1e-150 to \
+                    1e150"
+                   s)
+          | Error (`Msg msg) -> Error msg),
+        Arg.conv_printer Arg.float )
+  in
+  Arg.(value & opt beta Rakhmatov.default_beta
        & info [ "beta" ] ~docv:"B" ~doc:"RV diffusion parameter.")
 
 let alpha_arg =

@@ -72,41 +72,9 @@ type pending =
       fin_t : float;
       fin_c : float;
     }
-  | Ck_swap of { k : int; sigma : float; finish : float }
-  | Ck_set of {
-      pos : int;
-      current : float;
-      duration : float;
-      sigma : float;
-      finish : float;
-    }
-
-(* Checkpointed integration state for stepper models (the diffusion
-   PDE): [snaps] holds the integration state {e entering} position
-   [j * stride] for each snapshot index [j] (snapshot 0 is the
-   fully-charged initial state), flattened into one float array so a
-   restore is a single [Array.blit].  A candidate move at position [i]
-   restores the nearest snapshot at or before [i] and re-integrates
-   the suffix — O(n - i + stride) advances instead of O(n) — which is
-   bit-identical to a from-scratch integration because the stepper
-   advances each interval independently of absolute time.  Snapshots
-   after a committed move's position are stale; [valid] counts the
-   trusted prefix and revalidation is lazy (paid on the next candidate
-   that needs a later snapshot). *)
-type ck = {
-  ops : Model.stepper_ops;
-  dim : int;
-  work : float array;
-  mutable stride : int;
-  mutable nsnaps : int;
-  mutable snaps : float array;
-  mutable valid : int;          (* snapshots 0..valid-1 match committed state *)
-}
-
-type kernel = Terms of Model.channels | Ck of ck
 
 type t = {
-  kernel : kernel;
+  ch : Model.channels;
   mutable n : int;
   mutable currents : float array;
   mutable durations : float array;
@@ -130,18 +98,13 @@ type t = {
 }
 
 let create (model : Model.t) =
-  { kernel =
+  { ch =
       (match model.Model.kernel with
-      | Model.Channels ch -> Terms ch
-      | Model.Stepper st ->
-          Ck
-            { ops = st.Model.fresh ();
-              dim = st.Model.state_dim;
-              work = Array.make st.Model.state_dim 0.0;
-              stride = 1;
-              nsnaps = 0;
-              snaps = [||];
-              valid = 0 });
+      | Model.Channels ch -> ch
+      | Model.Stepper _ ->
+          invalid_arg
+            ("Delta.create: " ^ model.Model.name
+           ^ " is a stepper model, with no per-interval terms"));
     n = 0;
     currents = [||];
     durations = [||];
@@ -198,85 +161,14 @@ let check_point current duration =
   if current < 0.0 then invalid_arg "Delta: negative current";
   if duration < 0.0 then invalid_arg "Delta: negative duration"
 
-(* -- checkpointed stepper path ------------------------------------- *)
-
-let[@inline] ck_snap_of ck pos = pos / ck.stride
-
-(* Re-derive snapshots valid..j from the last trusted one, integrating
-   the committed intervals.  Leaves [valid > j]. *)
-let ck_ensure t ck j =
-  if j >= ck.valid then begin
-    let probe = Probe.local () in
-    probe.Probe.delta_ck_restores <- probe.Probe.delta_ck_restores + 1;
-    let from = (ck.valid - 1) * ck.stride in
-    Array.blit ck.snaps ((ck.valid - 1) * ck.dim) ck.work 0 ck.dim;
-    for pos = from to (j * ck.stride) - 1 do
-      ck.ops.Model.advance ck.work ~current:t.currents.(pos)
-        ~duration:t.durations.(pos);
-      if (pos + 1) mod ck.stride = 0 then begin
-        let s = (pos + 1) / ck.stride in
-        Array.blit ck.work 0 ck.snaps (s * ck.dim) ck.dim;
-        ck.valid <- s + 1
-      end
-    done;
-    probe.Probe.delta_ck_advances <-
-      probe.Probe.delta_ck_advances + ((j * ck.stride) - from)
-  end
-
-(* Cost a candidate whose interval at position [p] is [point p]:
-   restore the snapshot preceding the first modified position [mpos]
-   and re-integrate the suffix.  Returns the candidate sigma. *)
-let ck_eval t ck ~mpos ~point =
-  let probe = Probe.local () in
-  let j = ck_snap_of ck mpos in
-  ck_ensure t ck j;
-  Array.blit ck.snaps (j * ck.dim) ck.work 0 ck.dim;
-  probe.Probe.delta_ck_restores <- probe.Probe.delta_ck_restores + 1;
-  let from = j * ck.stride in
-  for pos = from to t.n - 1 do
-    let current, duration = point pos in
-    ck.ops.Model.advance ck.work ~current ~duration
-  done;
-  probe.Probe.delta_ck_advances <-
-    probe.Probe.delta_ck_advances + (t.n - from);
-  ck.ops.Model.observe ck.work
-
-(* Full integration from the initial state, (re)building every
-   snapshot.  Sets the committed sigma. *)
-let ck_load t ck =
-  let n = t.n in
-  ck.stride <- Stdlib.max 1 (int_of_float (sqrt (float_of_int n)));
-  ck.nsnaps <- Stdlib.max 1 ((n + ck.stride - 1) / ck.stride);
-  if Array.length ck.snaps < ck.nsnaps * ck.dim then
-    ck.snaps <- Array.make (ck.nsnaps * ck.dim) 0.0;
-  ck.ops.Model.start ck.work;
-  Array.blit ck.work 0 ck.snaps 0 ck.dim;
-  ck.valid <- 1;
-  for pos = 0 to n - 1 do
-    ck.ops.Model.advance ck.work ~current:t.currents.(pos)
-      ~duration:t.durations.(pos);
-    let s = (pos + 1) / ck.stride in
-    if (pos + 1) mod ck.stride = 0 && s < ck.nsnaps then begin
-      Array.blit ck.work 0 ck.snaps (s * ck.dim) ck.dim;
-      ck.valid <- s + 1
-    end
-  done;
-  let probe = Probe.local () in
-  probe.Probe.delta_ck_advances <- probe.Probe.delta_ck_advances + n;
-  t.sig_t <- ck.ops.Model.observe ck.work;
-  t.sig_c <- 0.0
-
 let resum t =
-  (match t.kernel with
-  | Ck _ -> ()
-  | Terms _ ->
-      let a = t.acc in
-      set a 0.0 0.0;
-      for k = 0 to t.n - 1 do
-        nadd a t.terms.(k)
-      done;
-      t.sig_t <- a.s;
-      t.sig_c <- a.c);
+  let a = t.acc in
+  set a 0.0 0.0;
+  for k = 0 to t.n - 1 do
+    nadd a t.terms.(k)
+  done;
+  t.sig_t <- a.s;
+  t.sig_c <- a.c;
   t.commits <- 0
 
 let load t ~n ~point =
@@ -301,19 +193,12 @@ let load t ~n ~point =
   done;
   t.fin_t <- a.s;
   t.fin_c <- a.c;
-  (match t.kernel with
-  | Terms ch ->
-      for k = 0 to n - 1 do
-        t.terms.(k) <-
-          term t ch ~current:t.currents.(k) ~duration:t.durations.(k)
-            ~tail:(t.tail_t.(k) +. t.tail_c.(k))
-      done;
-      resum t
-  | Ck ck ->
-      (* the compensated finish from the tail chain above stands; the
-         sigma comes from a full checkpointed integration *)
-      ck_load t ck);
-  t.commits <- 0
+  for k = 0 to n - 1 do
+    t.terms.(k) <-
+      term t t.ch ~current:t.currents.(k) ~duration:t.durations.(k)
+        ~tail:(t.tail_t.(k) +. t.tail_c.(k))
+  done;
+  resum t
 
 let init model ~n ~point =
   let t = create model in
@@ -357,64 +242,53 @@ let try_swap t k =
     t.pending <- Keep;
     (sigma t, finish t)
   end
-  else
-  match t.kernel with
-  | Ck ck ->
-      (* the swap leaves the makespan alone; only the integration order
-         of the two intervals changes *)
-      let sigma =
-        ck_eval t ck ~mpos:k ~point:(fun pos ->
-            let p = if pos = k then k + 1 else if pos = k + 1 then k else pos in
-            (t.currents.(p), t.durations.(p)))
+  else begin
+    let ch = t.ch in
+    (* after the swap, position k holds old interval k+1 with tail
+       tail_{k+1} + D_k, and position k+1 holds old interval k with
+       tail tail_{k+1}; everything else — including every tail before
+       k, whose suffix multiset is unchanged — keeps its stored
+       value *)
+    let tl_t = t.tail_t.(k + 1) and tl_c = t.tail_c.(k + 1) in
+    let a = t.acc in
+    set a tl_t tl_c;
+    nadd a t.durations.(k);
+    let ntt = a.s and ntc = a.c in
+    if Array.length ch.Model.rates = 0 then begin
+      (* no channels, so the terms ignore their tails: the two terms
+         trade places; sigma and finish are unchanged *)
+      t.pending <-
+        Swap
+          { k;
+            tail_t = ntt;
+            tail_c = ntc;
+            term_lo = t.terms.(k + 1);
+            term_hi = t.terms.(k);
+            sig_t = t.sig_t;
+            sig_c = t.sig_c };
+      (sigma t, finish t)
+    end
+    else begin
+      probe.Probe.delta_terms <- probe.Probe.delta_terms + 2;
+      let term_lo =
+        term t ch ~current:t.currents.(k + 1)
+          ~duration:t.durations.(k + 1) ~tail:(ntt +. ntc)
       in
-      let fin = finish t in
-      t.pending <- Ck_swap { k; sigma; finish = fin };
-      (sigma, fin)
-  | Terms ch ->
-      (* after the swap, position k holds old interval k+1 with tail
-         tail_{k+1} + D_k, and position k+1 holds old interval k with
-         tail tail_{k+1}; everything else — including every tail before
-         k, whose suffix multiset is unchanged — keeps its stored
-         value *)
-      let tl_t = t.tail_t.(k + 1) and tl_c = t.tail_c.(k + 1) in
-      let a = t.acc in
-      set a tl_t tl_c;
-      nadd a t.durations.(k);
-      let ntt = a.s and ntc = a.c in
-      if Array.length ch.Model.rates = 0 then begin
-        (* no channels, so the terms ignore their tails: the two terms
-           trade places; sigma and finish are unchanged *)
-        t.pending <-
-          Swap
-            { k;
-              tail_t = ntt;
-              tail_c = ntc;
-              term_lo = t.terms.(k + 1);
-              term_hi = t.terms.(k);
-              sig_t = t.sig_t;
-              sig_c = t.sig_c };
-        (sigma t, finish t)
-      end
-      else begin
-        probe.Probe.delta_terms <- probe.Probe.delta_terms + 2;
-        let term_lo =
-          term t ch ~current:t.currents.(k + 1)
-            ~duration:t.durations.(k + 1) ~tail:(ntt +. ntc)
-        in
-        let term_hi =
-          term t ch ~current:t.currents.(k) ~duration:t.durations.(k)
-            ~tail:(tl_t +. tl_c)
-        in
-        set a t.sig_t t.sig_c;
-        nadd a (-.t.terms.(k));
-        nadd a term_lo;
-        nadd a (-.t.terms.(k + 1));
-        nadd a term_hi;
-        t.pending <-
-          Swap { k; tail_t = ntt; tail_c = ntc; term_lo; term_hi;
-                 sig_t = a.s; sig_c = a.c };
-        (a.s +. a.c, finish t)
-      end
+      let term_hi =
+        term t ch ~current:t.currents.(k) ~duration:t.durations.(k)
+          ~tail:(tl_t +. tl_c)
+      in
+      set a t.sig_t t.sig_c;
+      nadd a (-.t.terms.(k));
+      nadd a term_lo;
+      nadd a (-.t.terms.(k + 1));
+      nadd a term_hi;
+      t.pending <-
+        Swap { k; tail_t = ntt; tail_c = ntc; term_lo; term_hi;
+               sig_t = a.s; sig_c = a.c };
+      (a.s +. a.c, finish t)
+    end
+  end
 
 let try_set t pos ~current ~duration =
   check_no_pending t "try_set";
@@ -427,80 +301,53 @@ let try_set t pos ~current ~duration =
     t.pending <- Keep;
     (sigma t, finish t)
   end
-  else
-  match t.kernel with
-  | Ck ck ->
-      let sigma =
-        ck_eval t ck ~mpos:pos ~point:(fun p ->
-            if p = pos then (current, duration)
-            else (t.currents.(p), t.durations.(p)))
-      in
-      (* fresh compensated makespan with the replaced duration — an
-         O(n) float sum, noise next to the integration above *)
-      let a = t.acc in
+  else begin
+    let ch = t.ch in
+    (* candidate suffix sums for positions 0..pos-1: the chain from
+       the unchanged tail at [pos] through the new duration *)
+    let a = t.acc in
+    set a t.tail_t.(pos) t.tail_c.(pos);
+    nadd a duration;
+    for j = pos - 1 downto 0 do
+      t.ctail_t.(j) <- a.s;
+      t.ctail_c.(j) <- a.c;
+      nadd a t.durations.(j)
+    done;
+    let fin_t = a.s and fin_c = a.c in
+    (* only a model with channels reads the tails that moved *)
+    let tail_sensitive = Array.length ch.Model.rates > 0 in
+    let lo = if tail_sensitive then 0 else pos in
+    probe.Probe.delta_terms <- probe.Probe.delta_terms + (pos + 1 - lo);
+    t.cterm.(pos) <-
+      term t ch ~current ~duration
+        ~tail:(t.tail_t.(pos) +. t.tail_c.(pos));
+    if tail_sensitive then
+      for j = 0 to pos - 1 do
+        t.cterm.(j) <-
+          term t ch ~current:t.currents.(j) ~duration:t.durations.(j)
+            ~tail:(t.ctail_t.(j) +. t.ctail_c.(j))
+      done;
+    if tail_sensitive && 2 * (pos + 1) >= t.n then begin
+      (* a fresh compensated sum over the candidate terms is cheaper
+         than 2(pos+1) delta updates — and resets any drift *)
       set a 0.0 0.0;
-      for p = 0 to t.n - 1 do
-        nadd a (if p = pos then duration else t.durations.(p))
-      done;
-      let fin = a.s +. a.c in
-      t.pending <- Ck_set { pos; current; duration; sigma; finish = fin };
-      (sigma, fin)
-  | Terms ch ->
-      (* candidate suffix sums for positions 0..pos-1: the chain from
-         the unchanged tail at [pos] through the new duration *)
-      let a = t.acc in
-      set a t.tail_t.(pos) t.tail_c.(pos);
-      nadd a duration;
-      for j = pos - 1 downto 0 do
-        t.ctail_t.(j) <- a.s;
-        t.ctail_c.(j) <- a.c;
-        nadd a t.durations.(j)
-      done;
-      let fin_t = a.s and fin_c = a.c in
-      (* only a model with channels reads the tails that moved *)
-      let tail_sensitive = Array.length ch.Model.rates > 0 in
-      let lo = if tail_sensitive then 0 else pos in
-      probe.Probe.delta_terms <- probe.Probe.delta_terms + (pos + 1 - lo);
-      t.cterm.(pos) <-
-        term t ch ~current ~duration
-          ~tail:(t.tail_t.(pos) +. t.tail_c.(pos));
-      if tail_sensitive then
-        for j = 0 to pos - 1 do
-          t.cterm.(j) <-
-            term t ch ~current:t.currents.(j) ~duration:t.durations.(j)
-              ~tail:(t.ctail_t.(j) +. t.ctail_c.(j))
-        done;
-      if tail_sensitive && 2 * (pos + 1) >= t.n then begin
-        (* a fresh compensated sum over the candidate terms is cheaper
-           than 2(pos+1) delta updates — and resets any drift *)
-        set a 0.0 0.0;
-        for j = 0 to t.n - 1 do
-          nadd a (if j <= pos then t.cterm.(j) else t.terms.(j))
-        done
-      end
-      else begin
-        set a t.sig_t t.sig_c;
-        for j = lo to pos do
-          nadd a (-.t.terms.(j));
-          nadd a t.cterm.(j)
-        done
-      end;
-      let sig_t = a.s and sig_c = a.c in
-      t.pending <- Set { pos; current; duration; lo; sig_t; sig_c; fin_t; fin_c };
-      (sig_t +. sig_c, fin_t +. fin_c)
+      for j = 0 to t.n - 1 do
+        nadd a (if j <= pos then t.cterm.(j) else t.terms.(j))
+      done
+    end
+    else begin
+      set a t.sig_t t.sig_c;
+      for j = lo to pos do
+        nadd a (-.t.terms.(j));
+        nadd a t.cterm.(j)
+      done
+    end;
+    let sig_t = a.s and sig_c = a.c in
+    t.pending <- Set { pos; current; duration; lo; sig_t; sig_c; fin_t; fin_c };
+    (sig_t +. sig_c, fin_t +. fin_c)
+  end
 
 let resum_every t = Stdlib.max 32 t.n
-
-(* A checkpointed candidate's totals, and the snapshots after its first
-   modified position [pos] go stale. *)
-let commit_ck t ~pos ~sigma ~finish =
-  t.sig_t <- sigma;
-  t.sig_c <- 0.0;
-  t.fin_t <- finish;
-  t.fin_c <- 0.0;
-  match t.kernel with
-  | Ck ck -> ck.valid <- Stdlib.min ck.valid (ck_snap_of ck pos + 1)
-  | Terms _ -> ()
 
 let commit t =
   let probe = Probe.local () in
@@ -525,15 +372,7 @@ let commit t =
       t.sig_t <- sig_t;
       t.sig_c <- sig_c;
       t.fin_t <- fin_t;
-      t.fin_c <- fin_c
-  | Ck_swap { k; sigma; finish } ->
-      swap_entries t.currents k (k + 1);
-      swap_entries t.durations k (k + 1);
-      commit_ck t ~pos:k ~sigma ~finish
-  | Ck_set { pos; current; duration; sigma; finish } ->
-      t.currents.(pos) <- current;
-      t.durations.(pos) <- duration;
-      commit_ck t ~pos ~sigma ~finish);
+      t.fin_c <- fin_c);
   t.pending <- No_move;
   probe.Probe.delta_commits <- probe.Probe.delta_commits + 1;
   t.commits <- t.commits + 1;

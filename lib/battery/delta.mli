@@ -15,20 +15,13 @@
     with a move pending raises [Invalid_argument] — the strictness
     catches protocol bugs in search loops).
 
-    Costs per candidate, for a model whose kernel is
-    {!Model.Channels}: [try_swap] is O(1) — at most 2 term
-    evaluations; [try_set] at position [i] is O(i) tail updates and,
-    for a model with channels (whose terms read their tails), at most
-    [i + 1] term evaluations (with an automatic switch to a fresh full
-    sum when that is cheaper).
-
-    A {!Model.Stepper} model (the diffusion PDE) goes through
-    checkpointed partial solutions: the integration state is
-    snapshotted every [~sqrt n] positions, a candidate at position [i]
-    restores the preceding snapshot and re-integrates only the suffix
-    (bit-identical to a from-scratch integration), and a commit lazily
-    invalidates the snapshots after the move's position.  Counted in
-    [Probe.delta_ck_restores] / [delta_ck_advances].
+    The model's kernel must be {!Model.Channels}: a {!Model.Stepper}
+    (the diffusion PDE) has no per-interval terms to re-cost, and no
+    search runs on it.  Costs per candidate: [try_swap] is O(1) — at
+    most 2 term evaluations; [try_set] at position [i] is O(i) tail
+    updates and, for a model with channels (whose terms read their
+    tails), at most [i + 1] term evaluations (with an automatic switch
+    to a fresh full sum when that is cheaper).
 
     Numerics: results agree with {!Model.sigma} at the makespan within
     1e-9 {e relative}, not bit-for-bit — the full path derives each
@@ -43,7 +36,9 @@ type t
 val create : Model.t -> t
 (** An empty evaluator (zero positions) for the given model.  Its
     arrays grow geometrically on {!load}, so one evaluator can be
-    reused across instances without reallocation churn. *)
+    reused across instances without reallocation churn.
+    @raise Invalid_argument, naming the model, if its kernel is a
+    {!Model.Stepper}. *)
 
 val init : Model.t -> n:int -> point:(int -> float * float) -> t
 (** [create] + {!load}. *)

@@ -10,17 +10,18 @@ let make_params ?(nodes = 64) ?(dt = 0.02) ~alpha ~beta () =
   if not (beta > 0.0) then invalid_arg "Diffusion.make_params: beta <= 0";
   if nodes < 8 then invalid_arg "Diffusion.make_params: nodes < 8";
   if not (dt > 0.0) then invalid_arg "Diffusion.make_params: dt <= 0";
+  if not (Rakhmatov.valid_pde_grid ~beta ~nodes ~dt) then
+    invalid_arg "Diffusion.make_params: dt * beta^2 / (pi^2 dx^2) >= 2^53";
   { alpha; beta; nodes; dt }
 
 let default_params =
   make_params ~alpha:40375.0 ~beta:Rakhmatov.default_beta ()
 
-(* Work arrays for the Crank–Nicolson steps, sized once per
-   integration context so the stepping loop allocates nothing.  [cw]
-   holds the multipliers of the Thomas factorization of (I - dt/2 A),
-   which the first step of a run of steps writes and the later ones
-   reuse; [dw] is each step's forward sweep; [co] holds the span's
-   coefficients (slots below). *)
+(* Work arrays for the Crank–Nicolson steps, sized once per lane group
+   so the stepping loop allocates nothing.  [cw] holds the multipliers
+   of the Thomas factorization of (I - dt/2 A), which the first step of
+   a run of steps writes and the later ones reuse; [dw] is each step's
+   forward sweep; [co] holds the span's coefficients (slots below). *)
 type scratch = {
   cw : float array;   (* super-diagonal multipliers upper_i / m_i *)
   dw : float array;   (* forward-swept right-hand side *)
@@ -37,7 +38,7 @@ let make_scratch ~w n =
     dw = Array.make (n * w) 0.0;
     co = Array.make (ncoef * w) 0.0 }
 
-(* The span prologue both integrators call: split a span of constant
+(* The span prologue both kernels share: split a span of constant
    current I into equal Crank–Nicolson steps no longer than [dt_max],
    write the step's coefficients into [co] at lane [l] of [w], and
    return the step count.  Inlined, so that the lanes' float parameters
@@ -72,8 +73,9 @@ let[@inline] prologue sc ~w ~l ~dt_max ~dee ~dx ~current span =
   co.((c_src * w) + l) <- dt *. 2.0 *. current /. dx;
   steps
 
-(* Advance [u] across a span of constant current I, for du/dt = D u_xx
-   with flux I at x = 0 and a sealed wall at x = 1.
+(* Advance one device's [u] by [steps] steps of the span whose
+   coefficients [prologue] wrote, for du/dt = D u_xx with flux I at
+   x = 0 and a sealed wall at x = 1.
 
    Each step solves (I - dt/2 A) u' = (I + dt/2 A) u + dt s with the
    Thomas algorithm, in exactly the textbook operation order (the test
@@ -83,7 +85,7 @@ let[@inline] prologue sc ~w ~l ~dt_max ~dee ~dx ~current span =
    cw_{i-1}, forms the explicit half and divides by m_i, and back
    substitution writes straight into [u] (the sweep reads only the old
    [u]; back substitution reads only [dw], [cw] and the new [u]).  The
-   span's first step also computes the multipliers, cw_i = off / m_i,
+   run's first step also computes the multipliers, cw_i = off / m_i,
    as it sweeps: that pivot chain runs beside the sweep's own division
    chain, and no span runs it on its own.  The later steps reuse the
    multipliers, so their pivots depend on nothing of the step and each
@@ -92,67 +94,57 @@ let[@inline] prologue sc ~w ~l ~dt_max ~dee ~dx ~current span =
    Pivots: d = 1 + dt r >= 1, and the matrix is strictly diagonally
    dominant, so every interior pivot is at least d/2.  Only the last,
    d - edge cw_{n-2}, can round to zero: when dt r passes ~1e16 and
-   1 + dt r rounds to dt r.  It is checked before [u] is written, so
-   the span's first step raises with the state as it was. *)
-let advance ~params ~sc ~dee ~dx ~current u span =
-  if span > 0.0 then begin
-    let n = Array.length u in
-    let steps =
-      prologue sc ~w:1 ~l:0 ~dt_max:params.dt ~dee ~dx ~current span
-    in
-    let co = sc.co and cw = sc.cw and dw = sc.dw in
-    let d = co.(c_d) and off = co.(c_off) and edge = co.(c_edge) in
-    let hr = co.(c_hr) and r2 = co.(c_r2) and half = co.(c_half) in
-    let src = co.(c_src) in
-    for s = 1 to steps do
-      let v0 =
-        u.(0) +. (half *. ((r2 *. u.(1)) -. (r2 *. u.(0)))) -. src
-      in
-      dw.(0) <- v0 /. d;
-      if s = 1 then begin
-        cw.(0) <- edge /. d;
-        for i = 1 to n - 2 do
-          let m = d -. (off *. cw.(i - 1)) in
-          cw.(i) <- off /. m;
-          let v =
-            u.(i) +. (hr *. (u.(i - 1) -. (2.0 *. u.(i)) +. u.(i + 1)))
-          in
-          dw.(i) <- (v -. (off *. dw.(i - 1))) /. m
-        done
-      end
-      else
-        for i = 1 to n - 2 do
-          let m = d -. (off *. cw.(i - 1)) in
-          let v =
-            u.(i) +. (hr *. (u.(i - 1) -. (2.0 *. u.(i)) +. u.(i + 1)))
-          in
-          dw.(i) <- (v -. (off *. dw.(i - 1))) /. m
-        done;
-      let m_last = d -. (edge *. cw.(n - 2)) in
-      if m_last = 0.0 then invalid_arg "Diffusion: zero pivot";
-      let v_last =
-        u.(n - 1) +. (half *. ((r2 *. u.(n - 2)) -. (r2 *. u.(n - 1))))
-      in
-      u.(n - 1) <- (v_last -. (edge *. dw.(n - 2))) /. m_last;
-      for i = n - 2 downto 0 do
-        u.(i) <- dw.(i) -. (cw.(i) *. u.(i + 1))
+   1 + dt r rounds to dt r, which [make_params] refuses.  It is checked
+   before [u] is written, so a step that raises leaves the state as it
+   was. *)
+let run_lane sc u n steps =
+  let co = sc.co and cw = sc.cw and dw = sc.dw in
+  let d = co.(c_d) and off = co.(c_off) and edge = co.(c_edge) in
+  let hr = co.(c_hr) and r2 = co.(c_r2) and half = co.(c_half) in
+  let src = co.(c_src) in
+  for s = 1 to steps do
+    let v0 = u.(0) +. (half *. ((r2 *. u.(1)) -. (r2 *. u.(0)))) -. src in
+    dw.(0) <- v0 /. d;
+    if s = 1 then begin
+      cw.(0) <- edge /. d;
+      for i = 1 to n - 2 do
+        let m = d -. (off *. cw.(i - 1)) in
+        cw.(i) <- off /. m;
+        let v = u.(i) +. (hr *. (u.(i - 1) -. (2.0 *. u.(i)) +. u.(i + 1))) in
+        dw.(i) <- (v -. (off *. dw.(i - 1))) /. m
       done
+    end
+    else
+      for i = 1 to n - 2 do
+        let m = d -. (off *. cw.(i - 1)) in
+        let v = u.(i) +. (hr *. (u.(i - 1) -. (2.0 *. u.(i)) +. u.(i + 1))) in
+        dw.(i) <- (v -. (off *. dw.(i - 1))) /. m
+      done;
+    let m_last = d -. (edge *. cw.(n - 2)) in
+    if m_last = 0.0 then invalid_arg "Diffusion: zero pivot";
+    let v_last =
+      u.(n - 1) +. (half *. ((r2 *. u.(n - 2)) -. (r2 *. u.(n - 1))))
+    in
+    u.(n - 1) <- (v_last -. (edge *. dw.(n - 2))) /. m_last;
+    for i = n - 2 downto 0 do
+      u.(i) <- dw.(i) -. (cw.(i) *. u.(i + 1))
     done
-  end
+  done
 
-(* [advance] on four devices at once.  The state and the scratch are
+(* [run_lane] on four devices at once.  The state and the scratch are
    node-major ([x * 4 + l]), and every loop over nodes does the four
    lanes' work for that node one after the other, with each lane's
    coefficients hoisted: the four lanes' dependent chains of the
    forward sweep (pivots and divisions) and of back substitution then
    overlap instead of each running at the division's latency.  Each
-   lane performs exactly [advance]'s float operations on its own
+   lane performs exactly [run_lane]'s float operations on its own
    operands, in the same order, so a lane run through its span's step
-   count ends bit-identical to [advance].  A lane's coefficients change
-   only between runs (in [span]), so a run's first step computes every
-   lane's multipliers, as [advance]'s first step does, and its later
-   steps reuse them: a lane's multipliers are the same bits in every
-   run of its span. *)
+   count ends bit-identical to a group of one.  A lane's coefficients
+   change only between runs (in [span]), so a run's first step
+   computes every lane's multipliers, as [run_lane]'s first step does,
+   and its later steps reuse them: a lane's multipliers are the same
+   bits in every run of its span.  A loop over the lanes instead of
+   this unrolling ran fleet jobs slower (DESIGN.md §11.2). *)
 let run_lanes sc u n steps =
   let co = sc.co and cw = sc.cw and dw = sc.dw in
   (* slot * 4 + lane: d 0-3, off 4-7, edge 8-11, hr 12-15, r2 16-19,
@@ -217,7 +209,7 @@ let run_lanes sc u n steps =
         let v = u.(b) +. (h3 *. (u.(b - 4) -. (2.0 *. u.(b)) +. u.(b + 4))) in
         dw.(b) <- (v -. (o3 *. dw.(b - 4))) /. m
       done;
-    (* the last pivots, checked as [advance] checks them (an idle lane
+    (* the last pivots, checked as [run_lane] checks them (an idle lane
        holds its last span's coefficients, or zeros, whose pivots are
        nan: it never raises) *)
     let m0 = d0 -. (e0 *. cw.(z - 4)) and m1 = d1 -. (e1 *. cw.(z - 3)) in
@@ -249,15 +241,17 @@ let run_lanes sc u n steps =
    prologue's three (dt, D, dx) and alpha for [observe]. *)
 let p_dt = 0 and p_dee = 1 and p_dx = 2 and p_alpha = 3 and nparam = 4
 
-let lane_group n =
-  let w = Model.lane_count in
-  assert (w = 4) (* [run_lanes] is unrolled for four lanes *);
+(* A group of [w] lanes on grids of [n] nodes, each lane's floats at
+   [x * w + l]: one lane runs [run_lane], four [run_lanes]. *)
+let group n w =
+  if w <> 1 && w <> 4 then
+    invalid_arg "Diffusion: a lane group is 1 or 4 lanes wide";
   let sc = make_scratch ~w n in
   let u = Array.make (n * w) 0.0 in
   let prm = Array.make (nparam * w) 0.0 in
   let current = Array.make w 0.0 and duration = Array.make w 0.0 in
   let sigma = Array.make w 0.0 in
-  { Model.state = u; current; duration; sigma;
+  { Model.width = w; state = u; current; duration; sigma;
     load =
       (fun l params ->
         Array.blit params 0 prm (l * nparam) nparam;
@@ -269,38 +263,25 @@ let lane_group n =
         let p = l * nparam in
         prologue sc ~w ~l ~dt_max:prm.(p + p_dt) ~dee:prm.(p + p_dee)
           ~dx:prm.(p + p_dx) ~current:current.(l) duration.(l));
-    run = (fun steps -> run_lanes sc u n steps);
+    run =
+      (if w = 1 then fun steps -> run_lane sc u n steps
+       else fun steps -> run_lanes sc u n steps);
     observe =
       (fun l -> sigma.(l) <- prm.((l * nparam) + p_alpha) -. u.(l)) }
 
-(* Checkpointable integration for the delta evaluator: the PDE state is
-   the full charge-density grid, a flat float vector {!Delta} can
-   snapshot and restore with [Array.blit].  [advance] splits every
-   interval independently of absolute time, so restoring a checkpoint
-   and re-integrating the suffix is bit-identical to integrating the
-   whole profile from scratch. *)
+(* Each span is split into steps independently of absolute time, so a
+   device's state after a span depends only on its state before it. *)
 let stepper params =
   let n = params.nodes in
-  let dx = 1.0 /. float_of_int (n - 1) in
-  let dee = params.beta *. params.beta /. (Float.pi *. Float.pi) in
-  let lane_params = Array.make nparam 0.0 in
-  lane_params.(p_dt) <- params.dt;
-  lane_params.(p_dee) <- dee;
-  lane_params.(p_dx) <- dx;
-  lane_params.(p_alpha) <- params.alpha;
-  { Model.state_dim = n;
-    fresh =
-      (fun () ->
-        let sc = make_scratch ~w:1 n in
-        { Model.start = (fun u -> Array.fill u 0 n params.alpha);
-          advance =
-            (fun u ~current ~duration ->
-              advance ~params ~sc ~dee ~dx ~current u duration);
-          observe = (fun u -> params.alpha -. u.(0)) });
-    lanes = { Model.params = lane_params; group = (fun () -> lane_group n) } }
+  let prm = Array.make nparam 0.0 in
+  prm.(p_dt) <- params.dt;
+  prm.(p_dee) <- params.beta *. params.beta /. (Float.pi *. Float.pi);
+  prm.(p_dx) <- 1.0 /. float_of_int (n - 1);
+  prm.(p_alpha) <- params.alpha;
+  { Model.state_dim = n; params = prm; group = group n }
 
 let model ?(params = default_params) () =
   { Model.name = "diffusion-pde";
     (* no finite channel set: sigma is the solution of a PDE, so
-       Model.sigma, Delta and Periodic advance a stepper state *)
+       Model.sigma and Periodic run a lane group *)
     kernel = Model.Stepper (stepper params) }

@@ -22,7 +22,10 @@
 
     This module exists to {e validate} {!Rakhmatov} against first
     principles (see the "validation" experiment); it is orders of
-    magnitude slower and should not drive the scheduler. *)
+    magnitude slower and does not drive the scheduler: {!Delta}, which
+    every local search costs its moves through, refuses it.  It is
+    driven through lane groups only: {!Model.sigma} runs one lane,
+    {!Periodic} four, or one for a device alone. *)
 
 type params = {
   alpha : float;      (** capacity parameter, mA*min; > 0 *)
@@ -36,24 +39,23 @@ val default_params : params
 
 val make_params :
   ?nodes:int -> ?dt:float -> alpha:float -> beta:float -> unit -> params
-(** @raise Invalid_argument outside the ranges above. *)
+(** @raise Invalid_argument outside the ranges above, or when the grid
+    cannot take [beta] ({!Rakhmatov.valid_pde_grid}). *)
 
 val stepper : params -> Model.stepper
-(** Checkpointable integration context: state is the charge-density
-    grid ([nodes] floats).  Because each interval is integrated
-    independently of absolute time, restoring a snapshot and
-    re-integrating a suffix is bit-identical to a from-scratch
-    integration — which is what makes the delta evaluator's
-    checkpointed path exact.  Its lane view steps four devices of one
-    grid size in lockstep, each lane bit-identical to [advance]
-    (DESIGN.md §11.2).  Every path raises [Invalid_argument] on a span
-    of 2^53 steps or more, and on a zero pivot, which needs
-    dt * beta^2 / (pi^2 dx^2) past ~1e16. *)
+(** The PDE as a stepper: a device's state is its charge-density grid
+    ([nodes] floats), and its groups are one lane wide, on the
+    one-device kernel, or four, on a kernel that steps four devices of
+    one grid size in lockstep, each lane bit-identical to a group of
+    one (DESIGN.md §11.2).  Each span is integrated independently of
+    absolute time.  A span raises [Invalid_argument] at 2^53 steps or
+    more, and a step on a zero pivot, which params built by
+    {!make_params} never reach. *)
 
 val model : ?params:params -> unit -> Model.t
 (** Packaged as a {!Model.t} named ["diffusion-pde"], whose kernel is
-    the checkpointed {!stepper} (no per-interval decomposition exists for
-    the PDE).  {!Model.sigma} simulates the PDE from time 0 through the
+    the {!stepper} (no per-interval decomposition exists for the PDE).
+    {!Model.sigma} simulates the PDE from time 0 through the
     observation instant under the profile's load and returns
     [alpha - u(0, at)]; it raises [Invalid_argument] when [dt] is so
     small that a span of the profile needs 2^53 steps or more. *)

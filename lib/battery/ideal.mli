@@ -1,6 +1,6 @@
-(** Ideal (linear) battery: sigma is the plain coulomb count,
-    [Model.sigma model p ~at = Profile.total_charge (Profile.truncate p
-    ~at)].
+(** Ideal (linear) battery: sigma is the plain coulomb count of the
+    load up to [at], the sum of [current * duration] over the intervals
+    {!Profile.iter_until} walks.
 
     The limiting behaviour of {!Rakhmatov} as [beta -> infinity]; useful
     as a baseline cost function and in tests. *)

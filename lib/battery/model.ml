@@ -7,15 +7,8 @@ type channels = {
   charge : current:float -> duration:float -> float;
 }
 
-type stepper_ops = {
-  start : float array -> unit;
-  advance : float array -> current:float -> duration:float -> unit;
-  observe : float array -> float;
-}
-
-let lane_count = 4
-
 type lane_group = {
+  width : int;
   state : float array;
   current : float array;
   duration : float array;
@@ -26,15 +19,10 @@ type lane_group = {
   observe : int -> unit;
 }
 
-type lanes = {
-  params : float array;
-  group : unit -> lane_group;
-}
-
 type stepper = {
   state_dim : int;
-  fresh : unit -> stepper_ops;
-  lanes : lanes;
+  params : float array;
+  group : int -> lane_group;
 }
 
 type kernel =
@@ -63,19 +51,20 @@ let channels_sigma ch p ~at =
   Kahan.Acc.sum acc
 
 (* Integrate through each idle gap at current 0 and each interval,
-   clipping every span at [at] on the clock.  The walk takes the
-   intervals unclipped ([~at:infinity]) and lets [run_to] clip: an
-   interval straddling [at] then ends at [at] itself, where
-   [start + (at - start)] could miss it by an ulp. *)
+   clipping every span at [at] on the clock, on a group of one lane.
+   The walk takes the intervals unclipped ([~at:infinity]) and lets
+   [run_to] clip: an interval straddling [at] then ends at [at] itself,
+   where [start + (at - start)] could miss it by an ulp. *)
 let stepper_sigma st p ~at =
-  let ops = st.fresh () in
-  let u = Array.make st.state_dim 0.0 in
-  ops.start u;
+  let g = st.group 1 in
+  g.load 0 st.params;
   let clock = ref 0.0 in
   let run_to t ~current =
     let t = Float.min t at in
     if t > !clock then begin
-      ops.advance u ~current ~duration:(t -. !clock);
+      g.current.(0) <- current;
+      g.duration.(0) <- t -. !clock;
+      g.run (g.span 0);
       clock := t
     end
   in
@@ -84,7 +73,8 @@ let stepper_sigma st p ~at =
       run_to buf.(0) ~current:0.0;
       run_to (buf.(0) +. buf.(1)) ~current:buf.(2));
   run_to at ~current:0.0;
-  ops.observe u
+  g.observe 0;
+  g.sigma.(0)
 
 let sigma m p ~at =
   if at < 0.0 then invalid_arg "Model.sigma: negative time";

@@ -9,13 +9,14 @@
 
     A model is its name and exactly one {!kernel}: a {!channels}
     decomposition (ideal, Peukert, Rakhmatov–Vrudhula, KiBaM) or a
-    checkpointable {!stepper} (the diffusion PDE).  {!sigma} is derived
-    from that kernel, and {!Delta} (local-search moves) and {!Periodic}
-    (repeated missions) evaluate through it too, so there is one
-    implementation of each model's sigma; {!Periodic} sweeps steppers
-    four at a time through their lane view.  The reference
-    implementations the kernels are checked against live with the
-    tests. *)
+    {!stepper} (the diffusion PDE).  {!sigma} is derived from that
+    kernel, and {!Periodic} (repeated missions) evaluates through it
+    too, so there is one implementation of each model's sigma.  A
+    stepper is driven through one interface, a {!lane_group}: {!sigma}
+    runs a group of one lane, {!Periodic} one of four lanes, or of one
+    for a device alone.  {!Delta} (local-search moves) takes channel
+    models only.  The reference implementations the kernels are checked
+    against live with the tests. *)
 
 type channels = {
   term : float array -> int -> unit;
@@ -70,27 +71,12 @@ type channels = {
     diffusion PDE has no finite channel set and is a {!stepper}
     instead. *)
 
-type stepper_ops = {
-  start : float array -> unit;
-  (** Write the fully-charged initial state into the buffer. *)
-  advance : float array -> current:float -> duration:float -> unit;
-  (** Evolve the state in place through one constant-current interval.
-      [duration = 0] must leave the state bit-identical. *)
-  observe : float array -> float;
-  (** Sigma at the instant the state describes. *)
-}
-(** One integration context.  The float-array state representation is
-    what lets {!Delta} snapshot and restore checkpoints with flat
-    [Array.blit]s, no per-checkpoint allocation. *)
-
-val lane_count : int
-(** Lanes in a {!lane_group}: 4. *)
-
 type lane_group = {
+  width : int;
+  (** Lanes in the group: 1 or 4. *)
   state : float array;
-  (** [lane_count] states of [state_dim] floats, node-major: float [x]
-      of lane [l] is [state.(x * lane_count + l)], and reads as
-      float [x] of a one-device state. *)
+  (** [width] states of [state_dim] floats, node-major: float [x] of
+      lane [l] is [state.(x * width + l)]. *)
   current : float array;
   (** Per lane: the current of the span [span l] starts, written by the
       caller.  Floats pass through these arrays rather than as
@@ -101,53 +87,41 @@ type lane_group = {
   (** Per lane: written by [observe l]. *)
   load : int -> float array -> unit;
   (** [load l params] puts a fully charged device, described by its
-      lane view's [params], into lane [l] (the one-device [start]). *)
+      stepper's [params], into lane [l]. *)
   span : int -> int;
   (** [span l] starts lane [l]'s next constant-current span and returns
       its step count ([>= 1]).  It only sets the span's coefficients:
       the integration, the matrix's factorization included, runs in
       [run], where the lanes' work overlaps. *)
   run : int -> unit;
-  (** [run s] advances every lane by [s] steps.  Running a lane through
-      exactly its span's step count leaves its state bit-identical to
-      the one-device [advance] of that span; the caller keeps the
-      count, and ignores idle lanes. *)
+  (** [run s] advances every lane by [s] steps.  A lane run through
+      exactly its span's step count, in one run or in several, ends in
+      the same state, bit for bit, at either width; the caller keeps
+      the count, and ignores idle lanes. *)
   observe : int -> unit;
-  (** [observe l] writes lane [l]'s sigma into [sigma.(l)],
-      bit-identical to the one-device [observe]. *)
+  (** [observe l] writes lane [l]'s sigma into [sigma.(l)]. *)
 }
-(** Lockstep integration of {!lane_count} independent devices, so that
-    their dependent chains of float operations overlap.  Each lane
-    performs exactly its device's one-device operations, in the same
-    order; nothing is shared between lanes. *)
-
-type lanes = {
-  params : float array;
-  (** This device's parameters, in the layout [load] reads. *)
-  group : unit -> lane_group;
-  (** A fresh group.  Any device whose stepper has the same
-      [state_dim] may be loaded into it. *)
-}
-(** A device's lane view: how {!Periodic} sweeps it together with
-    others. *)
+(** Lockstep integration of [width] independent devices, so that their
+    dependent chains of float operations overlap.  Each lane performs
+    exactly its device's operations, in the same order, whatever the
+    width and the other lanes; nothing is shared between lanes. *)
 
 type stepper = {
   state_dim : int;
-  (** Number of floats in a state vector. *)
-  fresh : unit -> stepper_ops;
-  (** Allocate a context (scratch buffers etc.).  Contexts are not
-      shared across domains; each evaluator calls [fresh] once. *)
-  lanes : lanes;
-  (** The lane view.  {!Periodic} groups devices by [state_dim] alone,
-      which holds while the diffusion PDE is the only stepper: a second
-      kind of stepper needs a group key of its own. *)
+  (** Number of floats in one device's state. *)
+  params : float array;
+  (** This device's parameters, in the layout [load] reads. *)
+  group : int -> lane_group;
+  (** [group w] is a fresh group of [w] lanes, 1 or 4.  Any device
+      whose stepper has the same [state_dim] may be loaded into it.
+      Groups are not shared across domains.
+      @raise Invalid_argument on any other width. *)
 }
-(** Checkpointable sequential integration, for stateful models whose
-    sigma does {e not} decompose per interval (the diffusion PDE).
-    {!Delta} snapshots the state every k intervals so a candidate move
-    at position [i] re-integrates only the suffix from the preceding
-    checkpoint — O(n/k + stride) instead of O(n) per move — while
-    remaining bit-identical to a from-scratch integration. *)
+(** Sequential integration, for stateful models whose sigma does {e
+    not} decompose per interval (the diffusion PDE).  {!Periodic}
+    groups devices by [state_dim] alone, which holds while the
+    diffusion PDE is the only stepper: a second kind of stepper needs a
+    group key of its own. *)
 
 type kernel =
   | Channels of channels
@@ -166,10 +140,10 @@ val sigma : t -> Profile.t -> at:float -> float
     [at] counts up to [at].  For {!Channels} it is the compensated sum
     of the terms of the intervals up to [at], each with
     [tail = max 0 (at - start - duration)] ({!Profile.iter_until}
-    order); for a {!Stepper} it integrates from the full state through
-    every idle gap (at current 0) and every interval, clipped at [at],
-    and observes.  Each call counts one [sigma_evals] in the domain's
-    {!Batsched_numeric.Probe}.
+    order); for a {!Stepper} it integrates a group of one lane from the
+    full state through every idle gap (at current 0) and every
+    interval, clipped at [at], and observes.  Each call counts one
+    [sigma_evals] in the domain's {!Batsched_numeric.Probe}.
 
     Sigma need {e not} be monotone in [at]: for the
     Rakhmatov–Vrudhula model the unavailable-charge component recovers

@@ -48,19 +48,19 @@ module Batch = struct
      zero [exp]s.  Every exponent evaluated at setup is <= ~0 (the
      cycle fits in the period), so nothing can overflow.
 
-     A [Model.Stepper] device keeps its [carried] state and runs once
-     every device has been pulled: it advances one stepper state
-     through the mission instead of re-integrating the whole history
-     per probe — O(cycles) integration work total instead of
-     O(cycles^2).  The arithmetic deliberately mirrors the test
-     oracle's full-history probe ([run_to] targets computed as [start
-     +. offset] and spans as differences against the carried clock),
-     because the oracle's from-scratch integration for any probe
-     performs exactly a prefix of the carried advance sequence: the two
-     paths are bit-identical, not just close.  Carried devices of one
-     [state_dim] run four at a time through a [Model.lane_group] (see
-     [run_lanes]), each lane playing the same mission events with the
-     same arithmetic. *)
+     A [Model.Stepper] device is [carried] and runs once every device
+     has been pulled: it advances one state through the mission
+     instead of re-integrating the whole history per probe —
+     O(cycles) integration work total instead of O(cycles^2).  The
+     arithmetic deliberately mirrors the test oracle's full-history
+     probe ([run_to] targets computed as [start +. offset] and spans as
+     differences against the carried clock), because the oracle's
+     from-scratch integration for any probe performs exactly a prefix
+     of the carried span sequence: the two paths are bit-identical,
+     not just close.  Carried devices of one [state_dim] run four at a
+     time through a [Model.lane_group], and a device alone through a
+     group of one (see [run_lanes]), each lane playing the same
+     mission events with the same arithmetic. *)
   type carried = {
     index : int;  (* the device's, in the run *)
     alpha : float;
@@ -171,59 +171,24 @@ module Batch = struct
       end
     done
 
-  (* The one-device path: carried device [c] from cycle 0 until it dies
-     or reaches the horizon, through the model's [stepper_ops]. *)
-  let run_one c ~results ~max_cycles =
-    let ops = c.stepper.Model.fresh () in
-    let u = Array.make c.stepper.Model.state_dim 0.0 in
-    ops.Model.start u;
-    let clock = ref 0.0 in
-    let dies = ref false in
-    let k = ref 0 in
-    while (not !dies) && !k < max_cycles do
-      let offset = float_of_int !k *. c.period in
-      let j = ref 0 in
-      while (not !dies) && !j < Array.length c.starts do
-        (* rest up to the interval's start, then run it *)
-        let s_abs = c.starts.(!j) +. offset in
-        if s_abs > !clock then begin
-          ops.Model.advance u ~current:0.0 ~duration:(s_abs -. !clock);
-          clock := s_abs
-        end;
-        let e_abs = s_abs +. c.durations.(!j) in
-        if e_abs > !clock then begin
-          ops.Model.advance u ~current:c.currents.(!j)
-            ~duration:(e_abs -. !clock);
-          clock := e_abs
-        end;
-        let sg = ops.Model.observe u in
-        if sg >= c.alpha then begin
-          results.(c.index) <- { outcome = Dies !k; fatal_sigma = sg };
-          dies := true
-        end;
-        incr j
-      done;
-      if not !dies then incr k
-    done
-
-  (* The lane scheduler: runs carried devices [queue] (two or more, of
-     one state_dim) through the lane group [g], from their first cycle
+  (* The lane scheduler: runs carried devices [queue] (of one
+     state_dim) through the lane group [g], from their first cycle
      until each dies or reaches the horizon.
 
-     A lane plays its device's mission events as [run_one] does, with
-     the same arithmetic: rest up to an interval's start, run the
-     interval, probe its end.  When an event needs integration the lane
-     starts that span and holds its step count in [left]; every round
-     runs all lanes for the fewest steps any busy lane has left, so the
-     lanes whose span ends then move on to their next span.  A lane
-     whose device dies or reaches the horizon takes the queue's next
-     device, and the last busy lane finishes its device in the group.
-     [feed] calls itself in tail position only, so a run of events that
-     need no integration takes constant stack.  The per-lane state
-     lives in int and float arrays and floats reach the group through
-     its arrays, so a round allocates nothing. *)
+     A lane plays its device's mission events with the oracle's
+     arithmetic: rest up to an interval's start, run the interval,
+     probe its end.  When an event needs integration the lane starts
+     that span and holds its step count in [left]; every round runs all
+     lanes for the fewest steps any busy lane has left, so the lanes
+     whose span ends then move on to their next span.  A lane whose
+     device dies or reaches the horizon takes the queue's next device,
+     and the last busy lane finishes its device in the group.  [feed]
+     calls itself in tail position only, so a run of events that need
+     no integration takes constant stack.  The per-lane state lives in
+     int and float arrays and floats reach the group through its
+     arrays, so a round allocates nothing. *)
   let run_lanes (g : Model.lane_group) queue ~results ~max_cycles =
-    let w = Model.lane_count in
+    let w = g.Model.width in
     let dev = Array.make w (-1) in  (* [queue] entry in each lane, or -1 *)
     let cyc = Array.make w 0 and iv = Array.make w 0 in
     let phase = Array.make w 0 in  (* 0 rest, 1 run, 2 probe *)
@@ -241,7 +206,7 @@ module Batch = struct
             iv.(l) <- 0;
             phase.(l) <- 0;
             clock.(l) <- 0.0;
-            g.Model.load l c.stepper.Model.lanes.Model.params
+            g.Model.load l c.stepper.Model.params
           end;
           incr next;
           feed l
@@ -316,9 +281,9 @@ module Batch = struct
 
   let dim c = c.stepper.Model.state_dim
 
-  (* Carried devices run four at a time through a lane group, grouped by
-     state_dim in device order; a group of one takes the one-device
-     path. *)
+  (* Carried devices run through lane groups, grouped by state_dim in
+     device order: four at a time, or in a group of one lane for a
+     device alone. *)
   let run_carried carried ~results ~max_cycles =
     Array.stable_sort (fun a b -> Int.compare (dim a) (dim b)) carried;
     let a = ref 0 in
@@ -328,12 +293,10 @@ module Batch = struct
       do
         incr b
       done;
-      if !b - !a >= 2 then
-        run_lanes
-          (carried.(!a).stepper.Model.lanes.Model.group ())
-          (Array.sub carried !a (!b - !a))
-          ~results ~max_cycles
-      else run_one carried.(!a) ~results ~max_cycles;
+      run_lanes
+        (carried.(!a).stepper.Model.group (if !b - !a >= 2 then 4 else 1))
+        (Array.sub carried !a (!b - !a))
+        ~results ~max_cycles;
       a := !b
     done
 

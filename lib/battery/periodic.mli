@@ -14,8 +14,9 @@
     Rakhmatov–Vrudhula) telescope the repeated cycles into per-channel
     geometric series advanced in O(1) per cycle with no [exp] on the
     per-cycle path; {!Model.Stepper} models (the diffusion PDE) carry
-    one integration state across the whole mission instead of
-    re-integrating the history per probe.  The original quadratic
+    one integration state across the whole mission, in a lane of a
+    {!Model.lane_group}, instead of re-integrating the history per
+    probe.  The original quadratic
     path, which replays the full history and probes it with the
     model's reference sigma, is the test oracle the property tests
     check both kernels against.  See DESIGN.md §15 for the
@@ -89,10 +90,10 @@ module Batch : sig
       order.  A {!Model.Channels} device is compiled into channel
       tables and run from cycle 0 until it dies or reaches the horizon
       before the next device is pulled, so nothing of it outlives its
-      run but its result.  A {!Model.Stepper} device keeps a carried
-      stepper state, and once all [n] are pulled, the carried devices
-      run four at a time through their lane view ({!Model.lanes}), each
-      to its end.  Total work is the sum of lifetimes, not
+      run but its result.  A {!Model.Stepper} device is carried, and
+      once all [n] are pulled, the carried devices of one [state_dim]
+      run four at a time in a {!Model.lane_group}, or in a group of
+      one lane for a device alone, each to its end.  Total work is the sum of lifetimes, not
       [n * max_cycles], and peak memory is one device's tables plus the
       carried states — independent of the horizon.  A device's result
       does not depend on the others in the call: scalar

@@ -137,13 +137,6 @@ let iter_until t ~at buf f =
     incr i
   done
 
-let fold_until t ~at ~init ~f =
-  let buf = Array.make 3 0.0 in
-  let acc = ref init in
-  iter_until t ~at buf (fun () ->
-      acc := f !acc ~start:buf.(0) ~duration:buf.(1) ~current:buf.(2));
-  !acc
-
 let length t =
   let last = ref 0.0 in
   for i = 0 to num_intervals t - 1 do
@@ -154,12 +147,6 @@ let length t =
 let total_charge t =
   Batsched_numeric.Kahan.sum_fn (num_intervals t) (fun i ->
       t.currents.(i) *. t.durations.(i))
-
-let truncate t ~at =
-  of_intervals
-    (List.rev
-       (fold_until t ~at ~init:[] ~f:(fun acc ~start ~duration ~current ->
-            (start, duration, current) :: acc)))
 
 let superpose ps =
   let all = List.concat_map intervals ps in

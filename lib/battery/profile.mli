@@ -17,7 +17,7 @@ type t
     non-overlapping, all within [[0, infinity)].  Stored as three
     unboxed float arrays (start/duration/current per interval), so the
     hot sigma evaluators can walk it without per-call allocation — use
-    {!fold} / {!fold_until} rather than {!intervals} on hot paths. *)
+    {!fold} / {!iter_until} rather than {!intervals} on hot paths. *)
 
 val empty : t
 (** The profile that draws nothing. *)
@@ -60,7 +60,7 @@ val with_idle : t -> after:float -> idle:float -> t
 
 val intervals : t -> interval list
 (** Intervals in increasing start-time order.  Materializes a fresh
-    list; prefer {!fold} / {!fold_until} where allocation matters. *)
+    list; prefer {!fold} / {!iter_until} where allocation matters. *)
 
 val num_intervals : t -> int
 (** Number of (positive-duration) intervals. *)
@@ -72,24 +72,14 @@ val fold :
   'a
 (** Allocation-free left fold over the intervals in start order. *)
 
-val fold_until :
-  t ->
-  at:float ->
-  init:'a ->
-  f:('a -> start:float -> duration:float -> current:float -> 'a) ->
-  'a
-(** [fold_until t ~at ~init ~f] folds over the load up to time [at]
-    exactly as {!truncate} would expose it — intervals starting at or
-    after [at] are skipped, a straddling interval is clipped to
-    [at - start] — but lazily, with no profile copy. *)
-
 val iter_until : t -> at:float -> float array -> (unit -> unit) -> unit
-(** [iter_until t ~at buf f] walks the intervals {!fold_until} folds
-    over.  Before each call of [f] it writes the interval's start,
-    (clipped) duration and current to [buf.(0)], [buf.(1)] and
-    [buf.(2)].  A float passed between modules is boxed; this walk
-    passes none, so a sigma evaluator that keeps its sums in arrays
-    allocates nothing per interval. *)
+(** [iter_until t ~at buf f] walks the load up to time [at]: intervals
+    starting at or after [at] are skipped, and one straddling [at] is
+    clipped to [at - start].  Before each call of [f] it writes the
+    interval's start, (clipped) duration and current to [buf.(0)],
+    [buf.(1)] and [buf.(2)].  A float passed between modules is boxed;
+    this walk passes none, so a sigma evaluator that keeps its sums in
+    arrays allocates nothing per interval. *)
 
 val length : t -> float
 (** End time of the last interval (0 for {!empty}). *)
@@ -97,10 +87,6 @@ val length : t -> float
 val total_charge : t -> float
 (** Plain coulomb count [sum I_k * Delta_k] (mA*min), i.e. the charge an
     ideal battery would lose. *)
-
-val truncate : t -> at:float -> t
-(** [truncate p ~at] keeps only load up to time [at], clipping a
-    straddling interval. *)
 
 val superpose : t list -> t
 (** [superpose ps] sums the profiles: concurrent currents add, as when

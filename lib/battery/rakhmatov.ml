@@ -9,6 +9,14 @@ let default_beta = 0.273
    sigma nan. *)
 let valid_beta beta = beta >= 1e-150 && beta <= 1e150
 
+(* dt r as the PDE's span prologue computes it for a span of one full
+   step, r = D / dx^2 with D = beta^2 / pi^2; a shorter step has a
+   smaller dt r.  The comparison is false for nan. *)
+let valid_pde_grid ~beta ~nodes ~dt =
+  let dx = 1.0 /. float_of_int (nodes - 1) in
+  let dee = beta *. beta /. (Float.pi *. Float.pi) in
+  dt *. (dee /. (dx *. dx)) < 0x1p53
+
 (* The kernel comes from the memoized [Series.exp_sum_cached] tails,
    and whole per-interval contributions are memoized in {e suffix-time
    coordinates}: the RV contribution of an interval depends only on its

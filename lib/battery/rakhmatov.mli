@@ -26,6 +26,16 @@ val valid_beta : float -> bool
     outside that range sigma comes out [nan], or [Series] raises
     ([beta <= 0]); the entry points reject the whole outside. *)
 
+val valid_pde_grid : beta:float -> nodes:int -> dt:float -> bool
+(** Whether the diffusion PDE ({!Diffusion}) on [nodes] grid points
+    with time step [dt] can take [beta]: [dt * beta^2 / (pi^2 dx^2)]
+    below [2^53], with [dx = 1 / (nodes - 1)].  From [2^53] on,
+    [1 + dt * beta^2 / (pi^2 dx^2)], the Crank–Nicolson diagonal, is no
+    longer exact, and the last Thomas pivot rounds to zero or below;
+    under it that pivot is at least about 1.  {!Diffusion.make_params} and
+    the entry points that build a PDE from user input reject the
+    outside. *)
+
 val model : ?terms:int -> ?beta:float -> unit -> Model.t
 (** Eq. 1 with [terms] series terms (default the paper's 10) and
     diffusion parameter [beta], packaged as a {!Model.t} named

@@ -112,11 +112,16 @@ let model_of_json j =
             reference_current =
               sub ~default:(constant 100.0) "reference_current" j }
     | "rakhmatov" ->
+        let beta =
+          positive_range ~scope:"rakhmatov"
+            ~default:(constant Batsched_battery.Rakhmatov.default_beta)
+            "beta" j
+        in
+        let valid = Batsched_battery.Rakhmatov.valid_beta in
+        if not (valid beta.lo && valid beta.hi) then
+          fail "rakhmatov.beta: must be from 1e-150 to 1e150";
         Rakhmatov
-          { beta =
-              positive_range ~scope:"rakhmatov"
-                ~default:(constant Batsched_battery.Rakhmatov.default_beta)
-                "beta" j;
+          { beta;
             terms =
               (match num_field ~name:"rakhmatov.terms" "terms" j with
               | Some t when t >= 1.0 -> int_of_float t
@@ -128,23 +133,35 @@ let model_of_json j =
         if c.hi >= 1.0 then fail "kibam.c: must stay below 1";
         Kibam { c; k_prime = sub ~default:(constant 0.05) "k_prime" j }
     | "pde" ->
-        Pde
-          { beta =
-              positive_range ~scope:"pde"
-                ~default:(constant Batsched_battery.Rakhmatov.default_beta)
-                "beta" j;
-            nodes =
-              (match num_field ~name:"pde.nodes" "nodes" j with
-              | Some n when n > float_of_int max_pde_nodes ->
-                  fail "pde.nodes: must be <= %d" max_pde_nodes
-              | Some n when n >= 8.0 -> int_of_float n
-              | Some _ -> fail "pde.nodes: must be >= 8"
-              | None -> 16);
-            dt =
-              (match num_field ~name:"pde.dt" "dt" j with
-              | Some d when d > 0.0 -> d
-              | Some _ -> fail "pde.dt: must be positive"
-              | None -> 0.25) }
+        let beta =
+          positive_range ~scope:"pde"
+            ~default:(constant Batsched_battery.Rakhmatov.default_beta)
+            "beta" j
+        in
+        let nodes =
+          match num_field ~name:"pde.nodes" "nodes" j with
+          | Some n when n > float_of_int max_pde_nodes ->
+              fail "pde.nodes: must be <= %d" max_pde_nodes
+          | Some n when n >= 8.0 -> int_of_float n
+          | Some _ -> fail "pde.nodes: must be >= 8"
+          | None -> 16
+        in
+        let dt =
+          match num_field ~name:"pde.dt" "dt" j with
+          | Some d when d > 0.0 -> d
+          | Some _ -> fail "pde.dt: must be positive"
+          | None -> 0.25
+        in
+        (* dt beta^2 / (pi^2 dx^2) grows with beta: the top decides *)
+        if
+          not
+            (Batsched_battery.Rakhmatov.valid_pde_grid ~beta:beta.hi ~nodes
+               ~dt)
+        then
+          fail "pde.beta: %g is too large for %d nodes at dt %g \
+                (dt beta^2 / (pi^2 dx^2) >= 2^53)"
+            beta.hi nodes dt;
+        Pde { beta; nodes; dt }
     | other -> fail "unknown model %S" other
   in
   { label; weight; model }

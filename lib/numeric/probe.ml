@@ -17,8 +17,6 @@ type t = {
   mutable delta_discards : int;
   mutable delta_terms : int;
   mutable delta_full_evals : int;
-  mutable delta_ck_advances : int;
-  mutable delta_ck_restores : int;
   mutable fcache_evictions : int;
   mutable pool_regions : int;
   mutable pool_tasks : int;
@@ -45,8 +43,6 @@ let zero () =
     delta_discards = 0;
     delta_terms = 0;
     delta_full_evals = 0;
-    delta_ck_advances = 0;
-    delta_ck_restores = 0;
     fcache_evictions = 0;
     pool_regions = 0;
     pool_tasks = 0;
@@ -92,8 +88,6 @@ let add ~into c =
   into.delta_discards <- into.delta_discards + c.delta_discards;
   into.delta_terms <- into.delta_terms + c.delta_terms;
   into.delta_full_evals <- into.delta_full_evals + c.delta_full_evals;
-  into.delta_ck_advances <- into.delta_ck_advances + c.delta_ck_advances;
-  into.delta_ck_restores <- into.delta_ck_restores + c.delta_ck_restores;
   into.fcache_evictions <- into.fcache_evictions + c.fcache_evictions;
   into.pool_regions <- into.pool_regions + c.pool_regions;
   into.pool_tasks <- into.pool_tasks + c.pool_tasks;
@@ -119,8 +113,6 @@ let clear c =
   c.delta_discards <- 0;
   c.delta_terms <- 0;
   c.delta_full_evals <- 0;
-  c.delta_ck_advances <- 0;
-  c.delta_ck_restores <- 0;
   c.fcache_evictions <- 0;
   c.pool_regions <- 0;
   c.pool_tasks <- 0;
@@ -146,8 +138,6 @@ let fields =
     ("delta_discards", fun c -> c.delta_discards);
     ("delta_terms", fun c -> c.delta_terms);
     ("delta_full_evals", fun c -> c.delta_full_evals);
-    ("delta_ck_advances", fun c -> c.delta_ck_advances);
-    ("delta_ck_restores", fun c -> c.delta_ck_restores);
     ("fcache_evictions", fun c -> c.fcache_evictions);
     ("pool_regions", fun c -> c.pool_regions);
     ("pool_tasks", fun c -> c.pool_tasks);

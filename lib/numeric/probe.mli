@@ -50,8 +50,6 @@ type t = {
   (** Always 0: the delta evaluator costs every model through its
       kernel, so nothing bumps it.  Kept so the [--stats] table and the
       bench and perfbench readers of this field keep their layout. *)
-  mutable delta_ck_advances : int;(** checkpointed-stepper intervals integrated *)
-  mutable delta_ck_restores : int;(** checkpoint restores in the delta evaluator *)
   mutable fcache_evictions : int; (** Fcache generation flips (half-table expiries) *)
   mutable pool_regions : int;     (** parallel regions actually fanned out *)
   mutable pool_tasks : int;       (** items mapped through [Pool.map_array] *)

@@ -1,4 +1,3 @@
-module Profile = Batsched_battery.Profile
 module Kahan = Batsched_numeric.Kahan
 
 let sigma_reference p ~at =

@@ -1,4 +1,3 @@
-module Profile = Batsched_battery.Profile
 module Kibam = Batsched_battery.Kibam
 
 type state = { available : float; bound : float }

@@ -1,5 +1,3 @@
-module Profile = Batsched_battery.Profile
-
 let sigma_reference ?(exponent = 1.2) ?(reference_current = 100.0) p ~at =
   if exponent < 1.0 then invalid_arg "Peukert.sigma: exponent must be >= 1";
   if reference_current <= 0.0 then

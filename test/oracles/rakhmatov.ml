@@ -1,5 +1,3 @@
-module Profile = Batsched_battery.Profile
-
 let sigma_reference ?(terms = Batsched_numeric.Series.default_terms)
     ?(beta = Batsched_battery.Rakhmatov.default_beta) p ~at =
   if at < 0.0 then invalid_arg "Rakhmatov.sigma: negative time";

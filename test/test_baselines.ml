@@ -235,40 +235,26 @@ let test_annealing_noop_skip () =
   Alcotest.(check bool) "noop repoints skipped and counted" true
     ((Probe.totals ()).Probe.anneal_noops - c0 > 0)
 
-let test_annealing_delta_matches_reference_other_models () =
-  (* the same exact-replay contract under the other delta strategies:
-     kibam walks on its closed-form incremental decomposition,
-     diffusion on the checkpointed PDE stepper — both must retrace the
+let test_annealing_delta_matches_reference_kibam () =
+  (* the same exact-replay contract under KiBaM's closed-form
+     incremental decomposition: the walk must retrace the
      full-evaluation walk move for move *)
-  let models =
-    [ ("kibam", Batsched_battery.Kibam.model ());
-      ( "diffusion",
-        Batsched_battery.Diffusion.model
-          ~params:
-            (Batsched_battery.Diffusion.make_params ~nodes:8 ~dt:1.0
-               ~alpha:40375.0 ~beta:0.273 ())
-          () ) ]
-  in
+  let model = Batsched_battery.Kibam.model () in
   let rng = Batsched_numeric.Rng.create 31 in
   let fj =
     Generators.fork_join ~rng ~spec:Generators.default_spec ~widths:[ 4; 3 ]
   in
   let fj_deadline = Generators.feasible_deadline fj ~slack:0.5 in
-  List.iter
-    (fun (mname, model) ->
-      let check name g ~deadline seed =
-        let rng () = Batsched_numeric.Rng.create seed in
-        solutions_agree
-          (Printf.sprintf "%s %s seed %d" mname name seed)
-          (Annealing.run ~rng:(rng ()) ~model g ~deadline)
-          (Oracles.Annealing.run ~rng:(rng ()) ~model g ~deadline)
-      in
-      let g = diamond () in
-      List.iter
-        (fun seed -> check "diamond" g ~deadline:20.0 seed)
-        [ 7; 99; 2024 ];
-      check "fork-join" fj ~deadline:fj_deadline 13)
-    models
+  let check name g ~deadline seed =
+    let rng () = Batsched_numeric.Rng.create seed in
+    solutions_agree
+      (Printf.sprintf "kibam %s seed %d" name seed)
+      (Annealing.run ~rng:(rng ()) ~model g ~deadline)
+      (Oracles.Annealing.run ~rng:(rng ()) ~model g ~deadline)
+  in
+  let g = diamond () in
+  List.iter (fun seed -> check "diamond" g ~deadline:20.0 seed) [ 7; 99; 2024 ];
+  check "fork-join" fj ~deadline:fj_deadline 13
 
 let test_random_search_delta_matches_reference () =
   let check name ~samples ~seed g ~deadline =
@@ -469,7 +455,7 @@ let () =
           Alcotest.test_case "param validation" `Quick test_annealing_param_validation;
           Alcotest.test_case "infeasible raises" `Quick test_annealing_infeasible_raises;
           Alcotest.test_case "delta matches reference" `Quick test_annealing_delta_matches_reference;
-          Alcotest.test_case "delta matches reference (kibam, diffusion)" `Quick test_annealing_delta_matches_reference_other_models;
+          Alcotest.test_case "delta matches reference (kibam)" `Quick test_annealing_delta_matches_reference_kibam;
           Alcotest.test_case "noop repoints skipped" `Quick test_annealing_noop_skip ] );
       ( "exhaustive",
         [ Alcotest.test_case "lower bound" `Quick test_exhaustive_beats_or_ties_everything;

@@ -46,14 +46,15 @@ let test_profile_touching_ok () =
   let p = Profile.of_intervals [ (0.0, 2.0, 10.0); (2.0, 2.0, 20.0) ] in
   Alcotest.(check int) "two intervals" 2 (List.length (Profile.intervals p))
 
+(* [truncate] and [fold_until] are the oracles' clipped walks. *)
 let test_profile_truncate_clips () =
   let p = Profile.sequential [ (100.0, 4.0) ] in
-  let t = Profile.truncate p ~at:2.5 in
+  let t = Oracles.Profile.truncate p ~at:2.5 in
   check_float "clipped charge" 250.0 (Profile.total_charge t)
 
 let test_profile_truncate_drops_later () =
   let p = Profile.sequential [ (100.0, 2.0); (200.0, 2.0) ] in
-  let t = Profile.truncate p ~at:2.0 in
+  let t = Oracles.Profile.truncate p ~at:2.0 in
   Alcotest.(check int) "only first" 1 (List.length (Profile.intervals t))
 
 let test_profile_with_idle () =
@@ -400,7 +401,13 @@ let test_diffusion_surface_depletes () =
 
 let test_diffusion_param_validation () =
   Alcotest.check_raises "nodes" (Invalid_argument "Diffusion.make_params: nodes < 8")
-    (fun () -> ignore (Diffusion.make_params ~nodes:2 ~alpha:1.0 ~beta:1.0 ()))
+    (fun () -> ignore (Diffusion.make_params ~nodes:2 ~alpha:1.0 ~beta:1.0 ()));
+  Alcotest.check_raises "grid"
+    (Invalid_argument
+       "Diffusion.make_params: dt * beta^2 / (pi^2 dx^2) >= 2^53")
+    (fun () ->
+      ignore
+        (Diffusion.make_params ~nodes:8 ~dt:1.0 ~alpha:1.0 ~beta:1.5e8 ()))
 
 (* A span of 2^53 steps or more has no exact step count, and past 2^63
    the cast gives min_int, which the clamp to one step would turn into
@@ -420,25 +427,23 @@ let test_diffusion_dt_too_small () =
            (Profile.constant ~current:200.0 ~duration:5.0)
            ~at:5.0));
   let st = Diffusion.stepper params in
-  let ops = st.Model.fresh () in
-  let u = Array.make st.Model.state_dim 0.0 in
-  ops.Model.start u;
-  Alcotest.check_raises "stepper" want (fun () ->
-      ops.Model.advance u ~current:200.0 ~duration:5.0);
-  let lv = st.Model.lanes in
-  let g = lv.Model.group () in
-  g.Model.load 2 lv.Model.params;
-  g.Model.current.(2) <- 200.0;
-  g.Model.duration.(2) <- 5.0;
-  Alcotest.check_raises "lane" want (fun () -> ignore (g.Model.span 2))
+  List.iter
+    (fun (name, w, l) ->
+      let g = st.Model.group w in
+      g.Model.load l st.Model.params;
+      g.Model.current.(l) <- 200.0;
+      g.Model.duration.(l) <- 5.0;
+      Alcotest.check_raises name want (fun () -> ignore (g.Model.span l)))
+    [ ("one lane", 1, 0); ("four lanes", 4, 2) ]
 
 (* Past dt * D / dx^2 ~ 1e16, 1 + dt r rounds to dt r and the last
-   Thomas pivot to zero (here every multiplier is -1): each path raises
-   rather than divide by it, the one-device advance with its state as
-   it was. *)
+   Thomas pivot to zero (here every multiplier is -1).  [make_params]
+   refuses such a grid, so the params are built as a record: each path
+   still raises rather than divide by the pivot, a group of one lane
+   with its state as it was. *)
 let test_diffusion_zero_pivot () =
   let params =
-    Diffusion.make_params ~nodes:8 ~dt:1.0 ~alpha:40000.0 ~beta:1.5e8 ()
+    { Diffusion.alpha = 40000.0; beta = 1.5e8; nodes = 8; dt = 1.0 }
   in
   let want = Invalid_argument "Diffusion: zero pivot" in
   Alcotest.check_raises "sigma" want (fun () ->
@@ -447,19 +452,18 @@ let test_diffusion_zero_pivot () =
            (Profile.constant ~current:200.0 ~duration:5.0)
            ~at:5.0));
   let st = Diffusion.stepper params in
-  let ops = st.Model.fresh () in
-  let u = Array.make st.Model.state_dim 0.0 in
-  ops.Model.start u;
-  Alcotest.check_raises "stepper" want (fun () ->
-      ops.Model.advance u ~current:200.0 ~duration:5.0);
+  let run w l =
+    let g = st.Model.group w in
+    g.Model.load l st.Model.params;
+    g.Model.current.(l) <- 200.0;
+    g.Model.duration.(l) <- 5.0;
+    (g, fun () -> g.Model.run (g.Model.span l))
+  in
+  let g, go = run 1 0 in
+  Alcotest.check_raises "one lane" want go;
   Alcotest.(check bool) "state as it was" true
-    (Array.for_all (fun x -> x = 40000.0) u);
-  let lv = st.Model.lanes in
-  let g = lv.Model.group () in
-  g.Model.load 2 lv.Model.params;
-  g.Model.current.(2) <- 200.0;
-  g.Model.duration.(2) <- 5.0;
-  Alcotest.check_raises "lane" want (fun () -> g.Model.run (g.Model.span 2))
+    (Array.for_all (fun x -> x = 40000.0) g.Model.state);
+  Alcotest.check_raises "four lanes" want (snd (run 4 2))
 
 (* --- Periodic --- *)
 
@@ -583,10 +587,9 @@ let test_periodic_batch_matches_scalar () =
     results
 
 (* The per-cycle sweep must not allocate: over a censored mission the
-   extra 1000 cycles of a 1010-cycle horizon cost nothing for the
-   closed-form models, and only the boxed floats crossing the
-   [Model.stepper_ops] closures for the PDE — a bound independent of
-   the 40 Crank–Nicolson steps each cycle takes. *)
+   extra 1000 cycles of a 1010-cycle horizon cost nothing, for the
+   closed-form models and for the PDE device alone in its group of one
+   lane (floats reach the group through its arrays). *)
 let test_periodic_sweep_allocation () =
   let cycle = Profile.constant ~current:800.0 ~duration:20.0 in
   let words_per_cycle model =
@@ -611,17 +614,13 @@ let test_periodic_sweep_allocation () =
       check_float (name ^ " words per cycle") 0.0 (words_per_cycle model))
     [ ("ideal", Ideal.model);
       ("rakhmatov", Rakhmatov.model ());
-      ("kibam", Kibam.model ()) ];
-  let pde =
-    Diffusion.model
-      ~params:
-        (Diffusion.make_params ~nodes:8 ~dt:1.0 ~alpha:1e12 ~beta:0.273 ())
-      ()
-  in
-  let w = words_per_cycle pde in
-  Alcotest.(check bool)
-    (Printf.sprintf "pde words per cycle (%.1f) <= 32" w)
-    true (w <= 32.0)
+      ("kibam", Kibam.model ());
+      ( "pde",
+        Diffusion.model
+          ~params:
+            (Diffusion.make_params ~nodes:8 ~dt:1.0 ~alpha:1e12 ~beta:0.273
+               ())
+          () ) ]
 
 (* [Batch.run] bumps each kind's named counter once per call, so a
    device's set-up words do not depend on how many named counters the
@@ -968,9 +967,10 @@ let prop_sigma_linear_diffusion =
 (* --- Diffusion stepper vs the textbook Crank–Nicolson step --- *)
 
 (* Random grids (8-64 nodes, dt 0.01-2, random beta and alpha) driven
-   through 1-8 spans each: currents include 0, and spans are 0, shorter
-   than dt, exact multiples of dt, or arbitrary.  Every node must match
-   bit for bit after every span. *)
+   through 1-8 spans each on a group of one lane: currents include 0,
+   and spans are 0 (which starts nothing), shorter than dt, exact
+   multiples of dt, or arbitrary.  Every node must match bit for bit
+   after every span. *)
 let prop_diffusion_stepper_matches_textbook =
   QCheck.Test.make ~count:300
     ~name:"diffusion stepper is bit-identical to the textbook CN step"
@@ -989,10 +989,11 @@ let prop_diffusion_stepper_matches_textbook =
         params.Diffusion.beta *. params.Diffusion.beta
         /. (Float.pi *. Float.pi)
       in
-      let ops = (Diffusion.stepper params).Model.fresh () in
-      let u = Array.make nodes 0.0 in
+      let st = Diffusion.stepper params in
+      let g = st.Model.group 1 in
+      g.Model.load 0 st.Model.params;
+      let u = g.Model.state in
       let want = Array.make nodes params.Diffusion.alpha in
-      ops.Model.start u;
       let same () =
         Array.for_all2
           (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
@@ -1011,22 +1012,28 @@ let prop_diffusion_stepper_matches_textbook =
           | 2 -> float_of_int (1 + Batsched_numeric.Rng.int rng 5) *. dt
           | _ -> uniform 0.0 (10.0 *. dt)
         in
-        ops.Model.advance u ~current ~duration:span;
+        if span > 0.0 then begin
+          g.Model.current.(0) <- current;
+          g.Model.duration.(0) <- span;
+          g.Model.run (g.Model.span 0)
+        end;
         Oracles.Diffusion.advance_reference ~dt_max:dt ~dee ~dx ~current want
           span;
         ok := !ok && same ()
       done;
       !ok)
 
-(* The lane group against the one-device [advance]: four devices on one
+(* A group of four lanes against groups of one: four devices on one
    random grid (8-64 nodes), each with its own beta, alpha and dt, play
    their own 1-8 spans (currents including 0; spans of 0, below one dt,
    exact multiples of dt, or up to 40 dt), each lane starting its next
    span when its previous one's steps are done, as Periodic's lane
-   scheduler does, so the lanes' step counts differ.  After every span,
-   its lane must hold the one-device state and observe its sigma, bit
-   for bit, and every lane must play all of its spans.  A zero span
-   starts nothing on a lane and leaves the one-device state alone. *)
+   scheduler does, so the lanes' step counts differ and a span's steps
+   are split over several runs.  Each device also plays its spans
+   alone, each span in one run of its own group of one lane.  After
+   every span, its lane must hold that group's state and observe its
+   sigma, bit for bit, and every lane must play all of its spans.  A
+   zero span starts nothing. *)
 let prop_diffusion_lanes_match_advance =
   QCheck.Test.make ~count:200
     ~name:"diffusion lanes are bit-identical to the one-device advance"
@@ -1037,7 +1044,7 @@ let prop_diffusion_lanes_match_advance =
       let int k = Batsched_numeric.Rng.int rng k in
       let bits = Int64.bits_of_float in
       let nodes = 8 + int 57 in
-      let w = Model.lane_count in
+      let w = 4 in
       let devices =
         Array.init w (fun _ ->
             let dt = uniform 0.01 2.0 in
@@ -1046,9 +1053,8 @@ let prop_diffusion_lanes_match_advance =
                 (Diffusion.make_params ~nodes ~dt
                    ~alpha:(uniform 100.0 50_000.0) ~beta:(uniform 0.05 1.5) ())
             in
-            let ops = st.Model.fresh () in
-            let u = Array.make nodes 0.0 in
-            ops.Model.start u;
+            let one = st.Model.group 1 in
+            one.Model.load 0 st.Model.params;
             let spans =
               List.init (1 + int 8) (fun _ ->
                   let current = if int 3 = 0 then 0.0 else uniform 0.0 900.0 in
@@ -1061,32 +1067,33 @@ let prop_diffusion_lanes_match_advance =
                   in
                   (current, span))
             in
-            (st, ops, u, ref spans))
+            (st, one, ref spans))
       in
-      let st0, _, _, _ = devices.(0) in
-      let g = st0.Model.lanes.Model.group () in
-      Array.iteri
-        (fun l (st, _, _, _) -> g.Model.load l st.Model.lanes.Model.params)
-        devices;
+      let st0, _, _ = devices.(0) in
+      let g = st0.Model.group w in
+      Array.iteri (fun l (st, _, _) -> g.Model.load l st.Model.params) devices;
       let ok = ref true in
       let check l =
-        let _, ops, u, _ = devices.(l) in
+        let _, one, _ = devices.(l) in
+        one.Model.observe 0;
         g.Model.observe l;
-        let same = ref (bits (ops.Model.observe u) = bits g.Model.sigma.(l)) in
+        let same = ref (bits one.Model.sigma.(0) = bits g.Model.sigma.(l)) in
         Array.iteri
           (fun x v -> same := !same && bits v = bits g.Model.state.((x * w) + l))
-          u;
+          one.Model.state;
         ok := !ok && !same
       in
       let left = Array.make w 0 in
       let rec start l =
-        let _, ops, u, spans = devices.(l) in
+        let _, one, spans = devices.(l) in
         match !spans with
         | [] -> ()
         | (current, span) :: rest ->
             spans := rest;
-            ops.Model.advance u ~current ~duration:span;
             if span > 0.0 then begin
+              one.Model.current.(0) <- current;
+              one.Model.duration.(0) <- span;
+              one.Model.run (one.Model.span 0);
               g.Model.current.(l) <- current;
               g.Model.duration.(l) <- span;
               left.(l) <- g.Model.span l
@@ -1116,7 +1123,7 @@ let prop_diffusion_lanes_match_advance =
         done
       done;
       (* every span of every lane was played *)
-      !ok && Array.for_all (fun (_, _, _, spans) -> !spans = []) devices)
+      !ok && Array.for_all (fun (_, _, spans) -> !spans = []) devices)
 
 (* The lane path of [Batch.run] against the one-device path and the
    quadratic oracle, on populations of 0, 1, 3, 4, 5, 23 and 257
@@ -1127,8 +1134,8 @@ let prop_diffusion_lanes_match_advance =
    0.4-8 cycles' charge against a 5-cycle horizon give deaths in cycle
    0, later deaths and censored devices.
    Every device's outcome and fatal-sigma bits must equal those of
-   [Batch.run] on that device alone (which takes the one-device path),
-   and for a PDE device those of the oracle too. *)
+   [Batch.run] on that device alone (which runs it in a group of one
+   lane), and for a PDE device those of the oracle too. *)
 let prop_periodic_lanes_match =
   QCheck.Test.make ~count:6
     ~name:"periodic lane path matches one-device path and oracle"
@@ -1323,14 +1330,14 @@ let test_profile_fold_until_matches_truncate () =
     (fun at ->
       let folded =
         List.rev
-          (Profile.fold_until p ~at ~init:[]
+          (Oracles.Profile.fold_until p ~at ~init:[]
              ~f:(fun acc ~start ~duration ~current ->
                (start, duration, current) :: acc))
       in
       let copied =
         List.map
           (fun iv -> (iv.Profile.start, iv.Profile.duration, iv.Profile.current))
-          (Profile.intervals (Profile.truncate p ~at))
+          (Profile.intervals (Oracles.Profile.truncate p ~at))
       in
       Alcotest.(check (list (triple (float 1e-12) (float 1e-12) (float 1e-12))))
         (Printf.sprintf "at %.1f" at) copied folded)
@@ -1509,33 +1516,6 @@ let test_delta_kibam_incremental_no_fallback () =
   Alcotest.(check int) "no full evals" c0
     (Probe.totals ()).Probe.delta_full_evals
 
-(* 8 nodes, 1-minute steps: the checkpointing logic under test is
-   grid-independent, and the default grid would dominate test time *)
-let coarse_params =
-  Diffusion.make_params ~nodes:8 ~dt:1.0 ~alpha:40375.0 ~beta:0.273 ()
-
-let coarse_diffusion = Diffusion.model ~params:coarse_params ()
-
-let test_delta_checkpoint_counters () =
-  (* a stepper-only model goes through the checkpoint path: candidates
-     restore a snapshot and re-advance the suffix, and commits
-     invalidate downstream snapshots — all visible in the probe *)
-  let c0 = Probe.totals () in
-  let points = List.init 16 (fun i -> (100.0 +. (10.0 *. float_of_int i), 1.5)) in
-  let d = delta_of coarse_diffusion points in
-  ignore (Delta.try_swap d 9);
-  Delta.discard d;
-  ignore (Delta.try_swap d 9);
-  Delta.commit d;
-  check_against_full coarse_diffusion d (swap_list points 9);
-  let c1 = Probe.totals () in
-  Alcotest.(check bool) "restores counted" true
-    (c1.Probe.delta_ck_restores > c0.Probe.delta_ck_restores);
-  Alcotest.(check bool) "advances counted" true
-    (c1.Probe.delta_ck_advances > c0.Probe.delta_ck_advances);
-  Alcotest.(check int) "no uncounted fallback" c0.Probe.delta_full_evals
-    c1.Probe.delta_full_evals
-
 let test_delta_swap_term_evals_constant () =
   (* the headline O(1) claim: a swap costs at most 2 term evaluations
      under the RV model, independent of n — and none at all for a
@@ -1630,7 +1610,6 @@ let delta_tests =
     Alcotest.test_case "pending protocol" `Quick test_delta_pending_protocol;
     Alcotest.test_case "of_profile rejects gaps" `Quick test_delta_of_profile_rejects_gaps;
     Alcotest.test_case "kibam incremental, no fallback" `Quick test_delta_kibam_incremental_no_fallback;
-    Alcotest.test_case "checkpoint counters" `Quick test_delta_checkpoint_counters;
     Alcotest.test_case "O(1) swap term evals" `Quick test_delta_swap_term_evals_constant;
     Alcotest.test_case "suffix cache across makespans" `Quick test_delta_suffix_cache_across_makespans;
     Alcotest.test_case "refresh after many commits" `Quick test_delta_refresh_noop;
@@ -1638,6 +1617,13 @@ let delta_tests =
 
 (* --- Model views: the kernel each shipped model carries, checked
    against the model's reference implementation in the oracles --- *)
+
+(* 8 nodes, 1-minute steps: the default grid would dominate test
+   time *)
+let coarse_params =
+  Diffusion.make_params ~nodes:8 ~dt:1.0 ~alpha:40375.0 ~beta:0.273 ()
+
+let coarse_diffusion = Diffusion.model ~params:coarse_params ()
 
 (* Each shipped model with the reference its kernel must reproduce. *)
 let shipped_models =
@@ -1725,34 +1711,31 @@ let test_model_views_decay_reassembles () =
     shipped_models
 
 let test_model_views_stepper_observes () =
-  (* integrating the profile through the stepper observes the reference
-     sigma at the makespan, bit for bit (the base points' clock
-     arithmetic is exact); a zero-duration advance leaves the state
-     bit-identical *)
+  (* integrating the profile through a group of one lane observes the
+     reference sigma at the makespan, bit for bit (the base points'
+     clock arithmetic is exact); a group is one or four lanes wide *)
   List.iter
     (fun (m, reference) ->
       match m.Model.kernel with
       | Model.Channels _ -> ()
       | Model.Stepper st ->
-          let ops = st.Model.fresh () in
-          let u = Array.make st.Model.state_dim 0.0 in
-          ops.Model.start u;
+          let g = st.Model.group 1 in
+          g.Model.load 0 st.Model.params;
           List.iter
             (fun (current, duration) ->
-              ops.Model.advance u ~current ~duration;
-              let before = Array.copy u in
-              ops.Model.advance u ~current ~duration:0.0;
-              Alcotest.(check bool) (m.Model.name ^ " zero-duration identity")
-                true
-                (Array.for_all2
-                   (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
-                   before u))
+              g.Model.current.(0) <- current;
+              g.Model.duration.(0) <- duration;
+              g.Model.run (g.Model.span 0))
             base_points;
+          g.Model.observe 0;
           let p = Profile.sequential base_points in
           Alcotest.(check bool) (m.Model.name ^ " observes the reference") true
             (Int64.equal
                (Int64.bits_of_float (reference p ~at:(Profile.length p)))
-               (Int64.bits_of_float (ops.Model.observe u))))
+               (Int64.bits_of_float g.Model.sigma.(0)));
+          Alcotest.check_raises (m.Model.name ^ " width 2")
+            (Invalid_argument "Diffusion: a lane group is 1 or 4 lanes wide")
+            (fun () -> ignore (st.Model.group 2)))
     shipped_models
 
 (* [Model.sigma] allocates nothing per interval for a channel model:
@@ -1793,9 +1776,8 @@ let model_views_tests =
     Alcotest.test_case "sigma words per interval" `Quick test_model_views_sigma_words ]
 
 (* Random interval lists driven through random move traces: committed
-   sigma/finish track the full evaluation of the mirrored list.  One
-   instance per delta strategy — incremental terms (Rakhmatov, KiBaM)
-   and the checkpointed stepper (diffusion). *)
+   sigma/finish track the full evaluation of the mirrored list, under
+   Rakhmatov's and KiBaM's incremental terms. *)
 let prop_delta_traces ~count ~name model =
   QCheck.Test.make ~count ~name
     QCheck.(pair (int_bound 100_000) (int_range 1 12))
@@ -1847,16 +1829,10 @@ let prop_delta_traces_kibam =
   prop_delta_traces ~count:500
     ~name:"kibam delta traces match full eval (incremental)" (Kibam.model ())
 
-let prop_delta_traces_diffusion =
-  prop_delta_traces ~count:500
-    ~name:"diffusion delta traces match full eval (checkpointed)"
-    coarse_diffusion
-
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_delta_traces_match_full;
       prop_delta_traces_kibam;
-      prop_delta_traces_diffusion;
       prop_sigma_monotone_in_time;
       prop_sigma_at_least_ideal_at_end;
       prop_decreasing_order_never_worse;

@@ -121,6 +121,22 @@ let hostile_specs =
     ( "infinite pde dt",
       spec ~models:{|{"model": "pde", "dt": 1e999}|} (),
       "pde.dt: must be finite" );
+    (* sigma nan at every probe: every device would be censored *)
+    ( "huge rakhmatov beta",
+      spec ~models:{|{"model": "rakhmatov", "beta": 1e200}|} (),
+      "rakhmatov.beta: must be from 1e-150 to 1e150" );
+    ( "tiny rakhmatov beta",
+      spec ~models:{|{"model": "rakhmatov", "beta": {"min": 1e-200, "max": 0.3}}|} (),
+      "rakhmatov.beta: must be from 1e-150 to 1e150" );
+    (* past 2^53 the last Thomas pivot rounds to zero *)
+    ( "huge pde beta",
+      spec
+        ~models:
+          {|{"model": "pde", "beta": {"min": 1.5e8, "max": 1.5e8},
+             "nodes": 8, "dt": 1.0}|}
+        (),
+      "pde.beta: 1.5e+08 is too large for 8 nodes at dt 1 \
+       (dt beta^2 / (pi^2 dx^2) >= 2^53)" );
     (* default bursts (at most 3 of 20 min) and period factor (2) *)
     ( "tiny pde dt",
       spec ~models:{|{"model": "pde", "dt": 1e-300}|} (),

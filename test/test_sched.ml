@@ -510,6 +510,28 @@ let test_eval_load_reuses_evaluator () =
     (Eval.sigma ev);
   check_eval_against_oracle g ev
 
+(* The diffusion PDE has no per-interval terms to re-cost: the
+   evaluator every local search builds (annealing, random search,
+   polish) refuses it by name. *)
+let test_eval_rejects_stepper () =
+  let g = diamond () in
+  let sched =
+    Schedule.make g ~sequence:[ 0; 1; 2; 3 ]
+      ~assignment:(Assignment.all_fastest g)
+  in
+  let pde =
+    Batsched_battery.Diffusion.model
+      ~params:
+        (Batsched_battery.Diffusion.make_params ~nodes:8 ~dt:1.0
+           ~alpha:40375.0 ~beta:0.273 ())
+      ()
+  in
+  Alcotest.check_raises "pde"
+    (Invalid_argument
+       "Delta.create: diffusion-pde is a stepper model, with no \
+        per-interval terms")
+    (fun () -> ignore (Eval.make ~model:pde g sched))
+
 (* --- qcheck properties --- *)
 
 let gen_graph =
@@ -746,7 +768,8 @@ let () =
           Alcotest.test_case "swap_allowed" `Quick test_eval_swap_allowed;
           Alcotest.test_case "moves match oracle" `Quick test_eval_moves_match_oracle;
           Alcotest.test_case "pending protocol" `Quick test_eval_pending_protocol;
-          Alcotest.test_case "load reuses evaluator" `Quick test_eval_load_reuses_evaluator ] );
+          Alcotest.test_case "load reuses evaluator" `Quick test_eval_load_reuses_evaluator;
+          Alcotest.test_case "rejects a stepper model" `Quick test_eval_rejects_stepper ] );
       ( "priorities",
         [ Alcotest.test_case "dec energy" `Quick test_sequence_dec_energy_orders_by_avg_energy;
           Alcotest.test_case "weighted uses chosen currents" `Quick test_weighted_sequence_uses_chosen_currents;
