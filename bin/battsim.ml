@@ -34,47 +34,36 @@ let observed ?(seed = 0) ?(pool_size = 1) ~label ~knobs telemetry body =
           curve = [] });
   result
 
+(* basched's check on --beta, then the PDE grid's *)
 let model_of name beta =
-  match name with
-  | "rakhmatov" -> Ok (Rakhmatov.model ~beta ())
-  | "peukert" -> Ok (Peukert.model ())
-  | "kibam" -> Ok (Kibam.model ())
-  | "pde" ->
-      let { Diffusion.nodes; dt; _ } = Diffusion.default_params in
-      if Rakhmatov.valid_pde_grid ~beta ~nodes ~dt then
+  let { Diffusion.nodes; dt; _ } = Diffusion.default_params in
+  if not (Rakhmatov.valid_beta beta) then
+    Error
+      (Printf.sprintf
+         "option '--beta': %g is not a number from 1e-150 to 1e150" beta)
+  else
+    match name with
+    | "rakhmatov" -> Ok (Rakhmatov.model ~beta ())
+    | "peukert" -> Ok (Peukert.model ())
+    | "kibam" -> Ok (Kibam.model ())
+    | "pde" when not (Rakhmatov.valid_pde_grid ~beta ~nodes ~dt) ->
+        Error
+          (Printf.sprintf
+             "option '--beta': %g is too large for the PDE grid (%d nodes \
+              at dt %g: dt beta^2 / (pi^2 dx^2) >= 2^53)"
+             beta nodes dt)
+    | "pde" ->
         Ok
           (Diffusion.model
              ~params:
                (Diffusion.make_params ~nodes ~dt ~alpha:Cell.itsy.Cell.alpha
                   ~beta ())
              ())
-      else
-        Error
-          (Printf.sprintf
-             "option '--beta': %g is too large for the PDE grid (%d nodes \
-              at dt %g: dt beta^2 / (pi^2 dx^2) >= 2^53)"
-             beta nodes dt)
-  | "ideal" -> Ok Ideal.model
-  | m -> Error ("unknown model: " ^ m)
+    | "ideal" -> Ok Ideal.model
+    | m -> Error ("unknown model: " ^ m)
 
-(* The check [basched --beta] makes: every model's beta must be usable
-   by the RV series. *)
 let beta_arg =
-  let beta =
-    Arg.conv'
-      ( (fun s ->
-          match Arg.conv_parser Arg.float s with
-          | Ok b when Rakhmatov.valid_beta b -> Ok b
-          | Ok _ ->
-              Error
-                (Printf.sprintf
-                   "invalid value '%s', expected a number from 1e-150 to \
-                    1e150"
-                   s)
-          | Error (`Msg msg) -> Error msg),
-        Arg.conv_printer Arg.float )
-  in
-  Arg.(value & opt beta Rakhmatov.default_beta
+  Arg.(value & opt float Rakhmatov.default_beta
        & info [ "beta" ] ~docv:"B" ~doc:"RV diffusion parameter.")
 
 let alpha_arg =
