@@ -324,28 +324,53 @@ let scenario_serve =
      fun () -> ignore (Batsched_serve.Soak.run ~pool:pool4 ~n:200 ())) ]
 
 (* Periodic endurance, fast vs oracle: the same mission costed through
-   the O(cycles) closed-form kernel and the from-scratch quadratic
-   replay.  Both rows censor at the cycle cap (alpha far above reach),
-   so the cap IS the workload; the fast/reference ratio at 60 vs 240
-   cycles shows the superlinear win (the oracle's cost grows with the
-   square of the cycle count, the kernel's linearly).  The fleet row is
-   the whole Monte Carlo engine — sampler, batch kernel, survival
-   accumulators — over the built-in 100k-device population, the
-   devices/sec figure EXPERIMENTS.md quotes. *)
+   the closed-form kernel and the from-scratch quadratic replay.  Each
+   row's budget kills the mission in the last cycle of its horizon: the
+   kernel starts its probes at the first cycle that can kill a device,
+   so a censored mission would time its set-up alone, while the oracle
+   replays every cycle either way.  The fast/reference ratio at 60 vs
+   240 cycles shows the superlinear win (the oracle's cost grows with
+   the square of the cycle count; the kernel advances its accumulators
+   to the fatal cycle, and stops early at their float fixed point).
+   The fleet row is the whole Monte Carlo engine — sampler, batch
+   kernel, survival accumulators — over the built-in 100k-device
+   population, the devices/sec figure EXPERIMENTS.md quotes. *)
 let scenario_fleet =
   let mission =
     Batsched_battery.Profile.constant ~current:800.0 ~duration:20.0
   in
-  let fast cycles () =
-    ignore
-      (Batsched_battery.Periodic.cycles_to_death ~max_cycles:cycles ~model
-         ~alpha:1e9 ~period:40.0 mission)
+  let period = 40.0 in
+  (* sigma at the end of cycle [cycles - 1], less half a cycle's charge:
+     sigma grows by at least a cycle's charge from one cycle's end to
+     the next, so both paths die in the last cycle.  The oracle's sigma
+     leaves the memo tables and counters alone. *)
+  let alpha cycles =
+    let history =
+      Batsched_battery.Profile.of_intervals
+        (List.init cycles (fun k -> (float_of_int k *. period, 20.0, 800.0)))
+    in
+    Batsched_oracles.Rakhmatov.sigma_reference history
+      ~at:(Batsched_battery.Profile.length history)
+    -. (0.5 *. Batsched_battery.Profile.total_charge mission)
   in
-  let reference cycles () =
-    ignore
-      (Batsched_oracles.Periodic.cycles_to_death_reference ~max_cycles:cycles
-         ~sigma:(Batsched_battery.Model.sigma model) ~alpha:1e9 ~period:40.0
-         mission)
+  let last_cycle cycles = function
+    | Batsched_battery.Periodic.Dies n when n = cycles - 1 -> ()
+    | _ -> failwith "periodic rows: the mission must die in its last cycle"
+  in
+  let fast cycles =
+    let alpha = alpha cycles in
+    fun () ->
+      last_cycle cycles
+        (Batsched_battery.Periodic.cycles_to_death ~max_cycles:cycles ~model
+           ~alpha ~period mission)
+  in
+  let reference cycles =
+    let alpha = alpha cycles in
+    fun () ->
+      last_cycle cycles
+        (Batsched_oracles.Periodic.cycles_to_death_reference
+           ~max_cycles:cycles ~sigma:(Batsched_battery.Model.sigma model)
+           ~alpha ~period mission)
   in
   let pool4 = Batsched_numeric.Pool.create 4 in
   [ ("periodic-fast/rv-60", fast 60);

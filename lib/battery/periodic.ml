@@ -24,16 +24,15 @@ type device = {
 module Batch = struct
   type result = { outcome : outcome; fatal_sigma : float }
 
-  (* Each device runs from cycle 0 until it dies or reaches the
-     horizon, through its model's kernel.  The peak of sigma inside a
-     cycle occurs at one of its active-interval end points (sigma
-     relaxes during idle), so death within cycle k is detected by
-     probing those ends.
+  (* Each device runs until it dies or reaches the horizon, through its
+     model's kernel.  The peak of sigma inside a cycle occurs at one of
+     its active-interval end points (sigma relaxes during idle), so
+     death within cycle k is detected by probing those ends.
 
-     A [Model.Channels] device is compiled into local tables and swept
-     at once ([run_channels]).  Write e_j for the end time of the
-     cycle's j-th interval and lambda_t for the channel rates.  Sigma
-     probed at the end of interval j of cycle k is
+     A [Model.Channels] device is compiled into tables and swept at
+     once ([run_channels]).  Write e_j for the end time of the cycle's
+     j-th interval and lambda_t for the channel rates.  Sigma probed at
+     the end of interval j of cycle k is
 
        sigma(k, j) = k*Q + base_j + sum_t b_{j,t} * g_t(k)
 
@@ -44,9 +43,20 @@ module Batch = struct
      and g_t(k) = sum_{d=0}^{k-1} rho_t^d with rho_t = e^{-lambda_t *
      period} telescopes the geometric decay of all k prior cycles.  The
      accumulator update g_t <- 1 + rho_t * g_t after each survived
-     cycle is the whole per-cycle cost: O(probes * channels) flops and
-     zero [exp]s.  Every exponent evaluated at setup is <= ~0 (the
+     cycle costs O(channels) flops and no [exp], and a probe
+     O(channels) more.  Every exponent evaluated at setup is <= ~0 (the
      cycle fits in the period), so nothing can overflow.
+
+     Only the cycle a device dies in can reach alpha, so the probes
+     start at the first cycle k0 whose bound (k*Q + C) * (1 + delta)
+     reaches alpha.  C is the largest base_j + sum_t b_{j,t} * G_t, G_t
+     a float the accumulator can never pass, and delta covers the
+     roundings of a probe's sum and of the bound itself.  Up to k0 the
+     accumulators take the same update without a probe, and from k0 on
+     the sweep is the one that would have run from cycle 0, so every
+     outcome and fatal sigma is bit for bit the full sweep's.  A device
+     whose terms could be negative or nan sweeps from cycle 0.  See
+     DESIGN.md §15.
 
      A [Model.Stepper] device is [carried] and runs once every device
      has been pulled: it advances one state through the mission
@@ -87,47 +97,118 @@ module Batch = struct
         incr i);
     (starts, durations, currents)
 
-  (* Device [index], [dv] with kernel [dc]: compile its tables, then
-     probe every interval end of cycle after cycle, and on the first
-     fatal sigma store the device's result.  The tables are locals, and
-     the sweep is plain loops over them: it allocates no closure, option
-     or boxed float of its own. *)
-  let run_channels (dc : Model.channels) (dv : device) ~results
-      ~max_cycles index =
-    let starts, durations, currents = collect_intervals dv.cycle in
-    let period = dv.period and alpha = dv.alpha in
-    let e = Array.length starts in
-    let t = Array.length dc.Model.rates in
-    let ends = Array.init e (fun j -> starts.(j) +. durations.(j)) in
-    let charges =
-      Array.init e (fun i ->
-          dc.Model.charge ~current:currents.(i) ~duration:durations.(i))
+  (* One channel device's tables, for e intervals and t channels.  A
+     [run] call compiles every channel device into the same set, grown
+     to the largest, so that compiling a device allocates no array.
+     [fill] stores the interval [Profile.iter_until] left in [iv] at
+     index [n]. *)
+  type tables = {
+    mutable n : int;
+    mutable ends : float array;  (* e *)
+    mutable durations : float array;  (* e *)
+    mutable currents : float array;  (* e *)
+    mutable charges : float array;  (* e *)
+    mutable base : float array;  (* e *)
+    mutable w : float array;  (* e * t, interval-major *)
+    mutable b : float array;  (* e * t, probe-major *)
+    mutable rho : float array;  (* t *)
+    mutable top : float array;  (* t: G_t *)
+    mutable g : float array;  (* t *)
+    mutable buf : float array;  (* t: one interval's weights *)
+    iv : float array;
+    fill : unit -> unit;
+  }
+
+  let tables () =
+    let rec tb =
+      { n = 0; ends = [||]; durations = [||]; currents = [||];
+        charges = [||]; base = [||]; w = [||]; b = [||]; rho = [||];
+        top = [||]; g = [||]; buf = [||]; iv = Array.make 3 0.0;
+        fill =
+          (fun () ->
+            let i = tb.n in
+            tb.ends.(i) <- tb.iv.(0) +. tb.iv.(1);
+            tb.durations.(i) <- tb.iv.(1);
+            tb.currents.(i) <- tb.iv.(2);
+            tb.n <- i + 1) }
     in
-    let w = Array.make (e * t) 0.0 in
-    let buf = Array.make t 0.0 in
+    tb
+
+  let grown a n =
+    if Array.length a >= n then a
+    else Array.make (Int.max n (2 * Array.length a)) 0.0
+
+  let reserve tb ~e ~t =
+    tb.ends <- grown tb.ends e;
+    tb.durations <- grown tb.durations e;
+    tb.currents <- grown tb.currents e;
+    tb.charges <- grown tb.charges e;
+    tb.base <- grown tb.base e;
+    tb.w <- grown tb.w (e * t);
+    tb.b <- grown tb.b (e * t);
+    tb.rho <- grown tb.rho t;
+    tb.top <- grown tb.top t;
+    tb.g <- grown tb.g t;
+    tb.buf <- grown tb.buf t
+
+  (* Device [index], [dv] with kernel [dc]: compile its tables into
+     [tb], find the first cycle that can kill it, and from there probe
+     every interval end of cycle after cycle; on the first fatal sigma
+     store the device's result.  The tables are [tb]'s, and the sweep
+     is plain loops over them: it allocates no closure, option or boxed
+     float of its own. *)
+  let run_channels tb (dc : Model.channels) (dv : device) ~results
+      ~max_cycles index =
+    let e = Profile.num_intervals dv.cycle in
+    let rates = dc.Model.rates in
+    let t = Array.length rates in
+    reserve tb ~e ~t;
+    tb.n <- 0;
+    Profile.iter_until dv.cycle ~at:Float.infinity tb.iv tb.fill;
+    let ends = tb.ends and durations = tb.durations in
+    let currents = tb.currents and charges = tb.charges in
+    let base = tb.base and w = tb.w and b = tb.b and buf = tb.buf in
+    let rho = tb.rho and top = tb.top and g = tb.g in
+    let period = dv.period and alpha = dv.alpha in
+    (* The bound holds when every term of a probe is a non-negative
+       float and nothing is nan; [ok] records that it does. *)
+    let ok = ref true in
     for i = 0 to e - 1 do
+      let c = dc.Model.charge ~current:currents.(i) ~duration:durations.(i) in
+      if not (c >= 0.0) then ok := false;
+      charges.(i) <- c;
       dc.Model.weights ~current:currents.(i) ~duration:durations.(i) buf;
-      Array.blit buf 0 w (i * t) t
+      for tt = 0 to t - 1 do
+        if not (buf.(tt) >= 0.0) then ok := false;
+        w.((i * t) + tt) <- buf.(tt)
+      done
     done;
     let q = ref 0.0 in
     for i = 0 to e - 1 do
       q := !q +. charges.(i)
     done;
     let q = !q in
-    let base = Array.make e 0.0 in
-    let b = Array.make (e * t) 0.0 in
+    if not (q < Float.infinity) then ok := false;
     let prefix = ref 0.0 in
     for j = 0 to e - 1 do
       prefix := !prefix +. charges.(j);
       let a = ref 0.0 in
-      for i = 0 to j do
-        (* ends.(j) - ends.(i) >= 0 for i <= j: sorted, non-overlapping *)
+      for i = 0 to j - 1 do
+        (* ends.(j) - ends.(i) >= 0 for i < j: sorted, non-overlapping *)
         for tt = 0 to t - 1 do
           a :=
             !a
             +. w.((i * t) + tt)
-               *. exp (-.dc.Model.rates.(tt) *. (ends.(j) -. ends.(i)))
+               *. exp (-.rates.(tt) *. (ends.(j) -. ends.(i)))
         done
+      done;
+      (* the interval's own terms, at distance 0: exp (-. r *. 0.0) is
+         exactly 1 for a finite rate r and nan otherwise *)
+      for tt = 0 to t - 1 do
+        a :=
+          !a
+          +. if Float.is_finite rates.(tt) then w.((j * t) + tt)
+             else Float.nan
       done;
       base.(j) <- !prefix +. !a;
       for tt = 0 to t - 1 do
@@ -138,38 +219,99 @@ module Batch = struct
           s :=
             !s
             +. w.((i * t) + tt)
-               *. exp
-                    (-.dc.Model.rates.(tt)
-                    *. (period +. ends.(j) -. ends.(i)))
+               *. exp (-.rates.(tt) *. (period +. ends.(j) -. ends.(i)))
         done;
         b.((j * t) + tt) <- !s
       done
     done;
-    let rho = Array.map (fun r -> exp (-.r *. period)) dc.Model.rates in
-    let g = Array.make t 0.0 in
-    let dies = ref false in
-    let k = ref 0 in
-    while (not !dies) && !k < max_cycles do
-      let kf = float_of_int !k in
-      let j = ref 0 in
-      while (not !dies) && !j < e do
-        let s = ref ((kf *. q) +. base.(!j)) in
-        for tt = 0 to t - 1 do
-          s := !s +. (b.((!j * t) + tt) *. g.(tt))
+    for tt = 0 to t - 1 do
+      let r = exp (-.rates.(tt) *. period) in
+      rho.(tt) <- r;
+      if r >= 0.0 && r < 1.0 then begin
+        (* G_t: from 0 the accumulator never passes a float that one
+           update does not raise, the update being monotone in g *)
+        let x = ref (1.0 /. (1.0 -. r)) and eta = ref epsilon_float in
+        while (not (1.0 +. (r *. !x) <= !x)) && !eta < 1.0 do
+          x := !x *. (1.0 +. !eta);
+          eta := 2.0 *. !eta
         done;
-        if !s >= alpha then begin
-          results.(index) <- { outcome = Dies !k; fatal_sigma = !s };
-          dies := true
-        end;
-        incr j
-      done;
-      if not !dies then begin
-        for tt = 0 to t - 1 do
-          g.(tt) <- 1.0 +. (rho.(tt) *. g.(tt))
-        done;
-        incr k
+        if not (1.0 +. (r *. !x) <= !x) then ok := false;
+        top.(tt) <- !x
       end
-    done
+      else ok := false
+    done;
+    let c = ref 0.0 in
+    for j = 0 to e - 1 do
+      let s = ref base.(j) in
+      for tt = 0 to t - 1 do
+        s := !s +. (b.((j * t) + tt) *. top.(tt))
+      done;
+      if not (!s >= 0.0) then ok := false else if !s > !c then c := !s
+    done;
+    let c = !c in
+    let m = 1.0 +. (float_of_int ((2 * t) + 4) *. epsilon_float) in
+    (* the bound is monotone in k: a division lands next to k0 *)
+    let k0 =
+      if not !ok then 0
+      else begin
+        let x = ((alpha /. m) -. c) /. q in
+        let k =
+          ref
+            (if x >= float_of_int max_cycles then max_cycles
+             else if x > 0.0 then int_of_float x
+             else 0)
+        in
+        while !k > 0 && ((float_of_int (!k - 1) *. q) +. c) *. m >= alpha do
+          decr k
+        done;
+        while
+          !k < max_cycles
+          && not (((float_of_int !k *. q) +. c) *. m >= alpha)
+        do
+          incr k
+        done;
+        !k
+      end
+    in
+    if k0 < max_cycles then begin
+      for tt = 0 to t - 1 do
+        let r = rho.(tt) in
+        let gt = ref 0.0 and i = ref 0 in
+        while !i < k0 do
+          let next = 1.0 +. (r *. !gt) in
+          (* at its float fixed point every later update repeats it *)
+          if next = !gt then i := k0
+          else begin
+            gt := next;
+            incr i
+          end
+        done;
+        g.(tt) <- !gt
+      done;
+      let dies = ref false in
+      let k = ref k0 in
+      while (not !dies) && !k < max_cycles do
+        let kf = float_of_int !k in
+        let j = ref 0 in
+        while (not !dies) && !j < e do
+          let s = ref ((kf *. q) +. base.(!j)) in
+          for tt = 0 to t - 1 do
+            s := !s +. (b.((!j * t) + tt) *. g.(tt))
+          done;
+          if !s >= alpha then begin
+            results.(index) <- { outcome = Dies !k; fatal_sigma = !s };
+            dies := true
+          end;
+          incr j
+        done;
+        if not !dies then begin
+          for tt = 0 to t - 1 do
+            g.(tt) <- 1.0 +. (rho.(tt) *. g.(tt))
+          done;
+          incr k
+        end
+      done
+    end
 
   (* The lane scheduler: runs carried devices [queue] (of one
      state_dim) through the lane group [g], from their first cycle
@@ -307,6 +449,7 @@ module Batch = struct
     in
     let nchannels = ref 0 in
     let carried = ref [] in
+    let tb = tables () in
     (* each channel device runs to its end before the next is pulled,
        so its sample and tables die young; survivors keep their
        Censored initialization *)
@@ -316,7 +459,7 @@ module Batch = struct
       match dv.model.Model.kernel with
       | Model.Channels dc ->
           incr nchannels;
-          run_channels dc dv ~results ~max_cycles i
+          run_channels tb dc dv ~results ~max_cycles i
       | Model.Stepper stepper ->
           let starts, durations, currents = collect_intervals dv.cycle in
           carried :=

@@ -13,10 +13,11 @@
     {!Model.Channels} models (ideal, Peukert, KiBaM,
     Rakhmatov–Vrudhula) telescope the repeated cycles into per-channel
     geometric series advanced in O(1) per cycle with no [exp] on the
-    per-cycle path; {!Model.Stepper} models (the diffusion PDE) carry
-    one integration state across the whole mission, in a lane of a
-    {!Model.lane_group}, instead of re-integrating the history per
-    probe.  The original quadratic path, which replays the full
+    per-cycle path, and probe sigma only from the first cycle a bound
+    says can kill the battery; {!Model.Stepper} models (the diffusion
+    PDE) carry one integration state across the whole mission, in a
+    lane of a {!Model.lane_group}, instead of re-integrating the
+    history per probe.  The original quadratic path, which replays the full
     history and probes it with the model's reference sigma, is the
     test oracle the property tests check both kernels against.  See
     DESIGN.md §15 for the derivations. *)
@@ -87,15 +88,18 @@ module Batch : sig
       period and cycle — and returns one {!result} per device, in
       device order.  [device] is called exactly once per index, in
       order.  A {!Model.Channels} device is compiled into channel
-      tables and run from cycle 0 until it dies or reaches the horizon
-      before the next device is pulled, so nothing of it outlives its
-      run but its result.  A {!Model.Stepper} device is carried, and
-      once all [n] are pulled, the carried devices of one [state_dim]
-      run four at a time in a {!Model.lane_group}, or in a group of
-      one lane for a device alone, each to its end.  Total work is the sum of lifetimes, not
-      [n * max_cycles], and peak memory is one device's tables plus the
-      carried states — independent of the horizon.  A device's result
-      does not depend on the others in the call: scalar
+      tables, which the call reuses for every such device, and run
+      until it dies or reaches the horizon before the next device is
+      pulled, so nothing of it outlives its run but its result; its
+      probes start at the first cycle that can kill it, with the
+      outcome and fatal sigma of a sweep from cycle 0, bit for bit.  A
+      {!Model.Stepper} device is carried, and once all [n] are pulled,
+      the carried devices of one [state_dim] run four at a time in a
+      {!Model.lane_group}, or in a group of one lane for a device
+      alone, each to its end.  Total work is the sum of lifetimes, not
+      [n * max_cycles], and peak memory is the largest device's tables
+      plus the carried states — independent of the horizon.  A
+      device's result does not depend on the others in the call: scalar
       {!cycles_to_death} is [run ~n:1], so batch and scalar results
       agree bit-for-bit.
       @raise Invalid_argument as {!cycles_to_death}, or on negative

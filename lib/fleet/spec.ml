@@ -297,10 +297,11 @@ let default =
             Kibam
               { c = { lo = 0.3; hi = 0.7 };
                 k_prime = { lo = 0.02; hi = 0.1 } } } ];
-    (* sized so lifetimes spread across the default horizon: a mean
-       draw (~1.5 bursts of ~150 mA for ~3 min) costs ~675 mA*min per
-       cycle against alpha 30k-45k mA*min, i.e. dozens of cycles, while
-       the lightest draws outlive the horizon and exercise censoring *)
+    (* sized so lifetimes spread across the default horizon: [Sampler]
+       rounds the count down, so every cycle is one burst, and a mean
+       draw (~150 mA for ~3 min) costs ~450 mA*min per cycle against
+       alpha 30k-45k mA*min, i.e. dozens of cycles, while the lightest
+       draws outlive the horizon and exercise censoring *)
     cycle =
       Bursts
         { count = { lo = 1.0; hi = 2.0 };

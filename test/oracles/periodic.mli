@@ -18,3 +18,15 @@ val result_reference :
 (** The same estimator for one device as a batch result, which carries
     the fatal sigma of every death, not only of a first-cycle one.  The
     device's model is not read: [sigma] stands for it. *)
+
+val channel_sweep :
+  ?max_cycles:int -> Model.channels -> Periodic.device ->
+  Periodic.Batch.result
+(** [Periodic.Batch]'s channel kernel as it was before its sweep
+    started at the first cycle that can kill the device: the device's
+    closed-form tables ([base], [b], [rho]) compiled with the same
+    operations, then every interval end of every cycle probed from
+    cycle 0.  [Batch.run] must return the same outcome and the same
+    fatal-sigma bits for every channel device.  The kernel is
+    [channels], not the device's model, so a test can hand it a
+    [Model.channels] of its own. *)

@@ -586,41 +586,102 @@ let test_periodic_batch_matches_scalar () =
             sigma r.Periodic.Batch.fatal_sigma)
     results
 
-(* The per-cycle sweep must not allocate: over a censored mission the
-   extra 1000 cycles of a 1010-cycle horizon cost nothing, for the
-   closed-form models and for the PDE device alone in its group of one
-   lane (floats reach the group through its arrays). *)
+(* The channel kernel of a model. *)
+let channels_of (m : Model.t) =
+  match m.Model.kernel with
+  | Model.Channels dc -> dc
+  | Model.Stepper _ -> invalid_arg "channels_of: a stepper model"
+
+(* The budget at which [cycle] under channels [dc] dies in cycle [k]:
+   the fatal sigma of the sweep from cycle 0 (the oracle), at an alpha
+   found by bisection.  Sigma must grow from each cycle to the next. *)
+let alpha_dying_in dc ~period cycle k =
+  let run alpha =
+    Oracles.Periodic.channel_sweep ~max_cycles:(k + 1) dc
+      { Periodic.model = { Model.name = "channels"; kernel = Model.Channels dc };
+        alpha; period; cycle }
+  in
+  let rec up hi =
+    if (run hi).Periodic.Batch.outcome = Periodic.Censored (k + 1) then hi
+    else up (2.0 *. hi)
+  in
+  let rec bisect lo hi =
+    let mid = 0.5 *. (lo +. hi) in
+    let r = run mid in
+    match r.Periodic.Batch.outcome with
+    | Periodic.Dies n when n = k -> r.Periodic.Batch.fatal_sigma
+    | Periodic.Dies _ -> bisect mid hi
+    | Periodic.Censored _ -> bisect lo mid
+  in
+  bisect 0.0 (up 1.0)
+
+(* A hand-built channel model: one channel at [rate] whose weight is
+   [share] times the interval's charge. *)
+let one_channel ~rate ~share =
+  { Model.name = "one-channel";
+    kernel =
+      Model.Channels
+        { Model.term = (fun _ _ -> invalid_arg "one_channel: no term");
+          rates = [| rate |];
+          weights =
+            (fun ~current ~duration buf ->
+              buf.(0) <- share *. current *. duration);
+          charge = (fun ~current ~duration -> current *. duration) } }
+
+(* The per-cycle path must not allocate.  A channel device advances its
+   accumulators to the first cycle that can kill it and probes from
+   there, so its missions die, in cycle 10 and in cycle 1,010 (at the
+   fatal sigma of the sweep from cycle 0): the 1,000 cycles between
+   them cost nothing; a channel of rate 1e-4 is far from its float
+   fixed point after 1,010 updates, so each of them runs.  A device
+   with a negative weight sweeps every cycle from cycle 0, so it prices
+   the probes too.  The PDE device, alone in its group of one lane,
+   probes every cycle of a censored mission (floats reach the group
+   through its arrays). *)
 let test_periodic_sweep_allocation () =
   let cycle = Profile.constant ~current:800.0 ~duration:20.0 in
-  let words_per_cycle model =
-    let words max_cycles =
-      let w0 = Gc.minor_words () in
-      (match
-         Periodic.cycles_to_death ~max_cycles ~model ~alpha:1e12 ~period:40.0
-           cycle
-       with
-      | Periodic.Censored _ -> ()
-      | Periodic.Dies _ -> Alcotest.fail "mission should be censored");
-      Gc.minor_words () -. w0
+  let words ~max_cycles ~alpha ~want model =
+    let w0 = Gc.minor_words () in
+    (match
+       Periodic.cycles_to_death ~max_cycles ~model ~alpha ~period:40.0 cycle
+     with
+    | o when o = want -> ()
+    | _ -> Alcotest.fail "mission should end as planned");
+    Gc.minor_words () -. w0
+  in
+  let dying model =
+    let alpha k = alpha_dying_in (channels_of model) ~period:40.0 cycle k in
+    let short = alpha 10 and long = alpha 1010 in
+    let run alpha k () =
+      words ~max_cycles:2000 ~alpha ~want:(Periodic.Dies k) model
     in
-    (* warm-up, so one-time set-up lands in neither measurement *)
-    ignore (words 10);
-    let short = words 10 in
-    let long = words 1010 in
-    (long -. short) /. 1000.0
+    (run short 10, run long 1010)
+  in
+  let censored model =
+    let run max_cycles () =
+      words ~max_cycles ~alpha:1e12 ~want:(Periodic.Censored max_cycles) model
+    in
+    (run 10, run 1010)
   in
   List.iter
-    (fun (name, model) ->
-      check_float (name ^ " words per cycle") 0.0 (words_per_cycle model))
-    [ ("ideal", Ideal.model);
-      ("rakhmatov", Rakhmatov.model ());
-      ("kibam", Kibam.model ());
+    (fun (name, (short, long)) ->
+      (* warm-up, so one-time set-up lands in neither measurement *)
+      ignore (short ());
+      let short = short () in
+      let long = long () in
+      check_float (name ^ " words per cycle") 0.0 ((long -. short) /. 1000.0))
+    [ ("ideal", dying Ideal.model);
+      ("rakhmatov", dying (Rakhmatov.model ()));
+      ("kibam", dying (Kibam.model ()));
+      ("slow channel", dying (one_channel ~rate:1e-4 ~share:0.5));
+      ("negative weight", dying (one_channel ~rate:0.05 ~share:(-0.2)));
       ( "pde",
-        Diffusion.model
-          ~params:
-            (Diffusion.make_params ~nodes:8 ~dt:1.0 ~alpha:1e12 ~beta:0.273
-               ())
-          () ) ]
+        censored
+          (Diffusion.model
+             ~params:
+               (Diffusion.make_params ~nodes:8 ~dt:1.0 ~alpha:1e12 ~beta:0.273
+                  ())
+             ()) ) ]
 
 (* [Batch.run] bumps each kind's named counter once per call, so a
    device's set-up words do not depend on how many named counters the
@@ -707,6 +768,62 @@ let test_periodic_lane_sweep_allocation () =
         Profile.sequential [ (800.0, 5.0); (300.0, 2.0) ],
         20.0,
         fun i -> 13.0 +. float_of_int i ) ]
+
+(* [Batch.run] starts a channel device's probes at the first cycle
+   whose bound reaches alpha.  It must return what the sweep from cycle
+   0 returns (the oracle): the same outcome and the same fatal-sigma
+   bits.  The budgets that can tell a bound one ulp too low are at the
+   edge: the oracle's fatal sigma at [alpha], its float neighbours
+   (death in that cycle or a later one), and a budget out of reach. *)
+let same_as_sweep ?(max_cycles = 80) (model : Model.t) ~alpha ~period cycle =
+  let dc = channels_of model in
+  let check alpha =
+    let d = { Periodic.model; alpha; period; cycle } in
+    let got =
+      (Periodic.Batch.run ~max_cycles ~n:1 ~device:(fun _ -> d) ()).(0)
+    in
+    let want = Oracles.Periodic.channel_sweep ~max_cycles dc d in
+    got.Periodic.Batch.outcome = want.Periodic.Batch.outcome
+    && Int64.equal
+         (Int64.bits_of_float got.Periodic.Batch.fatal_sigma)
+         (Int64.bits_of_float want.Periodic.Batch.fatal_sigma)
+  in
+  let edges =
+    let r =
+      Oracles.Periodic.channel_sweep ~max_cycles dc
+        { Periodic.model; alpha; period; cycle }
+    in
+    match r.Periodic.Batch.outcome with
+    | Periodic.Dies _ ->
+        let s = r.Periodic.Batch.fatal_sigma in
+        [ s; Float.pred s; Float.succ s ]
+    | Periodic.Censored _ -> []
+  in
+  List.for_all check ((alpha :: edges) @ [ 1e300 ])
+
+(* Each condition the bound rests on, broken by a hand-built kernel:
+   the sweep must then start at cycle 0.  A negative weight makes the
+   bound too low from the first cycle, and so does a negative rate
+   (rho > 1, a channel that grows); a rate of 1e-20 gives rho = 1
+   exactly, and an infinite rate a nan base (a spec reaches one with
+   RV beta 1e150 and 13,417 terms or more).  Budgets from a fraction of
+   one cycle's charge to 40 cycles' worth, each with its edges. *)
+let test_periodic_channel_fallbacks () =
+  let cycle = Profile.sequential [ (400.0, 10.0); (150.0, 5.0) ] in
+  let charge = Profile.total_charge cycle in
+  List.iter
+    (fun (name, model) ->
+      List.iter
+        (fun worth ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %g cycles' charge" name worth)
+            true
+            (same_as_sweep model ~alpha:(worth *. charge) ~period:20.0 cycle))
+        [ 0.3; 1.0; 2.5; 7.0; 40.0 ])
+    [ ("negative weight", one_channel ~rate:0.01 ~share:(-0.3));
+      ("negative rate", one_channel ~rate:(-0.01) ~share:0.05);
+      ("rho of 1", one_channel ~rate:1e-20 ~share:0.3);
+      ("infinite rate", one_channel ~rate:Float.infinity ~share:0.3) ]
 
 (* --- Cell --- *)
 
@@ -1205,6 +1322,73 @@ let prop_periodic_lanes_match =
                      same r (Oracles.Periodic.result_reference ~max_cycles ~sigma d))
                devices got)
         [ 0; 1; 3; 4; 5; 23; 257 ])
+
+(* The jump against the sweep from cycle 0 at the edge of the bound
+   (see [same_as_sweep]), over the four channel models with slow and
+   fast channels (RV beta 0.05-0.9 with 1-12 terms, KiBaM k' 0.001-0.5)
+   on cycles of 1-15 intervals: 1-5 bursts, some with an idle gap, and
+   G2 and G3 task graphs under random design points.  Periods from the
+   cycle's own length (no rest) to 2.5 times it, and budgets up to 96
+   cycles' charge against an 80-cycle horizon, so that devices die in
+   every cycle, fast channels reach their float fixed point first, and
+   some devices are censored. *)
+let prop_periodic_jump_matches_sweep =
+  QCheck.Test.make ~count:300
+    ~name:"periodic channel jump is bit-identical to the sweep"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Batsched_numeric.Rng.create seed in
+      let uniform lo hi = lo +. Batsched_numeric.Rng.float rng (hi -. lo) in
+      let int k = Batsched_numeric.Rng.int rng k in
+      let model =
+        match int 4 with
+        | 0 -> Ideal.model
+        | 1 -> Peukert.model ~exponent:(uniform 1.05 1.3) ()
+        | 2 ->
+            let terms = if int 3 = 0 then 1 + int 12 else 10 in
+            Rakhmatov.model ~terms ~beta:(uniform 0.05 0.9) ()
+        | _ ->
+            Kibam.model
+              ~params:
+                (Kibam.make_params ~capacity:1.0 ~c:(uniform 0.3 0.7)
+                   ~k_prime:(uniform 0.001 0.5))
+              ()
+      in
+      let cycle =
+        match int 3 with
+        | 0 ->
+            let loads =
+              Profile.sequential
+                (List.init (1 + int 5) (fun _ ->
+                     (uniform 50.0 900.0, uniform 0.5 20.0)))
+            in
+            (match Profile.intervals loads with
+            | first :: _ :: _ when int 2 = 0 ->
+                Profile.with_idle loads
+                  ~after:(first.Profile.start +. first.Profile.duration)
+                  ~idle:(uniform 0.1 10.0)
+            | _ -> loads)
+        | graph ->
+            let g =
+              if graph = 1 then Batsched_taskgraph.Instances.g2
+              else Batsched_taskgraph.Instances.g3
+            in
+            Profile.sequential
+              (List.map
+                 (fun task ->
+                   let dp =
+                     Batsched_taskgraph.Task.point task
+                       (int (Batsched_taskgraph.Task.num_points task))
+                   in
+                   ( dp.Batsched_taskgraph.Task.current,
+                     dp.Batsched_taskgraph.Task.duration ))
+                 (Batsched_taskgraph.Graph.tasks g))
+      in
+      let period =
+        Profile.length cycle *. if int 4 = 0 then 1.0 else uniform 1.0 2.5
+      in
+      let alpha = Profile.total_charge cycle *. uniform 0.3 96.0 in
+      same_as_sweep model ~alpha ~period cycle)
 
 (* --- Periodic fast kernel vs quadratic oracle --- *)
 
@@ -1848,6 +2032,7 @@ let qcheck_tests =
       prop_diffusion_stepper_matches_textbook;
       prop_diffusion_lanes_match_advance;
       prop_periodic_lanes_match;
+      prop_periodic_jump_matches_sweep;
       prop_sigma_linear_ideal;
       prop_sigma_linear_rakhmatov;
       prop_sigma_linear_kibam;
@@ -1934,6 +2119,7 @@ let () =
           Alcotest.test_case "batch matches scalar" `Quick test_periodic_batch_matches_scalar;
           Alcotest.test_case "sweep allocation" `Quick test_periodic_sweep_allocation;
           Alcotest.test_case "set-up words per device" `Quick test_periodic_setup_words;
+          Alcotest.test_case "channel fallbacks" `Quick test_periodic_channel_fallbacks;
           Alcotest.test_case "lane sweep allocation" `Quick
             test_periodic_lane_sweep_allocation ] );
       ( "cell",

@@ -415,13 +415,10 @@ let device_digest results =
     results;
   Printf.sprintf "%016Lx" !h
 
-(* 2,000 devices of the CI spec at seed 2026, through [Sampler] and
-   [Periodic.Batch.run] in blocks of 1, 23, 256 and 2,000 devices.  The
-   digest was recorded before the kernel ran each device start to
-   finish, so it pins every device's outcome and fatal sigma, bit for
-   bit, at every block size (and so at every lane-group make-up). *)
-let test_engine_device_digest () =
-  let spec = ci_spec () in
+(* Every device's outcome and fatal-sigma digest over 2,000 devices of
+   [spec] at seed 2026, through [Sampler] and [Periodic.Batch.run] in
+   blocks of 1, 23, 256 and 2,000 devices. *)
+let check_device_digest spec want =
   let devices = 2_000 in
   let base = Sampler.base ~seed:2026 in
   let sampled = Array.init devices (Sampler.device spec ~base) in
@@ -441,8 +438,61 @@ let test_engine_device_digest () =
       in
       Alcotest.(check string)
         (Printf.sprintf "digest at blocks of %d" block)
-        "23a1e5114e7f45a1" (device_digest results))
+        want (device_digest results))
     [ 1; 23; 256; 2_000 ]
+
+(* The CI spec.  Its digest was recorded before the kernel ran each
+   device start to finish, so it pins every device's outcome and fatal
+   sigma, bit for bit, at every block size (and so at every lane-group
+   make-up). *)
+let test_engine_device_digest () =
+  check_device_digest (ci_spec ()) "23a1e5114e7f45a1"
+
+(* The CI spec draws one burst per cycle, so its digest never sees a
+   cycle of more than one interval.  These two populations have the CI
+   spec's channel models (no PDE device) on G3 task-graph missions of 15
+   intervals under random design points, and on missions of 1-5 bursts,
+   with budgets that spread lifetimes over the horizon.  Both digests
+   were recorded before the channel sweep learnt to start at the first
+   cycle that can kill a device. *)
+let channel_spec ~alpha ~cycle =
+  let json =
+    Printf.sprintf
+      {|{
+  "horizon": 120,
+  "alpha": %s,
+  "soh": {"min": 0.75, "max": 1.0},
+  "period_factor": {"min": 1.1, "max": 2.0},
+  "models": [
+    {"model": "ideal", "weight": 1},
+    {"model": "peukert", "weight": 1,
+     "exponent": {"min": 1.05, "max": 1.3}, "reference_current": 100},
+    {"model": "rakhmatov", "weight": 2, "beta": {"min": 0.2, "max": 0.6}},
+    {"model": "kibam", "weight": 1,
+     "c": {"min": 0.3, "max": 0.7}, "k_prime": {"min": 0.02, "max": 0.1}}
+  ],
+  "cycle": %s
+}|}
+      alpha cycle
+  in
+  match Spec.of_json (Batsched_obs.Json.parse json) with
+  | Ok s -> s
+  | Error msg -> Alcotest.failf "spec should parse: %s" msg
+
+let test_engine_device_digest_g3 () =
+  check_device_digest
+    (channel_spec ~alpha:{|{"min": 300000, "max": 4500000}|}
+       ~cycle:{|{"kind": "graph", "graph": "g3", "law": "uniform"}|})
+    "b70294743f0b1cf1"
+
+let test_engine_device_digest_bursts () =
+  check_device_digest
+    (channel_spec ~alpha:{|{"min": 28000, "max": 45000}|}
+       ~cycle:
+         {|{"kind": "bursts", "count": {"min": 1, "max": 6},
+            "current": {"min": 60, "max": 300},
+            "duration": {"min": 1, "max": 5}}|})
+    "1b4405746c1e2d03"
 
 (* Nothing per device outlives its run: a job's devices, compiled
    tables and results die young, so [Engine.run] promotes few words
@@ -513,6 +563,10 @@ let () =
           Alcotest.test_case "empty fleet" `Quick test_engine_empty_fleet;
           Alcotest.test_case "per-device digest" `Quick
             test_engine_device_digest;
+          Alcotest.test_case "per-device digest, g3 missions" `Quick
+            test_engine_device_digest_g3;
+          Alcotest.test_case "per-device digest, 1-5 bursts" `Quick
+            test_engine_device_digest_bursts;
           Alcotest.test_case "promoted words per device" `Quick
             test_engine_promotion ] );
       ( "properties",
