@@ -189,11 +189,10 @@ let curve current beta points model_name telemetry =
         let alpha = Cell.itsy.Cell.alpha in
         let horizon = Lifetime.of_constant_current ~model ~alpha ~current in
         let p = Profile.constant ~current ~duration:horizon in
-        let curve = Curves.sigma_curve ~model p ~n:points in
         Printf.printf "# T(min)  sigma(mA*min)\n";
         List.iter
           (fun (t, s) -> Printf.printf "%10.2f  %12.1f\n" t s)
-          (Batsched_numeric.Interp.points curve);
+          (Curves.sigma_curve ~model p ~n:points);
         `Ok ()
       end
 

@@ -7,10 +7,6 @@ let make ~label ~alpha ~beta =
 
 let itsy = make ~label:"itsy" ~alpha:40375.0 ~beta:0.273
 
-let ideal_like = make ~label:"ideal-like" ~alpha:itsy.alpha ~beta:50.0
-
-let sluggish = make ~label:"sluggish" ~alpha:itsy.alpha ~beta:0.1
-
 let rated_capacity_mah t = t.alpha /. 60.0
 
 let model t = Rakhmatov.model ~beta:t.beta ()

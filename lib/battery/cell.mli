@@ -19,14 +19,6 @@ val make : label:string -> alpha:float -> beta:float -> t
 val itsy : t
 (** alpha = 40375 mA*min, beta = 0.273 — the published Itsy fit. *)
 
-val ideal_like : t
-(** A nearly ideal cell (very large beta), same alpha as {!itsy}; useful
-    to isolate nonlinear-model effects in ablations. *)
-
-val sluggish : t
-(** An exaggerated-diffusion cell (beta = 0.1), same alpha as {!itsy};
-    stresses recovery-aware ordering in ablations. *)
-
 val rated_capacity_mah : t -> float
 (** [alpha] expressed in mAh (divide by 60). *)
 

@@ -1,9 +1,11 @@
-open Batsched_numeric
-
 let sigma_curve ~model p ~n =
   let horizon = Profile.length p in
   if horizon <= 0.0 then invalid_arg "Curves.sigma_curve: empty profile";
-  Interp.tabulate ~f:(fun t -> Model.sigma model p ~at:t) ~lo:0.0 ~hi:horizon ~n
+  if n < 2 then invalid_arg "Curves.sigma_curve: need n >= 2";
+  let step = horizon /. float_of_int (n - 1) in
+  List.init n (fun i ->
+      let t = if i = n - 1 then horizon else float_of_int i *. step in
+      (t, Model.sigma model p ~at:t))
 
 type rate_capacity_point = {
   current : float;

@@ -6,9 +6,10 @@
     heuristic exploits. *)
 
 val sigma_curve :
-  model:Model.t -> Profile.t -> n:int -> Batsched_numeric.Interp.t
-(** [sigma_curve ~model p ~n] tabulates [T -> sigma(T)] at [n] points
-    across [[0, length p]].
+  model:Model.t -> Profile.t -> n:int -> (float * float) list
+(** [sigma_curve ~model p ~n] samples [T -> sigma(T)] at [n] evenly
+    spaced points of [[0, length p]], as [(T, sigma)] pairs in
+    increasing [T]; the last [T] is exactly [length p].
     @raise Invalid_argument if [n < 2] or the profile is empty. *)
 
 type rate_capacity_point = {

@@ -139,8 +139,6 @@ let ensure_capacity t n =
     t.cterm <- Array.make !cap 0.0
   end
 
-let length t = t.n
-
 (* One interval's channel term, its floats passed through [t.cell]:
    inlined, so that neither the arguments nor the result is boxed. *)
 let[@inline] term t ch ~current ~duration ~tail =

@@ -40,9 +40,6 @@ val create : Model.t -> t
     @raise Invalid_argument, naming the model, if its kernel is a
     {!Model.Stepper}. *)
 
-val init : Model.t -> n:int -> point:(int -> float * float) -> t
-(** [create] + {!load}. *)
-
 val load : t -> n:int -> point:(int -> float * float) -> unit
 (** [load t ~n ~point] resets [t] to the [n]-interval schedule whose
     position [i] draws [point i = (current_i, duration_i)], dropping
@@ -58,9 +55,6 @@ val of_profile : Model.t -> Profile.t -> t
     [Profile.with_idle]): a gapped load has no suffix-time
     decomposition at the makespan — use the model's full path
     instead. *)
-
-val length : t -> int
-(** Number of positions. *)
 
 val sigma : t -> float
 (** Committed sigma at the makespan.  Pending candidates do not

@@ -28,24 +28,6 @@ val default_params : params
 val make_params : capacity:float -> c:float -> k_prime:float -> params
 (** @raise Invalid_argument outside the ranges above. *)
 
-val channels : params -> Model.channels
-(** The exact suffix-time decomposition of the two-well model: the
-    per-interval affine maps diagonalize (total charge is conserved;
-    the disequilibrium [y1 - c*y0] contracts by [e^{-k' D}] per
-    interval, at rest too), giving
-
-    {[ sigma = sum_k ( I_k D_k
-                       + ((1-c)/(c k')) I_k (1 - e^{-k' D_k}) e^{-k' tail_k} ) ]}
-
-    with [tail_k] the time from interval [k]'s end to the observation
-    instant.  Sigma is mapped onto the sigma/alpha convention used
-    across this library: [sigma = capacity - available/c].  At rest
-    equilibrium it equals the charge actually drawn (full recovery);
-    under load it exceeds it (rate capacity); the battery dies when
-    [sigma >= capacity].  One channel, at rate [k'], so the term reads
-    its tail; a [duration = 0] term is exactly [0.].  See DESIGN.md §11
-    for the derivation. *)
-
 val model : ?params:params -> unit -> Model.t
 (** Packaged as a {!Model.t} named ["kibam"] whose kernel is the
     channels above, so {!Model.sigma} is their fold.  Use

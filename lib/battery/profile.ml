@@ -2,8 +2,8 @@ type interval = { start : float; duration : float; current : float }
 
 (* Struct-of-arrays representation: three unboxed float arrays indexed
    by interval, sorted by start, non-overlapping.  Hot consumers
-   (sigma evaluators) walk the arrays directly via [iter_until] /
-   [fold]; [intervals] materializes the record list for cold callers. *)
+   (sigma evaluators) walk the arrays directly via [iter_until];
+   [intervals] materializes the record list for cold callers. *)
 type t = {
   starts : float array;
   durations : float array;
@@ -109,16 +109,6 @@ let interval t i =
   { start = t.starts.(i); duration = t.durations.(i); current = t.currents.(i) }
 
 let intervals t = List.init (num_intervals t) (interval t)
-
-let fold t ~init ~f =
-  let n = num_intervals t in
-  let acc = ref init in
-  for i = 0 to n - 1 do
-    acc :=
-      f !acc ~start:t.starts.(i) ~duration:t.durations.(i)
-        ~current:t.currents.(i)
-  done;
-  !acc
 
 (* The load up to [at], one interval at a time in [buf] (start,
    duration, current) rather than as float arguments, which a call

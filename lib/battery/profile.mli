@@ -19,9 +19,6 @@ type t
     hot sigma evaluators can walk it without per-call allocation — use
     {!fold} / {!iter_until} rather than {!intervals} on hot paths. *)
 
-val empty : t
-(** The profile that draws nothing. *)
-
 val of_intervals : (float * float * float) list -> t
 (** [of_intervals [(start, duration, current); ...]] validates and sorts.
     Zero-duration intervals are dropped.
@@ -60,17 +57,10 @@ val with_idle : t -> after:float -> idle:float -> t
 
 val intervals : t -> interval list
 (** Intervals in increasing start-time order.  Materializes a fresh
-    list; prefer {!fold} / {!iter_until} where allocation matters. *)
+    list; prefer {!iter_until} where allocation matters. *)
 
 val num_intervals : t -> int
 (** Number of (positive-duration) intervals. *)
-
-val fold :
-  t ->
-  init:'a ->
-  f:('a -> start:float -> duration:float -> current:float -> 'a) ->
-  'a
-(** Allocation-free left fold over the intervals in start order. *)
 
 val iter_until : t -> at:float -> float array -> (unit -> unit) -> unit
 (** [iter_until t ~at buf f] walks the load up to time [at]: intervals

@@ -16,6 +16,4 @@ type row = {
   delta_pct : float;  (** vs the full objective, positive = worse *)
 }
 
-val compute : unit -> row list
-
 val run : unit -> string

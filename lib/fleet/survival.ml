@@ -71,11 +71,6 @@ let merge ~into src =
       dst.m_total_cycles <- dst.m_total_cycles + pm.m_total_cycles)
     src.by_model
 
-let copy t =
-  let c = create ~horizon:t.horizon ~models:t.models in
-  merge ~into:c t;
-  c
-
 let n t = t.n
 
 let censored t = t.censored

@@ -29,8 +29,6 @@ val merge : into:t -> t -> unit
 (** Element-wise counter addition.
     @raise Invalid_argument on mismatched horizon or models. *)
 
-val copy : t -> t
-
 val n : t -> int
 (** Devices folded in. *)
 

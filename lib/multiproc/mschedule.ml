@@ -161,11 +161,3 @@ let to_profile g t =
 let battery_cost ~model g t = Model.sigma_end model (to_profile g t)
 
 let peak_total_current g t = Profile.peak_current (to_profile g t)
-
-let pp g fmt t =
-  Array.iteri
-    (fun i p ->
-      Format.fprintf fmt "%s: pe%d P%d [%.1f..%.1f]@."
-        (Graph.task g i).Task.name p.pe (p.column + 1) p.start
-        (finish g t.pes t.placements i))
-    t.placements

@@ -24,11 +24,8 @@ module Pe : sig
     current_scale : float;  (** > 0; currents multiply by this *)
   }
 
-  val default : t
-  (** speed 1, current_scale 1. *)
-
   val uniform : int -> t array
-  (** [uniform p] is [p] identical default PEs.
+  (** [uniform p] is [p] identical PEs of speed 1 and current scale 1.
       @raise Invalid_argument if [p < 1]. *)
 
   val big_little : big:int -> little:int -> t array
@@ -51,9 +48,6 @@ type t = private {
 val task_duration : Graph.t -> Pe.t array -> int -> placement -> float
 (** Effective duration of a task under its placement (design-point
     duration divided by the PE's speed). *)
-
-val task_current : Graph.t -> Pe.t array -> int -> placement -> float
-(** Effective current (design-point current times the PE's scale). *)
 
 val make : Graph.t -> pes:Pe.t array -> placement list -> t
 (** [make g ~pes placements] (one per task, in id order) validates:
@@ -82,5 +76,3 @@ val battery_cost : model:Model.t -> Graph.t -> t -> float
 val peak_total_current : Graph.t -> t -> float
 (** Largest instantaneous total platform current — parallel execution
     raises it even when per-task currents are small. *)
-
-val pp : Graph.t -> Format.formatter -> t -> unit

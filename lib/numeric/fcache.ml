@@ -65,7 +65,7 @@ type t = {
   mutable current : int;    (* live generation stamp, cycles in 1..255 *)
   mutable previous : int;   (* the other live stamp (0 before first flip) *)
   mutable fresh : int;      (* insertions since the last flip *)
-  mutable flips : int;      (* total generation advances, for tests *)
+  mutable flips : int;      (* total generation advances *)
 }
 
 let max_probe = 8
@@ -115,17 +115,6 @@ let create ?(label = "anon") ?(capacity = default_capacity) ~arity () =
   t
 
 let capacity t = t.mask + 1
-
-let arity t = t.arity
-
-let generation t = t.flips + 1
-
-let clear t =
-  Bytes.fill t.stamps 0 (Bytes.length t.stamps) '\000';
-  t.current <- 1;
-  t.previous <- 0;
-  t.fresh <- 0;
-  t.flips <- 0
 
 (* SplitMix64-flavoured mixing over the raw float words ([to_int]
    drops the top bit — irrelevant for a hash), then two xor-shift-
@@ -313,10 +302,6 @@ let live_in t stamps =
     if stamp <> 0 && live t stamp then incr n
   done;
   !n
-
-let live_count t = live_in t t.stamps
-
-let label t = t.label
 
 (* Aggregate (live, capacity, flips) per label across every registered
    instance — one row per distinct cache, merging the per-domain copies

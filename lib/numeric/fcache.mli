@@ -5,7 +5,7 @@
     [find_opt] option — plus a wholesale [Hashtbl.reset] cliff when the
     table filled.  An [Fcache] key is a fixed number of floats hashed on
     their [Int64.bits_of_float] words directly into a flat open-addressed
-    table: a lookup touches at most {!max_probe} adjacent slots and
+    table: a lookup touches at most 8 adjacent slots and
     allocates nothing.
 
     {2 Semantics}
@@ -58,16 +58,6 @@ val create : ?label:string -> ?capacity:int -> arity:int -> unit -> t
     @raise Invalid_argument on a non-positive capacity or an arity
     outside [1..8]. *)
 
-val max_probe : int
-(** Slots examined per lookup/insert (8): the bound that keeps misses
-    O(1) in a table that never tombstones. *)
-
-val capacity : t -> int
-(** The current slot count: a power of two, from [min cap 2048] up to
-    the cap. *)
-
-val arity : t -> int
-
 (** {2 Lookups}
 
     A float passed to or returned from a function of another module is
@@ -89,21 +79,6 @@ val find_into : t -> float array -> int -> bool
 val add_from : t -> float array -> int -> unit
 (** [add_from t src i] stores [src.(i)] under the key held in [key t],
     inserting or overwriting. *)
-
-val clear : t -> unit
-(** Forget every entry (O(capacity); test/bench helper, not hot path). *)
-
-val live_count : t -> int
-(** Number of slots holding a non-expired entry.  O(capacity); always
-    [<= capacity t].  Safe to call from a domain other than the
-    table's owner.  Test/introspection helper. *)
-
-val generation : t -> int
-(** The current generation stamp (starts at 1, advances every
-    [cap / 2] insertions).  Test/introspection helper. *)
-
-val label : t -> string
-(** The name the table registered under. *)
 
 val occupancy : unit -> (string * int * int * int) list
 (** One [(label, live, capacity, flips)] row per distinct cache label,

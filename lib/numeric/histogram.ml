@@ -38,13 +38,6 @@ let create () =
     min_v = Float.infinity;
     max_v = Float.neg_infinity }
 
-let clear h =
-  Array.fill h.counts 0 num_buckets 0;
-  h.count <- 0;
-  h.sum <- 0.0;
-  h.min_v <- Float.infinity;
-  h.max_v <- Float.neg_infinity
-
 (* frexp v = (m, e) with m in [0.5, 1): sub-bucket from the mantissa,
    octave from the exponent.  Non-positive and subnormal-small values
    land in bucket 0, oversized ones in the top bucket — the histogram
@@ -102,8 +95,6 @@ let count h = h.count
 let sum h = h.sum
 
 let max_value h = if h.count = 0 then Float.nan else h.max_v
-
-let min_value h = if h.count = 0 then Float.nan else h.min_v
 
 (* Quantile by cumulative bucket walk, clamped to the exact observed
    extrema so p=0 and p=100 are exact and interior quantiles can never

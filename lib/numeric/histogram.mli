@@ -20,24 +20,15 @@ type t
 
 val create : unit -> t
 
-val clear : t -> unit
-(** Zero a histogram in place. *)
-
 val record : t -> float -> unit
 (** Record one observation.  Non-positive values land in the lowest
     bucket; no value is ever rejected. *)
-
-val merge : into:t -> t -> unit
-(** Element-wise bucket addition; commutative and associative. *)
 
 val copy : t -> t
 
 val count : t -> int
 
 val sum : t -> float
-
-val min_value : t -> float
-(** Exact observed minimum; [nan] when empty. *)
 
 val max_value : t -> float
 (** Exact observed maximum; [nan] when empty. *)
@@ -48,9 +39,6 @@ val quantile : t -> float -> float
     the observed min/max; [p = 0] and [p = 100] return the exact
     observed extrema; [nan] when empty.
     @raise Invalid_argument if [p] is outside [0, 100]. *)
-
-val bucket_lower : int -> float
-(** Lower edge of bucket [i] (for exposition formats). *)
 
 val bucket_upper : int -> float
 (** Upper edge of bucket [i]; [infinity] for the top bucket. *)

@@ -57,20 +57,11 @@ type t = {
   mutable named : (string * int) list;
   (** Open-keyed counters for populations too dynamic for a fixed
       field — e.g. ["periodic/carried_devices"] and ["fleet/deaths"].
-      Bump via {!bump_named}; merged by key in {!add}. *)
+      Bump via {!bump_named}; merged by key when drained. *)
 }
 
 val local : unit -> t
 (** The calling domain's accumulator.  Bump its fields directly. *)
-
-val zero : unit -> t
-(** A fresh all-zero record. *)
-
-val add : into:t -> t -> unit
-(** [add ~into c] adds every field of [c] into [into]. *)
-
-val clear : t -> unit
-(** Zero every field in place. *)
 
 val drain_local : unit -> unit
 (** Merge the calling domain's accumulator into the global totals and

@@ -8,10 +8,6 @@ let create = Splitmix.create
 
 let bits64 = Splitmix.next
 
-let split = Splitmix.split
-
-let copy = Splitmix.copy
-
 let int g n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection-free for our purposes: modulo bias is negligible for the

@@ -1,10 +1,8 @@
-(** Deterministic, splittable pseudo-random number generator
-    (SplitMix64).
+(** Deterministic pseudo-random number generator (SplitMix64).
 
     Every stochastic component in the repository (graph generators,
     simulated annealing, random search) takes an explicit generator so
-    that experiments are reproducible from a single seed and independent
-    streams can be split off without interference. *)
+    that experiments are reproducible from a single seed. *)
 
 type t
 (** Mutable generator state. *)
@@ -12,15 +10,6 @@ type t
 val create : int -> t
 (** [create seed] builds a generator from an integer seed.  Equal seeds
     yield equal streams. *)
-
-val split : t -> t
-(** [split g] derives an independent generator; [g] advances once. *)
-
-val copy : t -> t
-(** [copy g] duplicates the current state (same future stream). *)
-
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
 
 val int : t -> int -> int
 (** [int g n] is uniform in [[0, n-1]].  @raise Invalid_argument if

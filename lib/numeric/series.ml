@@ -6,17 +6,6 @@ let check_beta beta =
 let check_terms terms =
   if terms <= 0 then invalid_arg "Series: terms must be positive"
 
-(* Callers build time arguments as differences of interval endpoints;
-   float cancellation can leave a few-ulp negative where the exact
-   value is 0.  Absorb that noise instead of raising — anything beyond
-   the tolerance is a real caller bug and still rejected. *)
-let negative_tolerance = 1e-12
-
-let[@inline] clamp_time t =
-  if t >= 0.0 then t
-  else if t >= -.negative_tolerance then 0.0
-  else invalid_arg "Series.exp_sum: negative time"
-
 (* [buf.(i) <- F(buf.(i))] for the truncated series F.  The sum is
    [Kahan.sum_fn]'s, operation for operation, with its running pair in
    local variables and no closure per term, and the argument and
@@ -42,15 +31,8 @@ let exp_sum_at ~terms ~beta buf i =
   done;
   buf.(i) <- 2.0 *. (!total +. !comp)
 
-let exp_sum ?(terms = default_terms) ~beta t =
-  check_beta beta;
-  check_terms terms;
-  let buf = [| clamp_time t |] in
-  exp_sum_at ~terms ~beta buf 0;
-  buf.(0)
-
 (* Memoized one-sided tails.  [kernel ~beta a b] telescopes as
-   [F(a) - F(b)] over [F = exp_sum], so one memo table over F values
+   [F(a) - F(b)] over the one-sided tail F, so one memo table over F values
    shares endpoint evaluations: back-to-back profile intervals reuse
    each boundary twice, and the thousands of near-identical
    evaluations a window sweep makes hit the table directly.  The memo
@@ -63,7 +45,7 @@ let cache : Fcache.t Domain.DLS.key =
 
 (* [buf.(i) <- F(buf.(i))] through the memo, allocating nothing. *)
 let cached_at ~terms ~beta buf i =
-  let t = clamp_time buf.(i) in
+  let t = buf.(i) in
   let tbl = Domain.DLS.get cache in
   let key = Fcache.key tbl in
   key.(0) <- beta;
@@ -74,17 +56,9 @@ let cached_at ~terms ~beta buf i =
     probe.Probe.fmemo_hits <- probe.Probe.fmemo_hits + 1
   else begin
     probe.Probe.fmemo_misses <- probe.Probe.fmemo_misses + 1;
-    buf.(i) <- t;
     exp_sum_at ~terms ~beta buf i;
     Fcache.add_from tbl buf i
   end
-
-let exp_sum_cached ?(terms = default_terms) ~beta t =
-  check_beta beta;
-  check_terms terms;
-  let buf = [| t |] in
-  cached_at ~terms ~beta buf 0;
-  buf.(0)
 
 (* The tail at [b] is looked up before the one at [a].  The order
    fixes where each entry lands in the memo, and so the probe lengths
@@ -93,7 +67,8 @@ let kernel_at ~terms ~beta buf i =
   check_beta beta;
   check_terms terms;
   let a = buf.(i) and b = buf.(i + 1) in
-  if a < 0.0 || b < a then invalid_arg "Series.kernel: need 0 <= a <= b";
+  if not (a >= 0.0 && b >= a) then
+    invalid_arg "Series.kernel: need 0 <= a <= b";
   if a = b then buf.(i) <- 0.0
   else begin
     cached_at ~terms ~beta buf (i + 1);
@@ -107,7 +82,3 @@ let kernel ?(terms = default_terms) ~beta a b =
   let buf = [| a; b |] in
   kernel_at ~terms ~beta buf 0;
   buf.(0)
-
-let kernel_limit ~beta =
-  check_beta beta;
-  Float.pi *. Float.pi /. (3.0 *. beta *. beta)

@@ -17,15 +17,9 @@ let create seed = { state = mix64 (Int64.of_int seed) }
 
 let of_raw state = { state }
 
-let state g = g.state
-
-let copy g = { state = g.state }
-
 let next g =
   g.state <- Int64.add g.state golden_gamma;
   mix64 g.state
-
-let split g = { state = next g }
 
 (* jump [i + 1] gammas ahead of the parent's current position and
    avalanche: distinct indices land on distinct states (the jump is

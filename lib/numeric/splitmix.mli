@@ -8,7 +8,7 @@
     Stafford mix13 permutation.
 
     The draw functions here reproduce the historical call sites
-    bit-for-bit ({!next} is [Rng.bits64], {!rand_below} is the
+    bit-for-bit ({!next} is {!Rng}'s raw draw, {!rand_below} is the
     bootstrap's rem-based pick), so extracting the generator changed no
     committed stream.
 
@@ -25,13 +25,6 @@
 type t
 (** Mutable generator state. *)
 
-val golden_gamma : int64
-(** The Weyl-sequence increment 0x9E3779B97F4A7C15. *)
-
-val mix64 : int64 -> int64
-(** The Stafford variant-13 finalizer: a bijective avalanche of the
-    state into an output word. *)
-
 val create : int -> t
 (** [create seed] premixes the seed once — equal seeds, equal streams.
     This is the {!Rng}-compatible construction. *)
@@ -41,18 +34,8 @@ val of_raw : int64 -> t
     construction the [Batsched_obs.Profile] bootstrap has always used,
     kept for bit-compatibility with committed dominance verdicts. *)
 
-val state : t -> int64
-(** The current raw state (diagnostics, checkpointing). *)
-
-val copy : t -> t
-(** Duplicate the state; both copies continue the same future stream. *)
-
 val next : t -> int64
 (** Advance by the golden gamma and return the mixed output. *)
-
-val split : t -> t
-(** [split g] derives an independent generator seeded from [g]'s next
-    output; [g] advances once. *)
 
 val substream : t -> int -> t
 (** [substream g i] is the [i]-th child stream: a fresh generator whose

@@ -15,8 +15,6 @@ let variance xs =
       let sq = List.map (fun x -> (x -. m) *. (x -. m)) xs in
       Kahan.sum_list sq /. float_of_int (List.length xs - 1)
 
-let stddev xs = sqrt (variance xs)
-
 let min_max xs =
   require_nonempty "Stats.min_max" xs;
   List.fold_left

@@ -10,9 +10,6 @@ val variance : float list -> float
 (** Unbiased sample variance (n-1 denominator); 0 for singletons.
     @raise Invalid_argument on the empty list. *)
 
-val stddev : float list -> float
-(** Square root of {!variance}. *)
-
 val min_max : float list -> float * float
 (** Smallest and largest sample. @raise Invalid_argument on empty. *)
 

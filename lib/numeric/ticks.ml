@@ -2,18 +2,6 @@ type t = int
 
 let per_minute = 10
 
-let of_minutes x =
-  if not (Float.is_finite x) || x < 0.0 then
-    invalid_arg "Ticks.of_minutes: negative or non-finite";
-  int_of_float (Float.round (x *. float_of_int per_minute))
-
-let of_minutes_exn x =
-  let t = of_minutes x in
-  let back = float_of_int t /. float_of_int per_minute in
-  if Float.abs (back -. x) > 1e-6 then
-    invalid_arg "Ticks.of_minutes_exn: not representable at 0.1-min resolution";
-  t
-
 let check name x =
   if not (Float.is_finite x) || x < 0.0 then
     invalid_arg ("Ticks." ^ name ^ ": negative or non-finite")
@@ -25,11 +13,3 @@ let of_minutes_ceil x =
 let of_minutes_floor x =
   check "of_minutes_floor" x;
   int_of_float (Float.floor ((x *. float_of_int per_minute) +. 1e-9))
-
-let to_minutes t = float_of_int t /. float_of_int per_minute
-
-let add = ( + )
-
-let sub a b = Stdlib.max 0 (a - b)
-
-let compare = Stdlib.compare

@@ -2,24 +2,10 @@
 
     The published task data uses 0.1-minute resolution.  The dynamic
     program of baseline [1] needs exact integer arithmetic over times;
-    this module converts between float minutes and integer deciminute
-    ticks, with checks that the conversion is faithful. *)
+    this module converts float minutes to integer deciminute ticks. *)
 
 type t = int
 (** A duration in deciminutes (0.1 min).  Always non-negative here. *)
-
-val per_minute : int
-(** Ticks per minute (10). *)
-
-val of_minutes : float -> t
-(** [of_minutes x] rounds [x] minutes to the nearest tick.
-    @raise Invalid_argument on negative or non-finite input. *)
-
-val of_minutes_exn : float -> t
-(** Like {!of_minutes} but raises [Invalid_argument] if [x] is not
-    representable exactly at 0.1-minute resolution (beyond rounding
-    noise of 1e-6 min).  Used when loading published data, where any
-    inexactness indicates a transcription bug. *)
 
 val of_minutes_ceil : float -> t
 (** [of_minutes_ceil x] rounds {e up} to the next tick (minus float
@@ -31,12 +17,3 @@ val of_minutes_floor : float -> t
 (** [of_minutes_floor x] rounds {e down} (plus 1e-9 noise tolerance) —
     the dual, for budgets.
     @raise Invalid_argument on negative or non-finite input. *)
-
-val to_minutes : t -> float
-(** Inverse conversion. *)
-
-val add : t -> t -> t
-val sub : t -> t -> t
-(** [sub a b] truncates at zero. *)
-
-val compare : t -> t -> int

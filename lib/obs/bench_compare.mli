@@ -63,11 +63,6 @@ type report = {
 val row_of_json : Json.t -> row option
 (** Parse one bench row object; [None] if name/ns_per_run missing. *)
 
-val rows_of_json : Json.t -> row list
-(** Rows of a whole snapshot (the ["rows"] array). *)
-
-val load_file : string -> row list
-
 val classify_pair :
   ?norm:float -> scenario:string -> row -> row -> comparison
 (** [classify_pair ~scenario old new] applies the threshold rule to

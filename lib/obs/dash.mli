@@ -10,10 +10,6 @@ type t
 
 val empty : t
 
-val update : t -> Json.t -> t
-(** Fold one event record into the state.  Unknown kinds still count
-    toward the record total. *)
-
 val feed_all : t -> Json.t list -> t
 
 val note_skipped : t -> int -> t
@@ -28,6 +24,3 @@ val summary : t -> string
 val render : ?width:int -> t -> string
 (** One ANSI frame (cursor home + clear-to-end; no full clear, so the
     repaint does not flicker).  Hand-rolled escapes, no curses. *)
-
-val sparkline : float list -> string
-(** Unicode block-height sparkline of the values, oldest first. *)

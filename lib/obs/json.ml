@@ -182,21 +182,6 @@ let of_file path =
       let n = in_channel_length ic in
       parse (really_input_string ic n))
 
-(* One JSON value per nonempty line — the events-stream framing. *)
-let of_jsonl_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let acc = ref [] in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then acc := parse line :: !acc
-         done
-       with End_of_file -> ());
-      List.rev !acc)
-
 (* Writer-side helpers shared by every hand-rolled exporter. *)
 let add_number buf f =
   if Float.is_finite f then begin

@@ -19,9 +19,6 @@ type t =
 exception Bad_json of string
 (** Raised with a byte offset on malformed input. *)
 
-val max_depth : int
-(** Deepest nesting of arrays and objects {!parse} accepts (256). *)
-
 val parse : string -> t
 (** Parse one complete JSON value; trailing garbage is an error, and
     so is nesting deeper than {!max_depth}.
@@ -43,9 +40,6 @@ val bool_field : string -> t -> bool option
 val of_file : string -> t
 (** Read and parse a whole file.
     @raise Bad_json or [Sys_error]. *)
-
-val of_jsonl_file : string -> t list
-(** Read a JSON-Lines file: one value per nonempty line. *)
 
 val add_number : Buffer.t -> float -> unit
 (** Append a float that reads back bit-exactly: the compact [%.12g]

@@ -8,10 +8,6 @@
     and inspects them; [basched profile] aggregates them into anytime
     performance profiles. *)
 
-val schema_version : int
-(** Bumped on any incompatible manifest change; {!load} skips entries
-    from other versions. *)
-
 type spec = {
   tool : string;           (** ["basched"] | ["battsim"] | ["bench"] *)
   label : string;          (** algo/scenario label, e.g. ["anneal"] *)
@@ -70,10 +66,6 @@ val load : string -> entry list * int
 val find : string -> string -> (entry, string) result
 (** [find dir id_or_prefix] resolves an exact id, else a unique
     prefix; the error describes no-match and ambiguity. *)
-
-val gc : ?keep:int -> string -> int
-(** Delete the oldest manifests beyond [keep]; returns the number
-    removed. *)
 
 val git_rev : unit -> string
 (** Short git revision of the working directory, or ["unknown"]. *)

@@ -26,8 +26,6 @@ let current = Atomic.make Quiet
 
 let set_level l = Atomic.set current l
 
-let level () = Atomic.get current
-
 let enabled l = l <> Quiet && severity l <= severity (Atomic.get current)
 
 let default_output line =
@@ -56,11 +54,5 @@ let init_from_env () =
       | None ->
           default_output
             (Printf.sprintf "basched: [warn] BATSCHED_LOG=%s not a level" s))
-
-let err msg = log Error msg
-
-let warn msg = log Warn msg
-
-let info msg = log Info msg
 
 let debug msg = log Debug msg

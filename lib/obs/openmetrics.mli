@@ -12,18 +12,9 @@
     outside [[a-zA-Z0-9_]] become ['_']), so ["span/choose"] exports
     as [batsched_span_choose]. *)
 
-val sanitize : string -> string
-(** Metric-name sanitization: characters outside [[a-zA-Z0-9_]]
-    become ['_']. *)
-
-val escape_label : string -> string
-(** Label-value escaping per the Prometheus text format: exactly
-    backslash, double-quote and line-feed — never the JSON-only
-    escapes (tab, [u]-hex) that exposition parsers reject. *)
-
-val to_string : unit -> string
-(** Render one exposition from the current [Probe.totals],
-    [Histogram.snapshot], and [Gc.quick_stat]. *)
-
 val write_file : string -> unit
-(** [write_file path] writes {!to_string} to [path] (truncating). *)
+(** [write_file path] writes one exposition of the current
+    [Probe.totals], [Histogram.snapshot] and [Gc.quick_stat] to [path]
+    (truncating).  Label values escape exactly backslash, double-quote
+    and line-feed, never the JSON-only escapes (tab, [u]-hex) that
+    exposition parsers reject. *)

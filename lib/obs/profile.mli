@@ -42,18 +42,6 @@ val ert : run list -> target:float -> float option
 (** Expected running time to [target]: (Σ hitting budgets + Σ full
     budgets of runs that never hit) / #hits.  [None] if no run hits. *)
 
-val targets : run list -> float list
-(** Default target ladder: fractions of the gap between the worst
-    starting quality and the best final quality across the runs. *)
-
-val grid : ?n:int -> run list -> float list
-(** Shared evaluation grid: [n] (default 24) equispaced budgets up to
-    the largest horizon. *)
-
-val band : run list -> x:float -> p:float -> float
-(** Cross-run quality quantile [p] at budget [x]; runs with no
-    improvement yet contribute their first (worst) quality. *)
-
 type verdict = {
   a_wins : float;  (** bootstrap fraction where A scored lower *)
   score_a : float;

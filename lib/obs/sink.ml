@@ -16,8 +16,6 @@ type t = Noop | Active of state
 
 let noop = Noop
 
-let is_active = function Noop -> false | Active _ -> true
-
 let create () =
   Active
     { mutex = Mutex.create (); epoch_ns = Monotonic_clock.now (); spans = [] }

@@ -33,9 +33,6 @@ val create : unit -> t
 (** A fresh active sink.  Records its creation time as the trace
     epoch. *)
 
-val is_active : t -> bool
-(** [false] exactly for {!noop}. *)
-
 val with_span : t -> string -> (unit -> 'a) -> 'a
 (** [with_span t name f] runs [f ()]; on an active sink it records a
     [name] span around the call (also when [f] raises). *)

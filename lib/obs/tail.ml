@@ -23,8 +23,6 @@ let create () = { partial = Buffer.create 256; bad = 0 }
 
 let bad t = t.bad
 
-let pending t = Buffer.length t.partial > 0
-
 let parse_line t acc line =
   if String.trim line = "" then acc
   else

@@ -19,9 +19,6 @@ val finish : t -> Json.t list
     it is complete JSON, otherwise counts it as torn.  The tailer is
     reusable afterwards (the buffer is drained either way). *)
 
-val pending : t -> bool
-(** Whether a partial line is buffered. *)
-
 val bad : t -> int
 (** Lines skipped so far (torn tail or corrupt). *)
 

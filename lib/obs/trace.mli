@@ -8,10 +8,7 @@
     chunks of a parallel region or runs jobs.  Timestamps are
     microseconds from the sink's creation. *)
 
-val to_string : Sink.t -> string
-(** The complete JSON document.  A {!Sink.noop} sink yields a valid
-    trace with metadata only. *)
-
 val write : Sink.t -> string -> unit
-(** [write sink path] saves {!to_string} to [path].
+(** [write sink path] saves the complete JSON document to [path].  A
+    {!Sink.noop} sink yields a valid trace with metadata only.
     @raise Sys_error as [open_out]. *)

@@ -21,8 +21,6 @@ let make ~workloads ~edges =
 
 let workloads t = t.workloads
 
-let edges t = t.edges
-
 let compile ?(label = "") t ~cpu =
   let tasks =
     List.mapi

@@ -18,8 +18,6 @@ val make : workloads:workload list -> edges:(int * int) list -> t
     @raise Invalid_argument on empty workloads or non-positive sizes. *)
 
 val workloads : t -> workload list
-val edges : t -> (int * int) list
-
 val compile : ?label:string -> t -> cpu:Cpu.t -> Graph.t
 (** Derive every task's design points from the CPU's operating points
     and build the scheduler-facing graph.

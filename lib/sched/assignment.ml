@@ -44,7 +44,7 @@ let chosen_point g t i = Task.point (Graph.task g i) (column t i)
 (* [Kahan.sum_fn] over the chosen points in task-id order, each term
    handed to [Kahan.Acc.add_at] in the cell [x]: a closure would box
    it. *)
-type term = Duration | Energy | Charge
+type term = Duration | Charge
 
 let sum_over g t term =
   let acc = Kahan.Acc.create () and x = [| 0.0 |] in
@@ -53,15 +53,12 @@ let sum_over g t term =
     x.(0) <-
       (match term with
        | Duration -> p.Task.duration
-       | Energy -> p.Task.current *. p.Task.voltage *. p.Task.duration
        | Charge -> p.Task.current *. p.Task.duration);
     Kahan.Acc.add_at acc x 0
   done;
   Kahan.Acc.sum acc
 
 let total_time g t = sum_over g t Duration
-
-let total_energy g t = sum_over g t Energy
 
 let total_charge g t = sum_over g t Charge
 

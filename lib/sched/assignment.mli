@@ -39,9 +39,6 @@ val chosen_point : Graph.t -> t -> int -> Task.design_point
 val total_time : Graph.t -> t -> float
 (** Serial execution time: sum of chosen durations over all tasks. *)
 
-val total_energy : Graph.t -> t -> float
-(** Sum of [I * V * D] over chosen points — the paper's [E_n]. *)
-
 val total_charge : Graph.t -> t -> float
 (** Sum of [I * D] over chosen points (mA*min). *)
 

@@ -47,23 +47,9 @@ let make ~model g (s : Schedule.t) =
   load t s;
   t
 
-let graph t = t.graph
-
-let length t = Array.length t.seq
-
 let sigma t = Delta.sigma t.delta
 
 let finish t = Delta.finish t.delta
-
-let task_at t k =
-  if k < 0 || k >= Array.length t.seq then
-    invalid_arg "Eval.task_at: position out of range";
-  t.seq.(k)
-
-let position t task =
-  if task < 0 || task >= Array.length t.pos then
-    invalid_arg "Eval.position: task out of range";
-  t.pos.(task)
 
 let column t task =
   if task < 0 || task >= Array.length t.cols then

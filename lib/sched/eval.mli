@@ -29,22 +29,11 @@ val load : t -> Schedule.t -> unit
     graph, dropping any pending move; reuses the internal arrays.
     @raise Invalid_argument on a sequence length mismatch. *)
 
-val graph : t -> Graph.t
-
-val length : t -> int
-(** Number of tasks. *)
-
 val sigma : t -> float
 (** Committed battery cost at the schedule's completion instant. *)
 
 val finish : t -> float
 (** Committed completion time. *)
-
-val task_at : t -> int -> int
-(** Task id at a sequence position. *)
-
-val position : t -> int -> int
-(** Sequence position of a task id. *)
 
 val column : t -> int -> int
 (** Committed design-point column of a task id. *)
@@ -78,9 +67,6 @@ val discard : t -> unit
 
 val sequence : t -> int list
 (** Committed sequence (position order). *)
-
-val assignment : t -> Assignment.t
-(** Committed assignment (validated copy; O(n)). *)
 
 val to_schedule : t -> Schedule.t
 (** Committed state as a schedule, via [Schedule.unsafe_make] (the

@@ -1,4 +1,5 @@
-(** The paper's normalized quality factors (Sec. 4).
+(** The design-point fraction of the paper's Sec. 4.  [Choose]
+    computes the other quality factors (SR, CR, ENR, CIF) inline.
 
     Columns are 0-based throughout: 0 = fastest/highest power,
     [m-1] = slowest/lowest power (paper's DP1..DPm shifted by one).
@@ -6,25 +7,6 @@
     "[ws+1]:m"). *)
 
 open Batsched_taskgraph
-
-val slack_ratio : deadline:float -> time:float -> float
-(** SR = (d - t)/d.  Smaller is better (less unexploited slack); may be
-    negative when over deadline.
-    @raise Invalid_argument on non-positive deadline. *)
-
-val current_ratio : Graph.t -> float -> float
-(** [current_ratio g i] = (i - Imin)/(Imax - Imin) over all design
-    points of all tasks of [g]; in [0, 1] for any current of the graph.
-    Degenerate graphs (Imax = Imin) yield 0. *)
-
-val energy_ratio : Graph.t -> Assignment.t -> float
-(** ENR = (E_n - E_min)/(E_max - E_min) with E_n the assignment's total
-    energy; in [0, 1].  Degenerate graphs yield 0. *)
-
-val current_increase_fraction : Graph.t -> Assignment.t -> int list -> float
-(** CIF: the fraction of adjacent sequence positions whose chosen
-    current increases, in [0, 1].  Single-task sequences yield 0.
-    @raise Invalid_argument on an empty sequence. *)
 
 val dpf_static :
   Graph.t -> Assignment.t -> free:int list -> window_start:int -> float
@@ -37,8 +19,3 @@ val dpf_static :
     and never upgrades past [ws]); the result is then in [[0, 1]].
     @raise Invalid_argument on out-of-range [window_start] or a free
     task assigned outside the window. *)
-
-val suitability :
-  sr:float -> cr:float -> enr:float -> cif:float -> dpf:float -> float
-(** B = SR + CR + ENR + CIF + DPF — the selection objective; lower is
-    better. *)

@@ -30,11 +30,6 @@ let meets_deadline g t ~deadline = finish_time g t <= deadline +. 1e-9
 
 let battery_cost ~model g t = Model.sigma_end model (to_profile g t)
 
-let currents g t =
-  List.map
-    (fun i -> (Assignment.chosen_point g t.assignment i).Task.current)
-    t.sequence
-
 let pp_sequence g fmt seq =
   Format.pp_print_string fmt
     (String.concat "," (List.map (fun i -> (Graph.task g i).Task.name) seq))

@@ -39,10 +39,6 @@ val battery_cost : model:Model.t -> Graph.t -> t -> float
 (** The paper's [CalculateBatteryCost]: sigma at the schedule's
     completion instant. *)
 
-val currents : Graph.t -> t -> float list
-(** Chosen current of each task in sequence order (the discharge
-    staircase). *)
-
 val pp : Graph.t -> Format.formatter -> t -> unit
 (** Paper-style rendering: task names in sequence order and the DP row
     ("T1,T4,T5,... / P5,P5,P4,..." with DPs in sequence order). *)

@@ -60,15 +60,6 @@ val create :
     answer with terminal records only.
     @raise Invalid_argument if [capacity < 1]. *)
 
-val submit : t -> Request.t -> [ `Accepted | `Rejected ]
-(** Admit a request; returns as soon as it is queued.  [`Rejected]
-    (capacity full) has already emitted the [overloaded] response. *)
-
-val cancel : t -> string -> unit
-(** Fire the cancellation token for a request id.  Unknown ids are
-    remembered, so a cancel racing ahead of its submit still wins;
-    cancelling a finished request is a no-op. *)
-
 val handle_line : t -> string -> unit
 (** Parse one wire line and dispatch it (submit or cancel); malformed
     lines answer [parse_error] and count as errors.  Blank lines are

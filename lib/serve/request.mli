@@ -33,9 +33,6 @@ type incoming =
   | Submit of t
   | Cancel of string  (** request id to cancel *)
 
-val algos : string list
-val models : string list
-
 val model : search -> Model.t
 (** Instantiate the battery model a request asked for. *)
 

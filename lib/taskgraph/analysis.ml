@@ -133,12 +133,3 @@ let serial_time_bounds g =
   let m = Graph.num_points g in
   (column_time g 0, column_time g (m - 1))
 
-let current_range g =
-  List.fold_left
-    (fun (lo, hi) t -> (Float.min lo (Task.min_current t), Float.max hi (Task.max_current t)))
-    (Float.infinity, Float.neg_infinity)
-    (Graph.tasks g)
-
-let energy_bounds g =
-  let m = Graph.num_points g in
-  (column_sum g (m - 1) ~energy:true, column_sum g 0 ~energy:true)

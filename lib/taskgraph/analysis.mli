@@ -50,11 +50,3 @@ val serial_time_bounds : Graph.t -> float * float
     [column_time g 0, column_time g (m-1)].  A deadline is meetable iff
     it is at least [fastest]. *)
 
-val current_range : Graph.t -> float * float
-(** [(I_min, I_max)] over all design points of all tasks — the
-    normalization constants of the paper's Current Ratio. *)
-
-val energy_bounds : Graph.t -> float * float
-(** [(E_min, E_max)]: total energy if every task uses its
-    lowest-power (slowest) resp. highest-power (fastest) design point —
-    the normalization constants of the paper's Energy Ratio. *)

@@ -1,7 +1,5 @@
 let g3_factors = [ 1.0; 0.85; 0.68; 0.51; 0.33 ]
 
-let g2_factors = [ 2.5; 1.66; 1.25; 1.0 ]
-
 let check_positive name x =
   if not (x > 0.0) then invalid_arg ("Designpoints: non-positive " ^ name)
 

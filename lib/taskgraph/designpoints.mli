@@ -31,6 +31,3 @@ val linear_duration_law :
 
 val g3_factors : float list
 (** The paper's G3 scaling factors: 1, 0.85, 0.68, 0.51, 0.33. *)
-
-val g2_factors : float list
-(** The paper's G2 scaling factors: 2.5, 1.66, 1.25, 1. *)

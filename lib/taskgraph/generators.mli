@@ -19,10 +19,6 @@ val default_spec : spec
 (** 5 design points, currents 300..1000 mA, durations 3..12 min —
     the G3 regime. *)
 
-val spec_factors : spec -> float list
-(** Voltage scaling factors implied by the spec: [num_points] values
-    linearly spaced from 1.0 down to 0.33 (the G3 end points). *)
-
 val chain : rng:Batsched_numeric.Rng.t -> spec:spec -> n:int -> Graph.t
 (** A linear pipeline [0 -> 1 -> ... -> n-1].
     @raise Invalid_argument if [n < 1]. *)

@@ -106,9 +106,6 @@ let edges g =
 
 let num_edges g = Array.fold_left (fun acc l -> acc + List.length l) 0 g.succs
 
-let sources g =
-  List.filteri (fun i _ -> g.preds.(i) = []) (List.init (num_tasks g) Fun.id)
-
 let sinks g =
   List.filteri (fun i _ -> g.succs.(i) = []) (List.init (num_tasks g) Fun.id)
 
@@ -124,9 +121,3 @@ let map_tasks f g =
          g.tasks)
   in
   make ~label:g.label ~edges:(edges g) tasks'
-
-let pp fmt g =
-  Format.fprintf fmt "graph %S: %d tasks, %d points, %d edges@."
-    g.label (num_tasks g) (num_points g) (num_edges g);
-  Array.iter (fun t -> Format.fprintf fmt "  %a@." Task.pp t) g.tasks;
-  List.iter (fun (a, b) -> Format.fprintf fmt "  %d -> %d@." a b) (edges g)

@@ -42,14 +42,9 @@ val edges : t -> (int * int) list
 
 val num_edges : t -> int
 
-val sources : t -> int list
-(** Vertices without predecessors. *)
-
 val sinks : t -> int list
 (** Vertices without successors. *)
 
 val map_tasks : (Task.t -> Task.t) -> t -> t
 (** [map_tasks f g] replaces each task ([f] must preserve the id and
     design-point count; validated).  Used to re-derive design points. *)
-
-val pp : Format.formatter -> t -> unit

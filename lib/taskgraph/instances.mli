@@ -19,6 +19,3 @@ val g2 : Graph.t
 
 val g2_deadlines : float list
 (** [55; 75; 95] — the case-study deadlines of Table 4. *)
-
-val g3_deadlines : float list
-(** [100; 150; 230] — the G3 deadlines of Table 4. *)

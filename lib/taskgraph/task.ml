@@ -79,12 +79,3 @@ let average_energy t =
   done;
   Batsched_numeric.Kahan.Acc.sum acc /. float_of_int m
 
-let min_current t = (slowest t).current
-
-let max_current t = (fastest t).current
-
-let pp fmt t =
-  Format.fprintf fmt "%s:" t.name;
-  Array.iter
-    (fun p -> Format.fprintf fmt " (%.1fmA,%.1fmin,%.2fV)" p.current p.duration p.voltage)
-    t.points

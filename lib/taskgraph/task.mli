@@ -57,8 +57,3 @@ val charge : t -> int -> float
 val average_energy : t -> float
 (** Mean of {!energy} over all columns — the weight used by the paper's
     [SequenceDecEnergy] and the ordering key of the energy vector E. *)
-
-val min_current : t -> float
-val max_current : t -> float
-
-val pp : Format.formatter -> t -> unit

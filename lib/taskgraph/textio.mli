@@ -32,9 +32,6 @@ val to_string : Graph.t -> string
     structurally equal to [g] up to float printing precision (exact for
     the shipped instances). *)
 
-val load : string -> Graph.t
-(** [load path] parses a file.  @raise Parse_error and [Sys_error]. *)
-
 val save : string -> Graph.t -> unit
 (** [save path g] writes {!to_string}. *)
 

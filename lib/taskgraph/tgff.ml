@@ -200,13 +200,6 @@ let to_string ?deadline ?period g =
   done;
   Buffer.contents buf
 
-let load path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  of_string text
-
 let save ?deadline ?period path g =
   let oc = open_out path in
   output_string oc (to_string ?deadline ?period g);

@@ -47,7 +47,4 @@ val to_string : ?deadline:float -> ?period:float -> Graph.t -> string
 (** Render a graph in the dialect; one TYPE per task.
     [of_string (to_string g)] reconstructs an isomorphic graph. *)
 
-val load : string -> document
-(** Parse a file.  @raise Parse_error and [Sys_error]. *)
-
 val save : ?deadline:float -> ?period:float -> string -> Graph.t -> unit

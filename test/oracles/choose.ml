@@ -41,12 +41,12 @@ let trial (cfg : Batsched.Config.t) g ~order ~seq ~cols ~tagged_pos
   in
   let infeasible = upgrade order in
   let hypothetical = Assignment.of_list g (Array.to_list cols) in
-  { Batsched.Choose.enr = Metrics.energy_ratio g hypothetical;
+  { Batsched.Choose.enr = Factors.energy_ratio g hypothetical;
     cif =
-      Metrics.current_increase_fraction g hypothetical (Array.to_list seq);
+      Factors.current_increase_fraction g hypothetical (Array.to_list seq);
     dpf =
       (if infeasible then Float.infinity
-       else if tagged_pos = 0 then Metrics.slack_ratio ~deadline:d ~time:!te
+       else if tagged_pos = 0 then Factors.slack_ratio ~deadline:d ~time:!te
        else
          Metrics.dpf_static g hypothetical
            ~free:(List.init tagged_pos (fun pos -> seq.(pos)))
@@ -93,15 +93,15 @@ let choose_design_points (cfg : Batsched.Config.t) g ~sequence ~window_start =
     let t = seq.(pos) in
     let best_col = ref (-1) and best_b = ref Float.infinity in
     for j = lowest downto window_start do
-      let sr = Metrics.slack_ratio ~deadline:d ~time:(!tsum +. duration g t j) in
-      let cr = Metrics.current_ratio g (Task.point (Graph.task g t) j).Task.current in
+      let sr = Factors.slack_ratio ~deadline:d ~time:(!tsum +. duration g t j) in
+      let cr = Factors.current_ratio g (Task.point (Graph.task g t) j).Task.current in
       let cols = Array.copy committed in
       cols.(t) <- j;
       let r = trial cfg g ~order ~seq ~cols ~tagged_pos:pos ~window_start in
       let b =
         if r.Batsched.Choose.dpf = Float.infinity then Float.infinity
         else
-          Metrics.suitability ~sr:(w.Batsched.Config.sr *. sr)
+          Factors.suitability ~sr:(w.Batsched.Config.sr *. sr)
             ~cr:(w.Batsched.Config.cr *. cr)
             ~enr:(w.Batsched.Config.enr *. r.Batsched.Choose.enr)
             ~cif:(w.Batsched.Config.cif *. r.Batsched.Choose.cif)

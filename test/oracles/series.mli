@@ -1,4 +1,12 @@
-(** Reference for [Batsched_numeric.Series.kernel]. *)
+(** References for [Batsched_numeric.Series.kernel]. *)
+
+val exp_sum : ?terms:int -> beta:float -> float -> float
+(** [exp_sum ~beta t] is the one-sided tail
+    [F(t) = 2 * sum_{m=1..terms} exp(-beta^2 m^2 t) / (beta^2 m^2)],
+    uncached, with the shipped kernel's compensated loop operation for
+    operation: [Series.kernel ~beta a b] is exactly
+    [Float.max 0.0 (exp_sum ~beta a -. exp_sum ~beta b)] for
+    [0 <= a < b], whatever its memo holds. *)
 
 val kernel_direct : ?terms:int -> beta:float -> float -> float -> float
 (** [kernel_direct ~beta a b] is the RV kernel

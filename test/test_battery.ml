@@ -13,8 +13,8 @@ let kibam = Kibam.model ()
 (* --- Profile --- *)
 
 let test_profile_empty () =
-  check_float "length" 0.0 (Profile.length Profile.empty);
-  check_float "charge" 0.0 (Profile.total_charge Profile.empty)
+  check_float "length" 0.0 (Profile.length (Profile.of_intervals []));
+  check_float "charge" 0.0 (Profile.total_charge (Profile.of_intervals []))
 
 let test_profile_sequential_layout () =
   let p = Profile.sequential [ (100.0, 2.0); (200.0, 3.0); (50.0, 1.0) ] in
@@ -209,7 +209,7 @@ let test_lifetime_first_crossing_on_dip () =
 let test_rv_negative_time_rejected () =
   Alcotest.check_raises "negative"
     (Invalid_argument "Model.sigma: negative time") (fun () ->
-      ignore (Model.sigma rv Profile.empty ~at:(-1.0)))
+      ignore (Model.sigma rv (Profile.of_intervals []) ~at:(-1.0)))
 
 (* --- KiBaM --- *)
 
@@ -351,7 +351,7 @@ let test_lifetime_ideal_model_exact () =
 let test_lifetime_bad_alpha () =
   Alcotest.check_raises "alpha <= 0"
     (Invalid_argument "Lifetime: alpha must be positive") (fun () ->
-      ignore (Lifetime.survives ~model:Ideal.model ~alpha:0.0 Profile.empty))
+      ignore (Lifetime.survives ~model:Ideal.model ~alpha:0.0 (Profile.of_intervals [])))
 
 (* --- Diffusion PDE reference --- *)
 
@@ -362,7 +362,7 @@ let pde_params =
 let pde = Diffusion.model ~params:pde_params ()
 
 let test_diffusion_zero_load () =
-  let p = Profile.empty in
+  let p = Profile.of_intervals [] in
   check_close 1e-6 "undisturbed" 0.0 (Model.sigma pde p ~at:10.0)
 
 let test_diffusion_conservation_at_rest () =
@@ -869,7 +869,7 @@ let test_curves_sigma_curve_monotone () =
   let model = Rakhmatov.model () in
   let p = Profile.constant ~current:300.0 ~duration:50.0 in
   let c = Curves.sigma_curve ~model p ~n:20 in
-  let pts = Batsched_numeric.Interp.points c in
+  let pts = c in
   let rec check = function
     | (_, a) :: ((_, b) :: _ as rest) -> a <= b +. 1e-6 && check rest
     | _ -> true
@@ -1270,7 +1270,7 @@ let prop_periodic_lanes_match =
         in
         let cycle =
           match (int 8, Profile.intervals loads) with
-          | 0, _ -> Profile.empty
+          | 0, _ -> Profile.of_intervals []
           | (1 | 2 | 3), first :: _ :: _ ->
               Profile.with_idle loads
                 ~after:(first.Profile.start +. first.Profile.duration)
@@ -1556,7 +1556,9 @@ let full_eval model points =
 
 let delta_of model points =
   let arr = Array.of_list points in
-  Delta.init model ~n:(Array.length arr) ~point:(fun i -> arr.(i))
+  let d = Delta.create model in
+  Delta.load d ~n:(Array.length arr) ~point:(fun i -> arr.(i));
+  d
 
 let check_against_full model d points =
   let sigma, finish = full_eval model points in

@@ -733,7 +733,7 @@ let test_choose_incremental_matches_reference_instances () =
           done)
         deadlines)
     [ (Instances.g2, Instances.g2_deadlines);
-      (Instances.g3, Instances.g3_deadlines) ]
+      (Instances.g3, [ 100.0; 150.0; 230.0 ]) ]
 
 let prop_choose_incremental_matches_reference =
   QCheck.Test.make ~count:300

@@ -47,7 +47,7 @@ let test_superpose_identical () =
 let test_superpose_empty () =
   check_float "empty" 0.0 (Profile.length (Profile.superpose []));
   check_float "only empties" 0.0
-    (Profile.length (Profile.superpose [ Profile.empty; Profile.empty ]))
+    (Profile.length (Profile.superpose [ Profile.of_intervals []; Profile.of_intervals [] ]))
 
 let test_superpose_sigma_exceeds_sequential ()=
   (* same work concurrently stresses the battery more than serially *)

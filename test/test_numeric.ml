@@ -1,15 +1,16 @@
 (* Tests for the numeric substrate: compensated summation, the RV
-   series kernel, root finding, interpolation, statistics, the PRNG and
-   fixed-point ticks. *)
+   series kernel, root finding, statistics, the PRNG and fixed-point
+   ticks. *)
 
 open Batsched_numeric
+module Ref_series = Batsched_oracles.Series
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close eps = Alcotest.(check (float eps))
 
 (* --- Kahan --- *)
 
-let test_kahan_empty () = check_float "empty sum" 0.0 (Kahan.sum Kahan.zero)
+let test_kahan_empty () = check_float "empty sum" 0.0 (Kahan.sum_list [])
 
 let test_kahan_simple () =
   check_float "1+2+3" 6.0 (Kahan.sum_list [ 1.0; 2.0; 3.0 ])
@@ -31,7 +32,8 @@ let test_kahan_sum_fn_negative () =
     (fun () -> ignore (Kahan.sum_fn (-1) (fun _ -> 1.0)))
 
 let test_kahan_array () =
-  check_float "array" 15.0 (Kahan.sum_array [| 1.0; 2.0; 3.0; 4.0; 5.0 |])
+  let xs = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
+  check_float "array" 15.0 (Kahan.sum_fn (Array.length xs) (Array.get xs))
 
 (* --- Series --- *)
 
@@ -48,7 +50,9 @@ let test_series_kernel_monotone_in_b () =
   Alcotest.(check bool) "monotone" true (k 5.0 < k 10.0 && k 10.0 < k 50.0)
 
 let test_series_kernel_bounded_by_limit () =
-  let limit = Series.kernel_limit ~beta:0.273 in
+  (* lim_{b -> infinity} F(beta, 0, b) = 2 * sum 1/(beta^2 m^2)
+     = pi^2 / (3 beta^2) *)
+  let limit = Float.pi *. Float.pi /. (3.0 *. 0.273 *. 0.273) in
   let v = Series.kernel ~terms:2000 ~beta:0.273 0.0 1e6 in
   Alcotest.(check bool) "below limit" true (v <= limit +. 1e-6);
   (* truncation tail is ~ 2/(beta^2 * terms) ~ 0.0134 here *)
@@ -71,39 +75,40 @@ let test_series_invalid () =
       ignore (Series.kernel ~beta:0.273 5.0 1.0));
   Alcotest.check_raises "bad beta"
     (Invalid_argument "Series: beta must be positive") (fun () ->
-      ignore (Series.exp_sum ~beta:0.0 1.0))
+      ignore (Series.kernel ~beta:0.0 0.0 1.0))
 
 let test_series_exp_sum_matches_kernel_at_zero () =
   (* kernel(0, b) = exp_sum(0) - exp_sum(b) *)
   let beta = 0.273 in
   let b = 7.0 in
   check_close 1e-9 "identity"
-    (Series.exp_sum ~beta 0.0 -. Series.exp_sum ~beta b)
+    (Ref_series.exp_sum ~beta 0.0 -. Ref_series.exp_sum ~beta b)
     (Series.kernel ~beta 0.0 b)
 
 let test_series_negative_clamp () =
-  (* cancellation noise within 1e-12 of zero evaluates as zero; a
-     genuinely negative time is still a caller bug *)
+  (* the difference of two tails one ulp apart is cancellation noise of
+     either sign; the kernel clamps it at zero *)
   let beta = 0.273 in
-  check_float "tiny negative clamps" (Series.exp_sum ~beta 0.0)
-    (Series.exp_sum ~beta (-1e-13));
-  check_float "cached clamps too" (Series.exp_sum_cached ~beta 0.0)
-    (Series.exp_sum_cached ~beta (-1e-13));
-  Alcotest.check_raises "beyond tolerance raises"
-    (Invalid_argument "Series.exp_sum: negative time") (fun () ->
-      ignore (Series.exp_sum ~beta (-1e-9)))
+  for i = 0 to 999 do
+    let a = float_of_int i /. 7.0 in
+    Alcotest.(check bool) "never negative" true
+      (Series.kernel ~beta a (Float.succ a) >= 0.0)
+  done
 
 let test_series_cached_across_eviction () =
   (* churn well past the memo capacity so generations turn over, then
-     confirm cached values are still exactly what exp_sum computes *)
+     confirm the kernel is still exactly the difference of the tails
+     the reference computes *)
   let beta = 0.273 in
   for i = 0 to 99_999 do
-    ignore (Series.exp_sum_cached ~beta (float_of_int i /. 7.0))
+    ignore (Series.kernel ~beta (float_of_int i /. 7.0) 1e6)
   done;
   for i = 0 to 99 do
     let x = float_of_int (997 * i) /. 7.0 in
     Alcotest.(check bool) "bit-identical after churn" true
-      (Float.equal (Series.exp_sum ~beta x) (Series.exp_sum_cached ~beta x))
+      (Float.equal
+         (Float.max 0.0 (Ref_series.exp_sum ~beta x -. Ref_series.exp_sum ~beta 1e6))
+         (Series.kernel ~beta x 1e6))
   done
 
 (* --- Fcache --- *)
@@ -121,6 +126,12 @@ let fc_add t k v =
   Array.blit k 0 (Fcache.key t) 0 (Array.length k);
   Fcache.add_from t [| v |] 0
 
+(* [label]'s (live, slots, flips) row of the occupancy report *)
+let fc_occupancy label =
+  match List.find_opt (fun (l, _, _, _) -> l = label) (Fcache.occupancy ()) with
+  | Some (_, live, slots, flips) -> (live, slots, flips)
+  | None -> Alcotest.fail ("no occupancy row for " ^ label)
+
 let test_fcache_roundtrip () =
   let t = Fcache.create ~capacity:64 ~arity:3 () in
   Alcotest.(check bool) "fresh miss is nan" true
@@ -135,10 +146,7 @@ let test_fcache_roundtrip () =
   fc_add t [| 0.0; 0.0; 0.0 |] 1.0;
   Alcotest.(check bool) "negative zero is a distinct key" true
     (Float.is_nan (fc_find t [| -0.0; 0.0; 0.0 |]));
-  Fcache.clear t;
-  Alcotest.(check bool) "cleared" true
-    (Float.is_nan (fc_find t [| 1.0; 2.0; 3.0 |]));
-  Alcotest.(check int) "empty after clear" 0 (Fcache.live_count t)
+  check_float "first key still hits" 7.0 (fc_find t [| 1.0; 2.0; 3.0 |])
 
 let test_fcache_arity_checked () =
   let t = Fcache.create ~capacity:64 ~arity:3 () in
@@ -150,21 +158,21 @@ let test_fcache_arity_checked () =
   check_float "full key hits" 42.0 (fc_find t [| 1.0; 2.0; 3.0 |]);
   Alcotest.(check bool) "under-filled key misses" true
     (Float.is_nan (fc_find t [| 1.0; 2.0 |]));
-  Alcotest.(check int) "arity" 3 (Fcache.arity t);
   Alcotest.check_raises "bad arity"
     (Invalid_argument "Fcache.create: arity not in 1..8") (fun () ->
       ignore (Fcache.create ~arity:0 ()))
 
 let test_fcache_eviction_bounded () =
-  let t = Fcache.create ~capacity:64 ~arity:3 () in
-  let cap = Fcache.capacity t in
+  let label = "test-eviction-bounded" in
+  let t = Fcache.create ~label ~capacity:64 ~arity:3 () in
+  let _, cap, _ = fc_occupancy label in
   let total = 4 * cap in
   for i = 0 to total - 1 do
     fc_add t [| float_of_int i; 0.5; -2.0 |] (float_of_int (2 * i))
   done;
-  Alcotest.(check bool) "live set bounded by capacity" true
-    (Fcache.live_count t <= cap);
-  Alcotest.(check bool) "generations advanced" true (Fcache.generation t > 1);
+  let live, _, flips = fc_occupancy label in
+  Alcotest.(check bool) "live set bounded by capacity" true (live <= cap);
+  Alcotest.(check bool) "generations advanced" true (flips > 0);
   (* whatever still hits must return exactly the stored value *)
   let hits = ref 0 in
   for i = 0 to total - 1 do
@@ -256,14 +264,21 @@ let test_fcache_lookup_allocation () =
     (ignore (find5 t5 3.5 ()); dst.(0))
 
 let test_fcache_grows_to_cap () =
-  let t = Fcache.create ~arity:3 () in
+  let label = "test-grows-to-cap" in
+  let t = Fcache.create ~label ~arity:3 () in
+  let slots () = let _, c, _ = fc_occupancy label in c
+  and flips () = let _, _, f = fc_occupancy label in f in
   let cap = 65536 in
-  Alcotest.(check bool) "starts below its cap" true (Fcache.capacity t < cap);
+  Alcotest.(check bool) "starts below its cap" true (slots () < cap);
   let sizes_ok = ref true in
+  (* the report walks every table, so read the size every 1024
+     insertions, more often than the table grows *)
   let add k =
     fc_add t [| float_of_int k; 0.5; -2.0 |] (float_of_int (2 * k));
-    let c = Fcache.capacity t in
-    if c > cap || c land (c - 1) <> 0 then sizes_ok := false
+    if k land 1023 = 0 then begin
+      let c = slots () in
+      if c > cap || c land (c - 1) <> 0 then sizes_ok := false
+    end
   in
   for k = 0 to 4095 do
     add k
@@ -280,11 +295,10 @@ let test_fcache_grows_to_cap () =
   for k = 4096 to (cap / 2) - 2 do
     add k
   done;
-  Alcotest.(check int) "no flip before cap/2 insertions" 1
-    (Fcache.generation t);
+  Alcotest.(check int) "no flip before cap/2 insertions" 0 (flips ());
   add ((cap / 2) - 1);
-  Alcotest.(check int) "flip at cap/2 insertions" 2 (Fcache.generation t);
-  Alcotest.(check int) "grown to the cap" cap (Fcache.capacity t);
+  Alcotest.(check int) "flip at cap/2 insertions" 1 (flips ());
+  Alcotest.(check int) "grown to the cap" cap (slots ());
   Alcotest.(check bool) "power-of-two sizes up to the cap" true !sizes_ok
 
 (* --- Rootfind --- *)
@@ -316,47 +330,18 @@ let test_invert_monotone_already_met () =
   let r = Rootfind.invert_monotone ~f:(fun x -> x) ~target:(-5.0) ~lo:2.0 () in
   check_float "lo already satisfies" 2.0 r
 
-(* --- Interp --- *)
-
-let test_interp_exact_at_knots () =
-  let c = Interp.of_points [ (0.0, 1.0); (1.0, 3.0); (2.0, 2.0) ] in
-  check_float "knot 0" 1.0 (Interp.eval c 0.0);
-  check_float "knot 1" 3.0 (Interp.eval c 1.0);
-  check_float "knot 2" 2.0 (Interp.eval c 2.0)
-
-let test_interp_midpoint () =
-  let c = Interp.of_points [ (0.0, 0.0); (2.0, 4.0) ] in
-  check_float "midpoint" 2.0 (Interp.eval c 1.0)
-
-let test_interp_extrapolation () =
-  let c = Interp.of_points [ (0.0, 0.0); (1.0, 2.0) ] in
-  check_float "beyond hi" 6.0 (Interp.eval c 3.0);
-  check_float "below lo" (-2.0) (Interp.eval c (-1.0))
-
-let test_interp_unsorted_input () =
-  let c = Interp.of_points [ (2.0, 2.0); (0.0, 0.0); (1.0, 1.0) ] in
-  check_float "sorted internally" 0.5 (Interp.eval c 0.5)
-
-let test_interp_duplicate_x () =
-  Alcotest.check_raises "duplicate"
-    (Invalid_argument "Interp.of_points: duplicate abscissa") (fun () ->
-      ignore (Interp.of_points [ (1.0, 1.0); (1.0, 2.0) ]))
-
-let test_interp_tabulate () =
-  let c = Interp.tabulate ~f:(fun x -> 2.0 *. x) ~lo:0.0 ~hi:10.0 ~n:11 in
-  check_float "domain lo" 0.0 (fst (Interp.domain c));
-  check_float "domain hi" 10.0 (snd (Interp.domain c));
-  check_float "linear reproduced" 7.0 (Interp.eval c 3.5)
-
 (* --- Stats --- *)
-
-let test_stats_mean () = check_float "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ])
 
 let test_stats_variance () =
   check_float "variance" 2.5 (Stats.variance [ 1.0; 2.0; 3.0; 4.0; 5.0 ])
 
 let test_stats_singleton_variance () =
   check_float "singleton" 0.0 (Stats.variance [ 42.0 ])
+
+let test_stats_geometric_mean () =
+  check_close 1e-9 "geomean" 2.0 (Stats.geometric_mean [ 1.0; 2.0; 4.0 ])
+
+let test_stats_mean () = check_float "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ])
 
 let test_stats_min_max () =
   let lo, hi = Stats.min_max [ 3.0; 1.0; 2.0 ] in
@@ -374,9 +359,6 @@ let test_stats_percentile_bounds () =
   check_float "p0" 10.0 (Stats.percentile 0.0 xs);
   check_float "p100" 30.0 (Stats.percentile 100.0 xs)
 
-let test_stats_geometric_mean () =
-  check_close 1e-9 "geomean" 2.0 (Stats.geometric_mean [ 1.0; 2.0; 4.0 ])
-
 let test_stats_empty () =
   Alcotest.check_raises "empty" (Invalid_argument "Stats.mean: empty sample")
     (fun () -> ignore (Stats.mean []))
@@ -386,12 +368,12 @@ let test_stats_empty () =
 let test_rng_determinism () =
   let a = Rng.create 7 and b = Rng.create 7 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Rng.bits64 a) (Rng.bits64 b)
+    Alcotest.(check (float 0.0)) "same stream" (Rng.float a 1.0) (Rng.float b 1.0)
   done
 
 let test_rng_different_seeds () =
   let a = Rng.create 1 and b = Rng.create 2 in
-  Alcotest.(check bool) "different" true (Rng.bits64 a <> Rng.bits64 b)
+  Alcotest.(check bool) "different" true (Rng.float a 1.0 <> Rng.float b 1.0)
 
 let test_rng_int_range () =
   let g = Rng.create 3 in
@@ -408,10 +390,11 @@ let test_rng_float_range () =
   done
 
 let test_rng_split_independent () =
-  let g = Rng.create 5 in
-  let h = Rng.split g in
-  (* the split stream differs from the parent's continuation *)
-  Alcotest.(check bool) "independent" true (Rng.bits64 g <> Rng.bits64 h)
+  let g = Splitmix.create 5 in
+  let a = Splitmix.substream g 0 and b = Splitmix.substream g 1 in
+  (* sibling substreams differ from each other and from the parent *)
+  let x = Splitmix.next a and y = Splitmix.next b in
+  Alcotest.(check bool) "independent" true (x <> y && x <> Splitmix.next g)
 
 let test_rng_shuffle_permutation () =
   let g = Rng.create 6 in
@@ -427,30 +410,19 @@ let test_rng_pick_empty () =
 
 (* --- Ticks --- *)
 
-let test_ticks_roundtrip () =
-  Alcotest.(check int) "7.3 min" 73 (Ticks.of_minutes 7.3);
-  check_float "back" 7.3 (Ticks.to_minutes 73)
-
-let test_ticks_exact_rejects_offgrid () =
-  Alcotest.(check bool) "on grid ok" true (Ticks.of_minutes_exn 5.3 = 53);
-  Alcotest.check_raises "off grid"
-    (Invalid_argument
-       "Ticks.of_minutes_exn: not representable at 0.1-min resolution")
-    (fun () -> ignore (Ticks.of_minutes_exn 5.34))
-
 let test_ticks_ceil_floor () =
   Alcotest.(check int) "ceil off-grid" 54 (Ticks.of_minutes_ceil 5.34);
   Alcotest.(check int) "floor off-grid" 53 (Ticks.of_minutes_floor 5.34);
   Alcotest.(check int) "ceil on-grid exact" 53 (Ticks.of_minutes_ceil 5.3);
   Alcotest.(check int) "floor on-grid exact" 53 (Ticks.of_minutes_floor 5.3)
 
-let test_ticks_sub_truncates () =
-  Alcotest.(check int) "saturating" 0 (Ticks.sub 3 5)
-
 let test_ticks_negative () =
   Alcotest.check_raises "negative"
-    (Invalid_argument "Ticks.of_minutes: negative or non-finite") (fun () ->
-      ignore (Ticks.of_minutes (-1.0)))
+    (Invalid_argument "Ticks.of_minutes_ceil: negative or non-finite")
+    (fun () -> ignore (Ticks.of_minutes_ceil (-1.0)));
+  Alcotest.check_raises "nan"
+    (Invalid_argument "Ticks.of_minutes_floor: negative or non-finite")
+    (fun () -> ignore (Ticks.of_minutes_floor Float.nan))
 
 (* --- Tridiag (the test-only general solver) --- *)
 
@@ -518,7 +490,7 @@ let test_pool_parallel_preserves_order () =
 let test_pool_matches_sequential_floats () =
   let pool = Pool.create 4 in
   let xs = Array.init 64 (fun i -> float_of_int (i + 1)) in
-  let f x = Series.exp_sum ~beta:0.273 x in
+  let f x = Ref_series.exp_sum ~beta:0.273 x in
   Alcotest.(check bool) "bit-identical" true
     (Pool.map_array pool f xs = Array.map f xs)
 
@@ -609,7 +581,7 @@ let test_pool_submit_and_shutdown () =
 let test_pool_determinism_under_delays () =
   Pool.with_pool 4 @@ fun pool ->
   let xs = Array.init 96 (fun i -> float_of_int (i + 1)) in
-  let f x = Series.exp_sum ~beta:0.273 x in
+  let f x = Ref_series.exp_sum ~beta:0.273 x in
   let expected = Array.map f xs in
   Fun.protect ~finally:(fun () -> Pool.set_task_delay None) @@ fun () ->
   Pool.set_task_delay (Some (fun () -> Unix.sleepf 0.0002));
@@ -661,7 +633,7 @@ let test_pool_region_with_queued_jobs () =
         Atomic.incr hits)
   done;
   let xs = Array.init 200 (fun i -> float_of_int (i + 1)) in
-  let f x = Series.exp_sum ~beta:0.273 x in
+  let f x = Ref_series.exp_sum ~beta:0.273 x in
   Alcotest.(check bool) "region result" true
     (Pool.map_array pool f xs = Array.map f xs);
   Alcotest.(check bool) "every job ran" true
@@ -725,15 +697,6 @@ let prop_kernel_nonnegative =
       let a = Float.abs a and d = Float.abs d in
       Series.kernel ~beta:0.273 a (a +. d) >= -1e-12)
 
-let prop_interp_within_hull =
-  QCheck.Test.make ~count:200 ~name:"interpolation stays within segment hull"
-    QCheck.(triple (float_bound_exclusive 10.0) (float_bound_exclusive 10.0)
-              (float_bound_exclusive 1.0))
-    (fun (y0, y1, frac) ->
-      let c = Interp.of_points [ (0.0, y0); (1.0, y1) ] in
-      let v = Interp.eval c frac in
-      v >= Float.min y0 y1 -. 1e-9 && v <= Float.max y0 y1 +. 1e-9)
-
 let prop_percentile_monotone =
   QCheck.Test.make ~count:200 ~name:"percentile is monotone in p"
     QCheck.(list_of_size Gen.(int_range 1 50) (float_bound_exclusive 100.0))
@@ -767,7 +730,9 @@ let prop_exp_sum_cached_bit_identical =
     QCheck.(float_bound_inclusive 100.0)
     (fun t ->
       let t = Float.abs t in
-      Series.exp_sum_cached ~beta:0.273 t = Series.exp_sum ~beta:0.273 t)
+      Series.kernel ~beta:0.273 t 200.0
+      = Float.max 0.0
+          (Ref_series.exp_sum ~beta:0.273 t -. Ref_series.exp_sum ~beta:0.273 200.0))
 
 (* Behavioural equivalence with a Hashtbl that never evicts: the
    Fcache may miss at any time, but every hit must return the value of
@@ -834,7 +799,7 @@ let prop_pool_matches_sequential_floats =
     QCheck.(pair pool_size_gen (list_of_size Gen.(int_range 0 80) small_int))
     (fun (size, xs) ->
       let pool = prop_pool_of_size size in
-      let f x = Series.exp_sum ~beta:0.273 (float_of_int (abs x mod 50)) in
+      let f x = Ref_series.exp_sum ~beta:0.273 (float_of_int (abs x mod 50)) in
       let xs = Array.of_list xs in
       let seq = Array.map f xs in
       Pool.map_array pool f xs = seq)
@@ -863,7 +828,6 @@ let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_kahan_matches_naive_small;
       prop_kernel_nonnegative;
-      prop_interp_within_hull;
       prop_percentile_monotone;
       prop_kernel_matches_direct;
       prop_kernel_zero_a_matches_direct;
@@ -910,13 +874,6 @@ let () =
           Alcotest.test_case "no sign change" `Quick test_bisect_no_sign_change;
           Alcotest.test_case "invert monotone" `Quick test_invert_monotone;
           Alcotest.test_case "invert already met" `Quick test_invert_monotone_already_met ] );
-      ( "interp",
-        [ Alcotest.test_case "exact at knots" `Quick test_interp_exact_at_knots;
-          Alcotest.test_case "midpoint" `Quick test_interp_midpoint;
-          Alcotest.test_case "extrapolation" `Quick test_interp_extrapolation;
-          Alcotest.test_case "unsorted input" `Quick test_interp_unsorted_input;
-          Alcotest.test_case "duplicate x" `Quick test_interp_duplicate_x;
-          Alcotest.test_case "tabulate" `Quick test_interp_tabulate ] );
       ( "stats",
         [ Alcotest.test_case "mean" `Quick test_stats_mean;
           Alcotest.test_case "variance" `Quick test_stats_variance;
@@ -936,10 +893,7 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "pick empty" `Quick test_rng_pick_empty ] );
       ( "ticks",
-        [ Alcotest.test_case "roundtrip" `Quick test_ticks_roundtrip;
-          Alcotest.test_case "exact rejects off-grid" `Quick test_ticks_exact_rejects_offgrid;
-          Alcotest.test_case "ceil and floor" `Quick test_ticks_ceil_floor;
-          Alcotest.test_case "sub truncates" `Quick test_ticks_sub_truncates;
+        [ Alcotest.test_case "ceil and floor" `Quick test_ticks_ceil_floor;
           Alcotest.test_case "negative" `Quick test_ticks_negative ] );
       ( "pool",
         [ Alcotest.test_case "sequential is map" `Quick test_pool_sequential_is_map;

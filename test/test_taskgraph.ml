@@ -7,6 +7,9 @@ open Batsched_taskgraph
 let check_float = Alcotest.(check (float 1e-9))
 let check_close eps = Alcotest.(check (float eps))
 
+(* vertices without predecessors *)
+let sources g = List.filter (fun v -> Graph.preds g v = []) (List.init (Graph.num_tasks g) Fun.id)
+
 let pipeline () =
   (* 0 -> 1 -> 2 with 2 design points each *)
   let t id = Task.of_pairs ~id ~name:(Printf.sprintf "T%d" (id + 1))
@@ -57,8 +60,8 @@ let test_task_energy_and_charge () =
 
 let test_task_current_bounds () =
   let t = Task.of_pairs ~id:0 ~name:"T" [ (500.0, 2.0); (100.0, 6.0) ] in
-  check_float "min" 100.0 (Task.min_current t);
-  check_float "max" 500.0 (Task.max_current t)
+  check_float "min" 100.0 (Task.slowest t).Task.current;
+  check_float "max" 500.0 (Task.fastest t).Task.current
 
 let test_task_point_out_of_range () =
   let t = Task.of_pairs ~id:0 ~name:"T" [ (500.0, 2.0) ] in
@@ -80,7 +83,7 @@ let test_graph_basic_accessors () =
   Alcotest.(check int) "edges" 4 (Graph.num_edges g);
   Alcotest.(check (list int)) "preds of 3" [ 1; 2 ] (Graph.preds g 3);
   Alcotest.(check (list int)) "succs of 0" [ 1; 2 ] (Graph.succs g 0);
-  Alcotest.(check (list int)) "sources" [ 0 ] (Graph.sources g);
+  Alcotest.(check (list int)) "sources" [ 0 ] (sources g);
   Alcotest.(check (list int)) "sinks" [ 3 ] (Graph.sinks g)
 
 let test_graph_rejects_cycle () =
@@ -174,14 +177,14 @@ let test_serial_time_bounds () =
   check_float "slow" 18.0 slow
 
 let test_current_range () =
-  let lo, hi = Analysis.current_range (diamond ()) in
+  let lo, hi = Batsched_oracles.Factors.current_range (diamond ()) in
   check_float "lo" 50.0 lo;
   check_float "hi" 400.0 hi
 
 let test_energy_bounds () =
   let g = pipeline () in
   (* E_min = 3 * 100*6 = 1800 ; E_max = 3 * 500*2 = 3000 *)
-  let emin, emax = Analysis.energy_bounds g in
+  let emin, emax = Batsched_oracles.Factors.energy_bounds g in
   check_float "emin" 1800.0 emin;
   check_float "emax" 3000.0 emax
 
@@ -202,7 +205,7 @@ let test_cube_law_matches_g2 () =
      give the published 938 mA / 8.8 min *)
   let pairs, voltages =
     Designpoints.cube_law ~base_current:60.0 ~base_duration:22.0
-      ~factors:Designpoints.g2_factors ()
+      ~factors:[ 2.5; 1.66; 1.25; 1.0 ] ()
   in
   (match pairs with
   | (i1, d1) :: _ ->
@@ -258,7 +261,7 @@ let test_generator_fork_join_structure () =
   in
   (* J0 + 3 + J1 + 2 + J2 = 8 *)
   Alcotest.(check int) "n" 8 (Graph.num_tasks g);
-  Alcotest.(check (list int)) "single source" [ 0 ] (Graph.sources g);
+  Alcotest.(check (list int)) "single source" [ 0 ] (sources g);
   Alcotest.(check int) "single sink" 1 (List.length (Graph.sinks g))
 
 let test_generator_layered_connected () =
@@ -330,11 +333,11 @@ let test_g3_serial_bounds_bracket_deadlines () =
   (* all three Table-4 deadlines are meetable but not trivial *)
   List.iter
     (fun d -> Alcotest.(check bool) "meetable nontrivial" true (d >= fast && d <= slow))
-    Instances.g3_deadlines
+    [ 100.0; 150.0; 230.0 ]
 
 let test_g3_fork_join_dependences () =
   let g = Instances.g3 in
-  Alcotest.(check (list int)) "T1 is the only source" [ 0 ] (Graph.sources g);
+  Alcotest.(check (list int)) "T1 is the only source" [ 0 ] (sources g);
   Alcotest.(check (list int)) "T15 is the only sink" [ 14 ] (Graph.sinks g);
   Alcotest.(check (list int)) "T14 parents" [ 10; 11; 12 ] (Graph.preds g 13)
 
@@ -362,7 +365,7 @@ let test_g2_cube_law_consistency () =
           let actual = (Task.point t j).Task.current in
           let rel = Float.abs (actual -. expected) /. expected in
           if rel > !worst then worst := rel)
-        Designpoints.g2_factors)
+        [ 2.5; 1.66; 1.25; 1.0 ])
     (Graph.tasks g);
   Alcotest.(check bool) "within 2.5%" true (!worst < 0.025)
 
