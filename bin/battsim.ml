@@ -34,33 +34,46 @@ let observed ?(seed = 0) ?(pool_size = 1) ~label ~knobs telemetry body =
           curve = [] });
   result
 
-(* basched's check on --beta, then the PDE grid's *)
-let model_of name beta =
-  let { Diffusion.nodes; dt; _ } = Diffusion.default_params in
-  if not (Rakhmatov.valid_beta beta) then
-    Error
-      (Printf.sprintf
-         "option '--beta': %g is not a number from 1e-150 to 1e150" beta)
+(* An option's value must be finite and positive; --idle may be 0. *)
+let bad_number (option, v) =
+  let idle = option = "idle" in
+  if Float.is_finite v && (v > 0.0 || (idle && v = 0.0)) then None
   else
-    match name with
-    | "rakhmatov" -> Ok (Rakhmatov.model ~beta ())
-    | "peukert" -> Ok (Peukert.model ())
-    | "kibam" -> Ok (Kibam.model ())
-    | "pde" when not (Rakhmatov.valid_pde_grid ~beta ~nodes ~dt) ->
-        Error
-          (Printf.sprintf
-             "option '--beta': %g is too large for the PDE grid (%d nodes \
-              at dt %g: dt beta^2 / (pi^2 dx^2) >= 2^53)"
-             beta nodes dt)
-    | "pde" ->
-        Ok
-          (Diffusion.model
-             ~params:
-               (Diffusion.make_params ~nodes ~dt ~alpha:Cell.itsy.Cell.alpha
-                  ~beta ())
-             ())
-    | "ideal" -> Ok Ideal.model
-    | m -> Error ("unknown model: " ^ m)
+    Some
+      (Printf.sprintf "option '--%s': %g is not a finite %s number" option v
+         (if idle then "non-negative" else "positive"))
+
+(* Every numeric option is checked here, once, before a model sees it:
+   [numbers] pairs an option's name with each of its values.  Then
+   basched's check on --beta, then the PDE grid's. *)
+let model_of ~numbers name beta =
+  let { Diffusion.nodes; dt; _ } = Diffusion.default_params in
+  match List.find_map bad_number numbers with
+  | Some msg -> Error msg
+  | None when not (Rakhmatov.valid_beta beta) ->
+      Error
+        (Printf.sprintf
+           "option '--beta': %g is not a number from 1e-150 to 1e150" beta)
+  | None -> (
+      match name with
+      | "rakhmatov" -> Ok (Rakhmatov.model ~beta ())
+      | "peukert" -> Ok (Peukert.model ())
+      | "kibam" -> Ok (Kibam.model ())
+      | "pde" when not (Rakhmatov.valid_pde_grid ~beta ~nodes ~dt) ->
+          Error
+            (Printf.sprintf
+               "option '--beta': %g is too large for the PDE grid (%d nodes \
+                at dt %g: dt beta^2 / (pi^2 dx^2) >= 2^53)"
+               beta nodes dt)
+      | "pde" ->
+          Ok
+            (Diffusion.model
+               ~params:
+                 (Diffusion.make_params ~nodes ~dt ~alpha:Cell.itsy.Cell.alpha
+                    ~beta ())
+               ())
+      | "ideal" -> Ok Ideal.model
+      | m -> Error ("unknown model: " ^ m))
 
 let beta_arg =
   Arg.(value & opt float Rakhmatov.default_beta
@@ -84,19 +97,20 @@ let lifetime current alpha beta model_name telemetry =
         ("beta", Printf.sprintf "%g" beta) ]
     telemetry
   @@ fun () ->
-  match model_of model_name beta with
+  match
+    model_of ~numbers:[ ("current", current); ("alpha", alpha) ] model_name beta
+  with
   | Error msg -> `Error (false, msg)
-  | Ok model ->
-      if current <= 0.0 then `Error (false, "current must be positive")
-      else begin
-        let t = Lifetime.of_constant_current ~model ~alpha ~current in
-        Printf.printf
-          "model %s, alpha %.0f mA*min, constant %.1f mA -> lifetime %.2f min \
-           (%.2f h), delivered %.0f mA*min (%.1f%% of alpha)\n"
-          model_name alpha current t (t /. 60.0) (current *. t)
-          (100.0 *. current *. t /. alpha);
-        `Ok ()
-      end
+  | Ok model -> (
+      match Lifetime.of_constant_current ~model ~alpha ~current with
+      | exception Invalid_argument msg -> `Error (false, msg)
+      | t ->
+          Printf.printf
+            "model %s, alpha %.0f mA*min, constant %.1f mA -> lifetime %.2f \
+             min (%.2f h), delivered %.0f mA*min (%.1f%% of alpha)\n"
+            model_name alpha current t (t /. 60.0) (current *. t)
+            (100.0 *. current *. t /. alpha);
+          `Ok ())
 
 let current_arg =
   Arg.(required & opt (some float) None
@@ -125,20 +139,24 @@ let sigma loads beta idle model_name telemetry =
         ("loads", string_of_int (List.length loads)) ]
     telemetry
   @@ fun () ->
-  match model_of model_name beta with
+  let rec parse acc = function
+    | [] -> Ok (List.rev acc)
+    | s :: rest -> (
+        match parse_load s with
+        | Ok l -> parse (l :: acc) rest
+        | Error e -> Error e)
+  in
+  match parse [] loads with
   | Error msg -> `Error (false, msg)
-  | Ok model -> (
-      let rec parse acc = function
-        | [] -> Ok (List.rev acc)
-        | s :: rest -> (
-            match parse_load s with
-            | Ok l -> parse (l :: acc) rest
-            | Error e -> Error e)
+  | Ok [] -> `Error (false, "need at least one --load I:D")
+  | Ok pairs -> (
+      let numbers =
+        ("idle", idle)
+        :: List.concat_map (fun (i, d) -> [ ("load", i); ("load", d) ]) pairs
       in
-      match parse [] loads with
+      match model_of ~numbers model_name beta with
       | Error msg -> `Error (false, msg)
-      | Ok [] -> `Error (false, "need at least one --load I:D")
-      | Ok pairs ->
+      | Ok model ->
           let base = Profile.sequential pairs in
           let profile =
             if idle > 0.0 then
@@ -180,21 +198,20 @@ let curve current beta points model_name telemetry =
         ("points", string_of_int points) ]
     telemetry
   @@ fun () ->
-  match model_of model_name beta with
+  match model_of ~numbers:[ ("current", current) ] model_name beta with
   | Error msg -> `Error (false, msg)
-  | Ok model ->
-      if current <= 0.0 then `Error (false, "current must be positive")
-      else if points < 2 then `Error (false, "need at least 2 points")
-      else begin
-        let alpha = Cell.itsy.Cell.alpha in
-        let horizon = Lifetime.of_constant_current ~model ~alpha ~current in
-        let p = Profile.constant ~current ~duration:horizon in
-        Printf.printf "# T(min)  sigma(mA*min)\n";
-        List.iter
-          (fun (t, s) -> Printf.printf "%10.2f  %12.1f\n" t s)
-          (Curves.sigma_curve ~model p ~n:points);
-        `Ok ()
-      end
+  | Ok _ when points < 2 -> `Error (false, "need at least 2 points")
+  | Ok model -> (
+      let alpha = Cell.itsy.Cell.alpha in
+      match Lifetime.of_constant_current ~model ~alpha ~current with
+      | exception Invalid_argument msg -> `Error (false, msg)
+      | horizon ->
+          let p = Profile.constant ~current ~duration:horizon in
+          Printf.printf "# T(min)  sigma(mA*min)\n";
+          List.iter
+            (fun (t, s) -> Printf.printf "%10.2f  %12.1f\n" t s)
+            (Curves.sigma_curve ~model p ~n:points);
+          `Ok ())
 
 let points_arg =
   Arg.(value & opt int 25 & info [ "points" ] ~docv:"N" ~doc:"Sample count.")
@@ -217,12 +234,14 @@ let cycles current burst period alpha beta model_name telemetry =
         ("beta", Printf.sprintf "%g" beta) ]
     telemetry
   @@ fun () ->
-  match model_of model_name beta with
+  let numbers =
+    [ ("current", current); ("burst", burst); ("period", period);
+      ("alpha", alpha) ]
+  in
+  match model_of ~numbers model_name beta with
   | Error msg -> `Error (false, msg)
   | Ok model ->
-      if current <= 0.0 || burst <= 0.0 then
-        `Error (false, "current and burst must be positive")
-      else if period < burst then
+      if period < burst then
         `Error (false, "period must cover the burst")
       else begin
         let cycle = Profile.constant ~current ~duration:burst in

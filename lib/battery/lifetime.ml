@@ -45,6 +45,10 @@ let of_constant_current ~model ~alpha ~current =
   (* The load lasts "forever": give the profile a generous horizon and
      extend it if the battery outlives it. *)
   let rec search horizon =
+    if not (Float.is_finite horizon) then
+      invalid_arg
+        "Lifetime.of_constant_current: horizon is not finite (current too \
+         small for alpha)";
     let p = Profile.constant ~current ~duration:horizon in
     match of_profile ~model ~alpha p with
     | Dies_at t -> t

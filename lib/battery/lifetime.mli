@@ -23,7 +23,9 @@ val of_constant_current :
   model:Model.t -> alpha:float -> current:float -> float
 (** [of_constant_current ~model ~alpha ~current] is the lifetime under a
     constant load that lasts until exhaustion.
-    @raise Invalid_argument on non-positive [alpha] or [current]. *)
+    @raise Invalid_argument on non-positive [alpha] or [current], or
+    when the search horizon (from [2 alpha / current], doubled while the
+    battery outlives it) stops being finite. *)
 
 val survives : model:Model.t -> alpha:float -> Profile.t -> bool
 (** [survives ~model ~alpha p] is true iff the profile completes. *)

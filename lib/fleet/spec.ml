@@ -44,6 +44,11 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
    stay within 32 KiB. *)
 let max_pde_nodes = 1024
 
+(* Largest RV series a spec may ask for: [Rakhmatov.valid_beta] argues
+   its range for series of up to 10^4 terms, and each term costs a
+   device a rate and a table column. *)
+let max_rv_terms = 10_000
+
 (* Every number read from a spec must be finite: the JSON parser turns
    an overflowing literal such as 1e999 into infinity, which would
    otherwise reach int_of_float or the sampler's lo + (hi - lo) * u. *)
@@ -55,6 +60,16 @@ let finite ~name v =
 let num_field ?name key j =
   let name = Option.value name ~default:key in
   Option.map (finite ~name) (Json.num_field key j)
+
+(* A count field: an integer from [lo] to [hi], or [default] when
+   absent.  A fractional count is refused rather than truncated. *)
+let count_field ~name ~lo ~hi ~default key j =
+  match num_field ~name key j with
+  | None -> default
+  | Some n when n > float_of_int hi -> fail "%s: must be <= %d" name hi
+  | Some n when n < float_of_int lo -> fail "%s: must be >= %d" name lo
+  | Some n when not (Float.is_integer n) -> fail "%s: must be an integer" name
+  | Some n -> int_of_float n
 
 (* A range is either a bare number (constant) or {"min": a, "max": b}. *)
 let range_of ~name j =
@@ -123,10 +138,8 @@ let model_of_json j =
         Rakhmatov
           { beta;
             terms =
-              (match num_field ~name:"rakhmatov.terms" "terms" j with
-              | Some t when t >= 1.0 -> int_of_float t
-              | Some _ -> fail "rakhmatov.terms: must be >= 1"
-              | None -> Batsched_numeric.Series.default_terms) }
+              count_field ~name:"rakhmatov.terms" ~lo:1 ~hi:max_rv_terms
+                ~default:Batsched_numeric.Series.default_terms "terms" j }
     | "kibam" ->
         let sub = positive_range ~scope:"kibam" in
         let c = sub ~default:(constant 0.5) "c" j in
@@ -139,12 +152,8 @@ let model_of_json j =
             "beta" j
         in
         let nodes =
-          match num_field ~name:"pde.nodes" "nodes" j with
-          | Some n when n > float_of_int max_pde_nodes ->
-              fail "pde.nodes: must be <= %d" max_pde_nodes
-          | Some n when n >= 8.0 -> int_of_float n
-          | Some _ -> fail "pde.nodes: must be >= 8"
-          | None -> 16
+          count_field ~name:"pde.nodes" ~lo:8 ~hi:max_pde_nodes ~default:16
+            "nodes" j
         in
         let dt =
           match num_field ~name:"pde.dt" "dt" j with

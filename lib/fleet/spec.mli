@@ -62,8 +62,9 @@ val of_json : Batsched_obs.Json.t -> (t, string) result
     empty model lists, non-positive weights, inverted ranges, a
     [period_factor] allowing [< 1], any non-finite number (an
     overflowing literal such as [1e999] parses as infinity), a
-    [rakhmatov.beta] outside [Rakhmatov.valid_beta], a PDE grid above
-    1024 nodes, a [pde.beta] whose top fails [Rakhmatov.valid_pde_grid]
+    [rakhmatov.beta] outside [Rakhmatov.valid_beta], a
+    [rakhmatov.terms] above 10^4, a PDE grid above 1024 nodes, a
+    fractional term or node count, a [pde.beta] whose top fails [Rakhmatov.valid_pde_grid]
     on the spec's grid, and a PDE [dt] that would split the longest
     possible span ([period_factor.hi] times the longest cycle) into
     2^53 steps or more are all rejected with a message naming the

@@ -118,6 +118,16 @@ let hostile_specs =
     ( "huge pde nodes",
       spec ~models:{|{"model": "pde", "nodes": 1e12}|} (),
       "pde.nodes: must be <= 1024" );
+    (* counts are parsed, never allocated from, before they are checked *)
+    ( "huge terms",
+      spec ~models:{|{"model": "rakhmatov", "terms": 1e15}|} (),
+      "rakhmatov.terms: must be <= 10000" );
+    ( "fractional terms",
+      spec ~models:{|{"model": "rakhmatov", "terms": 2.5}|} (),
+      "rakhmatov.terms: must be an integer" );
+    ( "fractional pde nodes",
+      spec ~models:{|{"model": "pde", "nodes": 8.7}|} (),
+      "pde.nodes: must be an integer" );
     ( "infinite pde dt",
       spec ~models:{|{"model": "pde", "dt": 1e999}|} (),
       "pde.dt: must be finite" );
