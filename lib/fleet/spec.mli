@@ -64,11 +64,11 @@ val of_json : Batsched_obs.Json.t -> (t, string) result
     overflowing literal such as [1e999] parses as infinity), a
     [rakhmatov.beta] outside [Rakhmatov.valid_beta], a
     [rakhmatov.terms] above 10^4, a PDE grid above 1024 nodes, a
-    fractional term or node count, a [pde.beta] whose top fails [Rakhmatov.valid_pde_grid]
-    on the spec's grid, and a PDE [dt] that would split the longest
-    possible span ([period_factor.hi] times the longest cycle) into
-    2^53 steps or more are all rejected with a message naming the
-    offending field. *)
+    fractional term or node count, a [pde.beta] whose top fails
+    [Rakhmatov.valid_pde_grid] on the spec's grid, and a PDE [dt] that
+    would split the longest possible span ([period_factor.hi] times the
+    longest cycle) into 2^53 steps or more are all rejected with a
+    message naming the offending field. *)
 
 val of_file : string -> (t, string) result
 (** [of_json] on a file's contents; I/O and parse errors are returned

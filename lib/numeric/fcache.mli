@@ -5,8 +5,8 @@
     [find_opt] option — plus a wholesale [Hashtbl.reset] cliff when the
     table filled.  An [Fcache] key is a fixed number of floats hashed on
     their [Int64.bits_of_float] words directly into a flat open-addressed
-    table: a lookup touches at most 8 adjacent slots and
-    allocates nothing.
+    table: a lookup touches at most 8 adjacent slots and allocates
+    nothing.
 
     {2 Semantics}
 

@@ -26,10 +26,10 @@ module Acc : sig
   (** Zero the accumulator for reuse. *)
 
   val add_at : t -> float array -> int -> unit
-  (** [add_at a xs i] adds [xs.(i)] with Neumaier compensation.  A float passed to a function
-      of another module is boxed (2 minor words); a loop elsewhere that
-      hands its terms over in a float array cell allocates nothing per
-      term. *)
+  (** [add_at a xs i] adds [xs.(i)] with Neumaier compensation.  A
+      float passed to a function of another module is boxed (2 minor
+      words); a loop elsewhere that hands its terms over in a float
+      array cell allocates nothing per term. *)
 
   val sum : t -> float
   (** Compensated value accumulated since the last {!reset}. *)

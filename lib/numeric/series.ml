@@ -32,8 +32,8 @@ let exp_sum_at ~terms ~beta buf i =
   buf.(i) <- 2.0 *. (!total +. !comp)
 
 (* Memoized one-sided tails.  [kernel ~beta a b] telescopes as
-   [F(a) - F(b)] over the one-sided tail F, so one memo table over F values
-   shares endpoint evaluations: back-to-back profile intervals reuse
+   [F(a) - F(b)] over the one-sided tail F, so one memo table over F
+   values shares endpoint evaluations: back-to-back profile intervals reuse
    each boundary twice, and the thousands of near-identical
    evaluations a window sweep makes hit the table directly.  The memo
    is an {!Fcache} keyed on (beta, terms-as-float, t) — a lookup hashes

@@ -21,8 +21,9 @@ val set_output : (string -> unit) -> unit
 
 val init_from_env : unit -> unit
 (** Apply [BATSCHED_LOG] (["quiet"], ["error"], ["warn"], ["info"] or
-    ["debug"]) if set; warns on stderr for an unrecognized value.  {!Session.start} calls this, so cram tests
-    and CI can raise the level without flags. *)
+    ["debug"]) if set; warns on stderr for an unrecognized value.
+    {!Session.start} calls this, so cram tests and CI can raise the
+    level without flags. *)
 
 val debug : (unit -> string) -> unit
 (** [debug (fun () -> ...)] — the thunk is only forced when the level

@@ -11,7 +11,8 @@ let energy_sum g col =
 let current_range g =
   List.fold_left
     (fun (lo, hi) t ->
-      (Float.min lo (Task.slowest t).Task.current, Float.max hi (Task.fastest t).Task.current))
+      ( Float.min lo (Task.slowest t).Task.current,
+        Float.max hi (Task.fastest t).Task.current ))
     (Float.infinity, Float.neg_infinity)
     (Graph.tasks g)
 

@@ -5,6 +5,7 @@
 open Batsched_taskgraph
 open Batsched_sched
 open Batsched_baselines
+module Factors = Batsched_oracles.Factors
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -62,7 +63,7 @@ let test_dp_energy_optimality_against_bruteforce () =
           for c3 = 0 to m - 1 do
             let a = Assignment.of_list g [ c0; c1; c2; c3 ] in
             if Assignment.total_time g a <= d +. 1e-9 then
-              best := Float.min !best (Batsched_oracles.Factors.total_energy g a)
+              best := Float.min !best (Factors.total_energy g a)
           done
         done
       done
@@ -75,7 +76,7 @@ let test_dp_energy_optimality_against_bruteforce () =
       check_float
         (Printf.sprintf "optimal at %.1f" d)
         (best_energy d)
-        (Batsched_oracles.Factors.total_energy g a))
+        (Factors.total_energy g a))
     [ 7.0; 10.0; 14.0; 21.0; 28.0 ]
 
 let test_dp_infeasible_raises () =
@@ -424,8 +425,8 @@ let prop_dp_energy_never_above_all_fastest_energy =
     ~name:"DP energy selection never exceeds the all-fastest energy" gen_case
     (fun (g, deadline) ->
       let a = Dp_energy.select_design_points g ~deadline in
-      Batsched_oracles.Factors.total_energy g a
-      <= Batsched_oracles.Factors.total_energy g (Assignment.all_fastest g) +. 1e-6)
+      Factors.total_energy g a
+      <= Factors.total_energy g (Assignment.all_fastest g) +. 1e-6)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest

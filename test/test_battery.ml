@@ -868,8 +868,7 @@ let test_curves_recovery_shape () =
 let test_curves_sigma_curve_monotone () =
   let model = Rakhmatov.model () in
   let p = Profile.constant ~current:300.0 ~duration:50.0 in
-  let c = Curves.sigma_curve ~model p ~n:20 in
-  let pts = c in
+  let pts = Curves.sigma_curve ~model p ~n:20 in
   let rec check = function
     | (_, a) :: ((_, b) :: _ as rest) -> a <= b +. 1e-6 && check rest
     | _ -> true

@@ -52,7 +52,7 @@ let test_assignment_totals () =
     (Assignment.total_charge g fast);
   (* voltages default to 1, so energy = charge *)
   check_float "energy" (Assignment.total_charge g fast)
-    (Batsched_oracles.Factors.total_energy g fast)
+    (Factors.total_energy g fast)
 
 let test_assignment_equal () =
   let g = diamond () in

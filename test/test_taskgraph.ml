@@ -3,6 +3,7 @@
    format. *)
 
 open Batsched_taskgraph
+module Factors = Batsched_oracles.Factors
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close eps = Alcotest.(check (float eps))
@@ -177,14 +178,14 @@ let test_serial_time_bounds () =
   check_float "slow" 18.0 slow
 
 let test_current_range () =
-  let lo, hi = Batsched_oracles.Factors.current_range (diamond ()) in
+  let lo, hi = Factors.current_range (diamond ()) in
   check_float "lo" 50.0 lo;
   check_float "hi" 400.0 hi
 
 let test_energy_bounds () =
   let g = pipeline () in
   (* E_min = 3 * 100*6 = 1800 ; E_max = 3 * 500*2 = 3000 *)
-  let emin, emax = Batsched_oracles.Factors.energy_bounds g in
+  let emin, emax = Factors.energy_bounds g in
   check_float "emin" 1800.0 emin;
   check_float "emax" 3000.0 emax
 
