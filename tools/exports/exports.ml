@@ -44,7 +44,9 @@ let module_of_file path =
 (* The library a lib/ directory builds, from its dune file's
    "(name lib)", as the wrapper module other code names it by. *)
 let library_of_dir dir =
-  let text = In_channel.with_open_bin (Filename.concat dir "dune") In_channel.input_all in
+  let text =
+    In_channel.with_open_bin (Filename.concat dir "dune") In_channel.input_all
+  in
   let tokens =
     String.split_on_char ' '
       (String.map (function '(' | ')' | '\n' | '\t' -> ' ' | c -> c) text)
@@ -65,11 +67,10 @@ type export = {
 
 let key e = String.concat "." e.path
 
-let exports root =
-  let lib_root = Filename.concat root "lib" in
-  files_under lib_root ".mli"
+let exports ~lib_of_dir root =
+  files_under (Filename.concat root "lib") ".mli"
   |> List.concat_map (fun mli ->
-         let lib = library_of_dir (Filename.dirname mli) in
+         let lib = List.assoc (Filename.dirname mli) lib_of_dir in
          let rec values prefix items =
            List.concat_map
              (fun (item : Parsetree.signature_item) ->
@@ -135,7 +136,10 @@ let references ~libraries ~own_lib path =
   in
   let opened_libs =
     List.filter_map
-      (fun o -> match expand 0 o with [ l ] when List.mem l libraries -> Some l | _ -> None)
+      (fun o ->
+        match expand 0 o with
+        | [ l ] when List.mem l libraries -> Some l
+        | _ -> None)
       opens
   in
   let scope = Option.to_list own_lib @ opened_libs in
@@ -152,7 +156,8 @@ let references ~libraries ~own_lib path =
       match List.rev ident with
       | [] -> []
       | [ v ] -> List.map (fun (l, m) -> (l, m @ [ v ])) opened_modules
-      | v :: rev_p -> List.map (fun (l, m) -> (l, m @ [ v ])) (resolve (List.rev rev_p)))
+      | v :: rev_p ->
+          List.map (fun (l, m) -> (l, m @ [ v ])) (resolve (List.rev rev_p)))
     idents
 
 let read_allowlist file =
@@ -164,7 +169,10 @@ let read_allowlist file =
          else
            match String.split_on_char ' ' line |> List.filter (( <> ) "") with
            | key :: test :: _ :: _ -> Some (key, test)
-           | _ -> failwith (Printf.sprintf "%s: want \"Module.value TEST REASON\": %s" file line))
+           | _ ->
+               failwith
+                 (Printf.sprintf "%s: want \"Module.value TEST REASON\": %s"
+                    file line))
 
 let () =
   let root, allowlist =
@@ -179,7 +187,7 @@ let () =
   in
   let lib_of_dir = List.map (fun d -> (d, library_of_dir d)) lib_dirs in
   let libraries = List.map snd lib_of_dir in
-  let exports = exports root in
+  let exports = exports ~lib_of_dir root in
   let called = Hashtbl.create 1024 in
   List.iter
     (fun dir ->
@@ -189,33 +197,42 @@ let () =
           let own = Option.map (fun l -> (l, module_of_file file)) own_lib in
           List.iter
             (fun (l, path) ->
-              if Some (l, List.hd path) <> own then Hashtbl.replace called (l, path) ())
+              if Some (l, List.hd path) <> own then
+                Hashtbl.replace called (l, path) ())
             (references ~libraries ~own_lib file))
         (files_under (Filename.concat root dir) ".ml"))
     caller_dirs;
   let is_called e = Hashtbl.mem called (e.lib, e.path) in
   let entries = read_allowlist allowlist in
   let failures = ref 0 in
-  let fail fmt = incr failures; Printf.printf (fmt ^^ "\n") in
+  let fail fmt =
+    incr failures;
+    Printf.printf (fmt ^^ "\n")
+  in
   List.iter
     (fun e ->
       if not (is_called e || List.mem_assoc (key e) entries) then
-        fail "%s: %s has no caller in %s" e.mli (key e) (String.concat ", " caller_dirs))
+        fail "%s: %s has no caller in %s" e.mli (key e)
+          (String.concat ", " caller_dirs))
     exports;
+  (* the exports each named test file calls, read once per file *)
+  let test_refs = Hashtbl.create 16 in
+  let test_calls test e =
+    let path = Filename.concat root test in
+    if not (Hashtbl.mem test_refs test) then
+      Hashtbl.add test_refs test
+        (if Sys.file_exists path then references ~libraries ~own_lib:None path
+         else []);
+    List.mem (e.lib, e.path) (Hashtbl.find test_refs test)
+  in
   List.iter
     (fun (k, test) ->
       let matching = List.filter (fun e -> key e = k) exports in
-      if matching = [] then fail "%s: stale entry %s: no such export" allowlist k
+      if matching = [] then
+        fail "%s: stale entry %s: no such export" allowlist k
       else if List.exists is_called matching then
         fail "%s: stale entry %s: it has a shipped caller" allowlist k
-      else
-        let test_path = Filename.concat root test in
-        let names_it =
-          Sys.file_exists test_path
-          && List.exists
-               (fun (l, path) -> List.exists (fun e -> e.lib = l && e.path = path) matching)
-               (references ~libraries ~own_lib:None test_path)
-        in
-        if not names_it then fail "%s: stale entry %s: %s does not call it" allowlist k test)
+      else if not (List.exists (test_calls test) matching) then
+        fail "%s: stale entry %s: %s does not call it" allowlist k test)
     entries;
   if !failures > 0 then exit 1
