@@ -41,26 +41,16 @@ let to_list t = Array.to_list t.columns
 
 let chosen_point g t i = Task.point (Graph.task g i) (column t i)
 
-(* [Kahan.sum_fn] over the chosen points in task-id order, each term
+(* [Kahan.sum_fn] over the chosen durations in task-id order, each
    handed to [Kahan.Acc.add_at] in the cell [x]: a closure would box
    it. *)
-type term = Duration | Charge
-
-let sum_over g t term =
+let total_time g t =
   let acc = Kahan.Acc.create () and x = [| 0.0 |] in
   for i = 0 to Array.length t.columns - 1 do
-    let p = Task.point (Graph.task g i) t.columns.(i) in
-    x.(0) <-
-      (match term with
-       | Duration -> p.Task.duration
-       | Charge -> p.Task.current *. p.Task.duration);
+    x.(0) <- (Task.point (Graph.task g i) t.columns.(i)).Task.duration;
     Kahan.Acc.add_at acc x 0
   done;
   Kahan.Acc.sum acc
-
-let total_time g t = sum_over g t Duration
-
-let total_charge g t = sum_over g t Charge
 
 let equal a b = a.num_points = b.num_points && a.columns = b.columns
 

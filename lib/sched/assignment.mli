@@ -39,9 +39,6 @@ val chosen_point : Graph.t -> t -> int -> Task.design_point
 val total_time : Graph.t -> t -> float
 (** Serial execution time: sum of chosen durations over all tasks. *)
 
-val total_charge : Graph.t -> t -> float
-(** Sum of [I * D] over chosen points (mA*min). *)
-
 val equal : t -> t -> bool
 
 val pp_paper : Graph.t -> Format.formatter -> t -> unit

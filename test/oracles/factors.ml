@@ -1,12 +1,15 @@
 open Batsched_taskgraph
 open Batsched_sched
 
-(* The compensated sum, in task-id order, of every task's I * V * D at
+(* The compensated sum, in task-id order, of [term] at every task's
    column [col i]. *)
-let energy_sum g col =
+let sum_points g col term =
   Batsched_numeric.Kahan.sum_fn (Graph.num_tasks g) (fun i ->
-      let p = Task.point (Graph.task g i) (col i) in
-      p.Task.current *. p.Task.voltage *. p.Task.duration)
+      term (Task.point (Graph.task g i) (col i)))
+
+let energy (p : Task.design_point) = p.current *. p.voltage *. p.duration
+
+let energy_sum g col = sum_points g col energy
 
 let current_range g =
   List.fold_left
@@ -21,6 +24,9 @@ let energy_bounds g =
   (energy_sum g (fun _ -> m - 1), energy_sum g (fun _ -> 0))
 
 let total_energy g a = energy_sum g (Assignment.column a)
+
+let total_charge g a =
+  sum_points g (Assignment.column a) (fun p -> p.Task.current *. p.Task.duration)
 
 let slack_ratio ~deadline ~time =
   if not (deadline > 0.0) then invalid_arg "Factors.slack_ratio: deadline <= 0";

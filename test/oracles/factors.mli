@@ -19,6 +19,10 @@ val energy_bounds : Graph.t -> float * float
 val total_energy : Graph.t -> Assignment.t -> float
 (** Sum of [I * V * D] over chosen points — the paper's [E_n]. *)
 
+val total_charge : Graph.t -> Assignment.t -> float
+(** Sum of [I * D] over chosen points (mA*min): the charge the load
+    draws, which no battery model's sigma falls below. *)
+
 val slack_ratio : deadline:float -> time:float -> float
 (** SR = (d - t)/d.  Smaller is better (less unexploited slack); may be
     negative when over deadline.

@@ -4,6 +4,7 @@
 
 open Batsched_taskgraph
 open Batsched_sched
+module Factors = Batsched_oracles.Factors
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close eps = Alcotest.(check (float eps))
@@ -382,9 +383,9 @@ let test_iterate_ideal_model_prefers_low_energy () =
   let cfg = Batsched.Config.make ~model ~deadline:1000.0 () in
   let r = Batsched.Iterate.run cfg g in
   let charge =
-    Assignment.total_charge g r.Batsched.Iterate.schedule.Schedule.assignment
+    Factors.total_charge g r.Batsched.Iterate.schedule.Schedule.assignment
   in
-  let minimal = Assignment.total_charge g (Assignment.all_lowest_power g) in
+  let minimal = Factors.total_charge g (Assignment.all_lowest_power g) in
   check_close 1e-6 "minimal charge" minimal charge
 
 (* --- regression pins --- *)

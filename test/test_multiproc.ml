@@ -5,6 +5,7 @@ open Batsched_taskgraph
 open Batsched_sched
 open Batsched_battery
 open Batsched_multiproc
+module Factors = Batsched_oracles.Factors
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close eps = Alcotest.(check (float eps))
@@ -118,7 +119,7 @@ let test_mschedule_profile_charge () =
   in
   let p = Mschedule.to_profile g sched in
   check_close 1e-6 "charge preserved"
-    (Assignment.total_charge g (Assignment.all_fastest g))
+    (Factors.total_charge g (Assignment.all_fastest g))
     (Profile.total_charge p)
 
 let test_mschedule_single_pe_matches_sequential () =

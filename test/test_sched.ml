@@ -49,9 +49,9 @@ let test_assignment_totals () =
   let fast = Assignment.all_fastest g in
   check_float "time" 7.0 (Assignment.total_time g fast);
   check_float "charge" (400.0 +. 1200.0 +. 500.0 +. 1350.0)
-    (Assignment.total_charge g fast);
+    (Factors.total_charge g fast);
   (* voltages default to 1, so energy = charge *)
-  check_float "energy" (Assignment.total_charge g fast)
+  check_float "energy" (Factors.total_charge g fast)
     (Factors.total_energy g fast)
 
 let test_assignment_equal () =
@@ -113,7 +113,7 @@ let test_schedule_battery_cost_positive () =
   in
   Alcotest.(check bool) "positive and above coulombs" true
     (Schedule.battery_cost ~model g s
-     > Assignment.total_charge g (Assignment.all_fastest g))
+     > Factors.total_charge g (Assignment.all_fastest g))
 
 let test_schedule_currents_in_sequence_order () =
   let g = diamond () in
@@ -283,7 +283,7 @@ let test_continuous_bounds_discrete_choices () =
         let a = Assignment.of_list g [ c0; c1; c2 ] in
         if Assignment.total_time g a <= deadline +. 1e-9 then
           Alcotest.(check bool) "bounded" true
-            (Assignment.total_charge g a >= bound -. 1e-6)
+            (Factors.total_charge g a >= bound -. 1e-6)
       done
     done
   done
@@ -587,7 +587,7 @@ let prop_schedule_profile_charge_consistent =
       in
       Float.abs
         (Batsched_battery.Profile.total_charge (Schedule.to_profile g s)
-         -. Assignment.total_charge g a)
+         -. Factors.total_charge g a)
       < 1e-6)
 
 let prop_priorities_always_topological =
