@@ -332,16 +332,13 @@ let test_invert_monotone_already_met () =
 
 (* --- Stats --- *)
 
+let test_stats_mean () = check_float "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ])
+
 let test_stats_variance () =
   check_float "variance" 2.5 (Stats.variance [ 1.0; 2.0; 3.0; 4.0; 5.0 ])
 
 let test_stats_singleton_variance () =
   check_float "singleton" 0.0 (Stats.variance [ 42.0 ])
-
-let test_stats_geometric_mean () =
-  check_close 1e-9 "geomean" 2.0 (Stats.geometric_mean [ 1.0; 2.0; 4.0 ])
-
-let test_stats_mean () = check_float "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ])
 
 let test_stats_min_max () =
   let lo, hi = Stats.min_max [ 3.0; 1.0; 2.0 ] in
@@ -358,6 +355,9 @@ let test_stats_percentile_bounds () =
   let xs = [ 10.0; 20.0; 30.0 ] in
   check_float "p0" 10.0 (Stats.percentile 0.0 xs);
   check_float "p100" 30.0 (Stats.percentile 100.0 xs)
+
+let test_stats_geometric_mean () =
+  check_close 1e-9 "geomean" 2.0 (Stats.geometric_mean [ 1.0; 2.0; 4.0 ])
 
 let test_stats_empty () =
   Alcotest.check_raises "empty" (Invalid_argument "Stats.mean: empty sample")
@@ -830,8 +830,8 @@ let qcheck_tests =
       prop_kernel_nonnegative;
       prop_percentile_monotone;
       prop_kernel_matches_direct;
-      prop_kernel_zero_a_matches_direct;
       prop_exp_sum_cached_bit_identical;
+      prop_kernel_zero_a_matches_direct;
       prop_fcache_matches_hashtbl_model;
       prop_fcache_growth_matches_hashtbl_model;
       prop_pool_map_matches_sequential;
