@@ -34,17 +34,22 @@ let observed ?(seed = 0) ?(pool_size = 1) ~label ~knobs telemetry body =
           curve = [] });
   result
 
-(* An option's value must be finite and positive; --idle may be 0. *)
-let bad_number (option, v) =
-  let idle = option = "idle" in
-  if Float.is_finite v && (v > 0.0 || (idle && v = 0.0)) then None
+(* An option's value must be finite and either positive or, where 0
+   means "none" (a load's current, --idle), non-negative. *)
+let bad_number (option, v, bound) =
+  let in_bound, what =
+    match bound with
+    | `Positive -> (v > 0.0, "positive")
+    | `Non_negative -> (v >= 0.0, "non-negative")
+  in
+  if Float.is_finite v && in_bound then None
   else
     Some
       (Printf.sprintf "option '--%s': %g is not a finite %s number" option v
-         (if idle then "non-negative" else "positive"))
+         what)
 
 (* Every numeric option is checked here, once, before a model sees it:
-   [numbers] pairs an option's name with each of its values.  Then
+   [numbers] gives each value with its option's name and bound.  Then
    basched's check on --beta, then the PDE grid's. *)
 let model_of ~numbers name beta =
   let { Diffusion.nodes; dt; _ } = Diffusion.default_params in
@@ -98,7 +103,9 @@ let lifetime current alpha beta model_name telemetry =
     telemetry
   @@ fun () ->
   match
-    model_of ~numbers:[ ("current", current); ("alpha", alpha) ] model_name beta
+    model_of
+      ~numbers:[ ("current", current, `Positive); ("alpha", alpha, `Positive) ]
+      model_name beta
   with
   | Error msg -> `Error (false, msg)
   | Ok model -> (
@@ -151,8 +158,11 @@ let sigma loads beta idle model_name telemetry =
   | Ok [] -> `Error (false, "need at least one --load I:D")
   | Ok pairs -> (
       let numbers =
-        ("idle", idle)
-        :: List.concat_map (fun (i, d) -> [ ("load", i); ("load", d) ]) pairs
+        ("idle", idle, `Non_negative)
+        :: List.concat_map
+             (fun (i, d) ->
+               [ ("load", i, `Non_negative); ("load", d, `Positive) ])
+             pairs
       in
       match model_of ~numbers model_name beta with
       | Error msg -> `Error (false, msg)
@@ -198,7 +208,9 @@ let curve current beta points model_name telemetry =
         ("points", string_of_int points) ]
     telemetry
   @@ fun () ->
-  match model_of ~numbers:[ ("current", current) ] model_name beta with
+  match
+    model_of ~numbers:[ ("current", current, `Positive) ] model_name beta
+  with
   | Error msg -> `Error (false, msg)
   | Ok _ when points < 2 -> `Error (false, "need at least 2 points")
   | Ok model -> (
@@ -235,8 +247,8 @@ let cycles current burst period alpha beta model_name telemetry =
     telemetry
   @@ fun () ->
   let numbers =
-    [ ("current", current); ("burst", burst); ("period", period);
-      ("alpha", alpha) ]
+    [ ("current", current, `Positive); ("burst", burst, `Positive);
+      ("period", period, `Positive); ("alpha", alpha, `Positive) ]
   in
   match model_of ~numbers model_name beta with
   | Error msg -> `Error (false, msg)

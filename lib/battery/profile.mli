@@ -17,7 +17,7 @@ type t
     non-overlapping, all within [[0, infinity)].  Stored as three
     unboxed float arrays (start/duration/current per interval), so the
     hot sigma evaluators can walk it without per-call allocation — use
-    {!fold} / {!iter_until} rather than {!intervals} on hot paths. *)
+    {!iter_until} rather than {!intervals} on hot paths. *)
 
 val of_intervals : (float * float * float) list -> t
 (** [of_intervals [(start, duration, current); ...]] validates and sorts.
@@ -72,7 +72,7 @@ val iter_until : t -> at:float -> float array -> (unit -> unit) -> unit
     arrays allocates nothing per interval. *)
 
 val length : t -> float
-(** End time of the last interval (0 for {!empty}). *)
+(** End time of the last interval (0 for a profile with none). *)
 
 val total_charge : t -> float
 (** Plain coulomb count [sum I_k * Delta_k] (mA*min), i.e. the charge an
@@ -85,7 +85,7 @@ val superpose : t list -> t
     left as gaps. *)
 
 val peak_current : t -> float
-(** Largest interval current (0 for {!empty}). *)
+(** Largest interval current (0 for a profile with no intervals). *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering, one interval per line. *)

@@ -17,7 +17,7 @@ let valid_pde_grid ~beta ~nodes ~dt =
   let dee = beta *. beta /. (Float.pi *. Float.pi) in
   dt *. (dee /. (dx *. dx)) < 0x1p53
 
-(* The kernel comes from the memoized [Series.exp_sum_cached] tails,
+(* The kernel comes from [Series]' memoized exponential-sum tails,
    and whole per-interval contributions are memoized in {e suffix-time
    coordinates}: the RV contribution of an interval depends only on its
    current [I], its duration [D] and the time [tail] between its end

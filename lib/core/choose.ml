@@ -66,9 +66,9 @@ type ctx = {
 }
 
 (* Neumaier's compensated sum over the pair of cells [s.(i)] (running
-   total) and [s.(i + 1)] (compensation): the formula of [Kahan.add],
-   kept in a preallocated unboxed float array so that it allocates
-   nothing and the arithmetic stays in registers. *)
+   total) and [s.(i + 1)] (compensation): the step of [Kahan.Acc], and
+   so of [Kahan.sum_fn], kept in a preallocated unboxed float array so
+   that it allocates nothing and the arithmetic stays in registers. *)
 let[@inline] kadd s i x =
   let total = s.(i) in
   let t = total +. x in
@@ -133,11 +133,12 @@ let build_tables g =
       energy.((i * m) + j) <-
         p.Task.current *. p.Task.voltage *. p.Task.duration
     done;
-    (* Analysis.current_range: slowest and fastest currents *)
+    (* the reference's [Factors.current_range]: slowest and fastest
+       currents *)
     imin := Float.min !imin cur.((i * m) + m - 1);
     imax := Float.max !imax cur.(i * m)
   done;
-  (* Analysis.energy_bounds and Task.average_energy: the same Kahan sums
+  (* [Factors.energy_bounds] and Task.average_energy: the same Kahan sums
      in the same order.  The energy order sorts by (average, id), the
      paper's energy vector, without boxing a tuple per task. *)
   let sums = Array.make 2 0.0 in
@@ -221,14 +222,14 @@ let make_ctx (cfg : Config.t) g ~seq ~window_start =
 
 let[@inline] dur_at ctx i j = ctx.dur.((i * ctx.m) + j)
 
-(* Metrics.slack_ratio, bit for bit, without the cross-module call that
-   boxes its argument and its result on every trial.  Its guard is moot
-   here: [Config.make] rejects a deadline <= 0, and every column misses
-   such a deadline, so the choose loop raises [Deadline_unmeetable]
-   before its first trial. *)
+(* The reference's [Factors.slack_ratio], bit for bit, without a
+   cross-module call that would box its argument and its result on
+   every trial.  Its guard is moot here: [Config.make] rejects a
+   deadline <= 0, and every column misses such a deadline, so the
+   choose loop raises [Deadline_unmeetable] before its first trial. *)
 let[@inline] slack_ratio ctx time = (ctx.deadline -. time) /. ctx.deadline
 
-(* Metrics.current_ratio over the precomputed range. *)
+(* [Factors.current_ratio] over the precomputed range. *)
 let[@inline] current_ratio ctx i =
   if ctx.imax -. ctx.imin <= 0.0 then 0.0
   else (i -. ctx.imin) /. (ctx.imax -. ctx.imin)

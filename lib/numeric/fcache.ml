@@ -15,9 +15,9 @@
      currents, durations, tails) end in long runs of zero bits, so a
      table indexed by the low bits needs a finalizer that folds the
      high bits back down.  Two xor-shift-multiply rounds on native
-     ints do that; [Splitmix.mix64] would too, but its [Int64] argument
-     and result stay boxed across the module boundary: 6 more minor
-     words per lookup.
+     ints do that; SplitMix64's [Int64] finalizer would too, but an
+     [Int64] argument and result stay boxed across a module boundary:
+     6 more minor words per lookup.
 
    - Linear probing, at most [max_probe] slots.  Slots are never
      emptied (generation stamps only ever advance), so probe chains
@@ -119,7 +119,7 @@ let capacity t = t.mask + 1
 (* SplitMix64-flavoured mixing over the raw float words ([to_int]
    drops the top bit — irrelevant for a hash), then two xor-shift-
    multiply rounds that fold the high bits into the slot bits the mask
-   keeps (see the header for why this is not [Splitmix.mix64]). *)
+   keeps (see the header for why this is not SplitMix64's finalizer). *)
 let[@inline] hash_words keys base arity =
   let h = ref 0x27d4eb2f165667c5 in
   for i = 0 to arity - 1 do

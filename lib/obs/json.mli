@@ -21,7 +21,7 @@ exception Bad_json of string
 
 val parse : string -> t
 (** Parse one complete JSON value; trailing garbage is an error, and
-    so is nesting deeper than {!max_depth}.
+    so is nesting deeper than 256 levels.
     @raise Bad_json on malformed input. *)
 
 val field : string -> t -> t option

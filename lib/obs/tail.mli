@@ -23,6 +23,6 @@ val bad : t -> int
 (** Lines skipped so far (torn tail or corrupt). *)
 
 val read_file : string -> Json.t list * int
-(** One-shot lenient read: [(records, skipped)].  Unlike
-    {!Json.of_jsonl_file}, never raises on a truncated tail.
+(** One-shot lenient read: [(records, skipped)].  Never raises on a
+    truncated tail.
     @raise Sys_error if the file cannot be opened. *)

@@ -3,9 +3,9 @@
 
     Every trial copies the committed columns, rescans the whole
     sequence and runs the upgrade loop from scratch, costing each term
-    with the public metric definitions ([Metrics.energy_ratio],
-    [current_increase_fraction], [dpf_static], [slack_ratio],
-    [current_ratio]) and [Kahan.sum_fn].  It shares none of
+    with the factor definitions of {!Factors} ([energy_ratio],
+    [current_increase_fraction], [slack_ratio], [current_ratio]),
+    [Metrics.dpf_static] and [Kahan.sum_fn].  It shares none of
     [Choose]'s tables.  A call costs O(n²·m).  It books the same
     [choose_calls] and [dpf_steps] probe counters as the seed did, and
     emits no events and opens no span. *)

@@ -1,5 +1,5 @@
 (** The two-well integration of the Kinetic Battery Model, the
-    independent check on the channel decomposition [Kibam.channels]
+    independent check on the channel decomposition behind [Kibam.model]
     (DESIGN.md §11.1).  The wells are evolved interval by interval in
     absolute coordinates, so every step rounds at the magnitude of the
     capacity: the two agree within a few ulps of the capacity per step,

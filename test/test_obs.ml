@@ -331,18 +331,22 @@ let test_log_disabled_thunk_not_forced () =
   in
   Alcotest.(check bool) "thunk skipped" false !forced
 
-(* BATSCHED_LOG names a level; an unknown name leaves the level alone *)
+(* BATSCHED_LOG names a level; an unknown name leaves the level alone.
+   Each case starts at the level its expected output rules out, so it
+   fails if the name is misread or the level left as it was. *)
 let test_log_of_string () =
-  let from_env value =
+  let from_env ~level value =
     Unix.putenv "BATSCHED_LOG" value;
     Fun.protect ~finally:(fun () -> Unix.putenv "BATSCHED_LOG" "") (fun () ->
-        with_captured_log (fun () ->
+        with_captured_log ~level (fun () ->
             Log.init_from_env ();
             Log.debug (fun () -> "d")))
   in
-  Alcotest.(check (list string)) "debug" [ "basched: [debug] d" ] (from_env "debug");
-  Alcotest.(check (list string)) "quiet" [] (from_env "quiet");
-  Alcotest.(check (list string)) "junk" [] (from_env "chatty")
+  Alcotest.(check (list string)) "debug" [ "basched: [debug] d" ]
+    (from_env ~level:Log.Quiet "debug");
+  Alcotest.(check (list string)) "quiet" [] (from_env ~level:Log.Debug "quiet");
+  Alcotest.(check (list string)) "junk" [ "basched: [debug] d" ]
+    (from_env ~level:Log.Debug "chatty")
 
 (* --- histograms --- *)
 
